@@ -22,19 +22,6 @@
 //! geomean over 16 scenarios averages the noise away while a systematic
 //! slowdown moves every ratio in the same direction.
 //!
-//! ## Serving-latency guard
-//!
-//! When `BENCH_forecast.json` is present, the guard re-measures the
-//! pooled event-front-end serving p50 at each committed concurrency
-//! level (`select8/clients=N/pooled`, median of three fresh servers —
-//! the same driver `bench_forecast` uses) and compares as a *geometric
-//! mean ratio* across levels, failing beyond `--serving-tolerance`
-//! percent (default 35%). Like the overhead guard, aggregation is the
-//! noise defence: closed-loop serving p50s on a shared box jitter
-//! 10–25% per level, but an accept-path regression (say, the poller
-//! degenerating to per-request connection churn) moves every level the
-//! same direction.
-//!
 //! ## Scenario selection
 //!
 //! `--scenario <substr>` restricts the kernel gate to scenarios whose
@@ -47,22 +34,16 @@
 //! Usage: `cargo run --release -p bench --bin bench_guard \
 //!             [BENCH_kernel.json] [--tolerance <percent>] \
 //!             [--overhead-tolerance <percent>] \
-//!             [--serving-tolerance <percent>] \
 //!             [--scenario <substr>]...`
 
-use std::sync::Arc;
-
 use bench::scenarios::{kernel_suite, standard_platform};
-use bench::serving;
 
 const OVERHEAD_PATH: &str = "BENCH_overhead.json";
-const SERVING_PATH: &str = "BENCH_forecast.json";
 
 fn main() {
     let mut committed_path = "BENCH_kernel.json".to_string();
     let mut tolerance = 15.0f64;
     let mut overhead_tolerance = 2.0f64;
-    let mut serving_tolerance = 35.0f64;
     let mut filters: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -73,7 +54,7 @@ fn main() {
                 std::process::exit(2);
             }
             filters.push(v);
-        } else if a == "--tolerance" || a == "--overhead-tolerance" || a == "--serving-tolerance" {
+        } else if a == "--tolerance" || a == "--overhead-tolerance" {
             let v = args.next().unwrap_or_default();
             let parsed = match v.parse() {
                 Ok(t) => t,
@@ -82,10 +63,10 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            match a.as_str() {
-                "--tolerance" => tolerance = parsed,
-                "--overhead-tolerance" => overhead_tolerance = parsed,
-                _ => serving_tolerance = parsed,
+            if a == "--tolerance" {
+                tolerance = parsed;
+            } else {
+                overhead_tolerance = parsed;
             }
         } else {
             committed_path = a;
@@ -172,11 +153,11 @@ fn main() {
     }
 
     // Overhead verdict: geomean of fresh/uninstrumented ratios. A
-    // `--scenario` filter disables both aggregate guards — a geomean
+    // `--scenario` filter disables the aggregate guard — a geomean
     // over a hand-picked subset gates nothing meaningful.
     let mut overhead_failed = false;
     if !filters.is_empty() {
-        println!("note: --scenario filter active — overhead and serving guards skipped");
+        println!("note: --scenario filter active — overhead guard skipped");
         if regressions > 0 {
             eprintln!(
                 "bench_guard: {regressions} scenario(s) regressed more than {tolerance}%"
@@ -214,58 +195,6 @@ fn main() {
         }
     }
 
-    // Serving gate: fresh pooled event-front-end p50s vs the committed
-    // forecast trajectory, aggregated as a geomean across levels.
-    let mut serving_failed = false;
-    match std::fs::read_to_string(SERVING_PATH).ok().and_then(|t| jsonlite::Value::parse(&t).ok())
-    {
-        None => println!("note: {SERVING_PATH} absent — serving-latency guard skipped"),
-        Some(trajectory) => {
-            let scenarios = Arc::new(serving::scenario_set());
-            let mut ratios: Vec<(usize, f64, f64)> = Vec::new();
-            for clients in [1usize, 8, 64, 256] {
-                let Some(want) = trajectory
-                    .get(&format!("select8/clients={clients}/pooled"))
-                    .and_then(|row| row.get("p50_ms"))
-                    .and_then(|v| v.as_f64())
-                    .filter(|&w| w > 0.0)
-                else {
-                    continue;
-                };
-                // Min of two medians, same reasoning as the kernel gate.
-                let fresh = serving::measure_pooled_p50_ms(&scenarios, clients)
-                    .min(serving::measure_pooled_p50_ms(&scenarios, clients));
-                println!(
-                    "serving clients={clients:<3} committed p50 {want:>8.3} ms  \
-                     fresh {fresh:>8.3} ms  ({:+.1}%)",
-                    (fresh - want) / want * 100.0
-                );
-                ratios.push((clients, want, fresh / want));
-            }
-            if ratios.is_empty() {
-                println!("note: no select8 pooled rows in {SERVING_PATH} — serving guard skipped");
-            } else {
-                let geomean = (ratios.iter().map(|(_, _, r)| r.ln()).sum::<f64>()
-                    / ratios.len() as f64)
-                    .exp();
-                let pct = (geomean - 1.0) * 100.0;
-                println!(
-                    "serving vs {SERVING_PATH}: geomean p50 ratio {geomean:.4} ({pct:+.2}%) \
-                     over {} level(s), tolerance {serving_tolerance}%",
-                    ratios.len()
-                );
-                if pct > serving_tolerance {
-                    serving_failed = true;
-                    eprintln!(
-                        "bench_guard: serving p50 regressed {pct:+.2}% (geomean), beyond the \
-                         {serving_tolerance}% budget — investigate or regenerate {SERVING_PATH} \
-                         with bench_forecast if intentional"
-                    );
-                }
-            }
-        }
-    }
-
     if regressions > 0 {
         eprintln!(
             "bench_guard: {regressions} scenario(s) regressed more than {tolerance}% — \
@@ -273,7 +202,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if overhead_failed || serving_failed {
+    if overhead_failed {
         std::process::exit(1);
     }
     println!("bench_guard: all scenarios within {tolerance}% of {committed_path}");

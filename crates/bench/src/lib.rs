@@ -7,4 +7,3 @@
 //! the `bench_guard` regression gate.
 
 pub mod scenarios;
-pub mod serving;

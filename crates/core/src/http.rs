@@ -11,32 +11,21 @@
 //! shed control mutation must fail loudly, not quietly succeed at a
 //! stale answer's price.
 //!
-//! ## Two front ends, one contract
+//! ## One front end
 //!
-//! The server has two interchangeable connection front ends, selected by
-//! [`ServerConfig::front_end`]:
-//!
-//! * [`FrontEnd::Event`] (default on Linux) — one poller thread drives
-//!   every connection through an epoll readiness loop (see the sibling
-//!   `sys` module for the FFI and `poller` for the state machines):
-//!   nonblocking sockets, buffered partial reads and writes, HTTP/1.1
-//!   keep-alive (a client connection amortizes its accept across many
-//!   requests), and a timer wheel that turns the header deadline, idle
-//!   timeout and write timeout into `epoll_wait` timeouts instead of
-//!   per-socket `SO_RCVTIMEO`. Parse-complete requests are handed to an
-//!   `exec::WorkerPool`; finished responses come back over an
-//!   `exec::Handback` plus wake pipe.
-//! * [`FrontEnd::Threaded`] — the original blocking design and the
-//!   portable fallback: an accept thread, a crossbeam channel, and one
-//!   OS thread per worker, each owning a connection end-to-end,
-//!   connection-close only.
-//!
-//! Both front ends share the same parsing, admission control, shed path,
-//! [`ServerStats`] counters, and metric families below: every test suite
-//! and the bench harness run against both, and the observable semantics
-//! (status codes, headers, counter balance, JSON shapes) are identical.
-//! The one intentional difference: the event front end honors HTTP/1.1
-//! keep-alive, the threaded one always answers `Connection: close`.
+//! Every connection is driven by one poller thread through an epoll
+//! readiness loop (see the sibling `sys` module for the FFI and `poller`
+//! for the state machines): nonblocking sockets, buffered partial reads
+//! and writes, HTTP/1.1 keep-alive (a client connection amortizes its
+//! accept across many requests), and a timer wheel that turns the header
+//! deadline, idle timeout and write timeout into `epoll_wait` timeouts.
+//! The poller is the only owner of server-side sockets and the only
+//! caller of `parse_head`, the one function that turns received bytes
+//! into a [`Request`]. Parse-complete requests are handed to an
+//! `exec::WorkerPool`; finished responses come back over an
+//! `exec::Handback` plus wake pipe. This module holds what surrounds
+//! that loop: the request/response types and their grammar, the
+//! configuration, the counters, the [`Server`] handle and the client.
 //!
 //! ## Admission control and overload semantics
 //!
@@ -44,14 +33,16 @@
 //! a *defined* behavior instead of an unbounded queue:
 //!
 //! * **Bounded pending queue.** At most [`ServerConfig::queue_limit`]
-//!   accepted connections may wait for a worker. Beyond that the server
-//!   *sheds*: the connection is answered `503 Service Unavailable` with a
-//!   `Retry-After` header, without reading the request, so the accept
-//!   loop never blocks on a hostile peer.
+//!   parsed requests may wait for a worker. Beyond that the server
+//!   *sheds*: a new connection is answered `503 Service Unavailable`
+//!   with a `Retry-After` header without reading its request, and a
+//!   request that finds the queue full once parsed (keep-alive, or a
+//!   race with the accept-time check) gets the same answer.
 //! * **Degraded mode (opt-in).** When a shed fallback handler is
-//!   installed ([`Server::start_with`]), shed connections are parsed on a
-//!   dedicated thread and offered to the fallback — the Pilgrim service
-//!   uses this to answer from stale-epoch cache entries with an
+//!   installed ([`Server::start_with`]), the poller reads an overloaded
+//!   connection's head as usual and hands the *parsed* request to a
+//!   dedicated thread that offers it to the fallback — the Pilgrim
+//!   service uses this to answer from stale-epoch cache entries with an
 //!   `X-Pilgrim-Stale: <epoch-lag>` header instead of a 503. The fallback
 //!   path has its own small queue; past it, plain 503s resume.
 //! * **Per-request deadlines.** A request admitted at time `t` with
@@ -59,13 +50,13 @@
 //!   [`ServerConfig::max_deadline`], or the server-side
 //!   [`ServerConfig::default_deadline`]) is answered `504 Gateway
 //!   Timeout` if `t + d` passes before the handler *starts*. The check
-//!   runs after dequeue and again after header parsing — queued-then-
-//!   expired work is never executed, so a backlog drains at write speed
-//!   instead of simulating for clients that already gave up.
+//!   runs when a worker dequeues the request — queued-then-expired work
+//!   is never executed, so a backlog drains at write speed instead of
+//!   simulating for clients that already gave up.
 //! * **Slowloris guard.** The request line and headers must arrive
-//!   within [`ServerConfig::header_deadline`] *in total* (checked
-//!   between reads, with the socket timeout clamped to the remaining
-//!   budget) — separate from the per-read [`ServerConfig::read_timeout`].
+//!   within [`ServerConfig::header_deadline`] *in total*, however the
+//!   bytes are spread over reads — separate from the keep-alive
+//!   [`ServerConfig::idle_timeout`], which only runs between requests.
 //!   Violations get `408 Request Timeout`.
 //! * **Graceful drain.** [`Server::stop`] stops accepting, lets queued
 //!   and in-flight requests finish, and joins every worker before
@@ -93,21 +84,16 @@
 //!   queue's own latency.
 //! * `http_request_header_bytes_total` / `http_response_body_bytes_total`
 //!   — wire volume in and out.
-//! * `http_connections_open` — currently open client connections (both
-//!   front ends).
+//! * `http_connections_open` — currently open client connections.
 //! * `http_keepalive_reuse_total` — responses after which a connection
-//!   was recycled for another request (event front end; the threaded one
-//!   never reuses).
-//! * `epoll_wakeups_total` — `epoll_wait` returns in the poller loop
-//!   (event front end only).
+//!   was recycled for another request.
+//! * `epoll_wakeups_total` — `epoll_wait` returns in the poller loop.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use jsonlite::Value;
 use parking_lot::Mutex;
@@ -237,8 +223,7 @@ impl Response {
     }
 
     /// Serializes the whole response (head + body) into one buffer with
-    /// the requested connection framing. Both front ends use this; the
-    /// threaded one always passes `keep_alive = false`.
+    /// the requested connection framing.
     pub(crate) fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -258,11 +243,6 @@ impl Response {
         let mut out = head.into_bytes();
         out.extend_from_slice(self.body.as_bytes());
         out
-    }
-
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        stream.write_all(&self.to_bytes(false))?;
-        stream.flush()
     }
 }
 
@@ -310,56 +290,22 @@ pub fn parse_query(q: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Upper bound on the request line (method + URI + version). Generous —
-/// legitimate Pilgrim queries embed whole transfer lists in the URI —
-/// but finite, so a hostile client cannot grow server memory without
-/// bound by never sending a newline.
-pub(crate) const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
-/// Upper bound on the total header bytes after the request line.
-pub(crate) const MAX_HEADER_BYTES: usize = 64 * 1024;
-/// Pending shed connections the degraded-mode thread may hold; beyond
-/// this, plain inline 503s resume.
-pub(crate) const SHED_QUEUE_LIMIT: usize = 64;
-
-/// Which connection front end a server runs (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Single epoll poller thread + worker pool for CPU work. Linux
-    /// only; selecting it elsewhere falls back to [`FrontEnd::Threaded`].
-    Event,
-    /// Accept thread + one blocking OS thread per worker.
-    Threaded,
-}
-
-impl Default for FrontEnd {
-    fn default() -> FrontEnd {
-        if cfg!(target_os = "linux") {
-            FrontEnd::Event
-        } else {
-            FrontEnd::Threaded
-        }
-    }
-}
-
 /// Server tuning: admission, deadlines and socket timeouts.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Connection front end (event-driven poller vs thread-per-worker).
-    pub front_end: FrontEnd,
     /// Worker threads serving parsed requests (clamped to ≥ 1).
     pub workers: usize,
-    /// Accepted connections allowed to wait for a worker before new
-    /// arrivals are shed with 503s. In-service requests do not count.
+    /// Parsed requests allowed to wait for a worker before new arrivals
+    /// are shed with 503s. In-service requests do not count.
     pub queue_limit: usize,
     /// Total wall-clock budget for receiving the request line + headers
     /// (slowloris guard); violations get 408.
     pub header_deadline: Duration,
-    /// Per-read socket timeout on the threaded front end; the event
-    /// front end reuses it as the keep-alive idle timeout (a recycled
-    /// connection that stays silent past it is closed).
-    pub read_timeout: Duration,
-    /// Socket write timeout: a client that stops reading its response
-    /// cannot hold a worker past this.
+    /// Keep-alive idle timeout: a recycled connection that stays silent
+    /// past it is closed.
+    pub idle_timeout: Duration,
+    /// Write timeout: a client that stops reading its response is
+    /// abandoned (and counted in `write_errors`) after this.
     pub write_timeout: Duration,
     /// Server-side default end-to-end deadline, measured from accept.
     /// `None` disables deadline checks unless the client asks for one.
@@ -374,11 +320,10 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            front_end: FrontEnd::default(),
             workers: 4,
             queue_limit: 1024,
             header_deadline: Duration::from_secs(5),
-            read_timeout: Duration::from_secs(10),
+            idle_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             default_deadline: None,
             max_deadline: Duration::from_secs(300),
@@ -460,17 +405,17 @@ const MAX_LATENCY_SERIES: usize = 64;
 /// counters, all registered on the server's [`MetricsRegistry`].
 pub struct HttpMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Accept → worker-dequeue wait. No endpoint label: the request has
-    /// not been read yet when the wait ends.
+    /// Request arrival (accept, or first byte on a recycled connection)
+    /// → worker-dequeue wait.
     pub(crate) queue_wait_ns: Histogram,
     /// Request-line + header bytes read off sockets.
     pub(crate) header_bytes: Counter,
     /// Response body bytes successfully written.
     pub(crate) body_bytes: Counter,
-    /// Currently open client connections (either front end).
+    /// Currently open client connections.
     pub(crate) connections_open: telemetry::Gauge,
     /// Responses after which the connection was recycled for another
-    /// request (event front end keep-alive).
+    /// request.
     pub(crate) keepalive_reuse: Counter,
     /// `epoll_wait` returns in the poller loop.
     pub(crate) epoll_wakeups: Counter,
@@ -509,7 +454,7 @@ impl HttpMetrics {
         );
         let epoll_wakeups = registry.counter(
             "epoll_wakeups_total",
-            "Returns from epoll_wait in the event front end's poller loop",
+            "Returns from epoll_wait in the poller loop",
             &[],
         );
         HttpMetrics {
@@ -566,184 +511,38 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-enum LineError {
-    /// The line exceeded its byte cap.
-    TooLong,
-    /// The header deadline passed before the line completed.
-    Expired,
-    /// The underlying read failed (timeout, reset, …).
-    Io(String),
-}
-
-/// Reads one `\n`-terminated line of at most `cap` bytes, enforcing both
-/// the per-read socket timeout and the *total* `deadline`: the socket
-/// timeout is clamped to the remaining budget before every read, and the
-/// budget is re-checked after every chunk, so a slow-drip client cannot
-/// stretch one line past the deadline by feeding single bytes. EOF
-/// returns whatever arrived (possibly empty), matching `read_line`.
-fn read_line_deadline(
-    reader: &mut BufReader<TcpStream>,
-    cap: usize,
-    deadline: Instant,
-    read_timeout: Duration,
-) -> Result<String, LineError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(LineError::Expired);
-        }
-        let budget = (deadline - now).min(read_timeout).max(Duration::from_millis(1));
-        reader
-            .get_ref()
-            .set_read_timeout(Some(budget))
-            .map_err(|e| LineError::Io(e.to_string()))?;
-        let (consumed, done) = {
-            let buf = match reader.fill_buf() {
-                Ok(b) => b,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // The socket timeout was clamped to the remaining
-                    // header budget: expiring at the deadline is the
-                    // slowloris case, not a plain idle timeout.
-                    if Instant::now() >= deadline {
-                        return Err(LineError::Expired);
-                    }
-                    return Err(LineError::Io("read timed out".to_string()));
-                }
-                Err(e) => return Err(LineError::Io(e.to_string())),
-            };
-            if buf.is_empty() {
-                (0, true) // EOF: return the partial (or empty) line
-            } else {
-                match buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        line.extend_from_slice(&buf[..=pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        line.extend_from_slice(buf);
-                        (buf.len(), false)
-                    }
-                }
-            }
-        };
-        reader.consume(consumed);
-        if line.len() > cap {
-            return Err(LineError::TooLong);
-        }
-        if done {
-            return Ok(String::from_utf8_lossy(&line).into_owned());
-        }
-    }
-}
-
-enum ParseFailure {
-    /// Malformed input → 400.
-    Bad(String),
-    /// Header deadline exceeded → 408.
-    HeaderDeadline,
-}
-
-impl ParseFailure {
-    fn from_line(e: LineError, too_long: impl FnOnce() -> String) -> ParseFailure {
-        match e {
-            LineError::TooLong => ParseFailure::Bad(too_long()),
-            LineError::Expired => ParseFailure::HeaderDeadline,
-            LineError::Io(msg) => ParseFailure::Bad(msg),
-        }
-    }
-}
-
-/// Parses a request line into `(method, target)`, rejecting anything
-/// that is not HTTP/1.x. Shared by both front ends.
-pub(crate) fn parse_request_line(line: &str) -> Result<(String, String), String> {
-    let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or_else(|| "missing method".to_string())?.to_string();
-    let target = parts.next().ok_or_else(|| "missing target".to_string())?.to_string();
-    let version = parts.next().ok_or_else(|| "missing version".to_string())?;
+/// Parses one request head — the request line, then header lines up to
+/// the first blank line or the end of `head` — into a [`Request`]: the
+/// one place received bytes become a request. Lines end in `\n` or
+/// `\r\n`; anything that is not HTTP/1.x is rejected; a header line
+/// without a `:` is skipped; the target is split at the first `?`
+/// *before* the path is percent-decoded, so an encoded `?` stays part of
+/// the path.
+pub(crate) fn parse_head(head: &str) -> Result<Request, String> {
+    let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
+    let mut parts = lines.next().unwrap_or("").split_whitespace();
+    let method = parts.next().ok_or("missing method")?;
+    let target = parts.next().ok_or("missing target")?;
+    let version = parts.next().ok_or("missing version")?;
     if !version.starts_with("HTTP/1.") {
         return Err(format!("unsupported version {version}"));
     }
-    Ok((method, target))
-}
-
-/// Parses one header line into a lowercased `(name, value)` pair;
-/// field-less lines are skipped (matching the lenient blocking parser).
-pub(crate) fn parse_header_line(h: &str) -> Option<(String, String)> {
-    h.split_once(':')
+    let headers = lines
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.split_once(':'))
         .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
-}
-
-/// Assembles a [`Request`] from a parsed request line and header list —
-/// the one place the target is split and percent-decoded.
-pub(crate) fn request_from_parts(
-    method: String,
-    target: String,
-    headers: Vec<(String, String)>,
-) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target, String::new()),
-    };
-    Request {
-        method,
-        path: percent_decode(&path),
-        params: parse_query(&query),
+        .collect();
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    Ok(Request {
+        method: method.to_string(),
+        path: percent_decode(path),
+        params: parse_query(query),
         headers,
-    }
-}
-
-fn parse_request(
-    stream: &mut TcpStream,
-    config: &ServerConfig,
-    metrics: &HttpMetrics,
-) -> Result<Request, ParseFailure> {
-    let deadline = Instant::now() + config.header_deadline;
-    let mut reader =
-        BufReader::new(stream.try_clone().map_err(|e| ParseFailure::Bad(e.to_string()))?);
-    let line = read_line_deadline(&mut reader, MAX_REQUEST_LINE_BYTES, deadline, config.read_timeout)
-        .map_err(|e| {
-            ParseFailure::from_line(e, || {
-                format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes")
-            })
-        })?;
-    metrics.header_bytes.add(line.len() as u64);
-    let (method, target) = parse_request_line(&line).map_err(ParseFailure::Bad)?;
-    // collect headers, within a total byte budget and the header deadline
-    let mut headers = Vec::new();
-    let mut remaining = MAX_HEADER_BYTES;
-    loop {
-        let h = read_line_deadline(&mut reader, remaining, deadline, config.read_timeout)
-            .map_err(|e| {
-                ParseFailure::from_line(e, || format!("headers exceed {MAX_HEADER_BYTES} bytes"))
-            })?;
-        metrics.header_bytes.add(h.len() as u64);
-        if h == "\r\n" || h == "\n" || h.is_empty() {
-            break;
-        }
-        remaining -= h.len();
-        if let Some(pair) = parse_header_line(&h) {
-            headers.push(pair);
-        }
-    }
-    // past the headers: restore the body-phase read timeout, and bound
-    // the response write so a non-reading client cannot hold the worker
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    Ok(request_from_parts(method, target, headers))
+    })
 }
 
 /// The request handler type shared by all workers.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
-
-/// An accepted connection waiting for a worker.
-pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
-    pub(crate) accepted: Instant,
-}
 
 /// The deadline a request runs under: the client's
 /// `X-Pilgrim-Deadline-Ms` (capped by `max_deadline`) or the server-side
@@ -755,177 +554,10 @@ pub(crate) fn effective_deadline(req: &Request, config: &ServerConfig) -> Option
         .or(config.default_deadline)
 }
 
-/// Writes one connection-close response and shuts the socket down. Every
-/// blocking-path connection (threaded front end, shed thread, inline
-/// refusals) passes through here exactly once, so this is also where
-/// `http_connections_open` is decremented for those paths.
-pub(crate) fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    stats: &ServerStats,
-    metrics: &HttpMetrics,
-) {
-    if response.write_to(stream).is_err() {
-        stats.write_errors.inc();
-    } else {
-        metrics.body_bytes.add(response.body.len() as u64);
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    metrics.connections_open.dec();
-}
-
-/// Serves one admitted connection end to end on a worker thread.
-fn serve_connection(
-    mut conn: Conn,
-    handler: &Handler,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    metrics: &HttpMetrics,
-) {
-    metrics.queue_wait_ns.record(dur_ns(conn.accepted.elapsed()));
-    let t0 = Instant::now();
-    // Queued-then-expired work is dropped before any parsing.
-    if let Some(d) = config.default_deadline {
-        if conn.accepted.elapsed() >= d {
-            stats.expired.inc();
-            let response = Response::deadline_expired();
-            write_response(&mut conn.stream, &response, stats, metrics);
-            metrics.observe("unparsed", response.status, t0.elapsed());
-            return;
-        }
-    }
-    // Parse failures have no trustworthy path; they land on a fixed label.
-    let mut endpoint = String::from("unparsed");
-    let response = match parse_request(&mut conn.stream, config, metrics) {
-        Ok(req) if req.method == "GET" || req.method == "POST" => {
-            endpoint = normalize_endpoint(&req.path).to_string();
-            match effective_deadline(&req, config) {
-                // Re-checked after parsing, *before* the handler runs:
-                // simulation work never starts for an expired request.
-                Some(d) if conn.accepted.elapsed() >= d => {
-                    stats.expired.inc();
-                    Response::deadline_expired()
-                }
-                _ => match catch_unwind(AssertUnwindSafe(|| handler(&req))) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        stats.handler_panics.inc();
-                        Response::error(500, "handler panicked")
-                    }
-                },
-            }
-        }
-        Ok(req) => {
-            endpoint = normalize_endpoint(&req.path).to_string();
-            Response::error(405, &format!("method {} not allowed", req.method))
-        }
-        Err(ParseFailure::Bad(e)) => Response::error(400, &format!("bad request: {e}")),
-        Err(ParseFailure::HeaderDeadline) => {
-            Response::error(408, "request header read exceeded its deadline")
-        }
-    };
-    write_response(&mut conn.stream, &response, stats, metrics);
-    metrics.observe(&endpoint, response.status, t0.elapsed());
-}
-
-/// Answers a shed connection inline (no request read): 503 +
-/// `Retry-After`, with a short write timeout so the accept loop cannot
-/// be held by a hostile peer.
-fn refuse(mut stream: TcpStream, config: &ServerConfig, stats: &ServerStats, metrics: &HttpMetrics) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    write_response(&mut stream, &Response::overloaded(config.retry_after_secs), stats, metrics);
-}
-
-/// A connection diverted to the degraded-mode thread: either still
-/// unread (shed at accept time — the threaded front end and the event
-/// poller's accept-side admission check) or already parsed (the event
-/// poller sheds keep-alive and raced requests after reading their head).
-pub(crate) enum ShedJob {
-    /// Shed before any byte was read; the shed thread parses it.
-    Raw(Conn),
-    /// Head already parsed by the event poller.
-    Parsed(TcpStream, Request),
-}
-
-/// Serves one shed connection on the degraded-mode thread: parse if
-/// still raw (under the usual header deadline), offer the request to the
-/// fallback handler, count 200s as stale serves. Deliberately GET-only:
-/// a shed POST (a control mutation like a link event) must be refused
-/// with the overload answer, never silently degraded.
-fn serve_shed(
-    job: ShedJob,
-    fallback: &Handler,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    metrics: &HttpMetrics,
-) {
-    let (mut stream, parsed) = match job {
-        ShedJob::Raw(mut conn) => {
-            let parsed = parse_request(&mut conn.stream, config, metrics);
-            (conn.stream, parsed)
-        }
-        ShedJob::Parsed(stream, req) => (stream, Ok(req)),
-    };
-    let response = match parsed {
-        Ok(req) if req.method == "GET" => {
-            match catch_unwind(AssertUnwindSafe(|| fallback(&req))) {
-                Ok(r) => r,
-                Err(_) => {
-                    stats.handler_panics.inc();
-                    Response::overloaded(config.retry_after_secs)
-                }
-            }
-        }
-        Ok(_) | Err(ParseFailure::Bad(_)) => Response::overloaded(config.retry_after_secs),
-        Err(ParseFailure::HeaderDeadline) => {
-            Response::error(408, "request header read exceeded its deadline")
-        }
-    };
-    if response.status == 200 {
-        stats.stale_served.inc();
-    }
-    write_response(&mut stream, &response, stats, metrics);
-}
-
-/// Spawns the degraded-mode thread both front ends share: it drains
-/// [`ShedJob`]s, decrementing the bounded `shed_pending` gauge the
-/// enqueuing side checks against [`SHED_QUEUE_LIMIT`].
-pub(crate) fn spawn_shed_thread(
-    shed_rx: crossbeam::channel::Receiver<ShedJob>,
-    shed_pending: Arc<AtomicUsize>,
-    fallback: Handler,
-    config: ServerConfig,
-    stats: Arc<ServerStats>,
-    metrics: Arc<HttpMetrics>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Ok(job) = shed_rx.recv() {
-            shed_pending.fetch_sub(1, Ordering::SeqCst);
-            // serve_shed catches fallback panics itself; this outer guard
-            // keeps the shed thread alive if the plumbing ever panics.
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                serve_shed(job, &fallback, &config, &stats, &metrics)
-            }));
-        }
-    })
-}
-
-/// The running front end behind a [`Server`].
-enum Front {
-    Threaded {
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-        worker_threads: Vec<std::thread::JoinHandle<()>>,
-        shed_thread: Option<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event(crate::poller::EventFront),
-}
-
 /// A running HTTP server.
 pub struct Server {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    front: Front,
+    front: crate::poller::EventFront,
     stats: Arc<ServerStats>,
     registry: Arc<MetricsRegistry>,
 }
@@ -939,8 +571,8 @@ impl Server {
     }
 
     /// Binds `addr` with explicit admission/deadline tuning. When
-    /// `shed_fallback` is set, shed connections are parsed and offered to
-    /// it (degraded mode) instead of being refused outright. The server
+    /// `shed_fallback` is set, shed GET requests are offered to it
+    /// (degraded mode) instead of being refused outright. The server
     /// gets a private [`MetricsRegistry`].
     pub fn start_with(
         addr: &str,
@@ -970,108 +602,18 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         stats.register_metrics(&registry);
         let metrics = Arc::new(HttpMetrics::new(Arc::clone(&registry)));
-
-        #[cfg(target_os = "linux")]
-        if config.front_end == FrontEnd::Event {
-            let front = crate::poller::start(
-                listener,
-                config,
-                handler,
-                shed_fallback,
-                Arc::clone(&stats),
-                Arc::clone(&metrics),
-                Arc::clone(&stop),
-            )?;
-            return Ok(Server { addr: local, stop, front: Front::Event(front), stats, registry });
-        }
-
-        let pending = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = crossbeam::channel::unbounded::<Conn>();
-
-        let mut worker_threads = Vec::new();
-        for _ in 0..config.workers.max(1) {
-            let rx = rx.clone();
-            let handler = handler.clone();
-            let stats = Arc::clone(&stats);
-            let metrics = Arc::clone(&metrics);
-            let pending = Arc::clone(&pending);
-            worker_threads.push(std::thread::spawn(move || {
-                while let Ok(conn) = rx.recv() {
-                    pending.fetch_sub(1, Ordering::SeqCst);
-                    // The serve path catches handler panics itself; this
-                    // outer guard keeps the worker alive even if the
-                    // parse/write plumbing ever panics.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        serve_connection(conn, &handler, &config, &stats, &metrics)
-                    }));
-                }
-            }));
-        }
-
-        // Degraded-mode thread: parses shed connections off the accept
-        // path and offers them to the fallback.
-        let (shed_tx, shed_rx) = crossbeam::channel::unbounded::<ShedJob>();
-        let shed_pending = Arc::new(AtomicUsize::new(0));
-        let shed_thread = shed_fallback.map(|fallback| {
-            spawn_shed_thread(
-                shed_rx,
-                Arc::clone(&shed_pending),
-                fallback,
-                config,
-                Arc::clone(&stats),
-                Arc::clone(&metrics),
-            )
-        });
-        let degraded = shed_thread.is_some();
-
-        let stop2 = stop.clone();
-        let stats2 = Arc::clone(&stats);
-        let metrics2 = Arc::clone(&metrics);
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        stats2.accepted.inc();
-                        metrics2.connections_open.inc();
-                        let conn = Conn { stream: s, accepted: Instant::now() };
-                        if pending.load(Ordering::SeqCst) >= config.queue_limit {
-                            stats2.shed.inc();
-                            if degraded && shed_pending.load(Ordering::SeqCst) < SHED_QUEUE_LIMIT
-                            {
-                                shed_pending.fetch_add(1, Ordering::SeqCst);
-                                let _ = shed_tx.send(ShedJob::Raw(conn));
-                            } else {
-                                refuse(conn.stream, &config, &stats2, &metrics2);
-                            }
-                        } else {
-                            pending.fetch_add(1, Ordering::SeqCst);
-                            let _ = tx.send(conn);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            // dropping tx / shed_tx lets workers drain and terminate
-        });
-
-        Ok(Server {
-            addr: local,
-            stop,
-            front: Front::Threaded {
-                accept_thread: Some(accept_thread),
-                worker_threads,
-                shed_thread,
-            },
-            stats,
-            registry,
-        })
+        let front = crate::poller::start(
+            listener,
+            config,
+            handler,
+            shed_fallback,
+            Arc::clone(&stats),
+            metrics,
+        )?;
+        Ok(Server { addr: local, front, stats, registry })
     }
 
     /// The bound address.
@@ -1094,26 +636,7 @@ impl Server {
     /// requests finish, every worker is joined, new connections are
     /// refused once the listener closes. Idempotent.
     pub fn stop(&mut self) {
-        let first = !self.stop.swap(true, Ordering::SeqCst);
-        match &mut self.front {
-            Front::Threaded { accept_thread, worker_threads, shed_thread } => {
-                if first {
-                    // poke the listener out of accept()
-                    let _ = TcpStream::connect(self.addr);
-                }
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                for t in worker_threads.drain(..) {
-                    let _ = t.join();
-                }
-                if let Some(t) = shed_thread.take() {
-                    let _ = t.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Front::Event(front) => front.join(),
-        }
+        self.front.stop();
     }
 }
 
@@ -1141,55 +664,24 @@ pub fn http_get_with_headers(
     path_and_query: &str,
     headers: &[(&str, &str)],
 ) -> std::io::Result<ClientAnswer> {
-    http_request(addr, "GET", path_and_query, headers)
+    let mut all = vec![("Connection", "close")];
+    all.extend_from_slice(headers);
+    HttpClient::new(addr).request("GET", path_and_query, &all)
 }
 
 /// A one-shot HTTP POST (URI-encoded parameters, empty body), returning
 /// `(status, body)`.
 pub fn http_post(addr: SocketAddr, path_and_query: &str) -> std::io::Result<(u16, String)> {
-    let (status, _, body) = http_request(addr, "POST", path_and_query, &[])?;
+    let (status, _, body) =
+        HttpClient::new(addr).request("POST", path_and_query, &[("Connection", "close")])?;
     Ok((status, body))
 }
 
-fn http_request(
-    addr: SocketAddr,
-    method: &str,
-    path_and_query: &str,
-    headers: &[(&str, &str)],
-) -> std::io::Result<ClientAnswer> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut req =
-        format!("{method} {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    for (k, v) in headers {
-        req.push_str(&format!("{k}: {v}\r\n"));
-    }
-    req.push_str("\r\n");
-    stream.write_all(req.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no header end"))?;
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status"))?;
-    let resp_headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Ok((status, resp_headers, body.to_string()))
-}
-
 /// A keep-alive HTTP/1.1 client: one TCP connection reused across
-/// requests, responses framed by `Content-Length`. Against the event
-/// front end consecutive requests ride the same connection; against the
-/// threaded front end (which answers `Connection: close`) the client
-/// transparently reconnects per request — so benches and tests can use
-/// it unconditionally for an apples-to-apples comparison.
+/// requests, responses framed by `Content-Length` — the one place a
+/// response is parsed (the one-shot helpers above are this client with
+/// `Connection: close`). A response that says `Connection: close` drops
+/// the connection, and the next request reconnects.
 pub struct HttpClient {
     addr: SocketAddr,
     stream: Option<BufReader<TcpStream>>,
@@ -1314,6 +806,80 @@ mod tests {
         assert_eq!(r.param("a"), Some("1"));
         assert_eq!(r.params_named("a"), vec!["1", "3"]);
         assert_eq!(r.param("zz"), None);
+    }
+
+    #[test]
+    fn parse_head_accepts_the_grammar() {
+        type Pairs = &'static [(&'static str, &'static str)];
+        // (head, method, path, params, headers)
+        let cases: &[(&str, &str, &str, Pairs, Pairs)] = &[
+            // CRLF head with its blank line
+            ("GET /a HTTP/1.1\r\nHost: x\r\n\r\n", "GET", "/a", &[], &[("host", "x")]),
+            // bare-LF head
+            ("GET /a HTTP/1.0\nHost: x\n\n", "GET", "/a", &[], &[("host", "x")]),
+            // EOF-terminated head: no blank line, last line unterminated
+            ("POST /a?k=v HTTP/1.1\r\nHost: x", "POST", "/a", &[("k", "v")], &[("host", "x")]),
+            // request line only
+            ("GET / HTTP/1.1", "GET", "/", &[], &[]),
+            // a header line without ':' is skipped, its neighbours kept
+            ("GET / HTTP/1.1\r\nnot a header\r\nA: 1\r\n\r\n", "GET", "/", &[], &[("a", "1")]),
+            // names lower-cased, values trimmed, only the first ':' splits
+            (
+                "GET / HTTP/1.1\r\nX-MiXed-Case:   padded value \r\nT:a:b\r\n\r\n",
+                "GET",
+                "/",
+                &[],
+                &[("x-mixed-case", "padded value"), ("t", "a:b")],
+            ),
+            // repeated headers keep arrival order
+            (
+                "GET / HTTP/1.1\r\nVia: 1\r\nHost: x\r\nVia: 2\r\n\r\n",
+                "GET",
+                "/",
+                &[],
+                &[("via", "1"), ("host", "x"), ("via", "2")],
+            ),
+            // nothing after the blank line belongs to this head
+            ("GET / HTTP/1.1\r\nA: 1\r\n\r\nB: 2\r\n", "GET", "/", &[], &[("a", "1")]),
+            // the query is split off first, then each side is decoded:
+            // an encoded '?' stays in the path, an encoded '&' in a value
+            (
+                "GET /p%3Fq%20r?a=1%262&b=x+y HTTP/1.1\r\n\r\n",
+                "GET",
+                "/p?q r",
+                &[("a", "1&2"), ("b", "x y")],
+                &[],
+            ),
+            // only the first '?' splits
+            ("GET /p?a=b?c HTTP/1.1\r\n\r\n", "GET", "/p", &[("a", "b?c")], &[]),
+        ];
+        let owned = |pairs: Pairs| -> Vec<(String, String)> {
+            pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+        };
+        for (head, method, path, params, headers) in cases {
+            let req = parse_head(head).unwrap_or_else(|e| panic!("{head:?} rejected: {e}"));
+            assert_eq!(req.method, *method, "{head:?}");
+            assert_eq!(req.path, *path, "{head:?}");
+            assert_eq!(req.params, owned(params), "{head:?}");
+            assert_eq!(req.headers, owned(headers), "{head:?}");
+        }
+    }
+
+    #[test]
+    fn parse_head_rejects_what_is_not_http_1() {
+        for (head, why) in [
+            ("", "missing method"),
+            ("\r\n", "missing method"),
+            ("GET", "missing target"),
+            ("GET\r\nHost: x\r\n\r\n", "missing target"),
+            ("GET /x", "missing version"),
+            ("GET /x\r\nHTTP/1.1\r\n\r\n", "missing version"),
+            ("GET /x HTTP/2.0\r\n\r\n", "unsupported version HTTP/2.0"),
+            ("GET /x HTTP/9.9\r\n\r\n", "unsupported version HTTP/9.9"),
+            ("GET /x http/1.1\r\n\r\n", "unsupported version http/1.1"),
+        ] {
+            assert_eq!(parse_head(head).unwrap_err(), why, "{head:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! * [`service`] + [`http`] — the REST surface: GET with URI-embedded
 //!   parameters, JSON answers, exactly the examples printed in the paper.
 //!
+//! The HTTP server is built on Linux `epoll` (bound directly, see the
+//! `sys` module), so this crate — and every test, bench, benchmark and
+//! example that starts a [`http::Server`] — builds on Linux only.
+//!
 //! ```no_run
 //! use pilgrim_core::http::Server;
 //! use pilgrim_core::{Metrology, PilgrimService, Pnfs};
@@ -31,14 +35,15 @@
 //! println!("Pilgrim listening on {}", server.addr());
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("pilgrim-core's HTTP server needs Linux epoll; no other target is supported");
+
 pub mod calibration;
 pub mod http;
 pub mod metrology;
 pub mod pnfs;
-#[cfg(target_os = "linux")]
 mod poller;
 pub mod service;
-#[cfg(target_os = "linux")]
 mod sys;
 pub mod workflow;
 

@@ -15,8 +15,7 @@
 //! [`Pnfs::bump_epoch`]). The original single-threaded implementations
 //! are kept, verbatim, as [`Pnfs::predict_reference`] and
 //! [`Pnfs::select_fastest_reference`]: they are the oracle the engine's
-//! parallel fan-out is tested against, and the baseline the
-//! `bench_forecast` binary measures.
+//! parallel fan-out is tested against.
 //!
 //! The hypothesis-selection service sketched in §VI ("given n different
 //! transfer hypotheses, select the fastest one ... use some heuristic to

@@ -1,4 +1,4 @@
-//! The event-driven HTTP front end: one poller thread, epoll readiness,
+//! The HTTP front end: one poller thread, epoll readiness,
 //! per-connection state machines, and a timer wheel.
 //!
 //! ## Architecture
@@ -14,8 +14,8 @@
 //! ```
 //!
 //! The poller owns every socket. A connection walks `Reading` (buffer
-//! the head, bounded by the shared caps) → `InFlight` (request handed to
-//! the pool; the worker job decrements the shared admission counter,
+//! the head, bounded by the 64 KiB caps) → `InFlight` (request handed to
+//! the pool; the worker job decrements the admission counter,
 //! checks the per-request deadline, runs the handler under
 //! `catch_unwind`, and pushes the response through the [`Handback`]) →
 //! `Writing` (response bytes drained nonblocking, `EPOLLOUT` registered
@@ -33,16 +33,20 @@
 //! on every state change, and stale entries are dropped when they
 //! expire.
 //!
-//! ## Semantics parity with the threaded front end
+//! ## Admission, shedding and drain
 //!
-//! Admission control (accept-time and submit-time shed → 503 +
-//! `Retry-After`, degraded hand-off to the shared shed thread), the
-//! per-request deadline 504s, handler-panic 500s, graceful drain
-//! (in-flight requests finish, reading/idle connections close), and all
-//! `ServerStats`/`HttpMetrics` cells behave exactly as in the threaded
-//! front end — the shared test suites assert this for both. The only
-//! deliberate addition is keep-alive (plus pipelined-request tolerance:
-//! bytes already buffered past one head are served as the next request).
+//! Admission is checked twice against the count of submitted-but-not-
+//! started jobs: at accept time (overloaded → inline 503 + `Retry-After`
+//! without reading a byte) and again at submit time, once the head is
+//! parsed (a keep-alive request, or one that raced the first check). In
+//! degraded mode an overloaded connection skips the accept-time refusal
+//! and is read like any other, so the submit-time check can divert its
+//! *parsed* GET to the shed thread — the one place a socket leaves the
+//! poller, switched to blocking with the write timeout as a socket
+//! option. Per-request deadline 504s and handler-panic 500s happen in
+//! the worker job; a graceful drain lets in-flight and writing
+//! connections finish and closes reading and idle ones. Bytes already
+//! buffered past one head are served as the next (pipelined) request.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -55,9 +59,8 @@ use std::time::{Duration, Instant};
 use exec::{Handback, WorkerPool};
 
 use crate::http::{
-    dur_ns, effective_deadline, normalize_endpoint, parse_header_line, parse_request_line,
-    request_from_parts, Conn as ShedConn, Handler, HttpMetrics, Request, Response, ServerConfig,
-    ServerStats, ShedJob, MAX_HEADER_BYTES, MAX_REQUEST_LINE_BYTES, SHED_QUEUE_LIMIT,
+    dur_ns, effective_deadline, normalize_endpoint, parse_head, Handler, HttpMetrics, Request,
+    Response, ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, WakeHandle, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -65,6 +68,17 @@ use crate::sys::{Epoll, EpollEvent, WakeHandle, WakePipe, EPOLLERR, EPOLLHUP, EP
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Epoll token of the wake pipe's read end.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
+
+/// Upper bound on the request line (method + URI + version). Generous —
+/// legitimate Pilgrim queries embed whole transfer lists in the URI —
+/// but finite, so a hostile client cannot grow server memory without
+/// bound by never sending a newline.
+const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
+/// Upper bound on the total header bytes after the request line.
+const MAX_HEADER_BYTES: usize = 64 * 1024;
+/// Pending shed requests the degraded-mode thread may hold; beyond
+/// this, plain inline 503s resume.
+const SHED_QUEUE_LIMIT: usize = 64;
 
 /// Timer wheel geometry: 512 slots of 32 ms ≈ 16.4 s horizon.
 const WHEEL_SLOTS: usize = 512;
@@ -88,17 +102,57 @@ struct Completion {
     response: Response,
 }
 
-/// Handles to a running event front end, owned by `http::Server`.
+/// A parsed GET diverted to the degraded-mode thread, with the (by then
+/// blocking) socket its answer goes to.
+type ShedJob = (TcpStream, Request);
+
+/// Spawns the degraded-mode thread. It drains [`ShedJob`]s, decrementing
+/// the bounded `shed_pending` gauge the poller checks against
+/// [`SHED_QUEUE_LIMIT`]: each request is offered to the fallback handler
+/// (a 200 counts as a stale serve, a panic becomes the overload answer)
+/// and answered with one connection-close response, the write bounded by
+/// the timeout the poller set on the socket when it let go of it.
+fn spawn_shed_thread(
+    shed_rx: crossbeam::channel::Receiver<ShedJob>,
+    shed_pending: Arc<AtomicUsize>,
+    fallback: Handler,
+    retry_after_secs: u32,
+    stats: Arc<ServerStats>,
+    metrics: Arc<HttpMetrics>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        while let Ok((mut stream, req)) = shed_rx.recv() {
+            shed_pending.fetch_sub(1, Ordering::SeqCst);
+            let response = catch_unwind(AssertUnwindSafe(|| fallback(&req))).unwrap_or_else(|_| {
+                stats.handler_panics.inc();
+                Response::overloaded(retry_after_secs)
+            });
+            if response.status == 200 {
+                stats.stale_served.inc();
+            }
+            match stream.write_all(&response.to_bytes(false)) {
+                Ok(()) => metrics.body_bytes.add(response.body.len() as u64),
+                Err(_) => stats.write_errors.inc(),
+            }
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+            metrics.connections_open.dec();
+        }
+    })
+}
+
+/// Handles to the running front end, owned by `http::Server`.
 pub(crate) struct EventFront {
     poller_thread: Option<std::thread::JoinHandle<()>>,
     shed_thread: Option<std::thread::JoinHandle<()>>,
+    stop: Arc<AtomicBool>,
     wake: Arc<WakeHandle>,
 }
 
 impl EventFront {
-    /// Wakes the poller (the stop flag is set by the caller) and joins
-    /// both threads. Idempotent.
-    pub(crate) fn join(&mut self) {
+    /// Tells the poller to drain, wakes it, and joins both threads.
+    /// Idempotent.
+    pub(crate) fn stop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
         self.wake.wake();
         if let Some(t) = self.poller_thread.take() {
             let _ = t.join();
@@ -118,7 +172,6 @@ pub(crate) fn start(
     shed_fallback: Option<Handler>,
     stats: Arc<ServerStats>,
     metrics: Arc<HttpMetrics>,
-    stop: Arc<AtomicBool>,
 ) -> std::io::Result<EventFront> {
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
@@ -130,11 +183,11 @@ pub(crate) fn start(
     let (shed_tx, shed_rx) = crossbeam::channel::unbounded::<ShedJob>();
     let shed_pending = Arc::new(AtomicUsize::new(0));
     let shed_thread = shed_fallback.map(|fallback| {
-        crate::http::spawn_shed_thread(
+        spawn_shed_thread(
             shed_rx,
             Arc::clone(&shed_pending),
             fallback,
-            config,
+            config.retry_after_secs,
             Arc::clone(&stats),
             Arc::clone(&metrics),
         )
@@ -146,6 +199,7 @@ pub(crate) fn start(
         Arc::new(Handback::new(move || wake.wake()))
     };
 
+    let stop = Arc::new(AtomicBool::new(false));
     let now = Instant::now();
     let poller = Poller {
         epoll,
@@ -164,7 +218,7 @@ pub(crate) fn start(
         handler,
         stats,
         metrics,
-        stop,
+        stop: Arc::clone(&stop),
         draining: false,
         shed_tx,
         shed_pending,
@@ -173,7 +227,7 @@ pub(crate) fn start(
     let poller_thread = std::thread::Builder::new()
         .name("http-poller".into())
         .spawn(move || poller.run())?;
-    Ok(EventFront { poller_thread: Some(poller_thread), shed_thread, wake })
+    Ok(EventFront { poller_thread: Some(poller_thread), shed_thread, stop, wake })
 }
 
 /// Which deadline a connection's (single) active timer enforces.
@@ -282,6 +336,20 @@ impl TimerWheel {
     }
 }
 
+/// Checks the request-line / header-size caps against the buffered
+/// (incomplete) head; returns the 400 message on violation.
+fn head_cap_violation(buf: &[u8]) -> Option<String> {
+    match buf.iter().position(|&b| b == b'\n') {
+        None if buf.len() > MAX_REQUEST_LINE_BYTES => {
+            Some(format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"))
+        }
+        Some(line_end) if buf.len() - line_end > MAX_HEADER_BYTES => {
+            Some(format!("headers exceed {MAX_HEADER_BYTES} bytes"))
+        }
+        _ => None,
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
     Reading,
@@ -333,8 +401,7 @@ struct Poller {
     open_count: usize,
     /// Jobs submitted to the pool whose completions are undelivered.
     inflight: usize,
-    /// Admission counter: jobs submitted but not yet started (the
-    /// event-front equivalent of the threaded channel's queue depth).
+    /// Admission counter: jobs submitted but not yet started.
     pending: Arc<AtomicUsize>,
     handback: Arc<Handback<Completion>>,
     pool: Option<WorkerPool>,
@@ -426,35 +493,30 @@ impl Poller {
         }
     }
 
+    /// Whether degraded mode is on and its bounded queue can take another
+    /// request.
+    fn shed_has_room(&self) -> bool {
+        self.degraded && self.shed_pending.load(Ordering::SeqCst) < SHED_QUEUE_LIMIT
+    }
+
     fn on_accept(&mut self, stream: TcpStream) {
         self.stats.accepted.inc();
         self.metrics.connections_open.inc();
         let accepted = Instant::now();
-        if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit {
+        if stream.set_nonblocking(true).is_err() {
+            self.metrics.connections_open.dec();
+            return;
+        }
+        // Overloaded at accept time: refuse inline without reading the
+        // request. While the shed thread has room the connection is read
+        // instead, and dispatch_request's admission check decides.
+        if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit && !self.shed_has_room()
+        {
             self.stats.shed.inc();
-            if self.degraded && self.shed_pending.load(Ordering::SeqCst) < SHED_QUEUE_LIMIT {
-                // hand the raw socket to the shed thread, which parses it
-                // with blocking I/O (connections_open is decremented by
-                // its write_response)
-                self.shed_pending.fetch_add(1, Ordering::SeqCst);
-                let _ = stream.set_nonblocking(false);
-                let _ = self.shed_tx.send(ShedJob::Raw(ShedConn { stream, accepted }));
-                return;
-            }
-            // inline refusal without reading the request, through the
-            // nonblocking write machinery (threaded refuse() equivalent)
-            if stream.set_nonblocking(true).is_err() {
-                self.metrics.connections_open.dec();
-                return;
-            }
             let refusal = Response::overloaded(self.config.retry_after_secs);
             if let Some(idx) = self.install(stream, accepted, 0) {
                 self.queue_response(idx, &refusal, false, None);
             }
-            return;
-        }
-        if stream.set_nonblocking(true).is_err() {
-            self.metrics.connections_open.dec();
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -617,12 +679,13 @@ impl Poller {
                 Ok(n) => {
                     let was_empty = conn.buf.is_empty();
                     conn.buf.extend_from_slice(&chunk[..n]);
+                    let cap_err = head_cap_violation(&conn.buf);
                     if was_empty {
                         let now = Instant::now();
                         conn.request_t0 = now;
                         self.arm_timer(idx, TimerKind::Header, now + self.config.header_deadline);
                     }
-                    if let Some(cap_err) = self.head_cap_violation(idx) {
+                    if let Some(cap_err) = cap_err {
                         let resp = Response::error(400, &format!("bad request: {cap_err}"));
                         self.queue_response(idx, &resp, false, None);
                         return;
@@ -655,21 +718,6 @@ impl Poller {
         }
     }
 
-    /// Checks the shared request-line / header-size caps against the
-    /// buffered (incomplete) head; returns the 400 message on violation.
-    fn head_cap_violation(&self, idx: usize) -> Option<String> {
-        let conn = self.conns.get(idx).and_then(|c| c.as_ref())?;
-        match conn.buf.iter().position(|&b| b == b'\n') {
-            None if conn.buf.len() > MAX_REQUEST_LINE_BYTES => {
-                Some(format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"))
-            }
-            Some(line_end) if conn.buf.len() - line_end > MAX_HEADER_BYTES => {
-                Some(format!("headers exceed {MAX_HEADER_BYTES} bytes"))
-            }
-            _ => None,
-        }
-    }
-
     /// Index just past the head terminator (`\n\n` or `\n\r\n`), if the
     /// buffered bytes contain a complete head.
     fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
@@ -690,9 +738,9 @@ impl Poller {
     }
 
     /// Parses and dispatches the buffered head if complete (or, `at_eof`,
-    /// whatever arrived before the half-close — matching the blocking
-    /// parser, which treats EOF as end-of-line). Returns true when the
-    /// connection left the `Reading` state.
+    /// whatever arrived before the half-close: EOF ends the head like a
+    /// blank line would). Returns true when the connection left the
+    /// `Reading` state.
     fn try_process_head(&mut self, idx: usize, at_eof: bool) -> bool {
         let (head, head_len) = {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
@@ -712,21 +760,8 @@ impl Poller {
             (head, end)
         };
         self.metrics.header_bytes.add(head_len as u64);
-        let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
-        let request_line = lines.next().unwrap_or("");
-        match parse_request_line(request_line) {
-            Ok((method, target)) => {
-                let mut headers = Vec::new();
-                for line in lines {
-                    if line.is_empty() {
-                        break;
-                    }
-                    if let Some(pair) = parse_header_line(line) {
-                        headers.push(pair);
-                    }
-                }
-                self.dispatch_request(idx, request_from_parts(method, target, headers));
-            }
+        match parse_head(&head) {
+            Ok(req) => self.dispatch_request(idx, req),
             Err(e) => {
                 let resp = Response::error(400, &format!("bad request: {e}"));
                 let t0 = self.conns[idx].as_ref().map(|c| c.request_t0);
@@ -760,14 +795,16 @@ impl Poller {
         }
         if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit {
             self.stats.shed.inc();
-            if self.degraded
-                && req.method == "GET"
-                && self.shed_pending.load(Ordering::SeqCst) < SHED_QUEUE_LIMIT
-            {
-                // Divert the already-parsed request to the shed thread:
-                // take the socket out of the poller entirely (the shed
-                // thread's blocking write_response closes it and
-                // decrements connections_open).
+            // Deliberately GET-only: a shed POST (a control mutation like
+            // a link event) must be refused with the overload answer,
+            // never silently degraded.
+            if req.method == "GET" && self.shed_has_room() {
+                // Divert the parsed request to the shed thread: take the
+                // socket out of the poller entirely (the shed thread
+                // closes it and decrements connections_open). From here
+                // on the write is blocking, so the write timeout becomes
+                // a socket option — one non-reading peer must not hold
+                // the single shed thread.
                 if let Some(conn) = self.conns[idx].take() {
                     self.free.push(idx);
                     self.open_count -= 1;
@@ -775,8 +812,9 @@ impl Poller {
                         let _ = self.epoll.delete(conn.fd);
                     }
                     let _ = conn.stream.set_nonblocking(false);
+                    let _ = conn.stream.set_write_timeout(Some(self.config.write_timeout));
                     self.shed_pending.fetch_add(1, Ordering::SeqCst);
-                    let _ = self.shed_tx.send(ShedJob::Parsed(conn.stream, req));
+                    let _ = self.shed_tx.send((conn.stream, req));
                 }
                 return;
             }
@@ -899,8 +937,8 @@ impl Poller {
     }
 
     /// A response could not be fully delivered (peer gone or write
-    /// timeout): count it, record the deferred latency observation as
-    /// the threaded front end does, and close.
+    /// timeout): count it, record the deferred latency observation, and
+    /// close.
     fn write_failed(&mut self, idx: usize) {
         self.stats.write_errors.inc();
         if let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) {
@@ -944,16 +982,35 @@ impl Poller {
             self.arm_timer(idx, TimerKind::Header, now + self.config.header_deadline);
             self.try_process_head(idx, false);
         } else {
-            self.arm_timer(idx, TimerKind::Idle, now + self.config.read_timeout);
+            self.arm_timer(idx, TimerKind::Idle, now + self.config.idle_timeout);
         }
     }
 }
 
-/// A tiny smoke test of the wheel itself; end-to-end poller behavior is
-/// exercised by the HTTP test suites against both front ends.
+/// The wheel and the head caps, socket-free; end-to-end poller behavior
+/// is exercised by the HTTP test suites.
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn head_caps_sit_exactly_at_64_kib() {
+        // request line: the cap counts bytes buffered with no newline yet
+        assert_eq!(head_cap_violation(&[b'G'; MAX_REQUEST_LINE_BYTES]), None);
+        let msg = head_cap_violation(&[b'G'; MAX_REQUEST_LINE_BYTES + 1]);
+        assert_eq!(msg.as_deref(), Some("request line exceeds 65536 bytes"));
+        // a terminated line of any length is the header cap's business
+        let mut line = vec![b'G'; MAX_REQUEST_LINE_BYTES + 1];
+        line.push(b'\n');
+        assert_eq!(head_cap_violation(&line), None);
+
+        // headers: the cap counts from the request line's newline on
+        let mut head = b"GET / HTTP/1.1\r\n".to_vec();
+        head.resize(head.len() - 1 + MAX_HEADER_BYTES, b'h');
+        assert_eq!(head_cap_violation(&head), None);
+        head.push(b'h');
+        assert_eq!(head_cap_violation(&head).as_deref(), Some("headers exceed 65536 bytes"));
+    }
 
     #[test]
     fn wheel_orders_and_expires() {

@@ -31,13 +31,10 @@
 //! `pilgrim_request_latency_ns{endpoint=…}` — the service-level
 //! end-to-end histogram the per-stage forecast histograms decompose.
 //!
-//! The handlers here are front-end agnostic: the same [`Handler`] runs
-//! unchanged on either connection front end
-//! ([`crate::http::FrontEnd::Event`] or
-//! [`crate::http::FrontEnd::Threaded`], selected via
-//! [`crate::http::ServerConfig::front_end`]) — a handler only ever sees
-//! a parsed [`Request`] on a pool worker thread and returns a
-//! [`Response`]; sockets, buffering and keep-alive never leak in.
+//! The handlers here know nothing of the connection front end: a
+//! handler only ever sees a parsed [`Request`] on a pool worker thread
+//! and returns a [`Response`]; sockets, buffering and keep-alive never
+//! leak in.
 
 use std::sync::Arc;
 

@@ -1,4 +1,4 @@
-//! Direct Linux syscall bindings for the event-driven HTTP front end.
+//! Direct Linux syscall bindings for the HTTP front end.
 //!
 //! The container has no `libc` *crate*, but std already links the C
 //! library, so `extern "C"` declarations against the platform libc are
@@ -6,8 +6,8 @@
 //! `epoll_create1`, `epoll_ctl`, `epoll_wait`, `pipe2` and `close` (plus
 //! `read`/`write` on the wake pipe's raw fds) — and wraps them in two
 //! safe owning types, [`Epoll`] and [`WakePipe`]. Everything here is
-//! Linux-only and gated at the module declaration; other platforms use
-//! the threaded front end (`FrontEnd::Threaded`).
+//! Linux-only; the crate root turns any other target into a
+//! `compile_error!`.
 //!
 //! Design notes:
 //!

@@ -1,14 +1,9 @@
-//! Poller-specific tests of the event front end: behaviours that only
-//! exist on the epoll path — partial-write resumption under `EPOLLOUT`,
-//! HTTP/1.1 keep-alive request sequencing (including pipelined bytes),
-//! and the event-side telemetry cells (`http_connections_open`,
-//! `http_keepalive_reuse_total`, `epoll_wakeups_total`).
-//!
-//! Everything here pins `FrontEnd::Event` explicitly; the shared
-//! contract both front ends honour lives in `http_robustness.rs` and
-//! `overload_chaos.rs`.
-
-#![cfg(target_os = "linux")]
+//! Poller-specific tests of the front end: partial-write resumption
+//! under `EPOLLOUT`, HTTP/1.1 keep-alive request sequencing (including
+//! pipelined bytes), and the poller's telemetry cells
+//! (`http_connections_open`, `http_keepalive_reuse_total`,
+//! `epoll_wakeups_total`). The overload and robustness contract lives in
+//! `http_robustness.rs` and `overload_chaos.rs`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -16,11 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pilgrim_core::http::{
-    http_get, FrontEnd, Handler, HttpClient, Request, Response, Server, ServerConfig,
+    http_get, Handler, HttpClient, Request, Response, Server, ServerConfig,
 };
 
 fn event_server(config: ServerConfig) -> Server {
-    assert_eq!(config.front_end, FrontEnd::Event);
     let handler: Handler = Arc::new(|req: &Request| {
         if let Some(n) = req.path.strip_prefix("/bytes/").and_then(|s| s.parse::<usize>().ok()) {
             Response::json(&jsonlite::Value::from("x".repeat(n)))
@@ -51,7 +45,6 @@ fn partial_writes_resume_until_the_full_body_is_delivered() {
     // slow-reading client frees space — without wedging a worker and
     // without corrupting or truncating the stream.
     let server = event_server(ServerConfig {
-        front_end: FrontEnd::Event,
         workers: 2,
         ..ServerConfig::default()
     });
@@ -91,7 +84,6 @@ fn partial_writes_resume_until_the_full_body_is_delivered() {
 #[test]
 fn keepalive_serves_sequential_requests_on_one_connection() {
     let server = event_server(ServerConfig {
-        front_end: FrontEnd::Event,
         workers: 2,
         ..ServerConfig::default()
     });
@@ -131,7 +123,6 @@ fn pipelined_requests_are_answered_in_order() {
     // recycle the connection, and immediately process the buffered
     // second request — no extra read needed, no reordering.
     let server = event_server(ServerConfig {
-        front_end: FrontEnd::Event,
         workers: 1,
         ..ServerConfig::default()
     });
@@ -177,11 +168,10 @@ fn pipelined_requests_are_answered_in_order() {
 #[test]
 fn idle_keepalive_connections_are_closed_by_the_idle_timer() {
     // A recycled connection that goes silent must be reaped by the idle
-    // timer (read_timeout), not held open forever.
+    // timer (idle_timeout), not held open forever.
     let server = event_server(ServerConfig {
-        front_end: FrontEnd::Event,
         workers: 1,
-        read_timeout: Duration::from_millis(200),
+        idle_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     });
     let registry = Arc::clone(server.registry());
@@ -207,7 +197,6 @@ fn idle_keepalive_connections_are_closed_by_the_idle_timer() {
 #[test]
 fn event_telemetry_cells_are_live() {
     let server = event_server(ServerConfig {
-        front_end: FrontEnd::Event,
         workers: 1,
         ..ServerConfig::default()
     });

@@ -17,24 +17,9 @@ use std::time::Duration;
 
 use forecast::{EngineConfig, Fault, FaultInjector, FaultPlan};
 use g5k::{synth, to_simflow, Flavor};
-use pilgrim_core::http::{
-    http_get, http_get_with_headers, FrontEnd, Request, Server, ServerConfig,
-};
+use pilgrim_core::http::{http_get, http_get_with_headers, Request, Server, ServerConfig};
 use pilgrim_core::{Metrology, PilgrimService, Pnfs};
 use simflow::NetworkConfig;
-
-/// Every scenario runs against **both** connection front ends: the
-/// overload/chaos contract (defined statuses, bit-identical admitted
-/// bodies, settled counters, full recovery) is front-end independent.
-fn both_front_ends(body: impl Fn(FrontEnd)) {
-    for fe in [FrontEnd::Event, FrontEnd::Threaded] {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(fe)));
-        if let Err(payload) = caught {
-            eprintln!("--- failure on front end {fe:?} ---");
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
 
 fn pooled_service(stale_retention: u64) -> Arc<PilgrimService> {
     let mut pnfs = Pnfs::with_engine_config(
@@ -84,15 +69,10 @@ fn scenarios() -> Vec<String> {
 
 #[test]
 fn ten_x_overload_sheds_cleanly_and_admitted_answers_match_reference() {
-    both_front_ends(ten_x_overload_impl);
-}
-
-fn ten_x_overload_impl(fe: FrontEnd) {
     let svc = pooled_service(0);
     // 64 clients vs 4 workers + an admission queue of 8 — well past 10×
     // the queue capacity.
     let config = ServerConfig {
-        front_end: fe,
         workers: 4,
         queue_limit: 8,
         default_deadline: Some(Duration::from_secs(8)),
@@ -179,12 +159,8 @@ fn ten_x_overload_impl(fe: FrontEnd) {
 
 #[test]
 fn identical_concurrent_queries_coalesce_to_one_simulation_over_http() {
-    both_front_ends(coalesce_impl);
-}
-
-fn coalesce_impl(fe: FrontEnd) {
     let svc = pooled_service(0);
-    let config = ServerConfig { front_end: fe, workers: 8, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 8, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
     let addr = server.addr();
@@ -227,13 +203,8 @@ fn coalesce_impl(fe: FrontEnd) {
 
 #[test]
 fn chaos_faults_and_rude_clients_do_not_hang_or_poison_the_engine() {
-    both_front_ends(chaos_impl);
-}
-
-fn chaos_impl(fe: FrontEnd) {
     let svc = pooled_service(0);
-    let config =
-        ServerConfig { front_end: fe, workers: 4, queue_limit: 4, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 4, queue_limit: 4, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let mut server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
     let addr = server.addr();
@@ -326,12 +297,8 @@ fn chaos_impl(fe: FrontEnd) {
 
 #[test]
 fn flapping_links_mid_serving_converge_to_the_post_event_reference() {
-    both_front_ends(flapping_impl);
-}
-
-fn flapping_impl(fe: FrontEnd) {
     let svc = pooled_service(0);
-    let config = ServerConfig { front_end: fe, workers: 4, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 4, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
     let addr = server.addr();
@@ -425,14 +392,9 @@ fn flapping_impl(fe: FrontEnd) {
 
 #[test]
 fn degraded_mode_serves_stale_epoch_answers_with_lag_header() {
-    both_front_ends(degraded_impl);
-}
-
-fn degraded_impl(fe: FrontEnd) {
     // Retain two trailing epochs so shed queries can be answered stale.
     let svc = pooled_service(2);
-    let config =
-        ServerConfig { front_end: fe, workers: 1, queue_limit: 1, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 1, queue_limit: 1, ..ServerConfig::default() };
     let server = Server::start_with(
         "127.0.0.1:0",
         config,

@@ -132,8 +132,7 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="unknown"} 1"#), "{body}");
     assert!(body.contains("kernel_components_solved_total"), "{body}");
     // The connection gauge renders as a gauge and reflects the one live
-    // connection doing this very scrape (the event front end holds it
-    // open; the threaded one has already counted it in).
+    // connection doing this very scrape.
     assert!(body.contains("# TYPE http_connections_open gauge"), "{body}");
     assert!(body.contains("http_connections_open 1"), "{body}");
     // The poller loop has demonstrably turned at least once by now.
