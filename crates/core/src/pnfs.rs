@@ -13,9 +13,9 @@
 //! per-platform sessions, and an epoch-keyed result cache (invalidated
 //! whenever the metrology service ingests new data — see
 //! [`Pnfs::bump_epoch`]). The original single-threaded implementations
-//! are kept, verbatim, as [`Pnfs::predict_reference`] and
+//! are kept as [`Pnfs::predict_reference`] and
 //! [`Pnfs::select_fastest_reference`]: they are the oracle the engine's
-//! parallel fan-out is tested against.
+//! cached, pooled path is tested against.
 //!
 //! The hypothesis-selection service sketched in §VI ("given n different
 //! transfer hypotheses, select the fastest one ... use some heuristic to
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use forecast::{EngineConfig, ForecastEngine, ForecastError};
 use jsonlite::Value;
-use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime, Simulation};
+use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
 
 /// One requested transfer: the 3-uple of the paper's API (re-exported
 /// from the `forecast` crate, which owns the canonical definition).
@@ -333,17 +333,19 @@ impl Pnfs {
     // ------------------------------------------------------------------
 
     /// The original `predict`: one fresh simulation on the calling
-    /// thread, no session reuse, no cache.
+    /// thread, every route resolved from scratch, no cache. It starts
+    /// from [`forecast::Session::simulation`] — the platform as the
+    /// link events so far left it — so it stays the oracle after a
+    /// `link_event`; a transfer over a dead link reports an infinite
+    /// duration, as in the served answer.
     pub fn predict_reference(
         &self,
         platform: &str,
         requests: &[TransferRequest],
     ) -> Result<Vec<Prediction>, PnfsError> {
-        let p = self
-            .engine
-            .platform(platform)
-            .ok_or_else(|| PnfsError::UnknownPlatform(platform.to_string()))?;
-        let mut sim = Simulation::new(&p, self.config());
+        let session = self.engine.session(platform)?;
+        let p = session.platform();
+        let mut sim = session.simulation();
         let mut ids = Vec::with_capacity(requests.len());
         for r in requests {
             if !r.size.is_finite() || r.size < 0.0 {
@@ -361,11 +363,14 @@ impl Pnfs {
         Ok(requests
             .iter()
             .zip(ids)
-            .map(|(r, id)| Prediction {
-                src: r.src.clone(),
-                dst: r.dst.clone(),
-                size: r.size,
-                duration: report.duration(id).as_secs(),
+            .map(|(r, id)| {
+                let c = report.completion(id);
+                Prediction {
+                    src: r.src.clone(),
+                    dst: r.dst.clone(),
+                    size: r.size,
+                    duration: if c.failed() { f64::INFINITY } else { c.duration().as_secs() },
+                }
             })
             .collect())
     }

@@ -349,10 +349,12 @@ impl PilgrimService {
     /// §VI workflow endpoint. Tasks are declared positionally:
     /// `task=<name>,compute,<host>,<flops>` or
     /// `task=<name>,transfer,<src>,<dst>,<bytes>`, with dependencies
-    /// `dep=<task_index>,<depends_on_index>`.
+    /// `dep=<task_index>,<depends_on_index>`. Simulated on the platform's
+    /// warm session, so the forecast honours every `link_event` so far.
     fn handle_workflow(&self, platform: &str, req: &Request) -> Response {
-        let Some(p) = self.pnfs.platform(platform) else {
-            return Response::error(404, &format!("unknown platform '{platform}'"));
+        let session = match self.pnfs.engine().session(platform) {
+            Ok(s) => s,
+            Err(e) => return pnfs_error_response(e.into()),
         };
         let mut wf = crate::workflow::Workflow::new();
         for spec in req.params_named("task") {
@@ -405,7 +407,7 @@ impl PilgrimService {
                 }
             }
         }
-        match crate::workflow::forecast(&p, self.pnfs.config(), &wf) {
+        match crate::workflow::forecast(&session, &wf) {
             Ok(fc) => Response::json(&fc.to_json()),
             Err(e) => pnfs_error_response(e),
         }
@@ -741,6 +743,57 @@ mod tests {
             get(&svc, "/pilgrim/forecast_workflow/nope", "task=a,compute,x,1").0,
             404
         );
+        // amounts the kernel would assert on are refused, not simulated
+        for task in [
+            "task=a,compute,sagittaire-1.lyon.grid5000.fr,NaN",
+            "task=a,compute,sagittaire-1.lyon.grid5000.fr,-1",
+            "task=a,transfer,sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,inf",
+        ] {
+            let (status, v) = get(&svc, "/pilgrim/forecast_workflow/g5k_test", task);
+            assert_eq!(status, 400, "{task}: {v}");
+        }
+    }
+
+    #[test]
+    fn workflow_endpoint_honours_link_events() {
+        let svc = service();
+        let pair = "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9";
+        let wf = format!(
+            "task=ship,transfer,{pair}&task=crunch,compute,sagittaire-2.lyon.grid5000.fr,1e9&dep=1,0"
+        );
+        let workflow = || {
+            let resp = svc.handle(&Request::synthetic("/pilgrim/forecast_workflow/g5k_test", &wf));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            resp.body
+        };
+        let ship = |body: &str| Value::parse(body).unwrap()["tasks"][0]["finish"].as_f64();
+        let predict = || {
+            let q = format!("transfer={pair}");
+            get(&svc, "/pilgrim/predict_transfers/g5k_test", &q).1[0]["duration"].as_f64()
+        };
+        let event = |what: &str| {
+            let q = format!("link=sagittaire-1.lyon.grid5000.fr-nic&{what}");
+            assert_eq!(post(&svc, "/pilgrim/link_event/g5k_test", &q).0, 200);
+        };
+
+        let quiet = workflow();
+        assert_eq!(ship(&quiet), predict(), "one transfer alone: workflow == predict");
+
+        // a tenth of the capacity: the transfer task moves exactly as predict does
+        event("factor=0.1");
+        let slow = workflow();
+        assert_eq!(ship(&slow), predict());
+        assert!(ship(&slow).unwrap() > 5.0 * ship(&quiet).unwrap(), "{quiet} -> {slow}");
+
+        // a dead link: the transfer and everything downstream never finish
+        event("state=down");
+        let dead = Value::parse(&workflow()).unwrap();
+        assert!(dead["makespan"].is_null(), "{dead}");
+        assert!(dead["tasks"][0]["finish"].is_null() && dead["tasks"][1]["finish"].is_null());
+
+        event("state=up");
+        event("factor=1");
+        assert_eq!(workflow(), quiet, "restoring the link restores the forecast");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! the kernel already shares host CPUs through the same max-min solver,
 //! so a workflow forecast is a DAG mapped onto dependent kernel works.
 
-use std::sync::Arc;
-
+use forecast::Session;
 use jsonlite::Value;
-use simflow::{NetworkConfig, Platform, SimTime, Simulation};
+use simflow::SimTime;
 
 use crate::pnfs::PnfsError;
 
@@ -111,7 +110,8 @@ pub struct TaskForecast {
     pub name: String,
     /// Predicted start time, seconds.
     pub start: f64,
-    /// Predicted completion time, seconds.
+    /// Predicted completion time, seconds; infinite if the task fails
+    /// (a dead link on its route, or upstream of it).
     pub finish: f64,
 }
 
@@ -149,36 +149,36 @@ impl WorkflowForecast {
     }
 }
 
-/// Forecasts a workflow on a platform: every task contends for networks
-/// and CPUs with its concurrently-running siblings, exactly like the
-/// plain transfer forecasts.
-pub fn forecast(
-    platform: &Arc<Platform>,
-    config: NetworkConfig,
-    workflow: &Workflow,
-) -> Result<WorkflowForecast, PnfsError> {
+/// Forecasts a workflow on `session`'s platform as it stands now — link
+/// events applied, like every other forecast: every task contends for
+/// networks and CPUs with its concurrently-running siblings, exactly
+/// like the plain transfer forecasts. A task killed by a dead link, or
+/// downstream of one, never completes: its `finish` (and the makespan)
+/// is infinite, which renders as JSON `null`.
+pub fn forecast(session: &Session, workflow: &Workflow) -> Result<WorkflowForecast, PnfsError> {
     workflow
         .toposort()
         .map_err(|_| PnfsError::Sim(simflow::SimError::Stalled { at: 0.0 }))?;
+    // The kernel asserts on these; amounts arrive straight from a query
+    // string.
+    let amount = |x: f64| {
+        if x.is_finite() && x >= 0.0 {
+            Ok(x)
+        } else {
+            Err(PnfsError::BadSize(x))
+        }
+    };
 
-    let mut sim = Simulation::new(platform, config);
+    let mut sim = session.simulation();
     let mut ids = Vec::with_capacity(workflow.tasks.len());
     for t in &workflow.tasks {
         let id = match &t.kind {
             TaskKind::Transfer { src, dst, bytes } => {
-                let s = platform
-                    .host_by_name(src)
-                    .ok_or_else(|| PnfsError::UnknownHost(src.clone()))?;
-                let d = platform
-                    .host_by_name(dst)
-                    .ok_or_else(|| PnfsError::UnknownHost(dst.clone()))?;
-                sim.add_transfer_at(s, d, *bytes, SimTime::ZERO)?
+                let (s, d) = (session.host(src)?, session.host(dst)?);
+                sim.add_transfer_at(s, d, amount(*bytes)?, SimTime::ZERO)?
             }
             TaskKind::Compute { host, flops } => {
-                let h = platform
-                    .host_by_name(host)
-                    .ok_or_else(|| PnfsError::UnknownHost(host.clone()))?;
-                sim.add_compute_at(h, *flops, SimTime::ZERO)
+                sim.add_compute_at(session.host(host)?, amount(*flops)?, SimTime::ZERO)
             }
         };
         ids.push(id);
@@ -190,6 +190,7 @@ pub fn forecast(
         }
     }
     let report = sim.run()?;
+    session.kernel_metrics().observe(&report.stats);
     let tasks: Vec<TaskForecast> = workflow
         .tasks
         .iter()
@@ -199,7 +200,7 @@ pub fn forecast(
             TaskForecast {
                 name: t.name.clone(),
                 start: c.start.as_secs(),
-                finish: c.finish.as_secs(),
+                finish: if c.failed() { f64::INFINITY } else { c.finish.as_secs() },
             }
         })
         .collect();
@@ -211,13 +212,12 @@ pub fn forecast(
 mod tests {
     use super::*;
     use g5k::{synth, to_simflow, Flavor};
+    use simflow::NetworkConfig;
+    use std::sync::Arc;
 
-    fn platform() -> Arc<Platform> {
-        Arc::new(to_simflow(&synth::standard(), Flavor::G5kTest))
-    }
-
-    fn cfg() -> NetworkConfig {
-        NetworkConfig::ideal()
+    fn session() -> Session {
+        let platform = Arc::new(to_simflow(&synth::standard(), Flavor::G5kTest));
+        Session::new(platform, NetworkConfig::ideal())
     }
 
     const A: &str = "sagittaire-1.lyon.grid5000.fr";
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn scatter_compute_gather() {
         // the paper's motivating scenario: ship data, compute, ship back
-        let p = platform();
+        let p = session();
         let mut w = Workflow::new();
         let up = w.add(
             "upload",
@@ -243,7 +243,7 @@ mod tests {
             TaskKind::Transfer { src: B.into(), dst: A.into(), bytes: 1.25e7 },
             &[c],
         );
-        let f = forecast(&p, cfg(), &w).unwrap();
+        let f = forecast(&p, &w).unwrap();
         assert_eq!(f.tasks.len(), 3);
         // upload: 125 MB at 125 MB/s ≈ 1 s; solve: 4.8 Gflop at 4.8 Gflop/s
         // = 1 s; download ≈ 0.1 s ⇒ makespan ≈ 2.1 s
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn independent_tasks_run_concurrently() {
-        let p = platform();
+        let p = session();
         let mut w = Workflow::new();
         w.add("t1", TaskKind::Transfer { src: A.into(), dst: B.into(), bytes: 1.25e8 }, &[]);
         w.add(
@@ -262,7 +262,7 @@ mod tests {
             TaskKind::Compute { host: "sagittaire-3.lyon.grid5000.fr".into(), flops: 4.8e9 },
             &[],
         );
-        let f = forecast(&p, cfg(), &w).unwrap();
+        let f = forecast(&p, &w).unwrap();
         // both ≈ 1 s, overlapped
         assert!(f.makespan < 1.5, "{}", f.makespan);
     }
@@ -271,14 +271,14 @@ mod tests {
     fn is_it_worth_moving_the_data() {
         // the paper's §I question: move 1 TB to a faster cluster to save
         // 2 h of compute time? Answer by forecasting both workflows.
-        let p = platform();
+        let p = session();
         let slow_host = A; // 4.8 Gflop/s
         let fast_host = "graphene-1.nancy.grid5000.fr"; // 10 Gflop/s
         let work = 3.456e13; // 2 h on the slow host
 
         let mut local = Workflow::new();
         local.add("compute", TaskKind::Compute { host: slow_host.into(), flops: work }, &[]);
-        let local_f = forecast(&p, cfg(), &local).unwrap();
+        let local_f = forecast(&p, &local).unwrap();
 
         let mut remote = Workflow::new();
         let mv = remote.add(
@@ -287,7 +287,7 @@ mod tests {
             &[],
         );
         remote.add("compute", TaskKind::Compute { host: fast_host.into(), flops: work }, &[mv]);
-        let remote_f = forecast(&p, cfg(), &remote).unwrap();
+        let remote_f = forecast(&p, &remote).unwrap();
 
         // moving 1 TB over a gigabit NIC takes ≈ 8000 s; the compute gain
         // is 7200 − 3456 ≈ 3744 s: not worth it, exactly the paper's point
@@ -300,7 +300,7 @@ mod tests {
         w.add("a", TaskKind::Compute { host: A.into(), flops: 1.0 }, &[1]);
         w.add("b", TaskKind::Compute { host: A.into(), flops: 1.0 }, &[0]);
         assert!(w.toposort().is_err());
-        assert!(forecast(&platform(), cfg(), &w).is_err());
+        assert!(forecast(&session(), &w).is_err());
     }
 
     #[test]
@@ -308,17 +308,17 @@ mod tests {
         let mut w = Workflow::new();
         w.add("a", TaskKind::Compute { host: "ghost".into(), flops: 1.0 }, &[]);
         assert!(matches!(
-            forecast(&platform(), cfg(), &w),
+            forecast(&session(), &w),
             Err(PnfsError::UnknownHost(_))
         ));
     }
 
     #[test]
     fn forecast_json_shape() {
-        let p = platform();
+        let p = session();
         let mut w = Workflow::new();
         w.add("only", TaskKind::Compute { host: A.into(), flops: 4.8e9 }, &[]);
-        let f = forecast(&p, cfg(), &w).unwrap();
+        let f = forecast(&p, &w).unwrap();
         let json = f.to_json();
         assert_eq!(json["tasks"][0]["name"].as_str(), Some("only"));
         assert!(json["makespan"].as_f64().unwrap() > 0.9);

@@ -116,6 +116,57 @@ fn get(svc: &PilgrimService, path: &str, query: &str) -> (u16, String) {
 }
 
 #[test]
+fn sequential_reference_and_pooled_service_agree_after_link_events() {
+    // The oracle has to stay one once the platform moves: after every
+    // kind of event both services render the same bytes, for predicts
+    // and selections whose routes cross the touched link.
+    let pooled = service();
+    let mut seq = Pnfs::sequential_reference(NetworkConfig::default());
+    seq.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
+    let sequential = PilgrimService::new(Metrology::new(), seq);
+
+    let nic = "sagittaire-1.lyon.grid5000.fr-nic";
+    let queries = [
+        (
+            "/pilgrim/predict_transfers/g5k_test",
+            "transfer=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9\
+             &transfer=sagittaire-3.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,5e8",
+        ),
+        (
+            "/pilgrim/select_fastest/g5k_test",
+            "hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8\
+             &hypothesis=sagittaire-3.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,5e8\
+             &hypothesis=sagittaire-1.lyon.grid5000.fr,graphene-2.nancy.grid5000.fr,1e8;\
+             sagittaire-4.lyon.grid5000.fr,sagittaire-5.lyon.grid5000.fr,1e8",
+        ),
+    ];
+    let mut bodies = Vec::new();
+    let mut compare = |after: &str| {
+        for (path, query) in queries {
+            let (status, want) = get(&sequential, path, query);
+            assert_eq!(status, 200, "after {after}: {want}");
+            assert_eq!(get(&pooled, path, query), (200, want.clone()), "after {after} on {path}");
+            bodies.push(want);
+        }
+    };
+    compare("no event");
+    for event in ["factor=0.1", "state=down", "state=up", "factor=1"] {
+        for svc in [&pooled, &sequential] {
+            let req = Request::synthetic_post(
+                "/pilgrim/link_event/g5k_test",
+                &format!("link={nic}&{event}"),
+            );
+            assert_eq!(svc.handle(&req).status, 200, "{event}");
+        }
+        compare(event);
+    }
+    // the events did move the answers, and the restore put them back
+    assert_ne!(bodies[0], bodies[2], "factor=0.1 must slow the predict");
+    assert!(bodies[4].contains("null"), "a transfer over the dead nic never completes");
+    assert_eq!(bodies[8..], bodies[..2]);
+}
+
+#[test]
 fn cache_hit_returns_bit_identical_json_and_epoch_bump_invalidates() {
     let svc = service();
     let query = "hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8\

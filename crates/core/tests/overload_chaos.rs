@@ -89,12 +89,17 @@ fn ten_x_overload_sheds_cleanly_and_admitted_answers_match_reference() {
     let scenario_set = Arc::new(scenario_set);
     let expected = Arc::new(expected);
 
+    // All 64 fire at once: spawned one by one on a busy machine they
+    // arrive spread out, the queue never fills and nothing is shed.
+    let start = Arc::new(std::sync::Barrier::new(64));
     let clients: Vec<_> = (0..64)
         .map(|c| {
             let scenario_set = Arc::clone(&scenario_set);
             let expected = Arc::clone(&expected);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut tally = [0u32; 3]; // 200 / 503 / 504
+                start.wait();
                 for k in 0..2 {
                     let i = (c * 3 + k * 5) % scenario_set.len();
                     let (status, headers, body) =
@@ -369,17 +374,17 @@ fn flapping_links_mid_serving_converge_to_the_post_event_reference() {
         assert_eq!(status, 200, "{body}");
     }
 
-    // Reference: a fresh service that never saw the chaos, with the same
-    // final event applied once. Every admitted answer after the flapping
-    // settles must be bit-identical to it — stale pre-event cache
-    // entries crossing the links must not leak through.
-    let reference = pooled_service(0);
+    // Reference: the sequential oracle, which never saw the chaos, with
+    // the same final event applied once. Every admitted answer after the
+    // flapping settles must be bit-identical to it — stale pre-event
+    // cache entries crossing the links must not leak through.
+    let reference = reference_service();
     reference
         .pnfs
         .link_event("g5k_test", flap_link, simflow::PlatformEventKind::Capacity(0.5))
         .unwrap();
     for (i, q) in scenario_set.iter().enumerate() {
-        let want = reference_body(reference.as_ref(), q);
+        let want = reference_body(&reference, q);
         let (status, body) = http_get(addr, q).expect("post-chaos request");
         assert_eq!(status, 200, "post-chaos query {i}: {body}");
         assert_eq!(body, want, "post-chaos query {i} diverged from the post-event reference");

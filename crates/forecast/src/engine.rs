@@ -4,8 +4,11 @@
 //! per-request "build a simulation, run it, throw it away" loop into
 //! something that can take heavy concurrent traffic:
 //!
-//! * all simulation work runs on a shared [`WorkerPool`]
-//!   (`crate::pool`), never on the caller's thread beyond orchestration;
+//! * a `predict` is **one** flow-level simulation of the whole request,
+//!   as in the paper, run on the calling thread; the shared
+//!   [`WorkerPool`] carries `select_fastest`'s hypothesis waves and,
+//!   handed down through the sessions, the solver's own component
+//!   dispatch;
 //! * per-platform scaffolding (capacity vectors, resolved routes,
 //!   background flows) lives in warm [`Session`]s (`crate::session`);
 //! * results are memoized in an epoch-keyed [`ForecastCache`]
@@ -16,13 +19,13 @@
 //!
 //! Parallelism never changes answers:
 //!
-//! * `predict` shards a batch into *link-disjoint components* — groups
-//!   of transfers (and background flows) that transitively share a
-//!   saturable link, labeled by the same connectivity structure the
-//!   max-min solver keeps internally ([`simflow::Connectivity`]).
-//!   Max-min sharing couples flows only through shared resources, so
-//!   simulating components separately is exact, and the per-request
-//!   durations are merged back by request index.
+//! * `predict` adds the background flows, then the requests in request
+//!   order, to one [`Session::simulation`] — exactly what a from-scratch
+//!   kernel run of the batch does, so there is nothing to merge.
+//!   Link-disjoint groups of transfers are kept apart *inside* the
+//!   max-min solver ([`simflow::Connectivity`]), which re-solves only
+//!   the component an event touches; any parallelism a very large batch
+//!   deserves is the solver's, at the cost of one set-up.
 //! * `select_fastest` simulates hypotheses in waves of pool width
 //!   (cheapest lower bound first, skipping hypotheses that can no longer
 //!   win), then *replays* the sequential prune/select decision procedure
@@ -61,6 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // poison-recovery (the exec pool does the same).
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
+use exec::WorkerPool;
 use parking_lot::RwLock;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError};
 use telemetry::{MetricsRegistry, Span};
@@ -68,7 +72,6 @@ use telemetry::{MetricsRegistry, Span};
 use crate::cache::{CacheKey, CachedResult, ForecastCache};
 use crate::faults::FaultInjector;
 use crate::metrics::ForecastMetrics;
-use crate::pool::WorkerPool;
 use crate::session::{BackgroundFlow, ResolvedSpec, Session};
 
 /// One requested transfer: the 3-uple of the paper's API.
@@ -195,8 +198,8 @@ impl Flight {
 pub struct ForecastEngine {
     config: NetworkConfig,
     /// Shared with every warm session (and through them with every
-    /// simulation's solver), so batch-level and component-level fan-out
-    /// draw from one set of threads.
+    /// simulation's solver), so `select_fastest`'s hypothesis waves and
+    /// the solver's component dispatch draw from one set of threads.
     pool: Arc<WorkerPool>,
     sessions: RwLock<HashMap<String, Arc<Session>>>,
     cache: ForecastCache,
@@ -268,12 +271,6 @@ impl ForecastEngine {
     /// The shared worker pool (other subsystems may fan out through it).
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// A shareable handle to the pool, e.g. for attaching to simulations
-    /// built outside the engine ([`simflow::Simulation::attach_pool`]).
-    pub fn shared_pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.pool)
     }
 
     /// Registers a platform under `name`, warming a session for it.
@@ -474,7 +471,7 @@ impl ForecastEngine {
         }
         let mut guard = LeaderGuard { engine: self, key: &key, done: false };
         // The simulate stage covers the whole leader computation
-        // (sharding, simulation, selection replay); a panicking compute
+        // (simulation, selection replay); a panicking compute
         // still records — the span drops during unwinding.
         let simulate = Span::start(&self.metrics.stage_simulate);
         let result = compute();
@@ -504,8 +501,8 @@ impl ForecastEngine {
     }
 
     /// Predicted completion times (seconds) of a set of concurrent
-    /// transfers, in request order. Cached per epoch; sharded across the
-    /// pool by link-disjoint components.
+    /// transfers, in request order. Cached per epoch; a miss runs one
+    /// simulation of the session's background flows plus the whole batch.
     pub fn predict(
         &self,
         platform: &str,
@@ -538,8 +535,8 @@ impl ForecastEngine {
             move || valid_session.overlay_version() == v0,
             || {
                 self.begin_simulation();
-                let durations = Arc::new(self.run_batch(&session, &resolved)?);
-                Ok(CachedResult::Predict(durations))
+                let durations = session.simulate(&session.background(), &resolved)?;
+                Ok(CachedResult::Predict(Arc::new(durations)))
             },
         )?;
         match outcome {
@@ -548,62 +545,6 @@ impl ForecastEngine {
                 Err(ForecastError::Internal("predict key yielded a selection".into()))
             }
         }
-    }
-
-    /// Simulates `background ∪ resolved`, sharded by component, returning
-    /// durations in `resolved` order. Exactly equal to one monolithic
-    /// simulation of the whole batch.
-    fn run_batch(
-        &self,
-        session: &Session,
-        resolved: &[ResolvedSpec],
-    ) -> Result<Vec<f64>, ForecastError> {
-        if resolved.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Label background ++ requests (the same item order the
-        // monolithic simulation adds them in) against the session's
-        // background-primed connectivity — the background attaches once
-        // per epoch, not once per request batch.
-        let requests: Vec<&[u32]> = resolved.iter().map(|r| r.path.resources.as_slice()).collect();
-        let (background, comp) = session.label_batch(&requests);
-        let n_bg = background.len();
-        let n_comp = comp.iter().copied().max().map_or(0, |m| m + 1);
-
-        if n_comp <= 1 {
-            let all_bg: Vec<usize> = (0..n_bg).collect();
-            let all: Vec<usize> = (0..resolved.len()).collect();
-            return session.simulate_subset(&background, &all_bg, resolved, &all);
-        }
-
-        // Group item indices per component, preserving order within each.
-        let mut groups: Vec<(Vec<usize>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); n_comp];
-        for (item, &c) in comp.iter().enumerate() {
-            if item < n_bg {
-                groups[c].0.push(item);
-            } else {
-                groups[c].1.push(item - n_bg);
-            }
-        }
-        // Background-only components cannot influence any request (that
-        // is what "disjoint component" means) — simulating them would be
-        // pure waste, so drop them before the fan-out.
-        groups.retain(|g| !g.1.is_empty());
-
-        let outcomes = self.pool.map(&groups, |_, (bg_idx, spec_idx)| {
-            session.simulate_subset(&background, bg_idx, resolved, spec_idx)
-        });
-
-        // Deterministic merge: durations drop into their request slots;
-        // the first failing component (in component order) wins on error.
-        let mut durations = vec![0.0f64; resolved.len()];
-        for (g, out) in groups.iter().zip(outcomes) {
-            let durs = out?;
-            for (slot, d) in g.1.iter().zip(durs) {
-                durations[*slot] = d;
-            }
-        }
-        Ok(durations)
     }
 
     /// The sequential algorithm's per-hypothesis makespan lower bound:
@@ -629,8 +570,7 @@ impl ForecastEngine {
         Ok(bound)
     }
 
-    /// Simulates one hypothesis (monolithic) and returns `(durations,
-    /// makespan)`.
+    /// Simulates one hypothesis and returns `(durations, makespan)`.
     fn simulate_hypothesis(
         &self,
         session: &Session,
@@ -641,9 +581,7 @@ impl ForecastEngine {
             .iter()
             .map(|s| session.resolve_spec(s))
             .collect::<Result<Vec<_>, _>>()?;
-        let all_bg: Vec<usize> = (0..background.len()).collect();
-        let all: Vec<usize> = (0..resolved.len()).collect();
-        let durations = session.simulate_subset(background, &all_bg, &resolved, &all)?;
+        let durations = session.simulate(background, &resolved)?;
         let makespan = durations.iter().copied().fold(0.0, f64::max);
         Ok((durations, makespan))
     }
@@ -854,43 +792,4 @@ fn route_union(resolved: &[ResolvedSpec]) -> Arc<[u32]> {
     v.sort_unstable();
     v.dedup();
     v.into()
-}
-
-#[cfg(test)]
-mod tests {
-    // Batch sharding now reuses the solver's connectivity structure
-    // (`simflow::Connectivity::label_batch`) instead of re-deriving
-    // link-disjointness with its own union-find; these tests pin the
-    // semantics the engine depends on at the call site.
-    use simflow::Connectivity;
-
-    #[test]
-    fn label_batch_groups_by_shared_resources() {
-        let lists: Vec<&[u32]> = vec![
-            &[0, 1],  // A
-            &[2],     // B
-            &[1, 3],  // C shares 1 with A
-            &[],      // D unconstrained
-            &[4],     // E
-            &[],      // F unconstrained — shares D's bucket
-            &[3, 4],  // G bridges C and E
-        ];
-        let c = Connectivity::label_batch(5, &lists);
-        assert_eq!(c[0], c[2], "A and C share link 1");
-        assert_eq!(c[2], c[6], "G bridges into A/C via link 3");
-        assert_eq!(c[4], c[6], "G bridges E via link 4");
-        assert_ne!(c[0], c[1], "B is alone");
-        assert_eq!(c[3], c[5], "unconstrained flows share one bucket");
-        assert_ne!(c[3], c[0]);
-        // dense, first-appearance ids
-        assert_eq!(c[0], 0);
-        assert_eq!(c[1], 1);
-        assert_eq!(c[3], 2);
-    }
-
-    #[test]
-    fn label_batch_of_disjoint_items_is_distinct() {
-        let lists: Vec<&[u32]> = vec![&[0], &[1], &[2]];
-        assert_eq!(Connectivity::label_batch(3, &lists), vec![0, 1, 2]);
-    }
 }

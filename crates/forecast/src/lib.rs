@@ -7,7 +7,7 @@
 //! identical questions. This crate is the serving layer that fixes that,
 //! three pieces deep:
 //!
-//! ## Worker pool ([`pool`], re-exported from the `exec` crate)
+//! ## Worker pool ([`exec::WorkerPool`])
 //!
 //! A hand-rolled fixed-size pool of persistent threads (no rayon in this
 //! environment) with a rayon-style *scoped* submission API, so jobs can
@@ -17,8 +17,9 @@
 //! the queue, so nested scopes cannot deadlock. The pool lives in the
 //! bottom-layer `exec` crate and is shared downward: the engine hands its
 //! one pool to every simulation it builds, so `MaxMinSolver`'s
-//! independent-component solves fan out through the same threads instead
-//! of oversubscribing the machine.
+//! independent-component solves fan out through the same threads as
+//! `select_fastest`'s hypothesis waves instead of oversubscribing the
+//! machine.
 //!
 //! ## Warm sessions ([`session`])
 //!
@@ -27,7 +28,12 @@
 //! memoized route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
 //! and the *background flows* of the current metrology epoch, resolved
 //! once when the data arrives. Sessions are `Arc`-shared across HTTP and
-//! pool workers; the backing [`simflow::Platform`] is immutable.
+//! pool workers; the backing [`simflow::Platform`] is immutable. What a
+//! session cannot keep warm is the simulation itself — a dozen
+//! platform-sized vectors built and dropped per forecast — so creating
+//! one for a large platform also tells glibc's allocator to recycle
+//! blocks of that size instead of returning them to the kernel after
+//! every forecast (the private `malloc` module says why and by how much).
 //!
 //! ## Epoch-keyed cache ([`cache`])
 //!
@@ -45,14 +51,18 @@
 //!
 //! ## Determinism
 //!
-//! Parallel execution never changes an answer: `predict` shards batches
-//! into link-disjoint components (exact under max-min sharing) and
-//! merges durations by request index; `select_fastest` simulates
-//! hypothesis waves in parallel but *replays* the sequential
+//! A forecast is one simulation: `predict` adds the session's background
+//! flows and then the requests, in request order, to a single
+//! [`Session::simulation`] and runs it, which is what a from-scratch
+//! kernel run of the same batch does — the bit-identity tests compare
+//! the two. Parallel execution never changes an answer: `select_fastest`
+//! simulates hypothesis waves in parallel but *replays* the sequential
 //! prune/select decision procedure over the collected makespans, so the
 //! winner and pruned set always match the sequential reference
-//! implementation (`pilgrim_core::Pnfs::select_fastest_reference`).
-
+//! implementation (`pilgrim_core::Pnfs::select_fastest_reference`), and
+//! the solver's own component dispatch is deterministic by the kernel's
+//! contract.
+//!
 //! ## Singleflight and degraded serving
 //!
 //! Concurrent duplicate requests are *coalesced* ([`engine`] module
@@ -67,18 +77,12 @@
 pub mod cache;
 pub mod engine;
 pub mod faults;
+mod malloc;
 pub mod metrics;
 pub mod session;
 
-/// The worker pool now lives in the bottom-layer [`exec`] crate so that
-/// `simflow`'s solver can fan out through the same primitive without a
-/// dependency cycle; this alias keeps the historical `forecast::pool`
-/// paths working.
-pub use exec::pool;
-
 pub use cache::{CacheKey, CachedResult, ForecastCache};
 pub use engine::{EngineConfig, ForecastEngine, ForecastError, Selection, TransferSpec};
-pub use exec::{Scope, WorkerPool};
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};
 pub use session::{BackgroundFlow, LinkState, ResolvedSpec, Session};

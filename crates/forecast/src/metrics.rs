@@ -185,7 +185,7 @@ pub struct ForecastMetrics {
     pub stage_cache_lookup: Histogram,
     /// Time followers block on a coalesced leader's computation.
     pub stage_coalesce_wait: Histogram,
-    /// Leader computation time (simulation, sharding, selection replay).
+    /// Leader computation time (simulation, selection replay).
     pub stage_simulate: Histogram,
     /// Response rendering time (recorded by the service layer).
     pub stage_render: Histogram,

@@ -12,9 +12,11 @@
 //!
 //! Two dynamic-platform pieces live here too:
 //!
-//! * a persistent [`Connectivity`] primed with the background flows,
-//!   cloned per batch so request sharding does not re-attach the
-//!   background on every query ([`Session::label_batch`]);
+//! * a persistent [`Connectivity`] primed with the background flows: it
+//!   answers one question, "which overlay entries share a component
+//!   with this route set?", for [`Session::footprint`]. Simulations do
+//!   not consult it — a forecast is one simulation and the solver keeps
+//!   its own component labels;
 //! * a **link-state overlay**: capacity factors and down markers applied
 //!   by [`Session::apply_link_event`] when the platform degrades at
 //!   serving time. Every simulation built afterwards sees the degraded
@@ -140,6 +142,9 @@ impl Session {
         kernel: KernelCounters,
     ) -> Session {
         let capacities = Simulation::shared_capacities(&platform, &config);
+        // every simulation of this session allocates and frees a dozen
+        // vectors of this length
+        crate::malloc::keep_simulation_scratch(capacities.len());
         let conn = Connectivity::new(capacities.len());
         Session {
             platform,
@@ -168,13 +173,6 @@ impl Session {
         &self.platform
     }
 
-    /// Number of solver resources on this platform (links + host CPUs) —
-    /// the id space of [`simflow::ResolvedPath::resources`], needed by
-    /// connectivity labeling over resolved routes.
-    pub fn resource_count(&self) -> usize {
-        self.capacities.len()
-    }
-
     /// The model configuration.
     pub fn config(&self) -> NetworkConfig {
         self.config
@@ -191,9 +189,9 @@ impl Session {
     }
 
     /// Replaces the background flows (new metrology epoch) and re-primes
-    /// the batch-labeling connectivity with them. The caller (the
-    /// engine) is responsible for bumping the epoch so cached results
-    /// keyed to the old background become unreachable.
+    /// the footprint connectivity with them. The caller (the engine) is
+    /// responsible for bumping the epoch so cached results keyed to the
+    /// old background become unreachable.
     pub fn set_background(&self, flows: Vec<BackgroundFlow>) {
         let mut conn = Connectivity::new(self.capacities.len());
         conn.ensure_flows(flows.len());
@@ -211,6 +209,12 @@ impl Session {
     /// connectivity instead of re-attaching every background flow.
     /// Returns the background snapshot the labels were computed against
     /// — labels index into `flows ++ requests` in that order.
+    ///
+    /// Nothing in the program calls this any more: the engine stopped
+    /// sharding a forecast by component. It stays only because the
+    /// standalone `benchmark/` package's ladder (depth 3) still restates
+    /// the sharded engine through it; delete it in the `[benchmark]` PR
+    /// that restates depth 3 as one simulation.
     pub fn label_batch(&self, requests: &[&[u32]]) -> (Arc<Vec<BackgroundFlow>>, Vec<usize>) {
         let state = Arc::clone(&*self.background.read());
         let mut items: Vec<&[u32]> = Vec::with_capacity(state.flows.len() + requests.len());
@@ -366,30 +370,24 @@ impl Session {
         sim
     }
 
-    /// Runs one simulation of the selected background flows and request
-    /// specs (all starting at t=0) and returns the durations of the
-    /// selected specs, in `spec_idx` order. Background flows are added
-    /// first, then requests — the same insertion order for a subset as
-    /// for the whole batch, which is what makes component-sharded
-    /// execution bit-identical to one monolithic simulation. A spec that
-    /// fails (its route crosses a dead resource) reports an infinite
-    /// duration.
-    pub fn simulate_subset(
+    /// Runs one simulation of `background` and `specs` (all starting at
+    /// t=0) and returns the durations of `specs`, in order. Background
+    /// flows are added first, then requests — the insertion order of the
+    /// from-scratch references the bit-identity tests compare against. A
+    /// spec that fails (its route crosses a dead resource) reports an
+    /// infinite duration.
+    pub fn simulate(
         &self,
         background: &[BackgroundFlow],
-        bg_idx: &[usize],
         specs: &[ResolvedSpec],
-        spec_idx: &[usize],
     ) -> Result<Vec<f64>, ForecastError> {
         let mut sim = self.simulation();
-        for &b in bg_idx {
-            let b = &background[b];
+        for b in background {
             sim.add_transfer_resolved(b.src, b.dst, b.size, simflow::SimTime::ZERO, &b.path);
         }
-        let ids: Vec<_> = spec_idx
+        let ids: Vec<_> = specs
             .iter()
-            .map(|&i| {
-                let s = &specs[i];
+            .map(|s| {
                 sim.add_transfer_resolved(s.src, s.dst, s.size, simflow::SimTime::ZERO, &s.path)
             })
             .collect();

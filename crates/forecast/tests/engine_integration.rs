@@ -11,7 +11,7 @@ use forecast::{
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::platform::SharingPolicy;
-use simflow::{NetworkConfig, Platform, SimTime, Simulation};
+use simflow::{KernelStats, NetworkConfig, Platform, SimTime, Simulation};
 
 /// Two 8-host clusters behind per-host access links and one shared
 /// backbone — enough structure for multi-component batches.
@@ -70,8 +70,9 @@ fn engine(workers: usize) -> ForecastEngine {
     e
 }
 
-/// The engine's reference: one monolithic simulation of the same batch.
-fn monolithic(specs: &[TransferSpec]) -> Vec<f64> {
+/// The engine's reference: one from-scratch simulation of the same
+/// batch — durations in request order, plus the kernel work it took.
+fn from_scratch(specs: &[TransferSpec]) -> (Vec<f64>, KernelStats) {
     let p = two_clusters();
     let mut sim = Simulation::new(&p, NetworkConfig::default());
     let ids: Vec<_> = specs
@@ -87,11 +88,15 @@ fn monolithic(specs: &[TransferSpec]) -> Vec<f64> {
         })
         .collect();
     let report = sim.run().unwrap();
-    ids.iter().map(|id| report.duration(*id).as_secs()).collect()
+    (ids.iter().map(|id| report.duration(*id).as_secs()).collect(), report.stats)
+}
+
+fn monolithic(specs: &[TransferSpec]) -> Vec<f64> {
+    from_scratch(specs).0
 }
 
 #[test]
-fn sharded_predict_is_bit_identical_to_monolithic() {
+fn predict_is_bit_identical_to_a_from_scratch_kernel_run() {
     // 10 transfers forming several link-disjoint components: intra-alpha
     // pairs, intra-beta pairs, inter-cluster flows (coupled through the
     // backbone) and a same-host no-op.
@@ -116,6 +121,34 @@ fn sharded_predict_is_bit_identical_to_monolithic() {
             assert_eq!(g.to_bits(), w.to_bits(), "workers={workers}: {g} vs {w}");
         }
     }
+}
+
+#[test]
+fn predict_runs_one_kernel_on_the_calling_thread() {
+    // Five link-disjoint components. One leader computation must be one
+    // kernel run: the session's counters advance by exactly the work of
+    // a from-scratch simulation of the batch (a kernel per component
+    // would pop and reshare differently), and nothing goes to the pool.
+    let specs = vec![
+        spec("alpha-0", "alpha-1", 5e8),
+        spec("alpha-2", "alpha-3", 2e8),
+        spec("beta-0", "beta-1", 7e8),
+        spec("beta-2", "beta-3", 1e8),
+        spec("alpha-4", "beta-4", 3e8),
+        spec("alpha-0", "alpha-1", 1e7),
+    ];
+    let e = engine(4);
+    let session = e.session("twoc").unwrap();
+    let k = session.kernel_metrics();
+    let work = || (k.reshares.get(), k.calendar_pops.get(), k.components_solved.get());
+    assert_eq!(work(), (0, 0, 0));
+    let jobs = e.pool().metrics().service_time_ns.count();
+
+    e.predict("twoc", &specs).unwrap();
+
+    let stats = from_scratch(&specs).1;
+    assert_eq!(work(), (stats.reshares, stats.calendar_pops, stats.solver.components_solved));
+    assert_eq!(e.pool().metrics().service_time_ns.count(), jobs, "predict submitted pool jobs");
 }
 
 #[test]
@@ -210,6 +243,14 @@ fn background_flows_slow_foreground_and_bump_epoch() {
         busy > quiet * 1.5,
         "background contention must slow the forecast: {quiet} -> {busy}"
     );
+
+    // Background that shares no link with the request, directly or
+    // through other flows, runs in the same simulation and must not move
+    // the answer by a bit — whether it ends before the request or after.
+    e.set_background("twoc", &[spec("beta-0", "beta-1", 1e6), spec("alpha-4", "beta-4", 1e10)])
+        .unwrap();
+    let apart = e.predict("twoc", &q).unwrap()[0];
+    assert_eq!(apart.to_bits(), quiet.to_bits(), "disjoint background moved the forecast");
 
     // clearing the background restores the quiet forecast exactly
     e.set_background("twoc", &[]).unwrap();

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use forecast::Session;
 use g5k::{synth, to_simflow, Flavor};
 use pilgrim_core::workflow::{forecast, TaskKind, Workflow};
 use simflow::NetworkConfig;
@@ -16,7 +17,7 @@ use simflow::NetworkConfig;
 fn main() {
     let api = synth::standard();
     let platform = Arc::new(to_simflow(&api, Flavor::G5kTest));
-    let cfg = NetworkConfig::default();
+    let session = Session::new(platform, NetworkConfig::default());
 
     let slow = "sagittaire-1.lyon.grid5000.fr"; // 4.8 Gflop/s, 2004-era
     let fast = "graphene-1.nancy.grid5000.fr"; // 10 Gflop/s
@@ -26,7 +27,7 @@ fn main() {
     // Hypothesis A: compute where the data is.
     let mut local = Workflow::new();
     local.add("compute locally", TaskKind::Compute { host: slow.into(), flops: work }, &[]);
-    let local_fc = forecast(&platform, cfg, &local).expect("forecast");
+    let local_fc = forecast(&session, &local).expect("forecast");
 
     // Hypothesis B: ship 1 TB to the faster cluster, compute, ship back
     // a 10 GB result.
@@ -46,7 +47,7 @@ fn main() {
         TaskKind::Transfer { src: fast.into(), dst: slow.into(), bytes: 1e10 },
         &[c],
     );
-    let remote_fc = forecast(&platform, cfg, &remote).expect("forecast");
+    let remote_fc = forecast(&session, &remote).expect("forecast");
 
     println!("Hypothesis A — compute on {slow}:");
     for t in &local_fc.tasks {
