@@ -7,11 +7,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use exec::WorkerPool;
 use g5k::{synth, to_simflow, Flavor};
-use simflow::{
-    DeadRoutePolicy, KernelStats, NetworkConfig, Platform, SimTime, SimTuning, Simulation,
-};
+use simflow::{DeadRoutePolicy, KernelStats, NetworkConfig, Platform, SimTime, Simulation};
 
 /// Median wall-clock nanoseconds of `f` over `samples` runs (one warmup).
 pub fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
@@ -51,13 +48,10 @@ fn concurrent(platform: &Platform, n: usize) -> KernelStats {
 /// every pair is its own sharing component (hosts have private NIC links;
 /// pairs only merge where a cluster switch group spans them). Pairs inside
 /// one cluster are symmetric, so their completions coincide and every
-/// completion event reshares many components at once — the shape the
-/// solver's pool fan-out targets. `workers == 0` runs without a pool.
-fn multicomp_pairs(platform: &Platform, n: usize, pool: Option<&Arc<WorkerPool>>) -> KernelStats {
+/// completion event reshares many components at once.
+fn multicomp_pairs(platform: &Platform, n: usize) -> KernelStats {
     let hosts: Vec<_> = platform.hosts().collect();
-    let tuning = SimTuning { pool: pool.cloned(), warm_start: true };
-    let capacities = Simulation::shared_capacities(platform, &NetworkConfig::default());
-    let mut sim = Simulation::with_tuning(platform, NetworkConfig::default(), capacities, tuning);
+    let mut sim = Simulation::new(platform, NetworkConfig::default());
     let n_pairs = hosts.len() / 2;
     for k in 0..n {
         let p = k % n_pairs;
@@ -315,21 +309,15 @@ pub fn kernel_suite() -> Vec<KernelScenario> {
         platform: None,
         run: Box::new(|p| churn(p, 500)),
     });
-    // Multi-component variants: same workload, varying solver pool width
-    // (0 = no pool). Output is bit-identical across widths; only the
-    // wall-clock should move.
-    for workers in [0usize, 1, 2, 4, 8] {
-        // One pool per width, shared across samples (thread spawn cost
-        // must not pollute the per-run timing).
-        let pool = (workers > 0).then(|| Arc::new(WorkerPool::new(workers)));
-        suite.push(KernelScenario {
-            name: format!("kernel_multicomp_600/w{workers}"),
-            samples: 7,
-            heavy: false,
-            platform: None,
-            run: Box::new(move |p| multicomp_pairs(p, 600, pool.as_ref())),
-        });
-    }
+    // Named `/w0` since the days of a pool-width ladder (w0 = no pool):
+    // the name stays so the committed medians remain comparable.
+    suite.push(KernelScenario {
+        name: "kernel_multicomp_600/w0".to_string(),
+        samples: 7,
+        heavy: false,
+        platform: None,
+        run: Box::new(|p| multicomp_pairs(p, 600)),
+    });
     suite.push(KernelScenario {
         name: "kernel_mixed_100t_100c".to_string(),
         samples: 9,

@@ -88,6 +88,9 @@
 //! * `http_keepalive_reuse_total` — responses after which a connection
 //!   was recycled for another request.
 //! * `epoll_wakeups_total` — `epoll_wait` returns in the poller loop.
+//! * `pool_queue_depth`, `pool_job_service_ns`,
+//!   `pool_panics_caught_total` — the worker pool the poller hands
+//!   parsed requests to (one job per request).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -404,7 +407,7 @@ const MAX_LATENCY_SERIES: usize = 64;
 /// queue-wait and per-endpoint latency histograms plus wire byte
 /// counters, all registered on the server's [`MetricsRegistry`].
 pub struct HttpMetrics {
-    registry: Arc<MetricsRegistry>,
+    pub(crate) registry: Arc<MetricsRegistry>,
     /// Request arrival (accept, or first byte on a recycled connection)
     /// → worker-dequeue wait.
     pub(crate) queue_wait_ns: Histogram,
@@ -591,8 +594,9 @@ impl Server {
 
     /// Like [`Server::start_with`], but adopting the server's instruments
     /// into a caller-provided registry — the Pilgrim service passes its
-    /// own so `/pilgrim/metrics` exposes the `http_*` family alongside
-    /// the forecast/kernel/pool families.
+    /// own so `/pilgrim/metrics` exposes the `http_*` family and the
+    /// worker pool's `pool_*` family alongside the forecast/kernel
+    /// families.
     pub fn start_with_registry(
         addr: &str,
         config: ServerConfig,

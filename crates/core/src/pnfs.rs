@@ -9,13 +9,13 @@
 //! request tuple, all starting at t = 0.
 //!
 //! Since the `forecast` crate landed, all serving-path simulation work
-//! goes through the shared [`ForecastEngine`]: a worker pool, warm
-//! per-platform sessions, and an epoch-keyed result cache (invalidated
-//! whenever the metrology service ingests new data — see
-//! [`Pnfs::bump_epoch`]). The original single-threaded implementations
-//! are kept as [`Pnfs::predict_reference`] and
-//! [`Pnfs::select_fastest_reference`]: they are the oracle the engine's
-//! cached, pooled path is tested against.
+//! goes through the shared [`ForecastEngine`]: warm per-platform
+//! sessions, and an epoch-keyed result cache (invalidated whenever the
+//! metrology service ingests new data — see [`Pnfs::bump_epoch`]); the
+//! simulation itself still runs on the thread that asked. The original
+//! uncached, from-scratch implementations are kept as
+//! [`Pnfs::predict_reference`] and [`Pnfs::select_fastest_reference`]:
+//! they are the oracle the engine's warm, cached path is tested against.
 //!
 //! The hypothesis-selection service sketched in §VI ("given n different
 //! transfer hypotheses, select the fastest one ... use some heuristic to
@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use forecast::{EngineConfig, ForecastEngine, ForecastError};
 use jsonlite::Value;
+use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
 
 /// One requested transfer: the 3-uple of the paper's API (re-exported
@@ -121,6 +122,20 @@ impl From<ForecastError> for PnfsError {
     }
 }
 
+/// Zips requests with their predicted durations into the paper's 4-uples.
+fn predictions(requests: &[TransferRequest], durations: &[f64]) -> Vec<Prediction> {
+    requests
+        .iter()
+        .zip(durations)
+        .map(|(r, &duration)| Prediction {
+            src: r.src.clone(),
+            dst: r.dst.clone(),
+            size: r.size,
+            duration,
+        })
+        .collect()
+}
+
 /// Outcome of hypothesis selection.
 #[derive(Clone, Debug)]
 pub struct FastestSelection {
@@ -145,24 +160,24 @@ pub struct Pnfs {
 
 impl Pnfs {
     /// A service with the given model configuration and default engine
-    /// tuning (pool sized to the machine, 4096 cached results).
+    /// tuning (4096 cached results).
     pub fn new(config: NetworkConfig) -> Self {
         Pnfs { engine: ForecastEngine::new(config), sequential: false }
     }
 
-    /// A service with explicit engine tuning (worker count, cache size).
+    /// A service with explicit engine tuning (cache size, stale retention).
     pub fn with_engine_config(config: NetworkConfig, engine: EngineConfig) -> Self {
         Pnfs { engine: ForecastEngine::with_engine_config(config, engine), sequential: false }
     }
 
-    /// A service pinned to the sequential reference path: no pool, no
-    /// cache, one simulation at a time on the calling thread. This is
-    /// the paper's original serving behavior, kept as the comparison
-    /// baseline.
+    /// A service pinned to the sequential reference path: no cache, no
+    /// memoized routes, one from-scratch simulation at a time on the
+    /// calling thread. This is the paper's original serving behavior,
+    /// kept as the comparison baseline.
     pub fn sequential_reference(config: NetworkConfig) -> Self {
         let engine = ForecastEngine::with_engine_config(
             config,
-            EngineConfig { workers: 1, cache_capacity: 1, ..EngineConfig::default() },
+            EngineConfig { cache_capacity: 1, ..EngineConfig::default() },
         );
         Pnfs { engine, sequential: true }
     }
@@ -222,7 +237,8 @@ impl Pnfs {
 
     /// The paper's main service: predicted completion times of a set of
     /// *concurrent* transfers, all starting together. Served through the
-    /// engine (pooled, cached) unless this service is pinned sequential.
+    /// engine (warm session, cached) unless this service is pinned
+    /// sequential.
     pub fn predict(
         &self,
         platform: &str,
@@ -232,22 +248,13 @@ impl Pnfs {
             return self.predict_reference(platform, requests);
         }
         let durations = self.engine.predict(platform, requests)?;
-        Ok(requests
-            .iter()
-            .zip(durations.iter())
-            .map(|(r, d)| Prediction {
-                src: r.src.clone(),
-                dst: r.dst.clone(),
-                size: r.size,
-                duration: *d,
-            })
-            .collect())
+        Ok(predictions(requests, &durations))
     }
 
     /// §VI extension: simulate `hypotheses` (cheapest lower bound first),
     /// prune any whose lower bound already exceeds the best simulated
-    /// makespan, and return the fastest. The engine evaluates hypotheses
-    /// in parallel waves; winner, makespan and pruned set are identical
+    /// makespan, and return the fastest — one simulation at a time, on
+    /// the calling thread. Winner, makespan and pruned set are identical
     /// to [`Pnfs::select_fastest_reference`].
     pub fn select_fastest(
         &self,
@@ -258,20 +265,10 @@ impl Pnfs {
             return self.select_fastest_reference(platform, hypotheses);
         }
         let sel = self.engine.select_fastest(platform, hypotheses)?;
-        let predictions = hypotheses[sel.best]
-            .iter()
-            .zip(sel.durations.iter())
-            .map(|(r, d)| Prediction {
-                src: r.src.clone(),
-                dst: r.dst.clone(),
-                size: r.size,
-                duration: *d,
-            })
-            .collect();
         Ok(FastestSelection {
             best: sel.best,
             best_makespan: sel.best_makespan,
-            predictions,
+            predictions: predictions(&hypotheses[sel.best], &sel.durations),
             pruned: sel.pruned.clone(),
         })
     }
@@ -285,17 +282,7 @@ impl Pnfs {
         requests: &[TransferRequest],
     ) -> Option<(Vec<Prediction>, u64)> {
         let (durations, lag) = self.engine.predict_stale(platform, requests)?;
-        let preds = requests
-            .iter()
-            .zip(durations.iter())
-            .map(|(r, d)| Prediction {
-                src: r.src.clone(),
-                dst: r.dst.clone(),
-                size: r.size,
-                duration: *d,
-            })
-            .collect();
-        Some((preds, lag))
+        Some((predictions(requests, &durations), lag))
     }
 
     /// Degraded-mode select: the freshest retained stale-epoch answer
@@ -306,21 +293,11 @@ impl Pnfs {
         hypotheses: &[Vec<TransferRequest>],
     ) -> Option<(FastestSelection, u64)> {
         let (sel, lag) = self.engine.select_fastest_stale(platform, hypotheses)?;
-        let predictions = hypotheses[sel.best]
-            .iter()
-            .zip(sel.durations.iter())
-            .map(|(r, d)| Prediction {
-                src: r.src.clone(),
-                dst: r.dst.clone(),
-                size: r.size,
-                duration: *d,
-            })
-            .collect();
         Some((
             FastestSelection {
                 best: sel.best,
                 best_makespan: sel.best_makespan,
-                predictions,
+                predictions: predictions(&hypotheses[sel.best], &sel.durations),
                 pruned: sel.pruned.clone(),
             },
             lag,
@@ -376,13 +353,17 @@ impl Pnfs {
     }
 
     /// A cheap lower bound on a hypothesis' makespan: each transfer alone
-    /// needs at least `latency·factor + size / bottleneck`.
+    /// needs at least `latency·factor + size / bottleneck`. Link events
+    /// may have raised capacities, so the nominal bottleneck is scaled
+    /// by the largest factor currently on the route's shared links (at
+    /// least 1) — the route cannot be faster than that.
     fn makespan_lower_bound(
         &self,
-        platform: &Platform,
+        session: &forecast::Session,
         requests: &[TransferRequest],
     ) -> Result<f64, PnfsError> {
         let config = self.config();
+        let platform = session.platform();
         let mut bound = 0.0f64;
         for r in requests {
             let src = platform
@@ -393,9 +374,15 @@ impl Pnfs {
                 .ok_or_else(|| PnfsError::UnknownHost(r.dst.clone()))?;
             let route = platform.route_hosts(src, dst).map_err(SimError::Route)?;
             let mut bw = f64::INFINITY;
+            let mut shared = Vec::with_capacity(route.links.len());
             for l in &route.links {
-                bw = bw.min(platform.link(*l).bandwidth * config.bandwidth_factor);
+                let link = platform.link(*l);
+                bw = bw.min(link.bandwidth * config.bandwidth_factor);
+                if link.policy == SharingPolicy::Shared {
+                    shared.push(l.index() as u32);
+                }
             }
+            bw *= session.capacity_gain(&shared);
             if route.latency > 0.0 {
                 bw = bw.min(config.tcp_gamma / (2.0 * route.latency));
             }
@@ -416,15 +403,12 @@ impl Pnfs {
         if hypotheses.is_empty() {
             return Err(PnfsError::NoHypotheses);
         }
-        let p = self
-            .engine
-            .platform(platform)
-            .ok_or_else(|| PnfsError::UnknownPlatform(platform.to_string()))?;
+        let session = self.engine.session(platform)?;
 
         let mut order: Vec<(usize, f64)> = hypotheses
             .iter()
             .enumerate()
-            .map(|(i, h)| Ok((i, self.makespan_lower_bound(&p, h)?)))
+            .map(|(i, h)| Ok((i, self.makespan_lower_bound(&session, h)?)))
             .collect::<Result<_, PnfsError>>()?;
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
 

@@ -199,6 +199,10 @@ pub(crate) fn start(
         Arc::new(Handback::new(move || wake.wake()))
     };
 
+    // The threads that run every request: `pool_*` describes them.
+    let pool = WorkerPool::new(config.workers.max(1));
+    pool.register_metrics(&metrics.registry);
+
     let stop = Arc::new(AtomicBool::new(false));
     let now = Instant::now();
     let poller = Poller {
@@ -212,7 +216,7 @@ pub(crate) fn start(
         inflight: 0,
         pending: Arc::new(AtomicUsize::new(0)),
         handback,
-        pool: Some(WorkerPool::new(config.workers.max(1))),
+        pool: Some(pool),
         wheel: TimerWheel::new(now),
         config,
         handler,

@@ -22,9 +22,9 @@
 //!   registry — both read the same counter cells);
 //! * `GET /pilgrim/metrics` — the full [`telemetry::MetricsRegistry`] in
 //!   Prometheus text exposition format: forecast stage histograms,
-//!   cache/coalescing counters, kernel work counters, worker-pool gauges
-//!   and (when the server shares its registry via
-//!   `Server::start_with_registry`) the `http_*` family;
+//!   cache/coalescing counters, kernel work counters and (when the
+//!   server shares its registry via `Server::start_with_registry`) the
+//!   `http_*` family and the `pool_*` family of its worker pool;
 //! * `GET /pilgrim/platforms` and `GET /pilgrim/rrds` — discovery.
 //!
 //! Every served request is additionally recorded in
@@ -75,8 +75,8 @@ pub struct PilgrimService {
     pub metrology: Metrology,
     /// Forecast service (platform models + simulation).
     pub pnfs: Pnfs,
-    /// The registry `/pilgrim/metrics` renders. Engine, cache, kernel and
-    /// pool instruments are adopted here at construction.
+    /// The registry `/pilgrim/metrics` renders. Engine, cache and kernel
+    /// instruments are adopted here at construction.
     registry: Arc<MetricsRegistry>,
     /// One end-to-end latency histogram per [`ENDPOINTS`] entry.
     request_latency: Vec<(&'static str, Histogram)>,
@@ -91,7 +91,7 @@ impl PilgrimService {
     /// Bundles the two services, adopting every engine instrument into
     /// the caller's `registry` — pass the same registry to
     /// `Server::start_with_registry` so `/pilgrim/metrics` also carries
-    /// the `http_*` family.
+    /// the `http_*` and `pool_*` families.
     pub fn with_registry(
         metrology: Metrology,
         pnfs: Pnfs,

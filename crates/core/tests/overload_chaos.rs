@@ -24,7 +24,7 @@ use simflow::NetworkConfig;
 fn pooled_service(stale_retention: u64) -> Arc<PilgrimService> {
     let mut pnfs = Pnfs::with_engine_config(
         NetworkConfig::default(),
-        EngineConfig { workers: 2, cache_capacity: 256, stale_retention },
+        EngineConfig { cache_capacity: 256, stale_retention },
     );
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))

@@ -16,7 +16,7 @@ use simflow::NetworkConfig;
 fn pooled_service() -> Arc<PilgrimService> {
     let mut pnfs = Pnfs::with_engine_config(
         NetworkConfig::default(),
-        EngineConfig { workers: 2, cache_capacity: 256, stale_retention: 0 },
+        EngineConfig { cache_capacity: 256, stale_retention: 0 },
     );
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))
@@ -73,7 +73,9 @@ fn stats_json_shape_is_frozen() {
 #[test]
 fn metrics_endpoint_renders_every_layer_over_http() {
     let svc = pooled_service();
-    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
+    // One worker, so the scrape's job starts only after every earlier
+    // job has finished and been timed (the `pool_*` count below).
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
     let server = Server::start_with_registry(
         "127.0.0.1:0",
         config,
@@ -131,6 +133,13 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     assert!(body.contains("forecast_simulations_total 1"), "{body}");
     assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="unknown"} 1"#), "{body}");
     assert!(body.contains("kernel_components_solved_total"), "{body}");
+    // `pool_*` is the pool that runs the requests: one job each, and the
+    // three above ran before this scrape's.
+    let jobs = body
+        .lines()
+        .find_map(|l| l.strip_prefix("pool_job_service_ns_count "))
+        .expect("pool_job_service_ns_count sample");
+    assert!(jobs.parse::<u64>().unwrap() >= 3, "request jobs timed so far: {jobs}");
     // The connection gauge renders as a gauge and reflects the one live
     // connection doing this very scrape.
     assert!(body.contains("# TYPE http_connections_open gauge"), "{body}");

@@ -1,42 +1,16 @@
 //! # exec — the workspace's shared execution layer
 //!
-//! The bottom-most concurrency crate: everything above it (`simflow`'s
-//! parallel component solves, `forecast`'s simulation fan-out, and
-//! transitively `pilgrim-core`'s serving path) funnels CPU-bound work
-//! through the one [`WorkerPool`] defined here, so a process never
-//! oversubscribes its cores no matter how many layers fan out at once.
+//! The bottom-most concurrency crate. Its one [`WorkerPool`] runs the
+//! HTTP poller's parsed requests (`pilgrim-core`); nothing below a
+//! request fans out — a forecast, its simulation and the solver's
+//! component solves all run on the worker that dequeued the request, so
+//! a serving process has exactly the threads its `ServerConfig` asks for.
 //!
-//! ## Determinism contract
+//! ## Panics
 //!
-//! The pool schedules *when and where* a job runs, never *what it
-//! computes*: jobs receive disjoint inputs and produce owned outputs that
-//! the caller merges in a caller-chosen order ([`WorkerPool::map`]
-//! returns results in input order; scoped jobs write to disjoint
-//! borrows). Any algorithm whose jobs are pure functions of their inputs
-//! therefore produces bit-identical results at every pool size, including
-//! zero (no pool attached, caller runs the same job code inline). Both
-//! `MaxMinSolver::reshare` and the forecast engine rely on this contract
-//! and pin it with property tests across worker counts.
-//!
-//! ## Panic propagation
-//!
-//! A panicking job never takes a worker thread down. Fire-and-forget
-//! [`WorkerPool::submit`] jobs have their panics swallowed (there is no
-//! caller left to inform); jobs spawned through a [`Scope`] capture the
-//! first panic payload and [`WorkerPool::scope`] re-raises it on the
-//! owning thread *after* every sibling job has finished — so borrowed
-//! data stays alive for stragglers and the caller observes the panic
-//! exactly once, at the scope boundary.
-//!
-//! ## Help-while-wait
-//!
-//! A thread blocked in [`WorkerPool::scope`] does not idle: it drains
-//! jobs from the pool's queue while waiting for its own jobs to finish.
-//! This makes nested scopes deadlock-free even on a single-worker pool —
-//! a scoped job may open its own scope (e.g. a forecast batch job whose
-//! simulation's solver fans components out through the same pool), and
-//! the waiting thread simply executes the nested jobs itself if no
-//! worker is free.
+//! A panicking job never takes a worker thread down. [`WorkerPool::submit`]
+//! jobs are fire-and-forget: the panic is counted and swallowed (there is
+//! no caller left to inform), and the worker goes on to the next job.
 //!
 //! ## Observability
 //!
@@ -45,7 +19,7 @@
 //! `panics_caught` counter. Handles are shared atomics from the
 //! `telemetry` crate — [`WorkerPool::register_metrics`] adopts them
 //! into a `MetricsRegistry` for `/pilgrim/metrics` exposition.
-
+//!
 //! ## Completion hand-back
 //!
 //! Event-loop consumers (the `pilgrim-core` HTTP poller) receive worker
@@ -57,4 +31,4 @@ pub mod handback;
 pub mod pool;
 
 pub use handback::Handback;
-pub use pool::{PoolMetrics, Scope, WorkerPool};
+pub use pool::{PoolMetrics, WorkerPool};

@@ -5,10 +5,11 @@
 //! something that can take heavy concurrent traffic:
 //!
 //! * a `predict` is **one** flow-level simulation of the whole request,
-//!   as in the paper, run on the calling thread; the shared
-//!   [`WorkerPool`] carries `select_fastest`'s hypothesis waves and,
-//!   handed down through the sessions, the solver's own component
-//!   dispatch;
+//!   as in the paper, and a `select_fastest` is the paper's §VI loop —
+//!   simulate a hypothesis, prune the ones that can no longer win —
+//!   both run start to finish on the calling thread (an HTTP worker):
+//!   the engine owns no threads, and concurrency is one request per
+//!   worker;
 //! * per-platform scaffolding (capacity vectors, resolved routes,
 //!   background flows) lives in warm [`Session`]s (`crate::session`);
 //! * results are memoized in an epoch-keyed [`ForecastCache`]
@@ -17,22 +18,20 @@
 //!
 //! ## Determinism
 //!
-//! Parallelism never changes answers:
+//! A forecast is a pure function of `(platform, overlay, background,
+//! canonical query)`:
 //!
 //! * `predict` adds the background flows, then the requests in request
 //!   order, to one [`Session::simulation`] — exactly what a from-scratch
 //!   kernel run of the batch does, so there is nothing to merge.
 //!   Link-disjoint groups of transfers are kept apart *inside* the
 //!   max-min solver ([`simflow::Connectivity`]), which re-solves only
-//!   the component an event touches; any parallelism a very large batch
-//!   deserves is the solver's, at the cost of one set-up.
-//! * `select_fastest` simulates hypotheses in waves of pool width
-//!   (cheapest lower bound first, skipping hypotheses that can no longer
-//!   win), then *replays* the sequential prune/select decision procedure
-//!   over the collected makespans. The wave skip is strictly more
-//!   conservative than the sequential prune, so every hypothesis the
-//!   replay needs has been simulated, and the returned winner, makespan
-//!   and pruned set are identical to the sequential algorithm's.
+//!   the component an event touches.
+//! * `select_fastest` orders the hypotheses by a makespan lower bound,
+//!   simulates them one at a time, cheapest bound first, and skips a
+//!   hypothesis once its bound reaches the best makespan simulated so
+//!   far. The bound holds under the session's link overlay (see
+//!   [`Session::capacity_gain`]), so pruning never discards the winner.
 //!
 //! ## Singleflight coalescing
 //!
@@ -61,8 +60,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 // The singleflight table needs a condvar, which the available
 // parking_lot build does not provide — std::sync with explicit
-// poison-recovery (the exec pool does the same).
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+// poison-recovery.
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 use exec::WorkerPool;
 use parking_lot::RwLock;
@@ -131,8 +130,7 @@ impl From<SimError> for ForecastError {
     }
 }
 
-/// Outcome of hypothesis selection, identical to the sequential
-/// algorithm's by construction.
+/// Outcome of hypothesis selection.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Selection {
     /// Index of the winning hypothesis.
@@ -148,9 +146,6 @@ pub struct Selection {
 /// Tuning knobs for [`ForecastEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker threads in the simulation pool. `0` means
-    /// `available_parallelism`.
-    pub workers: usize,
     /// Maximum number of cached forecast results.
     pub cache_capacity: usize,
     /// Trailing epochs the cache may retain for degraded-mode stale
@@ -161,7 +156,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { workers: 0, cache_capacity: 4096, stale_retention: 0 }
+        EngineConfig { cache_capacity: 4096, stale_retention: 0 }
     }
 }
 
@@ -194,13 +189,12 @@ impl Flight {
     }
 }
 
-/// The concurrent forecast engine: platforms, sessions, pool and cache.
+/// The concurrent forecast engine: platforms, sessions and cache. It
+/// owns no threads — every computation runs on its caller's.
 pub struct ForecastEngine {
     config: NetworkConfig,
-    /// Shared with every warm session (and through them with every
-    /// simulation's solver), so `select_fastest`'s hypothesis waves and
-    /// the solver's component dispatch draw from one set of threads.
-    pool: Arc<WorkerPool>,
+    /// See [`ForecastEngine::pool`]: built on first call, fed by nothing.
+    pool: OnceLock<WorkerPool>,
     sessions: RwLock<HashMap<String, Arc<Session>>>,
     cache: ForecastCache,
     /// Background-traffic epoch; bumped on metrology ingestion.
@@ -224,14 +218,9 @@ impl ForecastEngine {
 
     /// An engine with explicit tuning.
     pub fn with_engine_config(config: NetworkConfig, engine: EngineConfig) -> ForecastEngine {
-        let pool = if engine.workers == 0 {
-            WorkerPool::with_default_size()
-        } else {
-            WorkerPool::new(engine.workers)
-        };
         ForecastEngine {
             config,
-            pool: Arc::new(pool),
+            pool: OnceLock::new(),
             sessions: RwLock::new(HashMap::new()),
             cache: ForecastCache::with_retention(engine.cache_capacity, engine.stale_retention),
             epoch: AtomicU64::new(0),
@@ -250,12 +239,10 @@ impl ForecastEngine {
     }
 
     /// Adopts every engine-owned instrument into `registry`: the stage
-    /// histograms and kernel counters, the cache's serving counters, and
-    /// the shared worker pool's gauges.
+    /// histograms and kernel counters, and the cache's serving counters.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         self.metrics.register(registry);
         self.cache.register_metrics(registry);
-        self.pool.register_metrics(registry);
     }
 
     /// The model configuration in use.
@@ -263,14 +250,13 @@ impl ForecastEngine {
         self.config
     }
 
-    /// Number of pool workers.
-    pub fn workers(&self) -> usize {
-        self.pool.size()
-    }
-
-    /// The shared worker pool (other subsystems may fan out through it).
+    /// An idle one-thread pool, built on first call: the engine feeds it
+    /// nothing and no serving path touches it. It is here only because
+    /// `benchmark/src/layers.rs` reads its job histogram for the
+    /// `exec.pool.*` rows (which therefore read 0); the `[benchmark]` PR
+    /// that retires those rows deletes this and the `exec` dependency.
     pub fn pool(&self) -> &WorkerPool {
-        &self.pool
+        self.pool.get_or_init(|| WorkerPool::new(1))
     }
 
     /// Registers a platform under `name`, warming a session for it.
@@ -283,7 +269,6 @@ impl ForecastEngine {
         let session = Arc::new(Session::with_instruments(
             platform,
             self.config,
-            Some(Arc::clone(&self.pool)),
             self.metrics.kernel.clone(),
         ));
         self.sessions.write().insert(name.to_string(), session);
@@ -339,13 +324,10 @@ impl ForecastEngine {
         flows: &[TransferSpec],
     ) -> Result<u64, ForecastError> {
         let session = self.session(platform)?;
-        let resolved = flows
-            .iter()
-            .map(|f| {
-                let s = session.resolve_spec(f)?;
-                Ok(BackgroundFlow { src: s.src, dst: s.dst, size: s.size, path: s.path })
-            })
-            .collect::<Result<Vec<_>, ForecastError>>()?;
+        let resolved = resolve_all(&session, flows)?
+            .into_iter()
+            .map(|s| BackgroundFlow { src: s.src, dst: s.dst, size: s.size, path: s.path })
+            .collect();
         self.bump_epoch();
         session.set_background(resolved);
         Ok(self.bump_epoch())
@@ -470,9 +452,9 @@ impl ForecastEngine {
             }
         }
         let mut guard = LeaderGuard { engine: self, key: &key, done: false };
-        // The simulate stage covers the whole leader computation
-        // (simulation, selection replay); a panicking compute
-        // still records — the span drops during unwinding.
+        // The simulate stage covers the whole leader computation (every
+        // simulation of a selection); a panicking compute still records
+        // — the span drops during unwinding.
         let simulate = Span::start(&self.metrics.stage_simulate);
         let result = compute();
         drop(simulate);
@@ -516,10 +498,7 @@ impl ForecastEngine {
         // Validation errors are cheap and per-request; resolving up
         // front also yields the route union the footprint key and
         // targeted invalidation need.
-        let resolved = specs
-            .iter()
-            .map(|s| session.resolve_spec(s))
-            .collect::<Result<Vec<_>, _>>()?;
+        let resolved = resolve_all(&session, specs)?;
         let routes = route_union(&resolved);
         let epoch = self.epoch();
         let v0 = session.overlay_version();
@@ -547,49 +526,28 @@ impl ForecastEngine {
         }
     }
 
-    /// The sequential algorithm's per-hypothesis makespan lower bound:
-    /// each transfer alone needs at least `latency·factor + size /
-    /// bottleneck` (same float operations as the reference).
-    fn lower_bound(
-        &self,
-        session: &Session,
-        specs: &[TransferSpec],
-    ) -> Result<f64, ForecastError> {
+    /// A hypothesis' makespan lower bound: each transfer alone needs at
+    /// least `latency·factor + size / bottleneck`, the bottleneck taken
+    /// as raised as far as the session's link overlay can have raised it
+    /// (same float operations as `Pnfs::select_fastest_reference`).
+    fn lower_bound(&self, session: &Session, specs: &[ResolvedSpec]) -> f64 {
         let mut bound = 0.0f64;
         for r in specs {
-            let src = session.host(&r.src)?;
-            let dst = session.host(&r.dst)?;
-            let path = session.resolve(src, dst)?;
-            let mut bw = path.bottleneck;
+            let path = &r.path;
+            let mut bw = path.bottleneck * session.capacity_gain(&path.resources);
             if path.latency > 0.0 {
                 bw = bw.min(self.config.tcp_gamma / (2.0 * path.latency));
             }
             let t = path.delay + if bw.is_finite() { r.size / bw } else { 0.0 };
             bound = bound.max(t);
         }
-        Ok(bound)
+        bound
     }
 
-    /// Simulates one hypothesis and returns `(durations, makespan)`.
-    fn simulate_hypothesis(
-        &self,
-        session: &Session,
-        background: &[BackgroundFlow],
-        specs: &[TransferSpec],
-    ) -> Result<(Vec<f64>, f64), ForecastError> {
-        let resolved = specs
-            .iter()
-            .map(|s| session.resolve_spec(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let durations = session.simulate(background, &resolved)?;
-        let makespan = durations.iter().copied().fold(0.0, f64::max);
-        Ok((durations, makespan))
-    }
-
-    /// Evaluates `hypotheses` and returns the fastest, with pruning.
-    /// Winner, makespan and pruned set are identical to the sequential
-    /// reference algorithm (see the module docs for why); hypotheses are
-    /// simulated in parallel waves of pool width.
+    /// Evaluates `hypotheses` and returns the fastest, with pruning (the
+    /// paper's §VI service). Cached per epoch; a miss simulates the
+    /// hypotheses the lower bound cannot rule out, one after another on
+    /// the calling thread.
     pub fn select_fastest(
         &self,
         platform: &str,
@@ -600,11 +558,7 @@ impl ForecastEngine {
         }
         let session = self.session(platform)?;
         let lookup = Span::start(&self.metrics.stage_cache_lookup);
-        let resolved = hypotheses
-            .iter()
-            .flatten()
-            .map(|s| session.resolve_spec(s))
-            .collect::<Result<Vec<_>, _>>()?;
+        let resolved = resolve_all(&session, hypotheses.iter().flatten())?;
         let routes = route_union(&resolved);
         let epoch = self.epoch();
         let v0 = session.overlay_version();
@@ -620,7 +574,7 @@ impl ForecastEngine {
             move || valid_session.overlay_version() == v0,
             || {
                 self.begin_simulation();
-                let selection = self.compute_selection(&session, hypotheses)?;
+                let selection = self.compute_selection(&session, hypotheses, &resolved)?;
                 Ok(CachedResult::Select(Arc::new(selection)))
             },
         )?;
@@ -632,70 +586,41 @@ impl ForecastEngine {
         }
     }
 
-    /// The wave-parallel selection algorithm (one leader computation).
+    /// The selection loop (one leader computation): simulate in
+    /// lower-bound order, pruning against the running best. `resolved`
+    /// holds every hypothesis' specs, flattened in order.
     fn compute_selection(
         &self,
-        session: &Arc<Session>,
+        session: &Session,
         hypotheses: &[Vec<TransferSpec>],
+        mut resolved: &[ResolvedSpec],
     ) -> Result<Selection, ForecastError> {
+        let hypotheses: Vec<&[ResolvedSpec]> = hypotheses
+            .iter()
+            .map(|h| {
+                let (specs, rest) = resolved.split_at(h.len());
+                resolved = rest;
+                specs
+            })
+            .collect();
         let mut order: Vec<(usize, f64)> = hypotheses
             .iter()
             .enumerate()
-            .map(|(i, h)| Ok((i, self.lower_bound(session, h)?)))
-            .collect::<Result<_, ForecastError>>()?;
+            .map(|(i, h)| (i, self.lower_bound(session, h)))
+            .collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-        // Wave-parallel simulation, cheapest lower bound first. The skip
-        // test uses the best makespan over *completed waves*, which never
-        // beats the sequential algorithm's running best over the full
-        // prefix — so everything the sequential algorithm would simulate
-        // lands in some wave.
         let background = session.background();
-        let width = self.pool.size();
-        type HypOutcome = Result<(Vec<f64>, f64), ForecastError>;
-        let mut results: Vec<Option<HypOutcome>> = Vec::with_capacity(hypotheses.len());
-        results.resize_with(hypotheses.len(), || None);
-        let mut best_mk = f64::INFINITY;
-        let mut wave: Vec<usize> = Vec::new();
-        for k in 0..order.len() {
-            let (i, lower) = order[k];
-            if lower < best_mk {
-                wave.push(i);
-            }
-            if wave.len() == width || (k + 1 == order.len() && !wave.is_empty()) {
-                let outs = self.pool.map(&wave, |_, &i| {
-                    self.simulate_hypothesis(session, &background, &hypotheses[i])
-                });
-                for (&i, out) in wave.iter().zip(outs) {
-                    if let Ok((_, mk)) = &out {
-                        best_mk = best_mk.min(*mk);
-                    }
-                    results[i] = Some(out);
-                }
-                wave.clear();
-            }
-        }
-
-        // Replay the sequential prune/select decisions over the
-        // simulated makespans: bit-identical winner and pruned set.
         let mut best: Option<(usize, f64, Vec<f64>)> = None;
         let mut pruned = Vec::new();
-        for &(i, lower) in &order {
-            if let Some((_, best_mk, _)) = &best {
-                if lower >= *best_mk {
-                    pruned.push(i);
-                    continue;
-                }
+        for (i, lower) in order {
+            if best.as_ref().is_some_and(|(_, mk, _)| lower >= *mk) {
+                pruned.push(i);
+                continue;
             }
-            let outcome = match results[i].take() {
-                Some(o) => o,
-                // Unreachable by the conservativeness argument; simulate
-                // inline as a safety net rather than panic in serving.
-                None => self.simulate_hypothesis(session, &background, &hypotheses[i]),
-            };
-            let (durations, mk) = outcome?;
-            let better = best.as_ref().is_none_or(|(_, b, _)| mk < *b);
-            if better {
+            let durations = session.simulate(&background, hypotheses[i])?;
+            let mk = durations.iter().copied().fold(0.0, f64::max);
+            if best.as_ref().is_none_or(|(_, b, _)| mk < *b) {
                 best = Some((i, mk, durations));
             }
         }
@@ -748,11 +673,7 @@ impl ForecastEngine {
         specs: &[TransferSpec],
     ) -> Option<(Arc<Vec<f64>>, u64)> {
         let session = self.session(platform).ok()?;
-        let resolved = specs
-            .iter()
-            .map(|s| session.resolve_spec(s))
-            .collect::<Result<Vec<_>, _>>()
-            .ok()?;
+        let resolved = resolve_all(&session, specs).ok()?;
         let footprint = session.footprint(&route_union(&resolved));
         let key = CacheKey::predict(platform, self.epoch(), footprint, specs);
         match self.cache.get_stale(&key) {
@@ -769,12 +690,7 @@ impl ForecastEngine {
         hypotheses: &[Vec<TransferSpec>],
     ) -> Option<(Arc<Selection>, u64)> {
         let session = self.session(platform).ok()?;
-        let resolved = hypotheses
-            .iter()
-            .flatten()
-            .map(|s| session.resolve_spec(s))
-            .collect::<Result<Vec<_>, _>>()
-            .ok()?;
+        let resolved = resolve_all(&session, hypotheses.iter().flatten()).ok()?;
         let footprint = session.footprint(&route_union(&resolved));
         let key = CacheKey::select(platform, self.epoch(), footprint, hypotheses);
         match self.cache.get_stale(&key) {
@@ -782,6 +698,14 @@ impl ForecastEngine {
             _ => None,
         }
     }
+}
+
+/// Resolves request tuples in order; the first invalid one is the error.
+fn resolve_all<'a>(
+    session: &Session,
+    specs: impl IntoIterator<Item = &'a TransferSpec>,
+) -> Result<Vec<ResolvedSpec>, ForecastError> {
+    specs.into_iter().map(|s| session.resolve_spec(s)).collect()
 }
 
 /// Sorted, deduplicated union of the solver resources crossed by a set

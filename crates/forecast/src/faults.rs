@@ -19,8 +19,7 @@
 //!
 //! Faults are *observable*: the injector counts what it actually
 //! injected, so tests can assert "exactly the injected panics were
-//! absorbed" against [`exec::WorkerPool::panics_caught`] and the server's
-//! handler-panic counter.
+//! absorbed" against the server's handler-panic counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -4,22 +4,10 @@
 //! simulation and running it on the calling thread. That is fine for a
 //! demo and hopeless for a service: under concurrent traffic every HTTP
 //! worker burns CPU rebuilding identical scaffolding and re-simulating
-//! identical questions. This crate is the serving layer that fixes that,
-//! three pieces deep:
-//!
-//! ## Worker pool ([`exec::WorkerPool`])
-//!
-//! A hand-rolled fixed-size pool of persistent threads (no rayon in this
-//! environment) with a rayon-style *scoped* submission API, so jobs can
-//! borrow request data from the caller's stack. Pool sizing defaults to
-//! `available_parallelism`; simulation is CPU-bound, so more threads than
-//! cores only add scheduling noise. A waiting scope *helps* by draining
-//! the queue, so nested scopes cannot deadlock. The pool lives in the
-//! bottom-layer `exec` crate and is shared downward: the engine hands its
-//! one pool to every simulation it builds, so `MaxMinSolver`'s
-//! independent-component solves fan out through the same threads as
-//! `select_fastest`'s hypothesis waves instead of oversubscribing the
-//! machine.
+//! identical questions. This crate is the serving layer that fixes that
+//! without adding a thread: a forecast still runs on the thread that
+//! asked (an HTTP worker), but it starts from warm scaffolding and runs
+//! only when nobody has asked the same question already. Two pieces:
 //!
 //! ## Warm sessions ([`session`])
 //!
@@ -27,8 +15,8 @@
 //! capacity vector (built once per platform, cloned per simulation), a
 //! memoized route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
 //! and the *background flows* of the current metrology epoch, resolved
-//! once when the data arrives. Sessions are `Arc`-shared across HTTP and
-//! pool workers; the backing [`simflow::Platform`] is immutable. What a
+//! once when the data arrives. Sessions are `Arc`-shared across HTTP
+//! workers; the backing [`simflow::Platform`] is immutable. What a
 //! session cannot keep warm is the simulation itself — a dozen
 //! platform-sized vectors built and dropped per forecast — so creating
 //! one for a large platform also tells glibc's allocator to recycle
@@ -55,13 +43,12 @@
 //! flows and then the requests, in request order, to a single
 //! [`Session::simulation`] and runs it, which is what a from-scratch
 //! kernel run of the same batch does — the bit-identity tests compare
-//! the two. Parallel execution never changes an answer: `select_fastest`
-//! simulates hypothesis waves in parallel but *replays* the sequential
-//! prune/select decision procedure over the collected makespans, so the
-//! winner and pruned set always match the sequential reference
-//! implementation (`pilgrim_core::Pnfs::select_fastest_reference`), and
-//! the solver's own component dispatch is deterministic by the kernel's
-//! contract.
+//! the two. `select_fastest` is the paper's §VI loop — lower-bound the
+//! hypotheses, simulate them one at a time cheapest bound first, prune
+//! against the running best — and is pinned to the independent
+//! reference implementation of the same loop
+//! (`pilgrim_core::Pnfs::select_fastest_reference`): same winner,
+//! makespan and pruned set.
 //!
 //! ## Singleflight and degraded serving
 //!

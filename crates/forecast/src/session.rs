@@ -25,20 +25,19 @@
 //!   set* so the cache can key results by exactly the events that could
 //!   affect them (see `crate::cache` for the invalidation contract).
 //!
-//! Sessions are shared (`Arc`) between HTTP workers and pool workers;
-//! interior state is lock-protected and all of it is rebuildable, so a
-//! session is never invalidated — only its background set and overlay
-//! change.
+//! Sessions are shared (`Arc`) between the HTTP workers, each of which
+//! runs its request's simulation itself; interior state is
+//! lock-protected and all of it is rebuildable, so a session is never
+//! invalidated — only its background set and overlay change.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use exec::WorkerPool;
 use parking_lot::RwLock;
 use simflow::{
     Connectivity, DeadRoutePolicy, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind,
-    ResolvedPath, SimTuning, Simulation,
+    ResolvedPath, Simulation,
 };
 
 use crate::metrics::KernelCounters;
@@ -101,10 +100,6 @@ pub struct Session {
     /// a result it computed under one overlay is being cached under
     /// another (see `ForecastCache::insert_if`).
     overlay_version: AtomicU64,
-    /// Pool shared with every simulation this session builds, so the
-    /// solver's component fan-out runs on the engine's threads instead
-    /// of oversubscribing the machine.
-    pool: Option<Arc<WorkerPool>>,
     /// Shared kernel counters the session folds each finished run's
     /// [`simflow::KernelStats`] into — after `run()` returns, never
     /// inside the solve (the kernel counts plain integers and the
@@ -118,27 +113,16 @@ pub struct Session {
 impl Session {
     /// Warms up a session for `platform`.
     pub fn new(platform: Arc<Platform>, config: NetworkConfig) -> Session {
-        Session::with_pool(platform, config, None)
+        Session::with_instruments(platform, config, KernelCounters::default())
     }
 
-    /// Warms up a session whose simulations share `pool` with the
-    /// max-min solver (see [`simflow::SimTuning`]).
-    pub fn with_pool(
-        platform: Arc<Platform>,
-        config: NetworkConfig,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Session {
-        Session::with_instruments(platform, config, pool, KernelCounters::default())
-    }
-
-    /// [`Session::with_pool`] with caller-shared kernel counters: the
-    /// engine hands every session clones of one process-wide
+    /// [`Session::new`] with caller-shared kernel counters: the engine
+    /// hands every session clones of one process-wide
     /// [`KernelCounters`], so all platforms aggregate into the same
     /// `kernel_*` metric family.
     pub fn with_instruments(
         platform: Arc<Platform>,
         config: NetworkConfig,
-        pool: Option<Arc<WorkerPool>>,
         kernel: KernelCounters,
     ) -> Session {
         let capacities = Simulation::shared_capacities(&platform, &config);
@@ -157,7 +141,6 @@ impl Session {
             })),
             overlay: RwLock::new(BTreeMap::new()),
             overlay_version: AtomicU64::new(0),
-            pool,
             kernel,
             memo_hits_seen: AtomicU64::new(0),
         }
@@ -258,6 +241,19 @@ impl Session {
         self.overlay.read().len()
     }
 
+    /// How far link events may have *raised* capacity along `resources`
+    /// (a route's shared links): the largest overlay factor on them, at
+    /// least 1. A route's bottleneck under the overlay is at most its
+    /// nominal bottleneck times this — what keeps `select_fastest`'s
+    /// lower bound a lower bound after a `link_event` with `factor > 1`.
+    /// It reads only overlay entries *on* the route, all of which
+    /// [`Session::footprint`] digests, so answers cached under one key
+    /// were all pruned with the same gain.
+    pub fn capacity_gain(&self, resources: &[u32]) -> f64 {
+        let overlay = self.overlay.read();
+        resources.iter().filter_map(|r| overlay.get(r)).fold(1.0, |g, ls| g.max(ls.factor))
+    }
+
     /// Digest of the overlay *as seen from* `resources` (a query's route
     /// union): folds every overlay entry whose resource shares a
     /// background-connectivity component with the query routes, in
@@ -335,22 +331,19 @@ impl Session {
         Ok(ResolvedSpec { src, dst, size: spec.size, path })
     }
 
-    /// A fresh simulation using the prewarmed capacity vector (and the
-    /// session's shared pool, when it has one), with the link-state
-    /// overlay applied: degraded factors scale the capacity vector, down
-    /// resources are marked dead under [`DeadRoutePolicy::Fail`] — a
-    /// transfer routed over a dead link completes as failed rather than
-    /// stalling the simulation.
+    /// A fresh simulation using the prewarmed capacity vector, with the
+    /// link-state overlay applied: degraded factors scale the capacity
+    /// vector, down resources are marked dead under
+    /// [`DeadRoutePolicy::Fail`] — a transfer routed over a dead link
+    /// completes as failed rather than stalling the simulation.
     pub fn simulation(&self) -> Simulation<'_> {
-        let tuning = SimTuning { pool: self.pool.clone(), warm_start: true };
         let overlay = self.overlay.read();
         if overlay.is_empty() {
             drop(overlay);
-            return Simulation::with_tuning(
+            return Simulation::with_capacities(
                 &self.platform,
                 self.config,
                 self.capacities.clone(),
-                tuning,
             );
         }
         let mut caps = self.capacities.clone();
@@ -362,7 +355,7 @@ impl Session {
             }
         }
         drop(overlay);
-        let mut sim = Simulation::with_tuning(&self.platform, self.config, caps, tuning);
+        let mut sim = Simulation::with_capacities(&self.platform, self.config, caps);
         sim.set_dead_route_policy(DeadRoutePolicy::Fail);
         for r in downs {
             sim.mark_resource_down(r);

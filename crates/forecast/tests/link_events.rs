@@ -8,7 +8,7 @@ use forecast::{EngineConfig, ForecastEngine, ForecastError, TransferSpec};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::platform::SharingPolicy;
-use simflow::{NetworkConfig, Platform, PlatformEventKind, SimTime, SimTuning, Simulation};
+use simflow::{NetworkConfig, Platform, PlatformEventKind, SimTime, Simulation};
 
 /// Two 8-host clusters behind per-host access links and one shared
 /// backbone (same topology as the engine integration tests).
@@ -56,10 +56,10 @@ fn spec(src: &str, dst: &str, size: f64) -> TransferSpec {
     TransferSpec { src: src.into(), dst: dst.into(), size }
 }
 
-fn engine(workers: usize) -> ForecastEngine {
+fn engine() -> ForecastEngine {
     let e = ForecastEngine::with_engine_config(
         NetworkConfig::default(),
-        EngineConfig { workers, cache_capacity: 64, ..EngineConfig::default() },
+        EngineConfig { cache_capacity: 64, ..EngineConfig::default() },
     );
     e.register_platform("twoc", two_clusters());
     e
@@ -74,7 +74,7 @@ fn reference(events: &[(&str, f64)], specs: &[TransferSpec]) -> Vec<f64> {
     for (link, factor) in events {
         caps[p.link_by_name(link).unwrap().index()] *= factor;
     }
-    let mut sim = Simulation::with_tuning(&p, cfg, caps, SimTuning { pool: None, warm_start: true });
+    let mut sim = Simulation::with_capacities(&p, cfg, caps);
     let ids: Vec<_> = specs
         .iter()
         .map(|s| {
@@ -93,7 +93,7 @@ fn reference(events: &[(&str, f64)], specs: &[TransferSpec]) -> Vec<f64> {
 
 #[test]
 fn link_event_invalidates_crossing_entries_only() {
-    let e = engine(2);
+    let e = engine();
     let on_alpha = vec![spec("alpha-0", "alpha-1", 5e8)];
     let on_beta = vec![spec("beta-0", "beta-1", 5e8)];
     let quiet_alpha = e.predict("twoc", &on_alpha).unwrap()[0];
@@ -133,7 +133,7 @@ fn link_event_invalidates_crossing_entries_only() {
 
 #[test]
 fn down_fails_crossing_transfers_and_up_restores_exactly() {
-    let e = engine(2);
+    let e = engine();
     let on_alpha = vec![spec("alpha-0", "alpha-1", 5e8)];
     let quiet = e.predict("twoc", &on_alpha).unwrap()[0];
 
@@ -158,7 +158,7 @@ fn down_fails_crossing_transfers_and_up_restores_exactly() {
 
 #[test]
 fn background_coupling_invalidates_disjoint_routes_through_the_footprint() {
-    let e = engine(2);
+    let e = engine();
     // Background: alpha-2 → beta-2 crosses alpha-2-eth, bb, beta-2-eth.
     e.set_background("twoc", &[spec("alpha-2", "beta-2", 1e10)]).unwrap();
 
@@ -195,7 +195,7 @@ fn background_coupling_invalidates_disjoint_routes_through_the_footprint() {
 
 #[test]
 fn link_event_error_surface() {
-    let e = engine(1);
+    let e = engine();
     assert!(matches!(
         e.link_event("nope", "bb", PlatformEventKind::Down),
         Err(ForecastError::UnknownPlatform(_))
@@ -221,7 +221,7 @@ fn link_event_error_surface() {
 fn warm_session_applies_events_without_rebuild() {
     // The same session object keeps serving across a whole
     // degrade/restore cycle, its memoized routes intact.
-    let e = engine(2);
+    let e = engine();
     let q = vec![spec("alpha-0", "beta-3", 5e8)];
     let quiet = e.predict("twoc", &q).unwrap()[0];
     let session = e.session("twoc").unwrap();

@@ -14,16 +14,15 @@
 //! time (see [`crate::model`]), reproducing TCP's RTT unfairness.
 
 /// Execution tuning of a simulation, orthogonal to the network model:
-/// which worker pool (if any) the solver fans disjoint sharing
-/// components out on, and whether warm-start filling is enabled. Neither
-/// knob changes results — solver output is bit-identical at every pool
-/// size with warm start on or off — so tuning is safe to vary per
-/// deployment. The forecast engine passes its own pool down here so that
-/// simulation-level and solver-level fan-out share one set of threads.
+/// whether warm-start filling is enabled. It never changes results —
+/// solver output is bit-identical with warm start on or off.
 #[derive(Clone, Debug)]
 pub struct SimTuning {
-    /// Worker pool for parallel component solves (`None` = solve
-    /// components sequentially on the calling thread).
+    /// Accepted and ignored: the solver no longer fans out. Kept only
+    /// because the standalone `benchmark/` package builds `SimTuning`
+    /// with struct literals (`bulk.rs`, `verify.rs`); the `[benchmark]`
+    /// PR that drops the field there deletes it here, and with it
+    /// `simflow`'s `exec` dependency.
     pub pool: Option<std::sync::Arc<exec::WorkerPool>>,
     /// Cache per-component freeze orders and resume filling from the
     /// first seed-invalidated level (on by default).
@@ -33,13 +32,6 @@ pub struct SimTuning {
 impl Default for SimTuning {
     fn default() -> Self {
         SimTuning { pool: None, warm_start: true }
-    }
-}
-
-impl SimTuning {
-    /// Tuning that shares `pool` with the solver.
-    pub fn with_pool(pool: std::sync::Arc<exec::WorkerPool>) -> Self {
-        SimTuning { pool: Some(pool), warm_start: true }
     }
 }
 

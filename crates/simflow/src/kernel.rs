@@ -34,12 +34,10 @@
 //!   and the produced rates match re-solving the whole problem from
 //!   scratch (exactly for one-shot solves, within ulps across long
 //!   activate/deactivate histories — see `model.rs`). Components are
-//!   solved as independent jobs: attach a worker pool
-//!   ([`Simulation::attach_pool`] / [`crate::SimTuning`]) and a
-//!   multi-component reshare fans out across threads; warm-start filling
-//!   (on by default) resumes each component's progressive filling from
-//!   the first freeze level its seeds invalidate. Neither changes any
-//!   output bit.
+//!   solved one after another on the calling thread; warm-start filling
+//!   (on by default, see [`crate::SimTuning`]) resumes each component's
+//!   progressive filling from the first freeze level its seeds
+//!   invalidate, without changing any output bit.
 //!
 //! Transfers have two phases, mirroring the CM02/LV08 action model:
 //! a *latency phase* of `latency_factor × route latency` during which no
@@ -71,8 +69,8 @@
 //! Platform events fold into the same-instant batched reshare like every
 //! other event, and the post-event rates are exactly what a from-scratch
 //! rebuild of the sharing problem under the new capacities would produce
-//! (`tests/platform_events.rs` pins the equivalence across worker counts
-//! and warm-start settings).
+//! (`tests/platform_events.rs` pins the equivalence with warm start on
+//! and off).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -181,8 +179,8 @@ impl Completion {
 
 /// Event counts of one simulation run (observability). Everything here
 /// is a plain integer tally — the kernel and solver never read
-/// wall-clock, so the bit-identical sequential/parallel/warm solve
-/// paths are untouched by instrumentation. Sessions aggregate these
+/// wall-clock, so the bit-identical cold/warm solve paths are
+/// untouched by instrumentation. Sessions aggregate these
 /// into the process-wide metrics registry *after* `run` returns.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -470,12 +468,9 @@ impl<'p> Simulation<'p> {
         Self::with_tuning(platform, config, capacities, SimTuning::default())
     }
 
-    /// Creates a simulation with explicit execution tuning: an optional
-    /// worker pool for the solver's parallel component solves and the
+    /// Creates a simulation with explicit execution tuning: the
     /// warm-start toggle. Tuning never changes results (solver output is
-    /// bit-identical at every pool size, warm start on or off); it only
-    /// trades threads for latency. The forecast engine uses this to share
-    /// its one pool with every simulation it builds.
+    /// bit-identical with warm start on or off).
     pub fn with_tuning(
         platform: &'p Platform,
         config: NetworkConfig,
@@ -488,7 +483,6 @@ impl<'p> Simulation<'p> {
             "capacity vector does not match the platform"
         );
         let mut solver = MaxMinSolver::new(capacities);
-        solver.set_pool(tuning.pool);
         solver.set_warm_start(tuning.warm_start);
         Simulation {
             platform,
@@ -506,12 +500,6 @@ impl<'p> Simulation<'p> {
             dynamics: None,
             policy: DeadRoutePolicy::default(),
         }
-    }
-
-    /// Attaches a worker pool for the solver's disjoint-component
-    /// fan-out (see [`SimTuning`]); results are unchanged at any size.
-    pub fn attach_pool(&mut self, pool: std::sync::Arc<exec::WorkerPool>) {
-        self.solver.set_pool(Some(pool));
     }
 
     /// Enables or disables the solver's warm-start filling (on by

@@ -18,10 +18,9 @@
 //! Two implementations live here: [`SharingProblem::solve`], the one-shot
 //! reference kept deliberately simple, and [`MaxMinSolver`], the
 //! persistent incremental solver the kernel drives — with per-component
-//! resharing, optional pool-parallel component solves, and warm-start
-//! filling, all pinned bit-identical to the reference (see the
-//! `MaxMinSolver` docs for the argument and `maxmin_properties.rs` for
-//! the enforcement).
+//! resharing and warm-start filling, both pinned bit-identical to the
+//! reference (see the `MaxMinSolver` docs for the argument and
+//! `maxmin_properties.rs` for the enforcement).
 //!
 //! ## Large-N layout notes
 //!
@@ -29,7 +28,7 @@
 //! platforms. Everything per-flow and per-resource lives in flat arrays
 //! (a membership CSR, span arenas, epoch-stamp vectors) so the hot path
 //! is pointer-chase-free and memory is `O(flows + resources +
-//! total incidence)` with no per-flow heap allocation. Three bounds keep
+//! total incidence)` with no per-flow heap allocation. Two bounds keep
 //! the footprint from growing with component size or run length:
 //!
 //! * **warm-record admission** — freeze-order records are linear in
@@ -41,10 +40,6 @@
 //! * **recycled record slots** — the warm-cache slab reuses freed
 //!   entries (buffers intact), so steady-state re-solving allocates
 //!   nothing and the slab never exceeds the peak live record count.
-//! * **`changed`-list merging** — parallel component jobs buffer
-//!   `(flow, rate)` pairs and merge in component discovery order, then
-//!   one `sort_unstable` restores ascending ids; the merge is linear in
-//!   flows actually changed, not in flows registered.
 
 use crate::connect::Connectivity;
 
@@ -235,10 +230,6 @@ const REL_EPS: f64 = 1e-12;
 /// kernel benches).
 const HEAP_THRESHOLD: usize = 1536;
 
-/// Default minimum component size (flows) for pool dispatch; see
-/// [`MaxMinSolver::set_parallel_threshold`].
-const DEFAULT_PAR_THRESHOLD: usize = 32;
-
 /// Default minimum component size (flows) for warm-start recording and
 /// replay; see [`MaxMinSolver::set_warm_threshold`]. Below this, a cold
 /// fill's few hundred nanoseconds undercut the replay's validation work
@@ -264,13 +255,11 @@ struct SolverFlow {
     active: bool,
 }
 
-/// The solver state every component job reads and none writes: the
+/// The solver state a component solve reads and never writes: the
 /// registered problem (capacities, flows, routes, delta-maintained base
-/// sums, last solved rates) plus the epoch-stamped marks the reshare
-/// prologue writes *before* any job is dispatched. Splitting this off
-/// from [`MaxMinSolver`] is what lets disjoint components solve in
-/// parallel — jobs share one `&SolverCore` and keep all mutable state in
-/// their own [`SolveScratch`].
+/// sums) plus the epoch-stamped marks the reshare prologue writes
+/// *before* the first component is solved. A solve borrows it shared
+/// while it writes the [`RateTable`] and its [`SolveScratch`].
 #[derive(Clone, Debug, Default)]
 struct SolverCore {
     capacity: Vec<f64>,
@@ -334,9 +323,8 @@ impl SolverCore {
 pub const COMP_SIZE_BUCKETS: usize = 17;
 
 /// Warm-start replay outcomes, counted per recorded level. Pure event
-/// counts — the solver never reads wall-clock — accumulated in per-job
-/// scratches and merged after the jobs return, so the bit-identical
-/// parallel solve paths stay untouched.
+/// counts — the solver never reads wall-clock — accumulated in the
+/// solve scratch and folded into [`SolverStats`] after each reshare.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmReplayStats {
     /// Cached levels replayed verbatim (the fill work warm start saved).
@@ -377,8 +365,7 @@ impl WarmReplayStats {
 
 /// Lifetime event counts of one [`MaxMinSolver`] (observability; the
 /// kernel folds them into [`crate::KernelStats`] at the end of a run).
-/// Plain integers on the sequential path, per-job deltas on the
-/// parallel path — never atomics or clocks inside the solve.
+/// Plain integers — never atomics or clocks inside the solve.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Components dispatched across all reshares (including trivial
@@ -401,9 +388,8 @@ impl SolverStats {
 
 /// One component solve's mutable state. Every array is either cleared per
 /// run or guarded by a stamp (`stamp` for flow freezes, `round_stamp` for
-/// per-round resource dedup), so a scratch can be reused across solves —
-/// and handed from worker to worker — without clearing and without any
-/// history leaking into results.
+/// per-round resource dedup), so the scratch is reused across solves
+/// without clearing and without any history leaking into results.
 #[derive(Clone, Debug, Default)]
 struct SolveScratch {
     /// Bumped per component solve; `frozen_stamp[f] == stamp` means flow
@@ -440,10 +426,7 @@ struct SolveScratch {
     /// recycled afterwards.
     cand: Vec<std::cmp::Reverse<Candidate>>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<Candidate>>,
-    // -- per-solve outputs --
-    /// Flows whose rate moved, with their new rate (ascending by id once
-    /// the run finishes).
-    changed: Vec<(u32, f64)>,
+    // -- per-solve output --
     /// Recorded freeze order: one `φ` per round...
     rec_phis: Vec<f64>,
     /// ...with `rec_frozen[rec_offsets[k]..rec_offsets[k+1]]` the flows
@@ -558,19 +541,6 @@ impl WarmCache {
         self.insert(comp_res, c);
     }
 
-    /// Like [`WarmCache::store_from_scratch`] but takes an owned record
-    /// (parallel path, where the record crossed a thread boundary).
-    fn store_owned(&mut self, comp_res: &[u32], rec: Option<CachedSolve>) {
-        self.detach(comp_res);
-        if let Some(mut c) = rec {
-            if comp_res.is_empty() {
-                return;
-            }
-            c.refs = comp_res.len() as u32;
-            self.insert(comp_res, c);
-        }
-    }
-
     /// Unlinks the component's resources from their previous solves,
     /// returning a freed record (buffers intact) for recycling if the
     /// last reference died.
@@ -637,10 +607,6 @@ impl WarmCache {
     }
 }
 
-/// One parallel component job: id, flow/resource slices, optional cached
-/// freeze order, and whether to record a fresh one.
-type CompJob<'a> = (u32, &'a [u32], &'a [u32], Option<&'a CachedSolve>, bool);
-
 /// Flow/resource ranges of one component within the flat discovery
 /// arrays.
 #[derive(Clone, Copy, Debug)]
@@ -649,25 +615,25 @@ struct CompSpan {
     res: (u32, u32),
 }
 
-/// Owned result of one component solved on a pool worker (the
-/// sequential path harvests straight out of the scratch). A job returns
-/// one `CompOut` per component it covered — single-component jobs for
-/// big components, chunk jobs packing several small ones.
-struct CompOut {
-    comp: u32,
-    changed: Vec<(u32, f64)>,
-    rec: Option<CachedSolve>,
+/// What a component solve writes: the solver's rate table and the
+/// current reshare's changed list.
+#[derive(Clone, Debug, Default)]
+struct RateTable {
+    /// Last solved rate per flow (0.0 until first solved).
+    rates: Vec<f64>,
+    /// Flows whose rate the current reshare moved.
+    changed: Vec<u32>,
 }
 
-/// Where a component solve delivers its rates. The sequential path
-/// writes them straight into the solver's rate table (no intermediate
-/// buffer, like the pre-refactor solver); parallel jobs only *read* the
-/// shared table for change detection and buffer `(flow, rate)` pairs the
-/// main thread applies in component order — same values, same `changed`
-/// set either way.
-enum RateSink<'a> {
-    Direct { rates: &'a mut Vec<f64>, changed: &'a mut Vec<u32> },
-    Buffered { rates: &'a [f64] },
+impl RateTable {
+    #[inline]
+    fn set(&mut self, flow: u32, rate: f64) {
+        let fi = flow as usize;
+        if self.rates[fi] != rate {
+            self.rates[fi] = rate;
+            self.changed.push(flow);
+        }
+    }
 }
 
 /// A persistent, incremental weighted max-min solver.
@@ -694,34 +660,26 @@ enum RateSink<'a> {
 /// with no per-event graph traversal; the completion-heavy hot path
 /// never re-discovers anything.
 ///
-/// Two accelerations sit on top of the incremental core, both pinned to
-/// produce bit-identical rates and `changed` lists:
+/// The affected components solve one after another, in discovery order,
+/// on the calling thread. Max-min sharing couples flows only through
+/// shared resources, so disjoint components are independent
+/// sub-problems and the order does not enter the rates; the `changed`
+/// list is sorted by ascending flow id before it is returned.
 ///
-/// * **Parallel component solves.** The affected components solve as
-///   independent jobs, fanned out over an optionally
-///   [attached](MaxMinSolver::set_pool) [`exec::WorkerPool`]: big
-///   components one per job, small ones packed into chunk jobs of
-///   roughly [`MaxMinSolver::set_parallel_threshold`] flows (so a
-///   completion wave touching many small components still fans out).
-///   Max-min sharing couples flows only through shared resources, so
-///   disjoint components are independent sub-problems; jobs read the
-///   shared [`SolverCore`], keep all mutable state in per-job scratches,
-///   and their `changed` lists merge by ascending flow id — the output
-///   is bit-identical to the sequential in-order loop at every pool size
-///   (including none).
-///
-/// * **Warm-start filling.** Each component solve records its freeze
-///   order (`φ` levels, per-round freeze lists, and the resources that
-///   bound each round). A later reshare of the same component replays
-///   that order, validating each level against the seeds (a dirty
-///   resource binding at or below the level's threshold, a seed frozen
-///   in the level, or a recorded binding resource gone dirty all
-///   invalidate it — level-wide checks on a handful of resources, no
-///   per-flow ratio math), and resumes normal progressive filling
-///   from the first invalidated level. Replaying applies the identical
-///   float operations the cold solve would, so rates stay bitwise equal
-///   to a cold reshare — the property tests in `maxmin_properties.rs`
-///   enforce this across worker counts with warm start on and off.
+/// One acceleration sits on top of the incremental core, pinned to
+/// produce bit-identical rates and `changed` lists — **warm-start
+/// filling.** Each component solve records its freeze order (`φ`
+/// levels, per-round freeze lists, and the resources that bound each
+/// round). A later reshare of the same component replays that order,
+/// validating each level against the seeds (a dirty resource binding at
+/// or below the level's threshold, a seed frozen in the level, or a
+/// recorded binding resource gone dirty all invalidate it — level-wide
+/// checks on a handful of resources, no per-flow ratio math), and
+/// resumes normal progressive filling from the first invalidated level.
+/// Replaying applies the identical float operations the cold solve
+/// would, so rates stay bitwise equal to a cold reshare — the property
+/// tests in `maxmin_properties.rs` enforce this with warm start on and
+/// off.
 ///
 /// Within a component the algorithm is the same progressive filling as
 /// the reference [`SharingProblem::solve`], executed in ascending flow
@@ -732,16 +690,11 @@ enum RateSink<'a> {
 /// inside a filling round is the saturation-candidate min-heap that finds
 /// the binding potential `φ` in `O(log)` instead of rescanning every
 /// resource; the value it returns is the same minimum.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MaxMinSolver {
     core: SolverCore,
-    /// Last solved rate per flow (0.0 until first solved).
-    rates: Vec<f64>,
-    pool: Option<std::sync::Arc<exec::WorkerPool>>,
+    out: RateTable,
     warm_start: bool,
-    /// Minimum flows for a component to count as pool-worthy; see
-    /// [`MaxMinSolver::set_parallel_threshold`].
-    par_threshold: usize,
     /// Minimum flows for warm-start recording/replay; see
     /// [`MaxMinSolver::set_warm_threshold`].
     warm_threshold: usize,
@@ -766,45 +719,9 @@ pub struct MaxMinSolver {
     comp_flows: Vec<u32>,
     comp_res: Vec<u32>,
     comps: Vec<CompSpan>,
-    /// Pool job packing: non-trivial component indices in discovery
-    /// order, and the job ranges into them (big components alone, small
-    /// ones chunk-packed).
-    job_comps: Vec<u32>,
-    job_bounds: Vec<(u32, u32)>,
-    changed: Vec<u32>,
-    scratch_main: SolveScratch,
-    /// Scratches for pool workers; grabbed and returned per job.
-    scratch_pool: std::sync::Mutex<Vec<SolveScratch>>,
+    scratch: SolveScratch,
     /// Lifetime event counts (components, sizes, warm-replay outcomes).
     stats: SolverStats,
-}
-
-impl Clone for MaxMinSolver {
-    fn clone(&self) -> Self {
-        MaxMinSolver {
-            core: self.core.clone(),
-            rates: self.rates.clone(),
-            pool: self.pool.clone(),
-            warm_start: self.warm_start,
-            par_threshold: self.par_threshold,
-            warm_threshold: self.warm_threshold,
-            warm_flow_cap: self.warm_flow_cap,
-            warm: self.warm.clone(),
-            pending: self.pending.clone(),
-            conn: self.conn.clone(),
-            members_dirty: self.members_dirty,
-            seed_buf: Vec::new(),
-            comp_flows: Vec::new(),
-            comp_res: Vec::new(),
-            comps: Vec::new(),
-            job_comps: Vec::new(),
-            job_bounds: Vec::new(),
-            changed: self.changed.clone(),
-            scratch_main: SolveScratch::default(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
-            stats: self.stats.clone(),
-        }
-    }
 }
 
 impl MaxMinSolver {
@@ -812,7 +729,7 @@ impl MaxMinSolver {
     pub fn new(capacity: Vec<f64>) -> Self {
         let nr = capacity.len();
         MaxMinSolver {
-            rates: Vec::new(),
+            out: RateTable::default(),
             core: SolverCore {
                 capacity,
                 flows: Vec::new(),
@@ -830,9 +747,7 @@ impl MaxMinSolver {
                 res_mark: vec![0; nr],
                 res_dirty: vec![0; nr],
             },
-            pool: None,
             warm_start: true,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
             warm_threshold: DEFAULT_WARM_THRESHOLD,
             warm_flow_cap: DEFAULT_WARM_FLOW_CAP,
             warm: WarmCache {
@@ -848,33 +763,9 @@ impl MaxMinSolver {
             comp_flows: Vec::new(),
             comp_res: Vec::new(),
             comps: Vec::new(),
-            job_comps: Vec::new(),
-            job_bounds: Vec::new(),
-            changed: Vec::new(),
-            scratch_main: SolveScratch::default(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
+            scratch: SolveScratch::default(),
             stats: SolverStats::default(),
         }
-    }
-
-    /// Attaches (or detaches) a worker pool for component fan-out. With a
-    /// pool, a reshare touching several disjoint components solves them
-    /// concurrently; results are bit-identical either way, so this is a
-    /// pure throughput knob. Share one pool process-wide (the forecast
-    /// engine hands its own pool down here) to avoid oversubscription.
-    pub fn set_pool(&mut self, pool: Option<std::sync::Arc<exec::WorkerPool>>) {
-        self.pool = pool;
-    }
-
-    /// Minimum flows for a component to be pool-dispatched as a job of
-    /// its own; smaller components are packed into chunk jobs of roughly
-    /// this many flows (trivial ≤1-flow components stay inline behind
-    /// their fused fast path). A reshare fans out only when at least two
-    /// jobs result, since shipping micro-work to workers costs more than
-    /// solving it inline. Results are bit-identical regardless; tests
-    /// drop this to 1 to force the parallel path onto small inputs.
-    pub fn set_parallel_threshold(&mut self, min_flows: usize) {
-        self.par_threshold = min_flows.max(1);
     }
 
     /// Minimum component size (flows) for warm-start recording and
@@ -932,7 +823,7 @@ impl MaxMinSolver {
         }
         self.core.res_arena.extend_from_slice(&resources);
         self.core.flows.push(SolverFlow { res_start, res_len, weight, cap, active: false });
-        self.rates.push(0.0);
+        self.out.rates.push(0.0);
         self.core.seed_mark.push(0);
         self.core.flow_mark.push(0);
         self.core.flow_comp.push(0);
@@ -974,7 +865,7 @@ impl MaxMinSolver {
 
     /// The last rate solved for `flow`.
     pub fn rate(&self, flow: u32) -> f64 {
-        self.rates[flow as usize]
+        self.out.rates[flow as usize]
     }
 
     /// Current capacity of resource `r`.
@@ -1102,7 +993,7 @@ impl MaxMinSolver {
         self.ensure_members();
         self.core.epoch += 1;
         let epoch = self.core.epoch;
-        self.changed.clear();
+        self.out.changed.clear();
         self.comp_flows.clear();
         self.comp_res.clear();
         self.comps.clear();
@@ -1117,10 +1008,10 @@ impl MaxMinSolver {
         self.seed_buf.sort_unstable();
         self.seed_buf.dedup();
 
-        // Mark seeds and their (dirty) resources before discovery; jobs
-        // read these marks concurrently later. The marks only steer
-        // warm-start replay validity, and a replay needs a cached solve
-        // to replay — with nothing recorded the pass is skipped.
+        // Mark seeds and their (dirty) resources before discovery. The
+        // marks only steer warm-start replay validity, and a replay needs
+        // a cached solve to replay — with nothing recorded the pass is
+        // skipped.
         if self.warm_start && self.warm.has_records() {
             for i in 0..self.seed_buf.len() {
                 let fi = self.seed_buf[i] as usize;
@@ -1196,209 +1087,51 @@ impl MaxMinSolver {
             }
         }
 
-        if self.comps.is_empty() {
-            return &self.changed;
-        }
-
-        // Component-size accounting: sizes are known at dispatch time,
-        // so this is one O(#components) integer pass per reshare —
-        // never inside a solve, never a clock read.
-        for ci in 0..self.comps.len() {
-            let n = (self.comps[ci].flows.1 - self.comps[ci].flows.0) as usize;
-            self.stats.record_component_size(n);
-        }
-
+        // One reused scratch, components in discovery order.
         let record = self.warm_start;
-        // Partition the components into pool jobs: trivial (≤1 flow, no
-        // warm replay) components stay inline behind their fused fast
-        // path, components of at least `par_threshold` flows become jobs
-        // of their own, and the small rest is packed into chunk jobs of
-        // roughly `par_threshold` flows — so a completion wave touching
-        // many small components (the symmetric multi-cluster shape) can
-        // still fan out instead of disqualifying the pool. Dispatch pays
-        // only once at least two jobs carry real work.
-        self.job_comps.clear();
-        self.job_bounds.clear();
-        let mut big = 0usize;
-        if self.pool.is_some() && self.comps.len() > 1 {
-            let mut chunk_start = 0u32;
-            let mut chunk_flows = 0usize;
-            for ci in 0..self.comps.len() {
-                let n = (self.comps[ci].flows.1 - self.comps[ci].flows.0) as usize;
-                let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
-                if n <= 1 && !use_warm {
-                    continue;
-                }
-                if n >= self.par_threshold {
-                    big += 1;
-                    if chunk_flows > 0 {
-                        self.job_bounds.push((chunk_start, self.job_comps.len() as u32));
-                        chunk_flows = 0;
-                    }
-                    let at = self.job_comps.len() as u32;
-                    self.job_comps.push(ci as u32);
-                    self.job_bounds.push((at, at + 1));
-                    chunk_start = at + 1;
-                } else {
-                    self.job_comps.push(ci as u32);
-                    chunk_flows += n;
-                    if chunk_flows >= self.par_threshold {
-                        self.job_bounds.push((chunk_start, self.job_comps.len() as u32));
-                        chunk_start = self.job_comps.len() as u32;
-                        chunk_flows = 0;
-                    }
-                }
+        for ci in 0..self.comps.len() {
+            let span = self.comps[ci];
+            let n = (span.flows.1 - span.flows.0) as usize;
+            self.stats.record_component_size(n);
+            // Warm-start pays only on components big enough that skipped
+            // levels outweigh the replay validation; smaller ones solve
+            // cold and just drop their stale records.
+            let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
+            if !use_warm && n <= 1 {
+                self.solve_trivial(ci, record);
+                continue;
             }
-            if chunk_flows > 0 {
-                self.job_bounds.push((chunk_start, self.job_comps.len() as u32));
+            let flows = &self.comp_flows[span.flows.0 as usize..span.flows.1 as usize];
+            let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
+            let warm = if use_warm { self.warm.lookup(res) } else { None };
+            run_component(
+                &self.core,
+                ci as u32,
+                flows,
+                res,
+                warm,
+                use_warm,
+                &mut self.out,
+                &mut self.scratch,
+            );
+            if use_warm {
+                self.warm.store_from_scratch(res, &self.scratch);
+            } else if record && self.warm.has_records() {
+                // Sub-threshold solve: drop any stale record covering
+                // these resources. With nothing recorded anywhere
+                // (`solves` empty ⇒ every `res_solve` entry is 0) the
+                // sweep is skipped outright — the common small-network
+                // case pays nothing for warm-start being enabled.
+                self.warm.detach(res);
             }
         }
-        // Fan out only when at least two *threshold-sized* components
-        // justify it — the chunk jobs then ride along, but a wave of
-        // micro-components alone solves inline (shipping it costs more
-        // than solving it).
-        let use_pool = big >= 2 && self.job_bounds.len() >= 2;
-        if !use_pool {
-            // Sequential path: one reused scratch, results harvested in
-            // component discovery order.
-            for ci in 0..self.comps.len() {
-                let span = self.comps[ci];
-                // Warm-start pays only on components big enough that
-                // skipped levels outweigh the replay validation; smaller
-                // ones solve cold and just drop their stale records.
-                let n = (span.flows.1 - span.flows.0) as usize;
-                let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
-                if !use_warm && n <= 1 {
-                    self.solve_trivial(ci, record);
-                    continue;
-                }
-                let flows =
-                    &self.comp_flows[span.flows.0 as usize..span.flows.1 as usize];
-                let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
-                let warm = if use_warm { self.warm.lookup(res) } else { None };
-                let mut sink =
-                    RateSink::Direct { rates: &mut self.rates, changed: &mut self.changed };
-                run_component(
-                    &self.core,
-                    ci as u32,
-                    flows,
-                    res,
-                    warm,
-                    use_warm,
-                    &mut sink,
-                    &mut self.scratch_main,
-                );
-                if use_warm {
-                    self.warm.store_from_scratch(res, &self.scratch_main);
-                } else if record && self.warm.has_records() {
-                    // Sub-threshold solve: drop any stale record covering
-                    // these resources. With nothing recorded anywhere
-                    // (`solves` empty ⇒ every `res_solve` entry is 0) the
-                    // sweep is skipped outright — the common small-network
-                    // case pays nothing for warm-start being enabled.
-                    self.warm.detach(res);
-                }
-            }
-            let delta = std::mem::take(&mut self.scratch_main.stats);
-            self.stats.warm.merge(&delta);
-        } else {
-            // Parallel path: trivial components solve inline first (their
-            // fused fast path beats any dispatch), then the jobs fan out
-            // over the pool; results merge in the same discovery order —
-            // bit-identical to the sequential path at any worker count.
-            for ci in 0..self.comps.len() {
-                let n = (self.comps[ci].flows.1 - self.comps[ci].flows.0) as usize;
-                if n <= 1 && !(record && n >= self.warm_threshold && n <= self.warm_flow_cap) {
-                    self.solve_trivial(ci, record);
-                }
-            }
-            let pool = self.pool.clone().expect("checked above");
-            let core = &self.core;
-            let rates = &self.rates;
-            let scratch_pool = &self.scratch_pool;
-            let jobs: Vec<CompJob<'_>> = self
-                .job_comps
-                .iter()
-                .map(|&ci| {
-                    let span = self.comps[ci as usize];
-                    let flows =
-                        &self.comp_flows[span.flows.0 as usize..span.flows.1 as usize];
-                    let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
-                    let use_warm = record
-                        && flows.len() >= self.warm_threshold
-                        && flows.len() <= self.warm_flow_cap;
-                    let warm = if use_warm { self.warm.lookup(res) } else { None };
-                    (ci, flows, res, warm, use_warm)
-                })
-                .collect();
-            let outs: Vec<(Vec<CompOut>, WarmReplayStats)> =
-                pool.map(&self.job_bounds, |_, &(lo, hi)| {
-                    let mut scratch = scratch_pool
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .pop()
-                        .unwrap_or_default();
-                    let mut job_out = Vec::with_capacity((hi - lo) as usize);
-                    for &(comp_id, flows, res, warm, use_warm) in
-                        &jobs[lo as usize..hi as usize]
-                    {
-                        let mut sink = RateSink::Buffered { rates };
-                        run_component(
-                            core, comp_id, flows, res, warm, use_warm, &mut sink,
-                            &mut scratch,
-                        );
-                        // Take, don't clone: the buffers cross the thread
-                        // boundary as-is (store_owned keeps the rec ones
-                        // alive in the cache) and the scratch regrows
-                        // lazily.
-                        job_out.push(CompOut {
-                            comp: comp_id,
-                            changed: std::mem::take(&mut scratch.changed),
-                            rec: use_warm.then(|| CachedSolve {
-                                refs: 0,
-                                phis: std::mem::take(&mut scratch.rec_phis),
-                                offsets: std::mem::take(&mut scratch.rec_offsets),
-                                frozen: std::mem::take(&mut scratch.rec_frozen),
-                                bind_offsets: std::mem::take(&mut scratch.rec_bind_offsets),
-                                bind: std::mem::take(&mut scratch.rec_bind),
-                            }),
-                        });
-                    }
-                    // Harvest the job's warm-replay counts before the
-                    // scratch returns to the pool (deltas merge on the
-                    // dispatching thread — no atomics in the solve).
-                    let stats = std::mem::take(&mut scratch.stats);
-                    scratch_pool.lock().unwrap_or_else(|e| e.into_inner()).push(scratch);
-                    (job_out, stats)
-                });
-            drop(jobs);
-            for (job_out, delta) in outs {
-                self.stats.warm.merge(&delta);
-                for out in job_out {
-                    for (f, rate) in out.changed {
-                        self.rates[f as usize] = rate;
-                        self.changed.push(f);
-                    }
-                    if record {
-                        let span = self.comps[out.comp as usize];
-                        let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
-                        match out.rec {
-                            Some(rec) => self.warm.store_owned(res, Some(rec)),
-                            None => {
-                                if self.warm.has_records() {
-                                    self.warm.detach(res);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let delta = std::mem::take(&mut self.scratch.stats);
+        self.stats.warm.merge(&delta);
 
-        // Components are disjoint, so the merged list has no duplicates;
-        // restore ascending order for deterministic consumers.
-        self.changed.sort_unstable();
-        &self.changed
+        // Components are disjoint, so the list has no duplicates; restore
+        // ascending order for deterministic consumers.
+        self.out.changed.sort_unstable();
+        &self.out.changed
     }
 
     /// Solves a trivial (≤ 1 flow) component inline: a lone flow's rate
@@ -1434,10 +1167,7 @@ impl MaxMinSolver {
                     phi / self.core.flows[fi].weight
                 }
             };
-            if self.rates[fi] != rate {
-                self.rates[fi] = rate;
-                self.changed.push(f);
-            }
+            self.out.set(f, rate);
         }
         if record && self.warm.has_records() {
             let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
@@ -1486,8 +1216,7 @@ impl MaxMinSolver {
 /// core, replays as much of the cached freeze order as the seeds leave
 /// valid, and finishes with normal progressive filling. Pure function of
 /// `(core, comp_flows, comp_res, warm)` — the scratch carries no history
-/// into the result — which is what makes pool-parallel execution
-/// bit-identical to sequential.
+/// into the result.
 #[allow(clippy::too_many_arguments)]
 fn run_component(
     core: &SolverCore,
@@ -1496,12 +1225,11 @@ fn run_component(
     comp_res: &[u32],
     warm: Option<&CachedSolve>,
     record: bool,
-    sink: &mut RateSink<'_>,
+    out: &mut RateTable,
     s: &mut SolveScratch,
 ) {
     s.ensure(core.capacity.len(), core.flows.len());
     s.stamp += 1;
-    s.changed.clear();
     s.rec_phis.clear();
     s.rec_frozen.clear();
     s.rec_offsets.clear();
@@ -1520,7 +1248,7 @@ fn run_component(
             s.inv_w_sum[ri] = core.base_inv_w_sum[ri];
             s.active_count_on[ri] = core.res_active[ri];
         }
-        let unfrozen = comp_flows.len() - replay_rounds(core, comp_id, comp_flows, comp_res, w, record, sink, s);
+        let unfrozen = comp_flows.len() - replay_rounds(core, comp_id, comp_flows, comp_res, w, record, out, s);
         // Remaining flows fill normally from the replayed state.
         s.live.clear();
         for &f in comp_flows {
@@ -1543,9 +1271,9 @@ fn run_component(
         }
         if !s.live.is_empty() {
             if scan {
-                fill_scan(core, record, sink, s);
+                fill_scan(core, record, out, s);
             } else {
-                fill_heap(core, record, sink, s);
+                fill_heap(core, record, out, s);
             }
         }
     } else {
@@ -1572,15 +1300,15 @@ fn run_component(
         }
         if !s.live.is_empty() {
             if scan {
-                fill_scan(core, record, sink, s);
+                fill_scan(core, record, out, s);
             } else {
-                fill_heap(core, record, sink, s);
+                fill_heap(core, record, out, s);
             }
         }
     }
 
-    // `changed` is left in freeze order; the reshare's single global sort
-    // restores ascending ids after the per-component merge.
+    // `out.changed` is left in freeze order; the reshare's single sort
+    // restores ascending ids.
 }
 
 /// Replays the cached freeze order until a level the seeds invalidate,
@@ -1599,7 +1327,7 @@ fn replay_rounds(
     comp_res: &[u32],
     w: &CachedSolve,
     record: bool,
-    sink: &mut RateSink<'_>,
+    out: &mut RateTable,
     s: &mut SolveScratch,
 ) -> usize {
     s.dirty.clear();
@@ -1662,7 +1390,7 @@ fn replay_rounds(
             let fi = f as usize;
             if core.flow_mark[fi] != core.epoch || core.flow_comp[fi] != comp_id {
                 // The cached solve covered a larger component that has
-                // since split; this flow's piece is someone else's job
+                // since split; this flow's piece belongs to another component
                 // (or untouched) and shares none of our resources.
                 continue;
             }
@@ -1684,7 +1412,7 @@ fn replay_rounds(
         }
         s.round_bind.clear();
         s.round_bind.extend_from_slice(&w.bind[blo..bhi]);
-        frozen_total += apply_round(core, record, phi, threshold, sink, s, false);
+        frozen_total += apply_round(core, record, phi, threshold, out, s, false);
         s.stats.levels_replayed += 1;
     }
     frozen_total
@@ -1704,7 +1432,7 @@ fn apply_round(
     record: bool,
     phi: f64,
     threshold: f64,
-    sink: &mut RateSink<'_>,
+    out: &mut RateTable,
     s: &mut SolveScratch,
     collect_dirty: bool,
 ) -> usize {
@@ -1721,7 +1449,7 @@ fn apply_round(
         } else {
             phi / core.flows[fi].weight
         };
-        set_rate(sink, f, allocated, s);
+        set_rate(out, f, allocated, s);
         let inv_w = 1.0 / core.flows[fi].weight;
         for &r in core.res_span(f) {
             let ri = r as usize;
@@ -1744,28 +1472,15 @@ fn apply_round(
     s.touched.len()
 }
 
-fn set_rate(sink: &mut RateSink<'_>, flow: u32, rate: f64, s: &mut SolveScratch) {
-    let fi = flow as usize;
-    match sink {
-        RateSink::Direct { rates, changed } => {
-            if rates[fi] != rate {
-                rates[fi] = rate;
-                changed.push(flow);
-            }
-        }
-        RateSink::Buffered { rates } => {
-            if rates[fi] != rate {
-                s.changed.push((flow, rate));
-            }
-        }
-    }
-    s.frozen_stamp[fi] = s.stamp;
+fn set_rate(out: &mut RateTable, flow: u32, rate: f64, s: &mut SolveScratch) {
+    out.set(flow, rate);
+    s.frozen_stamp[flow as usize] = s.stamp;
 }
 
 /// Scan-per-round progressive filling: the reference algorithm restricted
 /// to the component's live arrays, replaying the reference's float
 /// operations (and even its in-pass threshold effects) exactly.
-fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut SolveScratch) {
+fn fill_scan(core: &SolverCore, record: bool, out: &mut RateTable, s: &mut SolveScratch) {
     // `ratio[r]` is seeded by the caller for every live resource and
     // refreshed here only when a freeze dirties it.
     let mut unfrozen = s.live.len();
@@ -1791,7 +1506,7 @@ fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
             // No binding constraint: the remaining flows are unbounded.
             for k in 0..s.live.len() {
                 let f = s.live[k];
-                set_rate(sink, f, f64::INFINITY, s);
+                set_rate(out, f, f64::INFINITY, s);
             }
             break;
         }
@@ -1842,12 +1557,12 @@ fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
                 let f = s.live[k];
                 let fi = f as usize;
                 let rate = (phi / core.flows[fi].weight).min(core.flows[fi].cap);
-                set_rate(sink, f, rate, s);
+                set_rate(out, f, rate, s);
             }
             break;
         }
 
-        unfrozen -= apply_round(core, record, phi, threshold, sink, s, true);
+        unfrozen -= apply_round(core, record, phi, threshold, out, s, true);
 
         // Refresh the cached ratios the freezes invalidated.
         for k in 0..s.dirty_round.len() {
@@ -1874,7 +1589,7 @@ fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
 /// candidates live in a lazy-deletion min-heap, so a round touches only
 /// the constraints that actually bind instead of rescanning every
 /// resource and cap.
-fn fill_heap(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut SolveScratch) {
+fn fill_heap(core: &SolverCore, record: bool, out: &mut RateTable, s: &mut SolveScratch) {
     s.cand.clear();
     for k in 0..s.live_res.len() {
         let r = s.live_res[k];
@@ -1921,7 +1636,7 @@ fn fill_heap(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
             for k in 0..s.live.len() {
                 let f = s.live[k];
                 if s.frozen_stamp[f as usize] != s.stamp {
-                    set_rate(sink, f, f64::INFINITY, s);
+                    set_rate(out, f, f64::INFINITY, s);
                 }
             }
             break;
@@ -1977,13 +1692,13 @@ fn fill_heap(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
                 let fi = f as usize;
                 if s.frozen_stamp[fi] != s.stamp {
                     let rate = (phi / core.flows[fi].weight).min(core.flows[fi].cap);
-                    set_rate(sink, f, rate, s);
+                    set_rate(out, f, rate, s);
                 }
             }
             break;
         }
 
-        unfrozen -= apply_round(core, record, phi, threshold, sink, s, true);
+        unfrozen -= apply_round(core, record, phi, threshold, out, s, true);
 
         // Freezes changed these resources' ratios; push fresh candidates
         // (old entries turn stale and are skipped on pop).

@@ -305,11 +305,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel component solves + warm-start filling vs the sequential reshare
+// Multi-component reshares + warm-start filling vs the cold reshare
 
 /// A problem with `groups` *disjoint* resource groups: every flow's
 /// resources stay inside one group, so a multi-seed reshare spans several
-/// independent components — exactly the shape the pool fans out.
+/// independent components.
 fn arb_multicomponent() -> impl Strategy<Value = SharingProblem> {
     (2usize..5, 2usize..5, 1usize..5).prop_flat_map(|(groups, res_per, flows_per)| {
         let caps = proptest::collection::vec(1.0f64..1000.0, groups * res_per);
@@ -335,19 +335,16 @@ fn arb_multicomponent() -> impl Strategy<Value = SharingProblem> {
 
 /// Runs one activate/deactivate history (batched toggles; each batch is
 /// one reshare with all toggled flows as seeds, mimicking simultaneous
-/// completions) under a given pool size and warm-start setting, and
-/// snapshots `(rate bit patterns, changed list)` after every reshare.
+/// completions) under a given warm-start setting, and snapshots
+/// `(rate bit patterns, changed list)` after every reshare.
 fn run_history(
     p: &SharingProblem,
     batches: &[Vec<usize>],
-    workers: usize,
     warm: bool,
 ) -> Vec<(Vec<u64>, Vec<u32>)> {
     let n = p.flows.len();
     let mut solver = MaxMinSolver::new(p.capacity.clone());
-    solver.set_pool((workers > 0).then(|| std::sync::Arc::new(exec::WorkerPool::new(workers))));
-    solver.set_parallel_threshold(1); // force pool dispatch onto tiny components
-    solver.set_warm_threshold(1); // ...and warm-start replay likewise
+    solver.set_warm_threshold(1); // force warm-start replay onto tiny components
     solver.set_warm_start(warm);
     for f in &p.flows {
         solver.register(f.resources.clone(), f.weight, f.cap);
@@ -378,45 +375,33 @@ proptest! {
 
     /// One multi-seed reshare activating everything at once (several
     /// disjoint components in one call): rates and `changed` must be
-    /// bit-identical to the one-shot reference at every worker count,
-    /// warm start on and off.
+    /// bit-identical to the one-shot reference, warm start on and off.
     #[test]
     fn multicomponent_activation_matches_reference_exactly(p in arb_multicomponent()) {
         let reference = p.solve();
         let all: Vec<u32> = (0..p.flows.len() as u32).collect();
-        for workers in [0usize, 1, 2, 4, 8] {
-            for warm in [false, true] {
-                let mut inc = incremental_from(&p, &all);
-                inc.set_pool(
-                    (workers > 0).then(|| std::sync::Arc::new(exec::WorkerPool::new(workers))),
+        for warm in [false, true] {
+            let mut inc = incremental_from(&p, &all);
+            inc.set_warm_threshold(1); // force warm-start replay
+            inc.set_warm_start(warm);
+            let changed = inc.reshare(&all).to_vec();
+            prop_assert_eq!(&changed, &all, "every first-solve rate moves (warm={})", warm);
+            for (i, want) in reference.iter().enumerate() {
+                let got = inc.rate(i as u32);
+                prop_assert!(
+                    exactly_equal(got, *want),
+                    "flow {i}: {got:?} != reference {want:?} (warm={})",
+                    warm
                 );
-                inc.set_parallel_threshold(1); // force pool dispatch
-                inc.set_warm_threshold(1); // ...and warm-start replay likewise
-                inc.set_warm_start(warm);
-                let changed = inc.reshare(&all).to_vec();
-                prop_assert_eq!(
-                    &changed,
-                    &all,
-                    "every first-solve rate moves (workers={}, warm={})", workers, warm
-                );
-                for (i, want) in reference.iter().enumerate() {
-                    let got = inc.rate(i as u32);
-                    prop_assert!(
-                        exactly_equal(got, *want),
-                        "flow {i}: {got:?} != reference {want:?} (workers={}, warm={})",
-                        workers,
-                        warm
-                    );
-                }
             }
         }
     }
 
     /// Randomized batched activate/deactivate histories (multi-seed
     /// reshares spanning several disjoint components): every snapshot —
-    /// rate bit patterns *and* `changed` lists — is bit-identical across
-    /// worker counts 0/1/2/4/8 with warm start on and off, and tracks a
-    /// fresh reference solve of the active subset.
+    /// rate bit patterns *and* `changed` lists — is bit-identical with
+    /// warm start on and off, and tracks a fresh reference solve of the
+    /// active subset.
     #[test]
     fn histories_are_bit_identical_across_workers_and_warm_start(
         p in arb_multicomponent(),
@@ -445,23 +430,10 @@ proptest! {
             return Ok(());
         }
 
-        // The sequential, cold path is the pinned reference.
-        let baseline = run_history(&p, &batches, 0, false);
-        for workers in [0usize, 1, 2, 4, 8] {
-            for warm in [false, true] {
-                if workers == 0 && !warm {
-                    continue;
-                }
-                let got = run_history(&p, &batches, workers, warm);
-                prop_assert_eq!(
-                    &got,
-                    &baseline,
-                    "divergence from sequential cold reshare (workers={}, warm={})",
-                    workers,
-                    warm
-                );
-            }
-        }
+        // The cold path is the pinned reference.
+        let baseline = run_history(&p, &batches, false);
+        let got = run_history(&p, &batches, true);
+        prop_assert_eq!(&got, &baseline, "warm replay diverged from the cold reshare");
 
         // And the baseline itself tracks the from-scratch reference.
         let n = p.flows.len();
@@ -590,7 +562,7 @@ proptest! {
     /// One batched multi-seed reshare is bit-identical to resharing after
     /// every individual toggle: same final rates, and the batched
     /// `changed` list is exactly the set of flows whose rate differs from
-    /// the pre-batch state — at worker counts 0/1/4, warm start on/off.
+    /// the pre-batch state — warm start on/off.
     #[test]
     fn batched_reshare_matches_per_event(
         p in arb_multicomponent(),
@@ -628,62 +600,55 @@ proptest! {
             return Ok(());
         }
 
-        for workers in [0usize, 1, 4] {
-            for warm in [false, true] {
-                let mut batched = incremental_from(&p, &[]);
-                let mut per_event = incremental_from(&p, &[]);
-                for s in [&mut batched, &mut per_event] {
-                    s.set_parallel_threshold(1);
-                    s.set_warm_threshold(1);
-                    s.set_warm_start(warm);
+        for warm in [false, true] {
+            let mut batched = incremental_from(&p, &[]);
+            let mut per_event = incremental_from(&p, &[]);
+            for s in [&mut batched, &mut per_event] {
+                s.set_warm_threshold(1);
+                s.set_warm_start(warm);
+            }
+            let mut active = vec![false; n];
+            for batch in &batches {
+                let before: Vec<u64> =
+                    (0..n).map(|k| batched.rate(k as u32).to_bits()).collect();
+                let mut seeds = Vec::new();
+                for &t in batch {
+                    if active[t] {
+                        batched.deactivate(t as u32);
+                        per_event.deactivate(t as u32);
+                    } else {
+                        batched.activate(t as u32);
+                        per_event.activate(t as u32);
+                    }
+                    active[t] = !active[t];
+                    seeds.push(t as u32);
+                    // Per-event reference: one solver round-trip per
+                    // membership change.
+                    per_event.reshare(&[t as u32]);
                 }
-                batched.set_pool(
-                    (workers > 0).then(|| std::sync::Arc::new(exec::WorkerPool::new(workers))),
-                );
-                let mut active = vec![false; n];
-                for batch in &batches {
-                    let before: Vec<u64> =
-                        (0..n).map(|k| batched.rate(k as u32).to_bits()).collect();
-                    let mut seeds = Vec::new();
-                    for &t in batch {
-                        if active[t] {
-                            batched.deactivate(t as u32);
-                            per_event.deactivate(t as u32);
-                        } else {
-                            batched.activate(t as u32);
-                            per_event.activate(t as u32);
-                        }
-                        active[t] = !active[t];
-                        seeds.push(t as u32);
-                        // Per-event reference: one solver round-trip per
-                        // membership change.
-                        per_event.reshare(&[t as u32]);
-                    }
-                    let changed = batched.reshare(&seeds).to_vec();
+                let changed = batched.reshare(&seeds).to_vec();
 
-                    // Only *active* flows have meaningful rates: a flow
-                    // deactivated mid-batch keeps its last solved value,
-                    // and the per-event schedule may have re-solved it in
-                    // an intermediate state the batch never materializes.
-                    for (k, is_active) in active.iter().enumerate() {
-                        if !is_active {
-                            continue;
-                        }
-                        prop_assert_eq!(
-                            batched.rate(k as u32).to_bits(),
-                            per_event.rate(k as u32).to_bits(),
-                            "flow {} diverges (workers={}, warm={})", k, workers, warm
-                        );
+                // Only *active* flows have meaningful rates: a flow
+                // deactivated mid-batch keeps its last solved value,
+                // and the per-event schedule may have re-solved it in
+                // an intermediate state the batch never materializes.
+                for (k, is_active) in active.iter().enumerate() {
+                    if !is_active {
+                        continue;
                     }
-                    let expect: Vec<u32> = (0..n as u32)
-                        .filter(|&k| batched.rate(k).to_bits() != before[k as usize])
-                        .collect();
                     prop_assert_eq!(
-                        &changed, &expect,
-                        "changed must be the exact rate diff (workers={}, warm={})",
-                        workers, warm
+                        batched.rate(k as u32).to_bits(),
+                        per_event.rate(k as u32).to_bits(),
+                        "flow {} diverges (warm={})", k, warm
                     );
                 }
+                let expect: Vec<u32> = (0..n as u32)
+                    .filter(|&k| batched.rate(k).to_bits() != before[k as usize])
+                    .collect();
+                prop_assert_eq!(
+                    &changed, &expect,
+                    "changed must be the exact rate diff (warm={})", warm
+                );
             }
         }
     }
@@ -692,20 +657,15 @@ proptest! {
     /// true (fresh-BFS) partition — every true component sits wholly
     /// inside one label component — and collapse to exactly the BFS
     /// partition once the lazy split is forced; rates track the
-    /// from-scratch reference throughout, at worker counts 0/1/4.
+    /// from-scratch reference throughout.
     #[test]
     fn lazy_split_labels_match_fresh_bfs(
         p in arb_multicomponent(),
         toggles in proptest::collection::vec(0usize..64, 1..50),
-        workers in prop_oneof![Just(0usize), Just(1), Just(4)],
     ) {
         let n = p.flows.len();
         let mut inc = incremental_from(&p, &[]);
-        inc.set_parallel_threshold(1);
         inc.set_warm_threshold(1);
-        inc.set_pool(
-            (workers > 0).then(|| std::sync::Arc::new(exec::WorkerPool::new(workers))),
-        );
         let mut active = vec![false; n];
         for &t in &toggles {
             let i = t % n;

@@ -3,9 +3,9 @@
 //!
 //! The property tests pin the incremental kernel against a from-scratch
 //! reference kernel (full rescans, a one-shot [`SharingProblem`] rebuilt
-//! at every instant under the current effective capacities), across
-//! worker counts {0, 1, 4} × warm start on/off. All randomized inputs
-//! are raw integers and `Vec`s so minimal counterexamples shrink well.
+//! at every instant under the current effective capacities), with warm
+//! start on and off. All randomized inputs are raw integers and `Vec`s
+//! so minimal counterexamples shrink well.
 //!
 //! Equality discipline follows `model.rs`: runs across tunings must be
 //! *bit-identical* to each other; against the from-scratch reference the
@@ -203,15 +203,11 @@ fn kernel_run(
     src_dst: &[(usize, usize)],
     events: &[(f64, usize, PlatformEventKind)],
     policy: DeadRoutePolicy,
-    workers: usize,
     warm: bool,
 ) -> Result<Vec<(f64, bool)>, simflow::SimError> {
     let cfg = NetworkConfig::ideal();
     let hosts: Vec<_> = p.hosts().collect();
-    let tuning = SimTuning {
-        pool: (workers > 0).then(|| std::sync::Arc::new(exec::WorkerPool::new(workers))),
-        warm_start: warm,
-    };
+    let tuning = SimTuning { warm_start: warm, ..SimTuning::default() };
     let mut sim =
         Simulation::with_tuning(p, cfg, Simulation::shared_capacities(p, &cfg), tuning);
     sim.set_dead_route_policy(policy);
@@ -279,45 +275,31 @@ fn check_schedule(
     };
     let want = reference_run(&base, jobs, events, policy);
     let mut first: Option<Vec<(u64, bool)>> = None;
-    for workers in [0usize, 1, 4] {
-        for warm in [false, true] {
-            let got = kernel_run(p, jobs, src_dst, events, policy, workers, warm);
-            match (&want, got) {
-                (None, Err(simflow::SimError::Stalled { .. })) => {}
-                (None, other) => {
-                    panic!(
-                        "reference stalled but kernel returned {other:?} \
-                         (workers={workers}, warm={warm})"
+    for warm in [false, true] {
+        let got = kernel_run(p, jobs, src_dst, events, policy, warm);
+        match (&want, got) {
+            (None, Err(simflow::SimError::Stalled { .. })) => {}
+            (None, other) => {
+                panic!("reference stalled but kernel returned {other:?} (warm={warm})");
+            }
+            (Some(want), Ok(got)) => {
+                assert_eq!(got.len(), want.len());
+                for (i, ((gf, gfail), (wf, wfail))) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        close(*gf, *wf),
+                        "job {i}: finish {gf} vs reference {wf} (warm={warm})"
                     );
+                    assert_eq!(gfail, wfail, "job {i} outcome diverges (warm={warm})");
                 }
-                (Some(want), Ok(got)) => {
-                    assert_eq!(got.len(), want.len());
-                    for (i, ((gf, gfail), (wf, wfail))) in got.iter().zip(want).enumerate() {
-                        assert!(
-                            close(*gf, *wf),
-                            "job {i}: finish {gf} vs reference {wf} (workers={workers}, warm={warm})"
-                        );
-                        assert_eq!(
-                            gfail, wfail,
-                            "job {i} outcome diverges (workers={workers}, warm={warm})"
-                        );
-                    }
-                    let bits: Vec<(u64, bool)> =
-                        got.iter().map(|(f, x)| (f.to_bits(), *x)).collect();
-                    match &first {
-                        None => first = Some(bits),
-                        Some(f) => assert_eq!(
-                            f, &bits,
-                            "tunings diverge bit-wise (workers={workers}, warm={warm})"
-                        ),
-                    }
+                let bits: Vec<(u64, bool)> =
+                    got.iter().map(|(f, x)| (f.to_bits(), *x)).collect();
+                match &first {
+                    None => first = Some(bits),
+                    Some(f) => assert_eq!(f, &bits, "tunings diverge bit-wise (warm={warm})"),
                 }
-                (Some(_), Err(e)) => {
-                    panic!(
-                        "kernel failed where reference finished: {e} \
-                         (workers={workers}, warm={warm})"
-                    );
-                }
+            }
+            (Some(_), Err(e)) => {
+                panic!("kernel failed where reference finished: {e} (warm={warm})");
             }
         }
     }

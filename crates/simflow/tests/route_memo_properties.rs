@@ -3,14 +3,11 @@
 //! path must produce bit-identical reports — completion times, outcomes,
 //! rate-derived finish instants, and solver event counts — to simulations
 //! fed paths pre-resolved from the reference [`Platform::route_uncached`]
-//! recursion. The property is exercised across solver worker counts
-//! (0 / 1 / 4), warm-start on/off, and dead-link overlays (both a link
-//! dead from t = 0 and a mid-run down/up pair), because each of those
-//! knobs routes the same `ResolvedPath` data through a different solver
-//! path and any latency or link-order divergence would surface as a
-//! different completion instant.
-
-use std::sync::Arc;
+//! recursion. The property is exercised with warm start on and off and
+//! under dead-link overlays (both a link dead from t = 0 and a mid-run
+//! down/up pair), because each of those routes the same `ResolvedPath`
+//! data through a different solver path and any latency or link-order
+//! divergence would surface as a different completion instant.
 
 use proptest::prelude::*;
 use simflow::platform::builder::PlatformBuilder;
@@ -102,21 +99,16 @@ struct Overlay {
     flap_backbone: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sim(
     p: &Platform,
     transfers: &[(HostId, HostId, f64, SimTime)],
     warm: bool,
-    pool: Option<Arc<exec::WorkerPool>>,
     overlay: Overlay,
     memoized: bool,
 ) -> Report {
     let config = NetworkConfig::default();
     let mut sim = Simulation::new(p, config);
     sim.set_warm_start(warm);
-    if let Some(pool) = pool {
-        sim.attach_pool(pool);
-    }
     if overlay.pre_dead_nic {
         let nic = p.link_by_name("nic0-0").expect("nic exists");
         sim.mark_resource_down(nic.index() as u32);
@@ -140,7 +132,7 @@ fn run_sim(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random workloads, every (workers × warm) combination, optional
+    /// Random workloads, warm start on and off, optional
     /// dead-link overlays: the memoized and reference runs agree on
     /// every completion record and every solver event count.
     #[test]
@@ -168,20 +160,11 @@ proptest! {
             })
             .collect();
         let overlay = Overlay { pre_dead_nic, flap_backbone };
-        for workers in [0usize, 1, 4] {
-            let pool = (workers > 0).then(|| Arc::new(exec::WorkerPool::new(workers)));
-            for warm in [false, true] {
-                let fast = run_sim(&p, &transfers, warm, pool.clone(), overlay, true);
-                let reference = run_sim(&p, &transfers, warm, pool.clone(), overlay, false);
-                prop_assert_eq!(
-                    &fast.completions, &reference.completions,
-                    "workers={} warm={}", workers, warm
-                );
-                prop_assert_eq!(
-                    &fast.stats, &reference.stats,
-                    "workers={} warm={}", workers, warm
-                );
-            }
+        for warm in [false, true] {
+            let fast = run_sim(&p, &transfers, warm, overlay, true);
+            let reference = run_sim(&p, &transfers, warm, overlay, false);
+            prop_assert_eq!(&fast.completions, &reference.completions, "warm={}", warm);
+            prop_assert_eq!(&fast.stats, &reference.stats, "warm={}", warm);
         }
     }
 }
@@ -224,7 +207,7 @@ fn build_warm_grid(hosts_per_cluster: usize) -> Platform {
 /// the 128-flow warm threshold, so this pins the warm replay path
 /// explicitly — one 140-flow component whose completions leave most
 /// recorded levels clean (see [`build_warm_grid`]). Memoized and
-/// reference runs must still agree exactly, sequential and pooled.
+/// reference runs must still agree exactly.
 #[test]
 fn warm_replayed_component_matches_uncached_reference() {
     let n = 140;
@@ -237,23 +220,21 @@ fn warm_replayed_component_matches_uncached_reference() {
         })
         .collect();
     let overlay = Overlay { pre_dead_nic: false, flap_backbone: false };
-    for pool in [None, Some(Arc::new(exec::WorkerPool::new(4)))] {
-        let fast = run_sim(&p, &transfers, true, pool.clone(), overlay, true);
-        let reference = run_sim(&p, &transfers, true, pool, overlay, false);
-        assert_eq!(fast.completions, reference.completions);
-        assert_eq!(fast.stats, reference.stats);
-        assert!(
-            fast.stats.solver.warm.levels_replayed > 0,
-            "the directed workload must exercise warm replay: {:?}",
-            fast.stats.solver.warm
-        );
-    }
-    // The memoized runs resolved every transfer through the same single
+    let fast = run_sim(&p, &transfers, true, overlay, true);
+    let reference = run_sim(&p, &transfers, true, overlay, false);
+    assert_eq!(fast.completions, reference.completions);
+    assert_eq!(fast.stats, reference.stats);
+    assert!(
+        fast.stats.solver.warm.levels_replayed > 0,
+        "the directed workload must exercise warm replay: {:?}",
+        fast.stats.solver.warm
+    );
+    // The memoized run resolved every transfer through the same single
     // (cluster, cluster) middle segment.
     let memo = p.route_memo_stats();
     assert_eq!(memo.entries, 1);
     assert!(
-        memo.hits >= (n as u64 - 1) * 2,
+        memo.hits >= n as u64 - 1,
         "memo replays all but the first resolution: {memo:?}"
     );
 }
