@@ -21,8 +21,10 @@
 //! deadline, idle timeout and write timeout into `epoll_wait` timeouts.
 //! The poller is the only owner of server-side sockets and the only
 //! caller of `parse_head`, the one function that turns received bytes
-//! into a [`Request`]. Parse-complete requests are handed to an
-//! `exec::WorkerPool`; finished responses come back over an
+//! into a [`Request`]. A handler has two stages ([`Handle`]): the poller
+//! runs the *probe* stage of every parsed request on its own thread and
+//! writes what that answers at once; what the probe defers is handed to
+//! an `exec::WorkerPool`, and the finished response comes back over an
 //! `exec::Handback` plus wake pipe. This module holds what surrounds
 //! that loop: the request/response types and their grammar, the
 //! configuration, the counters, the [`Server`] handle and the client.
@@ -36,8 +38,10 @@
 //!   parsed requests may wait for a worker. Beyond that the server
 //!   *sheds*: a new connection is answered `503 Service Unavailable`
 //!   with a `Retry-After` header without reading its request, and a
-//!   request that finds the queue full once parsed (keep-alive, or a
-//!   race with the accept-time check) gets the same answer.
+//!   request that needs a worker and finds the queue full once parsed
+//!   (keep-alive, or a race with the accept-time check) gets the same
+//!   answer. A request the handler's probe stage answers needs no worker
+//!   and is served regardless.
 //! * **Degraded mode (opt-in).** When a shed fallback handler is
 //!   installed ([`Server::start_with`]), the poller reads an overloaded
 //!   connection's head as usual and hands the *parsed* request to a
@@ -50,9 +54,10 @@
 //!   [`ServerConfig::max_deadline`], or the server-side
 //!   [`ServerConfig::default_deadline`]) is answered `504 Gateway
 //!   Timeout` if `t + d` passes before the handler *starts*. The check
-//!   runs when a worker dequeues the request — queued-then-expired work
-//!   is never executed, so a backlog drains at write speed instead of
-//!   simulating for clients that already gave up.
+//!   runs before the probe stage and again when a worker dequeues the
+//!   deferred rest — queued-then-expired work is never executed, so a
+//!   backlog drains at write speed instead of simulating for clients
+//!   that already gave up.
 //! * **Slowloris guard.** The request line and headers must arrive
 //!   within [`ServerConfig::header_deadline`] *in total*, however the
 //!   bytes are spread over reads — separate from the keep-alive
@@ -63,7 +68,8 @@
 //!   returning; connections arriving after the listener closes are
 //!   refused by the OS.
 //!
-//! Handler panics are caught per request (`500`, worker survives), and
+//! Handler panics are caught per request in either stage (`500`; the
+//! poller, or the worker, survives), and
 //! write-side errors (client hung up mid-response) are counted, never
 //! panicked on. [`ServerStats`] exposes the counters.
 //!
@@ -77,20 +83,28 @@
 //!   `http_expired_total`, `http_handler_panics_total`,
 //!   `http_write_errors_total` — the [`ServerStats`] counters, adopted
 //!   onto the registry (same cells, two views).
-//! * `http_request_latency_ns{endpoint,status}` — dequeue-to-written
-//!   latency histograms, keyed by the first two path segments (bounded
+//! * `http_request_latency_ns{endpoint,status}` — latency histograms
+//!   from the start of the answering stage (probe, or worker dequeue)
+//!   to the response written, keyed by the first two path segments (bounded
 //!   cardinality: past 64 series new endpoints fold into `other`).
-//! * `http_queue_wait_ns` — accept-to-dequeue wait, the admission
-//!   queue's own latency.
+//! * `http_queue_wait_ns` — one sample per request: arrival (accept, or
+//!   first byte on a recycled connection) until the stage that answers
+//!   it starts — the probe for an inline answer, the worker's dequeue
+//!   for a deferred one, so the admission queue's latency is in it.
 //! * `http_request_header_bytes_total` / `http_response_body_bytes_total`
 //!   — wire volume in and out.
 //! * `http_connections_open` — currently open client connections.
 //! * `http_keepalive_reuse_total` — responses after which a connection
 //!   was recycled for another request.
-//! * `epoll_wakeups_total` — `epoll_wait` returns in the poller loop.
+//! * `epoll_wakeups_total` — `epoll_wait` returns in the poller loop;
+//!   `http_socket_reads_total`, `http_socket_writes_total`,
+//!   `epoll_ctl_total`, `wake_pipe_writes_total` — the poller's other
+//!   syscalls, counted where they are made (an inline answer is one
+//!   read and one write; a deferred one adds two `epoll_ctl`s and a
+//!   wake).
 //! * `pool_queue_depth`, `pool_job_service_ns`,
 //!   `pool_panics_caught_total` — the worker pool the poller hands
-//!   parsed requests to (one job per request).
+//!   deferred requests to (one job each; an inline answer makes none).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -409,7 +423,7 @@ const MAX_LATENCY_SERIES: usize = 64;
 pub struct HttpMetrics {
     pub(crate) registry: Arc<MetricsRegistry>,
     /// Request arrival (accept, or first byte on a recycled connection)
-    /// → worker-dequeue wait.
+    /// → start of the stage that answers it.
     pub(crate) queue_wait_ns: Histogram,
     /// Request-line + header bytes read off sockets.
     pub(crate) header_bytes: Counter,
@@ -422,6 +436,10 @@ pub struct HttpMetrics {
     pub(crate) keepalive_reuse: Counter,
     /// `epoll_wait` returns in the poller loop.
     pub(crate) epoll_wakeups: Counter,
+    /// `read` calls on client sockets.
+    pub(crate) socket_reads: Counter,
+    /// `write` calls on client sockets.
+    pub(crate) socket_writes: Counter,
     /// Handle cache for `http_request_latency_ns{endpoint,status}` —
     /// avoids a registry lookup per request and enforces
     /// [`MAX_LATENCY_SERIES`].
@@ -432,7 +450,7 @@ impl HttpMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> HttpMetrics {
         let queue_wait_ns = registry.histogram(
             "http_queue_wait_ns",
-            "Accept-to-dequeue wait before a worker picked the connection up",
+            "Arrival-to-start wait before the stage that answered the request ran",
             &[],
         );
         let header_bytes = registry.counter(
@@ -460,6 +478,16 @@ impl HttpMetrics {
             "Returns from epoll_wait in the poller loop",
             &[],
         );
+        let socket_reads = registry.counter(
+            "http_socket_reads_total",
+            "read calls the poller made on client sockets",
+            &[],
+        );
+        let socket_writes = registry.counter(
+            "http_socket_writes_total",
+            "write calls the poller made on client sockets",
+            &[],
+        );
         HttpMetrics {
             registry,
             queue_wait_ns,
@@ -468,6 +496,8 @@ impl HttpMetrics {
             connections_open,
             keepalive_reuse,
             epoll_wakeups,
+            socket_reads,
+            socket_writes,
             latency: Mutex::new(HashMap::new()),
         }
     }
@@ -544,8 +574,50 @@ pub(crate) fn parse_head(head: &str) -> Result<Request, String> {
     })
 }
 
-/// The request handler type shared by all workers.
-pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+/// What a handler's probe stage made of a request.
+pub enum Probe {
+    /// Answered on the calling thread.
+    Ready(Response),
+    /// Not answerable without real work: the compute stage, to be run
+    /// once (on a pool worker, when the caller is the poller) with the
+    /// same request.
+    Deferred(Box<dyn FnOnce(&Request) -> Response + Send>),
+}
+
+/// A request handler in two stages. The poller calls [`Handle::probe`]
+/// on its own thread for every parsed request, so a probe must be short
+/// and must never block on work of unbounded length: whatever it cannot
+/// answer at once it returns as [`Probe::Deferred`], and the poller
+/// hands that — subject to admission control — to the worker pool. A
+/// probe that panics costs its request a 500, exactly like a compute
+/// stage that does.
+///
+/// Every `Fn(&Request) -> Response` closure is a handler whose probe
+/// defers everything, i.e. one that runs whole on a worker thread.
+pub trait Handle: Send + Sync {
+    /// The probe stage of one request.
+    fn probe(self: Arc<Self>, req: &Request) -> Probe;
+}
+
+impl<F> Handle for F
+where
+    F: Fn(&Request) -> Response + Send + Sync + 'static,
+{
+    fn probe(self: Arc<Self>, _req: &Request) -> Probe {
+        Probe::Deferred(Box::new(move |req| self(req)))
+    }
+}
+
+/// The request handler shared by the poller and all workers.
+pub type Handler = Arc<dyn Handle>;
+
+/// Both stages of `handler` back to back on the calling thread.
+pub(crate) fn handle_whole(handler: &Handler, req: &Request) -> Response {
+    match Arc::clone(handler).probe(req) {
+        Probe::Ready(response) => response,
+        Probe::Deferred(compute) => compute(req),
+    }
+}
 
 /// The deadline a request runs under: the client's
 /// `X-Pilgrim-Deadline-Ms` (capped by `max_deadline`) or the server-side

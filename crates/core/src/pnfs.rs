@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use forecast::{EngineConfig, ForecastEngine, ForecastError};
+use forecast::{EngineConfig, ForecastEngine, ForecastError, Pending, Probed};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -149,6 +149,17 @@ pub struct FastestSelection {
     pub pruned: Vec<usize>,
 }
 
+/// The engine's selection as the service answers it: the winner's
+/// durations zipped back onto its requests.
+fn selection(hypotheses: &[Vec<TransferRequest>], sel: &forecast::Selection) -> FastestSelection {
+    FastestSelection {
+        best: sel.best,
+        best_makespan: sel.best_makespan,
+        predictions: predictions(&hypotheses[sel.best], &sel.durations),
+        pruned: sel.pruned.clone(),
+    }
+}
+
 /// The forecast service: named platform models served through the
 /// concurrent [`ForecastEngine`].
 pub struct Pnfs {
@@ -235,20 +246,76 @@ impl Pnfs {
         Ok(self.engine.link_event(platform, link, kind)?)
     }
 
+    /// Probe stage of [`Pnfs::predict`]: the cached answer, or what
+    /// [`Pnfs::compute_predict`] continues from. Bounded — no route is
+    /// resolved and nothing is simulated here (a sequential-reference
+    /// service caches nothing, so it probes nothing).
+    pub fn probe_predict(
+        &self,
+        platform: &str,
+        requests: &[TransferRequest],
+    ) -> Result<Probed<Vec<Prediction>>, PnfsError> {
+        if self.sequential {
+            return Ok(Probed::Pending(Pending::unprobed(platform)));
+        }
+        let probed = self.engine.probe_predict(platform, requests)?;
+        Ok(probed.map(|durations| predictions(requests, &durations)))
+    }
+
+    /// Compute stage of [`Pnfs::predict`], for the `requests` the probe
+    /// saw.
+    pub fn compute_predict(
+        &self,
+        requests: &[TransferRequest],
+        pending: Pending,
+    ) -> Result<Vec<Prediction>, PnfsError> {
+        if self.sequential {
+            return self.predict_reference(pending.platform(), requests);
+        }
+        let durations = self.engine.compute_predict(requests, pending)?;
+        Ok(predictions(requests, &durations))
+    }
+
     /// The paper's main service: predicted completion times of a set of
     /// *concurrent* transfers, all starting together. Served through the
     /// engine (warm session, cached) unless this service is pinned
-    /// sequential.
+    /// sequential; probe and compute stage back to back.
     pub fn predict(
         &self,
         platform: &str,
         requests: &[TransferRequest],
     ) -> Result<Vec<Prediction>, PnfsError> {
-        if self.sequential {
-            return self.predict_reference(platform, requests);
+        match self.probe_predict(platform, requests)? {
+            Probed::Ready(preds) => Ok(preds),
+            Probed::Pending(pending) => self.compute_predict(requests, pending),
         }
-        let durations = self.engine.predict(platform, requests)?;
-        Ok(predictions(requests, &durations))
+    }
+
+    /// Probe stage of [`Pnfs::select_fastest`].
+    pub fn probe_select(
+        &self,
+        platform: &str,
+        hypotheses: &[Vec<TransferRequest>],
+    ) -> Result<Probed<FastestSelection>, PnfsError> {
+        if self.sequential {
+            return Ok(Probed::Pending(Pending::unprobed(platform)));
+        }
+        let probed = self.engine.probe_select(platform, hypotheses)?;
+        Ok(probed.map(|sel| selection(hypotheses, &sel)))
+    }
+
+    /// Compute stage of [`Pnfs::select_fastest`], for the `hypotheses`
+    /// the probe saw.
+    pub fn compute_select(
+        &self,
+        hypotheses: &[Vec<TransferRequest>],
+        pending: Pending,
+    ) -> Result<FastestSelection, PnfsError> {
+        if self.sequential {
+            return self.select_fastest_reference(pending.platform(), hypotheses);
+        }
+        let sel = self.engine.compute_select(hypotheses, pending)?;
+        Ok(selection(hypotheses, &sel))
     }
 
     /// §VI extension: simulate `hypotheses` (cheapest lower bound first),
@@ -261,16 +328,10 @@ impl Pnfs {
         platform: &str,
         hypotheses: &[Vec<TransferRequest>],
     ) -> Result<FastestSelection, PnfsError> {
-        if self.sequential {
-            return self.select_fastest_reference(platform, hypotheses);
+        match self.probe_select(platform, hypotheses)? {
+            Probed::Ready(sel) => Ok(sel),
+            Probed::Pending(pending) => self.compute_select(hypotheses, pending),
         }
-        let sel = self.engine.select_fastest(platform, hypotheses)?;
-        Ok(FastestSelection {
-            best: sel.best,
-            best_makespan: sel.best_makespan,
-            predictions: predictions(&hypotheses[sel.best], &sel.durations),
-            pruned: sel.pruned.clone(),
-        })
     }
 
     /// Degraded-mode predict: the freshest retained stale-epoch answer
@@ -293,15 +354,7 @@ impl Pnfs {
         hypotheses: &[Vec<TransferRequest>],
     ) -> Option<(FastestSelection, u64)> {
         let (sel, lag) = self.engine.select_fastest_stale(platform, hypotheses)?;
-        Some((
-            FastestSelection {
-                best: sel.best,
-                best_makespan: sel.best_makespan,
-                predictions: predictions(&hypotheses[sel.best], &sel.durations),
-                pruned: sel.pruned.clone(),
-            },
-            lag,
-        ))
+        Some((selection(hypotheses, &sel), lag))
     }
 
     // ------------------------------------------------------------------

@@ -4,23 +4,38 @@
 //! ## Architecture
 //!
 //! ```text
-//!  clients ──▶ listener ─┐                        ┌─▶ exec::WorkerPool
-//!                        ▼                        │   (handler runs here)
-//!                epoll_wait loop ── parse-complete┘         │
-//!                ▲   │  ▲                                   │
+//!  clients ──▶ listener ─┐
+//!                        ▼              answered ──▶ written at once
+//!                epoll_wait loop ── parse ── probe ┤
+//!                ▲   │  ▲                deferred ─┴▶ exec::WorkerPool
+//!                │   │  │                             (compute stage)
 //!                │   │  └── wake pipe ◀── exec::Handback ◀──┘
 //!                │   └── timer wheel (header / idle / write deadlines)
 //!                └── nonblocking reads & writes, keep-alive recycle
 //! ```
 //!
-//! The poller owns every socket. A connection walks `Reading` (buffer
-//! the head, bounded by the 64 KiB caps) → `InFlight` (request handed to
-//! the pool; the worker job decrements the admission counter,
-//! checks the per-request deadline, runs the handler under
-//! `catch_unwind`, and pushes the response through the [`Handback`]) →
-//! `Writing` (response bytes drained nonblocking, `EPOLLOUT` registered
-//! only while a partial write is outstanding) → recycled back to
-//! `Reading` when HTTP/1.1 keep-alive applies, else closed.
+//! The poller owns every socket. A connection in `Reading` buffers a
+//! head (bounded by the 64 KiB caps); once it is parsed the poller runs
+//! the handler's *probe* stage ([`crate::http::Handle`]) itself, under
+//! the per-request deadline check and `catch_unwind`. What the probe
+//! answers — a cached forecast, a 4xx — is serialized and written right
+//! there: the connection goes `Reading` → `Writing` → `Reading` without
+//! an `epoll_ctl`, a pool job, a completion or a wake, and bytes already
+//! buffered behind the head are served the same way in a loop
+//! (`serve_buffered`), never by recursion. What the probe defers — a
+//! forecast that must be simulated, every write, every plain-closure
+//! handler — goes `InFlight`: the worker job decrements the admission
+//! counter, re-checks the deadline, runs the compute stage under
+//! `catch_unwind`, and pushes the response through the [`Handback`];
+//! the poller, woken through the pipe, writes it (`EPOLLOUT` registered
+//! only while a partial write is outstanding) and recycles the
+//! connection to `Reading` when HTTP/1.1 keep-alive applies, else
+//! closes it.
+//!
+//! The cost of answering inline is that all such answers share the
+//! poller's one core; the probe contract (short, bounded, no route
+//! computation, no simulation) is what keeps a slow request from ever
+//! sitting between `epoll_wait` calls.
 //!
 //! ## Timers
 //!
@@ -29,24 +44,29 @@
 //! the slowloris header deadline while a head is arriving, the
 //! keep-alive idle timeout while a recycled connection is silent, and
 //! the write timeout while a response is blocked on a non-reading peer.
-//! Cancellation is lazy — each connection carries a `timer_gen` bumped
-//! on every state change, and stale entries are dropped when they
-//! expire.
+//! A connection has one armed deadline at a time and keeps it itself
+//! ([`ConnTimer`]); the wheel holds about one entry per connection, not
+//! two per request — a filed entry that expires early is refiled at the
+//! deadline the connection has moved on to.
 //!
 //! ## Admission, shedding and drain
 //!
-//! Admission is checked twice against the count of submitted-but-not-
-//! started jobs: at accept time (overloaded → inline 503 + `Retry-After`
-//! without reading a byte) and again at submit time, once the head is
-//! parsed (a keep-alive request, or one that raced the first check). In
-//! degraded mode an overloaded connection skips the accept-time refusal
-//! and is read like any other, so the submit-time check can divert its
-//! *parsed* GET to the shed thread — the one place a socket leaves the
-//! poller, switched to blocking with the write timeout as a socket
-//! option. Per-request deadline 504s and handler-panic 500s happen in
-//! the worker job; a graceful drain lets in-flight and writing
-//! connections finish and closes reading and idle ones. Bytes already
-//! buffered past one head are served as the next (pipelined) request.
+//! Admission protects the worker queue, so it counts submitted-but-not-
+//! started jobs and is checked where work would join that queue: at
+//! accept time (overloaded → inline 503 + `Retry-After` without reading
+//! a byte) and at the hand-off, once the probe stage has deferred a
+//! parsed request (a keep-alive request, or one that raced the first
+//! check). A request the probe answers never enters the queue and is
+//! never shed: with the queue full, a kept-alive client still gets its
+//! cached forecasts while its uncached ones are refused. In degraded
+//! mode an overloaded connection skips the accept-time refusal and is
+//! read like any other, so the hand-off check can divert its *parsed*
+//! GET to the shed thread — the one place a socket leaves the poller,
+//! switched to blocking with the write timeout as a socket option.
+//! Per-request deadline 504s and handler-panic 500s happen wherever the
+//! stage in question runs, here or in the worker job; a graceful drain
+//! lets in-flight and writing connections finish and closes reading and
+//! idle ones.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,8 +79,8 @@ use std::time::{Duration, Instant};
 use exec::{Handback, WorkerPool};
 
 use crate::http::{
-    dur_ns, effective_deadline, normalize_endpoint, parse_head, Handler, HttpMetrics, Request,
-    Response, ServerConfig, ServerStats,
+    dur_ns, effective_deadline, handle_whole, normalize_endpoint, parse_head, Handler,
+    HttpMetrics, Probe, Request, Response, ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, WakeHandle, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -123,10 +143,11 @@ fn spawn_shed_thread(
     std::thread::spawn(move || {
         while let Ok((mut stream, req)) = shed_rx.recv() {
             shed_pending.fetch_sub(1, Ordering::SeqCst);
-            let response = catch_unwind(AssertUnwindSafe(|| fallback(&req))).unwrap_or_else(|_| {
-                stats.handler_panics.inc();
-                Response::overloaded(retry_after_secs)
-            });
+            let response = catch_unwind(AssertUnwindSafe(|| handle_whole(&fallback, &req)))
+                .unwrap_or_else(|_| {
+                    stats.handler_panics.inc();
+                    Response::overloaded(retry_after_secs)
+                });
             if response.status == 200 {
                 stats.stale_served.inc();
             }
@@ -177,6 +198,19 @@ pub(crate) fn start(
     let epoll = Epoll::new()?;
     let (wake_pipe, wake_handle) = WakePipe::new()?;
     let wake = Arc::new(wake_handle);
+    // The hand-off's own syscalls, counted where they are made.
+    metrics.registry.adopt_counter(
+        "epoll_ctl_total",
+        "epoll_ctl calls (add, modify, delete) made by the poller",
+        &[],
+        epoll.ctl_calls(),
+    );
+    metrics.registry.adopt_counter(
+        "wake_pipe_writes_total",
+        "Wake-pipe writes pulling the poller out of epoll_wait",
+        &[],
+        wake.writes(),
+    );
     epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
     epoll.add(wake_pipe.read_fd(), EPOLLIN, TOKEN_WAKE)?;
 
@@ -250,13 +284,66 @@ enum TimerKind {
 struct TimerEntry {
     deadline: Instant,
     token: u64,
-    timer_gen: u64,
-    kind: TimerKind,
+}
+
+/// A connection's one deadline, and the wheel entry that will look at
+/// it. Re-arming and cancelling only rewrite `armed`; an entry is filed
+/// when none is, or when the new deadline is earlier than the filed one
+/// (a header deadline armed under a later idle entry must still fire on
+/// time). An entry that expires before the armed deadline — the common
+/// case on a busy keep-alive connection, whose deadline moves later with
+/// every request — is refiled at it, so the wheel holds one entry per
+/// connection, plus a superseded one or two until they expire, however
+/// many requests the connection serves.
+#[derive(Default)]
+struct ConnTimer {
+    armed: Option<(Instant, TimerKind)>,
+    /// Deadline of the filed entry that acts for this connection; an
+    /// entry with any other deadline was superseded by an earlier one.
+    filed: Option<Instant>,
+}
+
+impl ConnTimer {
+    fn arm(&mut self, wheel: &mut TimerWheel, token: u64, kind: TimerKind, deadline: Instant) {
+        self.armed = Some((deadline, kind));
+        if self.filed.is_none_or(|filed| deadline < filed) {
+            self.filed = Some(deadline);
+            wheel.insert(TimerEntry { deadline, token });
+        }
+    }
+
+    fn cancel(&mut self) {
+        self.armed = None;
+    }
+
+    /// One of this connection's entries expired at `now`: the kind to
+    /// fire, if the armed deadline is due.
+    fn expired(
+        &mut self,
+        wheel: &mut TimerWheel,
+        entry: &TimerEntry,
+        now: Instant,
+    ) -> Option<TimerKind> {
+        if self.filed != Some(entry.deadline) {
+            return None; // superseded
+        }
+        self.filed = None;
+        let (deadline, kind) = self.armed?;
+        if deadline > now {
+            // moved later since the entry was filed: follow it
+            self.filed = Some(deadline);
+            wheel.insert(TimerEntry { deadline, token: entry.token });
+            return None;
+        }
+        self.armed = None;
+        Some(kind)
+    }
 }
 
 /// A single-level timer wheel with an overflow list. Entries more than
-/// one horizon out wait in `overflow` and are refiled each full wrap;
-/// cancellation is lazy (generation checks at expiry).
+/// one horizon out wait in `overflow` and are refiled each full wrap.
+/// Entries are never removed early: [`ConnTimer`] decides at expiry
+/// whether one still means anything.
 struct TimerWheel {
     slots: Vec<Vec<TimerEntry>>,
     overflow: Vec<TimerEntry>,
@@ -385,12 +472,10 @@ struct PConn {
     /// Whether the fd is still registered with epoll.
     in_epoll: bool,
     interest: u32,
-    timer_gen: u64,
+    timer: ConnTimer,
     /// Deferred latency observation: `(endpoint, status, started)`,
     /// recorded when the response write finishes or fails.
     observe: Option<(String, u16, Instant)>,
-    /// Whether a write timer has been armed for the current response.
-    write_timer_armed: bool,
 }
 
 struct Poller {
@@ -457,7 +542,7 @@ impl Poller {
             let now = Instant::now();
             self.wheel.advance(now, &mut expired);
             for e in expired.drain(..) {
-                self.timer_fired(e);
+                self.timer_fired(e, now);
             }
         }
         // Join the workers before returning (queue is empty: inflight == 0);
@@ -561,9 +646,8 @@ impl Poller {
             peer_dead: false,
             in_epoll: true,
             interest,
-            timer_gen: 0,
+            timer: ConnTimer::default(),
             observe: None,
-            write_timer_armed: false,
         });
         self.open_count += 1;
         Some(idx)
@@ -591,27 +675,20 @@ impl Poller {
         }
     }
 
-    /// Arms (or re-arms) the connection's single timer; any previously
-    /// armed entry is cancelled lazily via the generation bump.
+    /// Arms (or re-arms) the connection's single timer.
     fn arm_timer(&mut self, idx: usize, kind: TimerKind, deadline: Instant) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
-        conn.timer_gen += 1;
-        let entry = TimerEntry {
-            deadline,
-            token: token_of(idx, conn.gen),
-            timer_gen: conn.timer_gen,
-            kind,
-        };
-        self.wheel.insert(entry);
+        conn.timer.arm(&mut self.wheel, token_of(idx, conn.gen), kind, deadline);
     }
 
-    fn timer_fired(&mut self, entry: TimerEntry) {
+    fn timer_fired(&mut self, entry: TimerEntry, now: Instant) {
         let (idx, gen) = split_token(entry.token);
         let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
-        if conn.gen != gen || conn.timer_gen != entry.timer_gen {
-            return; // stale (cancelled or slot reused)
+        if conn.gen != gen {
+            return; // slot reused since the entry was filed
         }
-        match entry.kind {
+        let Some(kind) = conn.timer.expired(&mut self.wheel, &entry, now) else { return };
+        match kind {
             TimerKind::Header => {
                 if conn.state == State::Reading {
                     // slowloris: the head did not complete in time
@@ -660,6 +737,7 @@ impl Poller {
         let state = conn.state;
         if mask & EPOLLOUT != 0 && state == State::Writing {
             self.try_write(idx);
+            self.serve_buffered(idx);
             return;
         }
         if mask & (EPOLLIN | EPOLLRDHUP) != 0 && state == State::Reading {
@@ -669,15 +747,15 @@ impl Poller {
 
     fn try_read(&mut self, idx: usize) {
         let mut chunk = [0u8; 4096];
-        let mut saw_eof = false;
         loop {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
-            // A recycled connection's idle timer becomes a header
-            // deadline the moment the next request starts arriving.
+            if conn.state != State::Reading {
+                return; // a request went to the pool or its answer is blocked
+            }
+            self.metrics.socket_reads.inc();
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    saw_eof = true;
                     break;
                 }
                 Ok(n) => {
@@ -685,6 +763,9 @@ impl Poller {
                     conn.buf.extend_from_slice(&chunk[..n]);
                     let cap_err = head_cap_violation(&conn.buf);
                     if was_empty {
+                        // A recycled connection's idle timer becomes a
+                        // header deadline the moment the next request
+                        // starts arriving.
                         let now = Instant::now();
                         conn.request_t0 = now;
                         self.arm_timer(idx, TimerKind::Header, now + self.config.header_deadline);
@@ -694,11 +775,14 @@ impl Poller {
                         self.queue_response(idx, &resp, false, None);
                         return;
                     }
-                    if self.try_process_head(idx, false) {
-                        return; // state changed; stop reading
+                    self.serve_buffered(idx);
+                    if n < chunk.len() {
+                        // The socket is drained for now: level-triggered
+                        // epoll reports whatever arrives next, EOF too.
+                        return;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // reset mid-request: nothing useful to answer
@@ -707,17 +791,32 @@ impl Poller {
                 }
             }
         }
-        if saw_eof {
-            // EOF path: a half-closed client (shutdown(WR)) may have a
-            // complete or EOF-terminated head buffered; a clean close
-            // has nothing. Either way the connection never stays in
-            // Reading (which would busy-loop on level-triggered EOF).
-            let empty = match self.conns.get(idx).and_then(|c| c.as_ref()) {
-                Some(conn) => conn.buf.iter().all(|&b| b == b'\r' || b == b'\n'),
-                None => return,
-            };
-            if empty || !self.try_process_head(idx, true) {
-                self.close_conn(idx);
+        // EOF: a half-closed client (shutdown(WR)) may have a complete
+        // or EOF-terminated head buffered; a clean close has nothing.
+        // Either way the connection never stays in Reading (which would
+        // busy-loop on level-triggered EOF).
+        let empty = match self.conns.get(idx).and_then(|c| c.as_ref()) {
+            Some(conn) => conn.buf.iter().all(|&b| b == b'\r' || b == b'\n'),
+            None => return,
+        };
+        if empty || !self.try_process_head(idx, true) {
+            self.close_conn(idx);
+        }
+    }
+
+    /// Serves complete heads off the connection's buffer, one after
+    /// another, for as long as each is answered inline and its response
+    /// written out whole — a loop, so a burst of pipelined cache hits
+    /// costs no stack. It stops when the buffer needs more bytes, a
+    /// request went to the pool, or a write blocked.
+    fn serve_buffered(&mut self, idx: usize) {
+        loop {
+            match self.conns.get(idx).and_then(|c| c.as_ref()) {
+                Some(conn) if conn.state == State::Reading && !conn.buf.is_empty() => {}
+                _ => return,
+            }
+            if !self.try_process_head(idx, false) {
+                return;
             }
         }
     }
@@ -743,8 +842,8 @@ impl Poller {
 
     /// Parses and dispatches the buffered head if complete (or, `at_eof`,
     /// whatever arrived before the half-close: EOF ends the head like a
-    /// blank line would). Returns true when the connection left the
-    /// `Reading` state.
+    /// blank line would). Returns true when a head was taken off the
+    /// buffer and dispatched.
     fn try_process_head(&mut self, idx: usize, at_eof: bool) -> bool {
         let (head, head_len) = {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
@@ -775,8 +874,10 @@ impl Poller {
         true
     }
 
-    /// Admission control and hand-off to the worker pool for one parsed
-    /// request.
+    /// One parsed request: the handler's probe stage runs here, under
+    /// the deadline check and `catch_unwind` a worker job runs under,
+    /// and what it answers is queued for write at once; what it defers
+    /// passes admission control and goes to the worker pool.
     fn dispatch_request(&mut self, idx: usize, req: Request) {
         let (want_keep_alive, request_t0, token) = {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
@@ -791,12 +892,37 @@ impl Poller {
             let want = !close_requested && !has_body && !conn.read_closed;
             (want, conn.request_t0, token_of(idx, conn.gen))
         };
+        let endpoint = normalize_endpoint(&req.path).to_string();
         if req.method != "GET" && req.method != "POST" {
-            let endpoint = normalize_endpoint(&req.path).to_string();
             let resp = Response::error(405, &format!("method {} not allowed", req.method));
             self.queue_response(idx, &resp, false, Some((endpoint, 405, request_t0)));
             return;
         }
+        let started = Instant::now();
+        let waited = started.duration_since(request_t0);
+        let deadline = effective_deadline(&req, &self.config);
+        let probe = if deadline.is_some_and(|d| waited >= d) {
+            self.stats.expired.inc();
+            Probe::Ready(Response::deadline_expired())
+        } else {
+            let handler = Arc::clone(&self.handler);
+            catch_unwind(AssertUnwindSafe(|| handler.probe(&req))).unwrap_or_else(|_| {
+                self.stats.handler_panics.inc();
+                Probe::Ready(Response::error(500, "handler panicked"))
+            })
+        };
+        let compute = match probe {
+            Probe::Ready(response) => {
+                // Answered here: no interest change, no pool job, no
+                // completion, no wake.
+                self.metrics.queue_wait_ns.record(dur_ns(waited));
+                let keep_alive = want_keep_alive && !self.draining;
+                let observe = Some((endpoint, response.status, started));
+                self.queue_response(idx, &response, keep_alive, observe);
+                return;
+            }
+            Probe::Deferred(compute) => compute,
+        };
         if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit {
             self.stats.shed.inc();
             // Deliberately GET-only: a shed POST (a control mutation like
@@ -828,36 +954,33 @@ impl Poller {
         }
         // Admit: cancel the header timer, quiesce epoll interest (flow
         // control: nothing is read while the request is in flight), and
-        // hand the CPU work to the pool.
+        // hand the compute stage to the pool.
         {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
             conn.state = State::InFlight;
             conn.keep_alive = want_keep_alive;
-            conn.timer_gen += 1;
+            conn.timer.cancel();
         }
         self.update_interest(idx, 0);
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.inflight += 1;
-        let endpoint = normalize_endpoint(&req.path).to_string();
-        let handler = Arc::clone(&self.handler);
         let stats = Arc::clone(&self.stats);
         let metrics = Arc::clone(&self.metrics);
         let handback = Arc::clone(&self.handback);
         let pending = Arc::clone(&self.pending);
-        let config = self.config;
         let pool = self.pool.as_ref().expect("pool alive while accepting");
         pool.submit(move || {
             pending.fetch_sub(1, Ordering::SeqCst);
             metrics.queue_wait_ns.record(dur_ns(request_t0.elapsed()));
             let started = Instant::now();
-            let response = match effective_deadline(&req, &config) {
+            let response = match deadline {
                 // the deadline is re-checked at execution start: queued-
-                // then-expired work never runs the handler
+                // then-expired work never runs the compute stage
                 Some(d) if request_t0.elapsed() >= d => {
                     stats.expired.inc();
                     Response::deadline_expired()
                 }
-                _ => match catch_unwind(AssertUnwindSafe(|| handler(&req))) {
+                _ => match catch_unwind(AssertUnwindSafe(|| compute(&req))) {
                     Ok(r) => r,
                     Err(_) => {
                         stats.handler_panics.inc();
@@ -883,6 +1006,7 @@ impl Poller {
             };
             let observe = Some((c.endpoint, c.response.status, c.started));
             self.queue_response(idx, &c.response, keep_alive, observe);
+            self.serve_buffered(idx);
         }
     }
 
@@ -902,8 +1026,7 @@ impl Poller {
             conn.keep_alive = keep_alive;
             conn.state = State::Writing;
             conn.observe = observe;
-            conn.write_timer_armed = false;
-            conn.timer_gen += 1; // cancel any reading-phase timer
+            conn.timer.cancel(); // any reading-phase timer
         }
         self.try_write(idx);
     }
@@ -915,6 +1038,7 @@ impl Poller {
                 self.finish_write(idx);
                 return;
             }
+            self.metrics.socket_writes.inc();
             match conn.stream.write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {
                     self.write_failed(idx);
@@ -922,8 +1046,8 @@ impl Poller {
                 }
                 Ok(n) => conn.out_pos += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let arm = !conn.write_timer_armed;
-                    conn.write_timer_armed = true;
+                    // one write deadline per response, from its first block
+                    let arm = !matches!(conn.timer.armed, Some((_, TimerKind::Write)));
                     self.update_interest(idx, EPOLLOUT);
                     if arm {
                         let deadline = Instant::now() + self.config.write_timeout;
@@ -954,7 +1078,8 @@ impl Poller {
     }
 
     /// The response was fully written: account for it, then close or
-    /// recycle the connection for its next keep-alive request.
+    /// recycle the connection for its next keep-alive request. Bytes
+    /// already buffered stay for the caller's `serve_buffered`.
     fn finish_write(&mut self, idx: usize) {
         let recycle = {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
@@ -969,22 +1094,21 @@ impl Poller {
             return;
         }
         self.metrics.keepalive_reuse.inc();
+        let now = Instant::now();
         let pipelined = {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
             conn.state = State::Reading;
             conn.out = Vec::new();
             conn.out_pos = 0;
             conn.body_len = 0;
-            conn.request_t0 = Instant::now();
+            conn.request_t0 = now;
             conn.scan_pos = 0;
             !conn.buf.is_empty()
         };
         self.update_interest(idx, EPOLLIN | EPOLLRDHUP);
-        let now = Instant::now();
         if pipelined {
             // the next request (or part of it) was already buffered
             self.arm_timer(idx, TimerKind::Header, now + self.config.header_deadline);
-            self.try_process_head(idx, false);
         } else {
             self.arm_timer(idx, TimerKind::Idle, now + self.config.idle_timeout);
         }
@@ -1021,18 +1145,9 @@ mod tests {
         let t0 = Instant::now();
         let mut wheel = TimerWheel::new(t0);
         assert_eq!(wheel.next_timeout_ms(t0), None);
-        wheel.insert(TimerEntry {
-            deadline: t0 + Duration::from_millis(40),
-            token: 1,
-            timer_gen: 0,
-            kind: TimerKind::Header,
-        });
-        wheel.insert(TimerEntry {
-            deadline: t0 + Duration::from_secs(60), // beyond the horizon
-            token: 2,
-            timer_gen: 0,
-            kind: TimerKind::Idle,
-        });
+        wheel.insert(TimerEntry { deadline: t0 + Duration::from_millis(40), token: 1 });
+        // beyond the horizon
+        wheel.insert(TimerEntry { deadline: t0 + Duration::from_secs(60), token: 2 });
         assert!(wheel.next_timeout_ms(t0).is_some());
 
         let mut expired = Vec::new();
@@ -1046,5 +1161,61 @@ mod tests {
         assert_eq!(expired[0].token, 2);
         assert_eq!(wheel.count, 0);
         assert_eq!(wheel.next_timeout_ms(t0 + Duration::from_secs(61)), None);
+    }
+
+    /// Advances the wheel to `now` and returns what fires for the one
+    /// connection `timer` belongs to.
+    fn fire(wheel: &mut TimerWheel, timer: &mut ConnTimer, now: Instant) -> Vec<TimerKind> {
+        let mut expired = Vec::new();
+        wheel.advance(now, &mut expired);
+        expired.iter().filter_map(|e| timer.expired(wheel, e, now)).collect()
+    }
+
+    #[test]
+    fn a_connection_files_an_entry_or_two_however_often_it_rearms() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(t0);
+        let mut timer = ConnTimer::default();
+        let (header, idle) = (Duration::from_secs(5), Duration::from_secs(10));
+        // a keep-alive connection serving 10 000 requests, 1 ms apart:
+        // header deadline at the first byte, cancelled at dispatch, idle
+        // deadline after the answer
+        let mut now = t0;
+        for _ in 0..10_000 {
+            timer.arm(&mut wheel, 7, TimerKind::Header, now + header);
+            timer.cancel();
+            timer.arm(&mut wheel, 7, TimerKind::Idle, now + idle);
+            now += Duration::from_millis(1);
+            assert!(fire(&mut wheel, &mut timer, now).is_empty(), "a live connection never fires");
+            assert!(wheel.count <= 2, "{} entries filed for one connection", wheel.count);
+        }
+        // left alone, it fires its last idle deadline, once, on time
+        let last_idle = now - Duration::from_millis(1) + idle;
+        assert!(fire(&mut wheel, &mut timer, last_idle - WHEEL_TICK).is_empty());
+        assert_eq!(fire(&mut wheel, &mut timer, last_idle + WHEEL_TICK), [TimerKind::Idle]);
+        assert!(fire(&mut wheel, &mut timer, last_idle + idle).is_empty());
+        assert_eq!(wheel.count, 0);
+    }
+
+    #[test]
+    fn an_earlier_deadline_armed_under_a_later_entry_fires_on_time() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(t0);
+        let mut timer = ConnTimer::default();
+        // an idle connection: the filed entry is the 10 s idle deadline
+        timer.arm(&mut wheel, 7, TimerKind::Idle, t0 + Duration::from_secs(10));
+        // a request starts arriving at 1 s and then stalls: its header
+        // deadline (6 s) must not wait for the idle entry
+        let t1 = t0 + Duration::from_secs(1);
+        timer.arm(&mut wheel, 7, TimerKind::Header, t1 + Duration::from_secs(5));
+        assert_eq!(wheel.count, 2);
+        assert!(fire(&mut wheel, &mut timer, t0 + Duration::from_millis(5_900)).is_empty());
+        assert_eq!(
+            fire(&mut wheel, &mut timer, t0 + Duration::from_millis(6_100)),
+            [TimerKind::Header]
+        );
+        // the superseded idle entry expires without effect
+        assert!(fire(&mut wheel, &mut timer, t0 + Duration::from_secs(11)).is_empty());
+        assert_eq!(wheel.count, 0);
     }
 }

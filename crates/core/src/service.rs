@@ -32,17 +32,27 @@
 //! end-to-end histogram the per-stage forecast histograms decompose.
 //!
 //! The handlers here know nothing of the connection front end: a
-//! handler only ever sees a parsed [`Request`] on a pool worker thread
-//! and returns a [`Response`]; sockets, buffering and keep-alive never
-//! leak in.
+//! handler only ever sees a parsed [`Request`] and returns a
+//! [`Response`]; sockets, buffering and keep-alive never leak in. What
+//! they do know is that a request is served in two stages
+//! ([`crate::http::Handle`]): a bounded *probe* — for a forecast query
+//! answered before in this epoch, parse it and look it up in the route
+//! map and the cache — which the server's poller runs on its own
+//! thread, and the *compute* stage for whatever the probe could not
+//! answer, which runs on a pool worker. [`PilgrimService::handle`] is
+//! the two back to back.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use forecast::{Pending, Probed};
 use jsonlite::Value;
 use simflow::PlatformEventKind;
 use telemetry::{Histogram, MetricsRegistry, Span};
 
-use crate::http::{Handler, Request, Response};
+use crate::http::{Handle, Handler, Probe, Request, Response};
 use crate::metrology::{Metrology, MetrologyError};
 use crate::pnfs::{Pnfs, PnfsError, TransferRequest};
 
@@ -80,6 +90,91 @@ pub struct PilgrimService {
     registry: Arc<MetricsRegistry>,
     /// One end-to-end latency histogram per [`ENDPOINTS`] entry.
     request_latency: Vec<(&'static str, Histogram)>,
+    /// Which forecast queries may have a cached answer.
+    answered: Answered,
+}
+
+/// The two forecast endpoints, which the probe stage looks at.
+#[derive(Clone, Copy)]
+enum Forecast {
+    Predict,
+    Select,
+}
+
+/// The forecast endpoint and platform a GET asks, if it asks one.
+fn forecast_query(req: &Request) -> Option<(Forecast, &str)> {
+    if req.method != "GET" {
+        return None;
+    }
+    let path = req.path.trim_end_matches('/');
+    if let Some(platform) = path.strip_prefix("/pilgrim/predict_transfers/") {
+        return Some((Forecast::Predict, platform));
+    }
+    path.strip_prefix("/pilgrim/select_fastest/").map(|platform| (Forecast::Select, platform))
+}
+
+/// Slots of [`Answered`].
+const ANSWERED_SLOTS: usize = 4096;
+
+/// The forecast queries answered in the current epoch, as digests of
+/// their text in a direct-mapped table: the probe stage's necessary
+/// condition for a cache hit, checked before it parses anything. The
+/// poller has one thread, and a query that was never answered — every
+/// query of a cold workload, every first query after new metrology data
+/// — cannot be in the cache, so the probe leaves it whole for a worker
+/// at the price of one hash. It is a hint and nothing else: a slot
+/// overwritten by a colliding query, or a cached query spelled
+/// differently, takes the worker path once; a digest outliving its cache
+/// entry costs one wasted probe.
+struct Answered(Box<[AtomicU64]>);
+
+impl Answered {
+    fn new() -> Answered {
+        Answered((0..ANSWERED_SLOTS).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    fn slot(&self, digest: u64) -> &AtomicU64 {
+        &self.0[digest as usize % ANSWERED_SLOTS]
+    }
+
+    fn contains(&self, digest: u64) -> bool {
+        self.slot(digest).load(Ordering::Relaxed) == digest
+    }
+
+    fn insert(&self, digest: u64) {
+        self.slot(digest).store(digest, Ordering::Relaxed);
+    }
+}
+
+/// A request after its probe stage: answered, or what the compute stage
+/// continues from — the query the probe parsed and the forecast it could
+/// not answer from the cache, so a miss parses, resolves and keys
+/// nothing twice.
+enum Staged {
+    /// The probe had the answer.
+    Answered(Response),
+    /// Not a forecast query: the whole request is still to be routed.
+    Whole,
+    /// A `predict_transfers` miss.
+    Predict { requests: Vec<TransferRequest>, pending: Pending },
+    /// A `select_fastest` miss.
+    Select { hypotheses: Vec<Vec<TransferRequest>>, pending: Pending },
+}
+
+impl Handle for PilgrimService {
+    /// [`PilgrimService::handle`] with room for a thread hop between
+    /// the stages: the end-to-end span travels with the deferred compute
+    /// stage and records where that finishes.
+    fn probe(self: Arc<Self>, req: &Request) -> Probe {
+        let e2e = self.e2e_span(req);
+        match self.probe_stage(req) {
+            Staged::Answered(response) => Probe::Ready(response),
+            staged => Probe::Deferred(Box::new(move |req| {
+                let _e2e = e2e;
+                self.compute_stage(req, staged)
+            })),
+        }
+    }
 }
 
 impl PilgrimService {
@@ -109,7 +204,7 @@ impl PilgrimService {
                 (endpoint, h)
             })
             .collect();
-        PilgrimService { metrology, pnfs, registry, request_latency }
+        PilgrimService { metrology, pnfs, registry, request_latency, answered: Answered::new() }
     }
 
     /// The registry `/pilgrim/metrics` renders.
@@ -124,8 +219,11 @@ impl PilgrimService {
 
     /// An HTTP handler over a shared service — the caller keeps its
     /// `Arc` for epoch control and statistics while the server serves.
+    /// The service is a two-stage [`Handle`]: the server's poller runs
+    /// the probe stage itself and hands only what that defers to a
+    /// worker.
     pub fn handler_from(svc: Arc<PilgrimService>) -> Handler {
-        Arc::new(move |req: &Request| svc.handle(req))
+        svc
     }
 
     /// The degraded-mode fallback handler for shed connections: forecast
@@ -138,20 +236,101 @@ impl PilgrimService {
         Arc::new(move |req: &Request| svc.handle_shed(req))
     }
 
-    /// Routes one request, recording its end-to-end latency under the
-    /// endpoint's `pilgrim_request_latency_ns` series. The control
-    /// mutation (`link_event`) demands POST; every read-side endpoint
-    /// demands GET.
+    /// Serves one request — probe stage, then compute stage if the probe
+    /// left one, back to back on the calling thread — recording its
+    /// end-to-end latency under the endpoint's
+    /// `pilgrim_request_latency_ns` series. The control mutation
+    /// (`link_event`) demands POST; every read-side endpoint demands GET.
     pub fn handle(&self, req: &Request) -> Response {
+        let _e2e = self.e2e_span(req);
+        self.compute_stage(req, self.probe_stage(req))
+    }
+
+    /// Starts the end-to-end span of `req`. It records when dropped —
+    /// on whichever thread finishes the request.
+    fn e2e_span(&self, req: &Request) -> Span {
         let endpoint = endpoint_label(&req.path);
         // ENDPOINTS is fixed and endpoint_label total over it
         let (_, hist) =
             self.request_latency.iter().find(|(e, _)| *e == endpoint).expect("known endpoint");
-        let _e2e = Span::start(hist);
-        self.route(req)
+        Span::start(hist)
     }
 
+    /// The digest [`Answered`] knows `req` by: its text and the epoch,
+    /// so that a bump of the epoch — which empties the cache — forgets
+    /// every query at once. Never 0, the empty slot.
+    fn query_digest(&self, req: &Request) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.pnfs.engine().epoch().hash(&mut h);
+        req.path.hash(&mut h);
+        req.params.hash(&mut h);
+        h.finish() | 1
+    }
+
+    /// The probe stage: a forecast query answered before in this epoch
+    /// is parsed, looked up in its session's route map and the forecast
+    /// cache, and answered if the answer is there (or is an error that
+    /// needs no route). Bounded — it resolves no route and simulates
+    /// nothing — because the poller runs it on its own thread.
+    /// Everything else is left whole for the compute stage.
+    fn probe_stage(&self, req: &Request) -> Staged {
+        match forecast_query(req) {
+            Some((endpoint, platform)) if self.answered.contains(self.query_digest(req)) => {
+                self.probe_forecast(endpoint, platform, req)
+            }
+            _ => Staged::Whole,
+        }
+    }
+
+    fn probe_forecast(&self, endpoint: Forecast, platform: &str, req: &Request) -> Staged {
+        match endpoint {
+            Forecast::Predict => self.probe_predict(platform, req),
+            Forecast::Select => self.probe_select(platform, req),
+        }
+    }
+
+    /// The compute stage: whatever the probe stage left to do.
+    fn compute_stage(&self, req: &Request, staged: Staged) -> Response {
+        match staged {
+            Staged::Answered(response) => response,
+            Staged::Whole => self.route(req),
+            Staged::Predict { requests, pending } => self.rendered(
+                self.pnfs.compute_predict(&requests, pending),
+                |preds| render_predictions(preds),
+            ),
+            Staged::Select { hypotheses, pending } => {
+                self.rendered(self.pnfs.compute_select(&hypotheses, pending), render_selection)
+            }
+        }
+    }
+
+    /// A forecast as its response: rendered under the `render` stage, or
+    /// the error's status.
+    fn rendered<T>(
+        &self,
+        forecast: Result<T, PnfsError>,
+        render: impl FnOnce(&T) -> Response,
+    ) -> Response {
+        match forecast {
+            Ok(forecast) => {
+                let _render = Span::start(&self.pnfs.engine().metrics().stage_render);
+                render(&forecast)
+            }
+            Err(e) => pnfs_error_response(e),
+        }
+    }
+
+    /// Routes a request the probe stage left whole.
     fn route(&self, req: &Request) -> Response {
+        if let Some((endpoint, platform)) = forecast_query(req) {
+            // not answered before: both stages here, and now it is
+            let staged = self.probe_forecast(endpoint, platform, req);
+            let response = self.compute_stage(req, staged);
+            if response.status == 200 {
+                self.answered.insert(self.query_digest(req));
+            }
+            return response;
+        }
         let path = req.path.trim_end_matches('/');
         if let Some(platform) = path.strip_prefix("/pilgrim/link_event/") {
             if req.method != "POST" {
@@ -167,12 +346,6 @@ impl PilgrimService {
         }
         if let Some(rrd_path) = path.strip_prefix("/pilgrim/rrd/") {
             return self.handle_rrd(rrd_path, req);
-        }
-        if let Some(platform) = path.strip_prefix("/pilgrim/predict_transfers/") {
-            return self.handle_predict(platform, req);
-        }
-        if let Some(platform) = path.strip_prefix("/pilgrim/select_fastest/") {
-            return self.handle_select(platform, req);
         }
         if let Some(platform) = path.strip_prefix("/pilgrim/forecast_workflow/") {
             return self.handle_workflow(platform, req);
@@ -237,37 +410,33 @@ impl PilgrimService {
         }
     }
 
-    fn handle_predict(&self, platform: &str, req: &Request) -> Response {
-        let stages = self.pnfs.engine().metrics();
-        let admission = Span::start(&stages.stage_admission);
+    fn probe_predict(&self, platform: &str, req: &Request) -> Staged {
+        let admission = Span::start(&self.pnfs.engine().metrics().stage_admission);
         let requests = match parse_predict_params(req) {
             Ok(r) => r,
-            Err(resp) => return resp,
+            Err(resp) => return Staged::Answered(resp),
         };
         drop(admission);
-        match self.pnfs.predict(platform, &requests) {
-            Ok(preds) => {
-                let _render = Span::start(&stages.stage_render);
-                render_predictions(&preds)
+        match self.pnfs.probe_predict(platform, &requests) {
+            Ok(Probed::Pending(pending)) => Staged::Predict { requests, pending },
+            Ok(Probed::Ready(preds)) => {
+                Staged::Answered(self.rendered(Ok(preds), |preds| render_predictions(preds)))
             }
-            Err(e) => pnfs_error_response(e),
+            Err(e) => Staged::Answered(pnfs_error_response(e)),
         }
     }
 
-    fn handle_select(&self, platform: &str, req: &Request) -> Response {
-        let stages = self.pnfs.engine().metrics();
-        let admission = Span::start(&stages.stage_admission);
+    fn probe_select(&self, platform: &str, req: &Request) -> Staged {
+        let admission = Span::start(&self.pnfs.engine().metrics().stage_admission);
         let hypotheses = match parse_hypotheses(req) {
             Ok(h) => h,
-            Err(resp) => return resp,
+            Err(resp) => return Staged::Answered(resp),
         };
         drop(admission);
-        match self.pnfs.select_fastest(platform, &hypotheses) {
-            Ok(sel) => {
-                let _render = Span::start(&stages.stage_render);
-                render_selection(&sel)
-            }
-            Err(e) => pnfs_error_response(e),
+        match self.pnfs.probe_select(platform, &hypotheses) {
+            Ok(Probed::Pending(pending)) => Staged::Select { hypotheses, pending },
+            Ok(Probed::Ready(sel)) => Staged::Answered(self.rendered(Ok(sel), render_selection)),
+            Err(e) => Staged::Answered(pnfs_error_response(e)),
         }
     }
 

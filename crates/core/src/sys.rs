@@ -27,6 +27,8 @@ use std::io;
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_void};
 
+use telemetry::Counter;
+
 // The subset of <sys/epoll.h> the poller uses.
 pub const EPOLLIN: u32 = 0x001;
 pub const EPOLLOUT: u32 = 0x004;
@@ -99,6 +101,7 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 /// An owned epoll instance.
 pub struct Epoll {
     fd: RawFd,
+    ctl_calls: Counter,
 }
 
 impl Epoll {
@@ -107,10 +110,17 @@ impl Epoll {
         // SAFETY: epoll_create1 takes no pointers; the returned fd is
         // owned by the new Epoll and closed exactly once in Drop.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd })
+        Ok(Epoll { fd, ctl_calls: Counter::new() })
+    }
+
+    /// `epoll_ctl` calls made through this instance (add, modify and
+    /// delete alike).
+    pub fn ctl_calls(&self) -> &Counter {
+        &self.ctl_calls
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+        self.ctl_calls.inc();
         let mut ev = EpollEvent { events, data };
         // SAFETY: `ev` is a live, properly laid out epoll_event for the
         // duration of the call; the kernel copies it and keeps no
@@ -170,6 +180,7 @@ impl Drop for Epoll {
 /// `epoll_wait`.
 pub struct WakeHandle {
     write_fd: RawFd,
+    writes: Counter,
 }
 
 // SAFETY: writes on a pipe fd are atomic at this size and the fd is
@@ -178,9 +189,15 @@ unsafe impl Send for WakeHandle {}
 unsafe impl Sync for WakeHandle {}
 
 impl WakeHandle {
+    /// Wake bytes written (attempted) so far.
+    pub fn writes(&self) -> &Counter {
+        &self.writes
+    }
+
     /// Writes one byte into the pipe; a full pipe already guarantees a
     /// pending wakeup, so `EAGAIN` (and any other failure) is ignored.
     pub fn wake(&self) {
+        self.writes.inc();
         let byte = 1u8;
         // SAFETY: writes 1 byte from a live stack local to an fd owned
         // by this handle.
@@ -208,7 +225,7 @@ impl WakePipe {
         let mut fds: [c_int; 2] = [-1, -1];
         // SAFETY: pipe2 writes exactly two fds into the array.
         cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | EPOLL_CLOEXEC) })?;
-        Ok((WakePipe { read_fd: fds[0] }, WakeHandle { write_fd: fds[1] }))
+        Ok((WakePipe { read_fd: fds[0] }, WakeHandle { write_fd: fds[1], writes: Counter::new() }))
     }
 
     /// The fd to register with epoll for `EPOLLIN`.

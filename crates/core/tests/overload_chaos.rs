@@ -81,6 +81,13 @@ fn ten_x_overload_sheds_cleanly_and_admitted_answers_match_reference() {
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
     let addr = server.addr();
+    // Only uncached work queues — the poller answers a cached query
+    // itself — so the burst overloads the server for as long as the
+    // eight distinct simulations are still running: hold each for 50 ms.
+    let injector = Arc::new(FaultInjector::new(
+        FaultPlan::new(1).with_delays(1000, Duration::from_millis(50)),
+    ));
+    svc.pnfs.engine().set_fault_injector(Some(injector));
 
     let reference = reference_service();
     let scenario_set = scenarios();

@@ -1,7 +1,7 @@
 //! # exec — the workspace's shared execution layer
 //!
 //! The bottom-most concurrency crate. Its one [`WorkerPool`] runs the
-//! HTTP poller's parsed requests (`pilgrim-core`); nothing below a
+//! requests the HTTP poller defers (`pilgrim-core`); nothing below a
 //! request fans out — a forecast, its simulation and the solver's
 //! component solves all run on the worker that dequeued the request, so
 //! a serving process has exactly the threads its `ServerConfig` asks for.

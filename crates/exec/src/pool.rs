@@ -1,7 +1,7 @@
 //! A fixed-size pool of persistent worker threads.
 //!
-//! The HTTP poller hands every parsed request to one of these through
-//! [`WorkerPool::submit`]: a `'static` job on an MPMC channel, run by
+//! The HTTP poller hands every request it cannot answer itself to one
+//! of these through [`WorkerPool::submit`]: a `'static` job on an MPMC channel, run by
 //! whichever worker dequeues it first. There is no way to wait for a job
 //! or to borrow from the submitter's stack — a forecast runs start to
 //! finish on the worker that picked its request up, and results travel

@@ -7,14 +7,37 @@
 //! * a `predict` is **one** flow-level simulation of the whole request,
 //!   as in the paper, and a `select_fastest` is the paper's §VI loop —
 //!   simulate a hypothesis, prune the ones that can no longer win —
-//!   both run start to finish on the calling thread (an HTTP worker):
-//!   the engine owns no threads, and concurrency is one request per
-//!   worker;
+//!   both run start to finish on the thread that calls the compute
+//!   stage (an HTTP worker): the engine owns no threads, and
+//!   concurrency is one request per worker;
 //! * per-platform scaffolding (capacity vectors, resolved routes,
 //!   background flows) lives in warm [`Session`]s (`crate::session`);
 //! * results are memoized in an epoch-keyed [`ForecastCache`]
 //!   (`crate::cache`) invalidated wholesale whenever new metrology data
 //!   arrives ([`ForecastEngine::bump_epoch`]).
+//!
+//! ## Two stages: probe, then compute
+//!
+//! Every forecast is split at the one point where it either has its
+//! answer or must work for it:
+//!
+//! * the **probe** ([`ForecastEngine::probe_predict`],
+//!   [`ForecastEngine::probe_select`]) validates the query, looks every
+//!   host pair up in the session's route map *without resolving a new
+//!   route* ([`Session::resolve_cached`]), builds the footprint key and
+//!   looks the cache up. It never computes a route, never touches the
+//!   flight table and never simulates, so the HTTP front end runs it on
+//!   its poller thread and answers a hit from there;
+//! * the **compute** stage ([`ForecastEngine::compute_predict`],
+//!   [`ForecastEngine::compute_select`]) takes the [`Pending`] the probe
+//!   returned — the resolved specs, route union, key and overlay version
+//!   when every route was in the map, nothing when the probe stopped at
+//!   an uncached pair — resolves what is missing, coalesces, simulates.
+//!   It repeats none of the probe's work, and its cache re-check does
+//!   not count, so hits + misses advance by one per forecast.
+//!
+//! [`ForecastEngine::predict`] and [`ForecastEngine::select_fastest`] are
+//! the two stages back to back on the caller.
 //!
 //! ## Determinism
 //!
@@ -158,6 +181,58 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig { cache_capacity: 4096, stale_retention: 0 }
     }
+}
+
+/// What a forecast's probe stage found.
+pub enum Probed<T> {
+    /// The answer was cached.
+    Ready(T),
+    /// It was not: what the compute stage continues from.
+    Pending(Pending),
+}
+
+impl<T> Probed<T> {
+    /// Maps a ready answer; a pending forecast passes through.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Probed<U> {
+        match self {
+            Probed::Ready(t) => Probed::Ready(f(t)),
+            Probed::Pending(p) => Probed::Pending(p),
+        }
+    }
+}
+
+/// A forecast its probe stage could not answer, with what the probe
+/// already built, so the compute stage repeats none of it. It travels
+/// with the request (the HTTP front end moves it to a worker thread);
+/// the specs themselves stay with the caller.
+pub struct Pending {
+    platform: String,
+    /// Present when every route was in the session's map, so the probe
+    /// could build the key and count the cache miss.
+    keyed: Option<Keyed>,
+}
+
+impl Pending {
+    /// A forecast no probe looked at: the compute stage does everything,
+    /// the counted cache lookup included.
+    pub fn unprobed(platform: &str) -> Pending {
+        Pending { platform: platform.to_string(), keyed: None }
+    }
+
+    /// The platform the forecast is for.
+    pub fn platform(&self) -> &str {
+        &self.platform
+    }
+}
+
+/// A request resolved and keyed against one session.
+struct Keyed {
+    session: Arc<Session>,
+    resolved: Vec<ResolvedSpec>,
+    routes: Arc<[u32]>,
+    key: CacheKey,
+    /// The session's overlay version the key's footprint was read under.
+    v0: u64,
 }
 
 /// One in-flight coalesced computation: followers block on the condvar
@@ -482,47 +557,136 @@ impl ForecastEngine {
         }
     }
 
-    /// Predicted completion times (seconds) of a set of concurrent
-    /// transfers, in request order. Cached per epoch; a miss runs one
-    /// simulation of the session's background flows plus the whole batch.
-    pub fn predict(
+    /// The probe stage of any forecast (see the module docs): validate,
+    /// look every host pair up in the session's route map, build the
+    /// footprint key and look the cache up — counted as this request's
+    /// one hit or miss. It resolves no route, takes no flight and runs
+    /// no simulation: a request naming a host pair the route map does
+    /// not hold is handed on unprobed at that pair.
+    fn probe<'a, T>(
         &self,
         platform: &str,
-        specs: &[TransferSpec],
-    ) -> Result<Arc<Vec<f64>>, ForecastError> {
+        specs: impl IntoIterator<Item = &'a TransferSpec>,
+        key: impl FnOnce(&str, u64, u64) -> CacheKey,
+        answer: fn(CachedResult) -> Result<T, ForecastError>,
+    ) -> Result<Probed<T>, ForecastError> {
         let session = self.session(platform)?;
-        // The cache_lookup stage covers key construction (resolution,
+        // The cache_lookup stage covers key construction (route map,
         // footprint) plus the lookup itself — everything between
         // admission and the simulate/coalesce decision.
         let lookup = Span::start(&self.metrics.stage_cache_lookup);
-        // Validation errors are cheap and per-request; resolving up
-        // front also yields the route union the footprint key and
-        // targeted invalidation need.
-        let resolved = resolve_all(&session, specs)?;
+        let Some(resolved) = session.resolve_cached(specs)? else {
+            // the compute stage's lookup is this request's one sample
+            lookup.cancel();
+            return Ok(Probed::Pending(Pending::unprobed(platform)));
+        };
+        let keyed = self.keyed(session, resolved, |epoch, fp| key(platform, epoch, fp));
+        Ok(match self.cache.get(&keyed.key) {
+            Some(hit) => Probed::Ready(answer(hit)?),
+            None => Probed::Pending(Pending { platform: platform.to_string(), keyed: Some(keyed) }),
+        })
+    }
+
+    /// Builds the cache key of resolved specs. Resolving up front yields
+    /// the route union the footprint key and targeted invalidation need;
+    /// the overlay version is read *before* the footprint, so a racing
+    /// `link_event` can only make the later insert check fail.
+    fn keyed(
+        &self,
+        session: Arc<Session>,
+        resolved: Vec<ResolvedSpec>,
+        key: impl FnOnce(u64, u64) -> CacheKey,
+    ) -> Keyed {
         let routes = route_union(&resolved);
         let epoch = self.epoch();
         let v0 = session.overlay_version();
-        let key = CacheKey::predict(platform, epoch, session.footprint(&routes), specs);
-        if let Some(CachedResult::Predict(d)) = self.cache.get(&key) {
-            return Ok(d);
-        }
-        drop(lookup);
+        let key = key(epoch, session.footprint(&routes));
+        Keyed { session, resolved, routes, key, v0 }
+    }
+
+    /// The compute stage of any forecast: finish what the probe left
+    /// (resolve, key and look up, if it stopped at an uncached route —
+    /// that lookup is then the request's counted one), then coalesce and
+    /// run `simulate` as the leader.
+    fn compute<'a>(
+        &self,
+        pending: Pending,
+        specs: impl IntoIterator<Item = &'a TransferSpec>,
+        key: impl FnOnce(&str, u64, u64) -> CacheKey,
+        simulate: impl FnOnce(&Session, &[ResolvedSpec]) -> Result<CachedResult, ForecastError>,
+    ) -> Result<CachedResult, ForecastError> {
+        let keyed = match pending.keyed {
+            // the probe counted this request a miss; `coalesce` re-checks
+            // with `peek`
+            Some(keyed) => keyed,
+            None => {
+                let session = self.session(&pending.platform)?;
+                let _lookup = Span::start(&self.metrics.stage_cache_lookup);
+                let resolved = resolve_all(&session, specs)?;
+                let platform = &pending.platform;
+                let keyed = self.keyed(session, resolved, |epoch, fp| key(platform, epoch, fp));
+                if let Some(hit) = self.cache.get(&keyed.key) {
+                    return Ok(hit);
+                }
+                keyed
+            }
+        };
+        let Keyed { session, resolved, routes, key, v0 } = keyed;
         let valid_session = Arc::clone(&session);
-        let outcome = self.coalesce(
+        self.coalesce(
             key,
             Some(routes),
             move || valid_session.overlay_version() == v0,
             || {
                 self.begin_simulation();
-                let durations = session.simulate(&session.background(), &resolved)?;
+                simulate(&session, &resolved)
+            },
+        )
+    }
+
+    /// Probe stage of [`ForecastEngine::predict`]: the cached durations,
+    /// or what [`ForecastEngine::compute_predict`] needs to produce them.
+    pub fn probe_predict(
+        &self,
+        platform: &str,
+        specs: &[TransferSpec],
+    ) -> Result<Probed<Arc<Vec<f64>>>, ForecastError> {
+        let key = |platform: &str, epoch, fp| CacheKey::predict(platform, epoch, fp, specs);
+        self.probe(platform, specs, key, predict_result)
+    }
+
+    /// Compute stage of [`ForecastEngine::predict`] for the same `specs`
+    /// the probe saw: one simulation of the session's background flows
+    /// plus the whole batch, unless a concurrent identical request is
+    /// already running it.
+    pub fn compute_predict(
+        &self,
+        specs: &[TransferSpec],
+        pending: Pending,
+    ) -> Result<Arc<Vec<f64>>, ForecastError> {
+        let outcome = self.compute(
+            pending,
+            specs,
+            |platform, epoch, fp| CacheKey::predict(platform, epoch, fp, specs),
+            |session, resolved| {
+                let durations = session.simulate(&session.background(), resolved)?;
                 Ok(CachedResult::Predict(Arc::new(durations)))
             },
         )?;
-        match outcome {
-            CachedResult::Predict(d) => Ok(d),
-            CachedResult::Select(_) => {
-                Err(ForecastError::Internal("predict key yielded a selection".into()))
-            }
+        predict_result(outcome)
+    }
+
+    /// Predicted completion times (seconds) of a set of concurrent
+    /// transfers, in request order. Cached per epoch; probe and compute
+    /// stage back to back on the calling thread.
+    pub fn predict(
+        &self,
+        platform: &str,
+        specs: &[TransferSpec],
+    ) -> Result<Arc<Vec<f64>>, ForecastError> {
+        match self.probe_predict(platform, specs)? {
+            Probed::Ready(d) => Ok(d),
+            Probed::Pending(pending) => self.compute_predict(specs, pending),
         }
     }
 
@@ -544,45 +708,50 @@ impl ForecastEngine {
         bound
     }
 
+    /// Probe stage of [`ForecastEngine::select_fastest`].
+    pub fn probe_select(
+        &self,
+        platform: &str,
+        hypotheses: &[Vec<TransferSpec>],
+    ) -> Result<Probed<Arc<Selection>>, ForecastError> {
+        if hypotheses.is_empty() {
+            return Err(ForecastError::NoHypotheses);
+        }
+        let key = |platform: &str, epoch, fp| CacheKey::select(platform, epoch, fp, hypotheses);
+        self.probe(platform, hypotheses.iter().flatten(), key, select_result)
+    }
+
+    /// Compute stage of [`ForecastEngine::select_fastest`] for the same
+    /// `hypotheses` the probe saw: simulates the hypotheses the lower
+    /// bound cannot rule out, one after another on the calling thread.
+    pub fn compute_select(
+        &self,
+        hypotheses: &[Vec<TransferSpec>],
+        pending: Pending,
+    ) -> Result<Arc<Selection>, ForecastError> {
+        let outcome = self.compute(
+            pending,
+            hypotheses.iter().flatten(),
+            |platform, epoch, fp| CacheKey::select(platform, epoch, fp, hypotheses),
+            |session, resolved| {
+                let selection = self.compute_selection(session, hypotheses, resolved)?;
+                Ok(CachedResult::Select(Arc::new(selection)))
+            },
+        )?;
+        select_result(outcome)
+    }
+
     /// Evaluates `hypotheses` and returns the fastest, with pruning (the
-    /// paper's §VI service). Cached per epoch; a miss simulates the
-    /// hypotheses the lower bound cannot rule out, one after another on
-    /// the calling thread.
+    /// paper's §VI service). Cached per epoch; probe and compute stage
+    /// back to back on the calling thread.
     pub fn select_fastest(
         &self,
         platform: &str,
         hypotheses: &[Vec<TransferSpec>],
     ) -> Result<Arc<Selection>, ForecastError> {
-        if hypotheses.is_empty() {
-            return Err(ForecastError::NoHypotheses);
-        }
-        let session = self.session(platform)?;
-        let lookup = Span::start(&self.metrics.stage_cache_lookup);
-        let resolved = resolve_all(&session, hypotheses.iter().flatten())?;
-        let routes = route_union(&resolved);
-        let epoch = self.epoch();
-        let v0 = session.overlay_version();
-        let key = CacheKey::select(platform, epoch, session.footprint(&routes), hypotheses);
-        if let Some(CachedResult::Select(s)) = self.cache.get(&key) {
-            return Ok(s);
-        }
-        drop(lookup);
-        let valid_session = Arc::clone(&session);
-        let outcome = self.coalesce(
-            key,
-            Some(routes),
-            move || valid_session.overlay_version() == v0,
-            || {
-                self.begin_simulation();
-                let selection = self.compute_selection(&session, hypotheses, &resolved)?;
-                Ok(CachedResult::Select(Arc::new(selection)))
-            },
-        )?;
-        match outcome {
-            CachedResult::Select(s) => Ok(s),
-            CachedResult::Predict(_) => {
-                Err(ForecastError::Internal("select key yielded a prediction".into()))
-            }
+        match self.probe_select(platform, hypotheses)? {
+            Probed::Ready(s) => Ok(s),
+            Probed::Pending(pending) => self.compute_select(hypotheses, pending),
         }
     }
 
@@ -696,6 +865,24 @@ impl ForecastEngine {
         match self.cache.get_stale(&key) {
             Some((CachedResult::Select(s), lag)) => Some((s, lag)),
             _ => None,
+        }
+    }
+}
+
+fn predict_result(outcome: CachedResult) -> Result<Arc<Vec<f64>>, ForecastError> {
+    match outcome {
+        CachedResult::Predict(d) => Ok(d),
+        CachedResult::Select(_) => {
+            Err(ForecastError::Internal("predict key yielded a selection".into()))
+        }
+    }
+}
+
+fn select_result(outcome: CachedResult) -> Result<Arc<Selection>, ForecastError> {
+    match outcome {
+        CachedResult::Select(s) => Ok(s),
+        CachedResult::Predict(_) => {
+            Err(ForecastError::Internal("select key yielded a prediction".into()))
         }
     }
 }

@@ -7,7 +7,10 @@
 //! identical questions. This crate is the serving layer that fixes that
 //! without adding a thread: a forecast still runs on the thread that
 //! asked (an HTTP worker), but it starts from warm scaffolding and runs
-//! only when nobody has asked the same question already. Two pieces:
+//! only when nobody has asked the same question already — which a
+//! bounded *probe* stage finds out before any work is done, cheaply
+//! enough for the HTTP poller to ask it inline ([`engine`] module docs).
+//! Two pieces:
 //!
 //! ## Warm sessions ([`session`])
 //!
@@ -69,7 +72,9 @@ pub mod metrics;
 pub mod session;
 
 pub use cache::{CacheKey, CachedResult, ForecastCache};
-pub use engine::{EngineConfig, ForecastEngine, ForecastError, Selection, TransferSpec};
+pub use engine::{
+    EngineConfig, ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec,
+};
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};
 pub use session::{BackgroundFlow, LinkState, ResolvedSpec, Session};

@@ -320,15 +320,39 @@ impl Session {
         Ok(Arc::clone(w.entry((src, dst)).or_insert(path)))
     }
 
-    /// Resolves a request tuple: host names, size validity, route.
-    pub fn resolve_spec(&self, spec: &TransferSpec) -> Result<ResolvedSpec, ForecastError> {
+    /// Validates a request tuple's size and looks its hosts up.
+    fn endpoints(&self, spec: &TransferSpec) -> Result<(HostId, HostId), ForecastError> {
         if !spec.size.is_finite() || spec.size < 0.0 {
             return Err(ForecastError::BadSize(spec.size));
         }
-        let src = self.host(&spec.src)?;
-        let dst = self.host(&spec.dst)?;
+        Ok((self.host(&spec.src)?, self.host(&spec.dst)?))
+    }
+
+    /// Resolves a request tuple: host names, size validity, route.
+    pub fn resolve_spec(&self, spec: &TransferSpec) -> Result<ResolvedSpec, ForecastError> {
+        let (src, dst) = self.endpoints(spec)?;
         let path = self.resolve(src, dst)?;
         Ok(ResolvedSpec { src, dst, size: spec.size, path })
+    }
+
+    /// [`Session::resolve_spec`] over a whole request, from the route
+    /// map only: `Ok(None)` at the first host pair the map does not
+    /// hold, and no route is ever computed — this is what the engine's
+    /// probe stage may run on a thread that must not stall. Specs are
+    /// validated in order up to that pair, so an error returned here is
+    /// the one resolving everything would have returned first.
+    pub fn resolve_cached<'a>(
+        &self,
+        specs: impl IntoIterator<Item = &'a TransferSpec>,
+    ) -> Result<Option<Vec<ResolvedSpec>>, ForecastError> {
+        let routes = self.routes.read();
+        let mut resolved = Vec::new();
+        for spec in specs {
+            let (src, dst) = self.endpoints(spec)?;
+            let Some(path) = routes.get(&(src, dst)) else { return Ok(None) };
+            resolved.push(ResolvedSpec { src, dst, size: spec.size, path: Arc::clone(path) });
+        }
+        Ok(Some(resolved))
     }
 
     /// A fresh simulation using the prewarmed capacity vector, with the

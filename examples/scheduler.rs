@@ -176,7 +176,10 @@ fn main() {
             sim.add_transfer(src, dst, t.size).expect("transfer");
         }
         let (report, trace) = sim.run_traced().expect("traced run");
-        let out = "chosen_plan.trace.json";
+        // under target/, which git ignores, wherever the example is run from
+        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/target/chosen_plan.trace.json");
+        std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/target"))
+            .expect("create target/");
         std::fs::write(out, trace.to_chrome_json()).expect("write trace");
         println!(
             "\nwrote {out}: {} events, {} reshares, {} calendar pops \
