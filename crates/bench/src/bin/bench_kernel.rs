@@ -1,7 +1,7 @@
 //! Kernel perf trajectory: times the flow-level kernel's standard
 //! scenarios (see [`bench::scenarios`]) with `std::time` and emits
-//! `BENCH_kernel.json` so successive PRs can compare numbers without
-//! Criterion's human-oriented output. Each row is an object:
+//! `BENCH_kernel.json` so successive PRs can compare numbers. Each row
+//! is an object:
 //!
 //! ```json
 //! "kernel_concurrent_flows/400": {

@@ -109,11 +109,10 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use jsonlite::Value;
-use parking_lot::Mutex;
 use telemetry::{Counter, Histogram, MetricsRegistry};
 
 /// A parsed request.
@@ -503,25 +502,33 @@ impl HttpMetrics {
     }
 
     /// Records one served request under its normalized endpoint and
-    /// response status.
+    /// response status. Past [`MAX_LATENCY_SERIES`] a new endpoint is
+    /// recorded as `other` and leaves no entry of its own: the table is
+    /// bounded whatever paths clients invent.
     pub(crate) fn observe(&self, endpoint: &str, status: u16, elapsed: Duration) {
-        let mut table = self.latency.lock();
-        let key = (endpoint.to_string(), status);
-        let hist = match table.get(&key) {
-            Some(h) => h.clone(),
-            None => {
-                let label = if table.len() >= MAX_LATENCY_SERIES { "other" } else { endpoint };
-                let h = self.registry.histogram(
+        let mut table = self.latency.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut key = (endpoint.to_string(), status);
+        if table.len() >= MAX_LATENCY_SERIES && !table.contains_key(&key) {
+            key.0 = "other".to_string();
+        }
+        let hist = table
+            .entry(key)
+            .or_insert_with_key(|(endpoint, status)| {
+                self.registry.histogram(
                     "http_request_latency_ns",
                     "Dequeue-to-response-written request latency",
-                    &[("endpoint", label), ("status", &status.to_string())],
-                );
-                table.insert(key, h.clone());
-                h
-            }
-        };
+                    &[("endpoint", endpoint), ("status", &status.to_string())],
+                )
+            })
+            .clone();
         drop(table);
         hist.record(dur_ns(elapsed));
+    }
+
+    /// Entries in the latency handle table.
+    #[cfg(test)]
+    pub(crate) fn latency_series(&self) -> usize {
+        self.latency.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 
@@ -874,6 +881,21 @@ mod tests {
         assert_eq!(q[0], ("transfer".into(), "a,b,5e8".into()));
         assert_eq!(q[1], ("transfer".into(), "c,d,1e6".into()));
         assert_eq!(q[2], ("x".into(), String::new()));
+    }
+
+    #[test]
+    fn latency_handle_table_is_bounded() {
+        let metrics = HttpMetrics::new(Arc::new(MetricsRegistry::new()));
+        let statuses = [200u16, 400, 404];
+        for n in 0..10_000 {
+            metrics.observe(&format!("/a{n}/x"), statuses[n % statuses.len()], Duration::ZERO);
+        }
+        // one `other` handle per status beside the capped endpoints
+        assert!(
+            metrics.latency_series() <= MAX_LATENCY_SERIES + statuses.len(),
+            "{} handles",
+            metrics.latency_series()
+        );
     }
 
     #[test]

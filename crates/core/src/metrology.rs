@@ -8,8 +8,9 @@
 //! the JSON rendering of the paper's example answer
 //! (`[[1336111215, 168.929...], ...]`).
 
+use std::sync::{PoisonError, RwLock};
+
 use jsonlite::Value;
-use parking_lot::RwLock;
 use rrd::{Database, Registry};
 
 /// Metrology-service errors.
@@ -56,12 +57,12 @@ impl Metrology {
 
     /// Registers (or replaces) a database under `path`.
     pub fn insert(&self, path: &str, db: Database) {
-        self.registry.write().insert(path, db);
+        self.registry.write().unwrap_or_else(PoisonError::into_inner).insert(path, db);
     }
 
     /// Feeds one measurement into the database at `path`.
     pub fn update(&self, path: &str, ts: i64, value: f64) -> Result<(), MetrologyError> {
-        let mut reg = self.registry.write();
+        let mut reg = self.registry.write().unwrap_or_else(PoisonError::into_inner);
         let db = reg
             .get_mut(path)
             .ok_or_else(|| MetrologyError::UnknownRrd(path.to_string()))?;
@@ -79,7 +80,7 @@ impl Metrology {
         if begin > end {
             return Err(MetrologyError::BadRange { begin, end });
         }
-        let reg = self.registry.read();
+        let reg = self.registry.read().unwrap_or_else(PoisonError::into_inner);
         let db = reg
             .get(path)
             .ok_or_else(|| MetrologyError::UnknownRrd(path.to_string()))?;
@@ -88,7 +89,7 @@ impl Metrology {
 
     /// Registered RRD paths under a prefix.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.registry.read().list(prefix)
+        self.registry.read().unwrap_or_else(PoisonError::into_inner).list(prefix)
     }
 
     /// Renders fetch results in the paper's wire format:

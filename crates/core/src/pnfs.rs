@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use forecast::{EngineConfig, ForecastEngine, ForecastError, Pending, Probed};
+use forecast::{EngineConfig, ForecastEngine, Pending, Probed};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -32,6 +32,9 @@ use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
 /// One requested transfer: the 3-uple of the paper's API (re-exported
 /// from the `forecast` crate, which owns the canonical definition).
 pub use forecast::TransferSpec as TransferRequest;
+
+/// PNFS errors are the forecast engine's, under the service's name.
+pub use forecast::ForecastError as PnfsError;
 
 /// One prediction: the 4-uple of the paper's API.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,66 +62,6 @@ impl Prediction {
             ("size", Value::from(self.size)),
             ("duration", duration),
         ])
-    }
-}
-
-/// PNFS errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PnfsError {
-    /// No platform registered under this name.
-    UnknownPlatform(String),
-    /// A request references a host absent from the platform.
-    UnknownHost(String),
-    /// A request carries a negative or non-finite size.
-    BadSize(f64),
-    /// A link event references a link absent from the platform.
-    UnknownLink(String),
-    /// A link event carries a negative or non-finite capacity factor.
-    BadFactor(f64),
-    /// The simulation kernel failed.
-    Sim(SimError),
-    /// `select_fastest` needs at least one hypothesis.
-    NoHypotheses,
-    /// An engine-internal failure (e.g. a coalesced computation
-    /// panicked); surfaces as a 500 at the REST layer.
-    Internal(String),
-}
-
-impl std::fmt::Display for PnfsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PnfsError::UnknownPlatform(p) => write!(f, "unknown platform '{p}'"),
-            PnfsError::UnknownHost(h) => write!(f, "unknown host '{h}'"),
-            PnfsError::BadSize(s) => write!(f, "invalid transfer size {s}"),
-            PnfsError::UnknownLink(l) => write!(f, "unknown link '{l}'"),
-            PnfsError::BadFactor(x) => write!(f, "invalid capacity factor {x}"),
-            PnfsError::Sim(e) => write!(f, "simulation error: {e}"),
-            PnfsError::NoHypotheses => write!(f, "no hypotheses given"),
-            PnfsError::Internal(msg) => write!(f, "internal error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for PnfsError {}
-
-impl From<SimError> for PnfsError {
-    fn from(e: SimError) -> Self {
-        PnfsError::Sim(e)
-    }
-}
-
-impl From<ForecastError> for PnfsError {
-    fn from(e: ForecastError) -> Self {
-        match e {
-            ForecastError::UnknownPlatform(p) => PnfsError::UnknownPlatform(p),
-            ForecastError::UnknownHost(h) => PnfsError::UnknownHost(h),
-            ForecastError::BadSize(s) => PnfsError::BadSize(s),
-            ForecastError::UnknownLink(l) => PnfsError::UnknownLink(l),
-            ForecastError::BadFactor(x) => PnfsError::BadFactor(x),
-            ForecastError::Sim(s) => PnfsError::Sim(s),
-            ForecastError::NoHypotheses => PnfsError::NoHypotheses,
-            ForecastError::Internal(msg) => PnfsError::Internal(msg),
-        }
     }
 }
 
@@ -243,7 +186,7 @@ impl Pnfs {
         link: &str,
         kind: PlatformEventKind,
     ) -> Result<u64, PnfsError> {
-        Ok(self.engine.link_event(platform, link, kind)?)
+        self.engine.link_event(platform, link, kind)
     }
 
     /// Probe stage of [`Pnfs::predict`]: the cached answer, or what

@@ -73,6 +73,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,7 +134,7 @@ type ShedJob = (TcpStream, Request);
 /// and answered with one connection-close response, the write bounded by
 /// the timeout the poller set on the socket when it let go of it.
 fn spawn_shed_thread(
-    shed_rx: crossbeam::channel::Receiver<ShedJob>,
+    shed_rx: mpsc::Receiver<ShedJob>,
     shed_pending: Arc<AtomicUsize>,
     fallback: Handler,
     retry_after_secs: u32,
@@ -214,7 +215,7 @@ pub(crate) fn start(
     epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
     epoll.add(wake_pipe.read_fd(), EPOLLIN, TOKEN_WAKE)?;
 
-    let (shed_tx, shed_rx) = crossbeam::channel::unbounded::<ShedJob>();
+    let (shed_tx, shed_rx) = mpsc::channel::<ShedJob>();
     let shed_pending = Arc::new(AtomicUsize::new(0));
     let shed_thread = shed_fallback.map(|fallback| {
         spawn_shed_thread(
@@ -501,7 +502,7 @@ struct Poller {
     metrics: Arc<HttpMetrics>,
     stop: Arc<AtomicBool>,
     draining: bool,
-    shed_tx: crossbeam::channel::Sender<ShedJob>,
+    shed_tx: mpsc::Sender<ShedJob>,
     shed_pending: Arc<AtomicUsize>,
     degraded: bool,
 }

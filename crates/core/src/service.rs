@@ -523,7 +523,7 @@ impl PilgrimService {
     fn handle_workflow(&self, platform: &str, req: &Request) -> Response {
         let session = match self.pnfs.engine().session(platform) {
             Ok(s) => s,
-            Err(e) => return pnfs_error_response(e.into()),
+            Err(e) => return pnfs_error_response(e),
         };
         let mut wf = crate::workflow::Workflow::new();
         for spec in req.params_named("task") {
@@ -782,6 +782,33 @@ mod tests {
             400
         );
         assert_eq!(get(&svc, "/nope", "").0, 404);
+    }
+
+    /// An update whose timestamp lies 6·10¹⁷ steps ahead must not walk
+    /// them under the registry's write lock.
+    #[test]
+    fn far_future_rrd_update_answers_at_once() {
+        const PATH: &str = "ganglia/Lyon/sagittaire-1.lyon.grid5000.fr/pdu.rrd";
+        let update = format!("/pilgrim/rrd_update/{PATH}");
+        let svc = Arc::new(service());
+        let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+        let (worker, path) = (Arc::clone(&svc), update.clone());
+        std::thread::spawn(move || {
+            let asked = std::time::Instant::now();
+            let (status, _) = get(&worker, &path, "ts=9000000000000000000&value=1");
+            let _ = answer_tx.send((status, asked.elapsed()));
+        });
+        let (status, took) = answer_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the update must return");
+        assert_eq!(status, 200);
+        assert!(took < std::time::Duration::from_millis(100), "took {took:?}");
+        // the lock is free again and the database still reads
+        let (status, v) = get(&svc, &format!("/pilgrim/rrd/{PATH}"), "begin=0&end=2000000000");
+        assert_eq!(status, 200, "{v}");
+        // a step boundary that `i64` cannot hold is a client error
+        assert_eq!(get(&svc, &update, "ts=9223372036854775800&value=1").0, 200);
+        assert_eq!(get(&svc, &update, "ts=9223372036854775806&value=1").0, 400);
     }
 
     #[test]

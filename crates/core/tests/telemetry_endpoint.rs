@@ -9,7 +9,7 @@ use std::sync::Arc;
 use forecast::EngineConfig;
 use g5k::{synth, to_simflow, Flavor};
 use jsonlite::Value;
-use pilgrim_core::http::{http_get_with_headers, Request, Server, ServerConfig};
+use pilgrim_core::http::{http_get_with_headers, HttpClient, Request, Server, ServerConfig};
 use pilgrim_core::{Metrology, PilgrimService, Pnfs};
 use simflow::NetworkConfig;
 
@@ -20,6 +20,19 @@ fn pooled_service() -> Arc<PilgrimService> {
     );
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))
+}
+
+/// `svc` behind a server on its registry. One worker, so a scrape's job
+/// starts only after every earlier job has finished and been timed.
+fn serve(svc: &Arc<PilgrimService>) -> Server {
+    Server::start_with_registry(
+        "127.0.0.1:0",
+        ServerConfig { workers: 1, ..ServerConfig::default() },
+        PilgrimService::handler_from(Arc::clone(svc)),
+        None,
+        Arc::clone(svc.registry()),
+    )
+    .expect("bind")
 }
 
 fn get(svc: &PilgrimService, path: &str, query: &str) -> (u16, String) {
@@ -73,17 +86,7 @@ fn stats_json_shape_is_frozen() {
 #[test]
 fn metrics_endpoint_renders_every_layer_over_http() {
     let svc = pooled_service();
-    // One worker, so the scrape's job starts only after every earlier
-    // job has finished and been timed (the `pool_*` count below).
-    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let server = Server::start_with_registry(
-        "127.0.0.1:0",
-        config,
-        PilgrimService::handler_from(Arc::clone(&svc)),
-        None,
-        Arc::clone(svc.registry()),
-    )
-    .expect("bind");
+    let server = serve(&svc);
     let addr = server.addr();
 
     // Work every layer once: a simulated predict, a cached repeat, a 404.
@@ -158,6 +161,33 @@ fn metrics_endpoint_renders_every_layer_over_http() {
             "unparseable sample value in line: {line}"
         );
     }
+}
+
+/// Paths nobody serves must not grow the exposition: past 64 latency
+/// series, new endpoints are counted under `other`.
+#[test]
+fn invented_paths_fold_into_other() {
+    let svc = pooled_service();
+    let server = serve(&svc);
+    let mut client = HttpClient::new(server.addr());
+    for n in 0..10_000 {
+        let (status, _) = client.get(&format!("/a{n}/x")).expect("request");
+        assert_eq!(status, 404);
+    }
+    let (status, body) = client.get("/pilgrim/metrics").expect("metrics");
+    assert_eq!(status, 200, "{body}");
+    let endpoints: std::collections::BTreeSet<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("http_request_latency_ns_count{endpoint=\""))
+        .filter_map(|l| l.split('"').next())
+        .collect();
+    assert!(endpoints.contains("other"), "{endpoints:?}");
+    assert!(endpoints.len() <= 64 + 1, "{} endpoint series", endpoints.len());
+    let folded = body
+        .lines()
+        .find_map(|l| l.strip_prefix(r#"http_request_latency_ns_count{endpoint="other",status="404"} "#))
+        .expect("the 404s past the cap");
+    assert_eq!(folded.parse::<usize>().unwrap() + endpoints.len() - 1, 10_000);
 }
 
 /// The stage histograms decompose the end-to-end request histogram: on a

@@ -1,20 +1,65 @@
 //! A fixed-size pool of persistent worker threads.
 //!
 //! The HTTP poller hands every request it cannot answer itself to one
-//! of these through [`WorkerPool::submit`]: a `'static` job on an MPMC channel, run by
-//! whichever worker dequeues it first. There is no way to wait for a job
+//! of these through [`WorkerPool::submit`]: a `'static` job on a locked
+//! queue, run by whichever worker dequeues it first (a worker waits on
+//! the condvar with the lock released, so a blocked worker never stands
+//! between the submitter and the queue). There is no way to wait for a job
 //! or to borrow from the submitter's stack — a forecast runs start to
 //! finish on the worker that picked its request up, and results travel
 //! back through [`crate::Handback`]. See the crate docs for panic
 //! handling and the instruments.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Sender};
 use telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The job queue the submitter and the workers share. Jobs run outside
+/// the lock, so a panicking job cannot poison it.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Set by the pool's drop: workers finish what is queued, then exit.
+    closed: bool,
+}
+
+impl Queue {
+    fn push(&self, job: Job) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).jobs.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next job, waiting for one; `None` once the queue is closed
+    /// and drained.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.ready.notify_all();
+    }
+}
 
 /// The pool's always-on instruments. Handles are `Arc`-shared: clone
 /// freely, or adopt into a [`MetricsRegistry`] via
@@ -33,7 +78,7 @@ pub struct PoolMetrics {
 
 /// A fixed-size pool of persistent worker threads.
 pub struct WorkerPool {
-    tx: Option<Sender<Job>>,
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
     metrics: PoolMetrics,
 }
@@ -41,16 +86,16 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawns `size` worker threads (clamped to at least 1).
     pub fn new(size: usize) -> WorkerPool {
-        let (tx, rx) = channel::unbounded::<Job>();
+        let queue = Arc::new(Queue::default());
         let metrics = PoolMetrics::default();
         let workers = (0..size.max(1))
             .map(|i| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&queue);
                 let metrics = metrics.clone();
                 std::thread::Builder::new()
                     .name(format!("exec-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = queue.pop() {
                             metrics.queue_depth.dec();
                             let span = Span::start(&metrics.service_time_ns);
                             // A panicking job must not take the worker
@@ -64,7 +109,7 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        WorkerPool { tx: Some(tx), workers, metrics }
+        WorkerPool { queue, workers, metrics }
     }
 
     /// The pool's instrument handles (cheap `Arc` clones inside).
@@ -100,9 +145,7 @@ impl WorkerPool {
     /// and there is no caller left to inform.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         self.metrics.queue_depth.inc();
-        let tx = self.tx.as_ref().expect("sender live until drop");
-        let sent = tx.send(Box::new(job));
-        assert!(sent.is_ok(), "workers alive while pool alive");
+        self.queue.push(Box::new(job));
     }
 }
 
@@ -114,8 +157,7 @@ impl std::fmt::Debug for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Dropping the sender terminates the workers' recv loops.
-        self.tx.take();
+        self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -159,6 +201,23 @@ mod tests {
         drop(pool); // joins the worker, draining the queue
         assert_eq!(metrics.panics_caught.get(), 3);
         assert_eq!(ran.load(Ordering::SeqCst), 1, "the worker survived to run the next job");
+    }
+
+    #[test]
+    fn idle_pool_drops_promptly() {
+        use std::sync::mpsc;
+        let pool = WorkerPool::new(3);
+        let (ran_tx, ran_rx) = mpsc::channel();
+        pool.submit(move || ran_tx.send(()).unwrap());
+        ran_rx.recv().unwrap();
+        // the queue is empty: every worker is waiting on it, or about to
+        let (joined_tx, joined_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            joined_tx.send(()).unwrap();
+        });
+        let joined = joined_rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(joined.is_ok(), "drop must wake the waiting workers and join them");
     }
 
     #[test]

@@ -207,11 +207,11 @@ pub fn run_figure(lab: &Lab, spec: &FigureSpec, reps: usize, base_seed: u64) -> 
 
     for (si, &size) in all_sizes.iter().enumerate() {
         // one task per repetition, joined below
-        let samples: Vec<(Vec<f64>, Vec<f64>)> = crossbeam::thread::scope(|scope| {
+        let samples: Vec<(Vec<f64>, Vec<f64>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..reps)
                 .map(|rep| {
                     let spec = spec.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let seed = base_seed
                             ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                             ^ (rep as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -224,8 +224,7 @@ pub fn run_figure(lab: &Lab, spec: &FigureSpec, reps: usize, base_seed: u64) -> 
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("repetition")).collect()
-        })
-        .expect("scope");
+        });
 
         let mut errors = Vec::new();
         let mut measured_all = Vec::new();

@@ -50,9 +50,8 @@
 //! `link_event`'s eviction serializes on the same lock).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use telemetry::{Counter, MetricsRegistry};
 
 use crate::engine::{Selection, TransferSpec};
@@ -367,7 +366,7 @@ impl ForecastCache {
     /// Looks a key up, counting the hit/miss. A hit promotes the entry to
     /// most-recently-used.
     pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(key).copied() {
             Some(idx) => {
                 self.hits.inc();
@@ -386,7 +385,7 @@ impl ForecastCache {
     /// double-check uses this: it must not skew hit/miss statistics or
     /// recency for a lookup the caller already accounted.
     pub fn peek(&self, key: &CacheKey) -> Option<CachedResult> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.map.get(key).and_then(|&idx| inner.entries[idx].value.clone())
     }
 
@@ -395,7 +394,7 @@ impl ForecastCache {
     /// Counts a stale serve (not a hit) and promotes the entry.
     pub fn get_stale(&self, fresh: &CacheKey) -> Option<(CachedResult, u64)> {
         let fresh_epoch = fresh.epoch();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut best: Option<(usize, u64)> = None;
         for (k, &idx) in inner.map.iter() {
             let e = k.epoch();
@@ -437,7 +436,7 @@ impl ForecastCache {
         routes: Option<Arc<[u32]>>,
         valid: impl FnOnce() -> bool,
     ) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if !valid() {
             return;
         }
@@ -483,7 +482,7 @@ impl ForecastCache {
     /// metadata are left alone — their footprint keying keeps them
     /// correct; LRU reclaims their memory.
     pub fn invalidate_link(&self, platform: &str, resource: u32) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let victims: Vec<usize> = inner
             .map
             .iter()
@@ -509,7 +508,7 @@ impl ForecastCache {
     /// part of the key); this reclaims their memory, keeping up to the
     /// configured number of trailing epochs for stale serving.
     pub fn purge_stale(&self, current: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.latest_epoch = inner.latest_epoch.max(current);
         let purged = inner.purge(current, self.retention);
         self.invalidated_epoch.add(purged);
@@ -517,7 +516,7 @@ impl ForecastCache {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).map.len()
     }
 
     /// Whether the cache is empty.

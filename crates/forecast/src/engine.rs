@@ -81,13 +81,12 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-// The singleflight table needs a condvar, which the available
-// parking_lot build does not provide — std::sync with explicit
-// poison-recovery.
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+// Every lock recovers from poisoning: a handler panic is one 500 under
+// the server's `catch_unwind`, and each guarded update is a single
+// insert, remove or store, so the data is valid at every step.
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 use exec::WorkerPool;
-use parking_lot::RwLock;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError};
 use telemetry::{MetricsRegistry, Span};
 
@@ -239,23 +238,23 @@ struct Keyed {
 /// until the leader (or its panic guard) publishes an outcome.
 #[derive(Default)]
 struct Flight {
-    outcome: StdMutex<Option<Result<CachedResult, ForecastError>>>,
+    outcome: Mutex<Option<Result<CachedResult, ForecastError>>>,
     cv: Condvar,
 }
 
 impl Flight {
     fn wait(&self) -> Result<CachedResult, ForecastError> {
-        let mut guard = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(outcome) = guard.as_ref() {
                 return outcome.clone();
             }
-            guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn complete(&self, outcome: Result<CachedResult, ForecastError>) {
-        let mut guard = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.is_none() {
             *guard = Some(outcome);
         }
@@ -276,7 +275,7 @@ pub struct ForecastEngine {
     epoch: AtomicU64,
     /// Singleflight table: canonical key → the in-flight computation
     /// concurrent duplicates should join.
-    flights: StdMutex<HashMap<CacheKey, Arc<Flight>>>,
+    flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
     /// Instrument bundle: per-stage latency histograms, the simulations
     /// counter, and the kernel work counters every session feeds.
     metrics: ForecastMetrics,
@@ -299,7 +298,7 @@ impl ForecastEngine {
             sessions: RwLock::new(HashMap::new()),
             cache: ForecastCache::with_retention(engine.cache_capacity, engine.stale_retention),
             epoch: AtomicU64::new(0),
-            flights: StdMutex::new(HashMap::new()),
+            flights: Mutex::new(HashMap::new()),
             metrics: ForecastMetrics::default(),
             faults: RwLock::new(None),
         }
@@ -346,25 +345,29 @@ impl ForecastEngine {
             self.config,
             self.metrics.kernel.clone(),
         ));
-        self.sessions.write().insert(name.to_string(), session);
+        let mut sessions = self.sessions.write().unwrap_or_else(PoisonError::into_inner);
+        sessions.insert(name.to_string(), session);
     }
 
     /// Names of the registered platforms, sorted.
     pub fn platform_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.sessions.read().keys().cloned().collect();
+        let sessions = self.sessions.read().unwrap_or_else(PoisonError::into_inner);
+        let mut names: Vec<String> = sessions.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Shared handle to a registered platform.
     pub fn platform(&self, name: &str) -> Option<Arc<Platform>> {
-        self.sessions.read().get(name).map(|s| Arc::clone(s.platform()))
+        let sessions = self.sessions.read().unwrap_or_else(PoisonError::into_inner);
+        sessions.get(name).map(|s| Arc::clone(s.platform()))
     }
 
     /// The warm session of a platform (observability / tests).
     pub fn session(&self, name: &str) -> Result<Arc<Session>, ForecastError> {
         self.sessions
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
             .ok_or_else(|| ForecastError::UnknownPlatform(name.to_string()))
@@ -455,14 +458,14 @@ impl ForecastEngine {
     /// Installs (or clears) the chaos hook applied at the start of every
     /// leader computation. Testing only; serving runs with `None`.
     pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        *self.faults.write() = injector;
+        *self.faults.write().unwrap_or_else(PoisonError::into_inner) = injector;
     }
 
     /// Marks the start of a leader computation: counts it and applies
     /// the installed fault, if any (which may sleep or panic here).
     fn begin_simulation(&self) {
         self.metrics.simulations.inc();
-        let injector = self.faults.read().clone();
+        let injector = self.faults.read().unwrap_or_else(PoisonError::into_inner).clone();
         if let Some(inj) = injector {
             inj.step();
         }
@@ -485,7 +488,7 @@ impl ForecastEngine {
         compute: impl FnOnce() -> Result<CachedResult, ForecastError>,
     ) -> Result<CachedResult, ForecastError> {
         let existing = {
-            let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+            let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
             // Double-check under the flights lock: a finishing leader
             // inserts into the cache *before* retiring its flight, so a
             // key absent from both is genuinely uncomputed.
@@ -549,7 +552,7 @@ impl ForecastEngine {
     /// Retires a flight, waking its followers with `outcome`.
     fn finish_flight(&self, key: &CacheKey, outcome: Result<CachedResult, ForecastError>) {
         let flight = {
-            let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+            let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
             flights.remove(key)
         };
         if let Some(f) = flight {

@@ -22,6 +22,7 @@
 //! absorbed" against the server's handler-panic counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// One injected fault.
@@ -130,11 +131,12 @@ type FlapHook = Box<dyn Fn(u64) + Send + Sync>;
 
 /// Interior cell for the installed flap hook (closures have no `Debug`).
 #[derive(Default)]
-struct HookCell(parking_lot::Mutex<Option<FlapHook>>);
+struct HookCell(Mutex<Option<FlapHook>>);
 
 impl std::fmt::Debug for HookCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.lock().is_some() { "FlapHook(installed)" } else { "FlapHook(none)" })
+        let installed = self.0.lock().unwrap_or_else(PoisonError::into_inner).is_some();
+        f.write_str(if installed { "FlapHook(installed)" } else { "FlapHook(none)" })
     }
 }
 
@@ -160,7 +162,7 @@ impl FaultInjector {
     /// The hook receives the flap ordinal; chaos tests use it to apply
     /// a scripted `link_event` sequence mid-serving.
     pub fn set_flap_hook(&self, hook: Option<FlapHook>) {
-        *self.flap_hook.0.lock() = hook;
+        *self.flap_hook.0.lock().unwrap_or_else(PoisonError::into_inner) = hook;
     }
 
     /// Claims the next injection point and applies its fault: sleeps for
@@ -182,7 +184,7 @@ impl FaultInjector {
             }
             Fault::Flap => {
                 let ordinal = self.flaps.fetch_add(1, Ordering::SeqCst);
-                let hook = self.flap_hook.0.lock();
+                let hook = self.flap_hook.0.lock().unwrap_or_else(PoisonError::into_inner);
                 if let Some(h) = hook.as_ref() {
                     h(ordinal);
                 }
@@ -265,14 +267,14 @@ mod tests {
             FaultPlan::new(0).force(1, Fault::Flap).force(3, Fault::Flap),
         );
         inj.step(); // None — no flap, no hook needed yet
-        let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let sink = std::sync::Arc::clone(&seen);
-        inj.set_flap_hook(Some(Box::new(move |o| sink.lock().push(o))));
+        inj.set_flap_hook(Some(Box::new(move |o| sink.lock().unwrap().push(o))));
         inj.step(); // flap #0
         inj.step(); // None
         inj.step(); // flap #1
         assert_eq!(inj.flaps_injected(), 2);
-        assert_eq!(*seen.lock(), vec![0, 1]);
+        assert_eq!(*seen.lock().unwrap(), vec![0, 1]);
         inj.set_flap_hook(None);
     }
 

@@ -32,9 +32,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use simflow::{
     Connectivity, DeadRoutePolicy, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind,
     ResolvedPath, Simulation,
@@ -163,12 +162,12 @@ impl Session {
 
     /// Number of memoized routes (observability / tests).
     pub fn routes_cached(&self) -> usize {
-        self.routes.read().len()
+        self.routes.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// The current background flows.
     pub fn background(&self) -> Arc<Vec<BackgroundFlow>> {
-        Arc::clone(&self.background.read().flows)
+        Arc::clone(&self.background.read().unwrap_or_else(PoisonError::into_inner).flows)
     }
 
     /// Replaces the background flows (new metrology epoch) and re-primes
@@ -183,7 +182,8 @@ impl Session {
                 conn.attach(i as u32, &f.path.resources);
             }
         }
-        *self.background.write() = Arc::new(BackgroundState { flows: Arc::new(flows), conn });
+        *self.background.write().unwrap_or_else(PoisonError::into_inner) =
+            Arc::new(BackgroundState { flows: Arc::new(flows), conn });
     }
 
     /// Labels the current background flows plus `requests` with dense
@@ -199,7 +199,7 @@ impl Session {
     /// the sharded engine through it; delete it in the `[benchmark]` PR
     /// that restates depth 3 as one simulation.
     pub fn label_batch(&self, requests: &[&[u32]]) -> (Arc<Vec<BackgroundFlow>>, Vec<usize>) {
-        let state = Arc::clone(&*self.background.read());
+        let state = Arc::clone(&*self.background.read().unwrap_or_else(PoisonError::into_inner));
         let mut items: Vec<&[u32]> = Vec::with_capacity(state.flows.len() + requests.len());
         items.extend(state.flows.iter().map(|f| f.path.resources.as_slice()));
         items.extend_from_slice(requests);
@@ -218,7 +218,7 @@ impl Session {
     pub fn apply_link_event(&self, link: LinkId, kind: PlatformEventKind) -> u32 {
         let resource = link.index() as u32;
         self.overlay_version.fetch_add(1, Ordering::SeqCst);
-        let mut overlay = self.overlay.write();
+        let mut overlay = self.overlay.write().unwrap_or_else(PoisonError::into_inner);
         let e = overlay.entry(resource).or_insert(LinkState { factor: 1.0, down: false });
         match kind {
             PlatformEventKind::Capacity(f) => e.factor = f,
@@ -238,7 +238,7 @@ impl Session {
 
     /// Number of degraded resources in the overlay (observability).
     pub fn overlay_len(&self) -> usize {
-        self.overlay.read().len()
+        self.overlay.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// How far link events may have *raised* capacity along `resources`
@@ -250,7 +250,7 @@ impl Session {
     /// [`Session::footprint`] digests, so answers cached under one key
     /// were all pruned with the same gain.
     pub fn capacity_gain(&self, resources: &[u32]) -> f64 {
-        let overlay = self.overlay.read();
+        let overlay = self.overlay.read().unwrap_or_else(PoisonError::into_inner);
         resources.iter().filter_map(|r| overlay.get(r)).fold(1.0, |g, ls| g.max(ls.factor))
     }
 
@@ -270,11 +270,11 @@ impl Session {
     ///   digest returns to its pre-event value and the original cached
     ///   entries validly hit again.
     pub fn footprint(&self, resources: &[u32]) -> u64 {
-        let overlay = self.overlay.read();
+        let overlay = self.overlay.read().unwrap_or_else(PoisonError::into_inner);
         if overlay.is_empty() {
             return 0;
         }
-        let state = Arc::clone(&*self.background.read());
+        let state = Arc::clone(&*self.background.read().unwrap_or_else(PoisonError::into_inner));
         let mut roots: Vec<u32> = resources.iter().map(|&r| state.conn.root(r)).collect();
         roots.sort_unstable();
         roots.dedup();
@@ -304,14 +304,16 @@ impl Session {
     /// resolutions still succeed (and still benefit from the platform's
     /// own cluster-pair route memo) but are not retained here.
     pub fn resolve(&self, src: HostId, dst: HostId) -> Result<Arc<ResolvedPath>, ForecastError> {
-        if let Some(p) = self.routes.read().get(&(src, dst)) {
+        if let Some(p) =
+            self.routes.read().unwrap_or_else(PoisonError::into_inner).get(&(src, dst))
+        {
             return Ok(Arc::clone(p));
         }
         let path = Arc::new(
             ResolvedPath::resolve(&self.platform, &self.config, src, dst)
                 .map_err(ForecastError::Sim)?,
         );
-        let mut w = self.routes.write();
+        let mut w = self.routes.write().unwrap_or_else(PoisonError::into_inner);
         if w.len() >= ROUTE_CACHE_CAP {
             return Ok(w.get(&(src, dst)).map(Arc::clone).unwrap_or(path));
         }
@@ -345,7 +347,7 @@ impl Session {
         &self,
         specs: impl IntoIterator<Item = &'a TransferSpec>,
     ) -> Result<Option<Vec<ResolvedSpec>>, ForecastError> {
-        let routes = self.routes.read();
+        let routes = self.routes.read().unwrap_or_else(PoisonError::into_inner);
         let mut resolved = Vec::new();
         for spec in specs {
             let (src, dst) = self.endpoints(spec)?;
@@ -361,7 +363,7 @@ impl Session {
     /// [`DeadRoutePolicy::Fail`] — a transfer routed over a dead link
     /// completes as failed rather than stalling the simulation.
     pub fn simulation(&self) -> Simulation<'_> {
-        let overlay = self.overlay.read();
+        let overlay = self.overlay.read().unwrap_or_else(PoisonError::into_inner);
         if overlay.is_empty() {
             drop(overlay);
             return Simulation::with_capacities(

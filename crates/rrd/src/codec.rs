@@ -6,8 +6,6 @@
 //! layout, but carrying the same information — with a magic/version header
 //! so stale files fail loudly.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::db::{Archive, ArchiveSpec, Cf, Database, DsKind};
 
 const MAGIC: &[u8; 4] = b"PRRD";
@@ -73,91 +71,107 @@ fn cf_from(tag: u8) -> Result<Cf, CodecError> {
 }
 
 /// Serializes a database.
-pub fn encode(db: &Database) -> Bytes {
-    let mut b = BytesMut::with_capacity(64 + db.archives.iter().map(|a| a.ring.len() * 8 + 64).sum::<usize>());
-    b.put_slice(MAGIC);
-    b.put_u16_le(VERSION);
-    b.put_u64_le(db.step);
-    b.put_u8(kind_tag(db.kind));
-    b.put_u64_le(db.heartbeat);
-    b.put_i64_le(db.last_update.unwrap_or(i64::MIN));
-    b.put_f64_le(db.last_raw);
-    b.put_f64_le(db.pdp_sum);
-    b.put_f64_le(db.pdp_known);
-    b.put_u32_le(db.archives.len() as u32);
+pub fn encode(db: &Database) -> Vec<u8> {
+    let rings: usize = db.archives.iter().map(|a| a.ring.len() * 8 + 64).sum();
+    let mut b = Vec::with_capacity(64 + rings);
+    b.extend_from_slice(MAGIC);
+    b.extend_from_slice(&VERSION.to_le_bytes());
+    b.extend_from_slice(&db.step.to_le_bytes());
+    b.push(kind_tag(db.kind));
+    b.extend_from_slice(&db.heartbeat.to_le_bytes());
+    b.extend_from_slice(&db.last_update.unwrap_or(i64::MIN).to_le_bytes());
+    b.extend_from_slice(&db.last_raw.to_le_bytes());
+    b.extend_from_slice(&db.pdp_sum.to_le_bytes());
+    b.extend_from_slice(&db.pdp_known.to_le_bytes());
+    b.extend_from_slice(&(db.archives.len() as u32).to_le_bytes());
     for a in &db.archives {
-        b.put_u8(cf_tag(a.spec.cf));
-        b.put_u32_le(a.spec.steps_per_row);
-        b.put_u32_le(a.spec.rows);
-        b.put_u64_le(a.head as u64);
-        b.put_u64_le(a.filled as u64);
-        b.put_i64_le(a.last_row_end.unwrap_or(i64::MIN));
-        b.put_f64_le(a.acc);
-        b.put_u32_le(a.acc_count);
+        b.push(cf_tag(a.spec.cf));
+        b.extend_from_slice(&a.spec.steps_per_row.to_le_bytes());
+        b.extend_from_slice(&a.spec.rows.to_le_bytes());
+        b.extend_from_slice(&(a.head as u64).to_le_bytes());
+        b.extend_from_slice(&(a.filled as u64).to_le_bytes());
+        b.extend_from_slice(&a.last_row_end.unwrap_or(i64::MIN).to_le_bytes());
+        b.extend_from_slice(&a.acc.to_le_bytes());
+        b.extend_from_slice(&a.acc_count.to_le_bytes());
         for v in &a.ring {
-            b.put_f64_le(*v);
+            b.extend_from_slice(&v.to_le_bytes());
         }
     }
-    b.freeze()
+    b
+}
+
+/// The unread rest of an encoded database. Every read checks the
+/// length first, so a truncated input is an error at the field it cuts.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self.0.split_first_chunk::<N>().ok_or(CodecError::Corrupt(what))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+        self.take(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        self.take(what).map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
+        self.take(what).map(f64::from_le_bytes)
+    }
+
+    /// A timestamp, with `i64::MIN` standing for "none yet".
+    fn timestamp(&mut self, what: &'static str) -> Result<Option<i64>, CodecError> {
+        let v = self.take(what).map(i64::from_le_bytes)?;
+        Ok((v != i64::MIN).then_some(v))
+    }
 }
 
 /// Deserializes a database.
-pub fn decode(mut buf: &[u8]) -> Result<Database, CodecError> {
-    if buf.remaining() < 6 {
-        return Err(CodecError::Corrupt("header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn decode(buf: &[u8]) -> Result<Database, CodecError> {
+    let mut buf = Cursor(buf);
+    if &buf.take::<4>("header")? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(buf.take("header")?);
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    if buf.remaining() < 8 + 1 + 8 + 8 + 8 + 8 + 8 + 4 {
-        return Err(CodecError::Corrupt("fixed fields"));
-    }
-    let step = buf.get_u64_le();
+    let step = buf.u64("fixed fields")?;
     if step == 0 {
         return Err(CodecError::Corrupt("zero step"));
     }
-    let kind = kind_from(buf.get_u8())?;
-    let heartbeat = buf.get_u64_le();
-    let last_update = match buf.get_i64_le() {
-        i64::MIN => None,
-        v => Some(v),
-    };
-    let last_raw = buf.get_f64_le();
-    let pdp_sum = buf.get_f64_le();
-    let pdp_known = buf.get_f64_le();
-    let n_arch = buf.get_u32_le() as usize;
+    let kind = kind_from(buf.take::<1>("fixed fields")?[0])?;
+    let heartbeat = buf.u64("fixed fields")?;
+    let last_update = buf.timestamp("fixed fields")?;
+    let last_raw = buf.f64("fixed fields")?;
+    let pdp_sum = buf.f64("fixed fields")?;
+    let pdp_known = buf.f64("fixed fields")?;
+    let n_arch = buf.u32("fixed fields")? as usize;
     if n_arch == 0 || n_arch > 64 {
         return Err(CodecError::Corrupt("archive count"));
     }
     let mut archives = Vec::with_capacity(n_arch);
     for _ in 0..n_arch {
-        if buf.remaining() < 1 + 4 + 4 + 8 + 8 + 8 + 8 + 4 {
-            return Err(CodecError::Corrupt("archive header"));
-        }
-        let cf = cf_from(buf.get_u8())?;
-        let steps_per_row = buf.get_u32_le();
-        let rows = buf.get_u32_le();
+        let cf = cf_from(buf.take::<1>("archive header")?[0])?;
+        let steps_per_row = buf.u32("archive header")?;
+        let rows = buf.u32("archive header")?;
         if steps_per_row == 0 || rows == 0 {
             return Err(CodecError::Corrupt("archive geometry"));
         }
-        let head = buf.get_u64_le() as usize;
-        let filled = buf.get_u64_le() as usize;
-        let last_row_end = match buf.get_i64_le() {
-            i64::MIN => None,
-            v => Some(v),
-        };
-        let acc = buf.get_f64_le();
-        let acc_count = buf.get_u32_le();
-        if buf.remaining() < rows as usize * 8 {
+        let head = buf.u64("archive header")? as usize;
+        let filled = buf.u64("archive header")? as usize;
+        let last_row_end = buf.timestamp("archive header")?;
+        let acc = buf.f64("archive header")?;
+        let acc_count = buf.u32("archive header")?;
+        // bound the allocation by what the input actually holds
+        if buf.0.len() / 8 < rows as usize {
             return Err(CodecError::Corrupt("ring data"));
         }
-        if head >= rows as usize && head != 0 {
+        if head >= rows as usize {
             return Err(CodecError::Corrupt("head index"));
         }
         if filled > rows as usize {
@@ -165,7 +179,7 @@ pub fn decode(mut buf: &[u8]) -> Result<Database, CodecError> {
         }
         let mut ring = Vec::with_capacity(rows as usize);
         for _ in 0..rows {
-            ring.push(buf.get_f64_le());
+            ring.push(buf.f64("ring data")?);
         }
         archives.push(Archive {
             spec: ArchiveSpec { cf, steps_per_row, rows },
@@ -242,14 +256,29 @@ mod tests {
     #[test]
     fn truncation_is_rejected() {
         let bytes = encode(&sample());
-        for cut in [3usize, 10, 30, bytes.len() - 5] {
+        for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
     }
 
+    /// The wire format, pinned: files written before a codec change must
+    /// read back after it.
+    #[test]
+    fn encoding_is_golden() {
+        let bytes = encode(&sample());
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        let head: String = bytes[..16].iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            (bytes.len(), fnv1a, head.as_str()),
+            (245, 0x702e_09ae_a604_f5cb, "5052524401000a00000000000000013c")
+        );
+    }
+
     #[test]
     fn version_is_checked() {
-        let mut bytes = encode(&sample()).to_vec();
+        let mut bytes = encode(&sample());
         bytes[4] = 99;
         assert_eq!(decode(&bytes).unwrap_err(), CodecError::BadVersion(99));
     }

@@ -94,7 +94,7 @@ impl Archive {
     }
 
     /// Feeds one PDP (ending at `pdp_end`).
-    fn push_pdp(&mut self, pdp_end: i64, value: f64, step: u64) {
+    fn push_pdp(&mut self, pdp_end: i64, value: f64) {
         if self.acc_count == 0 {
             self.acc = value;
         } else if value.is_nan() || self.acc.is_nan() {
@@ -122,7 +122,28 @@ impl Archive {
             self.acc = f64::NAN;
             self.acc_count = 0;
         }
-        let _ = step;
+    }
+
+    /// Feeds `n` consecutive PDPs of one `value`, the first ending at
+    /// `first_end`: the state `n` calls of [`Self::push_pdp`] leave, in
+    /// work bounded by the archive's coverage (`rows × steps_per_row`
+    /// steps) instead of by `n`. From a row boundary, a whole row that
+    /// `rows` later rows of the same run overwrite leaves nothing behind
+    /// but the ring position, so only `head` is moved for it.
+    fn push_run(&mut self, first_end: i64, n: u64, value: f64, step: i64) {
+        let per_row = u64::from(self.spec.steps_per_row);
+        let rows = self.ring.len() as u64;
+        let mut i = 0;
+        while i < n {
+            if self.acc_count == 0 {
+                let overwritten = ((n - i) / per_row).saturating_sub(rows);
+                self.head = ((self.head as u64 + overwritten % rows) % rows) as usize;
+                i += overwritten * per_row;
+            }
+            // `i < n` still: at least `rows` ≥ 1 rows are left to feed
+            self.push_pdp(first_end + i as i64 * step, value);
+            i += 1;
+        }
     }
 
     /// End timestamp of the oldest retained row.
@@ -202,70 +223,98 @@ impl Database {
     /// Feeds one measurement taken at `ts` (unix seconds, strictly
     /// increasing across calls).
     ///
-    /// Returns `Err` if `ts` does not advance.
+    /// Returns `Err` if `ts` does not advance, or lies so far from the
+    /// last update that the step arithmetic leaves `i64`. The work is
+    /// bounded by the archives' coverage, not by the gap: see
+    /// [`Archive::push_run`].
     pub fn update(&mut self, ts: i64, value: f64) -> Result<(), String> {
-        let prev = match self.last_update {
-            None => {
-                // first update only seeds the state
-                self.last_update = Some(ts);
-                self.last_raw = value;
-                return Ok(());
-            }
-            Some(p) => p,
+        let Some(prev) = self.last_update else {
+            // first update only seeds the state
+            self.last_update = Some(ts);
+            self.last_raw = value;
+            return Ok(());
         };
         if ts <= prev {
             return Err(format!("update timestamp {ts} does not advance past {prev}"));
         }
-        let dt = (ts - prev) as f64;
+        let out_of_range = || format!("update timestamp {ts} is out of range after {prev}");
+        let step = i64::try_from(self.step).map_err(|_| out_of_range())?;
+        let gap = ts.checked_sub(prev).ok_or_else(out_of_range)?;
+        // the first PDP boundary after `prev`
+        let first = (prev / step)
+            .checked_add(1)
+            .and_then(|k| k.checked_mul(step))
+            .ok_or_else(out_of_range)?;
+        let pdp_value = self.interval_value(gap as f64, value);
 
-        // rate/value of the elapsed interval
-        let pdp_value = if dt > self.heartbeat as f64 {
-            f64::NAN
+        if ts < first {
+            self.absorb(pdp_value, ts - prev);
         } else {
-            match self.kind {
-                DsKind::Gauge => value,
-                DsKind::Counter => {
-                    let delta = value - self.last_raw;
-                    if delta < 0.0 {
-                        f64::NAN // counter reset
-                    } else {
-                        delta / dt
-                    }
-                }
-                DsKind::Derive => (value - self.last_raw) / dt,
+            // [prev, ts] closes the PDP in progress at `first`, then
+            // `whole` full steps of one value, then opens a new PDP
+            self.absorb(pdp_value, first - prev);
+            let pdp = self.close_pdp();
+            for a in &mut self.archives {
+                a.push_pdp(first, pdp);
             }
-        };
-
-        // walk the PDP boundaries crossed by [prev, ts]
-        let step = self.step as i64;
-        let mut cursor = prev;
-        while cursor < ts {
-            let boundary = (cursor / step + 1) * step;
-            let seg_end = boundary.min(ts);
-            let seg = (seg_end - cursor) as f64;
-            if !pdp_value.is_nan() {
-                self.pdp_sum += pdp_value * seg;
-                self.pdp_known += seg;
-            }
-            if seg_end == boundary {
-                // PDP complete at `boundary`
-                let pdp = if self.pdp_known >= self.step as f64 * 0.5 {
-                    self.pdp_sum / self.pdp_known
-                } else {
-                    f64::NAN
-                };
+            let whole = (ts - first) / step;
+            if whole > 0 {
+                self.absorb(pdp_value, step);
+                let pdp = self.close_pdp();
                 for a in &mut self.archives {
-                    a.push_pdp(boundary, pdp, self.step);
+                    a.push_run(first + step, whole as u64, pdp, step);
                 }
-                self.pdp_sum = 0.0;
-                self.pdp_known = 0.0;
             }
-            cursor = seg_end;
+            let rest = ts - first - whole * step;
+            if rest > 0 {
+                self.absorb(pdp_value, rest);
+            }
         }
 
         self.last_update = Some(ts);
         self.last_raw = value;
         Ok(())
+    }
+
+    /// The rate (Counter/Derive) or value (Gauge) of the `dt` seconds
+    /// that ended with a reading of `value`; unknown past the heartbeat.
+    fn interval_value(&self, dt: f64, value: f64) -> f64 {
+        if dt > self.heartbeat as f64 {
+            return f64::NAN;
+        }
+        match self.kind {
+            DsKind::Gauge => value,
+            DsKind::Counter => {
+                let delta = value - self.last_raw;
+                if delta < 0.0 {
+                    f64::NAN // counter reset
+                } else {
+                    delta / dt
+                }
+            }
+            DsKind::Derive => (value - self.last_raw) / dt,
+        }
+    }
+
+    /// Adds `secs` seconds at `value` to the PDP in progress.
+    fn absorb(&mut self, value: f64, secs: i64) {
+        if !value.is_nan() {
+            self.pdp_sum += value * secs as f64;
+            self.pdp_known += secs as f64;
+        }
+    }
+
+    /// Ends the PDP in progress: its value, unknown unless at least half
+    /// of the step was covered by known data.
+    fn close_pdp(&mut self) -> f64 {
+        let pdp = if self.pdp_known >= self.step as f64 * 0.5 {
+            self.pdp_sum / self.pdp_known
+        } else {
+            f64::NAN
+        };
+        self.pdp_sum = 0.0;
+        self.pdp_known = 0.0;
+        pdp
     }
 
     /// Fetches consolidated points from a *single* archive (by index),
@@ -490,6 +539,114 @@ mod tests {
         db.update(100, 1.0).unwrap();
         assert!(db.update(100, 2.0).is_err());
         assert!(db.update(50, 2.0).is_err());
+    }
+
+    impl Database {
+        /// [`Self::update`] as it was before the work was bounded: one loop
+        /// turn per step boundary between the last update and `ts`. Kept as
+        /// the reference the bounded path is compared with.
+        fn update_by_walk(&mut self, ts: i64, value: f64) -> Result<(), String> {
+            let Some(prev) = self.last_update else {
+                self.last_update = Some(ts);
+                self.last_raw = value;
+                return Ok(());
+            };
+            if ts <= prev {
+                return Err(format!("update timestamp {ts} does not advance past {prev}"));
+            }
+            let pdp_value = self.interval_value((ts - prev) as f64, value);
+            let step = self.step as i64;
+            let mut cursor = prev;
+            while cursor < ts {
+                let boundary = (cursor / step + 1) * step;
+                let seg_end = boundary.min(ts);
+                let seg = (seg_end - cursor) as f64;
+                if !pdp_value.is_nan() {
+                    self.pdp_sum += pdp_value * seg;
+                    self.pdp_known += seg;
+                }
+                if seg_end == boundary {
+                    let pdp = if self.pdp_known >= self.step as f64 * 0.5 {
+                        self.pdp_sum / self.pdp_known
+                    } else {
+                        f64::NAN
+                    };
+                    for a in &mut self.archives {
+                        a.push_pdp(boundary, pdp);
+                    }
+                    self.pdp_sum = 0.0;
+                    self.pdp_known = 0.0;
+                }
+                cursor = seg_end;
+            }
+            self.last_update = Some(ts);
+            self.last_raw = value;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn far_future_update_is_bounded_or_rejected() {
+        let mut db = gauge_db();
+        db.update(0, 1.0).unwrap();
+        db.update(10, 1.0).unwrap();
+        // 9·10¹⁷ step boundaries: answered from the archives' coverage
+        db.update(9_000_000_000_000_000_000, 1.0).unwrap();
+        assert!(db.fetch_best(0, 100).is_empty(), "the rings hold the far future only");
+        // the boundary after `prev` does not exist in i64
+        let mut db = gauge_db();
+        db.update(i64::MAX - 3, 1.0).unwrap();
+        assert!(db.update(i64::MAX - 1, 1.0).is_err());
+        // nor does the gap
+        let mut db = gauge_db();
+        db.update(-10, 1.0).unwrap();
+        assert!(db.update(i64::MAX, 1.0).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The bounded update leaves exactly the bytes the step-by-step
+        /// walk leaves, for gaps far beyond every archive's coverage,
+        /// inside and past the heartbeat.
+        #[test]
+        fn bounded_update_matches_the_walk(
+            step in 1u64..30,
+            kind in 0usize..3,
+            long_heartbeat in 0u8..2,
+            archives in proptest::collection::vec((0usize..4, 1u32..7, 1u32..13), 1..4),
+            start in -100i64..1000,
+            updates in proptest::collection::vec(
+                (0u8..4, 1i64..40, 1i64..50_000, -1e6f64..1e6),
+                1..12,
+            ),
+        ) {
+            let specs: Vec<ArchiveSpec> = archives
+                .iter()
+                .map(|&(cf, steps_per_row, rows)| ArchiveSpec {
+                    cf: [Cf::Average, Cf::Min, Cf::Max, Cf::Last][cf],
+                    steps_per_row,
+                    rows,
+                })
+                .collect();
+            let kind = [DsKind::Gauge, DsKind::Counter, DsKind::Derive][kind];
+            let heartbeat = if long_heartbeat == 1 { u64::MAX } else { step * 20 };
+            let mut bounded = Database::new(step, kind, heartbeat, &specs);
+            let mut walked = bounded.clone();
+            let mut ts = start;
+            bounded.update(ts, 0.0).unwrap();
+            walked.update_by_walk(ts, 0.0).unwrap();
+            for (far, secs, steps, value) in updates {
+                ts += if far == 0 { steps * step as i64 + secs } else { secs };
+                bounded.update(ts, value).unwrap();
+                walked.update_by_walk(ts, value).unwrap();
+                proptest::prop_assert_eq!(
+                    crate::encode(&bounded),
+                    crate::encode(&walked),
+                    "after the update at {}", ts
+                );
+            }
+        }
     }
 
     #[test]

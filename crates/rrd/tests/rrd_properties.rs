@@ -115,7 +115,7 @@ proptest! {
         for (t, v) in &updates {
             db.update(*t, *v).unwrap();
         }
-        let mut bytes = encode(&db).to_vec();
+        let mut bytes = encode(&db);
         let idx = victim % bytes.len();
         bytes[idx] ^= flip;
         let _ = decode(&bytes); // must not panic
