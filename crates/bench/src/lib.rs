@@ -4,4 +4,6 @@
 //! `BENCH_overhead.json`). Serving performance is not measured here —
 //! `BENCHMARK.json` and the standalone `benchmark/` package do that.
 
+#![forbid(unsafe_code)]
+
 pub mod scenarios;

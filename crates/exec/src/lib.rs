@@ -27,6 +27,8 @@
 //! and fire a pluggable wake callback (a pipe write, for epoll), the
 //! consumer drains the batch in O(1) lock time.
 
+#![forbid(unsafe_code)]
+
 pub mod handback;
 pub mod pool;
 

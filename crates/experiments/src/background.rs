@@ -7,8 +7,8 @@
 //! the foreground workload *plus* long-lived cross-site background flows;
 //! the predictor forecasts either blind (today's Pilgrim: background
 //! unmodeled) or aware (background flows added to the simulated request —
-//! the coarse model the paper envisions). Referenced as "figB" in
-//! EXPERIMENTS.md.
+//! the coarse model the paper envisions). `experiments --figure figB`
+//! prints the table.
 
 use packetsim::FlowSpec;
 use pilgrim_core::TransferRequest;

@@ -22,6 +22,8 @@
 //! inventories), [`summary`] (the pooled §V-B numbers), [`validation`]
 //! (packet-vs-fluid ground-truth agreement).
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod background;
 pub mod figures;

@@ -3,8 +3,8 @@
 //! The paper's measured side is real hardware; ours is a simulator, so the
 //! reproduction owes the reader evidence that the *fast* ground-truth
 //! engine (fluid) agrees with the *faithful* one (per-segment packet DES)
-//! where both can run. This module produces that table — referenced as
-//! "figV" in EXPERIMENTS.md.
+//! where both can run. This module produces that table, which
+//! `experiments --figure figV` prints.
 
 use packetsim::FlowSpec;
 

@@ -15,16 +15,15 @@
 //! ## Warm sessions ([`session`])
 //!
 //! Per-platform scaffolding that queries should not rebuild: the solver
-//! capacity vector (built once per platform, cloned per simulation), a
-//! memoized route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
-//! and the *background flows* of the current metrology epoch, resolved
-//! once when the data arrives. Sessions are `Arc`-shared across HTTP
-//! workers; the backing [`simflow::Platform`] is immutable. What a
-//! session cannot keep warm is the simulation itself — a dozen
-//! platform-sized vectors built and dropped per forecast — so creating
-//! one for a large platform also tells glibc's allocator to recycle
-//! blocks of that size instead of returning them to the kernel after
-//! every forecast (the private `malloc` module says why and by how much).
+//! capacity vector (built once per platform), a memoized
+//! route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
+//! the *background flows* of the current metrology epoch, resolved once
+//! when the data arrives, and the scratch of finished simulations — a
+//! dozen platform-sized arrays that each forecast resets by visiting
+//! only what the previous one touched, so a warm forecast costs in
+//! proportion to its request, not to the platform. Sessions are
+//! `Arc`-shared across HTTP workers; the backing [`simflow::Platform`]
+//! is immutable.
 //!
 //! ## Epoch-keyed cache ([`cache`])
 //!
@@ -44,9 +43,9 @@
 //!
 //! A forecast is one simulation: `predict` adds the session's background
 //! flows and then the requests, in request order, to a single
-//! [`Session::simulation`] and runs it, which is what a from-scratch
-//! kernel run of the same batch does — the bit-identity tests compare
-//! the two. `select_fastest` is the paper's §VI loop — lower-bound the
+//! simulation of the degraded platform ([`Session::simulate`], on
+//! recycled scratch) and runs it, which is what a from-scratch kernel
+//! run of the same batch does — the bit-identity tests compare the two. `select_fastest` is the paper's §VI loop — lower-bound the
 //! hypotheses, simulate them one at a time cheapest bound first, prune
 //! against the running best — and is pinned to the independent
 //! reference implementation of the same loop
@@ -64,10 +63,11 @@
 //! seed-deterministic fault injection the chaos tests drive all of this
 //! with.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod engine;
 pub mod faults;
-mod malloc;
 pub mod metrics;
 pub mod session;
 

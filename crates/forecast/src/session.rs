@@ -1,11 +1,14 @@
 //! Warm per-platform simulation sessions.
 //!
-//! Building a [`Simulation`] involves two per-request costs the serving
-//! path should not pay twice: constructing the solver capacity vector
-//! (`O(links + hosts)`) and resolving routes (`O(zone depth)` per
-//! endpoint pair). A [`Session`] amortizes both across queries against
-//! the same platform: the capacity vector is built once, and every
-//! resolved `(src, dst)` path is memoized. Sessions also carry the
+//! Building a [`Simulation`] involves three per-request costs the
+//! serving path should not pay twice: constructing the solver capacity
+//! vector (`O(links + hosts)`), building the simulation's scratch — a
+//! dozen arrays with one entry per resource — and resolving routes
+//! (`O(zone depth)` per endpoint pair). A [`Session`] amortizes all
+//! three across queries against the same platform: the capacity vector
+//! is built once, [`Session::simulate`] recycles the scratch of finished
+//! simulations ([`SimScratch`]), and every resolved `(src, dst)` path is
+//! memoized. Sessions also carry the
 //! *background traffic* of the current metrology epoch — flows injected
 //! into every simulation to model load the forecast must coexist with —
 //! resolved once when the epoch's data arrives, not per query.
@@ -32,11 +35,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use simflow::{
-    Connectivity, DeadRoutePolicy, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind,
-    ResolvedPath, Simulation,
+    Connectivity, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind, ResolvedPath,
+    SimScratch, Simulation,
 };
 
 use crate::metrics::KernelCounters;
@@ -85,8 +88,13 @@ pub struct Session {
     platform: Arc<Platform>,
     config: NetworkConfig,
     /// Prebuilt solver capacity vector (see
-    /// [`Simulation::shared_capacities`]); cloned into each simulation.
+    /// [`Simulation::shared_capacities`]): what every scratch is built
+    /// from and reset to.
     capacities: Vec<f64>,
+    /// Reset scratch of finished [`Session::simulate`] runs. It holds at
+    /// most as many as ran at once: each call takes one (or builds one
+    /// when the list is empty) and gives one back.
+    scratch: Mutex<Vec<SimScratch>>,
     /// Memoized route resolutions, keyed by endpoint pair.
     routes: RwLock<HashMap<(HostId, HostId), Arc<ResolvedPath>>>,
     /// Background flows of the current epoch plus the connectivity
@@ -125,14 +133,12 @@ impl Session {
         kernel: KernelCounters,
     ) -> Session {
         let capacities = Simulation::shared_capacities(&platform, &config);
-        // every simulation of this session allocates and frees a dozen
-        // vectors of this length
-        crate::malloc::keep_simulation_scratch(capacities.len());
         let conn = Connectivity::new(capacities.len());
         Session {
             platform,
             config,
             capacities,
+            scratch: Mutex::new(Vec::new()),
             routes: RwLock::new(HashMap::new()),
             background: RwLock::new(Arc::new(BackgroundState {
                 flows: Arc::new(Vec::new()),
@@ -357,32 +363,35 @@ impl Session {
         Ok(Some(resolved))
     }
 
-    /// A fresh simulation using the prewarmed capacity vector, with the
-    /// link-state overlay applied: degraded factors scale the capacity
-    /// vector, down resources are marked dead under
-    /// [`DeadRoutePolicy::Fail`] — a transfer routed over a dead link
-    /// completes as failed rather than stalling the simulation.
+    /// A simulation of the platform as the link events so far left it,
+    /// built from a fresh scratch: the prewarmed capacity vector with the
+    /// link-state overlay applied. Degraded factors scale capacities and
+    /// down resources are marked dead under the default
+    /// [`simflow::DeadRoutePolicy::Fail`] — a transfer routed over a dead
+    /// link completes as failed rather than stalling the simulation.
+    ///
+    /// This is the oracle's constructor (`Pnfs::predict_reference`, the
+    /// workflow endpoint and the benchmark's ladder build here), so it
+    /// never recycles: a reference that shared scratch with
+    /// [`Session::simulate`] could not catch a reset that leaks state
+    /// from one forecast into the next. It pays `O(resources)` per call.
     pub fn simulation(&self) -> Simulation<'_> {
+        self.degraded(SimScratch::new(self.capacities.clone()))
+    }
+
+    /// Starts a simulation from a fresh or reset scratch and applies the
+    /// link-state overlay to it.
+    fn degraded(&self, scratch: SimScratch) -> Simulation<'_> {
+        let mut sim = Simulation::from_scratch(&self.platform, self.config, scratch);
         let overlay = self.overlay.read().unwrap_or_else(PoisonError::into_inner);
-        if overlay.is_empty() {
-            drop(overlay);
-            return Simulation::with_capacities(
-                &self.platform,
-                self.config,
-                self.capacities.clone(),
-            );
-        }
-        let mut caps = self.capacities.clone();
         let mut downs = Vec::new();
         for (&r, ls) in overlay.iter() {
-            caps[r as usize] *= ls.factor;
+            sim.scale_capacity(r, ls.factor);
             if ls.down {
                 downs.push(r);
             }
         }
         drop(overlay);
-        let mut sim = Simulation::with_capacities(&self.platform, self.config, caps);
-        sim.set_dead_route_policy(DeadRoutePolicy::Fail);
         for r in downs {
             sim.mark_resource_down(r);
         }
@@ -395,12 +404,20 @@ impl Session {
     /// from-scratch references the bit-identity tests compare against. A
     /// spec that fails (its route crosses a dead resource) reports an
     /// infinite duration.
+    ///
+    /// The simulation is that of [`Session::simulation`], but started
+    /// from the scratch of an earlier run, reset to the pristine
+    /// platform, so a warm forecast costs in proportion to its request
+    /// rather than to the platform. The scratch goes back to the session
+    /// only after an `Ok` run.
     pub fn simulate(
         &self,
         background: &[BackgroundFlow],
         specs: &[ResolvedSpec],
     ) -> Result<Vec<f64>, ForecastError> {
-        let mut sim = self.simulation();
+        let recycled = self.scratch.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let scratch = recycled.unwrap_or_else(|| SimScratch::new(self.capacities.clone()));
+        let mut sim = self.degraded(scratch);
         for b in background {
             sim.add_transfer_resolved(b.src, b.dst, b.size, simflow::SimTime::ZERO, &b.path);
         }
@@ -410,7 +427,10 @@ impl Session {
                 sim.add_transfer_resolved(s.src, s.dst, s.size, simflow::SimTime::ZERO, &s.path)
             })
             .collect();
-        let report = sim.run().map_err(ForecastError::Sim)?;
+        let (report, mut scratch) = sim.run_recycling();
+        let report = report.map_err(ForecastError::Sim)?;
+        scratch.reset(&self.capacities);
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
         self.kernel.observe(&report.stats);
         // Fold the platform's route-memo counters (delta since this
         // session's last fold; `fetch_max` keeps racing folders from

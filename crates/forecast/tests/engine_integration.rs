@@ -6,12 +6,13 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use forecast::{
-    EngineConfig, Fault, FaultInjector, FaultPlan, ForecastEngine, ForecastError, TransferSpec,
+    EngineConfig, Fault, FaultInjector, FaultPlan, ForecastEngine, ForecastError, Session,
+    TransferSpec,
 };
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::platform::SharingPolicy;
-use simflow::{KernelStats, NetworkConfig, Platform, SimTime, Simulation};
+use simflow::{KernelStats, NetworkConfig, Platform, PlatformEventKind, SimTime, Simulation};
 
 /// Two 8-host clusters behind per-host access links and one shared
 /// backbone — enough structure for multi-component batches.
@@ -199,6 +200,62 @@ fn session_stays_warm_across_queries() {
     let q2 = vec![spec("alpha-0", "beta-3", 1e6), spec("alpha-1", "alpha-2", 2e6)];
     e.predict("twoc", &q2).unwrap();
     assert_eq!(session.routes_cached(), warmed, "repeat endpoints resolve nothing");
+}
+
+/// What `Pnfs::predict_reference` computes: the batch, in order, on a
+/// `Session::simulation()` — a fresh scratch of the platform as the link
+/// events so far left it — with a failed transfer reported as infinite.
+fn reference(session: &Session, specs: &[TransferSpec]) -> Vec<f64> {
+    let mut sim = session.simulation();
+    let ids: Vec<_> = specs
+        .iter()
+        .map(|s| {
+            let (src, dst) = (session.host(&s.src).unwrap(), session.host(&s.dst).unwrap());
+            sim.add_transfer_at(src, dst, s.size, SimTime::ZERO).unwrap()
+        })
+        .collect();
+    let report = sim.run().unwrap();
+    ids.iter()
+        .map(|id| {
+            let c = report.completion(*id);
+            if c.failed() {
+                f64::INFINITY
+            } else {
+                c.duration().as_secs()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn served_answers_equal_the_reference_across_link_events() {
+    // Every forecast after the first runs on the scratch the previous
+    // one left behind, reset; the reference always starts fresh. Events
+    // change which resources a reset has to restore: a degraded access
+    // link, a dead backbone (Fail), and both restored.
+    let e = engine();
+    let session = e.session("twoc").unwrap();
+    let across = vec![spec("alpha-0", "beta-0", 4e8), spec("alpha-1", "beta-1", 2e8)];
+    let local = vec![spec("alpha-0", "alpha-2", 3e8), spec("beta-4", "beta-5", 1e8)];
+    let check = |specs: &[TransferSpec], label: &str| {
+        let got = e.predict("twoc", specs).unwrap();
+        let want = reference(&session, specs);
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{label}: {got:?} vs {want:?}");
+        got
+    };
+    let quiet = check(&across, "quiet");
+    check(&local, "quiet, recycled");
+    e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Capacity(0.5)).unwrap();
+    let degraded = check(&across, "alpha-0-eth halved");
+    assert!(degraded[0] > quiet[0]);
+    check(&local, "alpha-0-eth halved, local");
+    e.link_event("twoc", "bb", PlatformEventKind::Down).unwrap();
+    assert!(check(&across, "bb down").iter().all(|d| d.is_infinite()));
+    check(&local, "bb down, local");
+    e.link_event("twoc", "bb", PlatformEventKind::Up).unwrap();
+    e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Capacity(1.0)).unwrap();
+    assert_eq!(check(&across, "restored"), quiet);
 }
 
 #[test]

@@ -26,6 +26,8 @@
 //! assert_eq!(platform.host_count(), api.node_count());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod latencies;
 pub mod packetsim_conv;
 pub mod refapi;

@@ -20,7 +20,9 @@ pub struct NodeModel {
     /// Measured application/launcher startup overhead in seconds — the
     /// floor under small-transfer measurements. Calibrated per cluster
     /// generation: ≈ 0.9 s on 2004-era Opterons (sagittaire, capricorne),
-    /// negligible on 2010-era Xeons (graphene, griffon). See EXPERIMENTS.md.
+    /// negligible on 2010-era Xeons (graphene, griffon). The floors show
+    /// under the smallest transfers of `experiments --figure fig3` to
+    /// `fig5` (sagittaire) and `fig6` to `fig9` (graphene).
     pub startup_overhead_s: f64,
 }
 

@@ -27,8 +27,9 @@
 //! not. With 30×30 or 50×50 random graphene pairs the uplinks carry
 //! enough two-way traffic for the model to predict contention that
 //! reality never sees — pessimistic predictions by a factor growing with
-//! the flow count, on graphene only (sagittaire has no uplinks). See
-//! EXPERIMENTS.md for the measured factors.
+//! the flow count, on graphene only (sagittaire has no uplinks).
+//! `experiments --figure fig8` and `--figure fig9` print the measured
+//! factors; `experiments --summary` prints the pooled §V-B error.
 
 use crate::refapi::{
     Aggregation, BackboneLink, Cluster, GroupSpec, NodeModel, RefApi, Router, Site,

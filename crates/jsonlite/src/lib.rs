@@ -14,6 +14,8 @@
 //! assert_eq!(v.to_string(), r#"[{"src":"a","duration":16.0044}]"#);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod parse;
 pub mod print;
 pub mod value;

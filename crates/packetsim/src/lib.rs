@@ -26,6 +26,8 @@
 //!
 //! `fluid` is cross-validated against `engine` in `tests/agreement.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod fluid;
 pub mod net;

@@ -28,6 +28,8 @@
 //! assert_eq!(points.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod db;
 pub mod registry;

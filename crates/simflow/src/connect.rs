@@ -57,18 +57,21 @@
 //! needs to hand the whole component one reshare at recovery time.
 //!
 //! The structure is used internally by [`crate::model::MaxMinSolver`]
-//! and exported so higher layers (the forecast engine's batch sharding)
-//! can label link-disjoint groups with the same code instead of
-//! re-deriving connectivity themselves ([`Connectivity::label_batch`]).
+//! and exported for the forecast session, which primes one with its
+//! background flows and asks which component a resource is in
+//! ([`Connectivity::root`]) when it digests the link-state overlay as
+//! seen from a query's routes. [`Connectivity::label_batch`] labels
+//! link-disjoint groups of routes with the same code.
 
 /// Sentinel for "no flow" in the intrusive flow lists.
 const NONE: u32 = u32::MAX;
 
 /// Incremental union-find connectivity over `nr` resources with intrusive
 /// per-root component member lists. See the module docs for the
-/// invariants. All storage is flat `u32` arrays — construction is a
-/// handful of `calloc`-class allocations, cheap enough for the
-/// build-per-request simulations of the forecast engine.
+/// invariants. All storage is flat `u32` arrays, six of them one entry
+/// per resource: construction is `O(resources)`, so a solver's instance
+/// is recycled with the rest of a [`crate::SimScratch`] and reset by
+/// visiting only the resources its flows were attached over.
 #[derive(Clone, Debug, Default)]
 pub struct Connectivity {
     /// Union-find parent per resource; `parent[r] == r` at roots.
@@ -111,6 +114,38 @@ impl Connectivity {
             scratch_flows: Vec::new(),
             scratch_res: Vec::new(),
         }
+    }
+
+    /// Returns to the state of [`Connectivity::new`] with no flow ids,
+    /// given every resource any flow was attached over: unions, splits
+    /// and member lists only ever write at such resources.
+    pub(crate) fn reset(&mut self, attached: &[u32]) {
+        for &r in attached {
+            let ri = r as usize;
+            self.parent[ri] = r;
+            self.res_next[ri] = r;
+            self.n_res[ri] = 1;
+            self.fl_head[ri] = NONE;
+            self.n_flows[ri] = 0;
+            self.dead[ri] = 0;
+        }
+        self.fl_next.clear();
+        self.fl_prev.clear();
+    }
+
+    /// Whether every resource is a flowless singleton and no flow id is
+    /// allocated: `O(resources)`, a test oracle for
+    /// [`Connectivity::reset`].
+    pub(crate) fn is_pristine(&self) -> bool {
+        (0..self.parent.len()).all(|ri| {
+            self.parent[ri] == ri as u32
+                && self.res_next[ri] == ri as u32
+                && self.n_res[ri] == 1
+                && self.fl_head[ri] == NONE
+                && self.n_flows[ri] == 0
+                && self.dead[ri] == 0
+        }) && self.fl_next.is_empty()
+            && self.fl_prev.is_empty()
     }
 
     /// Makes room for flow ids up to `nf - 1`.
@@ -317,8 +352,7 @@ impl Connectivity {
     /// first-appearance order; items transitively sharing a resource get
     /// the same id. Items with **no** resources cannot interact with
     /// anything and are lumped into one shared id (so a batch of
-    /// unconstrained items costs its consumer one job, not many) — the
-    /// semantics the forecast engine's batch sharding needs.
+    /// unconstrained items forms one group, not many).
     pub fn label_batch(nr: usize, items: &[&[u32]]) -> Vec<usize> {
         let mut conn = Connectivity::new(nr);
         conn.label_items(0, items)

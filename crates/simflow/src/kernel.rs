@@ -197,6 +197,9 @@ pub struct KernelStats {
     pub calendar_peak: u64,
     /// Approximate heap bytes held by the solver's warm-start cache when
     /// the run finished (see [`crate::model::MaxMinSolver::warm_bytes`]).
+    /// The one field that is not an event count: it reads buffer
+    /// capacities, which a recycled [`SimScratch`] keeps, so it may
+    /// differ between a recycled and a fresh run of the same simulation.
     pub warm_bytes: u64,
     /// Solver component dispatch counts, size histogram and warm-replay
     /// outcomes.
@@ -399,6 +402,23 @@ impl ResolvedPath {
 pub struct Simulation<'p> {
     platform: &'p Platform,
     config: NetworkConfig,
+    scratch: SimScratch,
+}
+
+/// Everything a [`Simulation`] owns besides its platform and model
+/// configuration: the solver (with its per-resource arrays, member
+/// lists, component labels and warm cache), the work table, the event
+/// queue, the completion calendar and the platform events. Several of
+/// those hold one entry per platform resource, so building one costs
+/// `O(resources)` however small the simulation.
+///
+/// A scratch borrows nothing, so it outlives the simulation that used
+/// it: [`Simulation::run_recycling`] hands it back, [`SimScratch::reset`]
+/// restores what [`SimScratch::new`] would build, visiting only what the
+/// last run touched, and [`Simulation::from_scratch`] starts the next
+/// simulation of the same platform from it. A run from a reset scratch
+/// is bit-identical to a run from a fresh one.
+pub struct SimScratch {
     works: Vec<WorkState>,
     /// Event queue ordered by time, then insertion order (determinism).
     events: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
@@ -409,7 +429,6 @@ pub struct Simulation<'p> {
     /// Ties resolve by ascending work id, matching the reference kernel's
     /// completion scan order.
     calendar: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
-    link_count: usize,
     /// Set once the run loop starts; guards late `add_dependencies`.
     started: bool,
     /// Calendar heap pops, stale discards included (pure count — see
@@ -422,6 +441,68 @@ pub struct Simulation<'p> {
     /// Dynamic-platform state; `None` until the first platform event.
     dynamics: Option<Box<Dynamics>>,
     policy: DeadRoutePolicy,
+}
+
+impl SimScratch {
+    /// A fresh scratch over a capacity vector (the value of
+    /// [`Simulation::shared_capacities`] for the platform it will serve),
+    /// with warm-start filling on.
+    pub fn new(capacities: Vec<f64>) -> SimScratch {
+        SimScratch {
+            works: Vec::new(),
+            events: BinaryHeap::new(),
+            seq: 0,
+            solver: MaxMinSolver::new(capacities),
+            calendar: BinaryHeap::new(),
+            started: false,
+            calendar_pops: 0,
+            calendar_peak: 0,
+            platform_events: Vec::new(),
+            dynamics: None,
+            policy: DeadRoutePolicy::default(),
+        }
+    }
+
+    /// Makes a scratch handed back by [`Simulation::run_recycling`] —
+    /// after `Ok` or `Err` — equal to `SimScratch::new(base_capacities)`
+    /// (keeping its warm-start setting), at a cost proportional to what
+    /// the last simulation touched: its works and events, the resources
+    /// on their routes and the resources whose capacity it changed.
+    /// Buffers keep their capacity, so the next simulation of a similar
+    /// size allocates almost nothing. `base_capacities` must be the
+    /// vector the scratch was built from.
+    pub fn reset(&mut self, base_capacities: &[f64]) {
+        self.works.clear();
+        self.events.clear();
+        self.seq = 0;
+        self.solver.reset(base_capacities);
+        self.calendar.clear();
+        self.started = false;
+        self.calendar_pops = 0;
+        self.calendar_peak = 0;
+        self.platform_events.clear();
+        self.dynamics = None;
+        self.policy = DeadRoutePolicy::default();
+    }
+
+    /// Whether the scratch is indistinguishable from
+    /// `SimScratch::new(base_capacities)` to any simulation: every
+    /// per-resource array is compared in full, so this costs
+    /// `O(resources)`. A test oracle for [`SimScratch::reset`].
+    #[doc(hidden)]
+    pub fn is_pristine(&self, base_capacities: &[f64]) -> bool {
+        self.works.is_empty()
+            && self.events.is_empty()
+            && self.seq == 0
+            && self.solver.is_pristine(base_capacities)
+            && self.calendar.is_empty()
+            && !self.started
+            && self.calendar_pops == 0
+            && self.calendar_peak == 0
+            && self.platform_events.is_empty()
+            && self.dynamics.is_none()
+            && self.policy == DeadRoutePolicy::default()
+    }
 }
 
 impl<'p> Simulation<'p> {
@@ -477,48 +558,50 @@ impl<'p> Simulation<'p> {
         capacities: Vec<f64>,
         tuning: SimTuning,
     ) -> Self {
+        let mut scratch = SimScratch::new(capacities);
+        scratch.solver.set_warm_start(tuning.warm_start);
+        Self::from_scratch(platform, config, scratch)
+    }
+
+    /// Creates a simulation from a fresh [`SimScratch`] or one that
+    /// [`SimScratch::reset`] restored, built for this platform's
+    /// [`Simulation::shared_capacities`] under `config`. Behaviour is
+    /// that of [`Simulation::with_capacities`] on the same vector.
+    ///
+    /// # Panics
+    /// Panics if the scratch ran a simulation and was not reset since.
+    pub fn from_scratch(platform: &'p Platform, config: NetworkConfig, scratch: SimScratch) -> Self {
+        assert!(!scratch.started, "SimScratch reused without a reset");
         debug_assert_eq!(
-            capacities.len(),
+            scratch.solver.resource_count(),
             platform.link_count() + platform.host_count(),
             "capacity vector does not match the platform"
         );
-        let mut solver = MaxMinSolver::new(capacities);
-        solver.set_warm_start(tuning.warm_start);
-        Simulation {
-            platform,
-            config,
-            works: Vec::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
-            solver,
-            calendar: BinaryHeap::new(),
-            link_count: platform.link_count(),
-            started: false,
-            calendar_pops: 0,
-            calendar_peak: 0,
-            platform_events: Vec::new(),
-            dynamics: None,
-            policy: DeadRoutePolicy::default(),
-        }
+        Simulation { platform, config, scratch }
     }
 
     /// Enables or disables the solver's warm-start filling (on by
     /// default); results are unchanged either way.
     pub fn set_warm_start(&mut self, on: bool) {
-        self.solver.set_warm_start(on);
+        self.scratch.solver.set_warm_start(on);
     }
 
     /// Selects what happens to flows whose route dies (see
     /// [`DeadRoutePolicy`]). Default: [`DeadRoutePolicy::Fail`].
     pub fn set_dead_route_policy(&mut self, policy: DeadRoutePolicy) {
-        self.policy = policy;
+        self.scratch.policy = policy;
+    }
+
+    fn resource_count(&self) -> usize {
+        self.platform.link_count() + self.platform.host_count()
     }
 
     fn ensure_dynamics(&mut self) {
-        if self.dynamics.is_none() {
-            let n = self.link_count + self.platform.host_count();
-            let base: Vec<f64> = (0..n as u32).map(|r| self.solver.capacity(r)).collect();
-            self.dynamics = Some(Box::new(Dynamics {
+        if self.scratch.dynamics.is_none() {
+            let solver = &self.scratch.solver;
+            let base: Vec<f64> =
+                (0..self.resource_count() as u32).map(|r| solver.capacity(r)).collect();
+            self.scratch.dynamics = Some(Box::new(Dynamics {
                 factor: vec![1.0; base.len()],
                 down: vec![false; base.len()],
                 base,
@@ -536,17 +619,14 @@ impl<'p> Simulation<'p> {
     /// Panics on out-of-range resources and non-finite or negative
     /// capacity factors.
     pub fn add_platform_event(&mut self, resource: u32, kind: PlatformEventKind, at: SimTime) {
-        assert!(
-            (resource as usize) < self.link_count + self.platform.host_count(),
-            "unknown resource"
-        );
+        assert!((resource as usize) < self.resource_count(), "unknown resource");
         if let PlatformEventKind::Capacity(f) = kind {
             assert!(f.is_finite() && f >= 0.0, "invalid capacity factor");
         }
         self.ensure_dynamics();
-        let idx = self.platform_events.len() as u32;
-        self.platform_events.push((resource, kind));
-        self.push_event(at, Event::Platform(idx));
+        let idx = self.scratch.platform_events.len() as u32;
+        self.scratch.platform_events.push((resource, kind));
+        self.scratch.push_event(at, Event::Platform(idx));
     }
 
     /// Schedules a rescale of `link`'s capacity to `factor ×` nominal at
@@ -576,20 +656,31 @@ impl<'p> Simulation<'p> {
     /// Panics if called after [`Simulation::run`] started or on
     /// out-of-range resources.
     pub fn mark_resource_down(&mut self, resource: u32) {
-        assert!(!self.started, "mark_resource_down after the run started");
-        assert!(
-            (resource as usize) < self.link_count + self.platform.host_count(),
-            "unknown resource"
-        );
+        assert!(!self.scratch.started, "mark_resource_down after the run started");
+        assert!((resource as usize) < self.resource_count(), "unknown resource");
         self.ensure_dynamics();
-        let d = self.dynamics.as_mut().expect("just ensured");
+        let d = self.scratch.dynamics.as_mut().expect("just ensured");
         d.down[resource as usize] = true;
-        self.solver.set_capacity(resource, 0.0);
+        self.scratch.solver.set_capacity(resource, 0.0);
     }
 
-    fn push_event(&mut self, t: SimTime, e: Event) {
-        self.events.push(Reverse((t, self.seq, e)));
-        self.seq += 1;
+    /// Scales a resource's capacity by `factor` before the run starts —
+    /// a platform already degraded (or upgraded) at t = 0, such as a
+    /// forecast session's link-state overlay. The product is exactly the
+    /// one scaling the vector handed to [`Simulation::with_capacities`]
+    /// would give. Scale before marking resources down or scheduling
+    /// platform events: the first of those records the capacities that
+    /// recoveries and capacity factors start from.
+    ///
+    /// # Panics
+    /// Panics if called after [`Simulation::run`] started, on
+    /// out-of-range resources and on non-finite or negative factors.
+    pub fn scale_capacity(&mut self, resource: u32, factor: f64) {
+        assert!(!self.scratch.started, "scale_capacity after the run started");
+        assert!((resource as usize) < self.resource_count(), "unknown resource");
+        assert!(factor.is_finite() && factor >= 0.0, "invalid capacity factor");
+        let solver = &mut self.scratch.solver;
+        solver.set_capacity(resource, solver.capacity(resource) * factor);
     }
 
     /// Schedules a transfer starting at `start`. The route is resolved
@@ -643,9 +734,10 @@ impl<'p> Simulation<'p> {
         delay: f64,
     ) -> WorkId {
         assert!(size_bytes.is_finite() && size_bytes >= 0.0, "invalid size");
-        let id = WorkId(self.works.len() as u32);
-        self.solver.register(resources, weight, cap);
-        self.works.push(WorkState {
+        let s = &mut self.scratch;
+        let id = WorkId(s.works.len() as u32);
+        s.solver.register(resources, weight, cap);
+        s.works.push(WorkState {
             kind: WorkKind::Transfer { src, dst, size: size_bytes },
             status: Status::Scheduled,
             start,
@@ -660,7 +752,7 @@ impl<'p> Simulation<'p> {
             dependents: Vec::new(),
             failed: false,
         });
-        self.push_event(start, Event::Start(id));
+        s.push_event(start, Event::Start(id));
         id
     }
 
@@ -673,20 +765,21 @@ impl<'p> Simulation<'p> {
     /// Panics if called after [`Simulation::run`] started, on self-deps,
     /// on unknown ids, or on dependencies that already completed.
     pub fn add_dependencies(&mut self, work: WorkId, deps: &[WorkId]) {
+        let s = &mut self.scratch;
         assert!(
-            !self.started,
+            !s.started,
             "add_dependencies called after the run started"
         );
-        assert!((work.0 as usize) < self.works.len(), "unknown work");
+        assert!((work.0 as usize) < s.works.len(), "unknown work");
         for d in deps {
             assert_ne!(*d, work, "work cannot depend on itself");
-            assert!((d.0 as usize) < self.works.len(), "unknown dependency");
+            assert!((d.0 as usize) < s.works.len(), "unknown dependency");
             assert!(
-                self.works[d.0 as usize].status != Status::Done,
+                s.works[d.0 as usize].status != Status::Done,
                 "dependency already completed"
             );
-            self.works[d.0 as usize].dependents.push(work);
-            self.works[work.0 as usize].deps_remaining += 1;
+            s.works[d.0 as usize].dependents.push(work);
+            s.works[work.0 as usize].deps_remaining += 1;
         }
     }
 
@@ -703,10 +796,11 @@ impl<'p> Simulation<'p> {
     /// Schedules a computation of `flops` on `host` starting at `start`.
     pub fn add_compute_at(&mut self, host: HostId, flops: f64, start: SimTime) -> WorkId {
         assert!(flops.is_finite() && flops >= 0.0, "invalid flops");
-        let resource = (self.link_count + self.platform.host_index(host)) as u32;
-        let id = WorkId(self.works.len() as u32);
-        self.solver.register(vec![resource], 1.0, f64::INFINITY);
-        self.works.push(WorkState {
+        let resource = (self.platform.link_count() + self.platform.host_index(host)) as u32;
+        let s = &mut self.scratch;
+        let id = WorkId(s.works.len() as u32);
+        s.solver.register(vec![resource], 1.0, f64::INFINITY);
+        s.works.push(WorkState {
             kind: WorkKind::Compute { host, flops },
             status: Status::Scheduled,
             start,
@@ -721,13 +815,61 @@ impl<'p> Simulation<'p> {
             dependents: Vec::new(),
             failed: false,
         });
-        self.push_event(start, Event::Start(id));
+        s.push_event(start, Event::Start(id));
         id
     }
 
     /// Schedules a computation starting at time zero.
     pub fn add_compute(&mut self, host: HostId, flops: f64) -> WorkId {
         self.add_compute_at(host, flops, SimTime::ZERO)
+    }
+
+    /// Work is complete when its residue is negligible *relative to its
+    /// size*: integrating `rate × Δt` leaves an error of a few ulps of the
+    /// total amount, so an absolute cutoff would never trigger for 10 GB
+    /// transfers (the residue alone exceeds it) and the loop would stall
+    /// on `now + ε == now`.
+    fn done_tol(total: f64) -> f64 {
+        1e-9 * total.max(1.0) + 1e-6
+    }
+
+    /// Runs the simulation to completion, consuming it.
+    pub fn run(self) -> Result<Report, SimError> {
+        Ok(self.run_consuming(false)?.0)
+    }
+
+    /// Runs the simulation while recording a [`Trace`] of every start,
+    /// rate change and completion.
+    pub fn run_traced(self) -> Result<(Report, Trace), SimError> {
+        self.run_consuming(true)
+    }
+
+    fn run_consuming(mut self, traced: bool) -> Result<(Report, Trace), SimError> {
+        let (mut report, trace) = self.scratch.run_inner(traced)?;
+        // Consuming the works lets the completions take over their buffer.
+        report.completions =
+            self.scratch.works.into_iter().enumerate().map(|(i, w)| completion(i, &w)).collect();
+        Ok((report, trace))
+    }
+
+    /// [`Simulation::run`], handing the scratch back — whatever the
+    /// outcome — so that, once [`SimScratch::reset`], it can start the
+    /// next simulation of the platform without rebuilding its
+    /// platform-sized arrays.
+    pub fn run_recycling(mut self) -> (Result<Report, SimError>, SimScratch) {
+        let result = self.scratch.run_inner(false).map(|(mut report, _)| {
+            report.completions =
+                self.scratch.works.iter().enumerate().map(|(i, w)| completion(i, w)).collect();
+            report
+        });
+        (result, self.scratch)
+    }
+}
+
+impl SimScratch {
+    fn push_event(&mut self, t: SimTime, e: Event) {
+        self.events.push(Reverse((t, self.seq, e)));
+        self.seq += 1;
     }
 
     /// Transitions `id` into the running state: joins the sharing
@@ -875,27 +1017,10 @@ impl<'p> Simulation<'p> {
         None
     }
 
-    /// Work is complete when its residue is negligible *relative to its
-    /// size*: integrating `rate × Δt` leaves an error of a few ulps of the
-    /// total amount, so an absolute cutoff would never trigger for 10 GB
-    /// transfers (the residue alone exceeds it) and the loop would stall
-    /// on `now + ε == now`.
-    fn done_tol(total: f64) -> f64 {
-        1e-9 * total.max(1.0) + 1e-6
-    }
-
-    /// Runs the simulation to completion, consuming it.
-    pub fn run(self) -> Result<Report, SimError> {
-        Ok(self.run_inner(false)?.0)
-    }
-
-    /// Runs the simulation while recording a [`Trace`] of every start,
-    /// rate change and completion.
-    pub fn run_traced(self) -> Result<(Report, Trace), SimError> {
-        self.run_inner(true)
-    }
-
-    fn run_inner(mut self, traced: bool) -> Result<(Report, Trace), SimError> {
+    /// The run loop. The report it returns has the counts but no
+    /// completions yet: those stay in `works` for the caller to collect,
+    /// by value or by copy, and the scratch stays as the run left it.
+    fn run_inner(&mut self, traced: bool) -> Result<(Report, Trace), SimError> {
         self.started = true;
         let mut trace = Trace::default();
 
@@ -1112,23 +1237,22 @@ impl<'p> Simulation<'p> {
             warm_bytes: self.solver.warm_bytes(),
             solver: self.solver.stats().clone(),
         };
-        let completions = self
-            .works
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| Completion {
-                id: WorkId(i as u32),
-                kind: w.kind,
-                start: w.start,
-                finish: w.finish,
-                outcome: if w.failed {
-                    CompletionOutcome::Failed
-                } else {
-                    CompletionOutcome::Completed
-                },
-            })
-            .collect();
-        Ok((Report { completions, reshares, stats }, trace))
+        Ok((Report { completions: Vec::new(), reshares, stats }, trace))
+    }
+}
+
+/// The completion record of work `i` after the run.
+fn completion(i: usize, w: &WorkState) -> Completion {
+    Completion {
+        id: WorkId(i as u32),
+        kind: w.kind.clone(),
+        start: w.start,
+        finish: w.finish,
+        outcome: if w.failed {
+            CompletionOutcome::Failed
+        } else {
+            CompletionOutcome::Completed
+        },
     }
 }
 
@@ -1477,7 +1601,7 @@ mod tests {
         // `run` consumes the simulation, so user code cannot reach this
         // state through the public API; the guard protects against future
         // refactors that would run the loop behind `&mut self`.
-        sim.started = true;
+        sim.scratch.started = true;
         sim.add_dependencies(t2, &[t1]);
     }
 
@@ -1489,7 +1613,7 @@ mod tests {
         let mut sim = Simulation::new(&p, NetworkConfig::ideal());
         let t1 = sim.add_transfer(a, b, 1e8).unwrap();
         let t2 = sim.add_transfer(a, b, 1e8).unwrap();
-        sim.works[t1.0 as usize].status = Status::Done;
+        sim.scratch.works[t1.0 as usize].status = Status::Done;
         sim.add_dependencies(t2, &[t1]);
     }
 

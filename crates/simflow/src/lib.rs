@@ -46,6 +46,8 @@
 //! * [`config`] — CM02/LV08 model constants;
 //! * [`units`] — typed time/bytes/rate scalars.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod connect;
 pub mod kernel;
@@ -58,7 +60,7 @@ pub use config::{NetworkConfig, SimTuning};
 pub use connect::Connectivity;
 pub use kernel::{
     Completion, CompletionOutcome, DeadRoutePolicy, KernelStats, PlatformEventKind, Report,
-    ResolvedPath, SimError, Simulation, WorkId, WorkKind,
+    ResolvedPath, SimError, SimScratch, Simulation, WorkId, WorkKind,
 };
 pub use model::{SolverStats, WarmReplayStats, COMP_SIZE_BUCKETS};
 pub use platform::builder::{BuildError, PlatformBuilder};

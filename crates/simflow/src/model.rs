@@ -279,6 +279,10 @@ struct SolverCore {
     res_active: Vec<u32>,
     /// Registered incidence per resource (the slot-region capacity).
     res_cap: Vec<u32>,
+    /// The resources with registered incidence (`res_cap > 0`), in order
+    /// of first registration: the only resources the member CSR and a
+    /// [`MaxMinSolver::reset`] have to visit.
+    res_used: Vec<u32>,
     /// The member arena; see `res_off`.
     res_members: Vec<u32>,
     /// Σ 1/w over the *active* flows of each resource, maintained by
@@ -440,6 +444,22 @@ struct SolveScratch {
 }
 
 impl SolveScratch {
+    /// Forgets the last simulation's flows. The resource-sized arrays
+    /// stay: a solve initialises every entry it reads, and both stamps
+    /// keep counting up, so no stale mark can equal a later stamp.
+    fn reset(&mut self) {
+        self.frozen_stamp.clear();
+        self.stats = WarmReplayStats::default();
+    }
+
+    /// What [`SolveScratch::reset`] guarantees, checked in full.
+    fn is_settled(&self) -> bool {
+        self.frozen_stamp.is_empty()
+            && self.stats == WarmReplayStats::default()
+            && self.heap.is_empty()
+            && self.touched_mark.iter().all(|&m| m <= self.round_stamp)
+    }
+
     fn ensure(&mut self, nr: usize, nf: usize) {
         if self.frozen_stamp.len() < nf {
             self.frozen_stamp.resize(nf, 0);
@@ -581,10 +601,16 @@ impl WarmCache {
     }
 
     fn clear(&mut self) {
+        self.drop_records();
+        self.res_solve.fill(0);
+    }
+
+    /// Drops every record but leaves `res_solve` to the caller, who
+    /// knows which entries can be nonzero.
+    fn drop_records(&mut self) {
         self.solves.clear();
         self.free.clear();
         self.live = 0;
-        self.res_solve.fill(0);
     }
 
     /// Approximate heap bytes held: record buffers (recycled slots keep
@@ -713,6 +739,9 @@ pub struct MaxMinSolver {
     /// The member CSR's slot regions are stale (a registration grew some
     /// resource's incidence); rebuilt lazily before the next consult.
     members_dirty: bool,
+    /// Resources whose capacity [`MaxMinSolver::set_capacity`] changed
+    /// since construction or the last reset (repeats allowed).
+    cap_changed: Vec<u32>,
     // -- reusable reshare scratch (no per-reshare allocation on the
     //    single-component hot path) --
     seed_buf: Vec<u32>,
@@ -737,6 +766,7 @@ impl MaxMinSolver {
                 res_off: vec![0; nr],
                 res_active: vec![0; nr],
                 res_cap: vec![0; nr],
+                res_used: Vec::new(),
                 res_members: Vec::new(),
                 base_inv_w_sum: vec![0.0; nr],
                 phi_cap: Vec::new(),
@@ -759,6 +789,7 @@ impl MaxMinSolver {
             pending: Vec::new(),
             conn: Connectivity::new(nr),
             members_dirty: false,
+            cap_changed: Vec::new(),
             seed_buf: Vec::new(),
             comp_flows: Vec::new(),
             comp_res: Vec::new(),
@@ -792,6 +823,9 @@ impl MaxMinSolver {
     /// Approximate heap bytes held by the warm-start cache (record
     /// buffers plus slab bookkeeping) — the memory-footprint proxy the
     /// bench suite records. O(#records); never called inside a solve.
+    /// It reads capacities, not lengths, so a recycled solver (see
+    /// [`crate::SimScratch`]) may report more than a fresh one running
+    /// the same simulation.
     pub fn warm_bytes(&self) -> u64 {
         self.warm.bytes() as u64
     }
@@ -816,6 +850,9 @@ impl MaxMinSolver {
         let res_start = self.core.res_arena.len() as u32;
         let res_len = resources.len() as u32;
         for &r in &resources {
+            if self.core.res_cap[r as usize] == 0 {
+                self.core.res_used.push(r);
+            }
             self.core.res_cap[r as usize] += 1;
         }
         if res_len > 0 {
@@ -832,34 +869,32 @@ impl MaxMinSolver {
     }
 
     /// Rebuilds the member CSR's slot regions after registrations grew
-    /// some resource's incidence, preserving the active spans. Amortized:
-    /// the kernel registers all work up front, so a simulation pays this
-    /// once; interleaving `register` with consults re-packs per
-    /// interleave (linear in total incidence).
+    /// some resource's incidence, preserving the active spans. Only
+    /// resources with registered incidence get a region (the others keep
+    /// an empty one at offset 0), in order of first registration; each
+    /// region holds its own sorted member list, so the layout never
+    /// enters a rate. Amortized: the kernel registers all work up front,
+    /// so a simulation pays this once; interleaving `register` with
+    /// consults re-packs per interleave (linear in total incidence).
     fn ensure_members(&mut self) {
         if !self.members_dirty {
             return;
         }
         self.members_dirty = false;
         let core = &mut self.core;
-        let nr = core.capacity.len();
-        let total: usize = core.res_cap.iter().map(|&c| c as usize).sum();
-        let mut new_off = Vec::with_capacity(nr);
-        let mut acc = 0u32;
-        for r in 0..nr {
-            new_off.push(acc);
-            acc += core.res_cap[r];
-        }
+        let total: usize = core.res_used.iter().map(|&r| core.res_cap[r as usize] as usize).sum();
         let mut new_members = vec![0u32; total];
-        for r in 0..nr {
-            let len = core.res_active[r] as usize;
+        let mut acc = 0u32;
+        for &r in &core.res_used {
+            let ri = r as usize;
+            let len = core.res_active[ri] as usize;
             if len > 0 {
-                let old = &core.res_members[core.res_off[r] as usize..][..len];
-                new_members[new_off[r] as usize..new_off[r] as usize + len]
-                    .copy_from_slice(old);
+                let old = &core.res_members[core.res_off[ri] as usize..][..len];
+                new_members[acc as usize..acc as usize + len].copy_from_slice(old);
             }
+            core.res_off[ri] = acc;
+            acc += core.res_cap[ri];
         }
-        core.res_off = new_off;
         core.res_members = new_members;
     }
 
@@ -871,6 +906,11 @@ impl MaxMinSolver {
     /// Current capacity of resource `r`.
     pub fn capacity(&self, r: u32) -> f64 {
         self.core.capacity[r as usize]
+    }
+
+    /// Number of resources (the length of the capacity vector).
+    pub(crate) fn resource_count(&self) -> usize {
+        self.core.capacity.len()
     }
 
     /// Changes the capacity of resource `r` mid-run (a platform event:
@@ -885,6 +925,7 @@ impl MaxMinSolver {
     pub fn set_capacity(&mut self, r: u32, cap: f64) {
         debug_assert!(cap >= 0.0, "capacity must be non-negative");
         self.core.capacity[r as usize] = cap;
+        self.cap_changed.push(r);
         self.warm.detach(&[r]);
     }
 
@@ -912,6 +953,97 @@ impl MaxMinSolver {
     /// folds them into [`crate::KernelStats`]).
     pub fn stats(&self) -> &SolverStats {
         &self.stats
+    }
+
+    /// Restores the state [`MaxMinSolver::new`] over `base` would build
+    /// (warm-start settings kept), visiting only the resources the last
+    /// simulation registered a flow on or changed the capacity of: every
+    /// per-resource entry a solve writes belongs to a registered flow's
+    /// route, since components, roots and records are unions of routes.
+    /// Flow-indexed vectors and buffers are emptied with their capacity
+    /// kept, and the reshare epoch restarts at 0, so `reshares()` and
+    /// the stats count this simulation alone.
+    pub(crate) fn reset(&mut self, base: &[f64]) {
+        let core = &mut self.core;
+        for &r in &core.res_used {
+            let ri = r as usize;
+            core.res_off[ri] = 0;
+            core.res_active[ri] = 0;
+            core.res_cap[ri] = 0;
+            core.base_inv_w_sum[ri] = 0.0;
+            core.res_mark[ri] = 0;
+            core.res_dirty[ri] = 0;
+            self.warm.res_solve[ri] = 0;
+        }
+        self.conn.reset(&core.res_used);
+        for &r in &self.cap_changed {
+            core.capacity[r as usize] = base[r as usize];
+        }
+        self.cap_changed.clear();
+        core.res_used.clear();
+        core.flows.clear();
+        core.res_arena.clear();
+        core.res_members.clear();
+        core.phi_cap.clear();
+        core.epoch = 0;
+        core.seed_mark.clear();
+        core.flow_mark.clear();
+        core.flow_comp.clear();
+        self.out.rates.clear();
+        self.out.changed.clear();
+        self.warm.drop_records();
+        self.pending.clear();
+        self.members_dirty = false;
+        self.seed_buf.clear();
+        self.comp_flows.clear();
+        self.comp_res.clear();
+        self.comps.clear();
+        self.scratch.reset();
+        self.stats = SolverStats::default();
+    }
+
+    /// Whether the solver holds exactly what [`MaxMinSolver::new`] over
+    /// `base` would, comparing every resource entry: `O(resources)`, a
+    /// test oracle for [`MaxMinSolver::reset`]. The solve scratch's
+    /// resource arrays are held to their stamp invariant instead (see
+    /// `SolveScratch::reset`).
+    pub(crate) fn is_pristine(&self, base: &[f64]) -> bool {
+        let c = &self.core;
+        let zero32 = |v: &[u32]| v.iter().all(|&x| x == 0);
+        let zero64 = |v: &[u64]| v.iter().all(|&x| x == 0);
+        c.capacity.len() == base.len()
+            && c.capacity.iter().zip(base).all(|(a, b)| a.to_bits() == b.to_bits())
+            && zero32(&c.res_off)
+            && zero32(&c.res_active)
+            && zero32(&c.res_cap)
+            && c.base_inv_w_sum.iter().all(|x| x.to_bits() == 0)
+            && zero64(&c.res_mark)
+            && zero64(&c.res_dirty)
+            && zero32(&self.warm.res_solve)
+            && self.conn.is_pristine()
+            && c.res_used.is_empty()
+            && c.flows.is_empty()
+            && c.res_arena.is_empty()
+            && c.res_members.is_empty()
+            && c.phi_cap.is_empty()
+            && c.epoch == 0
+            && c.seed_mark.is_empty()
+            && c.flow_mark.is_empty()
+            && c.flow_comp.is_empty()
+            && self.out.rates.is_empty()
+            && self.out.changed.is_empty()
+            && self.warm.solves.is_empty()
+            && self.warm.free.is_empty()
+            && self.warm.live == 0
+            && self.pending.is_empty()
+            && !self.members_dirty
+            && self.cap_changed.is_empty()
+            && self.seed_buf.is_empty()
+            && self.comp_flows.is_empty()
+            && self.comp_res.is_empty()
+            && self.comps.is_empty()
+            && self.scratch.is_settled()
+            && self.stats == SolverStats::default()
     }
 
     /// Marks `flow` as competing for its resources.

@@ -22,6 +22,8 @@
 //!   `\PC`) with an optional `{m,n}` repetition — which is all the tests
 //!   here use.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;

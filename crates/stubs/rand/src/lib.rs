@@ -7,6 +7,8 @@
 //! real crate, but every consumer seeds explicitly and only relies on
 //! determinism, not on a specific stream.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core randomness source: a 64-bit generator.

@@ -38,6 +38,8 @@
 //! a stage boundary, drop at the end, and the elapsed nanoseconds land
 //! in that stage's histogram.
 
+#![forbid(unsafe_code)]
+
 mod histogram;
 mod instruments;
 mod registry;
