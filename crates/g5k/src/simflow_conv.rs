@@ -16,7 +16,7 @@
 //! * [`Flavor::FlatFull`] — the pre-hierarchical-routing representation:
 //!   one flat zone with a full host-pair routing table. The paper recalls
 //!   that this made whole-platform simulation impossible memory-wise; the
-//!   `routing_ablation` bench quantifies the gap.
+//!   `hierarchical_routing_saves_quadratic_memory` tests quantify the gap.
 //!
 //! Modeled latencies are the paper's hard-coded values (intra-site
 //! 10⁻⁴ s per link, backbone 2.25·10⁻³ s) — *not* the true hardware

@@ -1211,10 +1211,10 @@ impl SimScratch {
             // Calendar hygiene for large N. Lazy deletion leaves one
             // stale entry behind per rate change, so a long run over many
             // flows can grow the heap far past the live work count. Track
-            // the high-water mark (the bench's memory-footprint proxy)
-            // and, once stale entries dominate, rebuild the heap from the
-            // valid ones — O(len) per compaction, amortized free since it
-            // only fires after the heap doubled past the bound.
+            // the high-water mark (`KernelStats::calendar_peak`) and, once
+            // stale entries dominate, rebuild the heap from the valid
+            // ones — O(len) per compaction, amortized free since it only
+            // fires after the heap doubled past the bound.
             let cal_len = self.calendar.len();
             if cal_len as u64 > self.calendar_peak {
                 self.calendar_peak = cal_len as u64;

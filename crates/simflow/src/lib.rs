@@ -11,7 +11,9 @@
 //!
 //! The result is a simulator fast enough to answer *online* forecasting
 //! queries — the paper reports a 30-flow prediction on the full Grid'5000
-//! model in under 0.1 s, which the `pnfs_latency` bench reproduces.
+//! model in under 0.1 s. `pnfs::tests::thirty_concurrent_transfers_are_fast_to_predict`
+//! times that request, and the `paper_30_transfers` row of
+//! `tests/kernel_counts.rs` pins the kernel work it costs.
 //!
 //! ## Quick tour
 //!

@@ -12,8 +12,9 @@
 //!
 //! The paper stresses that this hierarchy is what made simulating the whole
 //! of Grid'5000 tractable — with a flat full routing table "it was
-//! impossible to wholly simulate Grid'5000". The `routing_ablation` bench
-//! reproduces that comparison.
+//! impossible to wholly simulate Grid'5000". The root package's
+//! `hierarchical_routing_saves_quadratic_memory` test reproduces that
+//! comparison.
 //!
 //! ## Hierarchical route memoization
 //!
@@ -439,7 +440,7 @@ impl Platform {
 
     /// Route-memo counters: hits, stored (zone, zone) entries, and total
     /// links across stored segments. Sessions fold the hit delta into
-    /// telemetry after each run; the bench memory column records entries.
+    /// telemetry after each run; `tests/kernel_counts.rs` pins entries.
     pub fn route_memo_stats(&self) -> RouteMemoStats {
         let m = self.memo.mid.read().expect("route memo poisoned");
         RouteMemoStats {
@@ -547,7 +548,7 @@ impl Platform {
     }
 
     /// Total number of route entries stored by all zone routing tables —
-    /// the memory-footprint proxy used by the routing ablation bench.
+    /// the memory-footprint proxy `tests/kernel_counts.rs` pins.
     pub fn stored_route_entries(&self) -> usize {
         self.zones.iter().map(|z| z.routing.stored_entries()).sum()
     }

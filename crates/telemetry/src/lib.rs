@@ -12,12 +12,13 @@
 //! 1. **Always-on and provably cheap.** Instruments are lock-free on
 //!    the record path: a [`Counter`] is one relaxed `fetch_add`, a
 //!    [`Histogram`] record is four (bucket, count, sum, max). There is
-//!    no sampling, no feature flag, and no `if enabled` branch — the
-//!    cost model must survive the kernel overhead guard
-//!    (`bench_guard --overhead`, <2% on kernel scenarios), which it
-//!    does because the *kernel* never calls wall-clock at all: it
-//!    counts events with plain integers and sessions aggregate the
-//!    totals into registry instruments after each solve.
+//!    no sampling, no feature flag, and no `if enabled` branch. The
+//!    kernel pays nothing for it because the *kernel* never reads a
+//!    clock or touches an atomic inside the solve: it counts events
+//!    with plain integers and sessions aggregate the totals into
+//!    registry instruments after each solve. `simflow`'s
+//!    `tests/solve_structure.rs` enforces that rule on the solve's
+//!    source.
 //! 2. **Handles are cheap and shared.** Every instrument is an `Arc`
 //!    around its atomics; `clone()` is the intended way to hand one to
 //!    a worker thread, a cache, or a registry. The registry *adopts*
