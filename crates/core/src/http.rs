@@ -7,9 +7,8 @@
 //! module implements. GET carries every read-side query; POST (same
 //! URI-parameter encoding, no request body) is admitted for the
 //! state-changing control endpoints (`/pilgrim/link_event`). Other
-//! methods get 405, and the degraded-mode shed path stays GET-only — a
-//! shed control mutation must fail loudly, not quietly succeed at a
-//! stale answer's price.
+//! methods get 405, and the shed fallback hook below is offered GETs
+//! only — a shed control mutation must fail loudly.
 //!
 //! ## One front end
 //!
@@ -42,13 +41,16 @@
 //!   (keep-alive, or a race with the accept-time check) gets the same
 //!   answer. A request the handler's probe stage answers needs no worker
 //!   and is served regardless.
-//! * **Degraded mode (opt-in).** When a shed fallback handler is
-//!   installed ([`Server::start_with`]), the poller reads an overloaded
-//!   connection's head as usual and hands the *parsed* request to a
-//!   dedicated thread that offers it to the fallback — the Pilgrim
-//!   service uses this to answer from stale-epoch cache entries with an
-//!   `X-Pilgrim-Stale: <epoch-lag>` header instead of a 503. The fallback
-//!   path has its own small queue; past it, plain 503s resume.
+//! * **Shed fallback hook.** When a shed fallback handler is installed
+//!   ([`Server::start_with`]), the poller reads an overloaded
+//!   connection's head as usual and hands the *parsed* GET to a
+//!   dedicated thread that offers it to the fallback instead of a plain
+//!   503. The fallback path has its own small queue; past it, plain 503s
+//!   resume. No program code installs one (only tests do): the Pilgrim
+//!   service answers cached forecasts inline under any overload and
+//!   never answers with an out-of-date one. The hook stays because the
+//!   standalone benchmark package passes this parameter (as `None`);
+//!   it goes once that package stops passing it.
 //! * **Per-request deadlines.** A request admitted at time `t` with
 //!   deadline `d` (client header `X-Pilgrim-Deadline-Ms`, capped by
 //!   [`ServerConfig::max_deadline`], or the server-side
@@ -182,7 +184,7 @@ pub struct Response {
     pub body: String,
     /// Content-Type header value.
     pub content_type: &'static str,
-    /// Extra response headers (`Retry-After`, `X-Pilgrim-Stale`, …).
+    /// Extra response headers (`Retry-After`, …).
     pub headers: Vec<(String, String)>,
 }
 
@@ -357,9 +359,9 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted.
     pub accepted: Counter,
-    /// Connections refused by admission control (503 or degraded path).
+    /// Connections refused by admission control (503 or fallback path).
     pub shed: Counter,
-    /// Shed connections answered 200 by the degraded-mode fallback.
+    /// Shed connections answered 200 by the shed fallback handler.
     pub stale_served: Counter,
     /// Requests answered 504 (deadline expired before the handler ran).
     pub expired: Counter,
@@ -380,13 +382,13 @@ impl ServerStats {
         );
         registry.adopt_counter(
             "http_shed_total",
-            "Connections refused by admission control (503 or degraded path)",
+            "Connections refused by admission control (503 or fallback path)",
             &[],
             &self.shed,
         );
         registry.adopt_counter(
             "http_stale_served_total",
-            "Shed connections answered 200 by the degraded-mode fallback",
+            "Shed connections answered 200 by the shed fallback handler",
             &[],
             &self.stale_served,
         );
@@ -654,8 +656,8 @@ impl Server {
 
     /// Binds `addr` with explicit admission/deadline tuning. When
     /// `shed_fallback` is set, shed GET requests are offered to it
-    /// (degraded mode) instead of being refused outright. The server
-    /// gets a private [`MetricsRegistry`].
+    /// instead of being refused outright (no in-tree caller sets it; see
+    /// the module docs). The server gets a private [`MetricsRegistry`].
     pub fn start_with(
         addr: &str,
         config: ServerConfig,

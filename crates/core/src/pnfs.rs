@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use forecast::{EngineConfig, ForecastEngine, Pending, Probed};
+use forecast::{ForecastEngine, Pending, Probed};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -113,27 +113,19 @@ pub struct Pnfs {
 }
 
 impl Pnfs {
-    /// A service with the given model configuration and default engine
-    /// tuning (4096 cached results).
+    /// A service with the given model configuration, served through
+    /// the engine (warm sessions, 4096 cached results).
     pub fn new(config: NetworkConfig) -> Self {
         Pnfs { engine: ForecastEngine::new(config), sequential: false }
-    }
-
-    /// A service with explicit engine tuning (cache size, stale retention).
-    pub fn with_engine_config(config: NetworkConfig, engine: EngineConfig) -> Self {
-        Pnfs { engine: ForecastEngine::with_engine_config(config, engine), sequential: false }
     }
 
     /// A service pinned to the sequential reference path: no cache, no
     /// memoized routes, one from-scratch simulation at a time on the
     /// calling thread. This is the paper's original serving behavior,
-    /// kept as the comparison baseline.
+    /// kept as the comparison baseline. Its engine only holds the
+    /// platforms; the path never reaches the engine's cache.
     pub fn sequential_reference(config: NetworkConfig) -> Self {
-        let engine = ForecastEngine::with_engine_config(
-            config,
-            EngineConfig { cache_capacity: 1, ..EngineConfig::default() },
-        );
-        Pnfs { engine, sequential: true }
+        Pnfs { engine: ForecastEngine::new(config), sequential: true }
     }
 
     /// Whether this service runs the sequential reference path.
@@ -275,29 +267,6 @@ impl Pnfs {
             Probed::Ready(sel) => Ok(sel),
             Probed::Pending(pending) => self.compute_select(hypotheses, pending),
         }
-    }
-
-    /// Degraded-mode predict: the freshest retained stale-epoch answer
-    /// for this exact query, with its epoch lag, if the engine's cache
-    /// kept one (requires a nonzero `stale_retention`). No simulation.
-    pub fn predict_stale(
-        &self,
-        platform: &str,
-        requests: &[TransferRequest],
-    ) -> Option<(Vec<Prediction>, u64)> {
-        let (durations, lag) = self.engine.predict_stale(platform, requests)?;
-        Some((predictions(requests, &durations), lag))
-    }
-
-    /// Degraded-mode select: the freshest retained stale-epoch answer
-    /// for this exact hypothesis set, with its epoch lag. No simulation.
-    pub fn select_fastest_stale(
-        &self,
-        platform: &str,
-        hypotheses: &[Vec<TransferRequest>],
-    ) -> Option<(FastestSelection, u64)> {
-        let (sel, lag) = self.engine.select_fastest_stale(platform, hypotheses)?;
-        Some((selection(hypotheses, &sel), lag))
     }
 
     // ------------------------------------------------------------------

@@ -58,11 +58,13 @@
 //! parsed request (a keep-alive request, or one that raced the first
 //! check). A request the probe answers never enters the queue and is
 //! never shed: with the queue full, a kept-alive client still gets its
-//! cached forecasts while its uncached ones are refused. In degraded
-//! mode an overloaded connection skips the accept-time refusal and is
-//! read like any other, so the hand-off check can divert its *parsed*
-//! GET to the shed thread — the one place a socket leaves the poller,
-//! switched to blocking with the write timeout as a socket option.
+//! cached forecasts while its uncached ones are refused. With a shed
+//! fallback handler installed (no in-tree caller installs one; the hook
+//! stays because the standalone benchmark package passes the parameter)
+//! an overloaded connection skips the accept-time refusal and is read
+//! like any other, so the hand-off check can divert its *parsed* GET to
+//! the shed thread — the one place a socket leaves the poller, switched
+//! to blocking with the write timeout as a socket option.
 //! Per-request deadline 504s and handler-panic 500s happen wherever the
 //! stage in question runs, here or in the worker job; a graceful drain
 //! lets in-flight and writing connections finish and closes reading and

@@ -18,8 +18,8 @@
 //!   the event can touch; answers `{"ok",…,"invalidated"}`. POST-only —
 //!   this mutates serving state, and a GET must never do that;
 //! * `GET /pilgrim/stats` — engine observability: cache, coalescing,
-//!   shed and invalidation counters (a thin JSON view over the metrics
-//!   registry — both read the same counter cells);
+//!   simulation and invalidation counters (a thin JSON view over the
+//!   metrics registry — both read the same counter cells);
 //! * `GET /pilgrim/metrics` — the full [`telemetry::MetricsRegistry`] in
 //!   Prometheus text exposition format: forecast stage histograms,
 //!   cache/coalescing counters, kernel work counters and (when the
@@ -224,16 +224,6 @@ impl PilgrimService {
     /// worker.
     pub fn handler_from(svc: Arc<PilgrimService>) -> Handler {
         svc
-    }
-
-    /// The degraded-mode fallback handler for shed connections: forecast
-    /// queries whose exact question has a retained stale-epoch answer
-    /// get it (200 + `X-Pilgrim-Stale: <epoch-lag>`, body rendered
-    /// identically to a fresh answer); everything else is refused with
-    /// the usual 503. Install via `Server::start_with(…, Some(fallback))`
-    /// together with a nonzero `stale_retention` on the engine.
-    pub fn stale_handler(svc: Arc<PilgrimService>) -> Handler {
-        Arc::new(move |req: &Request| svc.handle_shed(req))
     }
 
     /// Serves one request — probe stage, then compute stage if the probe
@@ -482,37 +472,10 @@ impl PilgrimService {
             ("cache_misses", Value::from(e.cache_misses() as i64)),
             ("cache_len", Value::from(e.cache_len() as i64)),
             ("coalesced", Value::from(e.coalesced() as i64)),
-            ("stale_served", Value::from(e.stale_served() as i64)),
-            ("shed", Value::from(e.shed() as i64)),
             ("simulations", Value::from(e.simulations() as i64)),
             ("invalidated_targeted", Value::from(e.invalidated_targeted() as i64)),
             ("invalidated_epoch", Value::from(e.invalidated_epoch() as i64)),
         ]))
-    }
-
-    /// Degraded-mode routing for shed connections (see
-    /// [`PilgrimService::stale_handler`]): answer forecast queries from
-    /// retained stale-epoch cache entries when possible, refuse the rest.
-    fn handle_shed(&self, req: &Request) -> Response {
-        let path = req.path.trim_end_matches('/');
-        if let Some(platform) = path.strip_prefix("/pilgrim/predict_transfers/") {
-            if let Ok(requests) = parse_predict_params(req) {
-                if let Some((preds, lag)) = self.pnfs.predict_stale(platform, &requests) {
-                    return render_predictions(&preds)
-                        .with_header("X-Pilgrim-Stale", &lag.to_string());
-                }
-            }
-        }
-        if let Some(platform) = path.strip_prefix("/pilgrim/select_fastest/") {
-            if let Ok(hypotheses) = parse_hypotheses(req) {
-                if let Some((sel, lag)) = self.pnfs.select_fastest_stale(platform, &hypotheses) {
-                    return render_selection(&sel)
-                        .with_header("X-Pilgrim-Stale", &lag.to_string());
-                }
-            }
-        }
-        self.pnfs.engine().note_shed();
-        Response::overloaded(1)
     }
 
     /// §VI workflow endpoint. Tasks are declared positionally:
@@ -631,15 +594,13 @@ fn parse_hypotheses(req: &Request) -> Result<Vec<Vec<TransferRequest>>, Response
     Ok(hypotheses)
 }
 
-/// Renders a predict answer. Fresh and stale paths share this, so a
-/// stale 200 body is byte-identical to the fresh body of the same
-/// cached result.
+/// Renders a predict answer.
 fn render_predictions(preds: &[crate::pnfs::Prediction]) -> Response {
     let arr: Vec<Value> = preds.iter().map(|p| p.to_json()).collect();
     Response::json(&Value::Array(arr))
 }
 
-/// Renders a selection answer (shared by the fresh and stale paths).
+/// Renders a selection answer.
 fn render_selection(sel: &crate::pnfs::FastestSelection) -> Response {
     Response::json(&Value::object(vec![
         ("best", Value::from(sel.best as i64)),
@@ -892,7 +853,6 @@ mod tests {
         assert_eq!(v["invalidated_targeted"].as_i64(), Some(1));
         assert_eq!(v["invalidated_epoch"].as_i64(), Some(0));
         assert!(v["epoch"].as_i64().is_some());
-        assert!(v["shed"].as_i64().is_some());
     }
 
     #[test]

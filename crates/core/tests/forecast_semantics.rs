@@ -4,7 +4,6 @@
 //! JSON on cache hits, and epoch-driven invalidation when metrology data
 //! arrives.
 
-use forecast::EngineConfig;
 use g5k::{synth, to_simflow, Flavor};
 use jsonlite::Value;
 use pilgrim_core::http::Request;
@@ -13,10 +12,7 @@ use rrd::{ArchiveSpec, Cf, Database, DsKind};
 use simflow::{NetworkConfig, PlatformEventKind, SimTime, Simulation};
 
 fn served_pnfs() -> Pnfs {
-    let mut pnfs = Pnfs::with_engine_config(
-        NetworkConfig::default(),
-        EngineConfig { cache_capacity: 256, ..EngineConfig::default() },
-    );
+    let mut pnfs = Pnfs::new(NetworkConfig::default());
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     pnfs
 }

@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use forecast::{EngineConfig, FaultInjector, FaultPlan, Probed};
+use forecast::{FaultInjector, FaultPlan, Probed};
 use g5k::{synth, to_simflow, Flavor};
 use pilgrim_core::http::{
     http_get_with_headers, http_post, Handle, Handler, HttpClient, Probe, Request, Response,
@@ -23,10 +23,7 @@ use pilgrim_core::{Metrology, PilgrimService, Pnfs, TransferRequest};
 use simflow::NetworkConfig;
 
 fn service() -> Arc<PilgrimService> {
-    let mut pnfs = Pnfs::with_engine_config(
-        NetworkConfig::default(),
-        EngineConfig { cache_capacity: 256, stale_retention: 0 },
-    );
+    let mut pnfs = Pnfs::new(NetworkConfig::default());
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))
 }

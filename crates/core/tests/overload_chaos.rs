@@ -15,17 +15,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use forecast::{EngineConfig, Fault, FaultInjector, FaultPlan};
+use forecast::{Fault, FaultInjector, FaultPlan};
 use g5k::{synth, to_simflow, Flavor};
 use pilgrim_core::http::{http_get, http_get_with_headers, Request, Server, ServerConfig};
 use pilgrim_core::{Metrology, PilgrimService, Pnfs};
 use simflow::NetworkConfig;
 
-fn pooled_service(stale_retention: u64) -> Arc<PilgrimService> {
-    let mut pnfs = Pnfs::with_engine_config(
-        NetworkConfig::default(),
-        EngineConfig { cache_capacity: 256, stale_retention },
-    );
+fn pooled_service() -> Arc<PilgrimService> {
+    let mut pnfs = Pnfs::new(NetworkConfig::default());
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))
 }
@@ -69,7 +66,7 @@ fn scenarios() -> Vec<String> {
 
 #[test]
 fn ten_x_overload_sheds_cleanly_and_admitted_answers_match_reference() {
-    let svc = pooled_service(0);
+    let svc = pooled_service();
     // 64 clients vs 4 workers + an admission queue of 8 — well past 10×
     // the queue capacity.
     let config = ServerConfig {
@@ -171,7 +168,7 @@ fn ten_x_overload_sheds_cleanly_and_admitted_answers_match_reference() {
 
 #[test]
 fn identical_concurrent_queries_coalesce_to_one_simulation_over_http() {
-    let svc = pooled_service(0);
+    let svc = pooled_service();
     let config = ServerConfig { workers: 8, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
@@ -215,7 +212,7 @@ fn identical_concurrent_queries_coalesce_to_one_simulation_over_http() {
 
 #[test]
 fn chaos_faults_and_rude_clients_do_not_hang_or_poison_the_engine() {
-    let svc = pooled_service(0);
+    let svc = pooled_service();
     let config = ServerConfig { workers: 4, queue_limit: 4, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let mut server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
@@ -309,7 +306,7 @@ fn chaos_faults_and_rude_clients_do_not_hang_or_poison_the_engine() {
 
 #[test]
 fn flapping_links_mid_serving_converge_to_the_post_event_reference() {
-    let svc = pooled_service(0);
+    let svc = pooled_service();
     let config = ServerConfig { workers: 4, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
@@ -400,77 +397,4 @@ fn flapping_links_mid_serving_converge_to_the_post_event_reference() {
         svc.pnfs.engine().invalidated_targeted() >= 1,
         "flapping in-use links must evict crossing entries"
     );
-}
-
-#[test]
-fn degraded_mode_serves_stale_epoch_answers_with_lag_header() {
-    // Retain two trailing epochs so shed queries can be answered stale.
-    let svc = pooled_service(2);
-    let config = ServerConfig { workers: 1, queue_limit: 1, ..ServerConfig::default() };
-    let server = Server::start_with(
-        "127.0.0.1:0",
-        config,
-        PilgrimService::handler_from(Arc::clone(&svc)),
-        Some(PilgrimService::stale_handler(Arc::clone(&svc))),
-    )
-    .expect("bind");
-    let addr = server.addr();
-
-    let q = "/pilgrim/select_fastest/g5k_test\
-             ?hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8\
-             &hypothesis=sagittaire-1.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,5e8";
-    let (status, fresh_body) = http_get(addr, q).expect("prime");
-    assert_eq!(status, 200, "{fresh_body}");
-
-    // New metrology data arrives: the cached answer is now one epoch old.
-    svc.pnfs.bump_epoch();
-
-    // Wedge the single worker and the queue of 1 with slow, distinct
-    // simulations (every simulation delayed 500 ms).
-    let injector = Arc::new(FaultInjector::new(
-        FaultPlan::new(3).with_delays(1000, Duration::from_millis(500)),
-    ));
-    svc.pnfs.engine().set_fault_injector(Some(Arc::clone(&injector)));
-    // Staggered so the first is already *in service* (off the pending
-    // queue) before the second arrives to occupy the queue slot.
-    let mut occupiers = Vec::new();
-    for i in 0..2 {
-        occupiers.push(std::thread::spawn(move || {
-            let q = format!(
-                "/pilgrim/predict_transfers/g5k_test\
-                 ?transfer=sagittaire-{}.lyon.grid5000.fr,sagittaire-{}.lyon.grid5000.fr,3e8",
-                i + 1,
-                i + 5,
-            );
-            http_get(addr, &q).expect("occupier")
-        }));
-        std::thread::sleep(Duration::from_millis(75));
-    }
-    std::thread::sleep(Duration::from_millis(75));
-
-    // Shed, but the exact question has a retained stale answer: 200 with
-    // the epoch lag advertised and a body identical to the fresh render.
-    let (status, headers, body) = http_get_with_headers(addr, q, &[]).expect("stale query");
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(
-        headers.iter().find(|(k, _)| k == "x-pilgrim-stale").map(|(_, v)| v.as_str()),
-        Some("1"),
-        "stale answer must advertise its epoch lag"
-    );
-    assert_eq!(body, fresh_body, "stale body must render bit-identically");
-
-    // A shed query with no retained answer is refused the usual way.
-    let unknown = "/pilgrim/select_fastest/g5k_test\
-                   ?hypothesis=capricorne-3.lyon.grid5000.fr,capricorne-4.lyon.grid5000.fr,1e9";
-    let (status, headers, _) = http_get_with_headers(addr, unknown, &[]).expect("unknown query");
-    assert_eq!(status, 503, "no stale answer → refuse");
-    assert!(headers.iter().any(|(k, _)| k == "retry-after"));
-
-    for o in occupiers {
-        let (status, _) = o.join().expect("occupier thread");
-        assert_eq!(status, 200);
-    }
-    assert!(server.stats().stale_served.get() >= 1);
-    assert!(server.stats().shed.get() >= 2);
-    assert!(svc.pnfs.engine().shed() >= 1, "the refused shed query is counted on the engine");
 }

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use forecast::EngineConfig;
 use g5k::{synth, to_simflow, Flavor};
 use jsonlite::Value;
 use pilgrim_core::http::{http_get_with_headers, HttpClient, Request, Server, ServerConfig};
@@ -14,10 +13,7 @@ use pilgrim_core::{Metrology, PilgrimService, Pnfs};
 use simflow::NetworkConfig;
 
 fn pooled_service() -> Arc<PilgrimService> {
-    let mut pnfs = Pnfs::with_engine_config(
-        NetworkConfig::default(),
-        EngineConfig { cache_capacity: 256, stale_retention: 0 },
-    );
+    let mut pnfs = Pnfs::new(NetworkConfig::default());
     pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))
 }
@@ -63,8 +59,6 @@ fn stats_json_shape_is_frozen() {
             "cache_misses",
             "cache_len",
             "coalesced",
-            "stale_served",
-            "shed",
             "simulations",
             "invalidated_targeted",
             "invalidated_epoch",
@@ -136,6 +130,11 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     assert!(body.contains("forecast_simulations_total 1"), "{body}");
     assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="unknown"} 1"#), "{body}");
     assert!(body.contains("kernel_components_solved_total"), "{body}");
+    // Nothing serves out-of-date answers or sheds in the forecast layer,
+    // so it exports no family for either.
+    for gone in ["forecast_stale_served_total", "forecast_shed_total"] {
+        assert!(!body.contains(gone), "{gone} must not be exported");
+    }
     // `pool_*` is the pool that runs what the poller cannot answer
     // itself: the simulated predict and the 404 made one job each and
     // were timed before this scrape's job started; the cached repeat was

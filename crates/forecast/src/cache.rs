@@ -8,6 +8,14 @@
 //! epoch makes invalidation free — a bump makes every old entry
 //! unreachable, and [`ForecastCache::purge_stale`] reclaims the memory.
 //!
+//! The cache has one rule for what it files: a result is filed only if
+//! its key is still current when the cache lock is taken — its epoch not
+//! below the last purge's, its session's overlay version the one the key
+//! was built from ([`ForecastCache::insert_if`]). A result that finishes
+//! after the epoch moved on is handed to its caller and dropped, never
+//! filed to be purged later, so no entry of an old epoch outlives the
+//! bump that retired it.
+//!
 //! Queries are canonicalized structurally (host names + size bit
 //! patterns), so two textually different requests for the same forecast
 //! (`5e8` vs `500000000`, reordered query parameters upstream) share an
@@ -142,25 +150,6 @@ impl CacheKey {
             CacheKey::Predict { platform, .. } | CacheKey::Select { platform, .. } => platform,
         }
     }
-
-    /// Whether `other` asks the same question (same variant, platform,
-    /// overlay footprint and canonical payload) at a possibly different
-    /// epoch — the matching notion behind degraded-mode stale serving.
-    /// Footprints must match: an answer computed under a different
-    /// link-state overlay is the wrong answer, not a stale one.
-    fn same_query(&self, other: &CacheKey) -> bool {
-        match (self, other) {
-            (
-                CacheKey::Predict { platform: p1, footprint: f1, transfers: t1, .. },
-                CacheKey::Predict { platform: p2, footprint: f2, transfers: t2, .. },
-            ) => p1 == p2 && f1 == f2 && t1 == t2,
-            (
-                CacheKey::Select { platform: p1, footprint: f1, hypotheses: h1, .. },
-                CacheKey::Select { platform: p2, footprint: f2, hypotheses: h2, .. },
-            ) => p1 == p2 && f1 == f2 && h1 == h2,
-            _ => false,
-        }
-    }
 }
 
 /// A cached forecast result.
@@ -181,8 +170,7 @@ struct Entry {
     value: Option<CachedResult>,
     /// Sorted, deduplicated solver resource ids of the query's route
     /// union — what [`ForecastCache::invalidate_link`] matches against.
-    /// `None` for entries inserted without route information.
-    routes: Option<Arc<[u32]>>,
+    routes: Arc<[u32]>,
     prev: usize,
     next: usize,
 }
@@ -196,10 +184,7 @@ struct Inner {
     free: Vec<usize>,
     head: usize,
     tail: usize,
-    /// Insertions since the last periodic purge.
-    inserts_since_purge: usize,
-    /// Highest epoch seen on any inserted key: the "current" epoch the
-    /// periodic purge measures staleness against.
+    /// The epoch of the last purge: keys below it are never filed.
     latest_epoch: u64,
 }
 
@@ -237,38 +222,12 @@ impl Inner {
         self.entries[idx].value = None;
         self.free.push(idx);
     }
-
-    /// Drops every entry whose epoch is more than `retention` behind
-    /// `current`, returning how many were removed.
-    fn purge(&mut self, current: u64, retention: u64) -> u64 {
-        let stale: Vec<usize> = self
-            .map
-            .iter()
-            .filter(|(k, _)| k.epoch().saturating_add(retention) < current)
-            .map(|(_, &idx)| idx)
-            .collect();
-        let n = stale.len() as u64;
-        for idx in stale {
-            self.remove(idx);
-        }
-        n
-    }
 }
-
-/// Insertions between periodic purges: frequent enough that stale
-/// entries cannot pile up between epoch bumps under a steady insert
-/// stream, rare enough that the O(n) scan is amortized away.
-const PURGE_EVERY_INSERTS: usize = 64;
 
 /// A bounded, thread-safe forecast cache with LRU eviction.
 pub struct ForecastCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    /// Epochs of slack before a stale entry is purged: `0` (the
-    /// default) purges everything but the current epoch; degraded-mode
-    /// serving keeps a few old epochs around to answer from when
-    /// shedding.
-    retention: u64,
     // Serving statistics are shared-handle `telemetry` counters so a
     // `MetricsRegistry` can adopt the very cells the hot path bumps
     // (`register_metrics`) — no snapshot copying, no second source of
@@ -276,8 +235,6 @@ pub struct ForecastCache {
     hits: Counter,
     misses: Counter,
     coalesced: Counter,
-    stale_served: Counter,
-    shed: Counter,
     /// Entries evicted by route-targeted link invalidation.
     invalidated_targeted: Counter,
     /// Entries reclaimed by epoch purges (the blanket hammer).
@@ -285,15 +242,8 @@ pub struct ForecastCache {
 }
 
 impl ForecastCache {
-    /// A cache holding at most `capacity` entries (LRU eviction), with
-    /// no stale retention.
+    /// A cache holding at most `capacity` entries (LRU eviction).
     pub fn new(capacity: usize) -> ForecastCache {
-        ForecastCache::with_retention(capacity, 0)
-    }
-
-    /// A cache keeping entries up to `retention` epochs behind the
-    /// current one across purges (degraded-mode stale serving).
-    pub fn with_retention(capacity: usize, retention: u64) -> ForecastCache {
         ForecastCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -301,16 +251,12 @@ impl ForecastCache {
                 free: Vec::new(),
                 head: NIL,
                 tail: NIL,
-                inserts_since_purge: 0,
                 latest_epoch: 0,
             }),
             capacity: capacity.max(1),
-            retention,
             hits: Counter::new(),
             misses: Counter::new(),
             coalesced: Counter::new(),
-            stale_served: Counter::new(),
-            shed: Counter::new(),
             invalidated_targeted: Counter::new(),
             invalidated_epoch: Counter::new(),
         }
@@ -336,18 +282,6 @@ impl ForecastCache {
             "Requests that joined an in-flight identical computation",
             &[],
             &self.coalesced,
-        );
-        registry.adopt_counter(
-            "forecast_stale_served_total",
-            "Degraded-mode answers served from a stale epoch",
-            &[],
-            &self.stale_served,
-        );
-        registry.adopt_counter(
-            "forecast_shed_total",
-            "Requests shed by admission control",
-            &[],
-            &self.shed,
         );
         registry.adopt_counter(
             "forecast_cache_invalidated_total",
@@ -389,64 +323,28 @@ impl ForecastCache {
         inner.map.get(key).and_then(|&idx| inner.entries[idx].value.clone())
     }
 
-    /// Degraded-mode lookup: the freshest retained entry answering the
-    /// *same query* as `fresh` at an older epoch, with its epoch lag.
-    /// Counts a stale serve (not a hit) and promotes the entry.
-    pub fn get_stale(&self, fresh: &CacheKey) -> Option<(CachedResult, u64)> {
-        let fresh_epoch = fresh.epoch();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut best: Option<(usize, u64)> = None;
-        for (k, &idx) in inner.map.iter() {
-            let e = k.epoch();
-            if e < fresh_epoch && k.same_query(fresh) && best.is_none_or(|(_, be)| e > be) {
-                best = Some((idx, e));
-            }
-        }
-        let (idx, e) = best?;
-        inner.unlink(idx);
-        inner.push_front(idx);
-        let value = inner.entries[idx].value.clone()?;
-        self.stale_served.inc();
-        Some((value, fresh_epoch - e))
-    }
-
-    /// Inserts a result, evicting the least-recently-used entry when
-    /// full. Every [`PURGE_EVERY_INSERTS`] insertions the cache also
-    /// purges entries stale relative to the highest epoch it has seen,
-    /// so stale results are reclaimed even if nobody calls
-    /// [`ForecastCache::purge_stale`].
-    pub fn insert(&self, key: CacheKey, value: CachedResult) {
-        self.insert_if(key, value, None, || true);
-    }
-
-    /// [`ForecastCache::insert`] with route metadata and a validity
-    /// check. `valid` runs under the cache lock immediately before the
-    /// entry is filed; returning `false` drops the result. The engine
-    /// passes a closure comparing the session's overlay version against
-    /// the snapshot its key was computed from — any `link_event` racing
-    /// the computation bumps the version first and evicts under this
-    /// same lock, so a result keyed by a dead footprint can never land
-    /// after the eviction swept past it (see the module docs). `routes`
-    /// (sorted, deduplicated resource ids) makes the entry eligible for
-    /// [`ForecastCache::invalidate_link`].
+    /// Files a result if it is still current, evicting the
+    /// least-recently-used entry when full. Under the cache lock, a key
+    /// whose epoch is below the last [`ForecastCache::purge_stale`]'s is
+    /// refused, and so is any for which `valid` returns `false`. The
+    /// engine passes a closure comparing the session's overlay version
+    /// against the snapshot its key was computed from — any `link_event`
+    /// racing the computation bumps the version first and evicts under
+    /// this same lock, so a result keyed by a dead footprint can never
+    /// land after the eviction swept past it (see the module docs). A
+    /// result that outlived a `bump_epoch` is refused the same way.
+    /// `routes` (sorted, deduplicated resource ids) is what
+    /// [`ForecastCache::invalidate_link`] matches the entry by.
     pub fn insert_if(
         &self,
         key: CacheKey,
         value: CachedResult,
-        routes: Option<Arc<[u32]>>,
+        routes: Arc<[u32]>,
         valid: impl FnOnce() -> bool,
     ) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if !valid() {
+        if key.epoch() < inner.latest_epoch || !valid() {
             return;
-        }
-        inner.latest_epoch = inner.latest_epoch.max(key.epoch());
-        inner.inserts_since_purge += 1;
-        if inner.inserts_since_purge >= PURGE_EVERY_INSERTS {
-            inner.inserts_since_purge = 0;
-            let current = inner.latest_epoch;
-            let purged = inner.purge(current, self.retention);
-            self.invalidated_epoch.add(purged);
         }
         if inner.map.contains_key(&key) {
             // A racing query computed the same forecast; results are
@@ -478,9 +376,7 @@ impl ForecastCache {
     /// Route-targeted invalidation: drops every entry of `platform`
     /// whose recorded route union crosses solver resource `resource`,
     /// returning how many were evicted (also accumulated into
-    /// [`ForecastCache::invalidated_targeted`]). Entries without route
-    /// metadata are left alone — their footprint keying keeps them
-    /// correct; LRU reclaims their memory.
+    /// [`ForecastCache::invalidated_targeted`]).
     pub fn invalidate_link(&self, platform: &str, resource: u32) -> u64 {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let victims: Vec<usize> = inner
@@ -488,10 +384,7 @@ impl ForecastCache {
             .iter()
             .filter(|(k, &idx)| {
                 k.platform() == platform
-                    && inner.entries[idx]
-                        .routes
-                        .as_ref()
-                        .is_some_and(|r| r.binary_search(&resource).is_ok())
+                    && inner.entries[idx].routes.binary_search(&resource).is_ok()
             })
             .map(|(_, &idx)| idx)
             .collect();
@@ -503,15 +396,22 @@ impl ForecastCache {
         n
     }
 
-    /// Drops every entry more than the retention window behind
-    /// `current`. Fresh lookups already miss old entries (the epoch is
-    /// part of the key); this reclaims their memory, keeping up to the
-    /// configured number of trailing epochs for stale serving.
+    /// Drops every entry of an epoch below `current` and refuses such
+    /// keys from now on. Fresh lookups already miss old entries (the
+    /// epoch is part of the key); this reclaims their memory.
     pub fn purge_stale(&self, current: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.latest_epoch = inner.latest_epoch.max(current);
-        let purged = inner.purge(current, self.retention);
-        self.invalidated_epoch.add(purged);
+        let stale: Vec<usize> = inner
+            .map
+            .iter()
+            .filter(|(k, _)| k.epoch() < current)
+            .map(|(_, &idx)| idx)
+            .collect();
+        self.invalidated_epoch.add(stale.len() as u64);
+        for idx in stale {
+            inner.remove(idx);
+        }
     }
 
     /// Number of live entries.
@@ -545,22 +445,6 @@ impl ForecastCache {
         self.coalesced.get()
     }
 
-    /// Stale-epoch answers served so far (degraded mode).
-    pub fn stale_served(&self) -> u64 {
-        self.stale_served.get()
-    }
-
-    /// Records a request shed by admission control without an answer
-    /// from this cache.
-    pub fn note_shed(&self) {
-        self.shed.inc();
-    }
-
-    /// Requests shed so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.get()
-    }
-
     /// Entries evicted by route-targeted link invalidation so far.
     pub fn invalidated_targeted(&self) -> u64 {
         self.invalidated_targeted.get()
@@ -580,6 +464,11 @@ mod tests {
         TransferSpec { src: src.into(), dst: dst.into(), size }
     }
 
+    /// Files `key` with no routes and no validity check.
+    fn insert(cache: &ForecastCache, key: CacheKey, value: CachedResult) {
+        cache.insert_if(key, value, Arc::from([]), || true);
+    }
+
     #[test]
     fn canonical_keys_ignore_text_form_but_not_order() {
         let a = CacheKey::predict("p", 0, 0, &[spec("a", "b", 5e8)]);
@@ -597,7 +486,7 @@ mod tests {
         let cache = ForecastCache::new(16);
         let k0 = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0)]);
         let k1 = CacheKey::predict("p", 1, 0, &[spec("a", "b", 1.0)]);
-        cache.insert(k0.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
+        insert(&cache, k0.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
         assert!(cache.get(&k0).is_some());
         assert!(cache.get(&k1).is_none(), "new epoch must miss");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -607,7 +496,8 @@ mod tests {
     fn purge_drops_old_epochs() {
         let cache = ForecastCache::new(16);
         for e in 0..4u64 {
-            cache.insert(
+            insert(
+                &cache,
                 CacheKey::predict("p", e, 0, &[spec("a", "b", e as f64)]),
                 CachedResult::Predict(Arc::new(vec![0.0])),
             );
@@ -618,18 +508,25 @@ mod tests {
         // list structure stays consistent after the purge
         let survivor = CacheKey::predict("p", 3, 0, &[spec("a", "b", 3.0)]);
         assert!(cache.get(&survivor).is_some());
-        cache.insert(
+        insert(
+            &cache,
             CacheKey::predict("p", 3, 0, &[spec("a", "b", 99.0)]),
             CachedResult::Predict(Arc::new(vec![9.0])),
         );
         assert_eq!(cache.len(), 2);
+        // a result of an epoch behind the purge is refused, not filed
+        let late = CacheKey::predict("p", 2, 0, &[spec("a", "b", 2.0)]);
+        insert(&cache, late.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
+        assert!(cache.peek(&late).is_none());
+        assert_eq!((cache.len(), cache.invalidated_epoch()), (2, 3));
     }
 
     #[test]
     fn lru_eviction_bounds_the_cache() {
         let cache = ForecastCache::new(3);
         for i in 0..10 {
-            cache.insert(
+            insert(
+                &cache,
                 CacheKey::predict("p", 0, 0, &[spec("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![i as f64])),
             );
@@ -650,9 +547,10 @@ mod tests {
         // it resident through 20 one-off insertions into a 3-entry cache.
         let cache = ForecastCache::new(3);
         let hot = CacheKey::predict("p", 0, 0, &[spec("hot", "hot", 1.0)]);
-        cache.insert(hot.clone(), CachedResult::Predict(Arc::new(vec![42.0])));
+        insert(&cache, hot.clone(), CachedResult::Predict(Arc::new(vec![42.0])));
         for i in 0..20 {
-            cache.insert(
+            insert(
+                &cache,
                 CacheKey::predict("p", 0, 0, &[spec("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![i as f64])),
             );
@@ -674,13 +572,14 @@ mod tests {
         let cache = ForecastCache::new(2);
         let a = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0)]);
         let b = CacheKey::predict("p", 0, 0, &[spec("c", "d", 1.0)]);
-        cache.insert(a.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
-        cache.insert(b.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
+        insert(&cache, a.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
+        insert(&cache, b.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
         assert!(cache.peek(&a).is_some());
         assert!(cache.peek(&CacheKey::predict("p", 9, 0, &[])).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0), "peek is statistics-free");
         // `a` was peeked, not promoted: the next insert still evicts it
-        cache.insert(
+        insert(
+            &cache,
             CacheKey::predict("p", 0, 0, &[spec("e", "f", 1.0)]),
             CachedResult::Predict(Arc::new(vec![3.0])),
         );
@@ -689,124 +588,55 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_trailing_epochs_and_serves_stale() {
-        let cache = ForecastCache::with_retention(16, 2);
-        for e in 0..5u64 {
-            cache.insert(
-                CacheKey::predict("p", e, 0, &[spec("a", "b", 1.0)]),
-                CachedResult::Predict(Arc::new(vec![e as f64])),
-            );
-        }
-        cache.purge_stale(5);
-        assert_eq!(cache.len(), 2, "epochs 3 and 4 sit inside the retention window");
-
-        // stale lookup: freshest retained epoch wins, lag is reported
-        let fresh = CacheKey::predict("p", 5, 0, &[spec("a", "b", 1.0)]);
-        match cache.get_stale(&fresh) {
-            Some((CachedResult::Predict(v), lag)) => {
-                assert_eq!(*v, vec![4.0]);
-                assert_eq!(lag, 1);
-            }
-            other => panic!("expected stale hit, got {:?}", other.map(|(_, l)| l)),
-        }
-        assert_eq!(cache.stale_served(), 1);
-        // a different query has nothing to serve
-        let unknown = CacheKey::predict("p", 5, 0, &[spec("x", "y", 1.0)]);
-        assert!(cache.get_stale(&unknown).is_none());
-        // predict entries never answer select queries
-        let select = CacheKey::select("p", 5, 0, &[vec![spec("a", "b", 1.0)]]);
-        assert!(cache.get_stale(&select).is_none());
-    }
-
-    #[test]
-    fn periodic_purge_reclaims_without_explicit_calls() {
-        let cache = ForecastCache::new(4096);
-        // epoch 0 entries, then a stream of epoch-1 inserts: the periodic
-        // purge must reclaim the epoch-0 entries without purge_stale.
-        for i in 0..8 {
-            cache.insert(
-                CacheKey::predict("p", 0, 0, &[spec("a", "b", i as f64)]),
-                CachedResult::Predict(Arc::new(vec![0.0])),
-            );
-        }
-        for i in 0..70 {
-            cache.insert(
-                CacheKey::predict("p", 1, 0, &[spec("a", "b", i as f64)]),
-                CachedResult::Predict(Arc::new(vec![1.0])),
-            );
-        }
-        let epoch0 = CacheKey::predict("p", 0, 0, &[spec("a", "b", 0.0)]);
-        assert!(cache.peek(&epoch0).is_none(), "periodic purge dropped epoch 0");
-        assert!(cache.len() <= 70);
-    }
-
-    #[test]
     fn insert_if_drops_invalid_results() {
         let cache = ForecastCache::new(8);
         let k = CacheKey::predict("p", 0, 7, &[spec("a", "b", 1.0)]);
-        cache.insert_if(
-            k.clone(),
-            CachedResult::Predict(Arc::new(vec![1.0])),
-            None,
-            || false,
-        );
+        let v = || CachedResult::Predict(Arc::new(vec![1.0]));
+        cache.insert_if(k.clone(), v(), Arc::from([]), || false);
         assert!(cache.peek(&k).is_none(), "invalid insert must be dropped");
-        cache.insert_if(
-            k.clone(),
-            CachedResult::Predict(Arc::new(vec![1.0])),
-            None,
-            || true,
-        );
+        cache.insert_if(k.clone(), v(), Arc::from([]), || true);
         assert!(cache.peek(&k).is_some());
     }
 
     #[test]
-    fn footprint_is_part_of_the_key_and_of_same_query() {
-        let cache = ForecastCache::with_retention(8, 4);
+    fn footprint_is_part_of_the_key() {
+        let cache = ForecastCache::new(8);
         let plain = CacheKey::predict("p", 1, 0, &[spec("a", "b", 1.0)]);
         let degraded = CacheKey::predict("p", 1, 99, &[spec("a", "b", 1.0)]);
         assert_ne!(plain, degraded);
-        cache.insert(plain, CachedResult::Predict(Arc::new(vec![1.0])));
-        // Stale lookups must not cross footprints: an answer computed
-        // under a different overlay is wrong, not stale.
-        let fresh_degraded = CacheKey::predict("p", 2, 99, &[spec("a", "b", 1.0)]);
-        assert!(cache.get_stale(&fresh_degraded).is_none());
-        let fresh_plain = CacheKey::predict("p", 2, 0, &[spec("a", "b", 1.0)]);
-        assert!(cache.get_stale(&fresh_plain).is_some());
+        insert(&cache, plain.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
+        // an answer computed under a different overlay is a miss
+        assert!(cache.get(&degraded).is_none());
+        assert!(cache.get(&plain).is_some());
     }
 
     #[test]
     fn invalidate_link_evicts_only_crossing_entries_of_the_platform() {
         let cache = ForecastCache::new(8);
-        let routes = |r: &[u32]| Some(Arc::from(r));
         let crossing = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0)]);
         let disjoint = CacheKey::predict("p", 0, 0, &[spec("c", "d", 1.0)]);
         let other_platform = CacheKey::predict("q", 0, 0, &[spec("a", "b", 1.0)]);
-        let unrouted = CacheKey::predict("p", 0, 0, &[spec("e", "f", 1.0)]);
         let v = || CachedResult::Predict(Arc::new(vec![0.0]));
-        cache.insert_if(crossing.clone(), v(), routes(&[2, 5, 9]), || true);
-        cache.insert_if(disjoint.clone(), v(), routes(&[1, 3]), || true);
-        cache.insert_if(other_platform.clone(), v(), routes(&[2, 5]), || true);
-        cache.insert_if(unrouted.clone(), v(), None, || true);
+        cache.insert_if(crossing.clone(), v(), Arc::from([2, 5, 9]), || true);
+        cache.insert_if(disjoint.clone(), v(), Arc::from([1, 3]), || true);
+        cache.insert_if(other_platform.clone(), v(), Arc::from([2, 5]), || true);
 
         assert_eq!(cache.invalidate_link("p", 5), 1, "only the crossing entry");
         assert!(cache.peek(&crossing).is_none());
         assert!(cache.peek(&disjoint).is_some());
         assert!(cache.peek(&other_platform).is_some(), "platforms are independent");
-        assert!(cache.peek(&unrouted).is_some(), "unrouted entries are spared");
         assert_eq!(cache.invalidated_targeted(), 1);
         assert_eq!(cache.invalidate_link("p", 999), 0);
         // epoch purges count on the other counter
         cache.purge_stale(1);
-        assert_eq!(cache.invalidated_epoch(), 3);
+        assert_eq!(cache.invalidated_epoch(), 2);
     }
 
     #[test]
-    fn shed_and_coalesced_counters_accumulate() {
+    fn coalesced_counter_accumulates() {
         let cache = ForecastCache::new(4);
-        cache.note_shed();
-        cache.note_shed();
         cache.note_coalesced();
-        assert_eq!((cache.shed(), cache.coalesced(), cache.stale_served()), (2, 1, 0));
+        cache.note_coalesced();
+        assert_eq!(cache.coalesced(), 2);
     }
 }

@@ -14,7 +14,9 @@
 //!   background flows) lives in warm [`Session`]s (`crate::session`);
 //! * results are memoized in an epoch-keyed [`ForecastCache`]
 //!   (`crate::cache`) invalidated wholesale whenever new metrology data
-//!   arrives ([`ForecastEngine::bump_epoch`]).
+//!   arrives ([`ForecastEngine::bump_epoch`]); a result is filed only if
+//!   its key is still current when it is done, so no out-of-date
+//!   forecast is ever answered from the cache.
 //!
 //! ## Two stages: probe, then compute
 //!
@@ -74,8 +76,9 @@
 //! the followers of the same flight but never cached, so the next
 //! request retries the computation. Successful leaders insert into the
 //! cache *before* retiring the flight, so a key absent from both the
-//! cache and the flight table is guaranteed uncomputed — the
-//! double-check in `coalesce` relies on exactly that ordering.
+//! cache and the flight table is uncomputed, or was computed under an
+//! epoch or overlay that is gone — the double-check in `coalesce` relies
+//! on exactly that ordering.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -165,22 +168,8 @@ pub struct Selection {
     pub pruned: Vec<usize>,
 }
 
-/// Tuning knobs for [`ForecastEngine`].
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Maximum number of cached forecast results.
-    pub cache_capacity: usize,
-    /// Trailing epochs the cache may retain for degraded-mode stale
-    /// serving. `0` (the default) purges everything but the current
-    /// epoch on each bump.
-    pub stale_retention: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { cache_capacity: 4096, stale_retention: 0 }
-    }
-}
+/// Forecast results the engine's cache holds (LRU beyond that).
+const CACHE_CAPACITY: usize = 4096;
 
 /// What a forecast's probe stage found.
 pub enum Probed<T> {
@@ -285,18 +274,14 @@ pub struct ForecastEngine {
 }
 
 impl ForecastEngine {
-    /// An engine with default tuning.
+    /// An engine over the given model configuration, with no platform
+    /// registered yet.
     pub fn new(config: NetworkConfig) -> ForecastEngine {
-        ForecastEngine::with_engine_config(config, EngineConfig::default())
-    }
-
-    /// An engine with explicit tuning.
-    pub fn with_engine_config(config: NetworkConfig, engine: EngineConfig) -> ForecastEngine {
         ForecastEngine {
             config,
             pool: OnceLock::new(),
             sessions: RwLock::new(HashMap::new()),
-            cache: ForecastCache::with_retention(engine.cache_capacity, engine.stale_retention),
+            cache: ForecastCache::new(CACHE_CAPACITY),
             epoch: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
             metrics: ForecastMetrics::default(),
@@ -379,7 +364,8 @@ impl ForecastEngine {
     }
 
     /// Advances the epoch (new metrology data arrived): every cached
-    /// forecast becomes unreachable and its memory is reclaimed.
+    /// forecast becomes unreachable and its memory is reclaimed, and a
+    /// forecast still computing under the old epoch is not filed.
     pub fn bump_epoch(&self) -> u64 {
         let new = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         self.cache.purge_stale(new);
@@ -432,22 +418,6 @@ impl ForecastEngine {
         self.cache.coalesced()
     }
 
-    /// Stale-epoch answers served (degraded mode).
-    pub fn stale_served(&self) -> u64 {
-        self.cache.stale_served()
-    }
-
-    /// Records a request shed by admission control (counter lives with
-    /// the other serving statistics on the cache).
-    pub fn note_shed(&self) {
-        self.cache.note_shed();
-    }
-
-    /// Requests shed by admission control.
-    pub fn shed(&self) -> u64 {
-        self.cache.shed()
-    }
-
     /// Leader computations started so far: each cache miss that actually
     /// reached simulation counts once, however many followers coalesced
     /// onto it.
@@ -477,13 +447,13 @@ impl ForecastEngine {
     /// cache-ordering invariants. `routes` and `valid` flow into
     /// [`ForecastCache::insert_if`]: the leader's result is filed with
     /// the query's route union for targeted invalidation, and only if
-    /// `valid` still holds under the cache lock (the overlay-version
-    /// check closing the race between a computation and a concurrent
-    /// `link_event`).
+    /// its epoch is still current and `valid` still holds under the
+    /// cache lock (the overlay-version check closing the race between a
+    /// computation and a concurrent `link_event`).
     fn coalesce(
         &self,
         key: CacheKey,
-        routes: Option<Arc<[u32]>>,
+        routes: Arc<[u32]>,
         valid: impl FnOnce() -> bool,
         compute: impl FnOnce() -> Result<CachedResult, ForecastError>,
     ) -> Result<CachedResult, ForecastError> {
@@ -638,7 +608,7 @@ impl ForecastEngine {
         let valid_session = Arc::clone(&session);
         self.coalesce(
             key,
-            Some(routes),
+            routes,
             move || valid_session.overlay_version() == v0,
             || {
                 self.begin_simulation();
@@ -835,40 +805,6 @@ impl ForecastEngine {
     /// Cache entries reclaimed by epoch purges.
     pub fn invalidated_epoch(&self) -> u64 {
         self.cache.invalidated_epoch()
-    }
-
-    /// Degraded-mode lookup: the freshest retained stale answer for this
-    /// predict query, with its epoch lag. No simulation happens here.
-    pub fn predict_stale(
-        &self,
-        platform: &str,
-        specs: &[TransferSpec],
-    ) -> Option<(Arc<Vec<f64>>, u64)> {
-        let session = self.session(platform).ok()?;
-        let resolved = resolve_all(&session, specs).ok()?;
-        let footprint = session.footprint(&route_union(&resolved));
-        let key = CacheKey::predict(platform, self.epoch(), footprint, specs);
-        match self.cache.get_stale(&key) {
-            Some((CachedResult::Predict(d), lag)) => Some((d, lag)),
-            _ => None,
-        }
-    }
-
-    /// Degraded-mode lookup: the freshest retained stale answer for this
-    /// selection query, with its epoch lag. No simulation happens here.
-    pub fn select_fastest_stale(
-        &self,
-        platform: &str,
-        hypotheses: &[Vec<TransferSpec>],
-    ) -> Option<(Arc<Selection>, u64)> {
-        let session = self.session(platform).ok()?;
-        let resolved = resolve_all(&session, hypotheses.iter().flatten()).ok()?;
-        let footprint = session.footprint(&route_union(&resolved));
-        let key = CacheKey::select(platform, self.epoch(), footprint, hypotheses);
-        match self.cache.get_stale(&key) {
-            Some((CachedResult::Select(s), lag)) => Some((s, lag)),
-            _ => None,
-        }
     }
 }
 

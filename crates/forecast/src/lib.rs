@@ -52,16 +52,15 @@
 //! (`pilgrim_core::Pnfs::select_fastest_reference`): same winner,
 //! makespan and pruned set.
 //!
-//! ## Singleflight and degraded serving
+//! ## Singleflight
 //!
 //! Concurrent duplicate requests are *coalesced* ([`engine`] module
 //! docs): one leader simulates, followers share its `Arc`'d result —
 //! panic-safe, counted, and bit-identical by the determinism contract.
-//! With a nonzero [`EngineConfig::stale_retention`] the cache keeps a
-//! few trailing epochs so an overloaded server can answer from slightly
-//! stale forecasts instead of shedding, and [`faults`] provides the
-//! seed-deterministic fault injection the chaos tests drive all of this
-//! with.
+//! A leader's result is filed only if its epoch and overlay are still
+//! current, so the cache never answers with a forecast the engine has
+//! declared out of date. [`faults`] provides the seed-deterministic
+//! fault injection the chaos tests drive all of this with.
 
 #![forbid(unsafe_code)]
 
@@ -72,9 +71,7 @@ pub mod metrics;
 pub mod session;
 
 pub use cache::{CacheKey, CachedResult, ForecastCache};
-pub use engine::{
-    EngineConfig, ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec,
-};
+pub use engine::{ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec};
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};
 pub use session::{BackgroundFlow, LinkState, ResolvedSpec, Session};

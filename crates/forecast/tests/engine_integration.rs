@@ -6,8 +6,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use forecast::{
-    EngineConfig, Fault, FaultInjector, FaultPlan, ForecastEngine, ForecastError, Session,
-    TransferSpec,
+    Fault, FaultInjector, FaultPlan, ForecastEngine, ForecastError, Session, TransferSpec,
 };
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
@@ -63,10 +62,7 @@ fn spec(src: &str, dst: &str, size: f64) -> TransferSpec {
 }
 
 fn engine() -> ForecastEngine {
-    let e = ForecastEngine::with_engine_config(
-        NetworkConfig::default(),
-        EngineConfig { cache_capacity: 64, ..EngineConfig::default() },
-    );
+    let e = ForecastEngine::new(NetworkConfig::default());
     e.register_platform("twoc", two_clusters());
     e
 }
@@ -278,6 +274,30 @@ fn cache_hits_within_epoch_and_misses_after_bump() {
     assert_eq!(e.cache_len(), 0, "stale entries purged");
     e.predict("twoc", &q).unwrap();
     assert_eq!(e.cache_hits(), 2, "post-bump query re-simulates");
+}
+
+#[test]
+fn a_forecast_that_outlives_its_epoch_is_never_filed() {
+    let e = Arc::new(engine());
+    // The first leader computation bumps the epoch from inside, after its
+    // key was built and before it simulates, so its result finishes under
+    // a retired epoch.
+    let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).force(0, Fault::Flap)));
+    let weak = Arc::downgrade(&e);
+    injector.set_flap_hook(Some(Box::new(move |_| {
+        weak.upgrade().expect("the engine outlives its computations").bump_epoch();
+    })));
+    e.set_fault_injector(Some(injector));
+    let q = vec![spec("alpha-0", "alpha-1", 5e8)];
+    let answer = e.predict("twoc", &q).unwrap();
+    assert_eq!(e.epoch(), 1, "the bump ran mid-computation");
+    assert_eq!(e.cache_len(), 0, "a result of a retired epoch must not be filed");
+    assert_eq!(e.invalidated_epoch(), 0, "refused at the door, not filed and purged later");
+
+    let again = e.predict("twoc", &q).unwrap();
+    assert_eq!(e.simulations(), 2, "the next identical predict simulates again");
+    assert_eq!(e.cache_len(), 1, "and its current-epoch result is filed");
+    assert_eq!(again, answer, "same background, same answer");
 }
 
 #[test]

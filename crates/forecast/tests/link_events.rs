@@ -4,7 +4,7 @@
 //! through background coupling, and round-trip restores back to
 //! bit-identical pre-event answers.
 
-use forecast::{EngineConfig, ForecastEngine, ForecastError, TransferSpec};
+use forecast::{ForecastEngine, ForecastError, TransferSpec};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::platform::SharingPolicy;
@@ -57,10 +57,7 @@ fn spec(src: &str, dst: &str, size: f64) -> TransferSpec {
 }
 
 fn engine() -> ForecastEngine {
-    let e = ForecastEngine::with_engine_config(
-        NetworkConfig::default(),
-        EngineConfig { cache_capacity: 64, ..EngineConfig::default() },
-    );
+    let e = ForecastEngine::new(NetworkConfig::default());
     e.register_platform("twoc", two_clusters());
     e
 }

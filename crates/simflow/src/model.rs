@@ -33,9 +33,8 @@
 //!
 //! * **warm-record admission** — freeze-order records are linear in
 //!   component flow count, so recording is gated to the
-//!   `[warm_threshold, warm_flow_cap]` size band (see
-//!   [`MaxMinSolver::set_warm_flow_cap`]); oversized components solve
-//!   cold and hold no record. [`MaxMinSolver::warm_bytes`] reports the
+//!   `[warm_threshold, WARM_FLOW_CAP]` size band; oversized components
+//!   solve cold and hold no record. [`MaxMinSolver::warm_bytes`] reports the
 //!   cache's resident bytes (`KernelStats::warm_bytes`).
 //! * **recycled record slots** — the warm-cache slab reuses freed
 //!   entries (buffers intact), so steady-state re-solving allocates
@@ -237,14 +236,15 @@ const HEAP_THRESHOLD: usize = 1536;
 /// landed; see CHANGES.md).
 const DEFAULT_WARM_THRESHOLD: usize = 128;
 
-/// Default maximum component size (flows) for warm-start recording; see
-/// [`MaxMinSolver::set_warm_flow_cap`]. A recorded freeze order is
+/// Maximum component size (flows) for warm-start recording and replay —
+/// the size-aware admission bound that keeps the cache from hoarding
+/// memory on very large components. A recorded freeze order is
 /// proportional to the component's flow count, so one 100k-flow
 /// component would hoard megabytes of record for a replay whose first
 /// level is almost always invalidated anyway (every completion seeds
 /// the binding resource). Above the cap, components solve cold and the
-/// cache stays bounded.
-const DEFAULT_WARM_FLOW_CAP: usize = 16_384;
+/// cache stays bounded; results are bit-identical either way.
+const WARM_FLOW_CAP: usize = 16_384;
 
 #[derive(Clone, Debug)]
 struct SolverFlow {
@@ -725,9 +725,6 @@ pub struct MaxMinSolver {
     /// Minimum flows for warm-start recording/replay; see
     /// [`MaxMinSolver::set_warm_threshold`].
     warm_threshold: usize,
-    /// Maximum flows for warm-start recording/replay; see
-    /// [`MaxMinSolver::set_warm_flow_cap`].
-    warm_flow_cap: usize,
     warm: WarmCache,
     /// Flows activated/deactivated since the last reshare; folded into
     /// the next reshare's seeds so no membership change can slip past the
@@ -780,7 +777,6 @@ impl MaxMinSolver {
             },
             warm_start: true,
             warm_threshold: DEFAULT_WARM_THRESHOLD,
-            warm_flow_cap: DEFAULT_WARM_FLOW_CAP,
             warm: WarmCache {
                 res_solve: vec![0; nr],
                 solves: Vec::new(),
@@ -809,16 +805,6 @@ impl MaxMinSolver {
     /// replay on small inputs.
     pub fn set_warm_threshold(&mut self, min_flows: usize) {
         self.warm_threshold = min_flows.max(1);
-    }
-
-    /// Maximum component size (flows) for warm-start recording and
-    /// replay — the size-aware admission bound that keeps the cache from
-    /// hoarding memory on very large components (a record is linear in
-    /// the component's flow count, and huge components invalidate their
-    /// first cached level on nearly every completion anyway). Components
-    /// above the cap solve cold. Results are bit-identical regardless.
-    pub fn set_warm_flow_cap(&mut self, max_flows: usize) {
-        self.warm_flow_cap = max_flows.max(1);
     }
 
     /// Approximate heap bytes held by the warm-start cache (record
@@ -1229,7 +1215,7 @@ impl MaxMinSolver {
             // Warm-start pays only on components big enough that skipped
             // levels outweigh the replay validation; smaller ones solve
             // cold and just drop their stale records.
-            let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
+            let use_warm = record && n >= self.warm_threshold && n <= WARM_FLOW_CAP;
             if !use_warm && n <= 1 {
                 self.solve_trivial(ci, record);
                 continue;
