@@ -432,8 +432,8 @@ impl PilgrimService {
 
     /// Applies one serving-time platform event: `link` is the platform
     /// link name; the event is either `state=down` / `state=up` or a
-    /// capacity `factor` (1.0 restores nominal capacity). Exactly one of
-    /// the two forms must be given.
+    /// positive capacity `factor` (1.0 restores nominal capacity). Exactly
+    /// one of the two forms must be given.
     fn handle_link_event(&self, platform: &str, req: &Request) -> Response {
         let Some(link) = req.param("link") else {
             return Response::error(400, "missing 'link' parameter");
@@ -827,6 +827,10 @@ mod tests {
         );
         assert_eq!(
             post(&svc, "/pilgrim/link_event/g5k_test", &format!("link={nic}&factor=-1")).0,
+            400
+        );
+        assert_eq!(
+            post(&svc, "/pilgrim/link_event/g5k_test", &format!("link={nic}&factor=0")).0,
             400
         );
         assert_eq!(post(&svc, "/pilgrim/link_event/g5k_test", "link=ghost&state=down").0, 404);

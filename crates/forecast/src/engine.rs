@@ -120,7 +120,9 @@ pub enum ForecastError {
     BadSize(f64),
     /// A link event references a link absent from the platform.
     UnknownLink(String),
-    /// A link event carries a negative or non-finite capacity factor.
+    /// A link event carries a capacity factor that is not a positive
+    /// finite number. A zero factor is refused too: it would stall every
+    /// later forecast over the link; `Down` is how a link is taken out.
     BadFactor(f64),
     /// The simulation kernel failed.
     Sim(SimError),
@@ -785,7 +787,7 @@ impl ForecastEngine {
     ) -> Result<u64, ForecastError> {
         let session = self.session(platform)?;
         if let PlatformEventKind::Capacity(f) = kind {
-            if !f.is_finite() || f < 0.0 {
+            if !f.is_finite() || f <= 0.0 {
                 return Err(ForecastError::BadFactor(f));
             }
         }

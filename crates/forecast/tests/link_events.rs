@@ -209,8 +209,12 @@ fn link_event_error_surface() {
         e.link_event("twoc", "bb", PlatformEventKind::Capacity(f64::NAN)),
         Err(ForecastError::BadFactor(_))
     ));
-    // A factor of zero is legal: the link exists but serves nothing.
-    assert!(e.link_event("twoc", "bb", PlatformEventKind::Capacity(0.0)).is_ok());
+    // A factor of zero would stall every later forecast over the link;
+    // `Down` is the way to take a link out.
+    assert!(matches!(
+        e.link_event("twoc", "bb", PlatformEventKind::Capacity(0.0)),
+        Err(ForecastError::BadFactor(_))
+    ));
     assert!(e.link_event("twoc", "bb", PlatformEventKind::Capacity(1.0)).is_ok());
 }
 

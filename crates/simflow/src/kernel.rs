@@ -580,12 +580,6 @@ impl<'p> Simulation<'p> {
         Simulation { platform, config, scratch }
     }
 
-    /// Enables or disables the solver's warm-start filling (on by
-    /// default); results are unchanged either way.
-    pub fn set_warm_start(&mut self, on: bool) {
-        self.scratch.solver.set_warm_start(on);
-    }
-
     /// Selects what happens to flows whose route dies (see
     /// [`DeadRoutePolicy`]). Default: [`DeadRoutePolicy::Fail`].
     pub fn set_dead_route_policy(&mut self, policy: DeadRoutePolicy) {

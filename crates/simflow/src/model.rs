@@ -186,48 +186,8 @@ impl SharingProblem {
         rate
     }
 }
-/// Ordering key for the saturation-candidate heap: a non-NaN `f64`
-/// compared via `total_cmp`, smallest first under `Reverse`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A saturation candidate: the potential `φ` at which a constraint binds.
-/// Resource entries (`kind == RESOURCE`) carry the ratio
-/// `remaining/inv_w_sum` they were computed from; entries whose stored
-/// value no longer matches the live ratio are stale and skipped on pop
-/// (lazy deletion). Field order makes the derived `Ord` compare by value
-/// first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Candidate {
-    value: OrdF64,
-    kind: u8,
-    id: u32,
-}
-
-const RESOURCE: u8 = 0;
-const FLOW_CAP: u8 = 1;
 
 const REL_EPS: f64 = 1e-12;
-
-/// Components below this size fill with contiguous scans per round; the
-/// candidate heap's lazy-deletion churn only pays off once a round would
-/// otherwise rescan hundreds of constraints (crossover measured on the
-/// concurrent-flow ladder when the heap fill landed; see CHANGES.md).
-const HEAP_THRESHOLD: usize = 1536;
 
 /// Default minimum component size (flows) for warm-start recording and
 /// replay; see [`MaxMinSolver::set_warm_threshold`]. Below this, a cold
@@ -358,14 +318,6 @@ impl WarmReplayStats {
         self.invalidated_bind_dirty += o.invalidated_bind_dirty;
         self.invalidated_frozen_flow += o.invalidated_frozen_flow;
     }
-
-    /// Total recorded levels dropped without replay, all reasons.
-    pub fn levels_invalidated(&self) -> u64 {
-        self.invalidated_dirty_ratio
-            + self.invalidated_seed_cap
-            + self.invalidated_bind_dirty
-            + self.invalidated_frozen_flow
-    }
 }
 
 /// Lifetime event counts of one [`MaxMinSolver`] (observability; the
@@ -408,7 +360,7 @@ struct SolveScratch {
     remaining: Vec<f64>,
     inv_w_sum: Vec<f64>,
     active_count_on: Vec<u32>,
-    /// Cached `remaining/inv_w_sum` per live resource (scan path).
+    /// Cached `remaining/inv_w_sum` per live resource.
     ratio: Vec<f64>,
     /// Unfrozen component flows, ascending.
     live: Vec<u32>,
@@ -427,10 +379,6 @@ struct SolveScratch {
     dirty: Vec<u32>,
     /// The component's live seed flows (warm-start validity checks).
     seed_flows: Vec<u32>,
-    /// Candidate staging area, heapified in O(n) at solve start and
-    /// recycled afterwards.
-    cand: Vec<std::cmp::Reverse<Candidate>>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<Candidate>>,
     // -- per-solve output --
     /// Recorded freeze order: one `φ` per round...
     rec_phis: Vec<f64>,
@@ -457,7 +405,6 @@ impl SolveScratch {
     fn is_settled(&self) -> bool {
         self.frozen_stamp.is_empty()
             && self.stats == WarmReplayStats::default()
-            && self.heap.is_empty()
             && self.touched_mark.iter().all(|&m| m <= self.round_stamp)
     }
 
@@ -713,10 +660,10 @@ impl RateTable {
 /// order with per-resource sums rebuilt from scratch, so the produced
 /// rates match the reference **exactly** (progressive filling never moves
 /// capacity between disjoint components, and the per-resource float
-/// operations happen in the identical order). The only acceleration
-/// inside a filling round is the saturation-candidate min-heap that finds
-/// the binding potential `φ` in `O(log)` instead of rescanning every
-/// resource; the value it returns is the same minimum.
+/// operations happen in the identical order). Every component fills the
+/// same way: each round scans the live resources and flows for the
+/// binding potential `φ`. Resource ratios are cached and recomputed only
+/// where a freeze changed them, so a round compares and never divides.
 #[derive(Clone, Debug)]
 pub struct MaxMinSolver {
     core: SolverCore,
@@ -1377,22 +1324,12 @@ fn run_component(
         }
         s.live.sort_unstable();
         debug_assert_eq!(s.live.len(), unfrozen);
-        let scan = s.live.len() <= HEAP_THRESHOLD;
         s.live_res.clear();
         for &r in comp_res {
             let ri = r as usize;
             if s.active_count_on[ri] > 0 {
                 s.live_res.push(r);
-                if scan {
-                    s.ratio[ri] = s.remaining[ri] / s.inv_w_sum[ri];
-                }
-            }
-        }
-        if !s.live.is_empty() {
-            if scan {
-                fill_scan(core, record, out, s);
-            } else {
-                fill_heap(core, record, out, s);
+                s.ratio[ri] = s.remaining[ri] / s.inv_w_sum[ri];
             }
         }
     } else {
@@ -1402,7 +1339,6 @@ fn run_component(
         s.live.clear();
         s.live.extend_from_slice(comp_flows);
         s.live.sort_unstable();
-        let scan = s.live.len() <= HEAP_THRESHOLD;
         s.live_res.clear();
         for &r in comp_res {
             let ri = r as usize;
@@ -1412,18 +1348,12 @@ fn run_component(
             s.active_count_on[ri] = members;
             if members > 0 {
                 s.live_res.push(r);
-                if scan {
-                    s.ratio[ri] = core.capacity[ri] / core.base_inv_w_sum[ri];
-                }
+                s.ratio[ri] = core.capacity[ri] / core.base_inv_w_sum[ri];
             }
         }
-        if !s.live.is_empty() {
-            if scan {
-                fill_scan(core, record, out, s);
-            } else {
-                fill_heap(core, record, out, s);
-            }
-        }
+    }
+    if !s.live.is_empty() {
+        fill_scan(core, record, out, s);
     }
 
     // `out.changed` is left in freeze order; the reshare's single sort
@@ -1702,145 +1632,6 @@ fn fill_scan(core: &SolverCore, record: bool, out: &mut RateTable, s: &mut Solve
         }
         s.live_res.truncate(keep);
     }
-}
-
-/// Heap-driven progressive filling for large components: saturation
-/// candidates live in a lazy-deletion min-heap, so a round touches only
-/// the constraints that actually bind instead of rescanning every
-/// resource and cap.
-fn fill_heap(core: &SolverCore, record: bool, out: &mut RateTable, s: &mut SolveScratch) {
-    s.cand.clear();
-    for k in 0..s.live_res.len() {
-        let r = s.live_res[k];
-        let ri = r as usize;
-        let ratio = s.remaining[ri] / s.inv_w_sum[ri];
-        if ratio.is_finite() {
-            s.cand.push(std::cmp::Reverse(Candidate { value: OrdF64(ratio), kind: RESOURCE, id: r }));
-        }
-    }
-    for k in 0..s.live.len() {
-        let f = s.live[k];
-        let pc = core.phi_cap[f as usize];
-        if pc.is_finite() {
-            s.cand.push(std::cmp::Reverse(Candidate { value: OrdF64(pc), kind: FLOW_CAP, id: f }));
-        }
-    }
-    // O(n) heapify of the staged candidates, recycling both buffers.
-    debug_assert!(s.heap.is_empty());
-    let staged = std::mem::take(&mut s.cand);
-    s.heap = std::collections::BinaryHeap::from(staged);
-
-    let mut unfrozen = s.live.len();
-
-    while unfrozen > 0 {
-        // Peek the tightest still-valid constraint; its value is the same
-        // minimum the reference finds by scanning everything.
-        let mut phi = f64::INFINITY;
-        while let Some(&std::cmp::Reverse(c)) = s.heap.peek() {
-            let valid = if c.kind == RESOURCE {
-                let ri = c.id as usize;
-                s.active_count_on[ri] > 0 && s.remaining[ri] / s.inv_w_sum[ri] == c.value.0
-            } else {
-                s.frozen_stamp[c.id as usize] != s.stamp
-            };
-            if valid {
-                phi = c.value.0;
-                break;
-            }
-            s.heap.pop();
-        }
-
-        if phi.is_infinite() {
-            // No binding constraint: the remaining flows are unbounded.
-            for k in 0..s.live.len() {
-                let f = s.live[k];
-                if s.frozen_stamp[f as usize] != s.stamp {
-                    set_rate(out, f, f64::INFINITY, s);
-                }
-            }
-            break;
-        }
-
-        let threshold = phi * (1.0 + REL_EPS) + f64::MIN_POSITIVE;
-
-        // Collect this round's freezes straight from the candidate heap:
-        // every resource whose ratio binds at `threshold` freezes all its
-        // unfrozen flows, every binding cap freezes its flow. Freezing a
-        // flow at ≤ φ/w only *raises* other ratios, so the binding set is
-        // fixed at round start and no per-flow scan is needed (the
-        // reference's in-pass updates cannot pull new resources under the
-        // threshold except within its 1e-12 slack, which random inputs do
-        // not hit).
-        s.touched.clear();
-        s.round_bind.clear();
-        while let Some(&std::cmp::Reverse(c)) = s.heap.peek() {
-            let valid = if c.kind == RESOURCE {
-                let ri = c.id as usize;
-                s.active_count_on[ri] > 0 && s.remaining[ri] / s.inv_w_sum[ri] == c.value.0
-            } else {
-                s.frozen_stamp[c.id as usize] != s.stamp
-            };
-            if !valid {
-                s.heap.pop();
-                continue;
-            }
-            if c.value.0 > threshold {
-                break;
-            }
-            s.heap.pop();
-            if c.kind == RESOURCE {
-                let ri = c.id as usize;
-                s.round_bind.push(c.id);
-                for &f in core.members(ri) {
-                    if s.frozen_stamp[f as usize] != s.stamp {
-                        s.frozen_stamp[f as usize] = s.stamp;
-                        s.touched.push(f);
-                    }
-                }
-            } else if s.frozen_stamp[c.id as usize] != s.stamp {
-                s.frozen_stamp[c.id as usize] = s.stamp;
-                s.touched.push(c.id);
-            }
-        }
-
-        if s.touched.is_empty() {
-            // Cannot happen (the φ candidate itself always yields a
-            // freeze), but guarantee progress against float oddities.
-            for k in 0..s.live.len() {
-                let f = s.live[k];
-                let fi = f as usize;
-                if s.frozen_stamp[fi] != s.stamp {
-                    let rate = (phi / core.flows[fi].weight).min(core.flows[fi].cap);
-                    set_rate(out, f, rate, s);
-                }
-            }
-            break;
-        }
-
-        unfrozen -= apply_round(core, record, phi, threshold, out, s, true);
-
-        // Freezes changed these resources' ratios; push fresh candidates
-        // (old entries turn stale and are skipped on pop).
-        for k in 0..s.dirty_round.len() {
-            let r = s.dirty_round[k];
-            let ri = r as usize;
-            if s.active_count_on[ri] > 0 {
-                let ratio = s.remaining[ri] / s.inv_w_sum[ri];
-                if ratio.is_finite() {
-                    s.heap.push(std::cmp::Reverse(Candidate {
-                        value: OrdF64(ratio),
-                        kind: RESOURCE,
-                        id: r,
-                    }));
-                }
-            }
-        }
-    }
-
-    // Recycle the heap's buffer for the next solve's staging.
-    let mut spent = std::mem::take(&mut s.heap).into_vec();
-    spent.clear();
-    s.cand = spent;
 }
 
 #[cfg(test)]

@@ -48,7 +48,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::units::Duration;
 use routing::{Element, ZoneRouting};
 
 /// Identifier of a network point (host or router) within a [`Platform`].
@@ -300,16 +299,6 @@ impl Platform {
         }
     }
 
-    /// Looks any netpoint (host or router) up by name.
-    pub fn netpoint_by_name(&self, name: &str) -> Option<NetPointId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The name of a netpoint.
-    pub fn netpoint_name(&self, np: NetPointId) -> &str {
-        &self.netpoints[np.0 as usize].name
-    }
-
     /// The name of a host.
     pub fn host_name(&self, h: HostId) -> &str {
         &self.netpoints[h.0 as usize].name
@@ -321,14 +310,6 @@ impl Platform {
     pub fn host_index(&self, h: HostId) -> usize {
         match self.netpoints[h.0 as usize].kind {
             NetPointKind::Host(idx) => idx as usize,
-            NetPointKind::Router => unreachable!("HostId always points at a host"),
-        }
-    }
-
-    /// The compute speed of a host in flop/s.
-    pub fn host_speed(&self, h: HostId) -> f64 {
-        match self.netpoints[h.0 as usize].kind {
-            NetPointKind::Host(idx) => self.hosts[idx as usize].speed,
             NetPointKind::Router => unreachable!("HostId always points at a host"),
         }
     }
@@ -349,14 +330,6 @@ impl Platform {
     /// Zone attributes.
     pub fn zone(&self, z: ZoneId) -> &Zone {
         &self.zones[z.0 as usize]
-    }
-
-    /// Looks a zone up by name.
-    pub fn zone_by_name(&self, name: &str) -> Option<ZoneId> {
-        self.zones
-            .iter()
-            .position(|z| z.name == name)
-            .map(|i| ZoneId(i as u32))
     }
 
     /// Resolves the route between two netpoints through the zone hierarchy,
@@ -551,11 +524,6 @@ impl Platform {
     /// the memory-footprint proxy `tests/kernel_counts.rs` pins.
     pub fn stored_route_entries(&self) -> usize {
         self.zones.iter().map(|z| z.routing.stored_entries()).sum()
-    }
-
-    /// One-way latency of a route expressed as a [`Duration`].
-    pub fn route_latency(&self, src: HostId, dst: HostId) -> Result<Duration, RouteError> {
-        Ok(Duration::from_secs(self.route_hosts(src, dst)?.latency))
     }
 }
 

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::{
-    HostId, NetworkConfig, Platform, Report, ResolvedPath, SharingPolicy, SimTime, Simulation,
+    HostId, NetworkConfig, Platform, Report, ResolvedPath, SharingPolicy, SimTime, SimTuning,
+    Simulation,
 };
 
 /// The same two-level grid as `routing_properties.rs`: `n_sites` site
@@ -107,8 +108,9 @@ fn run_sim(
     memoized: bool,
 ) -> Report {
     let config = NetworkConfig::default();
-    let mut sim = Simulation::new(p, config);
-    sim.set_warm_start(warm);
+    let tuning = SimTuning { warm_start: warm, ..SimTuning::default() };
+    let mut sim =
+        Simulation::with_tuning(p, config, Simulation::shared_capacities(p, &config), tuning);
     if overlay.pre_dead_nic {
         let nic = p.link_by_name("nic0-0").expect("nic exists");
         sim.mark_resource_down(nic.index() as u32);
