@@ -171,7 +171,8 @@ impl Pnfs {
     /// cached forecasts whose routes the event can touch. Returns the
     /// number of evicted entries. Disjoint queries keep their cache
     /// entries; route-coupled ones re-simulate via the footprint in the
-    /// cache key (see the `forecast::cache` docs).
+    /// cache key, which also holds the session id and the query's host
+    /// ids + size bits (see the `forecast` crate docs).
     pub fn link_event(
         &self,
         platform: &str,

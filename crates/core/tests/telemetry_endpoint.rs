@@ -4,13 +4,24 @@
 //! per-stage forecast histograms sum (within span granularity) to the
 //! end-to-end request histogram on a sequential workload.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use g5k::{synth, to_simflow, Flavor};
 use jsonlite::Value;
 use pilgrim_core::http::{http_get_with_headers, HttpClient, Request, Server, ServerConfig};
 use pilgrim_core::{Metrology, PilgrimService, Pnfs};
 use simflow::NetworkConfig;
+
+/// Held by every test here for its whole run, so the tests of this file
+/// run one at a time: the stage-sum test compares wall-clock intervals
+/// of a sequential workload, and a sibling's HTTP server threads would
+/// otherwise preempt it on a small machine, stretching the end-to-end
+/// time it measures between two stages.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // a failed sibling poisons the lock; its failure is reported there
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn pooled_service() -> Arc<PilgrimService> {
     let mut pnfs = Pnfs::new(NetworkConfig::default());
@@ -41,6 +52,7 @@ fn get(svc: &PilgrimService, path: &str, query: &str) -> (u16, String) {
 /// integers. Dashboards parse this shape.
 #[test]
 fn stats_json_shape_is_frozen() {
+    let _serial = one_at_a_time();
     let svc = pooled_service();
     let q = "transfer=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8";
     get(&svc, "/pilgrim/predict_transfers/g5k_test", q);
@@ -79,6 +91,7 @@ fn stats_json_shape_is_frozen() {
 /// valid Prometheus text exposition format.
 #[test]
 fn metrics_endpoint_renders_every_layer_over_http() {
+    let _serial = one_at_a_time();
     let svc = pooled_service();
     let server = serve(&svc);
     let addr = server.addr();
@@ -166,6 +179,7 @@ fn metrics_endpoint_renders_every_layer_over_http() {
 /// series, new endpoints are counted under `other`.
 #[test]
 fn invented_paths_fold_into_other() {
+    let _serial = one_at_a_time();
     let svc = pooled_service();
     let server = serve(&svc);
     let mut client = HttpClient::new(server.addr());
@@ -196,6 +210,7 @@ fn invented_paths_fold_into_other() {
 /// outside them).
 #[test]
 fn stage_histograms_sum_to_end_to_end_on_sequential_workload() {
+    let _serial = one_at_a_time();
     let svc = pooled_service();
     // Distinct cache-missing queries, served one at a time.
     for i in 0..6 {

@@ -1,9 +1,9 @@
 //! The epoch-keyed forecast result cache.
 //!
-//! Forecasts are pure functions of `(platform, background-traffic epoch,
-//! query)`: the platform model is immutable, and everything time-varying
-//! (background flows derived from metrology) is folded into a
-//! monotonically increasing *epoch* counter that the engine bumps
+//! Forecasts are pure functions of `(session, background-traffic epoch,
+//! query)`: a session's platform model is immutable, and everything
+//! time-varying (background flows derived from metrology) is folded into
+//! a monotonically increasing *epoch* counter that the engine bumps
 //! whenever new measurement data is ingested. Keying cache entries by
 //! epoch makes invalidation free — a bump makes every old entry
 //! unreachable, and [`ForecastCache::purge_stale`] reclaims the memory.
@@ -16,10 +16,15 @@
 //! filed to be purged later, so no entry of an old epoch outlives the
 //! bump that retired it.
 //!
-//! Queries are canonicalized structurally (host names + size bit
-//! patterns), so two textually different requests for the same forecast
-//! (`5e8` vs `500000000`, reordered query parameters upstream) share an
-//! entry, while `-0.0`/`0.0`-style float subtleties cannot collide.
+//! Queries are keyed by what the probe has already resolved: the
+//! session's registration id, then host ids + size bit patterns, so two
+//! textually different requests for the same forecast (`5e8` vs
+//! `500000000`, reordered query parameters upstream) share an entry,
+//! while `-0.0`/`0.0`-style float subtleties cannot collide. A platform
+//! name registered again gets a new session id, so the old platform's
+//! answers can never hit; [`ForecastCache::retire_session`] drops them.
+//! The resolved transfers are one shared allocation per key: the map,
+//! the LRU slab and the engine's flight table hold the same `Arc`.
 //!
 //! Eviction is LRU: a hit promotes its entry to most-recently-used, so a
 //! small working set of hot queries (the realistic serving mix — a few
@@ -45,7 +50,7 @@
 //!   entries (the platform really is back in that state).
 //! * **Memory and observability** are carried by targeted eviction:
 //!   [`ForecastCache::invalidate_link`] walks the entries of the event's
-//!   platform and drops those whose recorded route set crosses the
+//!   session and drops those whose recorded route set crosses the
 //!   resource, counting them as `invalidated_targeted` (the epoch
 //!   hammer's removals count as `invalidated_epoch`). Entries orphaned
 //!   only through background coupling keep their memory until LRU
@@ -60,94 +65,70 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use simflow::HostId;
 use telemetry::{Counter, MetricsRegistry};
 
-use crate::engine::{Selection, TransferSpec};
+use crate::engine::Selection;
+use crate::session::ResolvedSpec;
 
-/// Canonical form of one transfer tuple: names plus the exact bit
-/// pattern of the size (f64 equality is the wrong notion for keys).
-type CanonicalTransfer = (String, String, u64);
+/// Canonical form of one transfer tuple: the host ids the session
+/// resolved its names to, plus the exact bit pattern of the size (f64
+/// equality is the wrong notion for keys).
+type CanonicalTransfer = (HostId, HostId, u64);
 
-/// Cache key: platform + epoch + overlay footprint + canonicalized
-/// query.
+/// Cache key: session + epoch + overlay footprint + the resolved query
+/// (host ids + size bits). Cloning it shares the transfer list.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum CacheKey {
-    /// A `predict_transfers` batch.
-    Predict {
-        /// Platform name.
-        platform: String,
-        /// Background-traffic epoch the result was computed under.
-        epoch: u64,
-        /// Digest of the link-state overlay as seen from the query's
-        /// routes (0 when no relevant resource is degraded) — see the
-        /// module docs.
-        footprint: u64,
-        /// Canonicalized transfer list, in request order (order matters:
-        /// answers are positional).
-        transfers: Vec<CanonicalTransfer>,
-    },
-    /// A `select_fastest` hypothesis set.
-    Select {
-        /// Platform name.
-        platform: String,
-        /// Background-traffic epoch the result was computed under.
-        epoch: u64,
-        /// Digest of the link-state overlay as seen from the query's
-        /// routes (0 when no relevant resource is degraded).
-        footprint: u64,
-        /// Canonicalized hypotheses (order matters: the winner is an
-        /// index into this list).
-        hypotheses: Vec<Vec<CanonicalTransfer>>,
-    },
+pub(crate) struct CacheKey {
+    /// Registration id of the session the query was resolved against
+    /// (`ForecastEngine::register_platform_shared` hands out a new one
+    /// per registration, so a replaced platform's entries never hit).
+    session: u64,
+    /// Background-traffic epoch the result was computed under.
+    epoch: u64,
+    /// Digest of the link-state overlay as seen from the query's routes
+    /// (0 when no relevant resource is degraded) — see the module docs.
+    footprint: u64,
+    /// Canonicalized transfers, in request order (order matters: answers
+    /// are positional); a selection's hypotheses are concatenated.
+    transfers: Arc<[CanonicalTransfer]>,
+    /// `None` for a `predict_transfers` batch; for a `select_fastest`
+    /// query, the number of transfers in each hypothesis (order matters:
+    /// the winner is an index into the hypotheses).
+    hypotheses: Option<Arc<[usize]>>,
 }
 
-fn canonicalize(specs: &[TransferSpec]) -> Vec<CanonicalTransfer> {
-    specs
-        .iter()
-        .map(|s| (s.src.clone(), s.dst.clone(), s.size.to_bits()))
-        .collect()
+fn canonicalize(resolved: &[ResolvedSpec]) -> Arc<[CanonicalTransfer]> {
+    resolved.iter().map(|r| (r.src, r.dst, r.size.to_bits())).collect()
 }
 
 impl CacheKey {
-    /// Key for a predict batch.
-    pub fn predict(
-        platform: &str,
+    /// Key for a predict batch resolved against session `session`.
+    pub(crate) fn predict(
+        session: u64,
         epoch: u64,
         footprint: u64,
-        specs: &[TransferSpec],
+        resolved: &[ResolvedSpec],
     ) -> CacheKey {
-        CacheKey::Predict {
-            platform: platform.to_string(),
-            epoch,
-            footprint,
-            transfers: canonicalize(specs),
-        }
+        CacheKey { session, epoch, footprint, transfers: canonicalize(resolved), hypotheses: None }
     }
 
-    /// Key for a hypothesis-selection query.
-    pub fn select(
-        platform: &str,
+    /// Key for a hypothesis-selection query: `resolved` holds every
+    /// hypothesis' specs, flattened in order, and `lengths` how many of
+    /// them each hypothesis has.
+    pub(crate) fn select(
+        session: u64,
         epoch: u64,
         footprint: u64,
-        hypotheses: &[Vec<TransferSpec>],
+        resolved: &[ResolvedSpec],
+        lengths: impl IntoIterator<Item = usize>,
     ) -> CacheKey {
-        CacheKey::Select {
-            platform: platform.to_string(),
+        CacheKey {
+            session,
             epoch,
             footprint,
-            hypotheses: hypotheses.iter().map(|h| canonicalize(h)).collect(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            CacheKey::Predict { epoch, .. } | CacheKey::Select { epoch, .. } => *epoch,
-        }
-    }
-
-    fn platform(&self) -> &str {
-        match self {
-            CacheKey::Predict { platform, .. } | CacheKey::Select { platform, .. } => platform,
+            transfers: canonicalize(resolved),
+            hypotheses: Some(lengths.into_iter().collect()),
         }
     }
 }
@@ -221,6 +202,21 @@ impl Inner {
         self.map.remove(&self.entries[idx].key);
         self.entries[idx].value = None;
         self.free.push(idx);
+    }
+
+    /// Removes every entry `doomed` selects, given its key and route
+    /// union; returns how many went.
+    fn remove_where(&mut self, doomed: impl Fn(&CacheKey, &[u32]) -> bool) -> u64 {
+        let victims: Vec<usize> = self
+            .map
+            .iter()
+            .filter(|(k, &idx)| doomed(k, &self.entries[idx].routes))
+            .map(|(_, &idx)| idx)
+            .collect();
+        for &idx in &victims {
+            self.remove(idx);
+        }
+        victims.len() as u64
     }
 }
 
@@ -343,7 +339,7 @@ impl ForecastCache {
         valid: impl FnOnce() -> bool,
     ) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if key.epoch() < inner.latest_epoch || !valid() {
+        if key.epoch < inner.latest_epoch || !valid() {
             return;
         }
         if inner.map.contains_key(&key) {
@@ -373,27 +369,25 @@ impl ForecastCache {
         inner.push_front(idx);
     }
 
-    /// Route-targeted invalidation: drops every entry of `platform`
-    /// whose recorded route union crosses solver resource `resource`,
-    /// returning how many were evicted (also accumulated into
+    /// Route-targeted invalidation: drops every entry of session
+    /// `session` whose recorded route union crosses solver resource
+    /// `resource`, returning how many were evicted (also accumulated into
     /// [`ForecastCache::invalidated_targeted`]).
-    pub fn invalidate_link(&self, platform: &str, resource: u32) -> u64 {
+    pub fn invalidate_link(&self, session: u64, resource: u32) -> u64 {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let victims: Vec<usize> = inner
-            .map
-            .iter()
-            .filter(|(k, &idx)| {
-                k.platform() == platform
-                    && inner.entries[idx].routes.binary_search(&resource).is_ok()
-            })
-            .map(|(_, &idx)| idx)
-            .collect();
-        let n = victims.len() as u64;
-        for idx in victims {
-            inner.remove(idx);
-        }
+        let n = inner.remove_where(|k, routes| {
+            k.session == session && routes.binary_search(&resource).is_ok()
+        });
         self.invalidated_targeted.add(n);
         n
+    }
+
+    /// Drops every entry of session `session`, which the engine has
+    /// replaced: its keys can no longer be built, so the entries are
+    /// unreachable and only their memory is reclaimed here.
+    pub(crate) fn retire_session(&self, session: u64) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.remove_where(|k, _| k.session == session);
     }
 
     /// Drops every entry of an epoch below `current` and refuses such
@@ -402,26 +396,13 @@ impl ForecastCache {
     pub fn purge_stale(&self, current: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.latest_epoch = inner.latest_epoch.max(current);
-        let stale: Vec<usize> = inner
-            .map
-            .iter()
-            .filter(|(k, _)| k.epoch() < current)
-            .map(|(_, &idx)| idx)
-            .collect();
-        self.invalidated_epoch.add(stale.len() as u64);
-        for idx in stale {
-            inner.remove(idx);
-        }
+        let n = inner.remove_where(|k, _| k.epoch < current);
+        self.invalidated_epoch.add(n);
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner).map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lifetime hit count.
@@ -458,10 +439,69 @@ impl ForecastCache {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
+    use simflow::platform::builder::PlatformBuilder;
+    use simflow::platform::routing::{Element, RoutingKind};
+    use simflow::platform::SharingPolicy;
+    use simflow::{NetworkConfig, Platform, ResolvedPath};
+
     use super::*;
 
-    fn spec(src: &str, dst: &str, size: f64) -> TransferSpec {
-        TransferSpec { src: src.into(), dst: dst.into(), size }
+    /// A transfer as a request names it: `(src, dst, size)`.
+    type Spec<'a> = (&'a str, &'a str, f64);
+
+    /// Four hosts `a`–`d`, each behind a link of its own, every pair
+    /// routed over both hosts' links.
+    fn four_hosts() -> &'static Platform {
+        static PLATFORM: OnceLock<Platform> = OnceLock::new();
+        PLATFORM.get_or_init(|| {
+            let mut b = PlatformBuilder::new("root", RoutingKind::Full);
+            let root = b.root_zone();
+            let hosts: Vec<_> = ["a", "b", "c", "d"]
+                .into_iter()
+                .map(|name| {
+                    let host = b.add_host(root, name, 1e9);
+                    let eth =
+                        b.add_link(&format!("{name}-eth"), 1.25e8, 1e-4, SharingPolicy::Shared);
+                    (host, eth)
+                })
+                .collect();
+            for (i, &(src, src_eth)) in hosts.iter().enumerate() {
+                for &(dst, dst_eth) in &hosts[i + 1..] {
+                    let (src, dst) =
+                        (Element::Point(src.netpoint()), Element::Point(dst.netpoint()));
+                    b.add_route(root, src, dst, vec![src_eth, dst_eth], true);
+                }
+            }
+            b.build().unwrap()
+        })
+    }
+
+    /// Resolves named transfers to host ids and routes, as the engine's
+    /// probe does before it builds a key.
+    fn resolved(specs: &[Spec]) -> Vec<ResolvedSpec> {
+        let platform = four_hosts();
+        specs
+            .iter()
+            .map(|&(src, dst, size)| {
+                let src = platform.host_by_name(src).unwrap();
+                let dst = platform.host_by_name(dst).unwrap();
+                let path = ResolvedPath::resolve(platform, &NetworkConfig::default(), src, dst);
+                ResolvedSpec { src, dst, size, path: Arc::new(path.unwrap()) }
+            })
+            .collect()
+    }
+
+    /// Key of a predict batch on session `session`.
+    fn predict(session: u64, epoch: u64, footprint: u64, specs: &[Spec]) -> CacheKey {
+        CacheKey::predict(session, epoch, footprint, &resolved(specs))
+    }
+
+    /// Key of a selection over `hypotheses` on session 1.
+    fn select(hypotheses: &[&[Spec]]) -> CacheKey {
+        let lengths = hypotheses.iter().map(|h| h.len());
+        CacheKey::select(1, 0, 0, &resolved(&hypotheses.concat()), lengths)
     }
 
     /// Files `key` with no routes and no validity check.
@@ -471,21 +511,51 @@ mod tests {
 
     #[test]
     fn canonical_keys_ignore_text_form_but_not_order() {
-        let a = CacheKey::predict("p", 0, 0, &[spec("a", "b", 5e8)]);
-        let b = CacheKey::predict("p", 0, 0, &[spec("a", "b", 500_000_000.0)]);
+        let a = predict(1, 0, 0, &[("a", "b", 5e8)]);
+        let b = predict(1, 0, 0, &[("a", "b", 500_000_000.0)]);
         assert_eq!(a, b, "5e8 and 500000000 are the same query");
-        let swapped = CacheKey::predict("p", 0, 0, &[spec("b", "a", 5e8)]);
+        let swapped = predict(1, 0, 0, &[("b", "a", 5e8)]);
         assert_ne!(a, swapped);
-        let two = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0), spec("c", "d", 1.0)]);
-        let two_rev = CacheKey::predict("p", 0, 0, &[spec("c", "d", 1.0), spec("a", "b", 1.0)]);
+        let two = predict(1, 0, 0, &[("a", "b", 1.0), ("c", "d", 1.0)]);
+        let two_rev = predict(1, 0, 0, &[("c", "d", 1.0), ("a", "b", 1.0)]);
         assert_ne!(two, two_rev, "answers are positional; order is part of the key");
+    }
+
+    #[test]
+    fn a_predict_batch_never_collides_with_a_selection_of_it() {
+        let (t1, t2) = (("a", "b", 1.0), ("c", "d", 2.0));
+        assert_ne!(predict(1, 0, 0, &[t1, t2]), select(&[&[t1, t2]]));
+    }
+
+    #[test]
+    fn hypothesis_boundaries_are_part_of_the_key() {
+        let (t1, t2) = (("a", "b", 1.0), ("c", "d", 2.0));
+        assert_ne!(select(&[&[t1, t2]]), select(&[&[t1], &[t2]]));
+        assert_eq!(select(&[&[t1], &[t2]]), select(&[&[t1], &[t2]]));
+    }
+
+    #[test]
+    fn session_id_is_part_of_the_key() {
+        let cache = ForecastCache::new(8);
+        let spec = [("a", "b", 1.0)];
+        let old = predict(1, 0, 0, &spec);
+        let new = predict(2, 0, 0, &spec);
+        assert_ne!(old, new, "the same host ids under two sessions are two queries");
+        insert(&cache, old.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
+        assert!(cache.get(&new).is_none());
+        cache.retire_session(1);
+        assert!(cache.peek(&old).is_none(), "a retired session's entries are dropped");
+        assert_eq!(
+            (cache.len(), cache.invalidated_targeted(), cache.invalidated_epoch()),
+            (0, 0, 0)
+        );
     }
 
     #[test]
     fn epoch_is_part_of_the_key() {
         let cache = ForecastCache::new(16);
-        let k0 = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0)]);
-        let k1 = CacheKey::predict("p", 1, 0, &[spec("a", "b", 1.0)]);
+        let k0 = predict(1, 0, 0, &[("a", "b", 1.0)]);
+        let k1 = predict(1, 1, 0, &[("a", "b", 1.0)]);
         insert(&cache, k0.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
         assert!(cache.get(&k0).is_some());
         assert!(cache.get(&k1).is_none(), "new epoch must miss");
@@ -498,7 +568,7 @@ mod tests {
         for e in 0..4u64 {
             insert(
                 &cache,
-                CacheKey::predict("p", e, 0, &[spec("a", "b", e as f64)]),
+                predict(1, e, 0, &[("a", "b", e as f64)]),
                 CachedResult::Predict(Arc::new(vec![0.0])),
             );
         }
@@ -506,16 +576,16 @@ mod tests {
         cache.purge_stale(3);
         assert_eq!(cache.len(), 1);
         // list structure stays consistent after the purge
-        let survivor = CacheKey::predict("p", 3, 0, &[spec("a", "b", 3.0)]);
+        let survivor = predict(1, 3, 0, &[("a", "b", 3.0)]);
         assert!(cache.get(&survivor).is_some());
         insert(
             &cache,
-            CacheKey::predict("p", 3, 0, &[spec("a", "b", 99.0)]),
+            predict(1, 3, 0, &[("a", "b", 99.0)]),
             CachedResult::Predict(Arc::new(vec![9.0])),
         );
         assert_eq!(cache.len(), 2);
         // a result of an epoch behind the purge is refused, not filed
-        let late = CacheKey::predict("p", 2, 0, &[spec("a", "b", 2.0)]);
+        let late = predict(1, 2, 0, &[("a", "b", 2.0)]);
         insert(&cache, late.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
         assert!(cache.peek(&late).is_none());
         assert_eq!((cache.len(), cache.invalidated_epoch()), (2, 3));
@@ -527,15 +597,15 @@ mod tests {
         for i in 0..10 {
             insert(
                 &cache,
-                CacheKey::predict("p", 0, 0, &[spec("a", "b", i as f64)]),
+                predict(1, 0, 0, &[("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![i as f64])),
             );
         }
         assert_eq!(cache.len(), 3);
         // with no intervening hits, the newest entries survive
-        let newest = CacheKey::predict("p", 0, 0, &[spec("a", "b", 9.0)]);
+        let newest = predict(1, 0, 0, &[("a", "b", 9.0)]);
         assert!(cache.get(&newest).is_some());
-        let oldest = CacheKey::predict("p", 0, 0, &[spec("a", "b", 0.0)]);
+        let oldest = predict(1, 0, 0, &[("a", "b", 0.0)]);
         assert!(cache.get(&oldest).is_none());
     }
 
@@ -546,12 +616,12 @@ mod tests {
         // (insertion order alone decides); under LRU the promotions keep
         // it resident through 20 one-off insertions into a 3-entry cache.
         let cache = ForecastCache::new(3);
-        let hot = CacheKey::predict("p", 0, 0, &[spec("hot", "hot", 1.0)]);
+        let hot = predict(1, 0, 0, &[("d", "c", 1.0)]);
         insert(&cache, hot.clone(), CachedResult::Predict(Arc::new(vec![42.0])));
         for i in 0..20 {
             insert(
                 &cache,
-                CacheKey::predict("p", 0, 0, &[spec("a", "b", i as f64)]),
+                predict(1, 0, 0, &[("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![i as f64])),
             );
             assert!(
@@ -570,17 +640,17 @@ mod tests {
     #[test]
     fn peek_neither_counts_nor_promotes() {
         let cache = ForecastCache::new(2);
-        let a = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0)]);
-        let b = CacheKey::predict("p", 0, 0, &[spec("c", "d", 1.0)]);
+        let a = predict(1, 0, 0, &[("a", "b", 1.0)]);
+        let b = predict(1, 0, 0, &[("c", "d", 1.0)]);
         insert(&cache, a.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
         insert(&cache, b.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
         assert!(cache.peek(&a).is_some());
-        assert!(cache.peek(&CacheKey::predict("p", 9, 0, &[])).is_none());
+        assert!(cache.peek(&predict(1, 9, 0, &[])).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0), "peek is statistics-free");
         // `a` was peeked, not promoted: the next insert still evicts it
         insert(
             &cache,
-            CacheKey::predict("p", 0, 0, &[spec("e", "f", 1.0)]),
+            predict(1, 0, 0, &[("b", "a", 1.0)]),
             CachedResult::Predict(Arc::new(vec![3.0])),
         );
         assert!(cache.peek(&a).is_none(), "peek must not refresh recency");
@@ -590,7 +660,7 @@ mod tests {
     #[test]
     fn insert_if_drops_invalid_results() {
         let cache = ForecastCache::new(8);
-        let k = CacheKey::predict("p", 0, 7, &[spec("a", "b", 1.0)]);
+        let k = predict(1, 0, 7, &[("a", "b", 1.0)]);
         let v = || CachedResult::Predict(Arc::new(vec![1.0]));
         cache.insert_if(k.clone(), v(), Arc::from([]), || false);
         assert!(cache.peek(&k).is_none(), "invalid insert must be dropped");
@@ -601,8 +671,8 @@ mod tests {
     #[test]
     fn footprint_is_part_of_the_key() {
         let cache = ForecastCache::new(8);
-        let plain = CacheKey::predict("p", 1, 0, &[spec("a", "b", 1.0)]);
-        let degraded = CacheKey::predict("p", 1, 99, &[spec("a", "b", 1.0)]);
+        let plain = predict(1, 1, 0, &[("a", "b", 1.0)]);
+        let degraded = predict(1, 1, 99, &[("a", "b", 1.0)]);
         assert_ne!(plain, degraded);
         insert(&cache, plain.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
         // an answer computed under a different overlay is a miss
@@ -613,20 +683,20 @@ mod tests {
     #[test]
     fn invalidate_link_evicts_only_crossing_entries_of_the_platform() {
         let cache = ForecastCache::new(8);
-        let crossing = CacheKey::predict("p", 0, 0, &[spec("a", "b", 1.0)]);
-        let disjoint = CacheKey::predict("p", 0, 0, &[spec("c", "d", 1.0)]);
-        let other_platform = CacheKey::predict("q", 0, 0, &[spec("a", "b", 1.0)]);
+        let crossing = predict(1, 0, 0, &[("a", "b", 1.0)]);
+        let disjoint = predict(1, 0, 0, &[("c", "d", 1.0)]);
+        let other_session = predict(2, 0, 0, &[("a", "b", 1.0)]);
         let v = || CachedResult::Predict(Arc::new(vec![0.0]));
         cache.insert_if(crossing.clone(), v(), Arc::from([2, 5, 9]), || true);
         cache.insert_if(disjoint.clone(), v(), Arc::from([1, 3]), || true);
-        cache.insert_if(other_platform.clone(), v(), Arc::from([2, 5]), || true);
+        cache.insert_if(other_session.clone(), v(), Arc::from([2, 5]), || true);
 
-        assert_eq!(cache.invalidate_link("p", 5), 1, "only the crossing entry");
+        assert_eq!(cache.invalidate_link(1, 5), 1, "only the crossing entry");
         assert!(cache.peek(&crossing).is_none());
         assert!(cache.peek(&disjoint).is_some());
-        assert!(cache.peek(&other_platform).is_some(), "platforms are independent");
+        assert!(cache.peek(&other_session).is_some(), "sessions are independent");
         assert_eq!(cache.invalidated_targeted(), 1);
-        assert_eq!(cache.invalidate_link("p", 999), 0);
+        assert_eq!(cache.invalidate_link(1, 999), 0);
         // epoch purges count on the other counter
         cache.purge_stale(1);
         assert_eq!(cache.invalidated_epoch(), 2);

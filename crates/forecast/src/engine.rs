@@ -12,11 +12,12 @@
 //!   concurrency is one request per worker;
 //! * per-platform scaffolding (capacity vectors, resolved routes,
 //!   background flows) lives in warm [`Session`]s (`crate::session`);
-//! * results are memoized in an epoch-keyed [`ForecastCache`]
-//!   (`crate::cache`) invalidated wholesale whenever new metrology data
-//!   arrives ([`ForecastEngine::bump_epoch`]); a result is filed only if
-//!   its key is still current when it is done, so no out-of-date
-//!   forecast is ever answered from the cache.
+//! * results are memoized in an epoch-keyed cache (`crate::cache`),
+//!   keyed by session id, host ids and size bits, and invalidated
+//!   wholesale whenever new metrology data arrives
+//!   ([`ForecastEngine::bump_epoch`]); a result is filed only if its key
+//!   is still current when it is done, so no out-of-date forecast is
+//!   ever answered from the cache.
 //!
 //! ## Two stages: probe, then compute
 //!
@@ -43,8 +44,8 @@
 //!
 //! ## Determinism
 //!
-//! A forecast is a pure function of `(platform, overlay, background,
-//! canonical query)`:
+//! A forecast is a pure function of `(session, overlay, background,
+//! resolved query)` — the query as host ids + size bits:
 //!
 //! * `predict` adds the background flows, then the requests in request
 //!   order, to one [`Session::simulation`] — exactly what a from-scratch
@@ -60,12 +61,12 @@
 //!
 //! ## Singleflight coalescing
 //!
-//! Concurrent requests for the same canonical [`CacheKey`] (predict
-//! *and* select) are **coalesced**: one request — the *leader* —
-//! computes; the others block on the in-flight computation and receive
-//! the same result. The determinism contract makes this sound: a
-//! forecast is a pure function of `(platform, epoch, canonical query)`,
-//! so the leader's answer *is* every follower's answer, bit for bit —
+//! Concurrent requests for the same cache key (predict *and* select) are
+//! **coalesced**: one request — the *leader* — computes; the others
+//! block on the in-flight computation and receive the same result. The
+//! determinism contract makes this sound: a forecast is a pure function
+//! of `(session, epoch, host ids + size bits)`, so the leader's answer
+//! *is* every follower's answer, bit for bit —
 //! followers return the identical `Arc`, and upstream JSON rendering is
 //! byte-identical to what each would have computed alone.
 //!
@@ -260,7 +261,12 @@ pub struct ForecastEngine {
     config: NetworkConfig,
     /// See [`ForecastEngine::pool`]: built on first call, fed by nothing.
     pool: OnceLock<WorkerPool>,
-    sessions: RwLock<HashMap<String, Arc<Session>>>,
+    /// Platform name → the registration id its cache keys carry, and its
+    /// warm session.
+    sessions: RwLock<HashMap<String, (u64, Arc<Session>)>>,
+    /// The next registration id [`ForecastEngine::register_platform_shared`]
+    /// hands out.
+    next_session: AtomicU64,
     cache: ForecastCache,
     /// Background-traffic epoch; bumped on metrology ingestion.
     epoch: AtomicU64,
@@ -283,6 +289,7 @@ impl ForecastEngine {
             config,
             pool: OnceLock::new(),
             sessions: RwLock::new(HashMap::new()),
+            next_session: AtomicU64::new(0),
             cache: ForecastCache::new(CACHE_CAPACITY),
             epoch: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
@@ -325,15 +332,25 @@ impl ForecastEngine {
         self.register_platform_shared(name, Arc::new(platform));
     }
 
-    /// Registers an already-shared platform under `name`.
+    /// Registers an already-shared platform under `name`, with a new
+    /// session id. A platform the name held before is replaced: its
+    /// cached forecasts are dropped, and one of its forecasts still
+    /// computing is not filed.
     pub fn register_platform_shared(&self, name: &str, platform: Arc<Platform>) {
-        let session = Arc::new(Session::with_instruments(
-            platform,
-            self.config,
-            self.metrics.kernel.clone(),
-        ));
-        let mut sessions = self.sessions.write().unwrap_or_else(PoisonError::into_inner);
-        sessions.insert(name.to_string(), session);
+        let session =
+            Arc::new(Session::with_instruments(platform, self.config, self.metrics.kernel.clone()));
+        let id = self.next_session.fetch_add(1, Ordering::Relaxed);
+        let old = self
+            .sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.to_string(), (id, session));
+        if let Some((old_id, old_session)) = old {
+            // Retire first: a racing insert then either fails its version
+            // check or lands before the sweep, which removes it.
+            old_session.retire();
+            self.cache.retire_session(old_id);
+        }
     }
 
     /// Names of the registered platforms, sorted.
@@ -347,11 +364,16 @@ impl ForecastEngine {
     /// Shared handle to a registered platform.
     pub fn platform(&self, name: &str) -> Option<Arc<Platform>> {
         let sessions = self.sessions.read().unwrap_or_else(PoisonError::into_inner);
-        sessions.get(name).map(|s| Arc::clone(s.platform()))
+        sessions.get(name).map(|(_, s)| Arc::clone(s.platform()))
     }
 
     /// The warm session of a platform (observability / tests).
     pub fn session(&self, name: &str) -> Result<Arc<Session>, ForecastError> {
+        self.registered(name).map(|(_, session)| session)
+    }
+
+    /// The registration id and warm session of a platform.
+    fn registered(&self, name: &str) -> Result<(u64, Arc<Session>), ForecastError> {
         self.sessions
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -542,10 +564,10 @@ impl ForecastEngine {
         &self,
         platform: &str,
         specs: impl IntoIterator<Item = &'a TransferSpec>,
-        key: impl FnOnce(&str, u64, u64) -> CacheKey,
+        key: impl FnOnce(u64, u64, u64, &[ResolvedSpec]) -> CacheKey,
         answer: fn(CachedResult) -> Result<T, ForecastError>,
     ) -> Result<Probed<T>, ForecastError> {
-        let session = self.session(platform)?;
+        let (id, session) = self.registered(platform)?;
         // The cache_lookup stage covers key construction (route map,
         // footprint) plus the lookup itself — everything between
         // admission and the simulate/coalesce decision.
@@ -555,27 +577,30 @@ impl ForecastEngine {
             lookup.cancel();
             return Ok(Probed::Pending(Pending::unprobed(platform)));
         };
-        let keyed = self.keyed(session, resolved, |epoch, fp| key(platform, epoch, fp));
+        let keyed = self.keyed(id, session, resolved, key);
         Ok(match self.cache.get(&keyed.key) {
             Some(hit) => Probed::Ready(answer(hit)?),
             None => Probed::Pending(Pending { platform: platform.to_string(), keyed: Some(keyed) }),
         })
     }
 
-    /// Builds the cache key of resolved specs. Resolving up front yields
-    /// the route union the footprint key and targeted invalidation need;
-    /// the overlay version is read *before* the footprint, so a racing
-    /// `link_event` can only make the later insert check fail.
+    /// Builds the cache key of specs resolved against session `id`:
+    /// `key` gets the session id, epoch, footprint and resolved specs.
+    /// Resolving up front yields the host ids the key holds and the route
+    /// union the footprint and targeted invalidation need; the overlay
+    /// version is read *before* the footprint, so a racing `link_event`
+    /// can only make the later insert check fail.
     fn keyed(
         &self,
+        id: u64,
         session: Arc<Session>,
         resolved: Vec<ResolvedSpec>,
-        key: impl FnOnce(u64, u64) -> CacheKey,
+        key: impl FnOnce(u64, u64, u64, &[ResolvedSpec]) -> CacheKey,
     ) -> Keyed {
         let routes = route_union(&resolved);
         let epoch = self.epoch();
         let v0 = session.overlay_version();
-        let key = key(epoch, session.footprint(&routes));
+        let key = key(id, epoch, session.footprint(&routes), &resolved);
         Keyed { session, resolved, routes, key, v0 }
     }
 
@@ -587,7 +612,7 @@ impl ForecastEngine {
         &self,
         pending: Pending,
         specs: impl IntoIterator<Item = &'a TransferSpec>,
-        key: impl FnOnce(&str, u64, u64) -> CacheKey,
+        key: impl FnOnce(u64, u64, u64, &[ResolvedSpec]) -> CacheKey,
         simulate: impl FnOnce(&Session, &[ResolvedSpec]) -> Result<CachedResult, ForecastError>,
     ) -> Result<CachedResult, ForecastError> {
         let keyed = match pending.keyed {
@@ -595,11 +620,10 @@ impl ForecastEngine {
             // with `peek`
             Some(keyed) => keyed,
             None => {
-                let session = self.session(&pending.platform)?;
+                let (id, session) = self.registered(&pending.platform)?;
                 let _lookup = Span::start(&self.metrics.stage_cache_lookup);
                 let resolved = resolve_all(&session, specs)?;
-                let platform = &pending.platform;
-                let keyed = self.keyed(session, resolved, |epoch, fp| key(platform, epoch, fp));
+                let keyed = self.keyed(id, session, resolved, key);
                 if let Some(hit) = self.cache.get(&keyed.key) {
                     return Ok(hit);
                 }
@@ -626,8 +650,7 @@ impl ForecastEngine {
         platform: &str,
         specs: &[TransferSpec],
     ) -> Result<Probed<Arc<Vec<f64>>>, ForecastError> {
-        let key = |platform: &str, epoch, fp| CacheKey::predict(platform, epoch, fp, specs);
-        self.probe(platform, specs, key, predict_result)
+        self.probe(platform, specs, CacheKey::predict, predict_result)
     }
 
     /// Compute stage of [`ForecastEngine::predict`] for the same `specs`
@@ -639,15 +662,10 @@ impl ForecastEngine {
         specs: &[TransferSpec],
         pending: Pending,
     ) -> Result<Arc<Vec<f64>>, ForecastError> {
-        let outcome = self.compute(
-            pending,
-            specs,
-            |platform, epoch, fp| CacheKey::predict(platform, epoch, fp, specs),
-            |session, resolved| {
-                let durations = session.simulate(&session.background(), resolved)?;
-                Ok(CachedResult::Predict(Arc::new(durations)))
-            },
-        )?;
+        let outcome = self.compute(pending, specs, CacheKey::predict, |session, resolved| {
+            let durations = session.simulate(&session.background(), resolved)?;
+            Ok(CachedResult::Predict(Arc::new(durations)))
+        })?;
         predict_result(outcome)
     }
 
@@ -692,7 +710,9 @@ impl ForecastEngine {
         if hypotheses.is_empty() {
             return Err(ForecastError::NoHypotheses);
         }
-        let key = |platform: &str, epoch, fp| CacheKey::select(platform, epoch, fp, hypotheses);
+        let key = |id, epoch, fp, resolved: &[ResolvedSpec]| {
+            CacheKey::select(id, epoch, fp, resolved, hypotheses.iter().map(Vec::len))
+        };
         self.probe(platform, hypotheses.iter().flatten(), key, select_result)
     }
 
@@ -707,7 +727,9 @@ impl ForecastEngine {
         let outcome = self.compute(
             pending,
             hypotheses.iter().flatten(),
-            |platform, epoch, fp| CacheKey::select(platform, epoch, fp, hypotheses),
+            |id, epoch, fp, resolved: &[ResolvedSpec]| {
+                CacheKey::select(id, epoch, fp, resolved, hypotheses.iter().map(Vec::len))
+            },
             |session, resolved| {
                 let selection = self.compute_selection(session, hypotheses, resolved)?;
                 Ok(CachedResult::Select(Arc::new(selection)))
@@ -785,7 +807,7 @@ impl ForecastEngine {
         link: &str,
         kind: PlatformEventKind,
     ) -> Result<u64, ForecastError> {
-        let session = self.session(platform)?;
+        let (id, session) = self.registered(platform)?;
         if let PlatformEventKind::Capacity(f) = kind {
             if !f.is_finite() || f <= 0.0 {
                 return Err(ForecastError::BadFactor(f));
@@ -796,7 +818,7 @@ impl ForecastEngine {
             .link_by_name(link)
             .ok_or_else(|| ForecastError::UnknownLink(link.to_string()))?;
         let resource = session.apply_link_event(link_id, kind);
-        Ok(self.cache.invalidate_link(platform, resource))
+        Ok(self.cache.invalidate_link(id, resource))
     }
 
     /// Cache entries evicted by route-targeted link invalidation.

@@ -25,19 +25,22 @@
 //! `Arc`-shared across HTTP workers; the backing [`simflow::Platform`]
 //! is immutable.
 //!
-//! ## Epoch-keyed cache ([`cache`])
+//! ## Epoch-keyed cache
 //!
-//! A forecast is a pure function of `(platform, background epoch,
-//! canonicalized query)`. The engine keeps a monotonic epoch counter;
-//! ingesting new metrology data bumps it ([`ForecastEngine::bump_epoch`]),
-//! which makes every cached entry unreachable in O(1) — no per-entry
-//! invalidation to get wrong. Within an epoch, a repeated query returns
-//! the memoized result, which renders to bit-identical JSON upstream.
+//! A forecast is a pure function of `(session, background epoch,
+//! resolved query)`, and the cache keys it by exactly that: the
+//! session's registration id, the epoch, and the query as host ids +
+//! size bits, which the probe has already resolved. The engine keeps a
+//! monotonic epoch counter; ingesting new metrology data bumps it
+//! ([`ForecastEngine::bump_epoch`]), which makes every cached entry
+//! unreachable in O(1) — no per-entry invalidation to get wrong. Within
+//! an epoch, a repeated query returns the memoized result, which renders
+//! to bit-identical JSON upstream.
 //! Serving-time platform events (a link degrading, failing or
 //! recovering — [`ForecastEngine::link_event`]) deliberately avoid that
 //! hammer: keys also carry a route-footprint digest and only entries
 //! whose routes the event can touch are invalidated, while disjoint
-//! queries keep hitting ([`cache`] module docs have the full contract).
+//! queries keep hitting (the `cache` module docs have the full contract).
 //!
 //! ## Determinism
 //!
@@ -64,13 +67,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
 pub mod session;
 
-pub use cache::{CacheKey, CachedResult, ForecastCache};
 pub use engine::{ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec};
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};

@@ -103,8 +103,9 @@ pub struct Session {
     /// Link-state overlay: solver resource id → degraded state. A
     /// `BTreeMap` so digest folds iterate in a canonical order.
     overlay: RwLock<BTreeMap<u32, LinkState>>,
-    /// Bumped before every overlay mutation; lets the engine detect that
-    /// a result it computed under one overlay is being cached under
+    /// Bumped before every overlay mutation and when the session is
+    /// retired; lets the engine detect that a result it computed under
+    /// one overlay (or on a replaced session) is being cached under
     /// another (see `ForecastCache::insert_if`).
     overlay_version: AtomicU64,
     /// Shared kernel counters the session folds each finished run's
@@ -240,6 +241,13 @@ impl Session {
     /// The overlay mutation counter (see [`Session::apply_link_event`]).
     pub fn overlay_version(&self) -> u64 {
         self.overlay_version.load(Ordering::SeqCst)
+    }
+
+    /// Marks the session replaced: bumps the overlay version, so a result
+    /// still computing on it fails the cache's insert check, as after a
+    /// link event.
+    pub(crate) fn retire(&self) {
+        self.overlay_version.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Number of degraded resources in the overlay (observability).

@@ -16,9 +16,15 @@ use simflow::{KernelStats, NetworkConfig, Platform, PlatformEventKind, SimTime, 
 /// Two 8-host clusters behind per-host access links and one shared
 /// backbone — enough structure for multi-component batches.
 fn two_clusters() -> Platform {
+    two_clusters_with_backbone(1.25e9)
+}
+
+/// [`two_clusters`] with a backbone of `bandwidth` bytes/s: the same
+/// hosts, links and ids, one capacity apart.
+fn two_clusters_with_backbone(bandwidth: f64) -> Platform {
     let mut b = PlatformBuilder::new("root", RoutingKind::Full);
     let root = b.root_zone();
-    let bb = b.add_link("bb", 1.25e9, 2e-3, SharingPolicy::Shared);
+    let bb = b.add_link("bb", bandwidth, 2e-3, SharingPolicy::Shared);
     let mut gws = Vec::new();
     for (c, cluster) in ["alpha", "beta"].iter().enumerate() {
         let zone = b.add_zone(root, cluster, RoutingKind::Full);
@@ -298,6 +304,45 @@ fn a_forecast_that_outlives_its_epoch_is_never_filed() {
     assert_eq!(e.simulations(), 2, "the next identical predict simulates again");
     assert_eq!(e.cache_len(), 1, "and its current-epoch result is filed");
     assert_eq!(again, answer, "same background, same answer");
+}
+
+#[test]
+fn re_registering_a_platform_name_serves_the_new_platform() {
+    let e = engine();
+    let q = vec![spec("alpha-0", "beta-0", 5e8), spec("alpha-1", "beta-1", 5e8)];
+    let old = e.predict("twoc", &q).unwrap();
+    // a tenth of the backbone: now the bottleneck of both transfers
+    e.register_platform("twoc", two_clusters_with_backbone(1.25e8));
+    let new = e.predict("twoc", &q).unwrap();
+
+    let fresh = ForecastEngine::new(NetworkConfig::default());
+    fresh.register_platform("twoc", two_clusters_with_backbone(1.25e8));
+    assert_eq!(*new, *fresh.predict("twoc", &q).unwrap(), "answers as a fresh engine does");
+    assert_ne!(new, old, "the slower backbone shows in the forecast");
+    assert_eq!((e.simulations(), e.cache_hits()), (2, 0));
+    assert_eq!(e.cache_len(), 1, "the replaced platform's forecast was dropped");
+}
+
+#[test]
+fn a_forecast_of_a_replaced_platform_is_never_filed() {
+    let e = Arc::new(engine());
+    // The first leader computation re-registers its platform from
+    // inside, after its key was built and before it simulates.
+    let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).force(0, Fault::Flap)));
+    let weak = Arc::downgrade(&e);
+    injector.set_flap_hook(Some(Box::new(move |_| {
+        let e = weak.upgrade().expect("the engine outlives its computations");
+        e.register_platform("twoc", two_clusters());
+    })));
+    e.set_fault_injector(Some(injector));
+    let q = vec![spec("alpha-0", "alpha-1", 5e8)];
+    let answer = e.predict("twoc", &q).unwrap();
+    assert_eq!(e.cache_len(), 0, "a result of a replaced session must not be filed");
+
+    let again = e.predict("twoc", &q).unwrap();
+    assert_eq!(e.simulations(), 2, "the next identical predict simulates again");
+    assert_eq!(e.cache_len(), 1, "and the current session's result is filed");
+    assert_eq!(again, answer, "the same platform, the same answer");
 }
 
 #[test]

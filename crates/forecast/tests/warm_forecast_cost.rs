@@ -10,49 +10,68 @@
 //! thread's minor page faults. Checked on a pristine session and on one
 //! whose overlay halves a link of the request's routes, which is what
 //! a `link_event` with `Capacity(0.5)` leaves behind.
+//!
+//! The same allocator also counts allocation calls and the thread's live
+//! bytes, which pins what the engine's cache costs: a cached 30-transfer
+//! forecast is keyed by host ids + size bits, so a hit allocates a dozen
+//! times (not once per host name) and filing an answer keeps about a
+//! kilobyte and a half.
 #![cfg(target_os = "linux")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use forecast::{ResolvedSpec, Session};
+use forecast::{ForecastEngine, ResolvedSpec, Session, TransferSpec};
 use g5k::{synth, to_simflow, Flavor};
 use simflow::{NetworkConfig, PlatformEventKind};
 
-/// Passes every call to the system allocator and adds the bytes each
-/// allocation or reallocation asks for to the calling thread's tally.
+/// Passes every call to the system allocator and keeps three tallies
+/// for the calling thread: the bytes each allocation or reallocation
+/// asks for, the number of such calls, and the bytes live (allocated
+/// minus freed).
 struct Counting;
 
 thread_local! {
     static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note(bytes: usize) {
+/// Tallies one allocation call that asks for `bytes` and grows the live
+/// total by `grown` (negative for a shrink or a free).
+fn note(bytes: usize, grown: i64) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes as u64));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    note_live(grown);
+}
+
+fn note_live(grown: i64) {
+    let _ = LIVE.try_with(|l| l.set(l.get() + grown));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the tally has no effect on
-// the memory handed out.
+// which upholds the `GlobalAlloc` contract; the tallies have no effect
+// on the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -62,6 +81,14 @@ static ALLOCATOR: Counting = Counting;
 
 fn requested() -> u64 {
     REQUESTED.with(Cell::get)
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// Minor page faults taken by the calling thread so far (`minflt`, the
@@ -123,4 +150,53 @@ fn a_warm_forecast_costs_per_request_not_per_platform() {
         );
         assert!(small_faults < 5 && wide_faults < 5, "{case}: {small_faults} / {wide_faults} faults");
     }
+}
+
+/// An engine serving the paper's `g5k_test` platform, and a 30-transfer
+/// request over it whose transfers all have size `size`.
+fn g5k_test_engine() -> (ForecastEngine, impl Fn(f64) -> Vec<TransferSpec>) {
+    let platform = to_simflow(&synth::standard(), Flavor::G5kTest);
+    let names: Vec<String> = platform.hosts().map(|h| platform.host_name(h).to_string()).collect();
+    let n = names.len();
+    let engine = ForecastEngine::new(NetworkConfig::default());
+    engine.register_platform("g5k_test", platform);
+    let request = move |size| {
+        (0..30)
+            .map(|i| TransferSpec {
+                src: names[(i * 7919) % n].clone(),
+                dst: names[(i * 104_729 + n / 2) % n].clone(),
+                size,
+            })
+            .collect()
+    };
+    (engine, request)
+}
+
+#[test]
+fn a_cached_forecast_costs_its_transfers_not_its_host_names() {
+    let (engine, request) = g5k_test_engine();
+
+    // A hit: the key is built from the route map's host ids, so the
+    // request's names are looked up, never copied.
+    let hot = request(1e8);
+    let answer = engine.predict("g5k_test", &hot).expect("forecast");
+    engine.predict("g5k_test", &hot).expect("hit");
+    let before = calls();
+    let hit = engine.predict("g5k_test", &hot).expect("hit");
+    let hit_calls = calls() - before;
+    assert!(Arc::ptr_eq(&hit, &answer), "the third predict is answered from the cache");
+    assert!(hit_calls <= 16, "a warm 30-transfer hit made {hit_calls} allocations");
+
+    // Filing: the routes are resolved already, and the cache's tables
+    // have room for one more entry (the sixth fits the map's and the
+    // slab's current capacity), so what stays live is the entry itself.
+    for size in [2e8, 3e8, 4e8, 5e8] {
+        engine.predict("g5k_test", &request(size)).expect("forecast");
+    }
+    let fresh = request(6e8);
+    let before = live();
+    drop(engine.predict("g5k_test", &fresh).expect("forecast"));
+    let retained = live() - before;
+    assert_eq!((engine.cache_len(), engine.simulations()), (6, 6));
+    assert!(retained <= 2 << 10, "filing one 30-transfer forecast kept {retained} bytes");
 }
