@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use forecast::{ForecastEngine, Pending, Probed};
+use forecast::{check_hypotheses, ForecastEngine, Pending, Probed};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -366,9 +366,7 @@ impl Pnfs {
         platform: &str,
         hypotheses: &[Vec<TransferRequest>],
     ) -> Result<FastestSelection, PnfsError> {
-        if hypotheses.is_empty() {
-            return Err(PnfsError::NoHypotheses);
-        }
+        check_hypotheses(hypotheses)?;
         let session = self.engine.session(platform)?;
 
         let mut order: Vec<(usize, f64)> = hypotheses

@@ -742,6 +742,19 @@ mod tests {
             get(&svc, "/pilgrim/predict_transfers/g5k_test", "transfer=oops").0,
             400
         );
+        // an empty hypothesis would win with makespan 0: refused, by index
+        for (query, named) in [
+            (
+                "hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e8\
+                 &hypothesis=",
+                "hypothesis 1 has no transfer",
+            ),
+            ("hypothesis=;;", "hypothesis 0 has no transfer"),
+        ] {
+            let (status, body) = get(&svc, "/pilgrim/select_fastest/g5k_test", query);
+            assert_eq!(status, 400, "{query}: {body:?}");
+            assert!(format!("{body:?}").contains(named), "{query}: {body:?}");
+        }
         assert_eq!(get(&svc, "/nope", "").0, 404);
     }
 

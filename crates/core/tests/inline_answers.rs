@@ -5,8 +5,9 @@
 //! to one-at-a-time answers, no connection leaked), the hand-off's cost
 //! in counted syscalls and pool jobs, every guarantee the worker path
 //! gave that the inline path must still give (panic → 500, deadlines,
-//! admission, invalidation, stage accounting, hit/miss accounting), and
-//! that the probe stage never computes a route.
+//! admission, invalidation, stage accounting, hit/miss accounting), that
+//! the probe stage never computes a route, and that only a query asked
+//! again keeps its routes for the probe.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -178,9 +179,15 @@ fn a_hit_costs_one_read_and_one_write_a_miss_one_job_and_one_wake() {
     let mut client = HttpClient::new(server.addr());
     let hot = predict_query(0);
     assert_eq!(client.get(&hot).expect("simulated").0, 200);
-    assert_eq!(client.get(&hot).expect("cached").0, 200);
+    // the first repeat is a hit found by a worker, which keeps its routes
+    assert_eq!(client.get(&hot).expect("cached, on a worker").0, 200);
+    assert_eq!(client.get(&hot).expect("cached, inline").0, 200);
     // a job is timed when it returns, which is after its answer is out
-    assert!(eventually(|| jobs.count() == 1), "the simulated request's job: {}", jobs.count());
+    assert!(
+        eventually(|| jobs.count() == 2),
+        "the simulated request's job and its first repeat's: {}",
+        jobs.count()
+    );
 
     let before = snapshot();
     for _ in 0..5 {
@@ -196,7 +203,7 @@ fn a_hit_costs_one_read_and_one_write_a_miss_one_job_and_one_wake() {
     assert_eq!(client.get(&predict_query(1)).expect("miss").0, 200);
     // the job is timed, and the connection's read interest restored,
     // just after the answer went out
-    assert!(eventually(|| jobs.count() == 2), "the miss's job: {}", jobs.count());
+    assert!(eventually(|| jobs.count() == 3), "the miss's job: {}", jobs.count());
     assert!(eventually(|| ctls.get() >= after.2 + 2), "interest restored: {}", ctls.get());
     let miss = snapshot();
     assert_eq!(miss.0 - after.0, 1, "one read per miss");
@@ -341,13 +348,16 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
     let engine = svc.pnfs.engine();
     let mut client = HttpClient::new(server.addr());
 
-    // miss through an unresolved route, miss on resolved routes (same
-    // host pairs, another size), then hits; one select miss and hit
+    // a miss, then its repeat: a hit on a worker, which keeps its
+    // routes; a miss on those resolved routes (same host pairs, another
+    // size), counted by the probe and simulated on a worker; then inline
+    // hits; one select miss and hit
     let resized = predict_query(0).replace("2e8", "3e8");
     let select = "/pilgrim/select_fastest/g5k_test\
                   ?hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8\
                   &hypothesis=sagittaire-1.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,5e8";
-    let requests = [&predict_query(0), &resized, &predict_query(0), &resized, select, select];
+    let requests =
+        [&predict_query(0), &predict_query(0), &resized, &predict_query(0), &resized, select, select];
     for (k, q) in requests.iter().enumerate() {
         assert_eq!(client.get(q).expect("request").0, 200);
         assert_eq!(
@@ -355,12 +365,16 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
             k as u64 + 1,
             "hits + misses advance by exactly one per forecast request"
         );
+        if k == 1 {
+            let kept = engine.session("g5k_test").unwrap().routes_cached();
+            assert!(kept > 0, "the repeat kept the routes the probe keys `resized` with");
+        }
     }
-    assert_eq!((engine.cache_hits(), engine.cache_misses()), (3, 3));
+    assert_eq!((engine.cache_hits(), engine.cache_misses()), (4, 3));
     assert_eq!(engine.simulations(), 3);
 
     let queue_wait = svc.registry().histogram("http_queue_wait_ns", "", &[]);
-    assert_eq!(queue_wait.count(), 6, "inline or deferred, every request waited once");
+    assert_eq!(queue_wait.count(), 7, "inline or deferred, every request waited once");
 
     let m = engine.metrics();
     let stage_sum = m.stage_admission.sum()
@@ -372,9 +386,9 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
         svc.registry().histogram("pilgrim_request_latency_ns", "", &[("endpoint", endpoint)])
     };
     let (predicts, selects) = (e2e("predict_transfers"), e2e("select_fastest"));
-    assert_eq!((predicts.count(), selects.count()), (4, 2));
-    assert_eq!(m.stage_admission.count(), 6);
-    assert_eq!(m.stage_render.count(), 6);
+    assert_eq!((predicts.count(), selects.count()), (5, 2));
+    assert_eq!(m.stage_admission.count(), 7);
+    assert_eq!(m.stage_render.count(), 7);
     assert_eq!(m.stage_simulate.count(), 3);
     let e2e_sum = predicts.sum() + selects.sum();
     assert!(
@@ -445,15 +459,68 @@ fn the_probe_stage_never_computes_a_route() {
     // the compute stages do the work, once, and leave the probe a hit
     assert_eq!(compute(&req).status, 200);
     let after_one = work_done();
-    assert_eq!((after_one.0, after_one.4), (30, 1), "30 routes resolved, one simulation");
+    assert_eq!((after_one.0, after_one.4), (0, 1), "one simulation, no route kept");
     let durations = engine.compute_predict(&specs, pending).unwrap();
     assert_eq!(durations.len(), 30);
-    assert_eq!(work_done(), after_one, "the second compute stage found the first's answer");
+    let after_two = work_done();
+    assert_eq!(
+        (after_two.0, after_two.4),
+        (30, 1),
+        "the second compute stage found the first's answer and kept its 30 routes"
+    );
     let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
-        panic!("a warm query is a hit")
+        panic!("a query asked twice is a hit")
     };
     assert_eq!(hit.status, 200);
-    assert_eq!(work_done(), after_one);
+    assert_eq!(work_done(), after_two);
+}
+
+/// Cold traffic keeps no per-pair state: 50 distinct queries asked once
+/// leave the session's route map empty. A query asked again is a hit its
+/// worker finds, which keeps its routes, so from then on the probe
+/// answers it.
+#[test]
+fn one_off_queries_keep_no_route_and_a_repeat_keeps_its_own() {
+    let svc = service();
+    let handler = PilgrimService::handler_from(Arc::clone(&svc));
+    let engine = svc.pnfs.engine();
+    let session = engine.session("g5k_test").unwrap();
+    let request = |i: usize| {
+        let q = predict_query(i);
+        let (path, query) = q.split_once('?').unwrap();
+        Request::synthetic(path, query)
+    };
+
+    let mut bodies = Vec::new();
+    for i in 0..50 {
+        let req = request(i);
+        let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
+            panic!("query {i} was never answered: deferred")
+        };
+        let answer = compute(&req);
+        assert_eq!(answer.status, 200, "query {i}: {}", answer.body);
+        bodies.push(answer.body);
+    }
+    assert_eq!(engine.simulations(), 50);
+    assert_eq!(session.routes_cached(), 0, "one-off queries keep no route");
+
+    let req = request(7);
+    let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
+        panic!("answered once, routes not kept: deferred")
+    };
+    assert_eq!(session.routes_cached(), 0, "the probe keeps nothing");
+    let hits = engine.cache_hits();
+    assert_eq!(compute(&req).body, bodies[7]);
+    assert_eq!(engine.cache_hits(), hits + 1, "the repeat is a hit");
+    assert_eq!(engine.simulations(), 50, "and simulates nothing");
+    assert_eq!(session.routes_cached(), 2, "the repeat keeps its two routes");
+
+    let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
+        panic!("asked twice: inline")
+    };
+    assert_eq!(hit.body, bodies[7]);
+    assert_eq!(engine.cache_hits(), hits + 2);
+    assert_eq!((engine.simulations(), session.routes_cached()), (50, 2));
 }
 
 /// A query not answered in the current epoch cannot be cached, and the
@@ -473,9 +540,17 @@ fn a_query_not_answered_this_epoch_is_left_whole_unparsed() {
     assert_eq!(parsed.count(), 0, "the probe parsed a query it had never answered");
     let body = compute(&req).body;
     assert_eq!(parsed.count(), 1);
+    // answered once: parsed, but its routes were not kept
+    let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
+        panic!("answered once, routes not kept: deferred")
+    };
+    assert_eq!(parsed.count(), 2);
+    assert_eq!(compute(&req).body, body);
+    assert_eq!(svc.pnfs.engine().simulations(), 1, "the repeat was a hit");
     let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
         panic!("answered before and cached: inline")
     };
+    assert_eq!(parsed.count(), 3);
     assert_eq!(hit.body, body);
 
     // new metrology data empties the cache: the query is forgotten with it
@@ -483,7 +558,7 @@ fn a_query_not_answered_this_epoch_is_left_whole_unparsed() {
     let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
         panic!("not answered in this epoch: deferred")
     };
-    assert_eq!(parsed.count(), 2, "the probe parsed a query it had not answered this epoch");
+    assert_eq!(parsed.count(), 3, "the probe parsed a query it had not answered this epoch");
     assert_eq!(compute(&req).body, body);
     assert_eq!(svc.pnfs.engine().simulations(), 2);
 }

@@ -96,10 +96,11 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     let server = serve(&svc);
     let addr = server.addr();
 
-    // Work every layer once: a simulated predict, a cached repeat, a 404.
+    // Work every layer once: a simulated predict, a cached repeat found
+    // by a worker, one answered inline, a 404.
     let q = "/pilgrim/predict_transfers/g5k_test\
              ?transfer=sagittaire-1.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,5e8";
-    for path in [q, q, "/pilgrim/nope"] {
+    for path in [q, q, q, "/pilgrim/nope"] {
         http_get_with_headers(addr, path, &[]).expect("request");
     }
 
@@ -139,7 +140,7 @@ fn metrics_endpoint_renders_every_layer_over_http() {
         assert!(body.contains(&format!("# TYPE {family}")), "missing family {family}");
     }
     // The worked endpoints appear with their labels and real counts.
-    assert!(body.contains(r#"http_request_latency_ns_count{endpoint="/pilgrim/predict_transfers",status="200"} 2"#), "{body}");
+    assert!(body.contains(r#"http_request_latency_ns_count{endpoint="/pilgrim/predict_transfers",status="200"} 3"#), "{body}");
     assert!(body.contains("forecast_simulations_total 1"), "{body}");
     assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="unknown"} 1"#), "{body}");
     assert!(body.contains("kernel_components_solved_total"), "{body}");
@@ -149,14 +150,15 @@ fn metrics_endpoint_renders_every_layer_over_http() {
         assert!(!body.contains(gone), "{gone} must not be exported");
     }
     // `pool_*` is the pool that runs what the poller cannot answer
-    // itself: the simulated predict and the 404 made one job each and
-    // were timed before this scrape's job started; the cached repeat was
+    // itself: the simulated predict, its first repeat (a hit whose
+    // routes the poller did not hold yet) and the 404 made one job each
+    // and were timed before this scrape's job started; the third ask was
     // answered on the poller thread and made none.
     let jobs = body
         .lines()
         .find_map(|l| l.strip_prefix("pool_job_service_ns_count "))
         .expect("pool_job_service_ns_count sample");
-    assert_eq!(jobs, "2", "request jobs timed so far");
+    assert_eq!(jobs, "3", "request jobs timed so far");
     // The connection gauge renders as a gauge and reflects the one live
     // connection doing this very scrape.
     assert!(body.contains("# TYPE http_connections_open gauge"), "{body}");

@@ -39,6 +39,14 @@
 //!   It repeats none of the probe's work, and its cache re-check does
 //!   not count, so hits + misses advance by one per forecast.
 //!
+//! The session's route map holds only the routes of answers asked for
+//! again: the compute stage files a request's routes when the lookup it
+//! made itself, after the probe stopped at an uncached pair, hits. So a
+//! query asked once keeps nothing, its first repeat is a hit answered by
+//! the compute stage (no simulation), and from its third ask on the
+//! probe answers it. Cold traffic never comes back, and resolves every
+//! route through the platform's own (zone, zone) memo instead.
+//!
 //! [`ForecastEngine::predict`] and [`ForecastEngine::select_fastest`] are
 //! the two stages back to back on the caller.
 //!
@@ -129,6 +137,8 @@ pub enum ForecastError {
     Sim(SimError),
     /// `select_fastest` needs at least one hypothesis.
     NoHypotheses,
+    /// The hypothesis at this index has no transfer.
+    EmptyHypothesis(usize),
     /// An engine-internal failure (e.g. a coalesced leader computation
     /// panicked); followers of a dead flight receive this instead of
     /// hanging.
@@ -145,6 +155,7 @@ impl fmt::Display for ForecastError {
             ForecastError::BadFactor(x) => write!(f, "invalid capacity factor {x}"),
             ForecastError::Sim(e) => write!(f, "simulation error: {e}"),
             ForecastError::NoHypotheses => write!(f, "no hypotheses given"),
+            ForecastError::EmptyHypothesis(i) => write!(f, "hypothesis {i} has no transfer"),
             ForecastError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -155,6 +166,19 @@ impl std::error::Error for ForecastError {}
 impl From<SimError> for ForecastError {
     fn from(e: SimError) -> Self {
         ForecastError::Sim(e)
+    }
+}
+
+/// What every `select_fastest` refuses: no hypothesis at all, or one
+/// with no transfer, whose makespan of 0 would win the selection and
+/// prune every real hypothesis.
+pub fn check_hypotheses<T>(hypotheses: &[Vec<T>]) -> Result<(), ForecastError> {
+    if hypotheses.is_empty() {
+        return Err(ForecastError::NoHypotheses);
+    }
+    match hypotheses.iter().position(Vec::is_empty) {
+        Some(i) => Err(ForecastError::EmptyHypothesis(i)),
+        None => Ok(()),
     }
 }
 
@@ -606,8 +630,9 @@ impl ForecastEngine {
 
     /// The compute stage of any forecast: finish what the probe left
     /// (resolve, key and look up, if it stopped at an uncached route —
-    /// that lookup is then the request's counted one), then coalesce and
-    /// run `simulate` as the leader.
+    /// that lookup is then the request's counted one, and a hit there
+    /// keeps the request's routes), then coalesce and run `simulate` as
+    /// the leader.
     fn compute<'a>(
         &self,
         pending: Pending,
@@ -625,6 +650,9 @@ impl ForecastEngine {
                 let resolved = resolve_all(&session, specs)?;
                 let keyed = self.keyed(id, session, resolved, key);
                 if let Some(hit) = self.cache.get(&keyed.key) {
+                    // an answer asked for again: keep its routes, so the
+                    // next ask is the probe's to answer
+                    keyed.session.keep_routes(&keyed.resolved);
                     return Ok(hit);
                 }
                 keyed
@@ -707,9 +735,7 @@ impl ForecastEngine {
         platform: &str,
         hypotheses: &[Vec<TransferSpec>],
     ) -> Result<Probed<Arc<Selection>>, ForecastError> {
-        if hypotheses.is_empty() {
-            return Err(ForecastError::NoHypotheses);
-        }
+        check_hypotheses(hypotheses)?;
         let key = |id, epoch, fp, resolved: &[ResolvedSpec]| {
             CacheKey::select(id, epoch, fp, resolved, hypotheses.iter().map(Vec::len))
         };

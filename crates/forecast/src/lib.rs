@@ -15,8 +15,8 @@
 //! ## Warm sessions ([`session`])
 //!
 //! Per-platform scaffolding that queries should not rebuild: the solver
-//! capacity vector (built once per platform), a memoized
-//! route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
+//! capacity vector (built once per platform), the routes of forecasts
+//! asked more than once (endpoint pair → [`simflow::ResolvedPath`]),
 //! the *background flows* of the current metrology epoch, resolved once
 //! when the data arrives, and the scratch of finished simulations — a
 //! dozen platform-sized arrays that each forecast resets by visiting
@@ -73,7 +73,9 @@ pub mod faults;
 pub mod metrics;
 pub mod session;
 
-pub use engine::{ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec};
+pub use engine::{
+    check_hypotheses, ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec,
+};
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};
 pub use session::{BackgroundFlow, LinkState, ResolvedSpec, Session};

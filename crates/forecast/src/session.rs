@@ -7,8 +7,12 @@
 //! (`O(zone depth)` per endpoint pair). A [`Session`] amortizes all
 //! three across queries against the same platform: the capacity vector
 //! is built once, [`Session::simulate`] recycles the scratch of finished
-//! simulations ([`SimScratch`]), and every resolved `(src, dst)` path is
-//! memoized. Sessions also carry the
+//! simulations ([`SimScratch`]), and the routes of a forecast that is
+//! asked again are kept ([`Session::keep_routes`]) so its next probe
+//! finds them without computing one. A route asked for once is
+//! resolved through the platform's own (zone, zone) memo and dropped:
+//! per-pair state is kept only for traffic that comes back. Sessions
+//! also carry the
 //! *background traffic* of the current metrology epoch — flows injected
 //! into every simulation to model load the forecast must coexist with —
 //! resolved once when the epoch's data arrives, not per query.
@@ -46,8 +50,10 @@ use crate::metrics::KernelCounters;
 
 use crate::engine::{ForecastError, TransferSpec};
 
-/// Upper bound on memoized `(src, dst)` route resolutions per session
-/// (see [`Session::resolve`]).
+/// Upper bound on the `(src, dst)` routes a session keeps (see
+/// [`Session::keep_routes`]). Only repeated forecasts file routes, so
+/// this bounds adversarial traffic — many distinct queries, each asked
+/// twice — not ordinary cold traffic, which keeps none.
 const ROUTE_CACHE_CAP: usize = 1 << 16;
 
 /// A background flow: a resolved path plus the bytes in flight, injected
@@ -95,7 +101,8 @@ pub struct Session {
     /// most as many as ran at once: each call takes one (or builds one
     /// when the list is empty) and gives one back.
     scratch: Mutex<Vec<SimScratch>>,
-    /// Memoized route resolutions, keyed by endpoint pair.
+    /// Kept route resolutions of repeated forecasts, keyed by endpoint
+    /// pair: what the probe stage reads ([`Session::resolve_cached`]).
     routes: RwLock<HashMap<(HostId, HostId), Arc<ResolvedPath>>>,
     /// Background flows of the current epoch plus the connectivity
     /// structure primed with them.
@@ -167,7 +174,7 @@ impl Session {
         self.config
     }
 
-    /// Number of memoized routes (observability / tests).
+    /// Number of routes kept (observability / tests).
     pub fn routes_cached(&self) -> usize {
         self.routes.read().unwrap_or_else(PoisonError::into_inner).len()
     }
@@ -311,29 +318,35 @@ impl Session {
             .ok_or_else(|| ForecastError::UnknownHost(name.to_string()))
     }
 
-    /// The memoized route resolution between two hosts. The per-pair map
-    /// is capped at [`ROUTE_CACHE_CAP`] entries — on a 100k-host platform
-    /// the pair space is ~10¹⁰, so an uncapped map under adversarial or
-    /// merely broad traffic would grow without bound; past the cap,
-    /// resolutions still succeed (and still benefit from the platform's
-    /// own cluster-pair route memo) but are not retained here.
+    /// The route between two hosts: the kept one if the session holds
+    /// it, else resolved through the platform (whose cluster-pair route
+    /// memo makes that `O(route length)`) and not kept — only
+    /// [`Session::keep_routes`] files a route.
     pub fn resolve(&self, src: HostId, dst: HostId) -> Result<Arc<ResolvedPath>, ForecastError> {
         if let Some(p) =
             self.routes.read().unwrap_or_else(PoisonError::into_inner).get(&(src, dst))
         {
             return Ok(Arc::clone(p));
         }
-        let path = Arc::new(
-            ResolvedPath::resolve(&self.platform, &self.config, src, dst)
-                .map_err(ForecastError::Sim)?,
-        );
-        let mut w = self.routes.write().unwrap_or_else(PoisonError::into_inner);
-        if w.len() >= ROUTE_CACHE_CAP {
-            return Ok(w.get(&(src, dst)).map(Arc::clone).unwrap_or(path));
+        ResolvedPath::resolve(&self.platform, &self.config, src, dst)
+            .map(Arc::new)
+            .map_err(ForecastError::Sim)
+    }
+
+    /// Keeps the routes of `resolved`, a request whose answer was just
+    /// asked for again, so its next probe finds every pair without
+    /// computing a route. The map holds at most [`ROUTE_CACHE_CAP`]
+    /// pairs — on a 100k-host platform the pair space is ~10¹⁰ — and a
+    /// pair filed already keeps its first entry, so every caller shares
+    /// one allocation.
+    pub(crate) fn keep_routes(&self, resolved: &[ResolvedSpec]) {
+        let mut routes = self.routes.write().unwrap_or_else(PoisonError::into_inner);
+        for r in resolved {
+            if routes.len() >= ROUTE_CACHE_CAP {
+                return;
+            }
+            routes.entry((r.src, r.dst)).or_insert_with(|| Arc::clone(&r.path));
         }
-        // A racing resolver may have inserted meanwhile; keep the first
-        // entry so every caller shares one allocation.
-        Ok(Arc::clone(w.entry((src, dst)).or_insert(path)))
     }
 
     /// Validates a request tuple's size and looks its hosts up.
@@ -351,8 +364,8 @@ impl Session {
         Ok(ResolvedSpec { src, dst, size: spec.size, path })
     }
 
-    /// [`Session::resolve_spec`] over a whole request, from the route
-    /// map only: `Ok(None)` at the first host pair the map does not
+    /// [`Session::resolve_spec`] over a whole request, from the kept
+    /// routes only: `Ok(None)` at the first host pair the map does not
     /// hold, and no route is ever computed — this is what the engine's
     /// probe stage may run on a thread that must not stall. Specs are
     /// validated in order up to that pair, so an error returned here is

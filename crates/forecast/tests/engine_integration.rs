@@ -196,10 +196,14 @@ fn session_stays_warm_across_queries() {
     let q = vec![spec("alpha-0", "beta-3", 5e8), spec("alpha-1", "alpha-2", 5e8)];
     e.predict("twoc", &q).unwrap();
     let session = e.session("twoc").unwrap();
+    assert_eq!(session.routes_cached(), 0, "a query asked once keeps no route");
+    // asked again: a cache hit, which keeps the query's routes
+    e.predict("twoc", &q).unwrap();
     let warmed = session.routes_cached();
-    assert!(warmed >= 2, "routes memoized: {warmed}");
+    assert!(warmed >= 2, "routes kept: {warmed}");
     // same endpoints, different sizes: no new resolutions
     let q2 = vec![spec("alpha-0", "beta-3", 1e6), spec("alpha-1", "alpha-2", 2e6)];
+    assert!(session.resolve_cached(&q2).unwrap().is_some(), "the kept routes cover q2");
     e.predict("twoc", &q2).unwrap();
     assert_eq!(session.routes_cached(), warmed, "repeat endpoints resolve nothing");
 }
@@ -395,6 +399,11 @@ fn error_surface_matches_inputs() {
         e.select_fastest("twoc", &[]),
         Err(ForecastError::NoHypotheses)
     ));
+    // an empty hypothesis would win with makespan 0: refused, by index
+    assert_eq!(
+        e.select_fastest("twoc", &[vec![spec("alpha-0", "alpha-1", 1e8)], vec![]]),
+        Err(ForecastError::EmptyHypothesis(1))
+    );
     // errors are not cached
     assert_eq!(e.cache_len(), 0);
 }

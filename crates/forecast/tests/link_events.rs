@@ -221,10 +221,12 @@ fn link_event_error_surface() {
 #[test]
 fn warm_session_applies_events_without_rebuild() {
     // The same session object keeps serving across a whole
-    // degrade/restore cycle, its memoized routes intact.
+    // degrade/restore cycle, its kept routes intact.
     let e = engine();
     let q = vec![spec("alpha-0", "beta-3", 5e8)];
     let quiet = e.predict("twoc", &q).unwrap()[0];
+    // asked again: a cache hit, which keeps the query's route
+    assert_eq!(e.predict("twoc", &q).unwrap()[0].to_bits(), quiet.to_bits());
     let session = e.session("twoc").unwrap();
     let warmed = session.routes_cached();
     assert!(warmed >= 1);
@@ -243,5 +245,5 @@ fn warm_session_applies_events_without_rebuild() {
 
     let same_session = e.session("twoc").unwrap();
     assert!(std::sync::Arc::ptr_eq(&session, &same_session), "no session rebuild");
-    assert_eq!(same_session.routes_cached(), warmed, "memoized routes survive events");
+    assert_eq!(same_session.routes_cached(), warmed, "kept routes survive events");
 }

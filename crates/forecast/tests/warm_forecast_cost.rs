@@ -15,14 +15,15 @@
 //! bytes, which pins what the engine's cache costs: a cached 30-transfer
 //! forecast is keyed by host ids + size bits, so a hit allocates a dozen
 //! times (not once per host name) and filing an answer keeps about a
-//! kilobyte and a half.
+//! kilobyte and a half. A forecast asked once keeps that and none of its
+//! routes; the session keeps a forecast's routes when it is asked again.
 #![cfg(target_os = "linux")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use forecast::{ForecastEngine, ResolvedSpec, Session, TransferSpec};
+use forecast::{ForecastEngine, Probed, ResolvedSpec, Session, TransferSpec};
 use g5k::{synth, to_simflow, Flavor};
 use simflow::{NetworkConfig, PlatformEventKind};
 
@@ -199,4 +200,56 @@ fn a_cached_forecast_costs_its_transfers_not_its_host_names() {
     let retained = live() - before;
     assert_eq!((engine.cache_len(), engine.simulations()), (6, 6));
     assert!(retained <= 2 << 10, "filing one 30-transfer forecast kept {retained} bytes");
+}
+
+#[test]
+fn a_one_off_forecast_keeps_its_answer_not_its_routes() {
+    let (engine, request) = g5k_test_engine();
+    let session = engine.session("g5k_test").expect("registered");
+    let platform = engine.platform("g5k_test").expect("registered");
+    let names: Vec<String> = platform.hosts().map(|h| platform.host_name(h).to_string()).collect();
+    let n = names.len();
+    // 30 host pairs `request` never names: one host further on each side
+    let one_off: Vec<TransferSpec> = (0..30)
+        .map(|i| TransferSpec {
+            src: names[(i * 7919 + 1) % n].clone(),
+            dst: names[(i * 104_729 + n / 2 + 1) % n].clone(),
+            size: 1e8,
+        })
+        .collect();
+    let pairs = |specs: &[TransferSpec]| -> std::collections::HashSet<(String, String)> {
+        specs.iter().map(|t| (t.src.clone(), t.dst.clone())).collect()
+    };
+    assert!(pairs(&one_off).is_disjoint(&pairs(&request(1e8))));
+
+    // Five answers, the first asked twice so its routes are kept: the
+    // cache's tables have room for one more entry, as in the test above.
+    engine.predict("g5k_test", &request(1e8)).expect("forecast");
+    for size in [1e8, 2e8, 3e8, 4e8, 5e8] {
+        engine.predict("g5k_test", &request(size)).expect("forecast");
+    }
+    let kept = session.routes_cached();
+    assert!(kept > 0, "the repeated request kept its routes");
+
+    // Asked once: the answer is filed, its 30 routes are not.
+    let before = live();
+    let answer = engine.predict("g5k_test", &one_off).expect("forecast");
+    let retained = live() - before;
+    assert_eq!((engine.cache_len(), engine.simulations()), (6, 6));
+    assert!(retained <= 2 << 10, "a one-off 30-transfer forecast kept {retained} bytes");
+    assert_eq!(session.routes_cached(), kept, "a one-off forecast keeps no route");
+
+    // Asked again: a hit, which keeps its distinct pairs.
+    let repeat = engine.predict("g5k_test", &one_off).expect("hit");
+    assert!(Arc::ptr_eq(&repeat, &answer), "the repeat is answered from the cache");
+    assert_eq!(engine.simulations(), 6);
+    assert_eq!(session.routes_cached(), kept + pairs(&one_off).len());
+
+    // Asked a third time: the probe has the answer.
+    let hits = engine.cache_hits();
+    let Probed::Ready(third) = engine.probe_predict("g5k_test", &one_off).expect("probe") else {
+        panic!("a forecast asked twice is the probe's to answer")
+    };
+    assert!(Arc::ptr_eq(&third, &answer));
+    assert_eq!(engine.cache_hits(), hits + 1);
 }
