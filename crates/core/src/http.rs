@@ -16,8 +16,9 @@
 //! readiness loop (see the sibling `sys` module for the FFI and `poller`
 //! for the state machines): nonblocking sockets, buffered partial reads
 //! and writes, HTTP/1.1 keep-alive (a client connection amortizes its
-//! accept across many requests), and a timer wheel that turns the header
-//! deadline, idle timeout and write timeout into `epoll_wait` timeouts.
+//! accept across many requests), and a heap of deadlines that turns the
+//! header deadline, idle timeout and write timeout into `epoll_wait`
+//! timeouts.
 //! The poller is the only owner of server-side sockets and the only
 //! caller of `parse_head`, the one function that turns received bytes
 //! into a [`Request`]. A handler has two stages ([`Handle`]): the poller
@@ -46,7 +47,7 @@
 //!   connection's head as usual and hands the *parsed* GET to a
 //!   dedicated thread that offers it to the fallback instead of a plain
 //!   503. The fallback path has its own small queue; past it, plain 503s
-//!   resume. No program code installs one (only tests do): the Pilgrim
+//!   resume. No program code installs one, only tests do: the Pilgrim
 //!   service answers cached forecasts inline under any overload and
 //!   never answers with an out-of-date one. The hook stays because the
 //!   standalone benchmark package passes this parameter (as `None`);
@@ -79,16 +80,16 @@
 //!
 //! Every server owns a [`telemetry::MetricsRegistry`] (pass a shared one
 //! via [`Server::start_with_registry`] to merge with application
-//! metrics). The layer records, always-on:
+//! metrics). A request's end-to-end latency is the handler's to record,
+//! under labels it knows to be bounded (the Pilgrim service's
+//! `pilgrim_request_latency_ns`). This layer times only the wait before
+//! the handler starts, and counts the outcomes no handler sees: sheds,
+//! expiries, panics and failed writes. It records, always-on:
 //!
 //! * `http_accepted_total`, `http_shed_total`, `http_stale_served_total`,
 //!   `http_expired_total`, `http_handler_panics_total`,
 //!   `http_write_errors_total` — the [`ServerStats`] counters, adopted
 //!   onto the registry (same cells, two views).
-//! * `http_request_latency_ns{endpoint,status}` — latency histograms
-//!   from the start of the answering stage (probe, or worker dequeue)
-//!   to the response written, keyed by the first two path segments (bounded
-//!   cardinality: past 64 series new endpoints fold into `other`).
 //! * `http_queue_wait_ns` — one sample per request: arrival (accept, or
 //!   first byte on a recycled connection) until the stage that answers
 //!   it starts — the probe for an inline answer, the worker's dequeue
@@ -108,10 +109,9 @@
 //!   `pool_panics_caught_total` — the worker pool the poller hands
 //!   deferred requests to (one job each; an inline answer makes none).
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use jsonlite::Value;
@@ -413,13 +413,8 @@ impl ServerStats {
     }
 }
 
-/// Distinct `(endpoint, status)` latency series the server will create
-/// before folding further requests into `endpoint="other"` — bounds the
-/// exposition's cardinality against hostile or misdirected paths.
-const MAX_LATENCY_SERIES: usize = 64;
-
 /// Request-path instruments beyond the plain [`ServerStats`] counters:
-/// queue-wait and per-endpoint latency histograms plus wire byte
+/// the queue-wait histogram, wire byte counters and the poller's syscall
 /// counters, all registered on the server's [`MetricsRegistry`].
 pub struct HttpMetrics {
     pub(crate) registry: Arc<MetricsRegistry>,
@@ -441,10 +436,6 @@ pub struct HttpMetrics {
     pub(crate) socket_reads: Counter,
     /// `write` calls on client sockets.
     pub(crate) socket_writes: Counter,
-    /// Handle cache for `http_request_latency_ns{endpoint,status}` —
-    /// avoids a registry lookup per request and enforces
-    /// [`MAX_LATENCY_SERIES`].
-    latency: Mutex<HashMap<(String, u16), Histogram>>,
 }
 
 impl HttpMetrics {
@@ -499,53 +490,8 @@ impl HttpMetrics {
             epoll_wakeups,
             socket_reads,
             socket_writes,
-            latency: Mutex::new(HashMap::new()),
         }
     }
-
-    /// Records one served request under its normalized endpoint and
-    /// response status. Past [`MAX_LATENCY_SERIES`] a new endpoint is
-    /// recorded as `other` and leaves no entry of its own: the table is
-    /// bounded whatever paths clients invent.
-    pub(crate) fn observe(&self, endpoint: &str, status: u16, elapsed: Duration) {
-        let mut table = self.latency.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut key = (endpoint.to_string(), status);
-        if table.len() >= MAX_LATENCY_SERIES && !table.contains_key(&key) {
-            key.0 = "other".to_string();
-        }
-        let hist = table
-            .entry(key)
-            .or_insert_with_key(|(endpoint, status)| {
-                self.registry.histogram(
-                    "http_request_latency_ns",
-                    "Dequeue-to-response-written request latency",
-                    &[("endpoint", endpoint), ("status", &status.to_string())],
-                )
-            })
-            .clone();
-        drop(table);
-        hist.record(dur_ns(elapsed));
-    }
-
-    /// Entries in the latency handle table.
-    #[cfg(test)]
-    pub(crate) fn latency_series(&self) -> usize {
-        self.latency.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-}
-
-/// First two path segments (`/pilgrim/rrd/a/b.rrd` → `/pilgrim/rrd`):
-/// the bounded endpoint label the latency series are keyed by.
-pub(crate) fn normalize_endpoint(path: &str) -> &str {
-    let mut end = path.len();
-    for (n, (i, _)) in path.match_indices('/').enumerate() {
-        // n == 0 is the leading slash; the third slash closes segment 2
-        if n == 2 {
-            end = i;
-            break;
-        }
-    }
-    &path[..end]
 }
 
 /// A `Duration` as saturating nanoseconds.
@@ -656,8 +602,9 @@ impl Server {
 
     /// Binds `addr` with explicit admission/deadline tuning. When
     /// `shed_fallback` is set, shed GET requests are offered to it
-    /// instead of being refused outright (no in-tree caller sets it; see
-    /// the module docs). The server gets a private [`MetricsRegistry`].
+    /// instead of being refused outright (no program code sets it, only
+    /// tests do; see the module docs). The server gets a private
+    /// [`MetricsRegistry`].
     pub fn start_with(
         addr: &str,
         config: ServerConfig,
@@ -883,21 +830,6 @@ mod tests {
         assert_eq!(q[0], ("transfer".into(), "a,b,5e8".into()));
         assert_eq!(q[1], ("transfer".into(), "c,d,1e6".into()));
         assert_eq!(q[2], ("x".into(), String::new()));
-    }
-
-    #[test]
-    fn latency_handle_table_is_bounded() {
-        let metrics = HttpMetrics::new(Arc::new(MetricsRegistry::new()));
-        let statuses = [200u16, 400, 404];
-        for n in 0..10_000 {
-            metrics.observe(&format!("/a{n}/x"), statuses[n % statuses.len()], Duration::ZERO);
-        }
-        // one `other` handle per status beside the capped endpoints
-        assert!(
-            metrics.latency_series() <= MAX_LATENCY_SERIES + statuses.len(),
-            "{} handles",
-            metrics.latency_series()
-        );
     }
 
     #[test]

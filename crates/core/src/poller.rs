@@ -1,5 +1,5 @@
 //! The HTTP front end: one poller thread, epoll readiness,
-//! per-connection state machines, and a timer wheel.
+//! per-connection state machines, and a heap of deadlines.
 //!
 //! ## Architecture
 //!
@@ -10,7 +10,7 @@
 //!                ▲   │  ▲                deferred ─┴▶ exec::WorkerPool
 //!                │   │  │                             (compute stage)
 //!                │   │  └── wake pipe ◀── exec::Handback ◀──┘
-//!                │   └── timer wheel (header / idle / write deadlines)
+//!                │   └── deadline heap (header / idle / write)
 //!                └── nonblocking reads & writes, keep-alive recycle
 //! ```
 //!
@@ -39,15 +39,18 @@
 //!
 //! ## Timers
 //!
-//! A single-level wheel (512 slots × 32 ms ≈ 16 s horizon, overflow list
-//! refiled on wrap) drives every deadline off `epoll_wait`'s timeout:
-//! the slowloris header deadline while a head is arriving, the
-//! keep-alive idle timeout while a recycled connection is silent, and
-//! the write timeout while a response is blocked on a non-reading peer.
-//! A connection has one armed deadline at a time and keeps it itself
-//! ([`ConnTimer`]); the wheel holds about one entry per connection, not
-//! two per request — a filed entry that expires early is refiled at the
-//! deadline the connection has moved on to.
+//! A min-heap of `(deadline, token)` entries drives every deadline off
+//! `epoll_wait`'s timeout, the earliest entry's wait rounded up to the
+//! next millisecond: the slowloris header deadline while a head is
+//! arriving, the keep-alive idle timeout while a recycled connection is
+//! silent, and the write timeout while a response is blocked on a
+//! non-reading peer. Entries are never removed early. As in the kernel's
+//! completion calendar, a stale one is told apart when it comes out: by
+//! the token's generation once the slot is reused, and by [`ConnTimer`]
+//! otherwise. A connection has one armed deadline at a time and keeps it
+//! itself; the heap holds about one entry per connection, not two per
+//! request — a filed entry that expires early is refiled at the deadline
+//! the connection has moved on to.
 //!
 //! ## Admission, shedding and drain
 //!
@@ -59,8 +62,9 @@
 //! check). A request the probe answers never enters the queue and is
 //! never shed: with the queue full, a kept-alive client still gets its
 //! cached forecasts while its uncached ones are refused. With a shed
-//! fallback handler installed (no in-tree caller installs one; the hook
-//! stays because the standalone benchmark package passes the parameter)
+//! fallback handler installed (no program code installs one, only tests
+//! do; the hook stays because the standalone benchmark package passes
+//! the parameter)
 //! an overloaded connection skips the accept-time refusal and is read
 //! like any other, so the hand-off check can divert its *parsed* GET to
 //! the shed thread — the one place a socket leaves the poller, switched
@@ -70,6 +74,8 @@
 //! lets in-flight and writing connections finish and closes reading and
 //! idle ones.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -77,13 +83,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use exec::{Handback, WorkerPool};
 
 use crate::http::{
-    dur_ns, effective_deadline, handle_whole, normalize_endpoint, parse_head, Handler,
-    HttpMetrics, Probe, Request, Response, ServerConfig, ServerStats,
+    dur_ns, effective_deadline, handle_whole, parse_head, Handler, HttpMetrics, Probe, Request,
+    Response, ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, WakeHandle, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -103,10 +109,6 @@ const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// this, plain inline 503s resume.
 const SHED_QUEUE_LIMIT: usize = 64;
 
-/// Timer wheel geometry: 512 slots of 32 ms ≈ 16.4 s horizon.
-const WHEEL_SLOTS: usize = 512;
-const WHEEL_TICK: Duration = Duration::from_millis(32);
-
 fn token_of(idx: usize, gen: u32) -> u64 {
     (idx as u64) | (u64::from(gen) << 32)
 }
@@ -118,10 +120,6 @@ fn split_token(token: u64) -> (usize, u32) {
 /// What a worker job sends back through the [`Handback`].
 struct Completion {
     token: u64,
-    endpoint: String,
-    /// When the worker picked the job up (dequeue-equivalent instant the
-    /// latency histogram is measured from).
-    started: Instant,
     response: Response,
 }
 
@@ -241,7 +239,6 @@ pub(crate) fn start(
     pool.register_metrics(&metrics.registry);
 
     let stop = Arc::new(AtomicBool::new(false));
-    let now = Instant::now();
     let poller = Poller {
         epoll,
         wake_pipe,
@@ -254,7 +251,7 @@ pub(crate) fn start(
         pending: Arc::new(AtomicUsize::new(0)),
         handback,
         pool: Some(pool),
-        wheel: TimerWheel::new(now),
+        timers: TimerHeap::default(),
         config,
         handler,
         stats,
@@ -284,18 +281,13 @@ enum TimerKind {
     Write,
 }
 
-struct TimerEntry {
-    deadline: Instant,
-    token: u64,
-}
-
-/// A connection's one deadline, and the wheel entry that will look at
+/// A connection's one deadline, and the heap entry that will look at
 /// it. Re-arming and cancelling only rewrite `armed`; an entry is filed
 /// when none is, or when the new deadline is earlier than the filed one
 /// (a header deadline armed under a later idle entry must still fire on
 /// time). An entry that expires before the armed deadline — the common
 /// case on a busy keep-alive connection, whose deadline moves later with
-/// every request — is refiled at it, so the wheel holds one entry per
+/// every request — is refiled at it, so the heap holds one entry per
 /// connection, plus a superseded one or two until they expire, however
 /// many requests the connection serves.
 #[derive(Default)]
@@ -307,11 +299,11 @@ struct ConnTimer {
 }
 
 impl ConnTimer {
-    fn arm(&mut self, wheel: &mut TimerWheel, token: u64, kind: TimerKind, deadline: Instant) {
+    fn arm(&mut self, timers: &mut TimerHeap, token: u64, kind: TimerKind, deadline: Instant) {
         self.armed = Some((deadline, kind));
         if self.filed.is_none_or(|filed| deadline < filed) {
             self.filed = Some(deadline);
-            wheel.insert(TimerEntry { deadline, token });
+            timers.insert(deadline, token);
         }
     }
 
@@ -319,15 +311,15 @@ impl ConnTimer {
         self.armed = None;
     }
 
-    /// One of this connection's entries expired at `now`: the kind to
-    /// fire, if the armed deadline is due.
+    /// This connection's entry `(filed, token)` expired at `now`: the
+    /// kind to fire, if the armed deadline is due.
     fn expired(
         &mut self,
-        wheel: &mut TimerWheel,
-        entry: &TimerEntry,
+        timers: &mut TimerHeap,
+        (filed, token): (Instant, u64),
         now: Instant,
     ) -> Option<TimerKind> {
-        if self.filed != Some(entry.deadline) {
+        if self.filed != Some(filed) {
             return None; // superseded
         }
         self.filed = None;
@@ -335,7 +327,7 @@ impl ConnTimer {
         if deadline > now {
             // moved later since the entry was filed: follow it
             self.filed = Some(deadline);
-            wheel.insert(TimerEntry { deadline, token: entry.token });
+            timers.insert(deadline, token);
             return None;
         }
         self.armed = None;
@@ -343,90 +335,30 @@ impl ConnTimer {
     }
 }
 
-/// A single-level timer wheel with an overflow list. Entries more than
-/// one horizon out wait in `overflow` and are refiled each full wrap.
-/// Entries are never removed early: [`ConnTimer`] decides at expiry
-/// whether one still means anything.
-struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    overflow: Vec<TimerEntry>,
-    cursor: usize,
-    /// Wall-clock time of the current cursor slot's start.
-    cursor_time: Instant,
-    count: usize,
-}
+/// Every filed `(deadline, token)` entry, earliest first.
+#[derive(Default)]
+struct TimerHeap(BinaryHeap<Reverse<(Instant, u64)>>);
 
-impl TimerWheel {
-    fn new(now: Instant) -> TimerWheel {
-        TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            cursor: 0,
-            cursor_time: now,
-            count: 0,
+impl TimerHeap {
+    fn insert(&mut self, deadline: Instant, token: u64) {
+        self.0.push(Reverse((deadline, token)));
+    }
+
+    /// Moves every entry due by `now` into `expired`, earliest first.
+    fn advance(&mut self, now: Instant, expired: &mut Vec<(Instant, u64)>) {
+        while self.0.peek().is_some_and(|Reverse((deadline, _))| *deadline <= now) {
+            let Reverse(entry) = self.0.pop().expect("peeked above");
+            expired.push(entry);
         }
     }
 
-    fn horizon() -> Duration {
-        WHEEL_TICK * WHEEL_SLOTS as u32
-    }
-
-    fn insert(&mut self, entry: TimerEntry) {
-        self.count += 1;
-        let delta = entry.deadline.saturating_duration_since(self.cursor_time);
-        if delta >= Self::horizon() {
-            self.overflow.push(entry);
-            return;
-        }
-        let ticks = (delta.as_millis() as u64 / WHEEL_TICK.as_millis() as u64) as usize;
-        let slot = (self.cursor + ticks) % WHEEL_SLOTS;
-        self.slots[slot].push(entry);
-    }
-
-    /// Steps the cursor up to `now`, moving expired entries into
-    /// `expired`. Entries are filed so that a slot's deadline has always
-    /// passed by the time the cursor moves beyond it.
-    fn advance(&mut self, now: Instant, expired: &mut Vec<TimerEntry>) {
-        while now.saturating_duration_since(self.cursor_time) >= WHEEL_TICK {
-            let entries = std::mem::take(&mut self.slots[self.cursor]);
-            for e in entries {
-                if e.deadline <= now {
-                    self.count -= 1;
-                    expired.push(e);
-                } else {
-                    // refiled overflow entry not yet due
-                    self.count -= 1;
-                    self.insert(e);
-                }
-            }
-            self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
-            self.cursor_time += WHEEL_TICK;
-            if self.cursor == 0 && !self.overflow.is_empty() {
-                let overflow = std::mem::take(&mut self.overflow);
-                for e in overflow {
-                    self.count -= 1;
-                    self.insert(e);
-                }
-            }
-        }
-    }
-
-    /// Milliseconds until the next potentially-expiring slot, `None`
-    /// when no timers are armed.
+    /// Milliseconds until the earliest entry is due, rounded up — a
+    /// deadline 0.3 ms away is a 1 ms wait, never a 0 ms `epoll_wait`
+    /// spin; 0 only when one is due already. `None` when none is filed.
     fn next_timeout_ms(&self, now: Instant) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        for i in 0..WHEEL_SLOTS {
-            let slot = (self.cursor + i) % WHEEL_SLOTS;
-            if !self.slots[slot].is_empty() {
-                let slot_end = self.cursor_time + WHEEL_TICK * (i as u32 + 1);
-                let wait = slot_end.saturating_duration_since(now);
-                return Some((wait.as_millis() as u64).max(1));
-            }
-        }
-        // only overflow entries: sleep one horizon at most
-        Some(Self::horizon().as_millis() as u64)
+        let Reverse((deadline, _)) = self.0.peek()?;
+        let wait = deadline.saturating_duration_since(now).as_nanos().div_ceil(1_000_000);
+        Some(u64::try_from(wait).unwrap_or(u64::MAX))
     }
 }
 
@@ -476,9 +408,6 @@ struct PConn {
     in_epoll: bool,
     interest: u32,
     timer: ConnTimer,
-    /// Deferred latency observation: `(endpoint, status, started)`,
-    /// recorded when the response write finishes or fails.
-    observe: Option<(String, u16, Instant)>,
 }
 
 struct Poller {
@@ -497,7 +426,7 @@ struct Poller {
     pending: Arc<AtomicUsize>,
     handback: Arc<Handback<Completion>>,
     pool: Option<WorkerPool>,
-    wheel: TimerWheel,
+    timers: TimerHeap,
     config: ServerConfig,
     handler: Handler,
     stats: Arc<ServerStats>,
@@ -512,7 +441,7 @@ struct Poller {
 impl Poller {
     fn run(mut self) {
         let mut events = vec![EpollEvent::zeroed(); 256];
-        let mut expired: Vec<TimerEntry> = Vec::new();
+        let mut expired = Vec::new();
         loop {
             if self.stop.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain();
@@ -527,9 +456,9 @@ impl Poller {
             let now = Instant::now();
             let timeout = if self.draining {
                 // bounded heartbeat while waiting for in-flight work
-                Some(self.wheel.next_timeout_ms(now).map_or(50, |t| t.min(50)))
+                Some(self.timers.next_timeout_ms(now).map_or(50, |t| t.min(50)))
             } else {
-                self.wheel.next_timeout_ms(now)
+                self.timers.next_timeout_ms(now)
             };
             let n = self.epoll.wait(&mut events, timeout).unwrap_or(0);
             self.metrics.epoll_wakeups.inc();
@@ -543,7 +472,7 @@ impl Poller {
             }
             self.deliver_completions();
             let now = Instant::now();
-            self.wheel.advance(now, &mut expired);
+            self.timers.advance(now, &mut expired);
             for e in expired.drain(..) {
                 self.timer_fired(e, now);
             }
@@ -607,7 +536,7 @@ impl Poller {
             self.stats.shed.inc();
             let refusal = Response::overloaded(self.config.retry_after_secs);
             if let Some(idx) = self.install(stream, accepted, 0) {
-                self.queue_response(idx, &refusal, false, None);
+                self.queue_response(idx, &refusal, false);
             }
             return;
         }
@@ -650,7 +579,6 @@ impl Poller {
             in_epoll: true,
             interest,
             timer: ConnTimer::default(),
-            observe: None,
         });
         self.open_count += 1;
         Some(idx)
@@ -681,23 +609,22 @@ impl Poller {
     /// Arms (or re-arms) the connection's single timer.
     fn arm_timer(&mut self, idx: usize, kind: TimerKind, deadline: Instant) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
-        conn.timer.arm(&mut self.wheel, token_of(idx, conn.gen), kind, deadline);
+        conn.timer.arm(&mut self.timers, token_of(idx, conn.gen), kind, deadline);
     }
 
-    fn timer_fired(&mut self, entry: TimerEntry, now: Instant) {
-        let (idx, gen) = split_token(entry.token);
+    fn timer_fired(&mut self, entry: (Instant, u64), now: Instant) {
+        let (idx, gen) = split_token(entry.1);
         let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
         if conn.gen != gen {
             return; // slot reused since the entry was filed
         }
-        let Some(kind) = conn.timer.expired(&mut self.wheel, &entry, now) else { return };
+        let Some(kind) = conn.timer.expired(&mut self.timers, entry, now) else { return };
         match kind {
             TimerKind::Header => {
                 if conn.state == State::Reading {
                     // slowloris: the head did not complete in time
-                    let t0 = conn.request_t0;
                     let resp = Response::error(408, "request header read exceeded its deadline");
-                    self.queue_response(idx, &resp, false, Some(("unparsed".into(), 408, t0)));
+                    self.queue_response(idx, &resp, false);
                 }
             }
             TimerKind::Idle => {
@@ -775,7 +702,7 @@ impl Poller {
                     }
                     if let Some(cap_err) = cap_err {
                         let resp = Response::error(400, &format!("bad request: {cap_err}"));
-                        self.queue_response(idx, &resp, false, None);
+                        self.queue_response(idx, &resp, false);
                         return;
                     }
                     self.serve_buffered(idx);
@@ -870,8 +797,7 @@ impl Poller {
             Ok(req) => self.dispatch_request(idx, req),
             Err(e) => {
                 let resp = Response::error(400, &format!("bad request: {e}"));
-                let t0 = self.conns[idx].as_ref().map(|c| c.request_t0);
-                self.queue_response(idx, &resp, false, t0.map(|t| ("unparsed".into(), 400, t)));
+                self.queue_response(idx, &resp, false);
             }
         }
         true
@@ -895,14 +821,12 @@ impl Poller {
             let want = !close_requested && !has_body && !conn.read_closed;
             (want, conn.request_t0, token_of(idx, conn.gen))
         };
-        let endpoint = normalize_endpoint(&req.path).to_string();
         if req.method != "GET" && req.method != "POST" {
             let resp = Response::error(405, &format!("method {} not allowed", req.method));
-            self.queue_response(idx, &resp, false, Some((endpoint, 405, request_t0)));
+            self.queue_response(idx, &resp, false);
             return;
         }
-        let started = Instant::now();
-        let waited = started.duration_since(request_t0);
+        let waited = request_t0.elapsed();
         let deadline = effective_deadline(&req, &self.config);
         let probe = if deadline.is_some_and(|d| waited >= d) {
             self.stats.expired.inc();
@@ -920,8 +844,7 @@ impl Poller {
                 // completion, no wake.
                 self.metrics.queue_wait_ns.record(dur_ns(waited));
                 let keep_alive = want_keep_alive && !self.draining;
-                let observe = Some((endpoint, response.status, started));
-                self.queue_response(idx, &response, keep_alive, observe);
+                self.queue_response(idx, &response, keep_alive);
                 return;
             }
             Probe::Deferred(compute) => compute,
@@ -952,7 +875,7 @@ impl Poller {
                 return;
             }
             let resp = Response::overloaded(self.config.retry_after_secs);
-            self.queue_response(idx, &resp, false, None);
+            self.queue_response(idx, &resp, false);
             return;
         }
         // Admit: cancel the header timer, quiesce epoll interest (flow
@@ -975,7 +898,6 @@ impl Poller {
         pool.submit(move || {
             pending.fetch_sub(1, Ordering::SeqCst);
             metrics.queue_wait_ns.record(dur_ns(request_t0.elapsed()));
-            let started = Instant::now();
             let response = match deadline {
                 // the deadline is re-checked at execution start: queued-
                 // then-expired work never runs the compute stage
@@ -991,7 +913,7 @@ impl Poller {
                     }
                 },
             };
-            handback.push(Completion { token, endpoint, started, response });
+            handback.push(Completion { token, response });
         });
     }
 
@@ -1007,20 +929,13 @@ impl Poller {
                 // paths that never apply to InFlight conns; be safe
                 _ => continue,
             };
-            let observe = Some((c.endpoint, c.response.status, c.started));
-            self.queue_response(idx, &c.response, keep_alive, observe);
+            self.queue_response(idx, &c.response, keep_alive);
             self.serve_buffered(idx);
         }
     }
 
     /// Serializes `response` onto the connection and starts draining it.
-    fn queue_response(
-        &mut self,
-        idx: usize,
-        response: &Response,
-        keep_alive: bool,
-        observe: Option<(String, u16, Instant)>,
-    ) {
+    fn queue_response(&mut self, idx: usize, response: &Response, keep_alive: bool) {
         {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
             conn.out = response.to_bytes(keep_alive);
@@ -1028,7 +943,6 @@ impl Poller {
             conn.body_len = response.body.len();
             conn.keep_alive = keep_alive;
             conn.state = State::Writing;
-            conn.observe = observe;
             conn.timer.cancel(); // any reading-phase timer
         }
         self.try_write(idx);
@@ -1068,15 +982,9 @@ impl Poller {
     }
 
     /// A response could not be fully delivered (peer gone or write
-    /// timeout): count it, record the deferred latency observation, and
-    /// close.
+    /// timeout): count it and close.
     fn write_failed(&mut self, idx: usize) {
         self.stats.write_errors.inc();
-        if let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) {
-            if let Some((endpoint, status, started)) = conn.observe.take() {
-                self.metrics.observe(&endpoint, status, started.elapsed());
-            }
-        }
         self.close_conn(idx);
     }
 
@@ -1087,9 +995,6 @@ impl Poller {
         let recycle = {
             let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else { return };
             self.metrics.body_bytes.add(conn.body_len as u64);
-            if let Some((endpoint, status, started)) = conn.observe.take() {
-                self.metrics.observe(&endpoint, status, started.elapsed());
-            }
             conn.keep_alive && !conn.read_closed && !conn.peer_dead && !self.draining
         };
         if !recycle {
@@ -1118,11 +1023,12 @@ impl Poller {
     }
 }
 
-/// The wheel and the head caps, socket-free; end-to-end poller behavior
-/// is exercised by the HTTP test suites.
+/// The deadline heap and the head caps, socket-free; end-to-end poller
+/// behavior is exercised by the HTTP test suites.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn head_caps_sit_exactly_at_64_kib() {
@@ -1144,40 +1050,50 @@ mod tests {
     }
 
     #[test]
-    fn wheel_orders_and_expires() {
+    fn deadlines_come_out_in_order_and_the_timeout_rounds_up() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
-        assert_eq!(wheel.next_timeout_ms(t0), None);
-        wheel.insert(TimerEntry { deadline: t0 + Duration::from_millis(40), token: 1 });
-        // beyond the horizon
-        wheel.insert(TimerEntry { deadline: t0 + Duration::from_secs(60), token: 2 });
-        assert!(wheel.next_timeout_ms(t0).is_some());
+        let ms = Duration::from_millis;
+        let mut timers = TimerHeap::default();
+        assert_eq!(timers.next_timeout_ms(t0), None);
+        // a deadline under 1 ms away is a 1 ms wait, not a 0 ms spin
+        timers.insert(t0 + Duration::from_micros(300), 1);
+        assert_eq!(timers.next_timeout_ms(t0), Some(1));
+        assert_eq!(timers.next_timeout_ms(t0 + Duration::from_micros(299)), Some(1));
+        // 0 only once it is due
+        assert_eq!(timers.next_timeout_ms(t0 + Duration::from_micros(300)), Some(0));
+        assert_eq!(timers.next_timeout_ms(t0 + ms(5)), Some(0));
 
+        // filed out of order, they come out earliest first, and an entry
+        // due exactly at `now` is due
+        for (deadline, token) in [(ms(40), 4), (ms(7), 3), (Duration::from_secs(60), 6), (ms(2), 2)] {
+            timers.insert(t0 + deadline, token);
+        }
+        assert_eq!(timers.next_timeout_ms(t0 + ms(1)), Some(0));
         let mut expired = Vec::new();
-        wheel.advance(t0 + Duration::from_millis(100), &mut expired);
-        assert_eq!(expired.len(), 1, "only the 40 ms timer fires");
-        assert_eq!(expired[0].token, 1);
+        timers.advance(t0 + ms(7), &mut expired);
+        let tokens: Vec<u64> = expired.iter().map(|&(_, token)| token).collect();
+        assert_eq!(tokens, [1, 2, 3]);
+        assert_eq!(timers.next_timeout_ms(t0 + ms(7)), Some(33));
 
         expired.clear();
-        wheel.advance(t0 + Duration::from_secs(61), &mut expired);
-        assert_eq!(expired.len(), 1, "overflow entry fires after refile");
-        assert_eq!(expired[0].token, 2);
-        assert_eq!(wheel.count, 0);
-        assert_eq!(wheel.next_timeout_ms(t0 + Duration::from_secs(61)), None);
+        timers.advance(t0 + Duration::from_secs(61), &mut expired);
+        let tokens: Vec<u64> = expired.iter().map(|&(_, token)| token).collect();
+        assert_eq!(tokens, [4, 6]);
+        assert_eq!(timers.next_timeout_ms(t0 + Duration::from_secs(61)), None);
     }
 
-    /// Advances the wheel to `now` and returns what fires for the one
-    /// connection `timer` belongs to.
-    fn fire(wheel: &mut TimerWheel, timer: &mut ConnTimer, now: Instant) -> Vec<TimerKind> {
+    /// Expires the heap's entries due by `now` and returns what fires for
+    /// the one connection `timer` belongs to.
+    fn fire(timers: &mut TimerHeap, timer: &mut ConnTimer, now: Instant) -> Vec<TimerKind> {
         let mut expired = Vec::new();
-        wheel.advance(now, &mut expired);
-        expired.iter().filter_map(|e| timer.expired(wheel, e, now)).collect()
+        timers.advance(now, &mut expired);
+        expired.into_iter().filter_map(|e| timer.expired(timers, e, now)).collect()
     }
 
     #[test]
     fn a_connection_files_an_entry_or_two_however_often_it_rearms() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
+        let mut timers = TimerHeap::default();
         let mut timer = ConnTimer::default();
         let (header, idle) = (Duration::from_secs(5), Duration::from_secs(10));
         // a keep-alive connection serving 10 000 requests, 1 ms apart:
@@ -1185,40 +1101,40 @@ mod tests {
         // deadline after the answer
         let mut now = t0;
         for _ in 0..10_000 {
-            timer.arm(&mut wheel, 7, TimerKind::Header, now + header);
+            timer.arm(&mut timers, 7, TimerKind::Header, now + header);
             timer.cancel();
-            timer.arm(&mut wheel, 7, TimerKind::Idle, now + idle);
+            timer.arm(&mut timers, 7, TimerKind::Idle, now + idle);
             now += Duration::from_millis(1);
-            assert!(fire(&mut wheel, &mut timer, now).is_empty(), "a live connection never fires");
-            assert!(wheel.count <= 2, "{} entries filed for one connection", wheel.count);
+            assert!(fire(&mut timers, &mut timer, now).is_empty(), "a live connection never fires");
+            assert!(timers.0.len() <= 2, "{} entries filed for one connection", timers.0.len());
         }
-        // left alone, it fires its last idle deadline, once, on time
+        // left alone, it fires its last idle deadline, once, when due
         let last_idle = now - Duration::from_millis(1) + idle;
-        assert!(fire(&mut wheel, &mut timer, last_idle - WHEEL_TICK).is_empty());
-        assert_eq!(fire(&mut wheel, &mut timer, last_idle + WHEEL_TICK), [TimerKind::Idle]);
-        assert!(fire(&mut wheel, &mut timer, last_idle + idle).is_empty());
-        assert_eq!(wheel.count, 0);
+        assert!(fire(&mut timers, &mut timer, last_idle - Duration::from_micros(1)).is_empty());
+        assert_eq!(fire(&mut timers, &mut timer, last_idle), [TimerKind::Idle]);
+        assert!(fire(&mut timers, &mut timer, last_idle + idle).is_empty());
+        assert!(timers.0.is_empty());
     }
 
     #[test]
     fn an_earlier_deadline_armed_under_a_later_entry_fires_on_time() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
+        let mut timers = TimerHeap::default();
         let mut timer = ConnTimer::default();
         // an idle connection: the filed entry is the 10 s idle deadline
-        timer.arm(&mut wheel, 7, TimerKind::Idle, t0 + Duration::from_secs(10));
+        timer.arm(&mut timers, 7, TimerKind::Idle, t0 + Duration::from_secs(10));
         // a request starts arriving at 1 s and then stalls: its header
         // deadline (6 s) must not wait for the idle entry
         let t1 = t0 + Duration::from_secs(1);
-        timer.arm(&mut wheel, 7, TimerKind::Header, t1 + Duration::from_secs(5));
-        assert_eq!(wheel.count, 2);
-        assert!(fire(&mut wheel, &mut timer, t0 + Duration::from_millis(5_900)).is_empty());
+        timer.arm(&mut timers, 7, TimerKind::Header, t1 + Duration::from_secs(5));
+        assert_eq!(timers.0.len(), 2);
+        assert!(fire(&mut timers, &mut timer, t0 + Duration::from_millis(5_999)).is_empty());
         assert_eq!(
-            fire(&mut wheel, &mut timer, t0 + Duration::from_millis(6_100)),
+            fire(&mut timers, &mut timer, t0 + Duration::from_secs(6)),
             [TimerKind::Header]
         );
         // the superseded idle entry expires without effect
-        assert!(fire(&mut wheel, &mut timer, t0 + Duration::from_secs(11)).is_empty());
-        assert_eq!(wheel.count, 0);
+        assert!(fire(&mut timers, &mut timer, t0 + Duration::from_secs(11)).is_empty());
+        assert!(timers.0.is_empty());
     }
 }

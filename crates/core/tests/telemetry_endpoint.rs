@@ -115,7 +115,6 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     // Every layer's family is present.
     for family in [
         "http_accepted_total",
-        "http_request_latency_ns",
         "http_queue_wait_ns",
         "http_request_header_bytes_total",
         "http_response_body_bytes_total",
@@ -140,7 +139,7 @@ fn metrics_endpoint_renders_every_layer_over_http() {
         assert!(body.contains(&format!("# TYPE {family}")), "missing family {family}");
     }
     // The worked endpoints appear with their labels and real counts.
-    assert!(body.contains(r#"http_request_latency_ns_count{endpoint="/pilgrim/predict_transfers",status="200"} 3"#), "{body}");
+    assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="predict_transfers"} 3"#), "{body}");
     assert!(body.contains("forecast_simulations_total 1"), "{body}");
     assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="unknown"} 1"#), "{body}");
     assert!(body.contains("kernel_components_solved_total"), "{body}");
@@ -177,8 +176,9 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     }
 }
 
-/// Paths nobody serves must not grow the exposition: past 64 latency
-/// series, new endpoints are counted under `other`.
+/// Paths nobody serves must not grow the exposition: the end-to-end
+/// family has one series per served endpoint, and every invented path
+/// is counted under `unknown`.
 #[test]
 fn invented_paths_fold_into_other() {
     let _serial = one_at_a_time();
@@ -191,18 +191,13 @@ fn invented_paths_fold_into_other() {
     }
     let (status, body) = client.get("/pilgrim/metrics").expect("metrics");
     assert_eq!(status, 200, "{body}");
-    let endpoints: std::collections::BTreeSet<&str> = body
+    let counts: std::collections::BTreeMap<&str, &str> = body
         .lines()
-        .filter_map(|l| l.strip_prefix("http_request_latency_ns_count{endpoint=\""))
-        .filter_map(|l| l.split('"').next())
+        .filter_map(|l| l.strip_prefix("pilgrim_request_latency_ns_count{endpoint=\""))
+        .filter_map(|l| l.split_once("\"} "))
         .collect();
-    assert!(endpoints.contains("other"), "{endpoints:?}");
-    assert!(endpoints.len() <= 64 + 1, "{} endpoint series", endpoints.len());
-    let folded = body
-        .lines()
-        .find_map(|l| l.strip_prefix(r#"http_request_latency_ns_count{endpoint="other",status="404"} "#))
-        .expect("the 404s past the cap");
-    assert_eq!(folded.parse::<usize>().unwrap() + endpoints.len() - 1, 10_000);
+    assert!(counts.len() <= 11, "{} endpoint series: {counts:?}", counts.len());
+    assert_eq!(counts.get("unknown"), Some(&"10000"), "{counts:?}");
 }
 
 /// The stage histograms decompose the end-to-end request histogram: on a

@@ -32,9 +32,11 @@
 //! session's registration id, the epoch, and the query as host ids +
 //! size bits, which the probe has already resolved. The engine keeps a
 //! monotonic epoch counter; ingesting new metrology data bumps it
-//! ([`ForecastEngine::bump_epoch`]), which makes every cached entry
-//! unreachable in O(1) — no per-entry invalidation to get wrong. Within
-//! an epoch, a repeated query returns the memoized result, which renders
+//! ([`ForecastEngine::bump_epoch`]). A lookup then misses every older
+//! entry at once, because the epoch is in the key; the bump also purges
+//! those entries one by one to reclaim their memory, and the cache
+//! refuses to file a result computed under an older epoch. Within an
+//! epoch, a repeated query returns the memoized result, which renders
 //! to bit-identical JSON upstream.
 //! Serving-time platform events (a link degrading, failing or
 //! recovering — [`ForecastEngine::link_event`]) deliberately avoid that

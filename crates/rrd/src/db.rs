@@ -215,11 +215,6 @@ impl Database {
         self.step
     }
 
-    /// Declared archives.
-    pub fn archive_specs(&self) -> Vec<ArchiveSpec> {
-        self.archives.iter().map(|a| a.spec).collect()
-    }
-
     /// Feeds one measurement taken at `ts` (unix seconds, strictly
     /// increasing across calls).
     ///
