@@ -10,8 +10,9 @@
 //!
 //! Since the `forecast` crate landed, all serving-path simulation work
 //! goes through the shared [`ForecastEngine`]: warm per-platform
-//! sessions, and an epoch-keyed result cache (invalidated whenever the
-//! metrology service ingests new data — see [`Pnfs::bump_epoch`]); the
+//! sessions, and a result cache keyed by the query, which a link event
+//! clears along the link's routes and which empties whenever the
+//! metrology service ingests new data (see [`Pnfs::bump_epoch`]); the
 //! simulation itself still runs on the thread that asked. The original
 //! uncached, from-scratch implementations are kept as
 //! [`Pnfs::predict_reference`] and [`Pnfs::select_fastest_reference`]:
@@ -21,8 +22,6 @@
 //! transfer hypotheses, select the fastest one ... use some heuristic to
 //! prune the n hypotheses") is implemented by [`Pnfs::select_fastest`],
 //! with a lower-bound pruning heuristic.
-
-use std::sync::Arc;
 
 use forecast::{check_hypotheses, ForecastEngine, Pending, Probed};
 use jsonlite::Value;
@@ -149,19 +148,14 @@ impl Pnfs {
         self.engine.platform_names()
     }
 
-    /// Shared handle to a registered platform.
-    pub fn platform(&self, name: &str) -> Option<Arc<Platform>> {
-        self.engine.platform(name)
-    }
-
     /// The model configuration in use.
     pub fn config(&self) -> NetworkConfig {
         self.engine.config()
     }
 
-    /// Advances the background-traffic epoch, invalidating every cached
-    /// forecast. The REST layer calls this whenever the metrology
-    /// service ingests new measurement data.
+    /// Advances the metrology epoch, dropping every cached forecast.
+    /// The REST layer calls this whenever the metrology service ingests
+    /// new measurement data.
     pub fn bump_epoch(&self) -> u64 {
         self.engine.bump_epoch()
     }
@@ -169,10 +163,10 @@ impl Pnfs {
     /// Applies a serving-time platform event to `link` of `platform`
     /// (capacity degradation, failure, recovery) and evicts exactly the
     /// cached forecasts whose routes the event can touch. Returns the
-    /// number of evicted entries. Disjoint queries keep their cache
-    /// entries; route-coupled ones re-simulate via the footprint in the
-    /// cache key, which also holds the session id and the query's host
-    /// ids + size bits (see the `forecast` crate docs).
+    /// number of evicted entries. Queries whose routes miss the link
+    /// keep their cache entries (keyed by the session id and the query's
+    /// host ids + size bits — see the `forecast` crate docs); the evicted
+    /// ones re-simulate on their next ask.
     pub fn link_event(
         &self,
         platform: &str,

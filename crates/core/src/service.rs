@@ -6,8 +6,10 @@
 //!   accept unix timestamps or `"YYYY-MM-DD HH:MM:SS"`; answers
 //!   `[[ts, value], …]`;
 //! * `GET /pilgrim/rrd_update/<path>?ts=…&value=…` — metrology push:
-//!   feeds one measurement and advances the forecast epoch, invalidating
-//!   every cached forecast (the background-traffic picture changed);
+//!   feeds one measurement and advances the forecast epoch, which empties
+//!   the forecast cache. No forecast reads metrology data yet, so this
+//!   changes no answer; the bump stays until an update is bound to the
+//!   capacity of a link;
 //! * `GET /pilgrim/predict_transfers/<platform>?transfer=src,dst,size&…`
 //!   — PNFS; answers `[{"src","dst","size","duration"}, …]`;
 //! * `GET /pilgrim/select_fastest/<platform>?hypothesis=src,dst,size[;…]&…`
@@ -376,10 +378,10 @@ impl PilgrimService {
         }
     }
 
-    /// Metrology ingestion. New measurement data means the background
-    /// traffic the forecasts were computed under is stale, so a
-    /// successful update bumps the forecast epoch: every cached result
-    /// becomes unreachable and the next query re-simulates.
+    /// Metrology ingestion. A successful update bumps the forecast epoch:
+    /// the cache is emptied and the next query re-simulates. No forecast
+    /// reads the stored sample yet, so the answers do not change; the
+    /// bump stays until an update is bound to the capacity of a link.
     fn handle_rrd_update(&self, rrd_path: &str, req: &Request) -> Response {
         let Some(ts) = req.param("ts").and_then(rrd::time::parse_timestamp) else {
             return Response::error(400, "missing or invalid 'ts'");
@@ -846,10 +848,27 @@ mod tests {
             post(&svc, "/pilgrim/link_event/g5k_test", &format!("link={nic}&factor=0")).0,
             400
         );
+        // subnormal: a finish time over the link would overflow
+        assert_eq!(
+            post(&svc, "/pilgrim/link_event/g5k_test", &format!("link={nic}&factor=1e-320")).0,
+            400
+        );
         assert_eq!(post(&svc, "/pilgrim/link_event/g5k_test", "link=ghost&state=down").0, 404);
         assert_eq!(post(&svc, "/pilgrim/link_event/nope", &format!("link={nic}&state=down")).0, 404);
         // POST to a read-side endpoint is refused too
         assert_eq!(post(&svc, "/pilgrim/platforms", "").0, 405);
+    }
+
+    #[test]
+    fn a_finish_time_past_the_largest_float_answers_400() {
+        // A legal but tiny factor leaves a huge transfer a finish time
+        // that overflows: the simulation stalls, it does not panic.
+        let svc = service();
+        let nic = "sagittaire-1.lyon.grid5000.fr-nic";
+        let event = format!("link={nic}&factor=1e-10");
+        assert_eq!(post(&svc, "/pilgrim/link_event/g5k_test", &event).0, 200);
+        let q = "transfer=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e308";
+        assert_eq!(get(&svc, "/pilgrim/predict_transfers/g5k_test", q).0, 400);
     }
 
     #[test]

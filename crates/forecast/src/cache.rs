@@ -1,66 +1,47 @@
-//! The epoch-keyed forecast result cache.
+//! The forecast result cache.
 //!
-//! Forecasts are pure functions of `(session, background-traffic epoch,
-//! query)`: a session's platform model is immutable, and everything
-//! time-varying (background flows derived from metrology) is folded into
-//! a monotonically increasing *epoch* counter that the engine bumps
-//! whenever new measurement data is ingested. Keying cache entries by
-//! epoch makes invalidation free — a bump makes every old entry
-//! unreachable, and [`ForecastCache::purge_stale`] reclaims the memory.
+//! A forecast is a pure function of its session, the session's
+//! link-state overlay and the query. The cache keys it by the query
+//! alone: the session's registration id, then host ids + size bit
+//! patterns, which the probe has already resolved. Two textually
+//! different requests for the same forecast (`5e8` vs `500000000`,
+//! reordered query parameters upstream) share an entry, while
+//! `-0.0`/`0.0`-style float subtleties cannot collide. A platform name
+//! registered again gets a new session id, so the old platform's answers
+//! can never hit. The resolved transfers are one shared allocation per
+//! key: the map, the LRU slab and the engine's flight table hold the
+//! same `Arc`.
 //!
-//! The cache has one rule for what it files: a result is filed only if
-//! its key is still current when the cache lock is taken — its epoch not
-//! below the last purge's, its session's overlay version the one the key
-//! was built from ([`ForecastCache::insert_if`]). A result that finishes
-//! after the epoch moved on is handed to its caller and dropped, never
-//! filed to be purged later, so no entry of an old epoch outlives the
-//! bump that retired it.
+//! The overlay is kept out of the key because an entry never outlives
+//! the overlay it was computed under. One rule files, three paths
+//! remove:
 //!
-//! Queries are keyed by what the probe has already resolved: the
-//! session's registration id, then host ids + size bit patterns, so two
-//! textually different requests for the same forecast (`5e8` vs
-//! `500000000`, reordered query parameters upstream) share an entry,
-//! while `-0.0`/`0.0`-style float subtleties cannot collide. A platform
-//! name registered again gets a new session id, so the old platform's
-//! answers can never hit; [`ForecastCache::retire_session`] drops them.
-//! The resolved transfers are one shared allocation per key: the map,
-//! the LRU slab and the engine's flight table hold the same `Arc`.
+//! * **Filing** ([`ForecastCache::insert_if`]): a result is filed only
+//!   if the engine's `valid` check still holds under the cache lock —
+//!   the session's overlay version and the engine's epoch are the ones
+//!   read before the computation began. A result computed across a link
+//!   event or an epoch bump is handed to its caller and dropped.
+//! * **Link events** ([`ForecastCache::invalidate_link`]): every entry of
+//!   the event's session whose recorded route union crosses the event's
+//!   resource is dropped, counted as `invalidated_targeted`. Only a
+//!   resource on a query's routes can change its answer, so every other
+//!   entry keeps hitting.
+//! * **Epoch bumps** ([`ForecastCache::clear`]): every entry is dropped,
+//!   counted as `invalidated_epoch`.
+//! * **Re-registration** ([`ForecastCache::retire_session`]): the
+//!   replaced session's entries are dropped, counted in neither.
+//!
+//! An event bumps the overlay version under the overlay's write lock,
+//! before it changes the overlay, and then evicts under the cache lock.
+//! A computation reads the version before it reads the overlay, so one
+//! that read the new version waits for the change and simulates the new
+//! overlay, and one that read the old version either fails the insert
+//! check or is filed before the eviction sweeps it away.
 //!
 //! Eviction is LRU: a hit promotes its entry to most-recently-used, so a
 //! small working set of hot queries (the realistic serving mix — a few
 //! dashboards asking the same questions) survives a long tail of one-off
 //! queries that would have flushed it under FIFO.
-//!
-//! ## Route-aware invalidation
-//!
-//! Serving-time platform events (a link degrading, failing, or
-//! recovering — `ForecastEngine::link_event`) must invalidate exactly
-//! the entries whose answers the event can change, without the epoch
-//! hammer that evicts everything. Two mechanisms split that job:
-//!
-//! * **Correctness** is carried by the key: every key embeds a
-//!   *footprint* — `Session::footprint`'s digest of the link-state
-//!   overlay as seen from the query's route union (through background
-//!   coupling). A query whose routes are component-disjoint from every
-//!   degraded link digests to 0, exactly as before any event, so its
-//!   pre-event entries still hit; a query the event can touch digests
-//!   differently and misses. Because identity overlay entries are
-//!   removed on restore, footprints are **not** monotonic — a restore
-//!   returns the digest to its old value, soundly re-validating the old
-//!   entries (the platform really is back in that state).
-//! * **Memory and observability** are carried by targeted eviction:
-//!   [`ForecastCache::invalidate_link`] walks the entries of the event's
-//!   session and drops those whose recorded route set crosses the
-//!   resource, counting them as `invalidated_targeted` (the epoch
-//!   hammer's removals count as `invalidated_epoch`). Entries orphaned
-//!   only through background coupling keep their memory until LRU
-//!   reclaims them — they are unreachable by key, never wrong.
-//!
-//! Because footprints are not monotonic, a result computed under one
-//! overlay must not be filed under a key computed from another:
-//! [`ForecastCache::insert_if`] re-checks the session's overlay version
-//! under the cache lock and drops the result on mismatch (the racing
-//! `link_event`'s eviction serializes on the same lock).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -76,19 +57,14 @@ use crate::session::ResolvedSpec;
 /// equality is the wrong notion for keys).
 type CanonicalTransfer = (HostId, HostId, u64);
 
-/// Cache key: session + epoch + overlay footprint + the resolved query
-/// (host ids + size bits). Cloning it shares the transfer list.
+/// Cache key: session + the resolved query (host ids + size bits).
+/// Cloning it shares the transfer list.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct CacheKey {
     /// Registration id of the session the query was resolved against
     /// (`ForecastEngine::register_platform_shared` hands out a new one
     /// per registration, so a replaced platform's entries never hit).
     session: u64,
-    /// Background-traffic epoch the result was computed under.
-    epoch: u64,
-    /// Digest of the link-state overlay as seen from the query's routes
-    /// (0 when no relevant resource is degraded) — see the module docs.
-    footprint: u64,
     /// Canonicalized transfers, in request order (order matters: answers
     /// are positional); a selection's hypotheses are concatenated.
     transfers: Arc<[CanonicalTransfer]>,
@@ -104,13 +80,8 @@ fn canonicalize(resolved: &[ResolvedSpec]) -> Arc<[CanonicalTransfer]> {
 
 impl CacheKey {
     /// Key for a predict batch resolved against session `session`.
-    pub(crate) fn predict(
-        session: u64,
-        epoch: u64,
-        footprint: u64,
-        resolved: &[ResolvedSpec],
-    ) -> CacheKey {
-        CacheKey { session, epoch, footprint, transfers: canonicalize(resolved), hypotheses: None }
+    pub(crate) fn predict(session: u64, resolved: &[ResolvedSpec]) -> CacheKey {
+        CacheKey { session, transfers: canonicalize(resolved), hypotheses: None }
     }
 
     /// Key for a hypothesis-selection query: `resolved` holds every
@@ -118,15 +89,11 @@ impl CacheKey {
     /// them each hypothesis has.
     pub(crate) fn select(
         session: u64,
-        epoch: u64,
-        footprint: u64,
         resolved: &[ResolvedSpec],
         lengths: impl IntoIterator<Item = usize>,
     ) -> CacheKey {
         CacheKey {
             session,
-            epoch,
-            footprint,
             transfers: canonicalize(resolved),
             hypotheses: Some(lengths.into_iter().collect()),
         }
@@ -165,8 +132,6 @@ struct Inner {
     free: Vec<usize>,
     head: usize,
     tail: usize,
-    /// The epoch of the last purge: keys below it are never filed.
-    latest_epoch: u64,
 }
 
 impl Inner {
@@ -233,7 +198,7 @@ pub struct ForecastCache {
     coalesced: Counter,
     /// Entries evicted by route-targeted link invalidation.
     invalidated_targeted: Counter,
-    /// Entries reclaimed by epoch purges (the blanket hammer).
+    /// Entries dropped by [`ForecastCache::clear`] (epoch bumps).
     invalidated_epoch: Counter,
 }
 
@@ -247,7 +212,6 @@ impl ForecastCache {
                 free: Vec::new(),
                 head: NIL,
                 tail: NIL,
-                latest_epoch: 0,
             }),
             capacity: capacity.max(1),
             hits: Counter::new(),
@@ -319,18 +283,16 @@ impl ForecastCache {
         inner.map.get(key).and_then(|&idx| inner.entries[idx].value.clone())
     }
 
-    /// Files a result if it is still current, evicting the
-    /// least-recently-used entry when full. Under the cache lock, a key
-    /// whose epoch is below the last [`ForecastCache::purge_stale`]'s is
-    /// refused, and so is any for which `valid` returns `false`. The
+    /// Files a result if `valid` still returns `true` under the cache
+    /// lock, evicting the least-recently-used entry when full. The
     /// engine passes a closure comparing the session's overlay version
-    /// against the snapshot its key was computed from — any `link_event`
-    /// racing the computation bumps the version first and evicts under
-    /// this same lock, so a result keyed by a dead footprint can never
-    /// land after the eviction swept past it (see the module docs). A
-    /// result that outlived a `bump_epoch` is refused the same way.
-    /// `routes` (sorted, deduplicated resource ids) is what
-    /// [`ForecastCache::invalidate_link`] matches the entry by.
+    /// and its own epoch against what it read before computing — a
+    /// `link_event` or `bump_epoch` racing the computation changes one
+    /// of them first and then evicts under this same lock, so a result
+    /// computed across it can never land after the eviction swept past
+    /// (see the module docs). `routes` (sorted, deduplicated resource
+    /// ids) is what [`ForecastCache::invalidate_link`] matches the entry
+    /// by.
     pub fn insert_if(
         &self,
         key: CacheKey,
@@ -339,7 +301,7 @@ impl ForecastCache {
         valid: impl FnOnce() -> bool,
     ) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if key.epoch < inner.latest_epoch || !valid() {
+        if !valid() {
             return;
         }
         if inner.map.contains_key(&key) {
@@ -390,13 +352,11 @@ impl ForecastCache {
         inner.remove_where(|k, _| k.session == session);
     }
 
-    /// Drops every entry of an epoch below `current` and refuses such
-    /// keys from now on. Fresh lookups already miss old entries (the
-    /// epoch is part of the key); this reclaims their memory.
-    pub fn purge_stale(&self, current: u64) {
+    /// Drops every entry (an epoch bump), counting them into
+    /// [`ForecastCache::invalidated_epoch`].
+    pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.latest_epoch = inner.latest_epoch.max(current);
-        let n = inner.remove_where(|k, _| k.epoch < current);
+        let n = inner.remove_where(|_, _| true);
         self.invalidated_epoch.add(n);
     }
 
@@ -431,7 +391,7 @@ impl ForecastCache {
         self.invalidated_targeted.get()
     }
 
-    /// Entries reclaimed by epoch purges so far.
+    /// Entries dropped by [`ForecastCache::clear`] so far.
     pub fn invalidated_epoch(&self) -> u64 {
         self.invalidated_epoch.get()
     }
@@ -494,14 +454,14 @@ mod tests {
     }
 
     /// Key of a predict batch on session `session`.
-    fn predict(session: u64, epoch: u64, footprint: u64, specs: &[Spec]) -> CacheKey {
-        CacheKey::predict(session, epoch, footprint, &resolved(specs))
+    fn predict(session: u64, specs: &[Spec]) -> CacheKey {
+        CacheKey::predict(session, &resolved(specs))
     }
 
     /// Key of a selection over `hypotheses` on session 1.
     fn select(hypotheses: &[&[Spec]]) -> CacheKey {
         let lengths = hypotheses.iter().map(|h| h.len());
-        CacheKey::select(1, 0, 0, &resolved(&hypotheses.concat()), lengths)
+        CacheKey::select(1, &resolved(&hypotheses.concat()), lengths)
     }
 
     /// Files `key` with no routes and no validity check.
@@ -511,20 +471,20 @@ mod tests {
 
     #[test]
     fn canonical_keys_ignore_text_form_but_not_order() {
-        let a = predict(1, 0, 0, &[("a", "b", 5e8)]);
-        let b = predict(1, 0, 0, &[("a", "b", 500_000_000.0)]);
+        let a = predict(1, &[("a", "b", 5e8)]);
+        let b = predict(1, &[("a", "b", 500_000_000.0)]);
         assert_eq!(a, b, "5e8 and 500000000 are the same query");
-        let swapped = predict(1, 0, 0, &[("b", "a", 5e8)]);
+        let swapped = predict(1, &[("b", "a", 5e8)]);
         assert_ne!(a, swapped);
-        let two = predict(1, 0, 0, &[("a", "b", 1.0), ("c", "d", 1.0)]);
-        let two_rev = predict(1, 0, 0, &[("c", "d", 1.0), ("a", "b", 1.0)]);
+        let two = predict(1, &[("a", "b", 1.0), ("c", "d", 1.0)]);
+        let two_rev = predict(1, &[("c", "d", 1.0), ("a", "b", 1.0)]);
         assert_ne!(two, two_rev, "answers are positional; order is part of the key");
     }
 
     #[test]
     fn a_predict_batch_never_collides_with_a_selection_of_it() {
         let (t1, t2) = (("a", "b", 1.0), ("c", "d", 2.0));
-        assert_ne!(predict(1, 0, 0, &[t1, t2]), select(&[&[t1, t2]]));
+        assert_ne!(predict(1, &[t1, t2]), select(&[&[t1, t2]]));
     }
 
     #[test]
@@ -538,8 +498,8 @@ mod tests {
     fn session_id_is_part_of_the_key() {
         let cache = ForecastCache::new(8);
         let spec = [("a", "b", 1.0)];
-        let old = predict(1, 0, 0, &spec);
-        let new = predict(2, 0, 0, &spec);
+        let old = predict(1, &spec);
+        let new = predict(2, &spec);
         assert_ne!(old, new, "the same host ids under two sessions are two queries");
         insert(&cache, old.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
         assert!(cache.get(&new).is_none());
@@ -552,43 +512,29 @@ mod tests {
     }
 
     #[test]
-    fn epoch_is_part_of_the_key() {
-        let cache = ForecastCache::new(16);
-        let k0 = predict(1, 0, 0, &[("a", "b", 1.0)]);
-        let k1 = predict(1, 1, 0, &[("a", "b", 1.0)]);
-        insert(&cache, k0.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
-        assert!(cache.get(&k0).is_some());
-        assert!(cache.get(&k1).is_none(), "new epoch must miss");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
     fn purge_drops_old_epochs() {
         let cache = ForecastCache::new(16);
-        for e in 0..4u64 {
+        for i in 0..4u64 {
             insert(
                 &cache,
-                predict(1, e, 0, &[("a", "b", e as f64)]),
+                predict(1, &[("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![0.0])),
             );
         }
         assert_eq!(cache.len(), 4);
-        cache.purge_stale(3);
-        assert_eq!(cache.len(), 1);
-        // list structure stays consistent after the purge
-        let survivor = predict(1, 3, 0, &[("a", "b", 3.0)]);
-        assert!(cache.get(&survivor).is_some());
+        cache.clear();
+        assert_eq!((cache.len(), cache.invalidated_epoch()), (0, 4));
+        assert!(cache.peek(&predict(1, &[("a", "b", 3.0)])).is_none());
+        // list structure stays consistent after the clear
+        let kept = predict(1, &[("a", "b", 99.0)]);
+        insert(&cache, kept.clone(), CachedResult::Predict(Arc::new(vec![9.0])));
         insert(
             &cache,
-            predict(1, 3, 0, &[("a", "b", 99.0)]),
-            CachedResult::Predict(Arc::new(vec![9.0])),
+            predict(1, &[("c", "d", 1.0)]),
+            CachedResult::Predict(Arc::new(vec![1.0])),
         );
-        assert_eq!(cache.len(), 2);
-        // a result of an epoch behind the purge is refused, not filed
-        let late = predict(1, 2, 0, &[("a", "b", 2.0)]);
-        insert(&cache, late.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
-        assert!(cache.peek(&late).is_none());
-        assert_eq!((cache.len(), cache.invalidated_epoch()), (2, 3));
+        assert!(cache.get(&kept).is_some());
+        assert_eq!((cache.len(), cache.invalidated_epoch()), (2, 4));
     }
 
     #[test]
@@ -597,15 +543,15 @@ mod tests {
         for i in 0..10 {
             insert(
                 &cache,
-                predict(1, 0, 0, &[("a", "b", i as f64)]),
+                predict(1, &[("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![i as f64])),
             );
         }
         assert_eq!(cache.len(), 3);
         // with no intervening hits, the newest entries survive
-        let newest = predict(1, 0, 0, &[("a", "b", 9.0)]);
+        let newest = predict(1, &[("a", "b", 9.0)]);
         assert!(cache.get(&newest).is_some());
-        let oldest = predict(1, 0, 0, &[("a", "b", 0.0)]);
+        let oldest = predict(1, &[("a", "b", 0.0)]);
         assert!(cache.get(&oldest).is_none());
     }
 
@@ -616,12 +562,12 @@ mod tests {
         // (insertion order alone decides); under LRU the promotions keep
         // it resident through 20 one-off insertions into a 3-entry cache.
         let cache = ForecastCache::new(3);
-        let hot = predict(1, 0, 0, &[("d", "c", 1.0)]);
+        let hot = predict(1, &[("d", "c", 1.0)]);
         insert(&cache, hot.clone(), CachedResult::Predict(Arc::new(vec![42.0])));
         for i in 0..20 {
             insert(
                 &cache,
-                predict(1, 0, 0, &[("a", "b", i as f64)]),
+                predict(1, &[("a", "b", i as f64)]),
                 CachedResult::Predict(Arc::new(vec![i as f64])),
             );
             assert!(
@@ -640,17 +586,17 @@ mod tests {
     #[test]
     fn peek_neither_counts_nor_promotes() {
         let cache = ForecastCache::new(2);
-        let a = predict(1, 0, 0, &[("a", "b", 1.0)]);
-        let b = predict(1, 0, 0, &[("c", "d", 1.0)]);
+        let a = predict(1, &[("a", "b", 1.0)]);
+        let b = predict(1, &[("c", "d", 1.0)]);
         insert(&cache, a.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
         insert(&cache, b.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
         assert!(cache.peek(&a).is_some());
-        assert!(cache.peek(&predict(1, 9, 0, &[])).is_none());
+        assert!(cache.peek(&predict(1, &[])).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0), "peek is statistics-free");
         // `a` was peeked, not promoted: the next insert still evicts it
         insert(
             &cache,
-            predict(1, 0, 0, &[("b", "a", 1.0)]),
+            predict(1, &[("b", "a", 1.0)]),
             CachedResult::Predict(Arc::new(vec![3.0])),
         );
         assert!(cache.peek(&a).is_none(), "peek must not refresh recency");
@@ -660,7 +606,7 @@ mod tests {
     #[test]
     fn insert_if_drops_invalid_results() {
         let cache = ForecastCache::new(8);
-        let k = predict(1, 0, 7, &[("a", "b", 1.0)]);
+        let k = predict(1, &[("a", "b", 1.0)]);
         let v = || CachedResult::Predict(Arc::new(vec![1.0]));
         cache.insert_if(k.clone(), v(), Arc::from([]), || false);
         assert!(cache.peek(&k).is_none(), "invalid insert must be dropped");
@@ -669,23 +615,11 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_part_of_the_key() {
-        let cache = ForecastCache::new(8);
-        let plain = predict(1, 1, 0, &[("a", "b", 1.0)]);
-        let degraded = predict(1, 1, 99, &[("a", "b", 1.0)]);
-        assert_ne!(plain, degraded);
-        insert(&cache, plain.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
-        // an answer computed under a different overlay is a miss
-        assert!(cache.get(&degraded).is_none());
-        assert!(cache.get(&plain).is_some());
-    }
-
-    #[test]
     fn invalidate_link_evicts_only_crossing_entries_of_the_platform() {
         let cache = ForecastCache::new(8);
-        let crossing = predict(1, 0, 0, &[("a", "b", 1.0)]);
-        let disjoint = predict(1, 0, 0, &[("c", "d", 1.0)]);
-        let other_session = predict(2, 0, 0, &[("a", "b", 1.0)]);
+        let crossing = predict(1, &[("a", "b", 1.0)]);
+        let disjoint = predict(1, &[("c", "d", 1.0)]);
+        let other_session = predict(2, &[("a", "b", 1.0)]);
         let v = || CachedResult::Predict(Arc::new(vec![0.0]));
         cache.insert_if(crossing.clone(), v(), Arc::from([2, 5, 9]), || true);
         cache.insert_if(disjoint.clone(), v(), Arc::from([1, 3]), || true);
@@ -697,8 +631,8 @@ mod tests {
         assert!(cache.peek(&other_session).is_some(), "sessions are independent");
         assert_eq!(cache.invalidated_targeted(), 1);
         assert_eq!(cache.invalidate_link(1, 999), 0);
-        // epoch purges count on the other counter
-        cache.purge_stale(1);
+        // epoch bumps count on the other counter
+        cache.clear();
         assert_eq!(cache.invalidated_epoch(), 2);
     }
 

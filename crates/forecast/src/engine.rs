@@ -10,14 +10,15 @@
 //!   both run start to finish on the thread that calls the compute
 //!   stage (an HTTP worker): the engine owns no threads, and
 //!   concurrency is one request per worker;
-//! * per-platform scaffolding (capacity vectors, resolved routes,
-//!   background flows) lives in warm [`Session`]s (`crate::session`);
-//! * results are memoized in an epoch-keyed cache (`crate::cache`),
-//!   keyed by session id, host ids and size bits, and invalidated
-//!   wholesale whenever new metrology data arrives
-//!   ([`ForecastEngine::bump_epoch`]); a result is filed only if its key
-//!   is still current when it is done, so no out-of-date forecast is
-//!   ever answered from the cache.
+//! * per-platform scaffolding (capacity vectors, kept routes, recycled
+//!   simulation scratch, the link-state overlay) lives in warm
+//!   [`Session`]s (`crate::session`);
+//! * results are memoized in a cache (`crate::cache`) keyed by the
+//!   query alone — session id, host ids and size bits. A link event
+//!   evicts the entries whose routes cross the link; a
+//!   [`ForecastEngine::bump_epoch`] empties the cache. A result is filed
+//!   only if neither happened while it was computed, so no out-of-date
+//!   forecast is ever answered from the cache.
 //!
 //! ## Two stages: probe, then compute
 //!
@@ -27,17 +28,20 @@
 //! * the **probe** ([`ForecastEngine::probe_predict`],
 //!   [`ForecastEngine::probe_select`]) validates the query, looks every
 //!   host pair up in the session's route map *without resolving a new
-//!   route* ([`Session::resolve_cached`]), builds the footprint key and
-//!   looks the cache up. It never computes a route, never touches the
-//!   flight table and never simulates, so the HTTP front end runs it on
-//!   its poller thread and answers a hit from there;
+//!   route* ([`Session::resolve_cached`]), builds the key and looks the
+//!   cache up. It never computes a route, never touches the flight
+//!   table and never simulates, so the HTTP front end runs it on its
+//!   poller thread and answers a hit from there. The key itself needs
+//!   no route; the route-map gate is the only reason the probe needs
+//!   routes — it keeps a probe that would resolve one off the poller;
 //! * the **compute** stage ([`ForecastEngine::compute_predict`],
 //!   [`ForecastEngine::compute_select`]) takes the [`Pending`] the probe
-//!   returned — the resolved specs, route union, key and overlay version
-//!   when every route was in the map, nothing when the probe stopped at
-//!   an uncached pair — resolves what is missing, coalesces, simulates.
-//!   It repeats none of the probe's work, and its cache re-check does
-//!   not count, so hits + misses advance by one per forecast.
+//!   returned — the resolved specs, route union, key, overlay version
+//!   and epoch when every route was in the map, nothing when the probe
+//!   stopped at an uncached pair — resolves what is missing, coalesces,
+//!   simulates. It repeats none of the probe's work, and its cache
+//!   re-check does not count, so hits + misses advance by one per
+//!   forecast.
 //!
 //! The session's route map holds only the routes of answers asked for
 //! again: the compute stage files a request's routes when the lookup it
@@ -52,29 +56,34 @@
 //!
 //! ## Determinism
 //!
-//! A forecast is a pure function of `(session, overlay, background,
-//! resolved query)` — the query as host ids + size bits:
+//! A forecast is a pure function of `(session, overlay, resolved
+//! query)` — the query as host ids + size bits:
 //!
-//! * `predict` adds the background flows, then the requests in request
-//!   order, to one [`Session::simulation`] — exactly what a from-scratch
-//!   kernel run of the batch does, so there is nothing to merge.
-//!   Link-disjoint groups of transfers are kept apart *inside* the
-//!   max-min solver ([`simflow::Connectivity`]), which re-solves only
-//!   the component an event touches.
+//! * `predict` adds the requests, in request order, to one simulation
+//!   of the degraded platform ([`Session::simulate`]) — exactly what a
+//!   from-scratch kernel run of the batch does, so there is nothing to
+//!   merge. Link-disjoint groups of transfers are kept apart *inside*
+//!   the max-min solver ([`simflow::Connectivity`]), which re-solves
+//!   only the component an event touches.
 //! * `select_fastest` orders the hypotheses by a makespan lower bound,
 //!   simulates them one at a time, cheapest bound first, and skips a
 //!   hypothesis once its bound reaches the best makespan simulated so
 //!   far. The bound holds under the session's link overlay (see
 //!   [`Session::capacity_gain`]), so pruning never discards the winner.
 //!
+//! The overlay is not in the key: an entry lives only as long as the
+//! overlay on its routes is the one it was computed under, because a
+//! link event evicts every entry whose routes cross the link.
+//!
 //! ## Singleflight coalescing
 //!
 //! Concurrent requests for the same cache key (predict *and* select) are
 //! **coalesced**: one request — the *leader* — computes; the others
 //! block on the in-flight computation and receive the same result. The
-//! determinism contract makes this sound: a forecast is a pure function
-//! of `(session, epoch, host ids + size bits)`, so the leader's answer
-//! *is* every follower's answer, bit for bit —
+//! determinism contract makes this sound: a follower joins only a
+//! flight whose leader resolved the same query on the same session and
+//! read the same overlay version and epoch (`FlightKey`), so the
+//! leader's answer *is* every follower's answer, bit for bit —
 //! followers return the identical `Arc`, and upstream JSON rendering is
 //! byte-identical to what each would have computed alone.
 //!
@@ -85,9 +94,9 @@
 //! the followers of the same flight but never cached, so the next
 //! request retries the computation. Successful leaders insert into the
 //! cache *before* retiring the flight, so a key absent from both the
-//! cache and the flight table is uncomputed, or was computed under an
-//! epoch or overlay that is gone — the double-check in `coalesce` relies
-//! on exactly that ordering.
+//! cache and the flight table is uncomputed, or was computed across a
+//! link event or epoch bump — the double-check in `coalesce` relies on
+//! exactly that ordering.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -105,7 +114,7 @@ use telemetry::{MetricsRegistry, Span};
 use crate::cache::{CacheKey, CachedResult, ForecastCache};
 use crate::faults::FaultInjector;
 use crate::metrics::ForecastMetrics;
-use crate::session::{BackgroundFlow, ResolvedSpec, Session};
+use crate::session::{ResolvedSpec, Session};
 
 /// One requested transfer: the 3-uple of the paper's API.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,8 +139,9 @@ pub enum ForecastError {
     /// A link event references a link absent from the platform.
     UnknownLink(String),
     /// A link event carries a capacity factor that is not a positive
-    /// finite number. A zero factor is refused too: it would stall every
-    /// later forecast over the link; `Down` is how a link is taken out.
+    /// normal number. A zero or subnormal factor is refused too: it would
+    /// stall every later forecast over the link; `Down` is how a link is
+    /// taken out.
     BadFactor(f64),
     /// The simulation kernel failed.
     Sim(SimError),
@@ -246,9 +256,17 @@ struct Keyed {
     resolved: Vec<ResolvedSpec>,
     routes: Arc<[u32]>,
     key: CacheKey,
-    /// The session's overlay version the key's footprint was read under.
+    /// The session's overlay version and the engine's epoch, read when
+    /// the key was built: the result is filed only if both still hold.
     v0: u64,
+    e0: u64,
 }
+
+/// A flight's key: the cache key plus the overlay version and epoch its
+/// leader read. A request that read others — a link event or an epoch
+/// bump came between — joins no such flight, so no follower is handed an
+/// answer computed under an overlay older than the one it saw.
+type FlightKey = (CacheKey, u64, u64);
 
 /// One in-flight coalesced computation: followers block on the condvar
 /// until the leader (or its panic guard) publishes an outcome.
@@ -292,11 +310,11 @@ pub struct ForecastEngine {
     /// hands out.
     next_session: AtomicU64,
     cache: ForecastCache,
-    /// Background-traffic epoch; bumped on metrology ingestion.
+    /// Metrology epoch; bumped on metrology ingestion.
     epoch: AtomicU64,
-    /// Singleflight table: canonical key → the in-flight computation
+    /// Singleflight table: flight key → the in-flight computation
     /// concurrent duplicates should join.
-    flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
     /// Instrument bundle: per-stage latency histograms, the simulations
     /// counter, and the kernel work counters every session feeds.
     metrics: ForecastMetrics,
@@ -406,43 +424,18 @@ impl ForecastEngine {
             .ok_or_else(|| ForecastError::UnknownPlatform(name.to_string()))
     }
 
-    /// The current background-traffic epoch.
+    /// The current metrology epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Advances the epoch (new metrology data arrived): every cached
-    /// forecast becomes unreachable and its memory is reclaimed, and a
-    /// forecast still computing under the old epoch is not filed.
+    /// Advances the epoch (new metrology data arrived): the cache is
+    /// emptied, and a forecast still computing under the old epoch is
+    /// not filed (its validity check compares epochs).
     pub fn bump_epoch(&self) -> u64 {
         let new = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.cache.purge_stale(new);
+        self.cache.clear();
         new
-    }
-
-    /// Replaces the background flows of `platform` (typically derived
-    /// from freshly ingested metrology data) and bumps the epoch.
-    ///
-    /// The epoch is bumped *around* the swap (before and after): queries
-    /// that read the pre-transition epoch computed with the old
-    /// background and stay valid under their key, while anything
-    /// computed during the swap window lands on the intermediate epoch,
-    /// which the second bump immediately invalidates. After this method
-    /// returns, every reachable cache entry is consistent with the new
-    /// background.
-    pub fn set_background(
-        &self,
-        platform: &str,
-        flows: &[TransferSpec],
-    ) -> Result<u64, ForecastError> {
-        let session = self.session(platform)?;
-        let resolved = resolve_all(&session, flows)?
-            .into_iter()
-            .map(|s| BackgroundFlow { src: s.src, dst: s.dst, size: s.size, path: s.path })
-            .collect();
-        self.bump_epoch();
-        session.set_background(resolved);
-        Ok(self.bump_epoch())
     }
 
     /// Cache hits so far (tests / observability).
@@ -489,18 +482,18 @@ impl ForecastEngine {
         }
     }
 
-    /// Runs `compute` under singleflight: the first request for `key`
+    /// Runs `compute` under singleflight: the first request for `flight`
     /// becomes the leader and computes; concurrent duplicates block and
     /// share its outcome. See the module docs for the panic-handoff and
     /// cache-ordering invariants. `routes` and `valid` flow into
     /// [`ForecastCache::insert_if`]: the leader's result is filed with
     /// the query's route union for targeted invalidation, and only if
-    /// its epoch is still current and `valid` still holds under the
-    /// cache lock (the overlay-version check closing the race between a
-    /// computation and a concurrent `link_event`).
+    /// `valid` still holds under the cache lock — the overlay-version
+    /// and epoch checks closing the race between a computation and a
+    /// concurrent `link_event` or `bump_epoch`.
     fn coalesce(
         &self,
-        key: CacheKey,
+        flight: FlightKey,
         routes: Arc<[u32]>,
         valid: impl FnOnce() -> bool,
         compute: impl FnOnce() -> Result<CachedResult, ForecastError>,
@@ -510,10 +503,10 @@ impl ForecastEngine {
             // Double-check under the flights lock: a finishing leader
             // inserts into the cache *before* retiring its flight, so a
             // key absent from both is genuinely uncomputed.
-            if let Some(cached) = self.cache.peek(&key) {
+            if let Some(cached) = self.cache.peek(&flight.0) {
                 return Ok(cached);
             }
-            match flights.entry(key.clone()) {
+            match flights.entry(flight.clone()) {
                 MapEntry::Occupied(e) => Some(Arc::clone(e.get())),
                 MapEntry::Vacant(v) => {
                     v.insert(Arc::new(Flight::default()));
@@ -521,10 +514,10 @@ impl ForecastEngine {
                 }
             }
         };
-        if let Some(flight) = existing {
+        if let Some(leader) = existing {
             self.cache.note_coalesced();
             let _wait = Span::start(&self.metrics.stage_coalesce_wait);
-            return flight.wait();
+            return leader.wait();
         }
 
         // Leader. The guard keeps followers safe against a panicking
@@ -532,7 +525,7 @@ impl ForecastEngine {
         // the flight while the panic continues to the leader's caller.
         struct LeaderGuard<'a> {
             engine: &'a ForecastEngine,
-            key: &'a CacheKey,
+            key: &'a FlightKey,
             done: bool,
         }
         impl Drop for LeaderGuard<'_> {
@@ -547,7 +540,7 @@ impl ForecastEngine {
                 }
             }
         }
-        let mut guard = LeaderGuard { engine: self, key: &key, done: false };
+        let mut guard = LeaderGuard { engine: self, key: &flight, done: false };
         // The simulate stage covers the whole leader computation (every
         // simulation of a selection); a panicking compute still records
         // — the span drops during unwinding.
@@ -561,14 +554,14 @@ impl ForecastEngine {
             // depends on this order). Errors are shared with this
             // flight's followers but never cached: the next request
             // retries.
-            self.cache.insert_if(key.clone(), value.clone(), routes, valid);
+            self.cache.insert_if(flight.0.clone(), value.clone(), routes, valid);
         }
-        self.finish_flight(&key, result.clone());
+        self.finish_flight(&flight, result.clone());
         result
     }
 
     /// Retires a flight, waking its followers with `outcome`.
-    fn finish_flight(&self, key: &CacheKey, outcome: Result<CachedResult, ForecastError>) {
+    fn finish_flight(&self, key: &FlightKey, outcome: Result<CachedResult, ForecastError>) {
         let flight = {
             let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
             flights.remove(key)
@@ -580,20 +573,20 @@ impl ForecastEngine {
 
     /// The probe stage of any forecast (see the module docs): validate,
     /// look every host pair up in the session's route map, build the
-    /// footprint key and look the cache up — counted as this request's
-    /// one hit or miss. It resolves no route, takes no flight and runs
+    /// key and look the cache up — counted as this request's one hit or
+    /// miss. It resolves no route, takes no flight and runs
     /// no simulation: a request naming a host pair the route map does
     /// not hold is handed on unprobed at that pair.
     fn probe<'a, T>(
         &self,
         platform: &str,
         specs: impl IntoIterator<Item = &'a TransferSpec>,
-        key: impl FnOnce(u64, u64, u64, &[ResolvedSpec]) -> CacheKey,
+        key: impl FnOnce(u64, &[ResolvedSpec]) -> CacheKey,
         answer: fn(CachedResult) -> Result<T, ForecastError>,
     ) -> Result<Probed<T>, ForecastError> {
         let (id, session) = self.registered(platform)?;
         // The cache_lookup stage covers key construction (route map,
-        // footprint) plus the lookup itself — everything between
+        // host ids) plus the lookup itself — everything between
         // admission and the simulate/coalesce decision.
         let lookup = Span::start(&self.metrics.stage_cache_lookup);
         let Some(resolved) = session.resolve_cached(specs)? else {
@@ -609,23 +602,27 @@ impl ForecastEngine {
     }
 
     /// Builds the cache key of specs resolved against session `id`:
-    /// `key` gets the session id, epoch, footprint and resolved specs.
-    /// Resolving up front yields the host ids the key holds and the route
-    /// union the footprint and targeted invalidation need; the overlay
-    /// version is read *before* the footprint, so a racing `link_event`
-    /// can only make the later insert check fail.
+    /// `key` gets the session id and resolved specs. Resolving up front
+    /// yields the host ids the key holds and the route union targeted
+    /// invalidation needs. The overlay version and epoch are read
+    /// *before* any simulation reads the overlay. A `link_event` bumps
+    /// the version under the overlay's write lock, so a computation
+    /// that read the new version simulates the new overlay, and one
+    /// that read the old version fails the later insert check or is
+    /// filed before the event's eviction; a racing `bump_epoch` can
+    /// only make the insert check fail.
     fn keyed(
         &self,
         id: u64,
         session: Arc<Session>,
         resolved: Vec<ResolvedSpec>,
-        key: impl FnOnce(u64, u64, u64, &[ResolvedSpec]) -> CacheKey,
+        key: impl FnOnce(u64, &[ResolvedSpec]) -> CacheKey,
     ) -> Keyed {
         let routes = route_union(&resolved);
-        let epoch = self.epoch();
         let v0 = session.overlay_version();
-        let key = key(id, epoch, session.footprint(&routes), &resolved);
-        Keyed { session, resolved, routes, key, v0 }
+        let e0 = self.epoch();
+        let key = key(id, &resolved);
+        Keyed { session, resolved, routes, key, v0, e0 }
     }
 
     /// The compute stage of any forecast: finish what the probe left
@@ -637,7 +634,7 @@ impl ForecastEngine {
         &self,
         pending: Pending,
         specs: impl IntoIterator<Item = &'a TransferSpec>,
-        key: impl FnOnce(u64, u64, u64, &[ResolvedSpec]) -> CacheKey,
+        key: impl FnOnce(u64, &[ResolvedSpec]) -> CacheKey,
         simulate: impl FnOnce(&Session, &[ResolvedSpec]) -> Result<CachedResult, ForecastError>,
     ) -> Result<CachedResult, ForecastError> {
         let keyed = match pending.keyed {
@@ -658,12 +655,12 @@ impl ForecastEngine {
                 keyed
             }
         };
-        let Keyed { session, resolved, routes, key, v0 } = keyed;
+        let Keyed { session, resolved, routes, key, v0, e0 } = keyed;
         let valid_session = Arc::clone(&session);
         self.coalesce(
-            key,
+            (key, v0, e0),
             routes,
-            move || valid_session.overlay_version() == v0,
+            move || valid_session.overlay_version() == v0 && self.epoch() == e0,
             || {
                 self.begin_simulation();
                 simulate(&session, &resolved)
@@ -682,24 +679,23 @@ impl ForecastEngine {
     }
 
     /// Compute stage of [`ForecastEngine::predict`] for the same `specs`
-    /// the probe saw: one simulation of the session's background flows
-    /// plus the whole batch, unless a concurrent identical request is
-    /// already running it.
+    /// the probe saw: one simulation of the whole batch, unless a
+    /// concurrent identical request is already running it.
     pub fn compute_predict(
         &self,
         specs: &[TransferSpec],
         pending: Pending,
     ) -> Result<Arc<Vec<f64>>, ForecastError> {
         let outcome = self.compute(pending, specs, CacheKey::predict, |session, resolved| {
-            let durations = session.simulate(&session.background(), resolved)?;
+            let durations = session.simulate(resolved)?;
             Ok(CachedResult::Predict(Arc::new(durations)))
         })?;
         predict_result(outcome)
     }
 
     /// Predicted completion times (seconds) of a set of concurrent
-    /// transfers, in request order. Cached per epoch; probe and compute
-    /// stage back to back on the calling thread.
+    /// transfers, in request order. Cached; probe and compute stage back
+    /// to back on the calling thread.
     pub fn predict(
         &self,
         platform: &str,
@@ -736,8 +732,8 @@ impl ForecastEngine {
         hypotheses: &[Vec<TransferSpec>],
     ) -> Result<Probed<Arc<Selection>>, ForecastError> {
         check_hypotheses(hypotheses)?;
-        let key = |id, epoch, fp, resolved: &[ResolvedSpec]| {
-            CacheKey::select(id, epoch, fp, resolved, hypotheses.iter().map(Vec::len))
+        let key = |id, resolved: &[ResolvedSpec]| {
+            CacheKey::select(id, resolved, hypotheses.iter().map(Vec::len))
         };
         self.probe(platform, hypotheses.iter().flatten(), key, select_result)
     }
@@ -753,8 +749,8 @@ impl ForecastEngine {
         let outcome = self.compute(
             pending,
             hypotheses.iter().flatten(),
-            |id, epoch, fp, resolved: &[ResolvedSpec]| {
-                CacheKey::select(id, epoch, fp, resolved, hypotheses.iter().map(Vec::len))
+            |id, resolved: &[ResolvedSpec]| {
+                CacheKey::select(id, resolved, hypotheses.iter().map(Vec::len))
             },
             |session, resolved| {
                 let selection = self.compute_selection(session, hypotheses, resolved)?;
@@ -765,8 +761,8 @@ impl ForecastEngine {
     }
 
     /// Evaluates `hypotheses` and returns the fastest, with pruning (the
-    /// paper's §VI service). Cached per epoch; probe and compute stage
-    /// back to back on the calling thread.
+    /// paper's §VI service). Cached; probe and compute stage back to
+    /// back on the calling thread.
     pub fn select_fastest(
         &self,
         platform: &str,
@@ -802,7 +798,6 @@ impl ForecastEngine {
             .collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-        let background = session.background();
         let mut best: Option<(usize, f64, Vec<f64>)> = None;
         let mut pruned = Vec::new();
         for (i, lower) in order {
@@ -810,7 +805,7 @@ impl ForecastEngine {
                 pruned.push(i);
                 continue;
             }
-            let durations = session.simulate(&background, hypotheses[i])?;
+            let durations = session.simulate(hypotheses[i])?;
             let mk = durations.iter().copied().fold(0.0, f64::max);
             if best.as_ref().is_none_or(|(_, b, _)| mk < *b) {
                 best = Some((i, mk, durations));
@@ -835,7 +830,7 @@ impl ForecastEngine {
     ) -> Result<u64, ForecastError> {
         let (id, session) = self.registered(platform)?;
         if let PlatformEventKind::Capacity(f) = kind {
-            if !f.is_finite() || f <= 0.0 {
+            if !f.is_normal() || f < 0.0 {
                 return Err(ForecastError::BadFactor(f));
             }
         }
@@ -852,7 +847,7 @@ impl ForecastEngine {
         self.cache.invalidated_targeted()
     }
 
-    /// Cache entries reclaimed by epoch purges.
+    /// Cache entries dropped by epoch bumps.
     pub fn invalidated_epoch(&self) -> u64 {
         self.cache.invalidated_epoch()
     }
@@ -885,7 +880,7 @@ fn resolve_all<'a>(
 }
 
 /// Sorted, deduplicated union of the solver resources crossed by a set
-/// of resolved specs — the footprint / targeted-invalidation route set.
+/// of resolved specs — the targeted-invalidation route set.
 fn route_union(resolved: &[ResolvedSpec]) -> Arc<[u32]> {
     let mut v: Vec<u32> =
         resolved.iter().flat_map(|r| r.path.resources.iter().copied()).collect();

@@ -17,53 +17,50 @@
 //! Per-platform scaffolding that queries should not rebuild: the solver
 //! capacity vector (built once per platform), the routes of forecasts
 //! asked more than once (endpoint pair → [`simflow::ResolvedPath`]),
-//! the *background flows* of the current metrology epoch, resolved once
-//! when the data arrives, and the scratch of finished simulations — a
-//! dozen platform-sized arrays that each forecast resets by visiting
-//! only what the previous one touched, so a warm forecast costs in
-//! proportion to its request, not to the platform. Sessions are
-//! `Arc`-shared across HTTP workers; the backing [`simflow::Platform`]
-//! is immutable.
+//! the link-state overlay that serving-time link events leave, and the
+//! scratch of finished simulations — a dozen platform-sized arrays that
+//! each forecast resets by visiting only what the previous one touched,
+//! so a warm forecast costs in proportion to its request, not to the
+//! platform. Sessions are `Arc`-shared across HTTP workers; the backing
+//! [`simflow::Platform`] is immutable.
 //!
-//! ## Epoch-keyed cache
+//! ## A cache keyed by the query
 //!
-//! A forecast is a pure function of `(session, background epoch,
-//! resolved query)`, and the cache keys it by exactly that: the
-//! session's registration id, the epoch, and the query as host ids +
-//! size bits, which the probe has already resolved. The engine keeps a
-//! monotonic epoch counter; ingesting new metrology data bumps it
-//! ([`ForecastEngine::bump_epoch`]). A lookup then misses every older
-//! entry at once, because the epoch is in the key; the bump also purges
-//! those entries one by one to reclaim their memory, and the cache
-//! refuses to file a result computed under an older epoch. Within an
-//! epoch, a repeated query returns the memoized result, which renders
-//! to bit-identical JSON upstream.
-//! Serving-time platform events (a link degrading, failing or
-//! recovering — [`ForecastEngine::link_event`]) deliberately avoid that
-//! hammer: keys also carry a route-footprint digest and only entries
-//! whose routes the event can touch are invalidated, while disjoint
-//! queries keep hitting (the `cache` module docs have the full contract).
+//! A forecast is a pure function of `(session, overlay, resolved
+//! query)`. The cache keys it by the session's registration id and the
+//! query as host ids + size bits, which the probe has already resolved;
+//! a repeated query returns the memoized result, which renders to
+//! bit-identical JSON upstream. The overlay stays out of the key
+//! because no entry outlives it: a serving-time link event (a link
+//! degrading, failing or recovering — [`ForecastEngine::link_event`])
+//! evicts exactly the entries whose routes cross the link, while
+//! disjoint queries keep hitting. Ingesting new metrology data bumps the
+//! engine's epoch ([`ForecastEngine::bump_epoch`]), which empties the
+//! cache. A result computed across either is not filed (the `cache`
+//! module docs have the full contract).
 //!
 //! ## Determinism
 //!
-//! A forecast is one simulation: `predict` adds the session's background
-//! flows and then the requests, in request order, to a single
-//! simulation of the degraded platform ([`Session::simulate`], on
-//! recycled scratch) and runs it, which is what a from-scratch kernel
-//! run of the same batch does — the bit-identity tests compare the two. `select_fastest` is the paper's §VI loop — lower-bound the
-//! hypotheses, simulate them one at a time cheapest bound first, prune
-//! against the running best — and is pinned to the independent
-//! reference implementation of the same loop
+//! A forecast is one simulation: `predict` adds the requests, in request
+//! order, to a single simulation of the degraded platform
+//! ([`Session::simulate`], on recycled scratch) and runs it, which is
+//! what a from-scratch kernel run of the same batch does — the
+//! bit-identity tests compare the two. Background traffic is not
+//! modelled, as in the paper's PNFS. `select_fastest` is the paper's §VI
+//! loop — lower-bound the hypotheses, simulate them one at a time
+//! cheapest bound first, prune against the running best — and is pinned
+//! to the independent reference implementation of the same loop
 //! (`pilgrim_core::Pnfs::select_fastest_reference`): same winner,
 //! makespan and pruned set.
 //!
 //! ## Singleflight
 //!
 //! Concurrent duplicate requests are *coalesced* ([`engine`] module
-//! docs): one leader simulates, followers share its `Arc`'d result —
-//! panic-safe, counted, and bit-identical by the determinism contract.
-//! A leader's result is filed only if its epoch and overlay are still
-//! current, so the cache never answers with a forecast the engine has
+//! docs): one leader simulates, followers that read the same overlay
+//! and epoch share its `Arc`'d result — panic-safe, counted, and
+//! bit-identical by the determinism contract.
+//! A leader's result is filed only if the epoch and overlay it read are
+//! still current, so the cache never answers with a forecast the engine has
 //! declared out of date. [`faults`] provides the seed-deterministic
 //! fault injection the chaos tests drive all of this with.
 
@@ -80,4 +77,4 @@ pub use engine::{
 };
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};
-pub use session::{BackgroundFlow, LinkState, ResolvedSpec, Session};
+pub use session::{LinkState, ResolvedSpec, Session};

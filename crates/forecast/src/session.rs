@@ -8,34 +8,27 @@
 //! three across queries against the same platform: the capacity vector
 //! is built once, [`Session::simulate`] recycles the scratch of finished
 //! simulations ([`SimScratch`]), and the routes of a forecast that is
-//! asked again are kept ([`Session::keep_routes`]) so its next probe
+//! asked again are kept (`Session::keep_routes`) so its next probe
 //! finds them without computing one. A route asked for once is
 //! resolved through the platform's own (zone, zone) memo and dropped:
-//! per-pair state is kept only for traffic that comes back. Sessions
-//! also carry the
-//! *background traffic* of the current metrology epoch — flows injected
-//! into every simulation to model load the forecast must coexist with —
-//! resolved once when the epoch's data arrives, not per query.
+//! per-pair state is kept only for traffic that comes back.
 //!
-//! Two dynamic-platform pieces live here too:
+//! A session also holds the platform's **link-state overlay**: capacity
+//! factors and down markers applied by [`Session::apply_link_event`]
+//! when the platform degrades at serving time. Every simulation built
+//! afterwards sees the degraded capacities (and dead resources) without
+//! any session rebuild. The overlay version, bumped under the overlay's
+//! write lock before every change, lets the engine refuse to file a
+//! result computed across an event (see `crate::cache` for the
+//! invalidation contract).
 //!
-//! * a persistent [`Connectivity`] primed with the background flows: it
-//!   answers one question, "which overlay entries share a component
-//!   with this route set?", for [`Session::footprint`]. Simulations do
-//!   not consult it — a forecast is one simulation and the solver keeps
-//!   its own component labels;
-//! * a **link-state overlay**: capacity factors and down markers applied
-//!   by [`Session::apply_link_event`] when the platform degrades at
-//!   serving time. Every simulation built afterwards sees the degraded
-//!   capacities (and dead resources) without any session rebuild, and
-//!   [`Session::footprint`] digests the overlay *as seen from a route
-//!   set* so the cache can key results by exactly the events that could
-//!   affect them (see `crate::cache` for the invalidation contract).
+//! A simulation holds the requested transfers only, as the paper's PNFS
+//! does: background traffic is not modelled.
 //!
 //! Sessions are shared (`Arc`) between the HTTP workers, each of which
 //! runs its request's simulation itself; interior state is
 //! lock-protected and all of it is rebuildable, so a session is never
-//! invalidated — only its background set and overlay change.
+//! invalidated — only its overlay changes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,20 +49,6 @@ use crate::engine::{ForecastError, TransferSpec};
 /// twice — not ordinary cold traffic, which keeps none.
 const ROUTE_CACHE_CAP: usize = 1 << 16;
 
-/// A background flow: a resolved path plus the bytes in flight, injected
-/// into every simulation of the session's platform.
-#[derive(Clone, Debug)]
-pub struct BackgroundFlow {
-    /// Source host.
-    pub src: HostId,
-    /// Destination host.
-    pub dst: HostId,
-    /// Bytes outstanding.
-    pub size: f64,
-    /// The resolved route.
-    pub path: Arc<ResolvedPath>,
-}
-
 /// The overlay state of one degraded resource (identity — factor 1,
 /// not down — is never stored; such entries are removed eagerly so an
 /// empty overlay means a pristine platform).
@@ -79,14 +58,6 @@ pub struct LinkState {
     pub factor: f64,
     /// Whether the resource is down (capacity zero, routes dead).
     pub down: bool,
-}
-
-/// Background flows and the connectivity primed with them, swapped
-/// atomically as one unit so a batch never pairs the flows of one epoch
-/// with the components of another.
-struct BackgroundState {
-    flows: Arc<Vec<BackgroundFlow>>,
-    conn: Connectivity,
 }
 
 /// Warm scaffolding for one platform.
@@ -104,16 +75,14 @@ pub struct Session {
     /// Kept route resolutions of repeated forecasts, keyed by endpoint
     /// pair: what the probe stage reads ([`Session::resolve_cached`]).
     routes: RwLock<HashMap<(HostId, HostId), Arc<ResolvedPath>>>,
-    /// Background flows of the current epoch plus the connectivity
-    /// structure primed with them.
-    background: RwLock<Arc<BackgroundState>>,
-    /// Link-state overlay: solver resource id → degraded state. A
-    /// `BTreeMap` so digest folds iterate in a canonical order.
+    /// Link-state overlay: solver resource id → degraded state, in
+    /// ascending resource order.
     overlay: RwLock<BTreeMap<u32, LinkState>>,
-    /// Bumped before every overlay mutation and when the session is
-    /// retired; lets the engine detect that a result it computed under
-    /// one overlay (or on a replaced session) is being cached under
-    /// another (see `ForecastCache::insert_if`).
+    /// Bumped under the overlay's write lock before every overlay
+    /// mutation, and when the session is retired; lets the engine detect
+    /// that a result it computed under one overlay (or on a replaced
+    /// session) is being cached under another (see
+    /// `ForecastCache::insert_if`).
     overlay_version: AtomicU64,
     /// Shared kernel counters the session folds each finished run's
     /// [`simflow::KernelStats`] into — after `run()` returns, never
@@ -141,17 +110,12 @@ impl Session {
         kernel: KernelCounters,
     ) -> Session {
         let capacities = Simulation::shared_capacities(&platform, &config);
-        let conn = Connectivity::new(capacities.len());
         Session {
             platform,
             config,
             capacities,
             scratch: Mutex::new(Vec::new()),
             routes: RwLock::new(HashMap::new()),
-            background: RwLock::new(Arc::new(BackgroundState {
-                flows: Arc::new(Vec::new()),
-                conn,
-            })),
             overlay: RwLock::new(BTreeMap::new()),
             overlay_version: AtomicU64::new(0),
             kernel,
@@ -169,70 +133,38 @@ impl Session {
         &self.platform
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
-    }
-
     /// Number of routes kept (observability / tests).
     pub fn routes_cached(&self) -> usize {
         self.routes.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
-    /// The current background flows.
-    pub fn background(&self) -> Arc<Vec<BackgroundFlow>> {
-        Arc::clone(&self.background.read().unwrap_or_else(PoisonError::into_inner).flows)
-    }
-
-    /// Replaces the background flows (new metrology epoch) and re-primes
-    /// the footprint connectivity with them. The caller (the engine) is
-    /// responsible for bumping the epoch so cached results keyed to the
-    /// old background become unreachable.
-    pub fn set_background(&self, flows: Vec<BackgroundFlow>) {
-        let mut conn = Connectivity::new(self.capacities.len());
-        conn.ensure_flows(flows.len());
-        for (i, f) in flows.iter().enumerate() {
-            if !f.path.resources.is_empty() {
-                conn.attach(i as u32, &f.path.resources);
-            }
-        }
-        *self.background.write().unwrap_or_else(PoisonError::into_inner) =
-            Arc::new(BackgroundState { flows: Arc::new(flows), conn });
-    }
-
-    /// Labels the current background flows plus `requests` with dense
-    /// component ids (exactly [`Connectivity::label_batch`] over the
-    /// combined `background ++ requests` list), cloning the primed
-    /// connectivity instead of re-attaching every background flow.
-    /// Returns the background snapshot the labels were computed against
-    /// — labels index into `flows ++ requests` in that order.
+    /// Labels `requests` (route resource lists) with dense component
+    /// ids: exactly [`Connectivity::label_batch`] over the platform's
+    /// resources. The unit first element keeps the ladder's
+    /// `let (_, labels) = …` compiling.
     ///
     /// Nothing in the program calls this any more: the engine stopped
     /// sharding a forecast by component. It stays only because the
     /// standalone `benchmark/` package's ladder (depth 3) still restates
     /// the sharded engine through it; delete it in the `[benchmark]` PR
     /// that restates depth 3 as one simulation.
-    pub fn label_batch(&self, requests: &[&[u32]]) -> (Arc<Vec<BackgroundFlow>>, Vec<usize>) {
-        let state = Arc::clone(&*self.background.read().unwrap_or_else(PoisonError::into_inner));
-        let mut items: Vec<&[u32]> = Vec::with_capacity(state.flows.len() + requests.len());
-        items.extend(state.flows.iter().map(|f| f.path.resources.as_slice()));
-        items.extend_from_slice(requests);
-        let labels = state.conn.clone().label_items(state.flows.len(), &items);
-        (Arc::clone(&state.flows), labels)
+    pub fn label_batch(&self, requests: &[&[u32]]) -> ((), Vec<usize>) {
+        ((), Connectivity::label_batch(self.capacities.len(), requests))
     }
 
     /// Applies a serving-time platform event to the overlay and returns
     /// the solver resource id it landed on. `Capacity(f)` sets the
     /// factor, `Down`/`Up` toggle the down marker; an entry restored to
-    /// identity is removed, so digests return to their pre-event values
-    /// and previously cached entries become reachable again. The version
-    /// counter is bumped *before* the overlay changes — any in-flight
-    /// computation that snapshotted the old version fails its insert
-    /// validity check rather than caching a result under the wrong key.
+    /// identity is removed, so an empty overlay means a pristine
+    /// platform. The version counter is bumped under the overlay's
+    /// write lock, before the overlay changes: a computation that read
+    /// the new version waits for the change before it reads the
+    /// overlay, and one that read the old version fails its insert
+    /// validity check or is filed before the event's eviction runs.
     pub fn apply_link_event(&self, link: LinkId, kind: PlatformEventKind) -> u32 {
         let resource = link.index() as u32;
-        self.overlay_version.fetch_add(1, Ordering::SeqCst);
         let mut overlay = self.overlay.write().unwrap_or_else(PoisonError::into_inner);
+        self.overlay_version.fetch_add(1, Ordering::SeqCst);
         let e = overlay.entry(resource).or_insert(LinkState { factor: 1.0, down: false });
         match kind {
             PlatformEventKind::Capacity(f) => e.factor = f,
@@ -267,48 +199,12 @@ impl Session {
     /// least 1. A route's bottleneck under the overlay is at most its
     /// nominal bottleneck times this — what keeps `select_fastest`'s
     /// lower bound a lower bound after a `link_event` with `factor > 1`.
-    /// It reads only overlay entries *on* the route, all of which
-    /// [`Session::footprint`] digests, so answers cached under one key
-    /// were all pruned with the same gain.
+    /// It reads only overlay entries *on* the route, so an event that
+    /// changes it also evicts every cached answer pruned with the old
+    /// gain.
     pub fn capacity_gain(&self, resources: &[u32]) -> f64 {
         let overlay = self.overlay.read().unwrap_or_else(PoisonError::into_inner);
         resources.iter().filter_map(|r| overlay.get(r)).fold(1.0, |g, ls| g.max(ls.factor))
-    }
-
-    /// Digest of the overlay *as seen from* `resources` (a query's route
-    /// union): folds every overlay entry whose resource shares a
-    /// background-connectivity component with the query routes, in
-    /// canonical (ascending resource) order. Two properties the cache
-    /// key relies on:
-    ///
-    /// * **0 when nothing relevant is degraded** — an empty overlay, or
-    ///   one whose entries are all component-disjoint from the query
-    ///   (directly *and* through background coupling), digests to 0, so
-    ///   entries cached before any event stay reachable for unaffected
-    ///   routes.
-    /// * **Restores round-trip** — identity entries are removed by
-    ///   [`Session::apply_link_event`], so after a full restore the
-    ///   digest returns to its pre-event value and the original cached
-    ///   entries validly hit again.
-    pub fn footprint(&self, resources: &[u32]) -> u64 {
-        let overlay = self.overlay.read().unwrap_or_else(PoisonError::into_inner);
-        if overlay.is_empty() {
-            return 0;
-        }
-        let state = Arc::clone(&*self.background.read().unwrap_or_else(PoisonError::into_inner));
-        let mut roots: Vec<u32> = resources.iter().map(|&r| state.conn.root(r)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        let mut h = 0u64;
-        for (&r, ls) in overlay.iter() {
-            if roots.binary_search(&state.conn.root(r)).is_err() {
-                continue;
-            }
-            h = splitmix(h ^ splitmix(r as u64 + 1));
-            h = splitmix(h ^ ls.factor.to_bits());
-            h = splitmix(h ^ ls.down as u64);
-        }
-        h
     }
 
     /// Looks a host up by name.
@@ -321,7 +217,7 @@ impl Session {
     /// The route between two hosts: the kept one if the session holds
     /// it, else resolved through the platform (whose cluster-pair route
     /// memo makes that `O(route length)`) and not kept — only
-    /// [`Session::keep_routes`] files a route.
+    /// `Session::keep_routes` files a route.
     pub fn resolve(&self, src: HostId, dst: HostId) -> Result<Arc<ResolvedPath>, ForecastError> {
         if let Some(p) =
             self.routes.read().unwrap_or_else(PoisonError::into_inner).get(&(src, dst))
@@ -419,29 +315,21 @@ impl Session {
         sim
     }
 
-    /// Runs one simulation of `background` and `specs` (all starting at
-    /// t=0) and returns the durations of `specs`, in order. Background
-    /// flows are added first, then requests — the insertion order of the
-    /// from-scratch references the bit-identity tests compare against. A
-    /// spec that fails (its route crosses a dead resource) reports an
-    /// infinite duration.
+    /// Runs one simulation of `specs` (all starting at t=0, added in
+    /// request order — the insertion order of the from-scratch
+    /// references the bit-identity tests compare against) and returns
+    /// their durations, in order. A spec that fails (its route crosses a
+    /// dead resource) reports an infinite duration.
     ///
     /// The simulation is that of [`Session::simulation`], but started
     /// from the scratch of an earlier run, reset to the pristine
     /// platform, so a warm forecast costs in proportion to its request
     /// rather than to the platform. The scratch goes back to the session
     /// only after an `Ok` run.
-    pub fn simulate(
-        &self,
-        background: &[BackgroundFlow],
-        specs: &[ResolvedSpec],
-    ) -> Result<Vec<f64>, ForecastError> {
+    pub fn simulate(&self, specs: &[ResolvedSpec]) -> Result<Vec<f64>, ForecastError> {
         let recycled = self.scratch.lock().unwrap_or_else(PoisonError::into_inner).pop();
         let scratch = recycled.unwrap_or_else(|| SimScratch::new(self.capacities.clone()));
         let mut sim = self.degraded(scratch);
-        for b in background {
-            sim.add_transfer_resolved(b.src, b.dst, b.size, simflow::SimTime::ZERO, &b.path);
-        }
         let ids: Vec<_> = specs
             .iter()
             .map(|s| {
@@ -474,14 +362,6 @@ impl Session {
     }
 }
 
-/// SplitMix64 finalizer — the overlay digest's mixing function.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A fully resolved transfer request, ready to drop into a simulation.
 #[derive(Clone, Debug)]
 pub struct ResolvedSpec {
@@ -493,4 +373,41 @@ pub struct ResolvedSpec {
     pub size: f64,
     /// Resolved route.
     pub path: Arc<ResolvedPath>,
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use simflow::platform::builder::PlatformBuilder;
+    use simflow::platform::routing::{Element, RoutingKind};
+    use simflow::platform::SharingPolicy;
+
+    use super::*;
+
+    #[test]
+    fn a_link_event_bumps_the_version_only_once_no_simulation_reads_the_overlay() {
+        let mut b = PlatformBuilder::new("root", RoutingKind::Full);
+        let root = b.root_zone();
+        let (src, dst) = (b.add_host(root, "a", 1e9), b.add_host(root, "b", 1e9));
+        let link = b.add_link("l", 1.25e8, 1e-4, SharingPolicy::Shared);
+        let (src, dst) = (Element::Point(src.netpoint()), Element::Point(dst.netpoint()));
+        b.add_route(root, src, dst, vec![link], true);
+        let session =
+            Arc::new(Session::new(Arc::new(b.build().unwrap()), NetworkConfig::default()));
+
+        // A simulation is reading the pristine overlay. Were the event to
+        // bump the version now, a computation reading the new version
+        // could still simulate the old overlay and be filed as current.
+        let reading = session.overlay.read().unwrap();
+        let writer = Arc::clone(&session);
+        let event = std::thread::spawn(move || {
+            writer.apply_link_event(link, PlatformEventKind::Capacity(0.5))
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(session.overlay_version(), 0, "the event waits for the overlay's readers");
+        drop(reading);
+        event.join().unwrap();
+        assert_eq!((session.overlay_version(), session.overlay_len()), (1, 1));
+    }
 }

@@ -2,6 +2,7 @@
 //! multi-cluster platform: answers must equal from-scratch kernel runs,
 //! sessions must actually stay warm, and the epoch must gate the cache.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -350,34 +351,99 @@ fn a_forecast_of_a_replaced_platform_is_never_filed() {
 }
 
 #[test]
-fn background_flows_slow_foreground_and_bump_epoch() {
-    let e = engine();
+fn a_forecast_computed_across_a_link_event_is_never_filed() {
+    let e = Arc::new(engine());
+    // The first leader computation halves alpha-0's access link from
+    // inside, after its overlay version was read and before it simulates.
+    let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).force(0, Fault::Flap)));
+    let weak = Arc::downgrade(&e);
+    injector.set_flap_hook(Some(Box::new(move |_| {
+        let e = weak.upgrade().expect("the engine outlives its computations");
+        e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Capacity(0.5)).unwrap();
+    })));
+    e.set_fault_injector(Some(injector));
     let q = vec![spec("alpha-0", "alpha-1", 5e8)];
-    let quiet = e.predict("twoc", &q).unwrap()[0];
+    e.predict("twoc", &q).unwrap();
+    assert_eq!(e.cache_len(), 0, "a result computed across a link event must not be filed");
 
-    let epoch_before = e.epoch();
-    // saturate alpha-0's access link with background traffic
-    e.set_background("twoc", &[spec("alpha-0", "alpha-2", 1e10)]).unwrap();
-    assert!(e.epoch() > epoch_before, "background change must advance the epoch");
+    let again = e.predict("twoc", &q).unwrap();
+    assert_eq!(e.simulations(), 2, "the next identical predict simulates again");
+    assert_eq!(e.cache_len(), 1, "and its result is filed");
+    let want = reference(&e.session("twoc").unwrap(), &q);
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&again), bits(&want), "the degraded platform's answer, bit for bit");
+    assert!(again[0] > monolithic(&q)[0], "half capacity slows the transfer");
+}
 
-    let busy = e.predict("twoc", &q).unwrap()[0];
-    assert!(
-        busy > quiet * 1.5,
-        "background contention must slow the forecast: {quiet} -> {busy}"
-    );
+#[test]
+fn answers_filed_while_a_link_flaps_are_those_of_the_current_overlay() {
+    let e = Arc::new(engine());
+    let q = vec![spec("alpha-0", "alpha-1", 5e8)];
+    let session = e.session("twoc").unwrap();
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    let stop = Arc::new(AtomicBool::new(false));
+    let askers: Vec<_> = (0..3)
+        .map(|_| {
+            let (e, q, stop) = (Arc::clone(&e), q.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    e.predict("twoc", &q).unwrap();
+                }
+            })
+        })
+        .collect();
+    for flip in 0..200 {
+        // Two events back to back: the first empties the cache, so the
+        // askers are computing while the second one lands.
+        for factor in [0.5, 0.25] {
+            e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Capacity(factor)).unwrap();
+        }
+        // Only this thread sends events, so the overlay holds still until
+        // the next flip: whatever the cache serves now must be its answer.
+        let want = bits(&reference(&session, &q));
+        for _ in 0..3 {
+            assert_eq!(bits(&e.predict("twoc", &q).unwrap()), want, "flip {flip}");
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    for asker in askers {
+        asker.join().unwrap();
+    }
+}
 
-    // Background that shares no link with the request, directly or
-    // through other flows, runs in the same simulation and must not move
-    // the answer by a bit — whether it ends before the request or after.
-    e.set_background("twoc", &[spec("beta-0", "beta-1", 1e6), spec("alpha-4", "beta-4", 1e10)])
-        .unwrap();
-    let apart = e.predict("twoc", &q).unwrap()[0];
-    assert_eq!(apart.to_bits(), quiet.to_bits(), "disjoint background moved the forecast");
-
-    // clearing the background restores the quiet forecast exactly
-    e.set_background("twoc", &[]).unwrap();
-    let again = e.predict("twoc", &q).unwrap()[0];
-    assert_eq!(again.to_bits(), quiet.to_bits());
+#[test]
+fn a_request_that_saw_a_link_event_joins_no_flight_from_before_it() {
+    let e = Arc::new(engine());
+    let q = vec![spec("alpha-0", "alpha-1", 5e8)];
+    // The first leader computation halves alpha-0's access link, then
+    // lets the same query arrive from another thread and waits (bounded)
+    // for its answer. That request read the new overlay version, so it
+    // must compute on its own rather than wait for this leader.
+    let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).force(0, Fault::Flap)));
+    let late = Arc::new(std::sync::Mutex::new(None));
+    let (weak, late_hook, q_hook) = (Arc::downgrade(&e), Arc::clone(&late), q.clone());
+    injector.set_flap_hook(Some(Box::new(move |_| {
+        let e = weak.upgrade().expect("the engine outlives its computations");
+        e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Capacity(0.5)).unwrap();
+        let q = q_hook.clone();
+        let request = std::thread::spawn(move || e.predict("twoc", &q).unwrap());
+        for _ in 0..200 {
+            if request.is_finished() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        *late_hook.lock().unwrap() = Some(request);
+    })));
+    e.set_fault_injector(Some(injector));
+    e.predict("twoc", &q).unwrap();
+    let request = late.lock().unwrap().take().expect("the hook ran");
+    assert!(request.is_finished(), "the later request waited for the earlier leader");
+    let answer = request.join().unwrap();
+    assert_eq!((e.simulations(), e.coalesced()), (2, 0), "two leaders, no follower");
+    assert_eq!(e.cache_len(), 1, "only the later request's result is filed");
+    let want = reference(&e.session("twoc").unwrap(), &q);
+    assert_eq!(answer[0].to_bits(), want[0].to_bits(), "it answers for the halved link");
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Serving-time platform dynamics: `link_event` must degrade every
 //! later forecast of routes the event can touch, invalidate exactly the
-//! crossing cache entries (disjoint routes keep hitting), propagate
-//! through background coupling, and round-trip restores back to
-//! bit-identical pre-event answers.
+//! crossing cache entries (disjoint routes keep hitting), and round-trip
+//! restores back to bit-identical pre-event answers.
 
 use forecast::{ForecastEngine, ForecastError, TransferSpec};
 use simflow::platform::builder::PlatformBuilder;
@@ -102,8 +101,8 @@ fn link_event_invalidates_crossing_entries_only() {
     assert_eq!(evicted, 1, "one crossing entry");
     assert_eq!(e.invalidated_targeted(), 1);
 
-    // The disjoint beta query still hits its pre-event entry (footprint
-    // 0 on both sides of the event).
+    // The disjoint beta query still hits its pre-event entry: the event
+    // evicted only entries whose routes cross the link.
     let hits_before = e.cache_hits();
     let beta_again = e.predict("twoc", &on_beta).unwrap()[0];
     assert_eq!(beta_again.to_bits(), quiet_beta.to_bits());
@@ -118,8 +117,8 @@ fn link_event_invalidates_crossing_entries_only() {
     assert_eq!(degraded.to_bits(), want.to_bits(), "degraded forecast diverged");
     assert!(degraded > quiet_alpha, "half capacity must slow the transfer");
 
-    // Restore: the overlay entry disappears, the footprint returns to
-    // its pre-event value, and the forecast is bit-identical to quiet.
+    // Restore: the overlay entry disappears, the platform is pristine
+    // again, and the forecast is bit-identical to quiet.
     let evicted = e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Capacity(1.0)).unwrap();
     assert_eq!(evicted, 1, "the degraded entry crosses the link too");
     let session = e.session("twoc").unwrap();
@@ -154,43 +153,6 @@ fn down_fails_crossing_transfers_and_up_restores_exactly() {
 }
 
 #[test]
-fn background_coupling_invalidates_disjoint_routes_through_the_footprint() {
-    let e = engine();
-    // Background: alpha-2 → beta-2 crosses alpha-2-eth, bb, beta-2-eth.
-    e.set_background("twoc", &[spec("alpha-2", "beta-2", 1e10)]).unwrap();
-
-    // The query's own route (alpha-2-eth, alpha-3-eth) does not cross
-    // the backbone — but the background flow couples it to bb.
-    let q = vec![spec("alpha-2", "alpha-3", 5e8)];
-    let before = e.predict("twoc", &q).unwrap()[0];
-    assert_eq!(e.simulations(), 1);
-
-    // Choke the backbone hard enough to bottleneck the background flow
-    // below its access-link share: the query's answer must change.
-    let evicted = e.link_event("twoc", "bb", PlatformEventKind::Capacity(0.01)).unwrap();
-    assert_eq!(evicted, 0, "no cached route crosses bb — targeted eviction finds nothing");
-    let after = e.predict("twoc", &q).unwrap()[0];
-    assert_eq!(e.simulations(), 2, "footprint change must force a re-simulation");
-    assert!(
-        after < before,
-        "choking the background off the access link must speed the query: {before} -> {after}"
-    );
-
-    // A route in a component the background never touches keeps hitting.
-    let disjoint = vec![spec("beta-0", "beta-1", 5e8)];
-    e.predict("twoc", &disjoint).unwrap();
-    assert_eq!(e.simulations(), 3);
-    let hits = e.cache_hits();
-    e.predict("twoc", &disjoint).unwrap();
-    assert_eq!((e.cache_hits(), e.simulations()), (hits + 1, 3));
-
-    // Restore: back to the original answer, bit for bit.
-    e.link_event("twoc", "bb", PlatformEventKind::Capacity(1.0)).unwrap();
-    let restored = e.predict("twoc", &q).unwrap()[0];
-    assert_eq!(restored.to_bits(), before.to_bits());
-}
-
-#[test]
 fn link_event_error_surface() {
     let e = engine();
     assert!(matches!(
@@ -213,6 +175,11 @@ fn link_event_error_surface() {
     // `Down` is the way to take a link out.
     assert!(matches!(
         e.link_event("twoc", "bb", PlatformEventKind::Capacity(0.0)),
+        Err(ForecastError::BadFactor(_))
+    ));
+    // So would a subnormal one: a transfer's finish time overflows.
+    assert!(matches!(
+        e.link_event("twoc", "bb", PlatformEventKind::Capacity(1e-320)),
         Err(ForecastError::BadFactor(_))
     ));
     assert!(e.link_event("twoc", "bb", PlatformEventKind::Capacity(1.0)).is_ok());

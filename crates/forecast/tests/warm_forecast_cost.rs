@@ -125,10 +125,10 @@ fn warm_forecast_cost(hosts: usize, halved_link: bool) -> (u64, u64) {
     std::thread::scope(|s| {
         s.spawn(|| {
             for _ in 0..3 {
-                session.simulate(&[], &specs).expect("forecast");
+                session.simulate(&specs).expect("forecast");
             }
             let (bytes, faults) = (requested(), minor_faults());
-            let durations = session.simulate(&[], &specs).expect("forecast");
+            let durations = session.simulate(&specs).expect("forecast");
             let cost = (requested() - bytes, minor_faults() - faults);
             assert!(durations.iter().all(|d| d.is_finite() && *d > 0.0), "{durations:?}");
             cost

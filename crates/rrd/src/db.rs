@@ -221,7 +221,7 @@ impl Database {
     /// Returns `Err` if `ts` does not advance, or lies so far from the
     /// last update that the step arithmetic leaves `i64`. The work is
     /// bounded by the archives' coverage, not by the gap: see
-    /// [`Archive::push_run`].
+    /// `Archive::push_run`.
     pub fn update(&mut self, ts: i64, value: f64) -> Result<(), String> {
         let Some(prev) = self.last_update else {
             // first update only seeds the state

@@ -56,12 +56,9 @@
 //! *connects* the flows crossing it, which is precisely what the solver
 //! needs to hand the whole component one reshare at recovery time.
 //!
-//! The structure is used internally by [`crate::model::MaxMinSolver`]
-//! and exported for the forecast session, which primes one with its
-//! background flows and asks which component a resource is in
-//! ([`Connectivity::root`]) when it digests the link-state overlay as
-//! seen from a query's routes. [`Connectivity::label_batch`] labels
-//! link-disjoint groups of routes with the same code.
+//! The structure is used internally by [`crate::model::MaxMinSolver`].
+//! [`Connectivity::label_batch`] labels link-disjoint groups of routes
+//! with the same code.
 
 /// Sentinel for "no flow" in the intrusive flow lists.
 const NONE: u32 = u32::MAX;
@@ -163,20 +160,6 @@ impl Connectivity {
             let g = self.parent[self.parent[r as usize] as usize];
             self.parent[r as usize] = g;
             r = g;
-        }
-        r
-    }
-
-    /// The component root of `r` **without** path compression — a
-    /// read-only lookup for shared-reference consumers (the forecast
-    /// session's route-footprint digest queries a snapshot of the
-    /// background connectivity concurrently from many request threads).
-    /// Same answer as [`Connectivity::find`], minus the halving
-    /// side-effect.
-    #[inline]
-    pub fn root(&self, mut r: u32) -> u32 {
-        while self.parent[r as usize] != r {
-            r = self.parent[r as usize];
         }
         r
     }
@@ -355,32 +338,18 @@ impl Connectivity {
     /// unconstrained items forms one group, not many).
     pub fn label_batch(nr: usize, items: &[&[u32]]) -> Vec<usize> {
         let mut conn = Connectivity::new(nr);
-        conn.label_items(0, items)
-    }
-
-    /// Instance form of [`Connectivity::label_batch`]: labels every item
-    /// with a dense component id, where the first `attached` items are
-    /// **already attached** to `self` as flows `0..attached` (in item
-    /// order) and only the remaining items are attached here. A caller
-    /// that primes the structure once with long-lived background flows
-    /// and labels each request batch against a **clone** gets the exact
-    /// labels of a from-scratch [`Connectivity::label_batch`] over the
-    /// combined list without re-attaching the background every time —
-    /// the forecast session does exactly that.
-    pub fn label_items(&mut self, attached: usize, items: &[&[u32]]) -> Vec<usize> {
-        self.ensure_flows(items.len());
-        for (i, res) in items.iter().enumerate().skip(attached) {
+        conn.ensure_flows(items.len());
+        for (i, res) in items.iter().enumerate() {
             if !res.is_empty() {
-                self.attach(i as u32, res);
+                conn.attach(i as u32, res);
             }
         }
-        let nr = self.parent.len();
         let mut dense: Vec<usize> = vec![usize::MAX; nr + 1];
         let free_slot = nr; // dense slot shared by all resource-less items
         let mut next = 0usize;
         let mut out = Vec::with_capacity(items.len());
         for res in items {
-            let slot = if res.is_empty() { free_slot } else { self.find(res[0]) as usize };
+            let slot = if res.is_empty() { free_slot } else { conn.find(res[0]) as usize };
             let id = dense[slot];
             let id = if id == usize::MAX {
                 dense[slot] = next;
@@ -494,37 +463,5 @@ mod tests {
     fn label_batch_disjoint_items_are_distinct() {
         let lists: Vec<&[u32]> = vec![&[0], &[1], &[2]];
         assert_eq!(Connectivity::label_batch(3, &lists), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn root_matches_find_without_compression() {
-        let mut c = Connectivity::new(6);
-        c.ensure_flows(3);
-        c.attach(0, &[0, 1]);
-        c.attach(1, &[1, 2]);
-        c.attach(2, &[4, 5]);
-        for r in 0..6u32 {
-            assert_eq!(c.root(r), c.clone().find(r), "resource {r}");
-        }
-    }
-
-    #[test]
-    fn label_items_primed_matches_from_scratch_label_batch() {
-        // Background flow couples links 0 and 3; two requests on 0 and 3
-        // must then land in the SAME component even though their own
-        // routes are disjoint.
-        let combined: Vec<&[u32]> = vec![&[0, 3], &[0], &[3], &[4], &[]];
-        let mut primed = Connectivity::new(5);
-        primed.ensure_flows(1);
-        primed.attach(0, combined[0]);
-        let labels = primed.clone().label_items(1, &combined);
-        assert_eq!(labels, Connectivity::label_batch(5, &combined));
-        assert_eq!(labels[1], labels[2], "background bridges 0 and 3");
-        assert_ne!(labels[1], labels[3]);
-        assert_ne!(labels[3], labels[4]);
-        // Priming is reusable: a second batch against a fresh clone.
-        let combined2: Vec<&[u32]> = vec![&[0, 3], &[4], &[3]];
-        let labels2 = primed.clone().label_items(1, &combined2);
-        assert_eq!(labels2, Connectivity::label_batch(5, &combined2));
     }
 }

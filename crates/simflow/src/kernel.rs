@@ -1189,8 +1189,14 @@ impl SimScratch {
                     if w.remaining <= w.tol || new_rate.is_infinite() {
                         self.calendar.push(Reverse((now, f, w.generation)));
                     } else if new_rate > 0.0 {
-                        let tf = now + Duration::from_secs(w.remaining / new_rate);
-                        self.calendar.push(Reverse((tf, f, w.generation)));
+                        // A finish beyond the largest finite time is never
+                        // reached: as for a zero rate, no entry is booked
+                        // and the run ends in `SimError::Stalled`.
+                        let tf = now.as_secs() + w.remaining / new_rate;
+                        if tf.is_finite() {
+                            let tf = SimTime::from_secs(tf);
+                            self.calendar.push(Reverse((tf, f, w.generation)));
+                        }
                     }
                     if traced {
                         trace.events.push(TraceEvent::RateChanged {
@@ -1625,6 +1631,24 @@ mod tests {
         let dead = p.host_by_name("dead").unwrap();
         let mut sim = Simulation::new(&p, NetworkConfig::ideal());
         sim.add_compute(dead, 1e9);
+        assert!(matches!(sim.run(), Err(SimError::Stalled { at }) if at == 0.0));
+    }
+
+    #[test]
+    fn an_unrepresentable_finish_time_stalls_with_error() {
+        // 1e10 bytes over a 1e-300 B/s link finish after 1e310 s, past
+        // the largest finite time: the kernel books no completion and
+        // reports the stall, as for a zero rate, instead of panicking.
+        let mut b = PlatformBuilder::new("root", RoutingKind::Full);
+        let root = b.root_zone();
+        let a = b.add_host(root, "a", 1e9);
+        let c = b.add_host(root, "c", 1e9);
+        let l = b.add_link("crawl", 1e-300, 0.0, SharingPolicy::Shared);
+        let (pa, pc) = (Element::Point(a.netpoint()), Element::Point(c.netpoint()));
+        b.add_route(root, pa, pc, vec![l], true);
+        let p = b.build().unwrap();
+        let mut sim = Simulation::new(&p, NetworkConfig::ideal());
+        sim.add_transfer_at(a, c, 1e10, SimTime::ZERO).unwrap();
         assert!(matches!(sim.run(), Err(SimError::Stalled { at }) if at == 0.0));
     }
 
