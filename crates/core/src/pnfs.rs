@@ -11,8 +11,7 @@
 //! Since the `forecast` crate landed, all serving-path simulation work
 //! goes through the shared [`ForecastEngine`]: warm per-platform
 //! sessions, and a result cache keyed by the query, which a link event
-//! clears along the link's routes and which empties whenever the
-//! metrology service ingests new data (see [`Pnfs::bump_epoch`]); the
+//! clears along the link's routes (see [`Pnfs::link_event`]); the
 //! simulation itself still runs on the thread that asked. The original
 //! uncached, from-scratch implementations are kept as
 //! [`Pnfs::predict_reference`] and [`Pnfs::select_fastest_reference`]:
@@ -106,8 +105,9 @@ fn selection(hypotheses: &[Vec<TransferRequest>], sel: &forecast::Selection) -> 
 /// concurrent [`ForecastEngine`].
 pub struct Pnfs {
     engine: ForecastEngine,
-    /// When set, queries bypass the engine and run the original
-    /// single-threaded, uncached implementations (benchmark baseline).
+    /// When set, the compute stage runs the original single-threaded,
+    /// uncached implementations instead of the engine's (benchmark
+    /// baseline).
     sequential: bool,
 }
 
@@ -118,11 +118,12 @@ impl Pnfs {
         Pnfs { engine: ForecastEngine::new(config), sequential: false }
     }
 
-    /// A service pinned to the sequential reference path: no cache, no
-    /// memoized routes, one from-scratch simulation at a time on the
-    /// calling thread. This is the paper's original serving behavior,
-    /// kept as the comparison baseline. Its engine only holds the
-    /// platforms; the path never reaches the engine's cache.
+    /// A service pinned to the sequential reference path: no cache, one
+    /// from-scratch simulation at a time on the calling thread. This is
+    /// the paper's original serving behavior, kept as the comparison
+    /// baseline. Its engine holds the platforms and probes each query,
+    /// which validates it the way the served path does, but its cache
+    /// is never filled, so every probe misses.
     pub fn sequential_reference(config: NetworkConfig) -> Self {
         Pnfs { engine: ForecastEngine::new(config), sequential: true }
     }
@@ -132,7 +133,7 @@ impl Pnfs {
         self.sequential
     }
 
-    /// The engine behind the service (epoch control, cache statistics).
+    /// The engine behind the service (sessions, cache statistics).
     pub fn engine(&self) -> &ForecastEngine {
         &self.engine
     }
@@ -153,11 +154,12 @@ impl Pnfs {
         self.engine.config()
     }
 
-    /// Advances the metrology epoch, dropping every cached forecast.
-    /// The REST layer calls this whenever the metrology service ingests
-    /// new measurement data.
+    /// Does nothing and returns 0: no forecast reads metrology, so new
+    /// measurement data changes no answer and evicts nothing. Inert; it
+    /// stays only because the standalone `benchmark/` package's
+    /// `ladder.rs` calls it after each `rrd_update`.
     pub fn bump_epoch(&self) -> u64 {
-        self.engine.bump_epoch()
+        0
     }
 
     /// Applies a serving-time platform event to `link` of `platform`
@@ -178,16 +180,12 @@ impl Pnfs {
 
     /// Probe stage of [`Pnfs::predict`]: the cached answer, or what
     /// [`Pnfs::compute_predict`] continues from. Bounded — no route is
-    /// resolved and nothing is simulated here (a sequential-reference
-    /// service caches nothing, so it probes nothing).
+    /// resolved and nothing is simulated here.
     pub fn probe_predict(
         &self,
         platform: &str,
         requests: &[TransferRequest],
     ) -> Result<Probed<Vec<Prediction>>, PnfsError> {
-        if self.sequential {
-            return Ok(Probed::Pending(Pending::unprobed(platform)));
-        }
         let probed = self.engine.probe_predict(platform, requests)?;
         Ok(probed.map(|durations| predictions(requests, &durations)))
     }
@@ -202,7 +200,7 @@ impl Pnfs {
         if self.sequential {
             return self.predict_reference(pending.platform(), requests);
         }
-        let durations = self.engine.compute_predict(requests, pending)?;
+        let durations = self.engine.compute_predict(pending)?;
         Ok(predictions(requests, &durations))
     }
 
@@ -227,9 +225,6 @@ impl Pnfs {
         platform: &str,
         hypotheses: &[Vec<TransferRequest>],
     ) -> Result<Probed<FastestSelection>, PnfsError> {
-        if self.sequential {
-            return Ok(Probed::Pending(Pending::unprobed(platform)));
-        }
         let probed = self.engine.probe_select(platform, hypotheses)?;
         Ok(probed.map(|sel| selection(hypotheses, &sel)))
     }
@@ -244,7 +239,7 @@ impl Pnfs {
         if self.sequential {
             return self.select_fastest_reference(pending.platform(), hypotheses);
         }
-        let sel = self.engine.compute_select(hypotheses, pending)?;
+        let sel = self.engine.compute_select(pending)?;
         Ok(selection(hypotheses, &sel))
     }
 

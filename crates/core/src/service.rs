@@ -6,10 +6,9 @@
 //!   accept unix timestamps or `"YYYY-MM-DD HH:MM:SS"`; answers
 //!   `[[ts, value], …]`;
 //! * `GET /pilgrim/rrd_update/<path>?ts=…&value=…` — metrology push:
-//!   feeds one measurement and advances the forecast epoch, which empties
-//!   the forecast cache. No forecast reads metrology data yet, so this
-//!   changes no answer; the bump stays until an update is bound to the
-//!   capacity of a link;
+//!   stores one measurement and answers `{"ok":true}`. No forecast reads
+//!   metrology data yet, so this changes no answer and evicts no cached
+//!   forecast;
 //! * `GET /pilgrim/predict_transfers/<platform>?transfer=src,dst,size&…`
 //!   — PNFS; answers `[{"src","dst","size","duration"}, …]`;
 //! * `GET /pilgrim/select_fastest/<platform>?hypothesis=src,dst,size[;…]&…`
@@ -37,16 +36,12 @@
 //! handler only ever sees a parsed [`Request`] and returns a
 //! [`Response`]; sockets, buffering and keep-alive never leak in. What
 //! they do know is that a request is served in two stages
-//! ([`crate::http::Handle`]): a bounded *probe* — for a forecast query
-//! answered before in this epoch, parse it and look it up in the route
-//! map and the cache — which the server's poller runs on its own
-//! thread, and the *compute* stage for whatever the probe could not
-//! answer, which runs on a pool worker. [`PilgrimService::handle`] is
-//! the two back to back.
+//! ([`crate::http::Handle`]): a bounded *probe* — for every forecast
+//! GET, parse it, look its hosts up and look its key up in the forecast
+//! cache — which the server's poller runs on its own thread, and the
+//! *compute* stage for whatever the probe could not answer, which runs
+//! on a pool worker. [`PilgrimService::handle`] is the two back to back.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use forecast::{Pending, Probed};
@@ -92,8 +87,6 @@ pub struct PilgrimService {
     registry: Arc<MetricsRegistry>,
     /// One end-to-end latency histogram per [`ENDPOINTS`] entry.
     request_latency: Vec<(&'static str, Histogram)>,
-    /// Which forecast queries may have a cached answer.
-    answered: Answered,
 }
 
 /// The two forecast endpoints, which the probe stage looks at.
@@ -115,43 +108,9 @@ fn forecast_query(req: &Request) -> Option<(Forecast, &str)> {
     path.strip_prefix("/pilgrim/select_fastest/").map(|platform| (Forecast::Select, platform))
 }
 
-/// Slots of [`Answered`].
-const ANSWERED_SLOTS: usize = 4096;
-
-/// The forecast queries answered in the current epoch, as digests of
-/// their text in a direct-mapped table: the probe stage's necessary
-/// condition for a cache hit, checked before it parses anything. The
-/// poller has one thread, and a query that was never answered — every
-/// query of a cold workload, every first query after new metrology data
-/// — cannot be in the cache, so the probe leaves it whole for a worker
-/// at the price of one hash. It is a hint and nothing else: a slot
-/// overwritten by a colliding query, or a cached query spelled
-/// differently, takes the worker path once; a digest outliving its cache
-/// entry costs one wasted probe.
-struct Answered(Box<[AtomicU64]>);
-
-impl Answered {
-    fn new() -> Answered {
-        Answered((0..ANSWERED_SLOTS).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    fn slot(&self, digest: u64) -> &AtomicU64 {
-        &self.0[digest as usize % ANSWERED_SLOTS]
-    }
-
-    fn contains(&self, digest: u64) -> bool {
-        self.slot(digest).load(Ordering::Relaxed) == digest
-    }
-
-    fn insert(&self, digest: u64) {
-        self.slot(digest).store(digest, Ordering::Relaxed);
-    }
-}
-
 /// A request after its probe stage: answered, or what the compute stage
 /// continues from — the query the probe parsed and the forecast it could
-/// not answer from the cache, so a miss parses, resolves and keys
-/// nothing twice.
+/// not answer from the cache, so a miss parses and keys nothing twice.
 enum Staged {
     /// The probe had the answer.
     Answered(Response),
@@ -206,7 +165,7 @@ impl PilgrimService {
                 (endpoint, h)
             })
             .collect();
-        PilgrimService { metrology, pnfs, registry, request_latency, answered: Answered::new() }
+        PilgrimService { metrology, pnfs, registry, request_latency }
     }
 
     /// The registry `/pilgrim/metrics` renders.
@@ -220,7 +179,7 @@ impl PilgrimService {
     }
 
     /// An HTTP handler over a shared service — the caller keeps its
-    /// `Arc` for epoch control and statistics while the server serves.
+    /// `Arc` for link events and statistics while the server serves.
     /// The service is a two-stage [`Handle`]: the server's poller runs
     /// the probe stage itself and hands only what that defers to a
     /// worker.
@@ -248,36 +207,16 @@ impl PilgrimService {
         Span::start(hist)
     }
 
-    /// The digest [`Answered`] knows `req` by: its text and the epoch,
-    /// so that a bump of the epoch — which empties the cache — forgets
-    /// every query at once. Never 0, the empty slot.
-    fn query_digest(&self, req: &Request) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.pnfs.engine().epoch().hash(&mut h);
-        req.path.hash(&mut h);
-        req.params.hash(&mut h);
-        h.finish() | 1
-    }
-
-    /// The probe stage: a forecast query answered before in this epoch
-    /// is parsed, looked up in its session's route map and the forecast
-    /// cache, and answered if the answer is there (or is an error that
-    /// needs no route). Bounded — it resolves no route and simulates
-    /// nothing — because the poller runs it on its own thread.
-    /// Everything else is left whole for the compute stage.
+    /// The probe stage: a forecast GET is parsed, keyed by its host ids
+    /// and sizes, and answered if the forecast cache has the answer (or
+    /// the query is malformed). Bounded — it resolves no route and
+    /// simulates nothing — because the poller runs it on its own thread.
+    /// Every other request is left whole for the compute stage.
     fn probe_stage(&self, req: &Request) -> Staged {
         match forecast_query(req) {
-            Some((endpoint, platform)) if self.answered.contains(self.query_digest(req)) => {
-                self.probe_forecast(endpoint, platform, req)
-            }
-            _ => Staged::Whole,
-        }
-    }
-
-    fn probe_forecast(&self, endpoint: Forecast, platform: &str, req: &Request) -> Staged {
-        match endpoint {
-            Forecast::Predict => self.probe_predict(platform, req),
-            Forecast::Select => self.probe_select(platform, req),
+            Some((Forecast::Predict, platform)) => self.probe_predict(platform, req),
+            Some((Forecast::Select, platform)) => self.probe_select(platform, req),
+            None => Staged::Whole,
         }
     }
 
@@ -314,15 +253,6 @@ impl PilgrimService {
 
     /// Routes a request the probe stage left whole.
     fn route(&self, req: &Request) -> Response {
-        if let Some((endpoint, platform)) = forecast_query(req) {
-            // not answered before: both stages here, and now it is
-            let staged = self.probe_forecast(endpoint, platform, req);
-            let response = self.compute_stage(req, staged);
-            if response.status == 200 {
-                self.answered.insert(self.query_digest(req));
-            }
-            return response;
-        }
         let path = req.path.trim_end_matches('/');
         if let Some(platform) = path.strip_prefix("/pilgrim/link_event/") {
             if req.method != "POST" {
@@ -378,10 +308,8 @@ impl PilgrimService {
         }
     }
 
-    /// Metrology ingestion. A successful update bumps the forecast epoch:
-    /// the cache is emptied and the next query re-simulates. No forecast
-    /// reads the stored sample yet, so the answers do not change; the
-    /// bump stays until an update is bound to the capacity of a link.
+    /// Metrology ingestion: stores the sample. No forecast reads it yet,
+    /// so no answer changes and no cached forecast is evicted.
     fn handle_rrd_update(&self, rrd_path: &str, req: &Request) -> Response {
         let Some(ts) = req.param("ts").and_then(rrd::time::parse_timestamp) else {
             return Response::error(400, "missing or invalid 'ts'");
@@ -390,13 +318,7 @@ impl PilgrimService {
             return Response::error(400, "missing or invalid 'value'");
         };
         match self.metrology.update(rrd_path, ts, value) {
-            Ok(()) => {
-                let epoch = self.pnfs.bump_epoch();
-                Response::json(&Value::object(vec![
-                    ("ok", Value::Bool(true)),
-                    ("epoch", Value::from(epoch as i64)),
-                ]))
-            }
+            Ok(()) => Response::json(&Value::object(vec![("ok", Value::Bool(true))])),
             Err(e @ MetrologyError::UnknownRrd(_)) => Response::error(404, &e.to_string()),
             Err(e) => Response::error(400, &e.to_string()),
         }
@@ -469,14 +391,12 @@ impl PilgrimService {
     fn handle_stats(&self) -> Response {
         let e = self.pnfs.engine();
         Response::json(&Value::object(vec![
-            ("epoch", Value::from(e.epoch() as i64)),
             ("cache_hits", Value::from(e.cache_hits() as i64)),
             ("cache_misses", Value::from(e.cache_misses() as i64)),
             ("cache_len", Value::from(e.cache_len() as i64)),
             ("coalesced", Value::from(e.coalesced() as i64)),
             ("simulations", Value::from(e.simulations() as i64)),
             ("invalidated_targeted", Value::from(e.invalidated_targeted() as i64)),
-            ("invalidated_epoch", Value::from(e.invalidated_epoch() as i64)),
         ]))
     }
 
@@ -872,6 +792,22 @@ mod tests {
     }
 
     #[test]
+    fn tiny_and_huge_sizes_answer_short_bodies() {
+        let svc = service();
+        for size in ["1e-300", "1.7e308"] {
+            let q = format!(
+                "transfer=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,{size}"
+            );
+            let resp =
+                svc.handle(&Request::synthetic("/pilgrim/predict_transfers/g5k_test", &q));
+            assert_eq!(resp.status, 200, "{size}: {}", resp.body);
+            assert!(resp.body.len() < 200, "{size}: {} bytes: {}", resp.body.len(), resp.body);
+            let v = Value::parse(&resp.body).expect("json body");
+            assert_eq!(v[0]["size"].as_f64(), size.parse().ok(), "{size} reads back");
+        }
+    }
+
+    #[test]
     fn stats_endpoint_exposes_invalidation_counters() {
         let svc = service();
         let q = "transfer=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8";
@@ -887,8 +823,8 @@ mod tests {
         assert_eq!(v["simulations"].as_i64(), Some(1));
         assert_eq!(v["cache_hits"].as_i64(), Some(1));
         assert_eq!(v["invalidated_targeted"].as_i64(), Some(1));
-        assert_eq!(v["invalidated_epoch"].as_i64(), Some(0));
-        assert!(v["epoch"].as_i64().is_some());
+        let Value::Object(pairs) = &v else { panic!("stats must be a JSON object: {v}") };
+        assert_eq!(pairs.len(), 6, "no epoch keys: {v}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! in counted syscalls and pool jobs, every guarantee the worker path
 //! gave that the inline path must still give (panic → 500, deadlines,
 //! admission, invalidation, stage accounting, hit/miss accounting), that
-//! the probe stage never computes a route, and that only a query asked
-//! again keeps its routes for the probe.
+//! the probe stage never computes a route, and that it keys every
+//! forecast query itself, so a query's second ask is answered inline.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -179,15 +179,11 @@ fn a_hit_costs_one_read_and_one_write_a_miss_one_job_and_one_wake() {
     let mut client = HttpClient::new(server.addr());
     let hot = predict_query(0);
     assert_eq!(client.get(&hot).expect("simulated").0, 200);
-    // the first repeat is a hit found by a worker, which keeps its routes
-    assert_eq!(client.get(&hot).expect("cached, on a worker").0, 200);
+    // the first repeat is already the probe's to answer
+    assert_eq!(client.get(&hot).expect("cached, inline").0, 200);
     assert_eq!(client.get(&hot).expect("cached, inline").0, 200);
     // a job is timed when it returns, which is after its answer is out
-    assert!(
-        eventually(|| jobs.count() == 2),
-        "the simulated request's job and its first repeat's: {}",
-        jobs.count()
-    );
+    assert!(eventually(|| jobs.count() == 1), "the simulated request's job: {}", jobs.count());
 
     let before = snapshot();
     for _ in 0..5 {
@@ -203,7 +199,7 @@ fn a_hit_costs_one_read_and_one_write_a_miss_one_job_and_one_wake() {
     assert_eq!(client.get(&predict_query(1)).expect("miss").0, 200);
     // the job is timed, and the connection's read interest restored,
     // just after the answer went out
-    assert!(eventually(|| jobs.count() == 3), "the miss's job: {}", jobs.count());
+    assert!(eventually(|| jobs.count() == 2), "the miss's job: {}", jobs.count());
     assert!(eventually(|| ctls.get() >= after.2 + 2), "interest restored: {}", ctls.get());
     let miss = snapshot();
     assert_eq!(miss.0 - after.0, 1, "one read per miss");
@@ -348,10 +344,9 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
     let engine = svc.pnfs.engine();
     let mut client = HttpClient::new(server.addr());
 
-    // a miss, then its repeat: a hit on a worker, which keeps its
-    // routes; a miss on those resolved routes (same host pairs, another
-    // size), counted by the probe and simulated on a worker; then inline
-    // hits; one select miss and hit
+    // a miss, then its repeat, a hit inline; a miss on the same host
+    // pairs with another size, counted by the probe and simulated on a
+    // worker; then inline hits; one select miss and hit
     let resized = predict_query(0).replace("2e8", "3e8");
     let select = "/pilgrim/select_fastest/g5k_test\
                   ?hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8\
@@ -365,10 +360,6 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
             k as u64 + 1,
             "hits + misses advance by exactly one per forecast request"
         );
-        if k == 1 {
-            let kept = engine.session("g5k_test").unwrap().routes_cached();
-            assert!(kept > 0, "the repeat kept the routes the probe keys `resized` with");
-        }
     }
     assert_eq!((engine.cache_hits(), engine.cache_misses()), (4, 3));
     assert_eq!(engine.simulations(), 3);
@@ -388,6 +379,7 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
     let (predicts, selects) = (e2e("predict_transfers"), e2e("select_fastest"));
     assert_eq!((predicts.count(), selects.count()), (5, 2));
     assert_eq!(m.stage_admission.count(), 7);
+    assert_eq!(m.stage_cache_lookup.count(), 7, "one lookup per request, all by the probe");
     assert_eq!(m.stage_render.count(), 7);
     assert_eq!(m.stage_simulate.count(), 3);
     let e2e_sum = predicts.sum() + selects.sum();
@@ -399,7 +391,8 @@ fn stages_still_sum_below_end_to_end_and_every_request_is_counted_once() {
 
 /// The probe stage is bounded: on a 20 000-host platform a cold query —
 /// and an unknown host, and a bad size — is handed on or answered
-/// without a single route computation on the probing thread.
+/// without a single route computation on the probing thread, and so is
+/// its repeat, which the probe answers.
 #[test]
 fn the_probe_stage_never_computes_a_route() {
     let platform = Arc::new(to_simflow(&synth::synthetic(20_000), Flavor::G5kTest));
@@ -410,10 +403,9 @@ fn the_probe_stage_never_computes_a_route() {
     pnfs.engine().register_platform_shared("synth_20k", Arc::clone(&platform));
     let svc = Arc::new(PilgrimService::new(Metrology::new(), pnfs));
     let engine = svc.pnfs.engine();
-    let session = engine.session("synth_20k").unwrap();
     let work_done = || {
         let memo = platform.route_memo_stats();
-        (session.routes_cached(), memo.hits, memo.entries, memo.links, engine.simulations())
+        (memo.hits, memo.entries, memo.links, engine.simulations())
     };
 
     // 30 transfers between far-apart hosts: nothing about them is cached
@@ -425,7 +417,7 @@ fn the_probe_stage_never_computes_a_route() {
     let specs: Vec<TransferRequest> =
         (0..30).map(|i| transfer(&hosts[i * 601], &hosts[19_999 - i * 577], 1e8)).collect();
     let cold = work_done();
-    assert_eq!(cold, (0, 0, 0, 0, 0));
+    assert_eq!(cold, (0, 0, 0, 0));
     let Probed::Pending(pending) = engine.probe_predict("synth_20k", &specs).unwrap() else {
         panic!("a cold query cannot be answered by the probe")
     };
@@ -456,35 +448,30 @@ fn the_probe_stage_never_computes_a_route() {
     };
     assert_eq!(work_done(), cold, "the service's probe resolved or simulated something");
 
-    // the compute stages do the work, once, and leave the probe a hit
+    // the compute stages resolve and simulate, once, and leave the probe
+    // a hit
     assert_eq!(compute(&req).status, 200);
     let after_one = work_done();
-    assert_eq!((after_one.0, after_one.4), (0, 1), "one simulation, no route kept");
-    let durations = engine.compute_predict(&specs, pending).unwrap();
+    assert_eq!(after_one.3, 1, "one simulation");
+    let durations = engine.compute_predict(pending).unwrap();
     assert_eq!(durations.len(), 30);
+    assert_eq!(engine.simulations(), 1, "the second compute stage found the first's answer");
     let after_two = work_done();
-    assert_eq!(
-        (after_two.0, after_two.4),
-        (30, 1),
-        "the second compute stage found the first's answer and kept its 30 routes"
-    );
     let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
-        panic!("a query asked twice is a hit")
+        panic!("a query asked before is a hit")
     };
     assert_eq!(hit.status, 200);
-    assert_eq!(work_done(), after_two);
+    assert_eq!(work_done(), after_two, "the hit resolved or simulated something");
 }
 
-/// Cold traffic keeps no per-pair state: 50 distinct queries asked once
-/// leave the session's route map empty. A query asked again is a hit its
-/// worker finds, which keeps its routes, so from then on the probe
-/// answers it.
+/// Cold traffic keeps no per-pair state, and a query asked again keeps
+/// its own answer: 50 distinct queries asked once are 50 simulations,
+/// and the second ask of any of them is a hit the probe answers.
 #[test]
 fn one_off_queries_keep_no_route_and_a_repeat_keeps_its_own() {
     let svc = service();
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let engine = svc.pnfs.engine();
-    let session = engine.session("g5k_test").unwrap();
     let request = |i: usize| {
         let q = predict_query(i);
         let (path, query) = q.split_once('?').unwrap();
@@ -501,32 +488,23 @@ fn one_off_queries_keep_no_route_and_a_repeat_keeps_its_own() {
         assert_eq!(answer.status, 200, "query {i}: {}", answer.body);
         bodies.push(answer.body);
     }
-    assert_eq!(engine.simulations(), 50);
-    assert_eq!(session.routes_cached(), 0, "one-off queries keep no route");
+    assert_eq!((engine.simulations(), engine.cache_len()), (50, 50));
 
     let req = request(7);
-    let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
-        panic!("answered once, routes not kept: deferred")
-    };
-    assert_eq!(session.routes_cached(), 0, "the probe keeps nothing");
     let hits = engine.cache_hits();
-    assert_eq!(compute(&req).body, bodies[7]);
-    assert_eq!(engine.cache_hits(), hits + 1, "the repeat is a hit");
-    assert_eq!(engine.simulations(), 50, "and simulates nothing");
-    assert_eq!(session.routes_cached(), 2, "the repeat keeps its two routes");
-
     let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
-        panic!("asked twice: inline")
+        panic!("asked before and cached: inline")
     };
     assert_eq!(hit.body, bodies[7]);
-    assert_eq!(engine.cache_hits(), hits + 2);
-    assert_eq!((engine.simulations(), session.routes_cached()), (50, 2));
+    assert_eq!(engine.cache_hits(), hits + 1, "the repeat is a hit");
+    assert_eq!(engine.simulations(), 50, "and simulates nothing");
 }
 
-/// A query not answered in the current epoch cannot be cached, and the
-/// probe stage says so without parsing it.
+/// A cold query is parsed once, by the probe: the compute stage it hands
+/// on continues from the parsed query and re-parses nothing, and every
+/// later ask is parsed and answered by the probe alone.
 #[test]
-fn a_query_not_answered_this_epoch_is_left_whole_unparsed() {
+fn a_cold_query_is_parsed_once_by_the_probe() {
     let svc = service();
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
     let parsed = svc.pnfs.engine().metrics().stage_admission.clone();
@@ -537,28 +515,26 @@ fn a_query_not_answered_this_epoch_is_left_whole_unparsed() {
     let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
         panic!("never answered: deferred")
     };
-    assert_eq!(parsed.count(), 0, "the probe parsed a query it had never answered");
+    assert_eq!(parsed.count(), 1, "the probe parses every forecast query");
     let body = compute(&req).body;
-    assert_eq!(parsed.count(), 1);
-    // answered once: parsed, but its routes were not kept
-    let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
-        panic!("answered once, routes not kept: deferred")
-    };
-    assert_eq!(parsed.count(), 2);
-    assert_eq!(compute(&req).body, body);
-    assert_eq!(svc.pnfs.engine().simulations(), 1, "the repeat was a hit");
-    let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
-        panic!("answered before and cached: inline")
-    };
-    assert_eq!(parsed.count(), 3);
-    assert_eq!(hit.body, body);
+    assert_eq!(parsed.count(), 1, "the worker re-parsed the query");
+    assert_eq!(svc.pnfs.engine().simulations(), 1);
+    for ask in 2..=3 {
+        let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
+            panic!("answered before and cached: inline")
+        };
+        assert_eq!(parsed.count(), ask);
+        assert_eq!(hit.body, body);
+    }
 
-    // new metrology data empties the cache: the query is forgotten with it
-    svc.pnfs.bump_epoch();
-    let Probe::Deferred(compute) = Arc::clone(&handler).probe(&req) else {
-        panic!("not answered in this epoch: deferred")
+    // new metrology data changes no forecast and evicts nothing
+    let archive = rrd::ArchiveSpec { cf: rrd::Cf::Average, steps_per_row: 1, rows: 240 };
+    svc.metrology.insert("pdu.rrd", rrd::Database::new(15, rrd::DsKind::Gauge, 120, &[archive]));
+    let update = svc.handle(&Request::synthetic("/pilgrim/rrd_update/pdu.rrd", "ts=15&value=1"));
+    assert_eq!((update.status, update.body.as_str()), (200, r#"{"ok":true}"#));
+    let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {
+        panic!("an rrd_update evicts nothing: inline")
     };
-    assert_eq!(parsed.count(), 3, "the probe parsed a query it had not answered this epoch");
-    assert_eq!(compute(&req).body, body);
-    assert_eq!(svc.pnfs.engine().simulations(), 2);
+    assert_eq!((parsed.count(), hit.body), (4, body));
+    assert_eq!(svc.pnfs.engine().simulations(), 1);
 }

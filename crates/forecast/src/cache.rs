@@ -3,33 +3,31 @@
 //! A forecast is a pure function of its session, the session's
 //! link-state overlay and the query. The cache keys it by the query
 //! alone: the session's registration id, then host ids + size bit
-//! patterns, which the probe has already resolved. Two textually
-//! different requests for the same forecast (`5e8` vs `500000000`,
-//! reordered query parameters upstream) share an entry, while
-//! `-0.0`/`0.0`-style float subtleties cannot collide. A platform name
-//! registered again gets a new session id, so the old platform's answers
-//! can never hit. The resolved transfers are one shared allocation per
-//! key: the map, the LRU slab and the engine's flight table hold the
-//! same `Arc`.
+//! patterns, which the probe builds from the request's host names
+//! without resolving a route. Two textually different requests for the
+//! same forecast (`5e8` vs `500000000`, reordered query parameters
+//! upstream) share an entry, while `-0.0`/`0.0`-style float subtleties
+//! cannot collide. A platform name registered again gets a new session
+//! id, so the old platform's answers can never hit. The transfers are
+//! one shared allocation per key: the map, the LRU slab and the engine's
+//! flight table hold the same `Arc`.
 //!
 //! The overlay is kept out of the key because an entry never outlives
-//! the overlay it was computed under. One rule files, three paths
-//! remove:
+//! the overlay it was computed under. One rule files, and an entry goes
+//! only when its answer can change or can no longer be asked for:
 //!
 //! * **Filing** ([`ForecastCache::insert_if`]): a result is filed only
 //!   if the engine's `valid` check still holds under the cache lock —
-//!   the session's overlay version and the engine's epoch are the ones
-//!   read before the computation began. A result computed across a link
-//!   event or an epoch bump is handed to its caller and dropped.
+//!   the session's overlay version is the one read before the
+//!   computation began. A result computed across a link event is handed
+//!   to its caller and dropped.
 //! * **Link events** ([`ForecastCache::invalidate_link`]): every entry of
 //!   the event's session whose recorded route union crosses the event's
 //!   resource is dropped, counted as `invalidated_targeted`. Only a
 //!   resource on a query's routes can change its answer, so every other
 //!   entry keeps hitting.
-//! * **Epoch bumps** ([`ForecastCache::clear`]): every entry is dropped,
-//!   counted as `invalidated_epoch`.
 //! * **Re-registration** ([`ForecastCache::retire_session`]): the
-//!   replaced session's entries are dropped, counted in neither.
+//!   replaced session's entries are dropped, uncounted.
 //!
 //! An event bumps the overlay version under the overlay's write lock,
 //! before it changes the overlay, and then evicts under the cache lock.
@@ -50,18 +48,17 @@ use simflow::HostId;
 use telemetry::{Counter, MetricsRegistry};
 
 use crate::engine::Selection;
-use crate::session::ResolvedSpec;
 
 /// Canonical form of one transfer tuple: the host ids the session
-/// resolved its names to, plus the exact bit pattern of the size (f64
+/// looked its names up as, plus the exact bit pattern of the size (f64
 /// equality is the wrong notion for keys).
-type CanonicalTransfer = (HostId, HostId, u64);
+pub(crate) type CanonicalTransfer = (HostId, HostId, u64);
 
-/// Cache key: session + the resolved query (host ids + size bits).
-/// Cloning it shares the transfer list.
+/// Cache key: session + the query as host ids + size bits. Cloning it
+/// shares the transfer list.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct CacheKey {
-    /// Registration id of the session the query was resolved against
+    /// Registration id of the session the query was keyed against
     /// (`ForecastEngine::register_platform_shared` hands out a new one
     /// per registration, so a replaced platform's entries never hit).
     session: u64,
@@ -74,29 +71,27 @@ pub(crate) struct CacheKey {
     hypotheses: Option<Arc<[usize]>>,
 }
 
-fn canonicalize(resolved: &[ResolvedSpec]) -> Arc<[CanonicalTransfer]> {
-    resolved.iter().map(|r| (r.src, r.dst, r.size.to_bits())).collect()
-}
-
 impl CacheKey {
-    /// Key for a predict batch resolved against session `session`.
-    pub(crate) fn predict(session: u64, resolved: &[ResolvedSpec]) -> CacheKey {
-        CacheKey { session, transfers: canonicalize(resolved), hypotheses: None }
+    /// Key of a query on session `session`: a predict batch when
+    /// `hypotheses` is `None`, else a selection whose `transfers` hold
+    /// every hypothesis' transfers, flattened in order, and
+    /// `hypotheses` how many of them each hypothesis has.
+    pub(crate) fn new(
+        session: u64,
+        transfers: Arc<[CanonicalTransfer]>,
+        hypotheses: Option<Arc<[usize]>>,
+    ) -> CacheKey {
+        CacheKey { session, transfers, hypotheses }
     }
 
-    /// Key for a hypothesis-selection query: `resolved` holds every
-    /// hypothesis' specs, flattened in order, and `lengths` how many of
-    /// them each hypothesis has.
-    pub(crate) fn select(
-        session: u64,
-        resolved: &[ResolvedSpec],
-        lengths: impl IntoIterator<Item = usize>,
-    ) -> CacheKey {
-        CacheKey {
-            session,
-            transfers: canonicalize(resolved),
-            hypotheses: Some(lengths.into_iter().collect()),
-        }
+    /// The query's transfers, in request order.
+    pub(crate) fn transfers(&self) -> &[CanonicalTransfer] {
+        &self.transfers
+    }
+
+    /// A selection's hypothesis lengths; `None` for a predict batch.
+    pub(crate) fn hypotheses(&self) -> Option<&Arc<[usize]>> {
+        self.hypotheses.as_ref()
     }
 }
 
@@ -198,8 +193,6 @@ pub struct ForecastCache {
     coalesced: Counter,
     /// Entries evicted by route-targeted link invalidation.
     invalidated_targeted: Counter,
-    /// Entries dropped by [`ForecastCache::clear`] (epoch bumps).
-    invalidated_epoch: Counter,
 }
 
 impl ForecastCache {
@@ -218,7 +211,6 @@ impl ForecastCache {
             misses: Counter::new(),
             coalesced: Counter::new(),
             invalidated_targeted: Counter::new(),
-            invalidated_epoch: Counter::new(),
         }
     }
 
@@ -248,12 +240,6 @@ impl ForecastCache {
             "Cache entries dropped by invalidation, by mechanism",
             &[("kind", "targeted")],
             &self.invalidated_targeted,
-        );
-        registry.adopt_counter(
-            "forecast_cache_invalidated_total",
-            "Cache entries dropped by invalidation, by mechanism",
-            &[("kind", "epoch")],
-            &self.invalidated_epoch,
         );
     }
 
@@ -286,13 +272,12 @@ impl ForecastCache {
     /// Files a result if `valid` still returns `true` under the cache
     /// lock, evicting the least-recently-used entry when full. The
     /// engine passes a closure comparing the session's overlay version
-    /// and its own epoch against what it read before computing — a
-    /// `link_event` or `bump_epoch` racing the computation changes one
-    /// of them first and then evicts under this same lock, so a result
-    /// computed across it can never land after the eviction swept past
-    /// (see the module docs). `routes` (sorted, deduplicated resource
-    /// ids) is what [`ForecastCache::invalidate_link`] matches the entry
-    /// by.
+    /// against what it read before computing — a `link_event` racing
+    /// the computation changes it first and then evicts under this same
+    /// lock, so a result computed across it can never land after the
+    /// eviction swept past (see the module docs). `routes` (sorted,
+    /// deduplicated resource ids) is what
+    /// [`ForecastCache::invalidate_link`] matches the entry by.
     pub fn insert_if(
         &self,
         key: CacheKey,
@@ -352,14 +337,6 @@ impl ForecastCache {
         inner.remove_where(|k, _| k.session == session);
     }
 
-    /// Drops every entry (an epoch bump), counting them into
-    /// [`ForecastCache::invalidated_epoch`].
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let n = inner.remove_where(|_, _| true);
-        self.invalidated_epoch.add(n);
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner).map.len()
@@ -390,11 +367,6 @@ impl ForecastCache {
     pub fn invalidated_targeted(&self) -> u64 {
         self.invalidated_targeted.get()
     }
-
-    /// Entries dropped by [`ForecastCache::clear`] so far.
-    pub fn invalidated_epoch(&self) -> u64 {
-        self.invalidated_epoch.get()
-    }
 }
 
 #[cfg(test)]
@@ -404,7 +376,7 @@ mod tests {
     use simflow::platform::builder::PlatformBuilder;
     use simflow::platform::routing::{Element, RoutingKind};
     use simflow::platform::SharingPolicy;
-    use simflow::{NetworkConfig, Platform, ResolvedPath};
+    use simflow::Platform;
 
     use super::*;
 
@@ -438,30 +410,29 @@ mod tests {
         })
     }
 
-    /// Resolves named transfers to host ids and routes, as the engine's
-    /// probe does before it builds a key.
-    fn resolved(specs: &[Spec]) -> Vec<ResolvedSpec> {
+    /// Looks named transfers' hosts up, as the engine's probe does
+    /// before it builds a key.
+    fn transfers(specs: &[Spec]) -> Arc<[CanonicalTransfer]> {
         let platform = four_hosts();
         specs
             .iter()
             .map(|&(src, dst, size)| {
                 let src = platform.host_by_name(src).unwrap();
                 let dst = platform.host_by_name(dst).unwrap();
-                let path = ResolvedPath::resolve(platform, &NetworkConfig::default(), src, dst);
-                ResolvedSpec { src, dst, size, path: Arc::new(path.unwrap()) }
+                (src, dst, size.to_bits())
             })
             .collect()
     }
 
     /// Key of a predict batch on session `session`.
     fn predict(session: u64, specs: &[Spec]) -> CacheKey {
-        CacheKey::predict(session, &resolved(specs))
+        CacheKey::new(session, transfers(specs), None)
     }
 
     /// Key of a selection over `hypotheses` on session 1.
     fn select(hypotheses: &[&[Spec]]) -> CacheKey {
-        let lengths = hypotheses.iter().map(|h| h.len());
-        CacheKey::select(1, &resolved(&hypotheses.concat()), lengths)
+        let lengths = hypotheses.iter().map(|h| h.len()).collect();
+        CacheKey::new(1, transfers(&hypotheses.concat()), Some(lengths))
     }
 
     /// Files `key` with no routes and no validity check.
@@ -505,36 +476,7 @@ mod tests {
         assert!(cache.get(&new).is_none());
         cache.retire_session(1);
         assert!(cache.peek(&old).is_none(), "a retired session's entries are dropped");
-        assert_eq!(
-            (cache.len(), cache.invalidated_targeted(), cache.invalidated_epoch()),
-            (0, 0, 0)
-        );
-    }
-
-    #[test]
-    fn purge_drops_old_epochs() {
-        let cache = ForecastCache::new(16);
-        for i in 0..4u64 {
-            insert(
-                &cache,
-                predict(1, &[("a", "b", i as f64)]),
-                CachedResult::Predict(Arc::new(vec![0.0])),
-            );
-        }
-        assert_eq!(cache.len(), 4);
-        cache.clear();
-        assert_eq!((cache.len(), cache.invalidated_epoch()), (0, 4));
-        assert!(cache.peek(&predict(1, &[("a", "b", 3.0)])).is_none());
-        // list structure stays consistent after the clear
-        let kept = predict(1, &[("a", "b", 99.0)]);
-        insert(&cache, kept.clone(), CachedResult::Predict(Arc::new(vec![9.0])));
-        insert(
-            &cache,
-            predict(1, &[("c", "d", 1.0)]),
-            CachedResult::Predict(Arc::new(vec![1.0])),
-        );
-        assert!(cache.get(&kept).is_some());
-        assert_eq!((cache.len(), cache.invalidated_epoch()), (2, 4));
+        assert_eq!((cache.len(), cache.invalidated_targeted()), (0, 0));
     }
 
     #[test]
@@ -631,9 +573,6 @@ mod tests {
         assert!(cache.peek(&other_session).is_some(), "sessions are independent");
         assert_eq!(cache.invalidated_targeted(), 1);
         assert_eq!(cache.invalidate_link(1, 999), 0);
-        // epoch bumps count on the other counter
-        cache.clear();
-        assert_eq!(cache.invalidated_epoch(), 2);
     }
 
     #[test]

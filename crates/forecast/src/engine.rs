@@ -10,15 +10,14 @@
 //!   both run start to finish on the thread that calls the compute
 //!   stage (an HTTP worker): the engine owns no threads, and
 //!   concurrency is one request per worker;
-//! * per-platform scaffolding (capacity vectors, kept routes, recycled
-//!   simulation scratch, the link-state overlay) lives in warm
-//!   [`Session`]s (`crate::session`);
+//! * per-platform scaffolding (capacity vectors, recycled simulation
+//!   scratch, the link-state overlay) lives in warm [`Session`]s
+//!   (`crate::session`);
 //! * results are memoized in a cache (`crate::cache`) keyed by the
 //!   query alone — session id, host ids and size bits. A link event
-//!   evicts the entries whose routes cross the link; a
-//!   [`ForecastEngine::bump_epoch`] empties the cache. A result is filed
-//!   only if neither happened while it was computed, so no out-of-date
-//!   forecast is ever answered from the cache.
+//!   evicts the entries whose routes cross the link, and a result is
+//!   filed only if no link event came while it was computed, so no
+//!   out-of-date forecast is ever answered from the cache.
 //!
 //! ## Two stages: probe, then compute
 //!
@@ -26,30 +25,18 @@
 //! answer or must work for it:
 //!
 //! * the **probe** ([`ForecastEngine::probe_predict`],
-//!   [`ForecastEngine::probe_select`]) validates the query, looks every
-//!   host pair up in the session's route map *without resolving a new
-//!   route* ([`Session::resolve_cached`]), builds the key and looks the
-//!   cache up. It never computes a route, never touches the flight
+//!   [`ForecastEngine::probe_select`]) validates the query, looks its
+//!   host names up, builds the key from host ids and size bits and looks
+//!   the cache up. It never resolves a route, never touches the flight
 //!   table and never simulates, so the HTTP front end runs it on its
-//!   poller thread and answers a hit from there. The key itself needs
-//!   no route; the route-map gate is the only reason the probe needs
-//!   routes — it keeps a probe that would resolve one off the poller;
+//!   poller thread and answers a hit from there — a query's second ask
+//!   included;
 //! * the **compute** stage ([`ForecastEngine::compute_predict`],
 //!   [`ForecastEngine::compute_select`]) takes the [`Pending`] the probe
-//!   returned — the resolved specs, route union, key, overlay version
-//!   and epoch when every route was in the map, nothing when the probe
-//!   stopped at an uncached pair — resolves what is missing, coalesces,
-//!   simulates. It repeats none of the probe's work, and its cache
-//!   re-check does not count, so hits + misses advance by one per
-//!   forecast.
-//!
-//! The session's route map holds only the routes of answers asked for
-//! again: the compute stage files a request's routes when the lookup it
-//! made itself, after the probe stopped at an uncached pair, hits. So a
-//! query asked once keeps nothing, its first repeat is a hit answered by
-//! the compute stage (no simulation), and from its third ask on the
-//! probe answers it. Cold traffic never comes back, and resolves every
-//! route through the platform's own (zone, zone) memo instead.
+//!   returned — session and key — reads the overlay version, resolves
+//!   the key's routes, coalesces, simulates. It repeats none of the
+//!   probe's work, and its cache re-check does not count, so hits +
+//!   misses advance by one per forecast.
 //!
 //! [`ForecastEngine::predict`] and [`ForecastEngine::select_fastest`] are
 //! the two stages back to back on the caller.
@@ -81,8 +68,8 @@
 //! **coalesced**: one request — the *leader* — computes; the others
 //! block on the in-flight computation and receive the same result. The
 //! determinism contract makes this sound: a follower joins only a
-//! flight whose leader resolved the same query on the same session and
-//! read the same overlay version and epoch (`FlightKey`), so the
+//! flight whose leader keyed the same query on the same session and
+//! read the same overlay version (`FlightKey`), so the
 //! leader's answer *is* every follower's answer, bit for bit —
 //! followers return the identical `Arc`, and upstream JSON rendering is
 //! byte-identical to what each would have computed alone.
@@ -95,8 +82,8 @@
 //! request retries the computation. Successful leaders insert into the
 //! cache *before* retiring the flight, so a key absent from both the
 //! cache and the flight table is uncomputed, or was computed across a
-//! link event or epoch bump — the double-check in `coalesce` relies on
-//! exactly that ordering.
+//! link event — the double-check in `coalesce` relies on exactly that
+//! ordering.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -111,7 +98,7 @@ use exec::WorkerPool;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError};
 use telemetry::{MetricsRegistry, Span};
 
-use crate::cache::{CacheKey, CachedResult, ForecastCache};
+use crate::cache::{CacheKey, CachedResult, CanonicalTransfer, ForecastCache};
 use crate::faults::FaultInjector;
 use crate::metrics::ForecastMetrics;
 use crate::session::{ResolvedSpec, Session};
@@ -226,47 +213,28 @@ impl<T> Probed<T> {
     }
 }
 
-/// A forecast its probe stage could not answer, with what the probe
-/// already built, so the compute stage repeats none of it. It travels
-/// with the request (the HTTP front end moves it to a worker thread);
-/// the specs themselves stay with the caller.
+/// A forecast its probe stage could not answer, keyed against one
+/// session, so the compute stage repeats none of the probe's work. It
+/// travels with the request (the HTTP front end moves it to a worker
+/// thread); the request's own specs stay with the caller.
 pub struct Pending {
     platform: String,
-    /// Present when every route was in the session's map, so the probe
-    /// could build the key and count the cache miss.
-    keyed: Option<Keyed>,
+    session: Arc<Session>,
+    key: CacheKey,
 }
 
 impl Pending {
-    /// A forecast no probe looked at: the compute stage does everything,
-    /// the counted cache lookup included.
-    pub fn unprobed(platform: &str) -> Pending {
-        Pending { platform: platform.to_string(), keyed: None }
-    }
-
     /// The platform the forecast is for.
     pub fn platform(&self) -> &str {
         &self.platform
     }
 }
 
-/// A request resolved and keyed against one session.
-struct Keyed {
-    session: Arc<Session>,
-    resolved: Vec<ResolvedSpec>,
-    routes: Arc<[u32]>,
-    key: CacheKey,
-    /// The session's overlay version and the engine's epoch, read when
-    /// the key was built: the result is filed only if both still hold.
-    v0: u64,
-    e0: u64,
-}
-
-/// A flight's key: the cache key plus the overlay version and epoch its
-/// leader read. A request that read others — a link event or an epoch
-/// bump came between — joins no such flight, so no follower is handed an
-/// answer computed under an overlay older than the one it saw.
-type FlightKey = (CacheKey, u64, u64);
+/// A flight's key: the cache key plus the overlay version its leader
+/// read. A request that read another — a link event came between —
+/// joins no such flight, so no follower is handed an answer computed
+/// under an overlay older than the one it saw.
+type FlightKey = (CacheKey, u64);
 
 /// One in-flight coalesced computation: followers block on the condvar
 /// until the leader (or its panic guard) publishes an outcome.
@@ -310,8 +278,6 @@ pub struct ForecastEngine {
     /// hands out.
     next_session: AtomicU64,
     cache: ForecastCache,
-    /// Metrology epoch; bumped on metrology ingestion.
-    epoch: AtomicU64,
     /// Singleflight table: flight key → the in-flight computation
     /// concurrent duplicates should join.
     flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
@@ -333,7 +299,6 @@ impl ForecastEngine {
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             cache: ForecastCache::new(CACHE_CAPACITY),
-            epoch: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
             metrics: ForecastMetrics::default(),
             faults: RwLock::new(None),
@@ -424,20 +389,6 @@ impl ForecastEngine {
             .ok_or_else(|| ForecastError::UnknownPlatform(name.to_string()))
     }
 
-    /// The current metrology epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Advances the epoch (new metrology data arrived): the cache is
-    /// emptied, and a forecast still computing under the old epoch is
-    /// not filed (its validity check compares epochs).
-    pub fn bump_epoch(&self) -> u64 {
-        let new = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.cache.clear();
-        new
-    }
-
     /// Cache hits so far (tests / observability).
     pub fn cache_hits(&self) -> u64 {
         self.cache.hits()
@@ -489,8 +440,8 @@ impl ForecastEngine {
     /// [`ForecastCache::insert_if`]: the leader's result is filed with
     /// the query's route union for targeted invalidation, and only if
     /// `valid` still holds under the cache lock — the overlay-version
-    /// and epoch checks closing the race between a computation and a
-    /// concurrent `link_event` or `bump_epoch`.
+    /// check closing the race between a computation and a concurrent
+    /// `link_event`.
     fn coalesce(
         &self,
         flight: FlightKey,
@@ -572,95 +523,69 @@ impl ForecastEngine {
     }
 
     /// The probe stage of any forecast (see the module docs): validate,
-    /// look every host pair up in the session's route map, build the
-    /// key and look the cache up — counted as this request's one hit or
-    /// miss. It resolves no route, takes no flight and runs
-    /// no simulation: a request naming a host pair the route map does
-    /// not hold is handed on unprobed at that pair.
+    /// look every host up, key the query by host ids and size bits, and
+    /// look the cache up — counted as this request's one hit or miss. It
+    /// resolves no route, takes no flight and runs no simulation.
+    /// `hypotheses` is `None` for a predict batch, else a selection's
+    /// hypothesis lengths.
     fn probe<'a, T>(
         &self,
         platform: &str,
         specs: impl IntoIterator<Item = &'a TransferSpec>,
-        key: impl FnOnce(u64, &[ResolvedSpec]) -> CacheKey,
+        hypotheses: Option<Arc<[usize]>>,
         answer: fn(CachedResult) -> Result<T, ForecastError>,
     ) -> Result<Probed<T>, ForecastError> {
         let (id, session) = self.registered(platform)?;
-        // The cache_lookup stage covers key construction (route map,
-        // host ids) plus the lookup itself — everything between
-        // admission and the simulate/coalesce decision.
-        let lookup = Span::start(&self.metrics.stage_cache_lookup);
-        let Some(resolved) = session.resolve_cached(specs)? else {
-            // the compute stage's lookup is this request's one sample
-            lookup.cancel();
-            return Ok(Probed::Pending(Pending::unprobed(platform)));
-        };
-        let keyed = self.keyed(id, session, resolved, key);
-        Ok(match self.cache.get(&keyed.key) {
+        // The cache_lookup stage covers key construction (host lookups)
+        // plus the lookup itself — everything between admission and the
+        // simulate/coalesce decision.
+        let _lookup = Span::start(&self.metrics.stage_cache_lookup);
+        let transfers = specs
+            .into_iter()
+            .map(|spec| {
+                let (src, dst) = session.endpoints(spec)?;
+                Ok((src, dst, spec.size.to_bits()))
+            })
+            .collect::<Result<Arc<[CanonicalTransfer]>, ForecastError>>()?;
+        let key = CacheKey::new(id, transfers, hypotheses);
+        Ok(match self.cache.get(&key) {
             Some(hit) => Probed::Ready(answer(hit)?),
-            None => Probed::Pending(Pending { platform: platform.to_string(), keyed: Some(keyed) }),
+            None => Probed::Pending(Pending { platform: platform.to_string(), session, key }),
         })
     }
 
-    /// Builds the cache key of specs resolved against session `id`:
-    /// `key` gets the session id and resolved specs. Resolving up front
-    /// yields the host ids the key holds and the route union targeted
-    /// invalidation needs. The overlay version and epoch are read
-    /// *before* any simulation reads the overlay. A `link_event` bumps
-    /// the version under the overlay's write lock, so a computation
-    /// that read the new version simulates the new overlay, and one
-    /// that read the old version fails the later insert check or is
-    /// filed before the event's eviction; a racing `bump_epoch` can
-    /// only make the insert check fail.
-    fn keyed(
-        &self,
-        id: u64,
-        session: Arc<Session>,
-        resolved: Vec<ResolvedSpec>,
-        key: impl FnOnce(u64, &[ResolvedSpec]) -> CacheKey,
-    ) -> Keyed {
-        let routes = route_union(&resolved);
-        let v0 = session.overlay_version();
-        let e0 = self.epoch();
-        let key = key(id, &resolved);
-        Keyed { session, resolved, routes, key, v0, e0 }
-    }
-
-    /// The compute stage of any forecast: finish what the probe left
-    /// (resolve, key and look up, if it stopped at an uncached route —
-    /// that lookup is then the request's counted one, and a hit there
-    /// keeps the request's routes), then coalesce and run `simulate` as
-    /// the leader.
-    fn compute<'a>(
+    /// The compute stage of any forecast: resolve the routes of the
+    /// key's transfers, then coalesce and run `simulate` as the leader
+    /// on them, in request order. The route union files the result for
+    /// targeted invalidation.
+    fn compute(
         &self,
         pending: Pending,
-        specs: impl IntoIterator<Item = &'a TransferSpec>,
-        key: impl FnOnce(u64, &[ResolvedSpec]) -> CacheKey,
         simulate: impl FnOnce(&Session, &[ResolvedSpec]) -> Result<CachedResult, ForecastError>,
     ) -> Result<CachedResult, ForecastError> {
-        let keyed = match pending.keyed {
-            // the probe counted this request a miss; `coalesce` re-checks
-            // with `peek`
-            Some(keyed) => keyed,
-            None => {
-                let (id, session) = self.registered(&pending.platform)?;
-                let _lookup = Span::start(&self.metrics.stage_cache_lookup);
-                let resolved = resolve_all(&session, specs)?;
-                let keyed = self.keyed(id, session, resolved, key);
-                if let Some(hit) = self.cache.get(&keyed.key) {
-                    // an answer asked for again: keep its routes, so the
-                    // next ask is the probe's to answer
-                    keyed.session.keep_routes(&keyed.resolved);
-                    return Ok(hit);
-                }
-                keyed
-            }
-        };
-        let Keyed { session, resolved, routes, key, v0, e0 } = keyed;
+        let Pending { session, key, .. } = pending;
+        // Read before any simulation reads the overlay, and no earlier:
+        // an event while the request waited for a worker changes nothing
+        // here. A `link_event` bumps the version under the overlay's
+        // write lock, so a computation that read the new version
+        // simulates the new overlay, and one that read the old version
+        // fails the later insert check or is filed before the event's
+        // eviction.
+        let v0 = session.overlay_version();
+        let resolved = key
+            .transfers()
+            .iter()
+            .map(|&(src, dst, size)| {
+                let path = session.resolve(src, dst)?;
+                Ok(ResolvedSpec { src, dst, size: f64::from_bits(size), path })
+            })
+            .collect::<Result<Vec<_>, ForecastError>>()?;
+        let routes = route_union(&resolved);
         let valid_session = Arc::clone(&session);
         self.coalesce(
-            (key, v0, e0),
+            (key, v0),
             routes,
-            move || valid_session.overlay_version() == v0 && self.epoch() == e0,
+            move || valid_session.overlay_version() == v0,
             || {
                 self.begin_simulation();
                 simulate(&session, &resolved)
@@ -675,18 +600,14 @@ impl ForecastEngine {
         platform: &str,
         specs: &[TransferSpec],
     ) -> Result<Probed<Arc<Vec<f64>>>, ForecastError> {
-        self.probe(platform, specs, CacheKey::predict, predict_result)
+        self.probe(platform, specs, None, predict_result)
     }
 
-    /// Compute stage of [`ForecastEngine::predict`] for the same `specs`
-    /// the probe saw: one simulation of the whole batch, unless a
+    /// Compute stage of [`ForecastEngine::predict`] for the batch its
+    /// probe keyed: one simulation of the whole batch, unless a
     /// concurrent identical request is already running it.
-    pub fn compute_predict(
-        &self,
-        specs: &[TransferSpec],
-        pending: Pending,
-    ) -> Result<Arc<Vec<f64>>, ForecastError> {
-        let outcome = self.compute(pending, specs, CacheKey::predict, |session, resolved| {
+    pub fn compute_predict(&self, pending: Pending) -> Result<Arc<Vec<f64>>, ForecastError> {
+        let outcome = self.compute(pending, |session, resolved| {
             let durations = session.simulate(resolved)?;
             Ok(CachedResult::Predict(Arc::new(durations)))
         })?;
@@ -703,7 +624,7 @@ impl ForecastEngine {
     ) -> Result<Arc<Vec<f64>>, ForecastError> {
         match self.probe_predict(platform, specs)? {
             Probed::Ready(d) => Ok(d),
-            Probed::Pending(pending) => self.compute_predict(specs, pending),
+            Probed::Pending(pending) => self.compute_predict(pending),
         }
     }
 
@@ -732,31 +653,21 @@ impl ForecastEngine {
         hypotheses: &[Vec<TransferSpec>],
     ) -> Result<Probed<Arc<Selection>>, ForecastError> {
         check_hypotheses(hypotheses)?;
-        let key = |id, resolved: &[ResolvedSpec]| {
-            CacheKey::select(id, resolved, hypotheses.iter().map(Vec::len))
-        };
-        self.probe(platform, hypotheses.iter().flatten(), key, select_result)
+        let lengths = hypotheses.iter().map(Vec::len).collect();
+        self.probe(platform, hypotheses.iter().flatten(), Some(lengths), select_result)
     }
 
-    /// Compute stage of [`ForecastEngine::select_fastest`] for the same
-    /// `hypotheses` the probe saw: simulates the hypotheses the lower
+    /// Compute stage of [`ForecastEngine::select_fastest`] for the
+    /// hypotheses its probe keyed: simulates the hypotheses the lower
     /// bound cannot rule out, one after another on the calling thread.
-    pub fn compute_select(
-        &self,
-        hypotheses: &[Vec<TransferSpec>],
-        pending: Pending,
-    ) -> Result<Arc<Selection>, ForecastError> {
-        let outcome = self.compute(
-            pending,
-            hypotheses.iter().flatten(),
-            |id, resolved: &[ResolvedSpec]| {
-                CacheKey::select(id, resolved, hypotheses.iter().map(Vec::len))
-            },
-            |session, resolved| {
-                let selection = self.compute_selection(session, hypotheses, resolved)?;
-                Ok(CachedResult::Select(Arc::new(selection)))
-            },
-        )?;
+    pub fn compute_select(&self, pending: Pending) -> Result<Arc<Selection>, ForecastError> {
+        let Some(lengths) = pending.key.hypotheses().cloned() else {
+            return Err(ForecastError::Internal("a predict handed to compute_select".into()));
+        };
+        let outcome = self.compute(pending, |session, resolved| {
+            let selection = self.compute_selection(session, &lengths, resolved)?;
+            Ok(CachedResult::Select(Arc::new(selection)))
+        })?;
         select_result(outcome)
     }
 
@@ -770,23 +681,24 @@ impl ForecastEngine {
     ) -> Result<Arc<Selection>, ForecastError> {
         match self.probe_select(platform, hypotheses)? {
             Probed::Ready(s) => Ok(s),
-            Probed::Pending(pending) => self.compute_select(hypotheses, pending),
+            Probed::Pending(pending) => self.compute_select(pending),
         }
     }
 
     /// The selection loop (one leader computation): simulate in
     /// lower-bound order, pruning against the running best. `resolved`
-    /// holds every hypothesis' specs, flattened in order.
+    /// holds every hypothesis' specs, flattened in order, and `lengths`
+    /// how many of them each hypothesis has.
     fn compute_selection(
         &self,
         session: &Session,
-        hypotheses: &[Vec<TransferSpec>],
+        lengths: &[usize],
         mut resolved: &[ResolvedSpec],
     ) -> Result<Selection, ForecastError> {
-        let hypotheses: Vec<&[ResolvedSpec]> = hypotheses
+        let hypotheses: Vec<&[ResolvedSpec]> = lengths
             .iter()
-            .map(|h| {
-                let (specs, rest) = resolved.split_at(h.len());
+            .map(|&len| {
+                let (specs, rest) = resolved.split_at(len);
                 resolved = rest;
                 specs
             })
@@ -820,8 +732,8 @@ impl ForecastEngine {
     /// and cache: the session's link-state overlay records it (every
     /// later simulation sees the degraded capacities) and the cache
     /// drops exactly the entries whose routes cross the link —
-    /// returning how many were evicted. No epoch bump: forecasts for
-    /// routes the event cannot touch keep hitting their cached answers.
+    /// returning how many were evicted. Forecasts for routes the event
+    /// cannot touch keep hitting their cached answers.
     pub fn link_event(
         &self,
         platform: &str,
@@ -847,9 +759,11 @@ impl ForecastEngine {
         self.cache.invalidated_targeted()
     }
 
-    /// Cache entries dropped by epoch bumps.
+    /// Always 0: nothing empties the cache wholesale. Inert; it stays
+    /// only because the standalone `benchmark/` package's `layers.rs`
+    /// reads it for the `forecast.cache.invalidated_epoch_total` row.
     pub fn invalidated_epoch(&self) -> u64 {
-        self.cache.invalidated_epoch()
+        0
     }
 }
 
@@ -869,14 +783,6 @@ fn select_result(outcome: CachedResult) -> Result<Arc<Selection>, ForecastError>
             Err(ForecastError::Internal("select key yielded a prediction".into()))
         }
     }
-}
-
-/// Resolves request tuples in order; the first invalid one is the error.
-fn resolve_all<'a>(
-    session: &Session,
-    specs: impl IntoIterator<Item = &'a TransferSpec>,
-) -> Result<Vec<ResolvedSpec>, ForecastError> {
-    specs.into_iter().map(|s| session.resolve_spec(s)).collect()
 }
 
 /// Sorted, deduplicated union of the solver resources crossed by a set

@@ -15,10 +15,9 @@
 //! ## Warm sessions ([`session`])
 //!
 //! Per-platform scaffolding that queries should not rebuild: the solver
-//! capacity vector (built once per platform), the routes of forecasts
-//! asked more than once (endpoint pair → [`simflow::ResolvedPath`]),
-//! the link-state overlay that serving-time link events leave, and the
-//! scratch of finished simulations — a dozen platform-sized arrays that
+//! capacity vector (built once per platform), the link-state overlay
+//! that serving-time link events leave, and the scratch of finished
+//! simulations — a dozen platform-sized arrays that
 //! each forecast resets by visiting only what the previous one touched,
 //! so a warm forecast costs in proportion to its request, not to the
 //! platform. Sessions are `Arc`-shared across HTTP workers; the backing
@@ -26,18 +25,18 @@
 //!
 //! ## A cache keyed by the query
 //!
-//! A forecast is a pure function of `(session, overlay, resolved
-//! query)`. The cache keys it by the session's registration id and the
-//! query as host ids + size bits, which the probe has already resolved;
-//! a repeated query returns the memoized result, which renders to
-//! bit-identical JSON upstream. The overlay stays out of the key
-//! because no entry outlives it: a serving-time link event (a link
+//! A forecast is a pure function of `(session, overlay, query)`. The
+//! cache keys it by the session's registration id and the query as host
+//! ids + size bits, which the probe builds from host names alone, with
+//! no route; a repeated query returns the memoized result, which
+//! renders to bit-identical JSON upstream. The overlay stays out of the
+//! key because no entry outlives it: a serving-time link event (a link
 //! degrading, failing or recovering — [`ForecastEngine::link_event`])
 //! evicts exactly the entries whose routes cross the link, while
-//! disjoint queries keep hitting. Ingesting new metrology data bumps the
-//! engine's epoch ([`ForecastEngine::bump_epoch`]), which empties the
-//! cache. A result computed across either is not filed (the `cache`
-//! module docs have the full contract).
+//! disjoint queries keep hitting. A result computed across an event is
+//! not filed (the `cache` module docs have the full contract). The
+//! cache is the one record of what was asked before: nothing else
+//! remembers a query.
 //!
 //! ## Determinism
 //!
@@ -57,10 +56,10 @@
 //!
 //! Concurrent duplicate requests are *coalesced* ([`engine`] module
 //! docs): one leader simulates, followers that read the same overlay
-//! and epoch share its `Arc`'d result — panic-safe, counted, and
+//! version share its `Arc`'d result — panic-safe, counted, and
 //! bit-identical by the determinism contract.
-//! A leader's result is filed only if the epoch and overlay it read are
-//! still current, so the cache never answers with a forecast the engine has
+//! A leader's result is filed only if the overlay it read is still
+//! current, so the cache never answers with a forecast the engine has
 //! declared out of date. [`faults`] provides the seed-deterministic
 //! fault injection the chaos tests drive all of this with.
 

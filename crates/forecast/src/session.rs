@@ -1,17 +1,16 @@
 //! Warm per-platform simulation sessions.
 //!
-//! Building a [`Simulation`] involves three per-request costs the
-//! serving path should not pay twice: constructing the solver capacity
-//! vector (`O(links + hosts)`), building the simulation's scratch — a
-//! dozen arrays with one entry per resource — and resolving routes
-//! (`O(zone depth)` per endpoint pair). A [`Session`] amortizes all
-//! three across queries against the same platform: the capacity vector
-//! is built once, [`Session::simulate`] recycles the scratch of finished
-//! simulations ([`SimScratch`]), and the routes of a forecast that is
-//! asked again are kept (`Session::keep_routes`) so its next probe
-//! finds them without computing one. A route asked for once is
-//! resolved through the platform's own (zone, zone) memo and dropped:
-//! per-pair state is kept only for traffic that comes back.
+//! Building a [`Simulation`] involves two per-request costs the serving
+//! path should not pay twice: constructing the solver capacity vector
+//! (`O(links + hosts)`) and building the simulation's scratch — a dozen
+//! arrays with one entry per resource. A [`Session`] amortizes both
+//! across queries against the same platform: the capacity vector is
+//! built once, and [`Session::simulate`] recycles the scratch of
+//! finished simulations ([`SimScratch`]). A session keeps no per-pair
+//! state: [`Session::resolve`] is the platform's own resolution, whose
+//! (zone, zone) memo makes a route `O(route length)`, and a forecast
+//! asked again is answered from the engine's cache, which needs no
+//! route to find it.
 //!
 //! A session also holds the platform's **link-state overlay**: capacity
 //! factors and down markers applied by [`Session::apply_link_event`]
@@ -30,7 +29,7 @@
 //! lock-protected and all of it is rebuildable, so a session is never
 //! invalidated — only its overlay changes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -42,12 +41,6 @@ use simflow::{
 use crate::metrics::KernelCounters;
 
 use crate::engine::{ForecastError, TransferSpec};
-
-/// Upper bound on the `(src, dst)` routes a session keeps (see
-/// [`Session::keep_routes`]). Only repeated forecasts file routes, so
-/// this bounds adversarial traffic — many distinct queries, each asked
-/// twice — not ordinary cold traffic, which keeps none.
-const ROUTE_CACHE_CAP: usize = 1 << 16;
 
 /// The overlay state of one degraded resource (identity — factor 1,
 /// not down — is never stored; such entries are removed eagerly so an
@@ -72,9 +65,6 @@ pub struct Session {
     /// most as many as ran at once: each call takes one (or builds one
     /// when the list is empty) and gives one back.
     scratch: Mutex<Vec<SimScratch>>,
-    /// Kept route resolutions of repeated forecasts, keyed by endpoint
-    /// pair: what the probe stage reads ([`Session::resolve_cached`]).
-    routes: RwLock<HashMap<(HostId, HostId), Arc<ResolvedPath>>>,
     /// Link-state overlay: solver resource id → degraded state, in
     /// ascending resource order.
     overlay: RwLock<BTreeMap<u32, LinkState>>,
@@ -115,7 +105,6 @@ impl Session {
             config,
             capacities,
             scratch: Mutex::new(Vec::new()),
-            routes: RwLock::new(HashMap::new()),
             overlay: RwLock::new(BTreeMap::new()),
             overlay_version: AtomicU64::new(0),
             kernel,
@@ -133,9 +122,11 @@ impl Session {
         &self.platform
     }
 
-    /// Number of routes kept (observability / tests).
+    /// Always 0: a session keeps no routes. Inert; it stays only
+    /// because the standalone `benchmark/` package's `layers.rs` reads
+    /// it for the `forecast.session.routes_cached_end` row.
     pub fn routes_cached(&self) -> usize {
-        self.routes.read().unwrap_or_else(PoisonError::into_inner).len()
+        0
     }
 
     /// Labels `requests` (route resource lists) with dense component
@@ -214,39 +205,19 @@ impl Session {
             .ok_or_else(|| ForecastError::UnknownHost(name.to_string()))
     }
 
-    /// The route between two hosts: the kept one if the session holds
-    /// it, else resolved through the platform (whose cluster-pair route
-    /// memo makes that `O(route length)`) and not kept — only
-    /// `Session::keep_routes` files a route.
+    /// The route between two hosts, resolved through the platform (whose
+    /// cluster-pair route memo makes that `O(route length)`).
     pub fn resolve(&self, src: HostId, dst: HostId) -> Result<Arc<ResolvedPath>, ForecastError> {
-        if let Some(p) =
-            self.routes.read().unwrap_or_else(PoisonError::into_inner).get(&(src, dst))
-        {
-            return Ok(Arc::clone(p));
-        }
         ResolvedPath::resolve(&self.platform, &self.config, src, dst)
             .map(Arc::new)
             .map_err(ForecastError::Sim)
     }
 
-    /// Keeps the routes of `resolved`, a request whose answer was just
-    /// asked for again, so its next probe finds every pair without
-    /// computing a route. The map holds at most [`ROUTE_CACHE_CAP`]
-    /// pairs — on a 100k-host platform the pair space is ~10¹⁰ — and a
-    /// pair filed already keeps its first entry, so every caller shares
-    /// one allocation.
-    pub(crate) fn keep_routes(&self, resolved: &[ResolvedSpec]) {
-        let mut routes = self.routes.write().unwrap_or_else(PoisonError::into_inner);
-        for r in resolved {
-            if routes.len() >= ROUTE_CACHE_CAP {
-                return;
-            }
-            routes.entry((r.src, r.dst)).or_insert_with(|| Arc::clone(&r.path));
-        }
-    }
-
     /// Validates a request tuple's size and looks its hosts up.
-    fn endpoints(&self, spec: &TransferSpec) -> Result<(HostId, HostId), ForecastError> {
+    pub(crate) fn endpoints(
+        &self,
+        spec: &TransferSpec,
+    ) -> Result<(HostId, HostId), ForecastError> {
         if !spec.size.is_finite() || spec.size < 0.0 {
             return Err(ForecastError::BadSize(spec.size));
         }
@@ -258,26 +229,6 @@ impl Session {
         let (src, dst) = self.endpoints(spec)?;
         let path = self.resolve(src, dst)?;
         Ok(ResolvedSpec { src, dst, size: spec.size, path })
-    }
-
-    /// [`Session::resolve_spec`] over a whole request, from the kept
-    /// routes only: `Ok(None)` at the first host pair the map does not
-    /// hold, and no route is ever computed — this is what the engine's
-    /// probe stage may run on a thread that must not stall. Specs are
-    /// validated in order up to that pair, so an error returned here is
-    /// the one resolving everything would have returned first.
-    pub fn resolve_cached<'a>(
-        &self,
-        specs: impl IntoIterator<Item = &'a TransferSpec>,
-    ) -> Result<Option<Vec<ResolvedSpec>>, ForecastError> {
-        let routes = self.routes.read().unwrap_or_else(PoisonError::into_inner);
-        let mut resolved = Vec::new();
-        for spec in specs {
-            let (src, dst) = self.endpoints(spec)?;
-            let Some(path) = routes.get(&(src, dst)) else { return Ok(None) };
-            resolved.push(ResolvedSpec { src, dst, size: spec.size, path: Arc::clone(path) });
-        }
-        Ok(Some(resolved))
     }
 
     /// A simulation of the platform as the link events so far left it,

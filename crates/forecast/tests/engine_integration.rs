@@ -1,6 +1,7 @@
 //! Integration tests of the forecast engine against a synthetic
 //! multi-cluster platform: answers must equal from-scratch kernel runs,
-//! sessions must actually stay warm, and the epoch must gate the cache.
+//! sessions must actually stay warm, and a repeated query must hit the
+//! cache.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -196,17 +197,20 @@ fn session_stays_warm_across_queries() {
     let e = engine();
     let q = vec![spec("alpha-0", "beta-3", 5e8), spec("alpha-1", "alpha-2", 5e8)];
     e.predict("twoc", &q).unwrap();
-    let session = e.session("twoc").unwrap();
-    assert_eq!(session.routes_cached(), 0, "a query asked once keeps no route");
-    // asked again: a cache hit, which keeps the query's routes
+    let platform = e.platform("twoc").unwrap();
+    let cold = platform.route_memo_stats();
+    assert!(cold.entries > 0, "the cross-cluster route filled the platform's memo");
+    // asked again: a hit, which resolves no route and simulates nothing
     e.predict("twoc", &q).unwrap();
-    let warmed = session.routes_cached();
-    assert!(warmed >= 2, "routes kept: {warmed}");
-    // same endpoints, different sizes: no new resolutions
+    assert_eq!((e.cache_hits(), e.simulations()), (1, 1));
+    assert_eq!(platform.route_memo_stats(), cold, "a hit resolves no route");
+    // same endpoints, different sizes: simulated, on memoized routes
     let q2 = vec![spec("alpha-0", "beta-3", 1e6), spec("alpha-1", "alpha-2", 2e6)];
-    assert!(session.resolve_cached(&q2).unwrap().is_some(), "the kept routes cover q2");
     e.predict("twoc", &q2).unwrap();
-    assert_eq!(session.routes_cached(), warmed, "repeat endpoints resolve nothing");
+    let warm = platform.route_memo_stats();
+    assert_eq!((warm.entries, warm.links), (cold.entries, cold.links), "no new memo entry");
+    assert!(warm.hits > cold.hits, "the cross-cluster route came from the memo");
+    assert_eq!(e.simulations(), 2);
 }
 
 /// What `Pnfs::predict_reference` computes: the batch, in order, on a
@@ -266,7 +270,7 @@ fn served_answers_equal_the_reference_across_link_events() {
 }
 
 #[test]
-fn cache_hits_within_epoch_and_misses_after_bump() {
+fn identical_and_textually_equal_queries_hit_the_cache() {
     let e = engine();
     let q = vec![spec("alpha-0", "alpha-1", 5e8)];
     let first = e.predict("twoc", &q).unwrap();
@@ -278,37 +282,7 @@ fn cache_hits_within_epoch_and_misses_after_bump() {
     let q_canonical = vec![spec("alpha-0", "alpha-1", 500_000_000.0)];
     e.predict("twoc", &q_canonical).unwrap();
     assert_eq!(e.cache_hits(), 2);
-
-    let before = e.epoch();
-    e.bump_epoch();
-    assert_eq!(e.epoch(), before + 1);
-    assert_eq!(e.cache_len(), 0, "stale entries purged");
-    e.predict("twoc", &q).unwrap();
-    assert_eq!(e.cache_hits(), 2, "post-bump query re-simulates");
-}
-
-#[test]
-fn a_forecast_that_outlives_its_epoch_is_never_filed() {
-    let e = Arc::new(engine());
-    // The first leader computation bumps the epoch from inside, after its
-    // key was built and before it simulates, so its result finishes under
-    // a retired epoch.
-    let injector = Arc::new(FaultInjector::new(FaultPlan::new(0).force(0, Fault::Flap)));
-    let weak = Arc::downgrade(&e);
-    injector.set_flap_hook(Some(Box::new(move |_| {
-        weak.upgrade().expect("the engine outlives its computations").bump_epoch();
-    })));
-    e.set_fault_injector(Some(injector));
-    let q = vec![spec("alpha-0", "alpha-1", 5e8)];
-    let answer = e.predict("twoc", &q).unwrap();
-    assert_eq!(e.epoch(), 1, "the bump ran mid-computation");
-    assert_eq!(e.cache_len(), 0, "a result of a retired epoch must not be filed");
-    assert_eq!(e.invalidated_epoch(), 0, "refused at the door, not filed and purged later");
-
-    let again = e.predict("twoc", &q).unwrap();
-    assert_eq!(e.simulations(), 2, "the next identical predict simulates again");
-    assert_eq!(e.cache_len(), 1, "and its current-epoch result is filed");
-    assert_eq!(again, answer, "same background, same answer");
+    assert_eq!((e.cache_len(), e.simulations()), (1, 1));
 }
 
 #[test]
@@ -577,4 +551,30 @@ fn leader_panic_fails_followers_cleanly_and_engine_recovers() {
     let reference = engine().select_fastest("twoc", &hypotheses()).unwrap();
     assert_eq!(retry.best, reference.best);
     assert_eq!(retry.best_makespan.to_bits(), reference.best_makespan.to_bits());
+}
+
+/// Routes are resolved only by the compute stage, after the probe has
+/// checked every transfer's size and hosts: a bad host anywhere in a
+/// request is reported before a routing error in an earlier transfer.
+#[test]
+fn a_bad_host_is_reported_before_an_earlier_transfer_without_a_route() {
+    let mut b = PlatformBuilder::new("root", RoutingKind::Full);
+    let root = b.root_zone();
+    let (a, c) = (b.add_host(root, "a", 1e9), b.add_host(root, "c", 1e9));
+    b.add_host(root, "lone", 1e9);
+    let l = b.add_link("l", 1.25e8, 1e-4, SharingPolicy::Shared);
+    b.add_route(root, Element::Point(a.netpoint()), Element::Point(c.netpoint()), vec![l], true);
+    let e = ForecastEngine::new(NetworkConfig::default());
+    e.register_platform("islands", b.build().unwrap());
+
+    let unroutable = spec("a", "lone", 1e8);
+    let alone = e.predict("islands", std::slice::from_ref(&unroutable));
+    assert!(matches!(alone, Err(ForecastError::Sim(_))), "{alone:?}");
+    for (second, want) in [
+        (spec("a", "ghost", 1e8), ForecastError::UnknownHost("ghost".into())),
+        (spec("a", "c", -1.0), ForecastError::BadSize(-1.0)),
+    ] {
+        assert_eq!(e.predict("islands", &[unroutable.clone(), second]), Err(want));
+    }
+    assert_eq!((e.simulations(), e.cache_len()), (0, 0));
 }

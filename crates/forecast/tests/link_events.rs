@@ -188,15 +188,14 @@ fn link_event_error_surface() {
 #[test]
 fn warm_session_applies_events_without_rebuild() {
     // The same session object keeps serving across a whole
-    // degrade/restore cycle, its kept routes intact.
+    // degrade/restore cycle, its overlay back to pristine at the end.
     let e = engine();
     let q = vec![spec("alpha-0", "beta-3", 5e8)];
     let quiet = e.predict("twoc", &q).unwrap()[0];
-    // asked again: a cache hit, which keeps the query's route
+    // asked again: a cache hit
     assert_eq!(e.predict("twoc", &q).unwrap()[0].to_bits(), quiet.to_bits());
+    assert_eq!(e.simulations(), 1);
     let session = e.session("twoc").unwrap();
-    let warmed = session.routes_cached();
-    assert!(warmed >= 1);
 
     // 0.05 × 1.25e9 = 6.25e7 B/s — below the 1.25e8 access links, so
     // the backbone genuinely binds.
@@ -212,5 +211,6 @@ fn warm_session_applies_events_without_rebuild() {
 
     let same_session = e.session("twoc").unwrap();
     assert!(std::sync::Arc::ptr_eq(&session, &same_session), "no session rebuild");
-    assert_eq!(same_session.routes_cached(), warmed, "kept routes survive events");
+    assert_eq!(same_session.overlay_len(), 0, "a restored link leaves no overlay entry");
+    assert_eq!(e.simulations(), 3, "each event evicted the answer, which re-simulated once");
 }

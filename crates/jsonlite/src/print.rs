@@ -42,11 +42,15 @@ fn write_number(n: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // JSON has no NaN/Inf; the metrology service uses null for unknown
         return f.write_str("null");
     }
+    // Rust's shortest round-trip float formatting: positional where that
+    // stays short, with an exponent outside that range (`Display` never
+    // uses one, so 1e-300 would print 300 zeros)
     if n.fract() == 0.0 && n.abs() < 1e15 {
         write!(f, "{}", n as i64)
-    } else {
-        // Rust's shortest round-trip float formatting
+    } else if (1e-5..1e15).contains(&n.abs()) {
         write!(f, "{n}")
+    } else {
+        write!(f, "{n:e}")
     }
 }
 
@@ -124,6 +128,17 @@ mod tests {
         assert_eq!(Value::Number(16.0044).to_string(), "16.0044");
         assert_eq!(Value::Number(4.76841).to_string(), "4.76841");
         assert_eq!(Value::Number(-0.5).to_string(), "-0.5");
+    }
+
+    #[test]
+    fn tiny_and_huge_numbers_print_with_an_exponent() {
+        assert_eq!(Value::Number(1e-300).to_string(), "1e-300");
+        assert_eq!(Value::Number(1.7e308).to_string(), "1.7e308");
+        assert_eq!(Value::Number(-2.5e-7).to_string(), "-2.5e-7");
+        assert_eq!(Value::Number(1e15).to_string(), "1e15");
+        assert_eq!(Value::Number(999999999999999.0).to_string(), "999999999999999");
+        assert_eq!(Value::Number(0.00001).to_string(), "0.00001");
+        assert_eq!(Value::Number(-0.0).to_string(), "0");
     }
 
     #[test]
