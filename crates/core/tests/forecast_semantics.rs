@@ -8,6 +8,7 @@ use g5k::{synth, to_simflow, Flavor};
 use pilgrim_core::http::Request;
 use pilgrim_core::{Metrology, PilgrimService, Pnfs, TransferRequest};
 use rrd::{ArchiveSpec, Cf, Database, DsKind};
+use seeded::SmallRng;
 use simflow::{NetworkConfig, PlatformEventKind, SimTime, Simulation};
 
 fn served_pnfs() -> Pnfs {
@@ -16,38 +17,29 @@ fn served_pnfs() -> Pnfs {
     pnfs
 }
 
-/// Deterministic LCG so the "randomized" sets are reproducible.
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self, m: usize) -> usize {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((self.0 >> 33) as usize) % m
-    }
-}
-
-fn random_hypotheses(rng: &mut Lcg, n_hyp: usize) -> Vec<Vec<TransferRequest>> {
+fn random_hypotheses(rng: &mut SmallRng, n_hyp: usize) -> Vec<Vec<TransferRequest>> {
     let clusters = ["sagittaire", "capricorne", "graphene", "griffon"];
     let sites = ["lyon", "lyon", "nancy", "nancy"];
     (0..n_hyp)
         .map(|_| {
-            (0..1 + rng.next(5))
+            (0..1 + rng.gen_range(0..5))
                 .map(|_| {
-                    let cs = rng.next(4);
-                    let cd = rng.next(4);
+                    let cs = rng.gen_range(0..4);
+                    let cd = rng.gen_range(0..4);
                     TransferRequest {
                         src: format!(
                             "{}-{}.{}.grid5000.fr",
                             clusters[cs],
-                            1 + rng.next(30),
+                            1 + rng.gen_range(0..30),
                             sites[cs]
                         ),
                         dst: format!(
                             "{}-{}.{}.grid5000.fr",
                             clusters[cd],
-                            1 + rng.next(30),
+                            1 + rng.gen_range(0..30),
                             sites[cd]
                         ),
-                        size: 1e7 * (1 + rng.next(200)) as f64,
+                        size: 1e7 * (1 + rng.gen_range(0..200)) as f64,
                     }
                 })
                 .collect()
@@ -58,9 +50,9 @@ fn random_hypotheses(rng: &mut Lcg, n_hyp: usize) -> Vec<Vec<TransferRequest>> {
 #[test]
 fn pooled_select_matches_reference_on_randomized_sets() {
     let pnfs = served_pnfs();
-    let mut rng = Lcg(0xC0FFEE);
+    let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
     for round in 0..6 {
-        let n_hyp = 8 + rng.next(5);
+        let n_hyp = 8 + rng.gen_range(0..5);
         let hypotheses = random_hypotheses(&mut rng, n_hyp);
         let served = pnfs.select_fastest("g5k_test", &hypotheses).unwrap();
         let reference = pnfs.select_fastest_reference("g5k_test", &hypotheses).unwrap();
@@ -172,7 +164,7 @@ fn raised_capacity_does_not_prune_the_true_winner() {
 #[test]
 fn pooled_predict_matches_reference_on_randomized_batches() {
     let pnfs = served_pnfs();
-    let mut rng = Lcg(0xBEEF);
+    let mut rng = SmallRng::seed_from_u64(0xBEEF);
     for round in 0..6 {
         let batch = random_hypotheses(&mut rng, 1).pop().unwrap();
         let served = pnfs.predict("g5k_test", &batch).unwrap();

@@ -2,7 +2,7 @@
 //! keys every forecast GET itself, so no query may panic there, and the
 //! two-stage path must answer exactly what the one-call path does.
 //!
-//! A seeded generator (an LCG, so every run asks the same queries) builds
+//! A seeded generator (so every run asks the same queries) builds
 //! `predict_transfers` and `select_fastest` queries with missing and
 //! extra fields, empty hypotheses, sizes that are not finite, negative,
 //! negative zero, subnormal or overflowing, unknown hosts and platforms,
@@ -18,6 +18,7 @@ use std::sync::Arc;
 use g5k::{synth, to_simflow, Flavor};
 use pilgrim_core::http::{Handle, Probe, Request, Response};
 use pilgrim_core::{Metrology, PilgrimService, Pnfs};
+use seeded::SmallRng;
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::platform::SharingPolicy;
@@ -65,18 +66,8 @@ fn service() -> Arc<PilgrimService> {
     Arc::new(PilgrimService::new(Metrology::new(), pnfs))
 }
 
-/// Deterministic LCG, as in `forecast_semantics.rs`.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self, m: usize) -> usize {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((self.0 >> 33) as usize) % m
-    }
-
-    fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
-        xs[self.next(xs.len())]
-    }
+fn pick<'a>(rng: &mut SmallRng, xs: &[&'a str]) -> &'a str {
+    xs[rng.gen_range(0..xs.len())]
 }
 
 /// One generated query: what to ask, and whether it is well formed —
@@ -103,7 +94,7 @@ const BAD_SIZES: [&str; 6] = ["NaN", "inf", "-inf", "-1", "1e400", "-1e400"];
 
 /// A generator of forecast queries over the two platforms.
 struct Generator {
-    rng: Lcg,
+    rng: SmallRng,
 }
 
 impl Generator {
@@ -112,18 +103,18 @@ impl Generator {
     /// host or carrying a size the engine refuses. Returns the text and
     /// whether the service parses it and the engine takes it.
     fn transfer(&mut self, hosts: &[&str]) -> (String, bool, bool) {
-        let host = |rng: &mut Lcg| match rng.next(30) {
+        let host = |rng: &mut SmallRng| match rng.gen_range(0..30) {
             0 => ("ghost", false),
             1 => ("h0.lyon", false),
-            _ => (rng.pick(hosts), true),
+            _ => (pick(rng, hosts), true),
         };
         let (src, src_known) = host(&mut self.rng);
         let (dst, dst_known) = host(&mut self.rng);
-        let (size, size_ok) = match self.rng.next(12) {
-            0 => (self.rng.pick(&BAD_SIZES), false),
-            _ => (self.rng.pick(&SIZES), true),
+        let (size, size_ok) = match self.rng.gen_range(0..12) {
+            0 => (pick(&mut self.rng, &BAD_SIZES), false),
+            _ => (pick(&mut self.rng, &SIZES), true),
         };
-        match self.rng.next(40) {
+        match self.rng.gen_range(0..40) {
             0 => (format!("{src},{dst}"), false, false),
             1 => (format!("{src},{dst},{size},7"), false, false),
             2 => (format!(",{dst},{size}"), false, false),
@@ -135,7 +126,7 @@ impl Generator {
     /// A platform name (sometimes an unknown one) and its hosts.
     fn platform(&mut self) -> (&'static str, bool, &'static [&'static str]) {
         const FZ: [&str; 8] = ["h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"];
-        match self.rng.next(10) {
+        match self.rng.gen_range(0..10) {
             0 => ("nope", false, &G5K_HOSTS),
             1..=3 => ("fz", true, &FZ),
             _ => ("g5k_test", true, &G5K_HOSTS),
@@ -144,15 +135,15 @@ impl Generator {
 
     /// How many items a list gets: 1 to `most`, and now and then none.
     fn count(&mut self, most: usize) -> usize {
-        match self.rng.next(12) {
+        match self.rng.gen_range(0..12) {
             0 => 0,
-            _ => 1 + self.rng.next(most),
+            _ => 1 + self.rng.gen_range(0..most),
         }
     }
 
     /// Extra parameters the endpoints ignore, or none.
     fn extra(&mut self) -> &'static str {
-        ["", "", "&verbose=1", "&transfer_=x", "&hypotheses=2"][self.rng.next(5)]
+        ["", "", "&verbose=1", "&transfer_=x", "&hypotheses=2"][self.rng.gen_range(0..5)]
     }
 
     fn predict(&mut self) -> Query {
@@ -213,8 +204,8 @@ impl Generator {
         let room = REQUEST_LINE_CAP - path.len() - "GET ? HTTP/1.1".len();
         let mut query = String::new();
         loop {
-            let (src, dst) = (self.rng.next(8), self.rng.next(8));
-            let size = 1e8 + self.rng.next(1 << 20) as f64 * 1e3;
+            let (src, dst) = (self.rng.gen_range(0..8), self.rng.gen_range(0..8));
+            let size = 1e8 + self.rng.gen_range(0..1 << 20) as f64 * 1e3;
             let t = format!("transfer=h{src},h{dst},{size}");
             if query.len() + t.len() + 1 > room {
                 break;
@@ -247,7 +238,7 @@ fn no_generated_query_panics_the_probe_and_both_paths_answer_alike() {
     let svc = service();
     let engine = svc.pnfs.engine();
     let lookups = || engine.cache_hits() + engine.cache_misses();
-    let mut gen = Generator { rng: Lcg(0x5EED_F022) };
+    let mut gen = Generator { rng: SmallRng::seed_from_u64(0x5EED_F022) };
     let mut queries: Vec<Query> =
         (0..400).map(|i| if i % 2 == 0 { gen.predict() } else { gen.select() }).collect();
     queries.push(gen.huge(None));

@@ -12,9 +12,7 @@
 
 use packetsim::FlowSpec;
 use pilgrim_core::TransferRequest;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use seeded::SmallRng;
 
 use crate::figures::Lab;
 use crate::stats::{box_stats, log2_error, BoxStats};
@@ -41,8 +39,8 @@ pub fn draw_directed_pairs(
     let mut srcs = hosts_of(src_site);
     let mut dsts = hosts_of(dst_site);
     assert!(n <= srcs.len() && n <= dsts.len(), "site too small for {n} endpoints");
-    srcs.shuffle(&mut rng);
-    dsts.shuffle(&mut rng);
+    rng.shuffle(&mut srcs);
+    rng.shuffle(&mut dsts);
     (0..n)
         .map(|i| FlowPair { src: srcs[i].clone(), dst: dsts[i].clone() })
         .collect()

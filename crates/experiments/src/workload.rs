@@ -8,9 +8,7 @@
 //! some nodes source several transfers (and symmetrically).
 
 use g5k::RefApi;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use seeded::SmallRng;
 
 /// The paper's 10 transfer sizes (bytes), geometric from 1e5 to 1e10 —
 /// matching the tick labels of its figures (1.00e+05, 3.59e+05, …).
@@ -135,7 +133,7 @@ fn split_sample(
         n_dst
     );
     let mut shuffled: Vec<String> = pool.to_vec();
-    shuffled.shuffle(rng);
+    rng.shuffle(&mut shuffled);
     if n_src + n_dst <= shuffled.len() {
         let srcs = shuffled[..n_src].to_vec();
         let dsts = shuffled[n_src..n_src + n_dst].to_vec();

@@ -33,10 +33,10 @@
 //!   included;
 //! * the **compute** stage ([`ForecastEngine::compute_predict`],
 //!   [`ForecastEngine::compute_select`]) takes the [`Pending`] the probe
-//!   returned — session and key — reads the overlay version, resolves
-//!   the key's routes, coalesces, simulates. It repeats none of the
-//!   probe's work, and its cache re-check does not count, so hits +
-//!   misses advance by one per forecast.
+//!   returned — session and key — reads the overlay version and
+//!   coalesces; only the leader resolves the key's routes and simulates.
+//!   It repeats none of the probe's work, and its cache re-check does
+//!   not count, so hits + misses advance by one per forecast.
 //!
 //! [`ForecastEngine::predict`] and [`ForecastEngine::select_fastest`] are
 //! the two stages back to back on the caller.
@@ -436,18 +436,18 @@ impl ForecastEngine {
     /// Runs `compute` under singleflight: the first request for `flight`
     /// becomes the leader and computes; concurrent duplicates block and
     /// share its outcome. See the module docs for the panic-handoff and
-    /// cache-ordering invariants. `routes` and `valid` flow into
-    /// [`ForecastCache::insert_if`]: the leader's result is filed with
-    /// the query's route union for targeted invalidation, and only if
-    /// `valid` still holds under the cache lock — the overlay-version
-    /// check closing the race between a computation and a concurrent
+    /// cache-ordering invariants. `compute` gets the flight's key and
+    /// returns the result with the query's route union, and both flow into
+    /// [`ForecastCache::insert_if`] with `valid`: the result is filed
+    /// under its routes for targeted invalidation, and only if `valid`
+    /// still holds under the cache lock — the overlay-version check
+    /// closing the race between a computation and a concurrent
     /// `link_event`.
     fn coalesce(
         &self,
         flight: FlightKey,
-        routes: Arc<[u32]>,
         valid: impl FnOnce() -> bool,
-        compute: impl FnOnce() -> Result<CachedResult, ForecastError>,
+        compute: impl FnOnce(&CacheKey) -> Result<(CachedResult, Arc<[u32]>), ForecastError>,
     ) -> Result<CachedResult, ForecastError> {
         let existing = {
             let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
@@ -492,21 +492,22 @@ impl ForecastEngine {
             }
         }
         let mut guard = LeaderGuard { engine: self, key: &flight, done: false };
-        // The simulate stage covers the whole leader computation (every
-        // simulation of a selection); a panicking compute still records
-        // — the span drops during unwinding.
+        // The simulate stage covers the whole leader computation (route
+        // resolution and every simulation of a selection); a panicking
+        // compute still records — the span drops during unwinding.
         let simulate = Span::start(&self.metrics.stage_simulate);
-        let result = compute();
+        let result = compute(&flight.0);
         drop(simulate);
         guard.done = true;
         drop(guard);
-        if let Ok(value) = &result {
+        let result = result.map(|(value, routes)| {
             // Cache before retiring the flight (the double-check above
             // depends on this order). Errors are shared with this
             // flight's followers but never cached: the next request
             // retries.
             self.cache.insert_if(flight.0.clone(), value.clone(), routes, valid);
-        }
+            value
+        });
         self.finish_flight(&flight, result.clone());
         result
     }
@@ -554,9 +555,10 @@ impl ForecastEngine {
         })
     }
 
-    /// The compute stage of any forecast: resolve the routes of the
-    /// key's transfers, then coalesce and run `simulate` as the leader
-    /// on them, in request order. The route union files the result for
+    /// The compute stage of any forecast: coalesce, and as the leader
+    /// resolve the routes of the key's transfers and run `simulate` on
+    /// them, in request order — a request that finds the answer filed or
+    /// in flight resolves nothing. The route union files the result for
     /// targeted invalidation.
     fn compute(
         &self,
@@ -572,23 +574,21 @@ impl ForecastEngine {
         // fails the later insert check or is filed before the event's
         // eviction.
         let v0 = session.overlay_version();
-        let resolved = key
-            .transfers()
-            .iter()
-            .map(|&(src, dst, size)| {
-                let path = session.resolve(src, dst)?;
-                Ok(ResolvedSpec { src, dst, size: f64::from_bits(size), path })
-            })
-            .collect::<Result<Vec<_>, ForecastError>>()?;
-        let routes = route_union(&resolved);
         let valid_session = Arc::clone(&session);
         self.coalesce(
             (key, v0),
-            routes,
             move || valid_session.overlay_version() == v0,
-            || {
+            |key| {
+                let resolved = key
+                    .transfers()
+                    .iter()
+                    .map(|&(src, dst, size)| {
+                        let path = session.resolve(src, dst)?;
+                        Ok(ResolvedSpec { src, dst, size: f64::from_bits(size), path })
+                    })
+                    .collect::<Result<Vec<_>, ForecastError>>()?;
                 self.begin_simulation();
-                simulate(&session, &resolved)
+                Ok((simulate(&session, &resolved)?, route_union(&resolved)))
             },
         )
     }

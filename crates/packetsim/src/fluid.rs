@@ -24,8 +24,7 @@
 //! the paper measures. Agreement with the per-segment engine is checked in
 //! `tests/agreement.rs`.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use seeded::SmallRng;
 use simflow::model::SharingProblem;
 
 use crate::engine::FlowSpec;

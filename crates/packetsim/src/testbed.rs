@@ -14,8 +14,7 @@
 //! every measured duration, and the fluid engine's seeded throughput noise
 //! standing in for residual cross-traffic.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use seeded::SmallRng;
 
 use crate::engine::{FlowSpec, PacketSim};
 use crate::fluid::{FluidParams, FluidSim};

@@ -3,7 +3,7 @@
 
 use packetsim::net::{Network, NetworkBuilder, NodeId};
 use packetsim::{FlowSpec, FluidSim, PacketSim, TcpConfig};
-use proptest::prelude::*;
+use seeded::prelude::*;
 
 fn star(n_hosts: usize, rate: f64, delay: f64, queue: f64) -> (Network, Vec<NodeId>) {
     let mut b = NetworkBuilder::new();

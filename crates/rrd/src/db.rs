@@ -377,6 +377,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seeded as proptest;
 
     fn gauge_db() -> Database {
         Database::new(

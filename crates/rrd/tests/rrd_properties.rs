@@ -1,7 +1,7 @@
 //! Property tests of the RRD substrate: fetch semantics, ring arithmetic
 //! and codec round trips under random update streams.
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use rrd::{decode, encode, ArchiveSpec, Cf, Database, DsKind};
 
 fn arb_db_and_updates() -> impl Strategy<Value = (Database, Vec<(i64, f64)>)> {

@@ -1,6 +1,6 @@
 //! Property tests of the simulation kernel's physical invariants.
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::{NetworkConfig, Platform, SharingPolicy, SimTime, Simulation};

@@ -6,7 +6,7 @@
 //! own cap), and *monotone* (adding capacity never hurts anyone's rate in
 //! the single-resource case).
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use simflow::model::{MaxMinSolver, SharingProblem};
 
 /// A random sharing problem: `nr` resources with capacities in [1, 1000],
@@ -150,6 +150,28 @@ proptest! {
             );
         }
     }
+}
+
+/// Counterexamples come back small through `arb_problem`'s
+/// `prop_flat_map` and `prop_map`: a property false on purpose — no
+/// resource carries two flows — fails on a problem of at most three
+/// resources and three flows, not on the random problem that first
+/// failed.
+#[test]
+fn a_failing_problem_shrinks_to_a_few_resources_and_flows() {
+    let shares_a_resource = |p: &SharingProblem| {
+        (0..p.capacity.len() as u32)
+            .any(|r| p.flows.iter().filter(|f| f.resources.contains(&r)).count() > 1)
+    };
+    let p = seeded::minimal_failure(
+        "maxmin_properties::shrinking",
+        ProptestConfig::with_cases(64),
+        &arb_problem(),
+        shares_a_resource,
+    )
+    .expect("random problems share resources");
+    assert!(shares_a_resource(&p));
+    assert!(p.capacity.len() <= 3 && p.flows.len() <= 3, "not shrunk: {p:?}");
 }
 
 // ---------------------------------------------------------------------------

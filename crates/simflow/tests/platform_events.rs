@@ -12,7 +12,7 @@
 //! long activate/deactivate history may accumulate a relative error of a
 //! few ulps (≤ 1e-9), exactly like the solver's own history tests.
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use simflow::model::SharingProblem;
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
@@ -261,7 +261,7 @@ fn star_jobs(
 
 /// Cross-checks one schedule: every tuning bit-identical to the first,
 /// and the first within 1e-9 relative of the from-scratch reference.
-/// Panics on divergence (the proptest stub's asserts are plain panics).
+/// Panics on divergence (`prop_assert!` is a plain `assert!`).
 fn check_schedule(
     p: &Platform,
     jobs: &[RefJob],

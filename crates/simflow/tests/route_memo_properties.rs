@@ -9,7 +9,7 @@
 //! data through a different solver path and any latency or link-order
 //! divergence would surface as a different completion instant.
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::{

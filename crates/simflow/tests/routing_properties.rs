@@ -1,7 +1,7 @@
 //! Property tests of hierarchical route resolution on randomly generated
 //! cluster-of-clusters platforms (the shape of the Grid'5000 model).
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::{Platform, SharingPolicy};

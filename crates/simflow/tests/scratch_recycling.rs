@@ -17,7 +17,7 @@
 //! `KernelStats::warm_bytes` is left out of the comparison on purpose:
 //! it reads buffer capacities, which a recycled scratch keeps.
 
-use proptest::prelude::*;
+use seeded::{prelude::*, SmallRng};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::{
@@ -67,51 +67,52 @@ struct Step {
 }
 
 fn decode(seed: u64) -> Step {
-    let mut g = TestRng::new(seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut below = |n: usize| rng.gen_range(0..n);
     let resources = 2 * HOSTS;
-    let transfers: Vec<_> = (0..g.below(8))
+    let transfers: Vec<_> = (0..below(8))
         .map(|_| {
-            let size = if g.below(5) == 0 { 0.0 } else { (1 + g.below(200)) as f64 * 1e5 };
-            (g.below(HOSTS), g.below(HOSTS), size, g.below(4) as f64 * 0.05)
+            let size = if below(5) == 0 { 0.0 } else { (1 + below(200)) as f64 * 1e5 };
+            (below(HOSTS), below(HOSTS), size, below(4) as f64 * 0.05)
         })
         .collect();
-    let computes: Vec<_> = (0..g.below(3))
-        .map(|_| (g.below(HOSTS), (1 + g.below(50)) as f64 * 1e7, g.below(4) as f64 * 0.05))
+    let computes: Vec<_> = (0..below(3))
+        .map(|_| (below(HOSTS), (1 + below(50)) as f64 * 1e7, below(4) as f64 * 0.05))
         .collect();
     let works = transfers.len() + computes.len();
     let deps = if works < 2 {
         Vec::new()
     } else {
-        (0..g.below(3))
+        (0..below(3))
             .map(|_| {
-                let w = 1 + g.below(works - 1);
-                (w, g.below(w))
+                let w = 1 + below(works - 1);
+                (w, below(w))
             })
             .collect()
     };
     let factors = [0.25, 0.5, 1.0, 2.0];
-    let overlay = (0..g.below(3))
-        .map(|_| (g.below(HOSTS) as u32, factors[g.below(factors.len())]))
+    let overlay = (0..below(3))
+        .map(|_| (below(HOSTS) as u32, factors[below(factors.len())]))
         .collect();
-    let downs = (0..usize::from(g.below(4) == 0)).map(|_| g.below(resources) as u32).collect();
-    let events = (0..g.below(5))
+    let downs = (0..usize::from(below(4) == 0)).map(|_| below(resources) as u32).collect();
+    let events = (0..below(5))
         .map(|_| {
-            let kind = match g.below(4) {
+            let kind = match below(4) {
                 0 => PlatformEventKind::Down,
                 1 => PlatformEventKind::Up,
-                _ => PlatformEventKind::Capacity([0.0, 0.5, 2.0][g.below(3)]),
+                _ => PlatformEventKind::Capacity([0.0, 0.5, 2.0][below(3)]),
             };
-            (0.025 + g.below(8) as f64 * 0.05, g.below(resources) as u32, kind)
+            (0.025 + below(8) as f64 * 0.05, below(resources) as u32, kind)
         })
         .collect();
     Step {
-        stall: g.below(3) == 0,
-        background: g.below(4),
-        bulk: g.below(4) == 0,
+        stall: below(3) == 0,
+        background: below(4),
+        bulk: below(4) == 0,
         transfers,
         computes,
         deps,
-        cycle: g.below(6) == 0,
+        cycle: below(6) == 0,
         overlay,
         downs,
         events,

@@ -3,7 +3,7 @@
 //! bounds contain it, and quantiles never fall below the true order
 //! statistic (the ladder only rounds *up*, by at most 12.5%).
 
-use proptest::prelude::*;
+use seeded::{self as proptest, prelude::*};
 use telemetry::Histogram;
 
 fn fill(values: &[u64]) -> Histogram {

@@ -5,7 +5,9 @@
 //! substrate is a simulator, not Grid'5000 — but who wins, in which
 //! direction, and where the crossovers fall.
 
+use experiments::background::{render_background, run_background_ablation};
 use experiments::figures::{figure, run_figure, Lab};
+use experiments::render::figure_csv;
 use experiments::summarize;
 
 fn lab() -> Lab {
@@ -104,4 +106,22 @@ fn pooled_summary_is_in_the_paper_ballpark() {
     assert!(s.median_abs_error < 0.45, "median |err| {}", s.median_abs_error);
     assert!(s.std_error < 1.2, "σ {}", s.std_error);
     assert!(s.fraction_below_0575 > 0.5, "{}", s.fraction_below_0575);
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The seeded streams' products, byte for byte: fig10's CSV covers the
+/// workload's pair draws, the fluid model's noise and the testbed's
+/// jitter; the background ablation covers the host shuffles. A change
+/// that moves either digest changes the figures — if on purpose,
+/// re-record both and say why.
+#[test]
+fn seeded_outputs_are_pinned() {
+    let lab = lab();
+    let csv = figure_csv(&run_figure(&lab, &figure("fig10").unwrap(), 2, 1));
+    assert_eq!(fnv1a(&csv), 0x050d_250b_6f30_0c46, "fig10 CSV moved");
+    let table = render_background(&run_background_ablation(&lab, 7.74e8, &[0, 5], 2, 1));
+    assert_eq!(fnv1a(&table), 0x10ae_14f0_a63b_e613, "background ablation moved:\n{table}");
 }
