@@ -7,8 +7,7 @@
 //! module implements. GET carries every read-side query; POST (same
 //! URI-parameter encoding, no request body) is admitted for the
 //! state-changing control endpoints (`/pilgrim/link_event`). Other
-//! methods get 405, and the shed fallback hook below is offered GETs
-//! only — a shed control mutation must fail loudly.
+//! methods get 405.
 //!
 //! ## One front end
 //!
@@ -34,24 +33,14 @@
 //! The service sits on a grid scheduler's critical path, so overload has
 //! a *defined* behavior instead of an unbounded queue:
 //!
-//! * **Bounded pending queue.** At most [`ServerConfig::queue_limit`]
-//!   parsed requests may wait for a worker. Beyond that the server
-//!   *sheds*: a new connection is answered `503 Service Unavailable`
-//!   with a `Retry-After` header without reading its request, and a
-//!   request that needs a worker and finds the queue full once parsed
-//!   (keep-alive, or a race with the accept-time check) gets the same
-//!   answer. A request the handler's probe stage answers needs no worker
-//!   and is served regardless.
-//! * **Shed fallback hook.** When a shed fallback handler is installed
-//!   ([`Server::start_with`]), the poller reads an overloaded
-//!   connection's head as usual and hands the *parsed* GET to a
-//!   dedicated thread that offers it to the fallback instead of a plain
-//!   503. The fallback path has its own small queue; past it, plain 503s
-//!   resume. No program code installs one, only tests do: the Pilgrim
-//!   service answers cached forecasts inline under any overload and
-//!   never answers with an out-of-date one. The hook stays because the
-//!   standalone benchmark package passes this parameter (as `None`);
-//!   it goes once that package stops passing it.
+//! * **Bounded pending queue, one refusal.** At most
+//!   [`ServerConfig::queue_limit`] parsed requests may wait for a
+//!   worker. Work that would join a full queue is refused with `503
+//!   Service Unavailable`, a `Retry-After` header and `Connection:
+//!   close`: a new connection without its request being read, a parsed
+//!   request that needs a worker (keep-alive, or a race with the
+//!   accept-time check) once it is parsed. A request the handler's probe
+//!   stage answers needs no worker and is served regardless.
 //! * **Per-request deadlines.** A request admitted at time `t` with
 //!   deadline `d` (client header `X-Pilgrim-Deadline-Ms`, capped by
 //!   [`ServerConfig::max_deadline`], or the server-side
@@ -86,8 +75,8 @@
 //! the handler starts, and counts the outcomes no handler sees: sheds,
 //! expiries, panics and failed writes. It records, always-on:
 //!
-//! * `http_accepted_total`, `http_shed_total`, `http_stale_served_total`,
-//!   `http_expired_total`, `http_handler_panics_total`,
+//! * `http_accepted_total`, `http_shed_total`, `http_expired_total`,
+//!   `http_handler_panics_total`,
 //!   `http_write_errors_total` — the [`ServerStats`] counters, adopted
 //!   onto the registry (same cells, two views).
 //! * `http_queue_wait_ns` — one sample per request: arrival (accept, or
@@ -359,10 +348,8 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted.
     pub accepted: Counter,
-    /// Connections refused by admission control (503 or fallback path).
+    /// Connections refused by admission control (503).
     pub shed: Counter,
-    /// Shed connections answered 200 by the shed fallback handler.
-    pub stale_served: Counter,
     /// Requests answered 504 (deadline expired before the handler ran).
     pub expired: Counter,
     /// Handler panics converted into 500s.
@@ -382,15 +369,9 @@ impl ServerStats {
         );
         registry.adopt_counter(
             "http_shed_total",
-            "Connections refused by admission control (503 or fallback path)",
+            "Connections refused by admission control (503)",
             &[],
             &self.shed,
-        );
-        registry.adopt_counter(
-            "http_stale_served_total",
-            "Shed connections answered 200 by the shed fallback handler",
-            &[],
-            &self.stale_served,
         );
         registry.adopt_counter(
             "http_expired_total",
@@ -566,14 +547,6 @@ where
 /// The request handler shared by the poller and all workers.
 pub type Handler = Arc<dyn Handle>;
 
-/// Both stages of `handler` back to back on the calling thread.
-pub(crate) fn handle_whole(handler: &Handler, req: &Request) -> Response {
-    match Arc::clone(handler).probe(req) {
-        Probe::Ready(response) => response,
-        Probe::Deferred(compute) => compute(req),
-    }
-}
-
 /// The deadline a request runs under: the client's
 /// `X-Pilgrim-Deadline-Ms` (capped by `max_deadline`) or the server-side
 /// default.
@@ -583,6 +556,12 @@ pub(crate) fn effective_deadline(req: &Request, config: &ServerConfig) -> Option
         .map(|ms| Duration::from_millis(ms).min(config.max_deadline))
         .or(config.default_deadline)
 }
+
+/// The type of [`Server::start_with_registry`]'s fourth parameter. It has
+/// no value, so the only argument is `None`: the server has one overload
+/// answer and no hook that replaces it. The parameter stays while the
+/// standalone benchmark package passes it.
+pub enum NoShedFallback {}
 
 /// A running HTTP server.
 pub struct Server {
@@ -597,39 +576,30 @@ impl Server {
     /// serves `handler` on `workers` threads until [`Server::stop`],
     /// with default admission tuning (queue of 1024, no deadlines).
     pub fn start(addr: &str, workers: usize, handler: Handler) -> std::io::Result<Server> {
-        Server::start_with(addr, ServerConfig { workers, ..ServerConfig::default() }, handler, None)
+        Server::start_with(addr, ServerConfig { workers, ..ServerConfig::default() }, handler)
     }
 
-    /// Binds `addr` with explicit admission/deadline tuning. When
-    /// `shed_fallback` is set, shed GET requests are offered to it
-    /// instead of being refused outright (no program code sets it, only
-    /// tests do; see the module docs). The server gets a private
-    /// [`MetricsRegistry`].
+    /// Binds `addr` with explicit admission/deadline tuning. The server
+    /// gets a private [`MetricsRegistry`].
     pub fn start_with(
         addr: &str,
         config: ServerConfig,
         handler: Handler,
-        shed_fallback: Option<Handler>,
     ) -> std::io::Result<Server> {
-        Server::start_with_registry(
-            addr,
-            config,
-            handler,
-            shed_fallback,
-            Arc::new(MetricsRegistry::new()),
-        )
+        Server::start_with_registry(addr, config, handler, None, Arc::new(MetricsRegistry::new()))
     }
 
     /// Like [`Server::start_with`], but adopting the server's instruments
     /// into a caller-provided registry — the Pilgrim service passes its
     /// own so `/pilgrim/metrics` exposes the `http_*` family and the
     /// worker pool's `pool_*` family alongside the forecast/kernel
-    /// families.
+    /// families. The fourth parameter can only be `None` (see
+    /// [`NoShedFallback`]).
     pub fn start_with_registry(
         addr: &str,
         config: ServerConfig,
         handler: Handler,
-        shed_fallback: Option<Handler>,
+        _: Option<NoShedFallback>,
         registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -637,14 +607,7 @@ impl Server {
         let stats = Arc::new(ServerStats::default());
         stats.register_metrics(&registry);
         let metrics = Arc::new(HttpMetrics::new(Arc::clone(&registry)));
-        let front = crate::poller::start(
-            listener,
-            config,
-            handler,
-            shed_fallback,
-            Arc::clone(&stats),
-            metrics,
-        )?;
+        let front = crate::poller::start(listener, config, handler, Arc::clone(&stats), metrics)?;
         Ok(Server { addr: local, front, stats, registry })
     }
 
@@ -948,13 +911,13 @@ mod tests {
     #[test]
     fn response_extra_headers_round_trip() {
         let handler: Handler = Arc::new(|_req: &Request| {
-            Response::json(&Value::Null).with_header("X-Pilgrim-Stale", "3")
+            Response::json(&Value::Null).with_header("X-Pilgrim-Extra", "3")
         });
         let server = Server::start("127.0.0.1:0", 1, handler).unwrap();
         let (status, headers, _) = http_get_with_headers(server.addr(), "/", &[]).unwrap();
         assert_eq!(status, 200);
         assert_eq!(
-            headers.iter().find(|(k, _)| k == "x-pilgrim-stale").map(|(_, v)| v.as_str()),
+            headers.iter().find(|(k, _)| k == "x-pilgrim-extra").map(|(_, v)| v.as_str()),
             Some("3")
         );
     }
@@ -992,21 +955,29 @@ mod tests {
 
     #[test]
     fn concurrent_requests_are_served() {
-        let handler: Handler = Arc::new(|_req: &Request| {
-            std::thread::sleep(Duration::from_millis(20));
-            Response::json(&Value::from(1i64))
-        });
+        // Each request waits in the handler until all four are in it, which
+        // requests served one after another never are: the answer says
+        // whether the wait ended that way or timed out.
+        let arrived = Arc::new((std::sync::Mutex::new(0usize), std::sync::Condvar::new()));
+        let handler: Handler = {
+            let arrived = Arc::clone(&arrived);
+            Arc::new(move |_req: &Request| {
+                let (count, all_in) = &*arrived;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                all_in.notify_all();
+                let wait = Duration::from_secs(5);
+                let (_n, waited) = all_in.wait_timeout_while(n, wait, |n| *n < 4).unwrap();
+                Response::json(&Value::Bool(!waited.timed_out()))
+            })
+        };
         let server = Server::start("127.0.0.1:0", 4, handler).unwrap();
         let addr = server.addr();
-        let t0 = std::time::Instant::now();
-        let threads: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(move || http_get(addr, "/").unwrap().0))
-            .collect();
+        let threads: Vec<_> =
+            (0..4).map(|_| std::thread::spawn(move || http_get(addr, "/").unwrap())).collect();
         for t in threads {
-            assert_eq!(t.join().unwrap(), 200);
+            assert_eq!(t.join().unwrap(), (200, "true".to_string()), "four in the handler at once");
         }
-        // 4 × 20 ms served in parallel, not 80 ms serially
-        assert!(t0.elapsed() < Duration::from_millis(70));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Metrology {
         Metrology::default()
     }
 
-    /// Wraps an existing registry.
-    pub fn with_registry(registry: Registry) -> Self {
-        Metrology { registry: RwLock::new(registry) }
-    }
-
     /// Registers (or replaces) a database under `path`.
     pub fn insert(&self, path: &str, db: Database) {
         self.registry.write().unwrap_or_else(PoisonError::into_inner).insert(path, db);

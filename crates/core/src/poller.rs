@@ -54,21 +54,15 @@
 //!
 //! ## Admission, shedding and drain
 //!
-//! Admission protects the worker queue, so it counts submitted-but-not-
-//! started jobs and is checked where work would join that queue: at
-//! accept time (overloaded → inline 503 + `Retry-After` without reading
-//! a byte) and at the hand-off, once the probe stage has deferred a
-//! parsed request (a keep-alive request, or one that raced the first
-//! check). A request the probe answers never enters the queue and is
-//! never shed: with the queue full, a kept-alive client still gets its
-//! cached forecasts while its uncached ones are refused. With a shed
-//! fallback handler installed (no program code installs one, only tests
-//! do; the hook stays because the standalone benchmark package passes
-//! the parameter)
-//! an overloaded connection skips the accept-time refusal and is read
-//! like any other, so the hand-off check can divert its *parsed* GET to
-//! the shed thread — the one place a socket leaves the poller, switched
-//! to blocking with the write timeout as a socket option.
+//! One rule: work that would join a full worker queue is refused with a
+//! 503 + `Retry-After` and `Connection: close`. Admission counts
+//! submitted-but-not-started jobs and is checked where work would join
+//! that queue: at accept time, without reading a byte, and at the
+//! hand-off, once the probe stage has deferred a parsed request (a
+//! keep-alive request, or one that raced the first check). A request the
+//! probe answers never enters the queue and is never shed: with the
+//! queue full, a kept-alive client still gets its cached forecasts while
+//! its uncached ones are refused.
 //! Per-request deadline 504s and handler-panic 500s happen wherever the
 //! stage in question runs, here or in the worker job; a graceful drain
 //! lets in-flight and writing connections finish and closes reading and
@@ -81,15 +75,14 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use exec::{Handback, WorkerPool};
 
 use crate::http::{
-    dur_ns, effective_deadline, handle_whole, parse_head, Handler, HttpMetrics, Probe, Request,
-    Response, ServerConfig, ServerStats,
+    dur_ns, effective_deadline, parse_head, Handler, HttpMetrics, Probe, Request, Response,
+    ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, WakeHandle, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -105,9 +98,6 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
 /// Upper bound on the total header bytes after the request line.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
-/// Pending shed requests the degraded-mode thread may hold; beyond
-/// this, plain inline 503s resume.
-const SHED_QUEUE_LIMIT: usize = 64;
 
 fn token_of(idx: usize, gen: u32) -> u64 {
     (idx as u64) | (u64::from(gen) << 32)
@@ -123,75 +113,30 @@ struct Completion {
     response: Response,
 }
 
-/// A parsed GET diverted to the degraded-mode thread, with the (by then
-/// blocking) socket its answer goes to.
-type ShedJob = (TcpStream, Request);
-
-/// Spawns the degraded-mode thread. It drains [`ShedJob`]s, decrementing
-/// the bounded `shed_pending` gauge the poller checks against
-/// [`SHED_QUEUE_LIMIT`]: each request is offered to the fallback handler
-/// (a 200 counts as a stale serve, a panic becomes the overload answer)
-/// and answered with one connection-close response, the write bounded by
-/// the timeout the poller set on the socket when it let go of it.
-fn spawn_shed_thread(
-    shed_rx: mpsc::Receiver<ShedJob>,
-    shed_pending: Arc<AtomicUsize>,
-    fallback: Handler,
-    retry_after_secs: u32,
-    stats: Arc<ServerStats>,
-    metrics: Arc<HttpMetrics>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Ok((mut stream, req)) = shed_rx.recv() {
-            shed_pending.fetch_sub(1, Ordering::SeqCst);
-            let response = catch_unwind(AssertUnwindSafe(|| handle_whole(&fallback, &req)))
-                .unwrap_or_else(|_| {
-                    stats.handler_panics.inc();
-                    Response::overloaded(retry_after_secs)
-                });
-            if response.status == 200 {
-                stats.stale_served.inc();
-            }
-            match stream.write_all(&response.to_bytes(false)) {
-                Ok(()) => metrics.body_bytes.add(response.body.len() as u64),
-                Err(_) => stats.write_errors.inc(),
-            }
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            metrics.connections_open.dec();
-        }
-    })
-}
-
 /// Handles to the running front end, owned by `http::Server`.
 pub(crate) struct EventFront {
     poller_thread: Option<std::thread::JoinHandle<()>>,
-    shed_thread: Option<std::thread::JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     wake: Arc<WakeHandle>,
 }
 
 impl EventFront {
-    /// Tells the poller to drain, wakes it, and joins both threads.
-    /// Idempotent.
+    /// Tells the poller to drain, wakes it, and joins it. Idempotent.
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.wake.wake();
         if let Some(t) = self.poller_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.shed_thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
-/// Starts the poller thread (and the degraded-mode shed thread when a
-/// fallback handler is configured). Called by `Server::start_with_registry`.
+/// Starts the poller thread and its worker pool. Called by
+/// `Server::start_with_registry`.
 pub(crate) fn start(
     listener: TcpListener,
     config: ServerConfig,
     handler: Handler,
-    shed_fallback: Option<Handler>,
     stats: Arc<ServerStats>,
     metrics: Arc<HttpMetrics>,
 ) -> std::io::Result<EventFront> {
@@ -214,20 +159,6 @@ pub(crate) fn start(
     );
     epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
     epoll.add(wake_pipe.read_fd(), EPOLLIN, TOKEN_WAKE)?;
-
-    let (shed_tx, shed_rx) = mpsc::channel::<ShedJob>();
-    let shed_pending = Arc::new(AtomicUsize::new(0));
-    let shed_thread = shed_fallback.map(|fallback| {
-        spawn_shed_thread(
-            shed_rx,
-            Arc::clone(&shed_pending),
-            fallback,
-            config.retry_after_secs,
-            Arc::clone(&stats),
-            Arc::clone(&metrics),
-        )
-    });
-    let degraded = shed_thread.is_some();
 
     let handback: Arc<Handback<Completion>> = {
         let wake = Arc::clone(&wake);
@@ -258,14 +189,11 @@ pub(crate) fn start(
         metrics,
         stop: Arc::clone(&stop),
         draining: false,
-        shed_tx,
-        shed_pending,
-        degraded,
     };
     let poller_thread = std::thread::Builder::new()
         .name("http-poller".into())
         .spawn(move || poller.run())?;
-    Ok(EventFront { poller_thread: Some(poller_thread), shed_thread, stop, wake })
+    Ok(EventFront { poller_thread: Some(poller_thread), stop, wake })
 }
 
 /// Which deadline a connection's (single) active timer enforces.
@@ -433,9 +361,6 @@ struct Poller {
     metrics: Arc<HttpMetrics>,
     stop: Arc<AtomicBool>,
     draining: bool,
-    shed_tx: mpsc::Sender<ShedJob>,
-    shed_pending: Arc<AtomicUsize>,
-    degraded: bool,
 }
 
 impl Poller {
@@ -477,8 +402,7 @@ impl Poller {
                 self.timer_fired(e, now);
             }
         }
-        // Join the workers before returning (queue is empty: inflight == 0);
-        // dropping shed_tx afterwards lets the shed thread drain and exit.
+        // Join the workers before returning (queue is empty: inflight == 0).
         self.pool.take();
     }
 
@@ -514,12 +438,6 @@ impl Poller {
         }
     }
 
-    /// Whether degraded mode is on and its bounded queue can take another
-    /// request.
-    fn shed_has_room(&self) -> bool {
-        self.degraded && self.shed_pending.load(Ordering::SeqCst) < SHED_QUEUE_LIMIT
-    }
-
     fn on_accept(&mut self, stream: TcpStream) {
         self.stats.accepted.inc();
         self.metrics.connections_open.inc();
@@ -529,14 +447,10 @@ impl Poller {
             return;
         }
         // Overloaded at accept time: refuse inline without reading the
-        // request. While the shed thread has room the connection is read
-        // instead, and dispatch_request's admission check decides.
-        if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit && !self.shed_has_room()
-        {
-            self.stats.shed.inc();
-            let refusal = Response::overloaded(self.config.retry_after_secs);
+        // request.
+        if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit {
             if let Some(idx) = self.install(stream, accepted, 0) {
-                self.queue_response(idx, &refusal, false);
+                self.refuse(idx);
             }
             return;
         }
@@ -850,32 +764,7 @@ impl Poller {
             Probe::Deferred(compute) => compute,
         };
         if self.pending.load(Ordering::SeqCst) >= self.config.queue_limit {
-            self.stats.shed.inc();
-            // Deliberately GET-only: a shed POST (a control mutation like
-            // a link event) must be refused with the overload answer,
-            // never silently degraded.
-            if req.method == "GET" && self.shed_has_room() {
-                // Divert the parsed request to the shed thread: take the
-                // socket out of the poller entirely (the shed thread
-                // closes it and decrements connections_open). From here
-                // on the write is blocking, so the write timeout becomes
-                // a socket option — one non-reading peer must not hold
-                // the single shed thread.
-                if let Some(conn) = self.conns[idx].take() {
-                    self.free.push(idx);
-                    self.open_count -= 1;
-                    if conn.in_epoll {
-                        let _ = self.epoll.delete(conn.fd);
-                    }
-                    let _ = conn.stream.set_nonblocking(false);
-                    let _ = conn.stream.set_write_timeout(Some(self.config.write_timeout));
-                    self.shed_pending.fetch_add(1, Ordering::SeqCst);
-                    let _ = self.shed_tx.send((conn.stream, req));
-                }
-                return;
-            }
-            let resp = Response::overloaded(self.config.retry_after_secs);
-            self.queue_response(idx, &resp, false);
+            self.refuse(idx);
             return;
         }
         // Admit: cancel the header timer, quiesce epoll interest (flow
@@ -979,6 +868,14 @@ impl Poller {
                 }
             }
         }
+    }
+
+    /// The one overload answer, to every request admission turns away:
+    /// 503 + `Retry-After`, and the connection closes once it is written.
+    fn refuse(&mut self, idx: usize) {
+        self.stats.shed.inc();
+        let refusal = Response::overloaded(self.config.retry_after_secs);
+        self.queue_response(idx, &refusal, false);
     }
 
     /// A response could not be fully delivered (peer gone or write

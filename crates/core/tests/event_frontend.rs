@@ -22,7 +22,7 @@ fn event_server(config: ServerConfig) -> Server {
             Response::json(&jsonlite::Value::from(req.path.as_str()))
         }
     });
-    Server::start_with("127.0.0.1:0", config, handler, None).expect("bind")
+    Server::start_with("127.0.0.1:0", config, handler).expect("bind")
 }
 
 /// Polls `cond` for up to two seconds — poller-side effects (closes,

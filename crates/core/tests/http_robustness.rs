@@ -3,7 +3,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pilgrim_core::http::{
@@ -15,7 +15,7 @@ fn echo_server() -> Server {
         Response::json(&jsonlite::Value::from(req.path.as_str()))
     });
     let config = ServerConfig { workers: 2, ..ServerConfig::default() };
-    Server::start_with("127.0.0.1:0", config, handler, None).expect("bind")
+    Server::start_with("127.0.0.1:0", config, handler).expect("bind")
 }
 
 /// Sends raw bytes, returns whatever comes back (possibly nothing).
@@ -132,7 +132,7 @@ fn handler_panics_do_not_kill_the_server() {
         Response::json(&jsonlite::Value::Null)
     });
     let config = ServerConfig { workers: 3, ..ServerConfig::default() };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     // a panicking request kills one worker thread at worst…
     let _ = http_get(server.addr(), "/boom");
     // …but the pool keeps answering
@@ -152,7 +152,7 @@ fn slowloris_header_drip_gets_408_within_the_header_deadline() {
         header_deadline: Duration::from_millis(300),
         ..ServerConfig::default()
     };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -198,7 +198,7 @@ fn unread_response_hits_the_write_timeout_not_a_wedged_worker() {
         write_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
@@ -218,87 +218,6 @@ fn unread_response_hits_the_write_timeout_not_a_wedged_worker() {
 }
 
 #[test]
-fn unread_shed_response_hits_the_write_timeout_not_a_wedged_shed_thread() {
-    // Degraded mode answers shed requests from ONE thread with blocking
-    // writes. A shed client that never reads its (large) stale answer
-    // must cost that thread the write timeout, not wedge it: the next
-    // shed request is still answered, and the failed write is counted.
-    let (started_tx, started_rx) = mpsc::channel::<()>();
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let release_rx = Mutex::new(release_rx);
-    let handler: Handler = Arc::new(move |req: &Request| {
-        if req.path == "/hold" {
-            started_tx.send(()).unwrap();
-            // until the test drops `release_tx` (bounded, so a failing
-            // run still drains)
-            let _ = release_rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
-        }
-        Response::json(&jsonlite::Value::from("fresh"))
-    });
-    let fallback: Handler = Arc::new(|req: &Request| {
-        if req.path == "/big" {
-            Response::json(&jsonlite::Value::from("x".repeat(8_000_000)))
-        } else {
-            Response::json(&jsonlite::Value::from("stale"))
-        }
-    });
-    let write_timeout = Duration::from_millis(200);
-    let config =
-        ServerConfig { workers: 1, queue_limit: 1, write_timeout, ..ServerConfig::default() };
-    let server = Server::start_with("127.0.0.1:0", config, handler, Some(fallback)).expect("bind");
-    let addr = server.addr();
-    let header_bytes = server.registry().counter("http_request_header_bytes_total", "", &[]);
-
-    // The non-reading client is admitted once, before the overload, so
-    // its next request arrives on a kept-alive connection and is shed
-    // after parsing.
-    let mut wedger = TcpStream::connect(addr).unwrap();
-    wedger.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    wedger.write_all(b"GET /warm HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let (mut seen, mut chunk) = (Vec::new(), [0u8; 1024]);
-    while !seen.ends_with(b"\"fresh\"") {
-        let n = wedger.read(&mut chunk).unwrap();
-        assert!(n > 0, "warm-up answer cut short");
-        seen.extend_from_slice(&chunk[..n]);
-    }
-
-    // Overload: one request holds the only worker, a second fills the
-    // queue of one. The poller is one thread, so once it has counted the
-    // second head, every later request finds the queue full.
-    let holder = std::thread::spawn(move || http_get(addr, "/hold").unwrap().0);
-    started_rx.recv_timeout(Duration::from_secs(5)).expect("first /hold reaches the worker");
-    let before = header_bytes.get();
-    let queued = std::thread::spawn(move || http_get(addr, "/hold").unwrap().0);
-    let t0 = Instant::now();
-    while header_bytes.get() == before {
-        assert!(t0.elapsed() < Duration::from_secs(5), "second /hold was never parsed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    // shed, answered with 8 MB, never read
-    wedger.write_all(b"GET /big HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    // shed behind it on the same thread
-    let t0 = Instant::now();
-    let resp = raw_exchange(&server, b"GET /small HTTP/1.1\r\nHost: x\r\n\r\n");
-    assert!(
-        resp.starts_with("HTTP/1.1 200") && resp.ends_with("\"stale\""),
-        "second shed request must get its stale answer, got: {:?}",
-        &resp[..resp.len().min(80)]
-    );
-    assert!(
-        t0.elapsed() < write_timeout + Duration::from_secs(2),
-        "the shed thread was held past the write timeout: {:?}",
-        t0.elapsed()
-    );
-    assert!(server.stats().write_errors.get() >= 1, "the abandoned write must be counted");
-    assert_eq!(server.stats().stale_served.get(), 2);
-
-    drop(release_tx);
-    assert_eq!(holder.join().expect("holder"), 200);
-    assert_eq!(queued.join().expect("queued"), 200);
-}
-
-#[test]
 fn stop_drains_in_flight_requests_before_returning() {
     let handler: Handler = Arc::new(|req: &Request| {
         if req.path == "/slow" {
@@ -307,7 +226,7 @@ fn stop_drains_in_flight_requests_before_returning() {
         Response::json(&jsonlite::Value::from("done"))
     });
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let mut server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let mut server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     let client = std::thread::spawn(move || http_get(addr, "/slow").unwrap());
@@ -337,7 +256,7 @@ fn queued_past_the_default_deadline_gets_504() {
         default_deadline: Some(Duration::from_millis(150)),
         ..ServerConfig::default()
     };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     // occupy the only worker for 500 ms…
@@ -362,7 +281,7 @@ fn client_requested_deadline_is_honored_without_a_server_default() {
         Response::json(&jsonlite::Value::from("ok"))
     });
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     let slow = std::thread::spawn(move || http_get(addr, "/slow").unwrap());
@@ -389,7 +308,7 @@ fn tiny_admission_queue_sheds_surplus_with_retry_after() {
         retry_after_secs: 7,
         ..ServerConfig::default()
     };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     let clients: Vec<_> = (0..8)

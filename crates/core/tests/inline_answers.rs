@@ -227,7 +227,7 @@ impl Handle for Probing {
 fn a_probe_panic_is_a_500_and_the_poller_keeps_serving() {
     let handler: Handler = Arc::new(Probing);
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
 
     let mut same = HttpClient::new(server.addr());
     assert_eq!(same.get("/inline").expect("inline"), (200, "\"inline\"".to_string()));
@@ -269,10 +269,13 @@ fn a_full_worker_queue_sheds_uncached_queries_and_still_answers_cached_ones() {
 
     // Two kept-alive connections from before the overload (a connection
     // arriving during it is refused unread), one cached query.
+    let open = server.registry().gauge("http_connections_open", "", &[]);
     let hot = predict_query(0);
     let mut cached = HttpClient::new(addr);
     let mut uncached = HttpClient::new(addr);
     let (_, hot_body) = cached.get(&hot).expect("warm-up");
+    let before = open.get();
+    assert_eq!(before, 1, "the cached connection");
     assert_eq!(uncached.get(&hot).expect("second connection").0, 200);
 
     // Wedge the single worker and its queue of one with slow, distinct
@@ -294,12 +297,18 @@ fn a_full_worker_queue_sheds_uncached_queries_and_still_answers_cached_ones() {
         uncached.request("GET", &predict_query(5), &[]).expect("uncached under overload");
     assert_eq!(status, 503, "an uncached query needs the full queue");
     assert!(headers.iter().any(|(k, _)| k == "retry-after"));
+    // the one overload answer: the refused keep-alive connection is closed
+    let connection = headers.iter().find(|(k, _)| k == "connection").map(|(_, v)| v.as_str());
+    assert_eq!(connection, Some("close"), "{headers:?}");
     assert_eq!(cached.get(&hot).expect("cached under overload"), (200, hot_body));
     assert_eq!(server.stats().shed.get(), 1);
 
     for o in occupiers {
         assert_eq!(o.join().expect("occupier thread"), 200);
     }
+    // The poller closed the refused connection (and the occupiers'):
+    // only the cached one stays open, as before `uncached` connected.
+    assert!(eventually(|| open.get() == before), "{} connections open", open.get());
 }
 
 #[test]

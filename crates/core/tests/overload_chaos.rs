@@ -76,7 +76,7 @@ fn ten_x_overload_sheds_cleanly_and_admitted_answers_match_reference() {
         ..ServerConfig::default()
     };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
     // Only uncached work queues — the poller answers a cached query
     // itself — so the burst overloads the server for as long as the
@@ -171,7 +171,7 @@ fn identical_concurrent_queries_coalesce_to_one_simulation_over_http() {
     let svc = pooled_service();
     let config = ServerConfig { workers: 8, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     // Slow the one leader down so the identical followers genuinely
@@ -215,7 +215,7 @@ fn chaos_faults_and_rude_clients_do_not_hang_or_poison_the_engine() {
     let svc = pooled_service();
     let config = ServerConfig { workers: 4, queue_limit: 4, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
-    let mut server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let mut server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     let reference = reference_service();
@@ -309,7 +309,7 @@ fn flapping_links_mid_serving_converge_to_the_post_event_reference() {
     let svc = pooled_service();
     let config = ServerConfig { workers: 4, ..ServerConfig::default() };
     let handler = PilgrimService::handler_from(Arc::clone(&svc));
-    let server = Server::start_with("127.0.0.1:0", config, handler, None).expect("bind");
+    let server = Server::start_with("127.0.0.1:0", config, handler).expect("bind");
     let addr = server.addr();
 
     // Link A flaps from *inside* the engine: a Fault::Flap point fires

@@ -141,9 +141,10 @@ fn metrics_endpoint_renders_every_layer_over_http() {
     assert!(body.contains("forecast_simulations_total 1"), "{body}");
     assert!(body.contains(r#"pilgrim_request_latency_ns_count{endpoint="unknown"} 1"#), "{body}");
     assert!(body.contains("kernel_components_solved_total"), "{body}");
-    // Nothing serves out-of-date answers or sheds in the forecast layer,
-    // so it exports no family for either.
-    for gone in ["forecast_stale_served_total", "forecast_shed_total"] {
+    // Nothing serves out-of-date answers, and nothing sheds in the
+    // forecast layer (the HTTP layer's one overload answer is a 503), so
+    // no family counts either.
+    for gone in ["forecast_stale_served_total", "forecast_shed_total", "http_stale_served_total"] {
         assert!(!body.contains(gone), "{gone} must not be exported");
     }
     // `pool_*` is the pool that runs what the poller cannot answer

@@ -224,13 +224,6 @@ impl Session {
         Ok((self.host(&spec.src)?, self.host(&spec.dst)?))
     }
 
-    /// Resolves a request tuple: host names, size validity, route.
-    pub fn resolve_spec(&self, spec: &TransferSpec) -> Result<ResolvedSpec, ForecastError> {
-        let (src, dst) = self.endpoints(spec)?;
-        let path = self.resolve(src, dst)?;
-        Ok(ResolvedSpec { src, dst, size: spec.size, path })
-    }
-
     /// A simulation of the platform as the link events so far left it,
     /// built from a fresh scratch: the prewarmed capacity vector with the
     /// link-state overlay applied. Degraded factors scale capacities and

@@ -10,8 +10,7 @@
 //! * [`db`] — data sources (Gauge/Counter/Derive), heartbeat
 //!   normalization, consolidated round-robin archives, single-archive and
 //!   stitched fetch;
-//! * [`codec`] — compact binary persistence;
-//! * [`registry`] — a path-addressed RRD tree with directory save/load;
+//! * [`registry`] — a path-addressed, in-memory RRD tree;
 //! * [`time`] — the `"YYYY-MM-DD HH:MM:SS"` timestamps of the query API.
 //!
 //! ```
@@ -30,11 +29,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod codec;
 pub mod db;
 pub mod registry;
 pub mod time;
 
-pub use codec::{decode, encode, CodecError};
 pub use db::{ArchiveSpec, Cf, Database, DsKind};
 pub use registry::Registry;

@@ -3,10 +3,7 @@
 //! `/pilgrim/rrd/ganglia/Lyon/sagittaire-1.lyon.grid5000.fr/pdu.rrd`.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::path::Path;
 
-use crate::codec;
 use crate::db::Database;
 
 /// A registry of named round-robin databases.
@@ -63,57 +60,6 @@ impl Registry {
             .cloned()
             .collect()
     }
-
-    /// Persists every database under `dir`, one file per path (slashes
-    /// become subdirectories).
-    pub fn save_dir(&self, dir: &Path) -> std::io::Result<()> {
-        for (path, db) in &self.dbs {
-            let file = dir.join(path);
-            if let Some(parent) = file.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&file)?);
-            f.write_all(&codec::encode(db))?;
-            f.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Loads every `.rrd`-suffixed file under `dir` (recursively) into a
-    /// fresh registry. Files that fail to decode are reported by path.
-    pub fn load_dir(dir: &Path) -> std::io::Result<(Registry, Vec<String>)> {
-        let mut reg = Registry::new();
-        let mut failures = Vec::new();
-        fn walk(
-            base: &Path,
-            dir: &Path,
-            reg: &mut Registry,
-            failures: &mut Vec<String>,
-        ) -> std::io::Result<()> {
-            for entry in std::fs::read_dir(dir)? {
-                let entry = entry?;
-                let path = entry.path();
-                if path.is_dir() {
-                    walk(base, &path, reg, failures)?;
-                } else {
-                    let mut buf = Vec::new();
-                    std::fs::File::open(&path)?.read_to_end(&mut buf)?;
-                    let rel = path
-                        .strip_prefix(base)
-                        .expect("walk stays under base")
-                        .to_string_lossy()
-                        .replace('\\', "/");
-                    match codec::decode(&buf) {
-                        Ok(db) => reg.insert(&rel, db),
-                        Err(_) => failures.push(rel),
-                    }
-                }
-            }
-            Ok(())
-        }
-        walk(dir, dir, &mut reg, &mut failures)?;
-        Ok((reg, failures))
-    }
 }
 
 #[cfg(test)]
@@ -155,40 +101,5 @@ mod tests {
         assert_eq!(reg.list("ganglia").len(), 2);
         assert_eq!(reg.list("munin").len(), 1);
         assert_eq!(reg.list("").len(), 3);
-    }
-
-    #[test]
-    fn save_and_load_directory() {
-        let tmp = std::env::temp_dir().join(format!("rrdreg-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        std::fs::create_dir_all(&tmp).unwrap();
-
-        let mut reg = Registry::new();
-        reg.insert("ganglia/Lyon/host-1/pdu.rrd", db());
-        reg.insert("ganglia/Nancy/host-2/pdu.rrd", db());
-        reg.save_dir(&tmp).unwrap();
-
-        let (back, failures) = Registry::load_dir(&tmp).unwrap();
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(back.len(), 2);
-        let orig = reg.get("ganglia/Lyon/host-1/pdu.rrd").unwrap();
-        let got = back.get("ganglia/Lyon/host-1/pdu.rrd").unwrap();
-        assert_eq!(orig.fetch_best(0, 200).len(), got.fetch_best(0, 200).len());
-
-        std::fs::remove_dir_all(&tmp).unwrap();
-    }
-
-    #[test]
-    fn corrupt_files_are_reported_not_fatal() {
-        let tmp = std::env::temp_dir().join(format!("rrdreg-bad-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        std::fs::create_dir_all(tmp.join("x")).unwrap();
-        std::fs::write(tmp.join("x/bad.rrd"), b"garbage").unwrap();
-
-        let (reg, failures) = Registry::load_dir(&tmp).unwrap();
-        assert!(reg.is_empty());
-        assert_eq!(failures, vec!["x/bad.rrd".to_string()]);
-
-        std::fs::remove_dir_all(&tmp).unwrap();
     }
 }

@@ -1,8 +1,8 @@
-//! Property tests of the RRD substrate: fetch semantics, ring arithmetic
-//! and codec round trips under random update streams.
+//! Property tests of the RRD substrate: fetch semantics and ring
+//! arithmetic under random update streams.
 
 use seeded::{self as proptest, prelude::*};
-use rrd::{decode, encode, ArchiveSpec, Cf, Database, DsKind};
+use rrd::{ArchiveSpec, Cf, Database, DsKind};
 
 fn arb_db_and_updates() -> impl Strategy<Value = (Database, Vec<(i64, f64)>)> {
     (
@@ -83,41 +83,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// encode/decode is lossless with respect to every subsequent fetch.
-    #[test]
-    fn codec_round_trip_preserves_fetches(
-        (mut db, updates) in arb_db_and_updates(),
-    ) {
-        for (t, v) in &updates {
-            db.update(*t, *v).unwrap();
-        }
-        let back = decode(&encode(&db)).unwrap();
-        let last = updates.last().map(|(t, _)| *t).unwrap_or(0);
-        let a = db.fetch_best(0, last + 100);
-        let b = back.fetch_best(0, last + 100);
-        prop_assert_eq!(a.len(), b.len());
-        for ((t1, v1), (t2, v2)) in a.iter().zip(&b) {
-            prop_assert_eq!(t1, t2);
-            prop_assert!(v1 == v2 || (v1.is_nan() && v2.is_nan()));
-        }
-    }
-
-    /// Corrupting any single byte of an encoded database never panics the
-    /// decoder (it may error or produce a decodable-but-different DB).
-    #[test]
-    fn decoder_never_panics_on_corruption(
-        (mut db, updates) in arb_db_and_updates(),
-        victim in 0usize..64,
-        flip in 1u8..255,
-    ) {
-        for (t, v) in &updates {
-            db.update(*t, *v).unwrap();
-        }
-        let mut bytes = encode(&db);
-        let idx = victim % bytes.len();
-        bytes[idx] ^= flip;
-        let _ = decode(&bytes); // must not panic
     }
 }
