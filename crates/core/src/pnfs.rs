@@ -20,9 +20,16 @@
 //! The hypothesis-selection service sketched in §VI ("given n different
 //! transfer hypotheses, select the fastest one ... use some heuristic to
 //! prune the n hypotheses") is implemented by [`Pnfs::select_fastest`],
-//! with a lower-bound pruning heuristic.
+//! with a lower-bound pruning heuristic. A predict is the selection of
+//! its one hypothesis, so both take one path: the engine's probe, then
+//! [`Pnfs::compute`]. That is the one place a sequential service forks:
+//! it runs [`Pnfs::select_fastest_reference`] — for a predict on its one
+//! hypothesis, whose bound prunes nothing — so the oracle is still one
+//! from-scratch simulation per simulated hypothesis.
 
-use forecast::{check_hypotheses, ForecastEngine, Pending, Probed};
+use std::sync::Arc;
+
+use forecast::{check_hypotheses, ForecastEngine, Pending, Probed, Selection};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -48,19 +55,22 @@ pub struct Prediction {
 }
 
 impl Prediction {
-    /// Renders the paper's JSON object shape. A non-finite duration (a
-    /// transfer crossing a failed link never completes) renders as JSON
-    /// `null` — infinity is not representable in JSON.
+    /// Renders the paper's JSON object shape.
     pub fn to_json(&self) -> Value {
-        let duration =
-            if self.duration.is_finite() { Value::from(self.duration) } else { Value::Null };
-        Value::object(vec![
-            ("src", Value::from(self.src.as_str())),
-            ("dst", Value::from(self.dst.as_str())),
-            ("size", Value::from(self.size)),
-            ("duration", duration),
-        ])
+        prediction_json(&self.src, &self.dst, self.size, self.duration)
     }
+}
+
+/// The paper's 4-uple as JSON. A non-finite duration (a transfer
+/// crossing a failed link never completes) prints as `null`, because
+/// JSON cannot carry infinity.
+pub(crate) fn prediction_json(src: &str, dst: &str, size: f64, duration: f64) -> Value {
+    Value::object(vec![
+        ("src", Value::from(src)),
+        ("dst", Value::from(dst)),
+        ("size", Value::from(size)),
+        ("duration", Value::from(duration)),
+    ])
 }
 
 /// Zips requests with their predicted durations into the paper's 4-uples.
@@ -90,17 +100,6 @@ pub struct FastestSelection {
     pub pruned: Vec<usize>,
 }
 
-/// The engine's selection as the service answers it: the winner's
-/// durations zipped back onto its requests.
-fn selection(hypotheses: &[Vec<TransferRequest>], sel: &forecast::Selection) -> FastestSelection {
-    FastestSelection {
-        best: sel.best,
-        best_makespan: sel.best_makespan,
-        predictions: predictions(&hypotheses[sel.best], &sel.durations),
-        pruned: sel.pruned.clone(),
-    }
-}
-
 /// The forecast service: named platform models served through the
 /// concurrent [`ForecastEngine`].
 pub struct Pnfs {
@@ -126,11 +125,6 @@ impl Pnfs {
     /// is never filled, so every probe misses.
     pub fn sequential_reference(config: NetworkConfig) -> Self {
         Pnfs { engine: ForecastEngine::new(config), sequential: true }
-    }
-
-    /// Whether this service runs the sequential reference path.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
     }
 
     /// The engine behind the service (sessions, cache statistics).
@@ -178,69 +172,47 @@ impl Pnfs {
         self.engine.link_event(platform, link, kind)
     }
 
-    /// Probe stage of [`Pnfs::predict`]: the cached answer, or what
-    /// [`Pnfs::compute_predict`] continues from. Bounded — no route is
-    /// resolved and nothing is simulated here.
-    pub fn probe_predict(
+    /// The compute stage of a forecast whose probe
+    /// ([`ForecastEngine::probe`]) left `pending`, for the `hypotheses` it
+    /// keyed on `platform` (a predict is one). A sequential service runs
+    /// [`Pnfs::select_fastest_reference`] instead of the engine.
+    pub fn compute<H: AsRef<[TransferRequest]>>(
         &self,
         platform: &str,
-        requests: &[TransferRequest],
-    ) -> Result<Probed<Vec<Prediction>>, PnfsError> {
-        let probed = self.engine.probe_predict(platform, requests)?;
-        Ok(probed.map(|durations| predictions(requests, &durations)))
+        hypotheses: &[H],
+        pending: Pending,
+    ) -> Result<Arc<Selection>, PnfsError> {
+        if !self.sequential {
+            return self.engine.compute(pending);
+        }
+        let FastestSelection { best, best_makespan, predictions, pruned } =
+            self.select_fastest_reference(platform, hypotheses)?;
+        let durations = predictions.iter().map(|p| p.duration).collect();
+        Ok(Arc::new(Selection { best, best_makespan, durations, pruned }))
     }
 
-    /// Compute stage of [`Pnfs::predict`], for the `requests` the probe
-    /// saw.
-    pub fn compute_predict(
+    /// Probe and compute stage back to back.
+    fn forecast<H: AsRef<[TransferRequest]>>(
         &self,
-        requests: &[TransferRequest],
-        pending: Pending,
-    ) -> Result<Vec<Prediction>, PnfsError> {
-        if self.sequential {
-            return self.predict_reference(pending.platform(), requests);
+        platform: &str,
+        hypotheses: &[H],
+    ) -> Result<Arc<Selection>, PnfsError> {
+        match self.engine.probe(platform, hypotheses)? {
+            Probed::Ready(selection) => Ok(selection),
+            Probed::Pending(pending) => self.compute(platform, hypotheses, pending),
         }
-        let durations = self.engine.compute_predict(pending)?;
-        Ok(predictions(requests, &durations))
     }
 
     /// The paper's main service: predicted completion times of a set of
-    /// *concurrent* transfers, all starting together. Served through the
-    /// engine (warm session, cached) unless this service is pinned
-    /// sequential; probe and compute stage back to back.
+    /// *concurrent* transfers, all starting together — the forecast of
+    /// one hypothesis. Served through the engine (warm session, cached)
+    /// unless this service is pinned sequential.
     pub fn predict(
         &self,
         platform: &str,
         requests: &[TransferRequest],
     ) -> Result<Vec<Prediction>, PnfsError> {
-        match self.probe_predict(platform, requests)? {
-            Probed::Ready(preds) => Ok(preds),
-            Probed::Pending(pending) => self.compute_predict(requests, pending),
-        }
-    }
-
-    /// Probe stage of [`Pnfs::select_fastest`].
-    pub fn probe_select(
-        &self,
-        platform: &str,
-        hypotheses: &[Vec<TransferRequest>],
-    ) -> Result<Probed<FastestSelection>, PnfsError> {
-        let probed = self.engine.probe_select(platform, hypotheses)?;
-        Ok(probed.map(|sel| selection(hypotheses, &sel)))
-    }
-
-    /// Compute stage of [`Pnfs::select_fastest`], for the `hypotheses`
-    /// the probe saw.
-    pub fn compute_select(
-        &self,
-        hypotheses: &[Vec<TransferRequest>],
-        pending: Pending,
-    ) -> Result<FastestSelection, PnfsError> {
-        if self.sequential {
-            return self.select_fastest_reference(pending.platform(), hypotheses);
-        }
-        let sel = self.engine.compute_select(pending)?;
-        Ok(selection(hypotheses, &sel))
+        Ok(predictions(requests, &self.forecast(platform, &[requests])?.durations))
     }
 
     /// §VI extension: simulate `hypotheses` (cheapest lower bound first),
@@ -253,10 +225,13 @@ impl Pnfs {
         platform: &str,
         hypotheses: &[Vec<TransferRequest>],
     ) -> Result<FastestSelection, PnfsError> {
-        match self.probe_select(platform, hypotheses)? {
-            Probed::Ready(sel) => Ok(sel),
-            Probed::Pending(pending) => self.compute_select(hypotheses, pending),
-        }
+        let sel = self.forecast(platform, hypotheses)?;
+        Ok(FastestSelection {
+            best: sel.best,
+            best_makespan: sel.best_makespan,
+            predictions: predictions(&hypotheses[sel.best], &sel.durations),
+            pruned: sel.pruned.clone(),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -350,10 +325,10 @@ impl Pnfs {
 
     /// The original `select_fastest`: strictly sequential simulation in
     /// lower-bound order with incremental pruning.
-    pub fn select_fastest_reference(
+    pub fn select_fastest_reference<H: AsRef<[TransferRequest]>>(
         &self,
         platform: &str,
-        hypotheses: &[Vec<TransferRequest>],
+        hypotheses: &[H],
     ) -> Result<FastestSelection, PnfsError> {
         check_hypotheses(hypotheses)?;
         let session = self.engine.session(platform)?;
@@ -361,7 +336,7 @@ impl Pnfs {
         let mut order: Vec<(usize, f64)> = hypotheses
             .iter()
             .enumerate()
-            .map(|(i, h)| Ok((i, self.makespan_lower_bound(&session, h)?)))
+            .map(|(i, h)| Ok((i, self.makespan_lower_bound(&session, h.as_ref())?)))
             .collect::<Result<_, PnfsError>>()?;
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
 
@@ -374,7 +349,7 @@ impl Pnfs {
                     continue;
                 }
             }
-            let preds = self.predict_reference(platform, &hypotheses[i])?;
+            let preds = self.predict_reference(platform, hypotheses[i].as_ref())?;
             let mk = preds.iter().map(|p| p.duration).fold(0.0, f64::max);
             let better = best.as_ref().is_none_or(|(_, b, _)| mk < *b);
             if better {

@@ -41,17 +41,24 @@
 //! cache — which the server's poller runs on its own thread, and the
 //! *compute* stage for whatever the probe could not answer, which runs
 //! on a pool worker. [`PilgrimService::handle`] is the two back to back.
+//!
+//! Both forecast endpoints take one path through the stages: a predict
+//! is parsed into its one hypothesis, so a probe miss stages one
+//! `Staged::Forecast`, and every answer, hit or computed, is one
+//! [`Selection`] rendered by one renderer — the winner's 4-uples, which
+//! a `select_fastest` answer wraps with its winner, makespan and pruned
+//! set.
 
 use std::sync::Arc;
 
-use forecast::{Pending, Probed};
+use forecast::{Pending, Probed, Selection};
 use jsonlite::Value;
 use simflow::PlatformEventKind;
 use telemetry::{Histogram, MetricsRegistry, Span};
 
 use crate::http::{Handle, Handler, Probe, Request, Response};
 use crate::metrology::{Metrology, MetrologyError};
-use crate::pnfs::{Pnfs, PnfsError, TransferRequest};
+use crate::pnfs::{prediction_json, Pnfs, PnfsError, TransferRequest};
 
 /// The fixed endpoint labels `pilgrim_request_latency_ns` is keyed by —
 /// static, so request paths cannot grow the exposition.
@@ -109,17 +116,16 @@ fn forecast_query(req: &Request) -> Option<(Forecast, &str)> {
 }
 
 /// A request after its probe stage: answered, or what the compute stage
-/// continues from — the query the probe parsed and the forecast it could
-/// not answer from the cache, so a miss parses and keys nothing twice.
+/// continues from — the hypotheses the probe parsed and the forecast it
+/// could not answer from the cache, so a miss parses and keys nothing
+/// twice.
 enum Staged {
     /// The probe had the answer.
     Answered(Response),
     /// Not a forecast query: the whole request is still to be routed.
     Whole,
-    /// A `predict_transfers` miss.
-    Predict { requests: Vec<TransferRequest>, pending: Pending },
-    /// A `select_fastest` miss.
-    Select { hypotheses: Vec<Vec<TransferRequest>>, pending: Pending },
+    /// A forecast miss; a predict is its one hypothesis.
+    Forecast { hypotheses: Vec<Vec<TransferRequest>>, pending: Pending },
 }
 
 impl Handle for PilgrimService {
@@ -207,17 +213,30 @@ impl PilgrimService {
         Span::start(hist)
     }
 
-    /// The probe stage: a forecast GET is parsed, keyed by its host ids
-    /// and sizes, and answered if the forecast cache has the answer (or
-    /// the query is malformed). Bounded — it resolves no route and
-    /// simulates nothing — because the poller runs it on its own thread.
-    /// Every other request is left whole for the compute stage.
+    /// The probe stage: a forecast GET is parsed — a predict into its
+    /// one hypothesis — keyed by its host ids and sizes, and answered if
+    /// the forecast cache has the answer (or the query is malformed).
+    /// Bounded — it resolves no route and simulates nothing — because the
+    /// poller runs it on its own thread. Every other request is left
+    /// whole for the compute stage.
     fn probe_stage(&self, req: &Request) -> Staged {
-        match forecast_query(req) {
-            Some((Forecast::Predict, platform)) => self.probe_predict(platform, req),
-            Some((Forecast::Select, platform)) => self.probe_select(platform, req),
-            None => Staged::Whole,
-        }
+        let Some((kind, platform)) = forecast_query(req) else { return Staged::Whole };
+        let admission = Span::start(&self.pnfs.engine().metrics().stage_admission);
+        let parsed = match kind {
+            Forecast::Predict => parse_predict_params(req).map(|requests| vec![requests]),
+            Forecast::Select => parse_hypotheses(req),
+        };
+        let hypotheses = match parsed {
+            Ok(h) => h,
+            Err(resp) => return Staged::Answered(resp),
+        };
+        drop(admission);
+        let answer = match self.pnfs.engine().probe(platform, &hypotheses) {
+            Ok(Probed::Pending(pending)) => return Staged::Forecast { hypotheses, pending },
+            Ok(Probed::Ready(selection)) => Ok(selection),
+            Err(e) => Err(e),
+        };
+        Staged::Answered(self.rendered(kind, &hypotheses, answer))
     }
 
     /// The compute stage: whatever the probe stage left to do.
@@ -225,30 +244,43 @@ impl PilgrimService {
         match staged {
             Staged::Answered(response) => response,
             Staged::Whole => self.route(req),
-            Staged::Predict { requests, pending } => self.rendered(
-                self.pnfs.compute_predict(&requests, pending),
-                |preds| render_predictions(preds),
-            ),
-            Staged::Select { hypotheses, pending } => {
-                self.rendered(self.pnfs.compute_select(&hypotheses, pending), render_selection)
+            Staged::Forecast { hypotheses, pending } => {
+                let (kind, platform) = forecast_query(req).expect("staged from a forecast query");
+                self.rendered(kind, &hypotheses, self.pnfs.compute(platform, &hypotheses, pending))
             }
         }
     }
 
-    /// A forecast as its response: rendered under the `render` stage, or
-    /// the error's status.
-    fn rendered<T>(
+    /// A forecast as its response, rendered under the `render` stage:
+    /// the winner's 4-uples, from the parsed request and the selection's
+    /// durations — a predict's answer, which a selection's wraps — or the
+    /// error's status.
+    fn rendered(
         &self,
-        forecast: Result<T, PnfsError>,
-        render: impl FnOnce(&T) -> Response,
+        kind: Forecast,
+        hypotheses: &[Vec<TransferRequest>],
+        forecast: Result<Arc<Selection>, PnfsError>,
     ) -> Response {
-        match forecast {
-            Ok(forecast) => {
-                let _render = Span::start(&self.pnfs.engine().metrics().stage_render);
-                render(&forecast)
-            }
-            Err(e) => pnfs_error_response(e),
-        }
+        let sel = match forecast {
+            Ok(sel) => sel,
+            Err(e) => return pnfs_error_response(e),
+        };
+        let _render = Span::start(&self.pnfs.engine().metrics().stage_render);
+        let winner = hypotheses[sel.best].iter().zip(&sel.durations);
+        let predictions = winner.map(|(r, &d)| prediction_json(&r.src, &r.dst, r.size, d));
+        let predictions = Value::Array(predictions.collect());
+        Response::json(&match kind {
+            Forecast::Predict => predictions,
+            Forecast::Select => Value::object(vec![
+                ("best", Value::from(sel.best as i64)),
+                ("makespan", Value::from(sel.best_makespan)),
+                ("predictions", predictions),
+                (
+                    "pruned",
+                    Value::Array(sel.pruned.iter().map(|&i| Value::from(i as i64)).collect()),
+                ),
+            ]),
+        })
     }
 
     /// Routes a request the probe stage left whole.
@@ -321,36 +353,6 @@ impl PilgrimService {
             Ok(()) => Response::json(&Value::object(vec![("ok", Value::Bool(true))])),
             Err(e @ MetrologyError::UnknownRrd(_)) => Response::error(404, &e.to_string()),
             Err(e) => Response::error(400, &e.to_string()),
-        }
-    }
-
-    fn probe_predict(&self, platform: &str, req: &Request) -> Staged {
-        let admission = Span::start(&self.pnfs.engine().metrics().stage_admission);
-        let requests = match parse_predict_params(req) {
-            Ok(r) => r,
-            Err(resp) => return Staged::Answered(resp),
-        };
-        drop(admission);
-        match self.pnfs.probe_predict(platform, &requests) {
-            Ok(Probed::Pending(pending)) => Staged::Predict { requests, pending },
-            Ok(Probed::Ready(preds)) => {
-                Staged::Answered(self.rendered(Ok(preds), |preds| render_predictions(preds)))
-            }
-            Err(e) => Staged::Answered(pnfs_error_response(e)),
-        }
-    }
-
-    fn probe_select(&self, platform: &str, req: &Request) -> Staged {
-        let admission = Span::start(&self.pnfs.engine().metrics().stage_admission);
-        let hypotheses = match parse_hypotheses(req) {
-            Ok(h) => h,
-            Err(resp) => return Staged::Answered(resp),
-        };
-        drop(admission);
-        match self.pnfs.probe_select(platform, &hypotheses) {
-            Ok(Probed::Pending(pending)) => Staged::Select { hypotheses, pending },
-            Ok(Probed::Ready(sel)) => Staged::Answered(self.rendered(Ok(sel), render_selection)),
-            Err(e) => Staged::Answered(pnfs_error_response(e)),
         }
     }
 
@@ -514,28 +516,6 @@ fn parse_hypotheses(req: &Request) -> Result<Vec<Vec<TransferRequest>>, Response
         hypotheses.push(transfers);
     }
     Ok(hypotheses)
-}
-
-/// Renders a predict answer.
-fn render_predictions(preds: &[crate::pnfs::Prediction]) -> Response {
-    let arr: Vec<Value> = preds.iter().map(|p| p.to_json()).collect();
-    Response::json(&Value::Array(arr))
-}
-
-/// Renders a selection answer.
-fn render_selection(sel: &crate::pnfs::FastestSelection) -> Response {
-    Response::json(&Value::object(vec![
-        ("best", Value::from(sel.best as i64)),
-        ("makespan", Value::from(sel.best_makespan)),
-        (
-            "predictions",
-            Value::Array(sel.predictions.iter().map(|p| p.to_json()).collect()),
-        ),
-        (
-            "pruned",
-            Value::Array(sel.pruned.iter().map(|&i| Value::from(i as i64)).collect()),
-        ),
-    ]))
 }
 
 /// Parses the paper's `src,dst,size` tuple (size accepts `5e8` notation).

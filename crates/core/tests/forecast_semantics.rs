@@ -144,7 +144,7 @@ fn raised_capacity_does_not_prune_the_true_winner() {
     let b = vec![transfer(3, 4, 4.5e8)];
     let mut reference = Pnfs::sequential_reference(NetworkConfig::default());
     reference.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
-    for pnfs in [served_pnfs(), reference] {
+    for (which, pnfs) in [("served", served_pnfs()), ("reference", reference)] {
         for host in [1, 2] {
             let nic = format!("{}-nic", sagittaire(host));
             pnfs.link_event("g5k_test", &nic, PlatformEventKind::Capacity(4.0)).unwrap();
@@ -154,7 +154,6 @@ fn raised_capacity_does_not_prune_the_true_winner() {
         assert!(alone_a < 0.5 * alone_b, "4x NICs make A the clear winner: {alone_a} vs {alone_b}");
 
         let sel = pnfs.select_fastest("g5k_test", &[a.clone(), b.clone()]).unwrap();
-        let which = if pnfs.is_sequential() { "reference" } else { "served" };
         assert_eq!(sel.best, 0, "{which}: the faster hypothesis wins");
         assert_eq!(sel.best_makespan.to_bits(), alone_a.to_bits(), "{which}");
         assert_eq!(sel.pruned, [1], "{which}: B's bound is above A's makespan");

@@ -1,0 +1,229 @@
+//! The bytes the forecast endpoints serve, pinned.
+//!
+//! A seeded stream of predicts (1–30 transfers) and selects (1–8
+//! hypotheses, one-hypothesis selects included), each asked twice so
+//! that cache hits render too, with a capacity halving and a link failure
+//! mid-stream (so `null` durations render) and malformed, unknown-host
+//! and unknown-platform queries, goes through `PilgrimService::handle`.
+//! The FNV-1a digest of every forecast answer's `(status, body)` must
+//! equal a recorded constant, on the served service and on the
+//! sequential reference. The two share the renderer, so "served ==
+//! reference" alone could not catch a change in what is rendered; the
+//! constant does.
+//!
+//! A predict and the select of its one hypothesis are one simulation,
+//! so they share one cache entry and render the same 4-uples.
+
+use g5k::{synth, to_simflow, Flavor};
+use jsonlite::Value;
+use pilgrim_core::http::Request;
+use pilgrim_core::{Metrology, PilgrimService, Pnfs};
+use seeded::SmallRng;
+use simflow::NetworkConfig;
+
+/// The stream's seed.
+const SEED: u64 = 0x5EED_B17E5;
+
+/// The digest of the stream's forecast answers, recorded when predicts
+/// and selects still took separate paths through the service.
+const SERVED_DIGEST: u64 = 0x42ed_6742_b21b_62a1;
+
+fn service(sequential: bool) -> PilgrimService {
+    let config = NetworkConfig::default();
+    let mut pnfs = if sequential { Pnfs::sequential_reference(config) } else { Pnfs::new(config) };
+    pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
+    PilgrimService::new(Metrology::new(), pnfs)
+}
+
+/// The hosts the stream's transfers run between: two Lyon clusters and
+/// two Nancy ones, so routes share NICs and cross the backbone.
+fn hosts() -> Vec<String> {
+    let cluster = |name: &str, site: &str, n: usize| {
+        (1..=n).map(move |i| format!("{name}-{i}.{site}.grid5000.fr")).collect::<Vec<_>>()
+    };
+    let mut hosts = cluster("sagittaire", "lyon", 12);
+    hosts.extend(cluster("capricorne", "lyon", 6));
+    hosts.extend(cluster("graphene", "nancy", 6));
+    hosts.extend(cluster("griffon", "nancy", 4));
+    hosts
+}
+
+/// One request of the stream: POST or GET, path and query.
+type Ask = (bool, String, String);
+
+/// `n` transfers between pool hosts, as `src,dst,size` texts.
+fn transfers(rng: &mut SmallRng, hosts: &[String], n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| {
+            let src = &hosts[rng.gen_range(0..hosts.len())];
+            let dst = &hosts[rng.gen_range(0..hosts.len())];
+            format!("{src},{dst},{}e6", 1 + rng.gen_range(0..900))
+        })
+        .collect()
+}
+
+fn predict(platform: &str, transfers: &[String]) -> (String, String) {
+    let query = transfers.iter().map(|t| format!("transfer={t}")).collect::<Vec<_>>();
+    (format!("/pilgrim/predict_transfers/{platform}"), query.join("&"))
+}
+
+fn select(platform: &str, hypotheses: &[Vec<String>]) -> (String, String) {
+    let query = hypotheses.iter().map(|h| format!("hypothesis={}", h.join(";")));
+    (format!("/pilgrim/select_fastest/{platform}"), query.collect::<Vec<_>>().join("&"))
+}
+
+/// A query the service must refuse: malformed (400), or naming an
+/// unknown host or platform (404).
+fn refused(rng: &mut SmallRng, hosts: &[String]) -> (String, String) {
+    let n = 1 + rng.gen_range(0..3);
+    let good = transfers(rng, hosts, n);
+    let (src, dst) = (&hosts[0], &hosts[hosts.len() - 1]);
+    let at = rng.gen_range(0..good.len() + 1);
+    let one = |bad: String| {
+        let mut ts = good.clone();
+        ts.insert(at, bad);
+        ts
+    };
+    match rng.gen_range(0..10) {
+        0 => predict("g5k_test", &one(format!("{src},{dst}"))),
+        1 => predict("g5k_test", &one(format!("{src},{dst},abc"))),
+        2 => predict("g5k_test", &one(format!("{src},{dst},-1e6"))),
+        3 => predict("g5k_test", &one(format!("nowhere.grid5000.fr,{dst},1e6"))),
+        4 => predict("nope", &good),
+        5 => (String::from("/pilgrim/predict_transfers/g5k_test"), String::new()),
+        6 => select("g5k_test", &[good, vec![format!("{src},{dst},1,2")]]),
+        7 => select("g5k_test", &[good, Vec::new()]),
+        8 => select("g5k_test", &[vec![format!("{src},nowhere.grid5000.fr,1e6")], good]),
+        _ => select("nope", &[good]),
+    }
+}
+
+/// The seeded stream: 160 queries, each asked twice, with a capacity
+/// halving after the 50th and a NIC failure after the 100th.
+fn stream() -> Vec<Ask> {
+    let hosts = hosts();
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let mut asks = Vec::new();
+    for i in 0..160 {
+        let event = match i {
+            50 => Some("link=sagittaire-2.lyon.grid5000.fr-nic&factor=0.5"),
+            100 => Some("link=sagittaire-1.lyon.grid5000.fr-nic&state=down"),
+            _ => None,
+        };
+        if let Some(event) = event {
+            asks.push((true, String::from("/pilgrim/link_event/g5k_test"), event.to_string()));
+        }
+        let (path, query) = match rng.gen_range(0..10) {
+            0..=4 => {
+                let n = 1 + rng.gen_range(0..30);
+                predict("g5k_test", &transfers(&mut rng, &hosts, n))
+            }
+            5..=8 => {
+                let hypotheses: Vec<Vec<String>> = (0..1 + rng.gen_range(0..8))
+                    .map(|_| {
+                        let n = 1 + rng.gen_range(0..4);
+                        transfers(&mut rng, &hosts, n)
+                    })
+                    .collect();
+                select("g5k_test", &hypotheses)
+            }
+            _ => refused(&mut rng, &hosts),
+        };
+        asks.push((false, path.clone(), query.clone()));
+        asks.push((false, path, query));
+    }
+    asks
+}
+
+fn answer(svc: &PilgrimService, (post, path, query): &Ask) -> (u16, String) {
+    let req =
+        if *post { Request::synthetic_post(path, query) } else { Request::synthetic(path, query) };
+    let resp = svc.handle(&req);
+    (resp.status, resp.body)
+}
+
+/// FNV-1a over every answer's status, body length and body.
+fn digest(answers: &[(u16, String)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (status, body) in answers {
+        let head = status.to_le_bytes().into_iter().chain((body.len() as u64).to_le_bytes());
+        for b in head.chain(body.bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn a_seeded_stream_serves_the_recorded_bytes() {
+    let asks = stream();
+    assert!(asks.len() >= 300, "{} requests", asks.len());
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let answers: Vec<(u16, String)> = asks.iter().map(|ask| answer(&svc, ask)).collect();
+
+        // the stream reaches every kind of answer it is meant to pin
+        let count = |status| answers.iter().filter(|(s, _)| *s == status).count();
+        assert!(count(200) > 200 && count(400) > 5 && count(404) > 5, "{sequential}");
+        let one_hypothesis = asks.iter().zip(&answers).filter(|((_, path, query), (s, _))| {
+            path.contains("select_fastest") && !query.contains('&') && *s == 200
+        });
+        assert!(one_hypothesis.count() >= 2, "{sequential}: no one-hypothesis select");
+        assert!(answers.iter().any(|(_, body)| body.contains(r#""duration":null"#)));
+        for (i, twice) in asks.windows(2).enumerate().filter(|(_, w)| w[0] == w[1]) {
+            assert_eq!(answers[i], answers[i + 1], "{sequential}: {twice:?} answered twice");
+        }
+
+        // a link event's answer counts the entries it evicted, which the
+        // reference, caching nothing, does not have: only forecasts digest
+        let (events, forecasts): (Vec<_>, Vec<_>) =
+            asks.iter().zip(answers).partition(|((post, _, _), _)| *post);
+        assert!(events.iter().all(|(_, (status, _))| *status == 200), "{events:?}");
+        let forecasts: Vec<(u16, String)> = forecasts.into_iter().map(|(_, a)| a).collect();
+        let which = if sequential { "sequential reference" } else { "served" };
+        let got = digest(&forecasts);
+        assert_eq!(got, SERVED_DIGEST, "{which}: digest {got:#x}");
+    }
+}
+
+
+#[test]
+fn a_predict_and_its_one_hypothesis_select_share_one_entry() {
+    let t: Vec<String> = [
+        "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8",
+        "sagittaire-3.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,1e9",
+        "capricorne-2.lyon.grid5000.fr,sagittaire-1.lyon.grid5000.fr,2e8",
+    ]
+    .map(String::from)
+    .to_vec();
+    let (path, query) = predict("g5k_test", &t);
+    let predict_t = (false, path, query);
+    let (path, query) = select("g5k_test", &[t]);
+    let select_t = (false, path, query);
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let (status, predicted) = answer(&svc, &predict_t);
+        assert_eq!(status, 200, "{predicted}");
+        let (status, selected) = answer(&svc, &select_t);
+        assert_eq!(status, 200, "{selected}");
+
+        // {"best":0,"makespan":…,"predictions":<the predict body>,"pruned":[]}
+        let (makespan, predictions) = selected
+            .strip_prefix(r#"{"best":0,"makespan":"#)
+            .and_then(|rest| rest.strip_suffix(r#","pruned":[]}"#))
+            .and_then(|rest| rest.split_once(r#","predictions":"#))
+            .unwrap_or_else(|| panic!("{sequential}: {selected}"));
+        assert_eq!(predictions, predicted, "{sequential}: the winner's 4-uples are the predict's");
+        let durations = Value::parse(&predicted).unwrap();
+        let longest = durations.as_array().unwrap().iter().map(|p| p["duration"].as_f64().unwrap());
+        assert_eq!(makespan.parse::<f64>().ok(), longest.reduce(f64::max), "{sequential}");
+
+        if !sequential {
+            let (_, stats) = answer(&svc, &(false, "/pilgrim/stats".into(), String::new()));
+            let stats = Value::parse(&stats).unwrap();
+            let read = |name: &str| stats[name].as_i64();
+            let counts = (read("simulations"), read("cache_hits"), read("cache_len"));
+            assert_eq!(counts, (Some(1), Some(1), Some(1)), "one forecast, one entry: {stats}");
+        }
+    }
+}

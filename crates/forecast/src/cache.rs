@@ -12,6 +12,11 @@
 //! one shared allocation per key: the map, the LRU slab and the engine's
 //! flight table hold the same `Arc`.
 //!
+//! Every entry is a [`Selection`]. A selection's key adds its hypothesis
+//! boundaries, except for a one-hypothesis query: a predict and the
+//! one-hypothesis select of the same transfers are the same simulation,
+//! so they key alike and share one entry.
+//!
 //! The overlay is kept out of the key because an entry never outlives
 //! the overlay it was computed under. One rule files, and an entry goes
 //! only when its answer can change or can no longer be asked for:
@@ -65,17 +70,17 @@ pub(crate) struct CacheKey {
     /// Canonicalized transfers, in request order (order matters: answers
     /// are positional); a selection's hypotheses are concatenated.
     transfers: Arc<[CanonicalTransfer]>,
-    /// `None` for a `predict_transfers` batch; for a `select_fastest`
-    /// query, the number of transfers in each hypothesis (order matters:
-    /// the winner is an index into the hypotheses).
+    /// `None` for a one-hypothesis query — a predict, or a select of one
+    /// hypothesis; else the number of transfers in each hypothesis
+    /// (order matters: the winner is an index into the hypotheses).
     hypotheses: Option<Arc<[usize]>>,
 }
 
 impl CacheKey {
-    /// Key of a query on session `session`: a predict batch when
-    /// `hypotheses` is `None`, else a selection whose `transfers` hold
-    /// every hypothesis' transfers, flattened in order, and
-    /// `hypotheses` how many of them each hypothesis has.
+    /// Key of a query on session `session`: one hypothesis of all of
+    /// `transfers` when `hypotheses` is `None`, else a selection whose
+    /// `transfers` hold every hypothesis' transfers, flattened in order,
+    /// and `hypotheses` how many of them each hypothesis has.
     pub(crate) fn new(
         session: u64,
         transfers: Arc<[CanonicalTransfer]>,
@@ -89,19 +94,10 @@ impl CacheKey {
         &self.transfers
     }
 
-    /// A selection's hypothesis lengths; `None` for a predict batch.
-    pub(crate) fn hypotheses(&self) -> Option<&Arc<[usize]>> {
-        self.hypotheses.as_ref()
+    /// A selection's hypothesis lengths; `None` for one hypothesis.
+    pub(crate) fn hypotheses(&self) -> Option<&[usize]> {
+        self.hypotheses.as_deref()
     }
-}
-
-/// A cached forecast result.
-#[derive(Clone, Debug)]
-pub enum CachedResult {
-    /// Durations of a predict batch, in request order.
-    Predict(Arc<Vec<f64>>),
-    /// Outcome of a selection.
-    Select(Arc<Selection>),
 }
 
 /// Slab slot sentinel: "no neighbor".
@@ -110,7 +106,7 @@ const NIL: usize = usize::MAX;
 struct Entry {
     key: CacheKey,
     /// `None` only while the slot sits on the free list.
-    value: Option<CachedResult>,
+    value: Option<Arc<Selection>>,
     /// Sorted, deduplicated solver resource ids of the query's route
     /// union — what [`ForecastCache::invalidate_link`] matches against.
     routes: Arc<[u32]>,
@@ -245,7 +241,7 @@ impl ForecastCache {
 
     /// Looks a key up, counting the hit/miss. A hit promotes the entry to
     /// most-recently-used.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Selection>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(key).copied() {
             Some(idx) => {
@@ -264,7 +260,7 @@ impl ForecastCache {
     /// Looks a key up without counting or promoting. The singleflight
     /// double-check uses this: it must not skew hit/miss statistics or
     /// recency for a lookup the caller already accounted.
-    pub fn peek(&self, key: &CacheKey) -> Option<CachedResult> {
+    pub fn peek(&self, key: &CacheKey) -> Option<Arc<Selection>> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.map.get(key).and_then(|&idx| inner.entries[idx].value.clone())
     }
@@ -281,7 +277,7 @@ impl ForecastCache {
     pub fn insert_if(
         &self,
         key: CacheKey,
-        value: CachedResult,
+        value: Arc<Selection>,
         routes: Arc<[u32]>,
         valid: impl FnOnce() -> bool,
     ) {
@@ -429,14 +425,21 @@ mod tests {
         CacheKey::new(session, transfers(specs), None)
     }
 
-    /// Key of a selection over `hypotheses` on session 1.
+    /// Key of a selection over `hypotheses` on session 1, as the
+    /// engine's probe builds it.
     fn select(hypotheses: &[&[Spec]]) -> CacheKey {
-        let lengths = hypotheses.iter().map(|h| h.len()).collect();
-        CacheKey::new(1, transfers(&hypotheses.concat()), Some(lengths))
+        let lengths = (hypotheses.len() > 1).then(|| hypotheses.iter().map(|h| h.len()).collect());
+        CacheKey::new(1, transfers(&hypotheses.concat()), lengths)
+    }
+
+    /// The answer to a one-transfer predict that takes `duration`.
+    fn answer(duration: f64) -> Arc<Selection> {
+        let durations = vec![duration];
+        Arc::new(Selection { best: 0, best_makespan: duration, durations, pruned: Vec::new() })
     }
 
     /// Files `key` with no routes and no validity check.
-    fn insert(cache: &ForecastCache, key: CacheKey, value: CachedResult) {
+    fn insert(cache: &ForecastCache, key: CacheKey, value: Arc<Selection>) {
         cache.insert_if(key, value, Arc::from([]), || true);
     }
 
@@ -453,12 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn a_predict_batch_never_collides_with_a_selection_of_it() {
-        let (t1, t2) = (("a", "b", 1.0), ("c", "d", 2.0));
-        assert_ne!(predict(1, &[t1, t2]), select(&[&[t1, t2]]));
-    }
-
-    #[test]
     fn hypothesis_boundaries_are_part_of_the_key() {
         let (t1, t2) = (("a", "b", 1.0), ("c", "d", 2.0));
         assert_ne!(select(&[&[t1, t2]]), select(&[&[t1], &[t2]]));
@@ -472,7 +469,7 @@ mod tests {
         let old = predict(1, &spec);
         let new = predict(2, &spec);
         assert_ne!(old, new, "the same host ids under two sessions are two queries");
-        insert(&cache, old.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
+        insert(&cache, old.clone(), answer(1.0));
         assert!(cache.get(&new).is_none());
         cache.retire_session(1);
         assert!(cache.peek(&old).is_none(), "a retired session's entries are dropped");
@@ -486,7 +483,7 @@ mod tests {
             insert(
                 &cache,
                 predict(1, &[("a", "b", i as f64)]),
-                CachedResult::Predict(Arc::new(vec![i as f64])),
+                answer(i as f64),
             );
         }
         assert_eq!(cache.len(), 3);
@@ -505,12 +502,12 @@ mod tests {
         // it resident through 20 one-off insertions into a 3-entry cache.
         let cache = ForecastCache::new(3);
         let hot = predict(1, &[("d", "c", 1.0)]);
-        insert(&cache, hot.clone(), CachedResult::Predict(Arc::new(vec![42.0])));
+        insert(&cache, hot.clone(), answer(42.0));
         for i in 0..20 {
             insert(
                 &cache,
                 predict(1, &[("a", "b", i as f64)]),
-                CachedResult::Predict(Arc::new(vec![i as f64])),
+                answer(i as f64),
             );
             assert!(
                 cache.get(&hot).is_some(),
@@ -520,7 +517,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         match cache.get(&hot) {
-            Some(CachedResult::Predict(v)) => assert_eq!(*v, vec![42.0]),
+            Some(v) => assert_eq!(v.durations, vec![42.0]),
             other => panic!("hot key lost: {:?}", other.is_some()),
         }
     }
@@ -530,8 +527,8 @@ mod tests {
         let cache = ForecastCache::new(2);
         let a = predict(1, &[("a", "b", 1.0)]);
         let b = predict(1, &[("c", "d", 1.0)]);
-        insert(&cache, a.clone(), CachedResult::Predict(Arc::new(vec![1.0])));
-        insert(&cache, b.clone(), CachedResult::Predict(Arc::new(vec![2.0])));
+        insert(&cache, a.clone(), answer(1.0));
+        insert(&cache, b.clone(), answer(2.0));
         assert!(cache.peek(&a).is_some());
         assert!(cache.peek(&predict(1, &[])).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0), "peek is statistics-free");
@@ -539,7 +536,7 @@ mod tests {
         insert(
             &cache,
             predict(1, &[("b", "a", 1.0)]),
-            CachedResult::Predict(Arc::new(vec![3.0])),
+            answer(3.0),
         );
         assert!(cache.peek(&a).is_none(), "peek must not refresh recency");
         assert!(cache.peek(&b).is_some());
@@ -549,7 +546,7 @@ mod tests {
     fn insert_if_drops_invalid_results() {
         let cache = ForecastCache::new(8);
         let k = predict(1, &[("a", "b", 1.0)]);
-        let v = || CachedResult::Predict(Arc::new(vec![1.0]));
+        let v = || answer(1.0);
         cache.insert_if(k.clone(), v(), Arc::from([]), || false);
         assert!(cache.peek(&k).is_none(), "invalid insert must be dropped");
         cache.insert_if(k.clone(), v(), Arc::from([]), || true);
@@ -562,7 +559,7 @@ mod tests {
         let crossing = predict(1, &[("a", "b", 1.0)]);
         let disjoint = predict(1, &[("c", "d", 1.0)]);
         let other_session = predict(2, &[("a", "b", 1.0)]);
-        let v = || CachedResult::Predict(Arc::new(vec![0.0]));
+        let v = || answer(0.0);
         cache.insert_if(crossing.clone(), v(), Arc::from([2, 5, 9]), || true);
         cache.insert_if(disjoint.clone(), v(), Arc::from([1, 3]), || true);
         cache.insert_if(other_session.clone(), v(), Arc::from([2, 5]), || true);

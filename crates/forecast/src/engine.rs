@@ -4,12 +4,13 @@
 //! per-request "build a simulation, run it, throw it away" loop into
 //! something that can take heavy concurrent traffic:
 //!
-//! * a `predict` is **one** flow-level simulation of the whole request,
-//!   as in the paper, and a `select_fastest` is the paper's §VI loop —
-//!   simulate a hypothesis, prune the ones that can no longer win —
-//!   both run start to finish on the thread that calls the compute
-//!   stage (an HTTP worker): the engine owns no threads, and
-//!   concurrency is one request per worker;
+//! * every forecast is the paper's §VI loop over its hypotheses —
+//!   simulate a hypothesis, prune the ones that can no longer win — and
+//!   a `predict` is the selection of its one hypothesis: **one**
+//!   flow-level simulation of the whole request, as in the paper. It
+//!   runs start to finish on the thread that calls the compute stage
+//!   (an HTTP worker): the engine owns no threads, and concurrency is
+//!   one request per worker;
 //! * per-platform scaffolding (capacity vectors, recycled simulation
 //!   scratch, the link-state overlay) lives in warm [`Session`]s
 //!   (`crate::session`);
@@ -24,39 +25,43 @@
 //! Every forecast is split at the one point where it either has its
 //! answer or must work for it:
 //!
-//! * the **probe** ([`ForecastEngine::probe_predict`],
-//!   [`ForecastEngine::probe_select`]) validates the query, looks its
-//!   host names up, builds the key from host ids and size bits and looks
-//!   the cache up. It never resolves a route, never touches the flight
-//!   table and never simulates, so the HTTP front end runs it on its
-//!   poller thread and answers a hit from there — a query's second ask
-//!   included;
-//! * the **compute** stage ([`ForecastEngine::compute_predict`],
-//!   [`ForecastEngine::compute_select`]) takes the [`Pending`] the probe
-//!   returned — session and key — reads the overlay version and
-//!   coalesces; only the leader resolves the key's routes and simulates.
-//!   It repeats none of the probe's work, and its cache re-check does
-//!   not count, so hits + misses advance by one per forecast.
+//! * the **probe** ([`ForecastEngine::probe`]) validates the query,
+//!   looks its host names up, builds the key from host ids and size bits
+//!   and looks the cache up. It never resolves a route, never touches the
+//!   flight table and never simulates, so the HTTP front end runs it on
+//!   its poller thread and answers a hit from there — a query's second
+//!   ask included;
+//! * the **compute** stage ([`ForecastEngine::compute`]) takes the
+//!   [`Pending`] the probe returned — session and key — reads the overlay
+//!   version and coalesces; only the leader resolves the key's routes and
+//!   runs the selection loop. It repeats none of the probe's work, and
+//!   its cache re-check does not count, so hits + misses advance by one
+//!   per forecast.
 //!
-//! [`ForecastEngine::predict`] and [`ForecastEngine::select_fastest`] are
-//! the two stages back to back on the caller.
+//! Both answer a [`Selection`]. [`ForecastEngine::select_fastest`] is the
+//! two stages back to back on the caller, and
+//! [`ForecastEngine::predict`] is `select_fastest` of one hypothesis.
 //!
 //! ## Determinism
 //!
 //! A forecast is a pure function of `(session, overlay, resolved
 //! query)` — the query as host ids + size bits:
 //!
-//! * `predict` adds the requests, in request order, to one simulation
-//!   of the degraded platform ([`Session::simulate`]) — exactly what a
-//!   from-scratch kernel run of the batch does, so there is nothing to
-//!   merge. Link-disjoint groups of transfers are kept apart *inside*
-//!   the max-min solver ([`simflow::Connectivity`]), which re-solves
-//!   only the component an event touches.
-//! * `select_fastest` orders the hypotheses by a makespan lower bound,
+//! * a hypothesis is simulated by adding its requests, in request
+//!   order, to one simulation of the degraded platform
+//!   ([`Session::simulate`]) — exactly what a from-scratch kernel run of
+//!   the batch does, so there is nothing to merge. Link-disjoint groups
+//!   of transfers are kept apart *inside* the max-min solver
+//!   ([`simflow::Connectivity`]), which re-solves only the component an
+//!   event touches.
+//! * a selection orders the hypotheses by a makespan lower bound,
 //!   simulates them one at a time, cheapest bound first, and skips a
 //!   hypothesis once its bound reaches the best makespan simulated so
 //!   far. The bound holds under the session's link overlay (see
 //!   [`Session::capacity_gain`]), so pruning never discards the winner.
+//! * a predict is the selection of its one hypothesis: no bound is
+//!   computed, since nothing can be pruned, so it is one simulation —
+//!   `best` 0, `pruned` empty, the makespan its largest duration.
 //!
 //! The overlay is not in the key: an entry lives only as long as the
 //! overlay on its routes is the one it was computed under, because a
@@ -64,15 +69,14 @@
 //!
 //! ## Singleflight coalescing
 //!
-//! Concurrent requests for the same cache key (predict *and* select) are
-//! **coalesced**: one request — the *leader* — computes; the others
-//! block on the in-flight computation and receive the same result. The
-//! determinism contract makes this sound: a follower joins only a
-//! flight whose leader keyed the same query on the same session and
-//! read the same overlay version (`FlightKey`), so the
-//! leader's answer *is* every follower's answer, bit for bit —
-//! followers return the identical `Arc`, and upstream JSON rendering is
-//! byte-identical to what each would have computed alone.
+//! Concurrent requests for the same cache key are **coalesced**: one
+//! request — the *leader* — computes; the others block on the in-flight
+//! computation and receive the same result. The determinism contract
+//! makes this sound: a follower joins only a flight whose leader keyed
+//! the same query on the same session and read the same overlay version
+//! (`FlightKey`), so the leader's answer *is* every follower's answer,
+//! bit for bit — followers return the identical `Arc`, and upstream JSON
+//! rendering is byte-identical to what each would have computed alone.
 //!
 //! The handoff is panic-safe: if the leader's computation panics, a drop
 //! guard publishes an [`ForecastError::Internal`] outcome to the waiting
@@ -98,7 +102,7 @@ use exec::WorkerPool;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError};
 use telemetry::{MetricsRegistry, Span};
 
-use crate::cache::{CacheKey, CachedResult, CanonicalTransfer, ForecastCache};
+use crate::cache::{CacheKey, CanonicalTransfer, ForecastCache};
 use crate::faults::FaultInjector;
 use crate::metrics::ForecastMetrics;
 use crate::session::{ResolvedSpec, Session};
@@ -166,20 +170,22 @@ impl From<SimError> for ForecastError {
     }
 }
 
-/// What every `select_fastest` refuses: no hypothesis at all, or one
-/// with no transfer, whose makespan of 0 would win the selection and
-/// prune every real hypothesis.
-pub fn check_hypotheses<T>(hypotheses: &[Vec<T>]) -> Result<(), ForecastError> {
+/// What every forecast refuses: no hypothesis at all, or one with no
+/// transfer, whose makespan of 0 would win the selection and prune every
+/// real hypothesis. An empty predict is `EmptyHypothesis(0)`.
+pub fn check_hypotheses<T, H: AsRef<[T]>>(hypotheses: &[H]) -> Result<(), ForecastError> {
     if hypotheses.is_empty() {
         return Err(ForecastError::NoHypotheses);
     }
-    match hypotheses.iter().position(Vec::is_empty) {
+    match hypotheses.iter().position(|h| h.as_ref().is_empty()) {
         Some(i) => Err(ForecastError::EmptyHypothesis(i)),
         None => Ok(()),
     }
 }
 
-/// Outcome of hypothesis selection.
+/// Outcome of a forecast: the fastest of its hypotheses. A predict is
+/// the selection of its one hypothesis — `best` 0, `pruned` empty, and
+/// `best_makespan` the largest of its `durations`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Selection {
     /// Index of the winning hypothesis.
@@ -196,21 +202,11 @@ pub struct Selection {
 const CACHE_CAPACITY: usize = 4096;
 
 /// What a forecast's probe stage found.
-pub enum Probed<T> {
+pub enum Probed {
     /// The answer was cached.
-    Ready(T),
+    Ready(Arc<Selection>),
     /// It was not: what the compute stage continues from.
     Pending(Pending),
-}
-
-impl<T> Probed<T> {
-    /// Maps a ready answer; a pending forecast passes through.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Probed<U> {
-        match self {
-            Probed::Ready(t) => Probed::Ready(f(t)),
-            Probed::Pending(p) => Probed::Pending(p),
-        }
-    }
 }
 
 /// A forecast its probe stage could not answer, keyed against one
@@ -218,16 +214,8 @@ impl<T> Probed<T> {
 /// travels with the request (the HTTP front end moves it to a worker
 /// thread); the request's own specs stay with the caller.
 pub struct Pending {
-    platform: String,
     session: Arc<Session>,
     key: CacheKey,
-}
-
-impl Pending {
-    /// The platform the forecast is for.
-    pub fn platform(&self) -> &str {
-        &self.platform
-    }
 }
 
 /// A flight's key: the cache key plus the overlay version its leader
@@ -240,12 +228,12 @@ type FlightKey = (CacheKey, u64);
 /// until the leader (or its panic guard) publishes an outcome.
 #[derive(Default)]
 struct Flight {
-    outcome: Mutex<Option<Result<CachedResult, ForecastError>>>,
+    outcome: Mutex<Option<Result<Arc<Selection>, ForecastError>>>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn wait(&self) -> Result<CachedResult, ForecastError> {
+    fn wait(&self) -> Result<Arc<Selection>, ForecastError> {
         let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(outcome) = guard.as_ref() {
@@ -255,7 +243,7 @@ impl Flight {
         }
     }
 
-    fn complete(&self, outcome: Result<CachedResult, ForecastError>) {
+    fn complete(&self, outcome: Result<Arc<Selection>, ForecastError>) {
         let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.is_none() {
             *guard = Some(outcome);
@@ -447,8 +435,8 @@ impl ForecastEngine {
         &self,
         flight: FlightKey,
         valid: impl FnOnce() -> bool,
-        compute: impl FnOnce(&CacheKey) -> Result<(CachedResult, Arc<[u32]>), ForecastError>,
-    ) -> Result<CachedResult, ForecastError> {
+        compute: impl FnOnce(&CacheKey) -> Result<(Arc<Selection>, Arc<[u32]>), ForecastError>,
+    ) -> Result<Arc<Selection>, ForecastError> {
         let existing = {
             let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
             // Double-check under the flights lock: a finishing leader
@@ -513,7 +501,7 @@ impl ForecastEngine {
     }
 
     /// Retires a flight, waking its followers with `outcome`.
-    fn finish_flight(&self, key: &FlightKey, outcome: Result<CachedResult, ForecastError>) {
+    fn finish_flight(&self, key: &FlightKey, outcome: Result<Arc<Selection>, ForecastError>) {
         let flight = {
             let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
             flights.remove(key)
@@ -523,49 +511,47 @@ impl ForecastEngine {
         }
     }
 
-    /// The probe stage of any forecast (see the module docs): validate,
-    /// look every host up, key the query by host ids and size bits, and
-    /// look the cache up — counted as this request's one hit or miss. It
-    /// resolves no route, takes no flight and runs no simulation.
-    /// `hypotheses` is `None` for a predict batch, else a selection's
-    /// hypothesis lengths.
-    fn probe<'a, T>(
+    /// The probe stage of a forecast over `hypotheses` — a predict is
+    /// one (see the module docs): validate, look every host up, key the
+    /// query by host ids and size bits, and look the cache up — counted
+    /// as this request's one hit or miss. It resolves no route, takes no
+    /// flight and runs no simulation.
+    pub fn probe<H: AsRef<[TransferSpec]>>(
         &self,
         platform: &str,
-        specs: impl IntoIterator<Item = &'a TransferSpec>,
-        hypotheses: Option<Arc<[usize]>>,
-        answer: fn(CachedResult) -> Result<T, ForecastError>,
-    ) -> Result<Probed<T>, ForecastError> {
+        hypotheses: &[H],
+    ) -> Result<Probed, ForecastError> {
+        check_hypotheses(hypotheses)?;
         let (id, session) = self.registered(platform)?;
         // The cache_lookup stage covers key construction (host lookups)
         // plus the lookup itself — everything between admission and the
         // simulate/coalesce decision.
         let _lookup = Span::start(&self.metrics.stage_cache_lookup);
-        let transfers = specs
-            .into_iter()
+        let transfers = hypotheses
+            .iter()
+            .flat_map(AsRef::as_ref)
             .map(|spec| {
                 let (src, dst) = session.endpoints(spec)?;
                 Ok((src, dst, spec.size.to_bits()))
             })
             .collect::<Result<Arc<[CanonicalTransfer]>, ForecastError>>()?;
-        let key = CacheKey::new(id, transfers, hypotheses);
+        // One hypothesis keys as a predict does: the same simulation.
+        let lengths =
+            (hypotheses.len() > 1).then(|| hypotheses.iter().map(|h| h.as_ref().len()).collect());
+        let key = CacheKey::new(id, transfers, lengths);
         Ok(match self.cache.get(&key) {
-            Some(hit) => Probed::Ready(answer(hit)?),
-            None => Probed::Pending(Pending { platform: platform.to_string(), session, key }),
+            Some(hit) => Probed::Ready(hit),
+            None => Probed::Pending(Pending { session, key }),
         })
     }
 
-    /// The compute stage of any forecast: coalesce, and as the leader
-    /// resolve the routes of the key's transfers and run `simulate` on
-    /// them, in request order — a request that finds the answer filed or
-    /// in flight resolves nothing. The route union files the result for
-    /// targeted invalidation.
-    fn compute(
-        &self,
-        pending: Pending,
-        simulate: impl FnOnce(&Session, &[ResolvedSpec]) -> Result<CachedResult, ForecastError>,
-    ) -> Result<CachedResult, ForecastError> {
-        let Pending { session, key, .. } = pending;
+    /// The compute stage of a forecast: coalesce, and as the leader
+    /// resolve the routes of the key's transfers and run the selection
+    /// loop on them, in request order — a request that finds the answer
+    /// filed or in flight resolves nothing. The route union files the
+    /// result for targeted invalidation.
+    pub fn compute(&self, pending: Pending) -> Result<Arc<Selection>, ForecastError> {
+        let Pending { session, key } = pending;
         // Read before any simulation reads the overlay, and no earlier:
         // an event while the request waited for a worker changes nothing
         // here. A `link_event` bumps the version under the overlay's
@@ -588,44 +574,24 @@ impl ForecastEngine {
                     })
                     .collect::<Result<Vec<_>, ForecastError>>()?;
                 self.begin_simulation();
-                Ok((simulate(&session, &resolved)?, route_union(&resolved)))
+                let one = [resolved.len()];
+                let lengths = key.hypotheses().unwrap_or(&one);
+                let selection = self.compute_selection(&session, lengths, &resolved)?;
+                Ok((Arc::new(selection), route_union(&resolved)))
             },
         )
     }
 
-    /// Probe stage of [`ForecastEngine::predict`]: the cached durations,
-    /// or what [`ForecastEngine::compute_predict`] needs to produce them.
-    pub fn probe_predict(
-        &self,
-        platform: &str,
-        specs: &[TransferSpec],
-    ) -> Result<Probed<Arc<Vec<f64>>>, ForecastError> {
-        self.probe(platform, specs, None, predict_result)
-    }
-
-    /// Compute stage of [`ForecastEngine::predict`] for the batch its
-    /// probe keyed: one simulation of the whole batch, unless a
-    /// concurrent identical request is already running it.
-    pub fn compute_predict(&self, pending: Pending) -> Result<Arc<Vec<f64>>, ForecastError> {
-        let outcome = self.compute(pending, |session, resolved| {
-            let durations = session.simulate(resolved)?;
-            Ok(CachedResult::Predict(Arc::new(durations)))
-        })?;
-        predict_result(outcome)
-    }
-
     /// Predicted completion times (seconds) of a set of concurrent
-    /// transfers, in request order. Cached; probe and compute stage back
-    /// to back on the calling thread.
+    /// transfers: the forecast of one hypothesis, whose `durations` are
+    /// in request order. Cached; probe and compute stage back to back on
+    /// the calling thread.
     pub fn predict(
         &self,
         platform: &str,
         specs: &[TransferSpec],
-    ) -> Result<Arc<Vec<f64>>, ForecastError> {
-        match self.probe_predict(platform, specs)? {
-            Probed::Ready(d) => Ok(d),
-            Probed::Pending(pending) => self.compute_predict(pending),
-        }
+    ) -> Result<Arc<Selection>, ForecastError> {
+        self.select_fastest(platform, &[specs])
     }
 
     /// A hypothesis' makespan lower bound: each transfer alone needs at
@@ -646,49 +612,25 @@ impl ForecastEngine {
         bound
     }
 
-    /// Probe stage of [`ForecastEngine::select_fastest`].
-    pub fn probe_select(
-        &self,
-        platform: &str,
-        hypotheses: &[Vec<TransferSpec>],
-    ) -> Result<Probed<Arc<Selection>>, ForecastError> {
-        check_hypotheses(hypotheses)?;
-        let lengths = hypotheses.iter().map(Vec::len).collect();
-        self.probe(platform, hypotheses.iter().flatten(), Some(lengths), select_result)
-    }
-
-    /// Compute stage of [`ForecastEngine::select_fastest`] for the
-    /// hypotheses its probe keyed: simulates the hypotheses the lower
-    /// bound cannot rule out, one after another on the calling thread.
-    pub fn compute_select(&self, pending: Pending) -> Result<Arc<Selection>, ForecastError> {
-        let Some(lengths) = pending.key.hypotheses().cloned() else {
-            return Err(ForecastError::Internal("a predict handed to compute_select".into()));
-        };
-        let outcome = self.compute(pending, |session, resolved| {
-            let selection = self.compute_selection(session, &lengths, resolved)?;
-            Ok(CachedResult::Select(Arc::new(selection)))
-        })?;
-        select_result(outcome)
-    }
-
     /// Evaluates `hypotheses` and returns the fastest, with pruning (the
     /// paper's §VI service). Cached; probe and compute stage back to
     /// back on the calling thread.
-    pub fn select_fastest(
+    pub fn select_fastest<H: AsRef<[TransferSpec]>>(
         &self,
         platform: &str,
-        hypotheses: &[Vec<TransferSpec>],
+        hypotheses: &[H],
     ) -> Result<Arc<Selection>, ForecastError> {
-        match self.probe_select(platform, hypotheses)? {
-            Probed::Ready(s) => Ok(s),
-            Probed::Pending(pending) => self.compute_select(pending),
+        match self.probe(platform, hypotheses)? {
+            Probed::Ready(selection) => Ok(selection),
+            Probed::Pending(pending) => self.compute(pending),
         }
     }
 
     /// The selection loop (one leader computation): simulate in
     /// lower-bound order, pruning against the running best. `resolved`
     /// holds every hypothesis' specs, flattened in order, and `lengths`
-    /// how many of them each hypothesis has.
+    /// how many of them each hypothesis has. One hypothesis is simulated
+    /// without a bound: nothing can prune it.
     fn compute_selection(
         &self,
         session: &Session,
@@ -706,7 +648,7 @@ impl ForecastEngine {
         let mut order: Vec<(usize, f64)> = hypotheses
             .iter()
             .enumerate()
-            .map(|(i, h)| (i, self.lower_bound(session, h)))
+            .map(|(i, h)| (i, if lengths.len() > 1 { self.lower_bound(session, h) } else { 0.0 }))
             .collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
 
@@ -764,24 +706,6 @@ impl ForecastEngine {
     /// reads it for the `forecast.cache.invalidated_epoch_total` row.
     pub fn invalidated_epoch(&self) -> u64 {
         0
-    }
-}
-
-fn predict_result(outcome: CachedResult) -> Result<Arc<Vec<f64>>, ForecastError> {
-    match outcome {
-        CachedResult::Predict(d) => Ok(d),
-        CachedResult::Select(_) => {
-            Err(ForecastError::Internal("predict key yielded a selection".into()))
-        }
-    }
-}
-
-fn select_result(outcome: CachedResult) -> Result<Arc<Selection>, ForecastError> {
-    match outcome {
-        CachedResult::Select(s) => Ok(s),
-        CachedResult::Predict(_) => {
-            Err(ForecastError::Internal("select key yielded a prediction".into()))
-        }
     }
 }
 

@@ -36,21 +36,21 @@
 //! disjoint queries keep hitting. A result computed across an event is
 //! not filed (the `cache` module docs have the full contract). The
 //! cache is the one record of what was asked before: nothing else
-//! remembers a query.
+//! remembers a query. Every entry is a [`Selection`], and a predict and
+//! the one-hypothesis select of it key alike, so they share one entry.
 //!
 //! ## Determinism
 //!
-//! A forecast is one simulation: `predict` adds the requests, in request
-//! order, to a single simulation of the degraded platform
-//! ([`Session::simulate`], on recycled scratch) and runs it, which is
-//! what a from-scratch kernel run of the same batch does — the
-//! bit-identity tests compare the two. Background traffic is not
-//! modelled, as in the paper's PNFS. `select_fastest` is the paper's §VI
-//! loop — lower-bound the hypotheses, simulate them one at a time
-//! cheapest bound first, prune against the running best — and is pinned
-//! to the independent reference implementation of the same loop
+//! Every forecast is the paper's §VI loop — lower-bound the hypotheses,
+//! simulate them one at a time cheapest bound first, prune against the
+//! running best — pinned to its independent reference implementation
 //! (`pilgrim_core::Pnfs::select_fastest_reference`): same winner,
-//! makespan and pruned set.
+//! makespan and pruned set. A predict, the selection of one hypothesis,
+//! adds its requests in order to one simulation of the degraded platform
+//! ([`Session::simulate`], on recycled scratch), which is what a
+//! from-scratch kernel run of the batch does — the bit-identity tests
+//! compare the two. Background traffic is not modelled, as in the
+//! paper's PNFS.
 //!
 //! ## Singleflight
 //!

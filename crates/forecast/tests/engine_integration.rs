@@ -119,7 +119,7 @@ fn predict_is_bit_identical_to_a_from_scratch_kernel_run() {
         spec("alpha-6", "alpha-6", 1e9), // same host: unconstrained
     ];
     let want = monolithic(&specs);
-    let got = engine().predict("twoc", &specs).unwrap();
+    let got = engine().predict("twoc", &specs).unwrap().durations.clone();
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g.to_bits(), w.to_bits(), "{g} vs {w}");
@@ -247,7 +247,7 @@ fn served_answers_equal_the_reference_across_link_events() {
     let across = vec![spec("alpha-0", "beta-0", 4e8), spec("alpha-1", "beta-1", 2e8)];
     let local = vec![spec("alpha-0", "alpha-2", 3e8), spec("beta-4", "beta-5", 1e8)];
     let check = |specs: &[TransferSpec], label: &str| {
-        let got = e.predict("twoc", specs).unwrap();
+        let got = e.predict("twoc", specs).unwrap().durations.clone();
         let want = reference(&session, specs);
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want), "{label}: {got:?} vs {want:?}");
@@ -338,7 +338,7 @@ fn a_forecast_computed_across_a_link_event_is_never_filed() {
     e.predict("twoc", &q).unwrap();
     assert_eq!(e.cache_len(), 0, "a result computed across a link event must not be filed");
 
-    let again = e.predict("twoc", &q).unwrap();
+    let again = e.predict("twoc", &q).unwrap().durations.clone();
     assert_eq!(e.simulations(), 2, "the next identical predict simulates again");
     assert_eq!(e.cache_len(), 1, "and its result is filed");
     let want = reference(&e.session("twoc").unwrap(), &q);
@@ -374,7 +374,7 @@ fn answers_filed_while_a_link_flaps_are_those_of_the_current_overlay() {
         // the next flip: whatever the cache serves now must be its answer.
         let want = bits(&reference(&session, &q));
         for _ in 0..3 {
-            assert_eq!(bits(&e.predict("twoc", &q).unwrap()), want, "flip {flip}");
+            assert_eq!(bits(&e.predict("twoc", &q).unwrap().durations), want, "flip {flip}");
         }
     }
     stop.store(true, Ordering::Relaxed);
@@ -415,7 +415,7 @@ fn a_request_that_saw_a_link_event_joins_no_flight_from_before_it() {
     assert_eq!((e.simulations(), e.coalesced()), (2, 0), "two leaders, no follower");
     assert_eq!(e.cache_len(), 1, "only the later request's result is filed");
     let want = reference(&e.session("twoc").unwrap(), &q);
-    assert_eq!(answer[0].to_bits(), want[0].to_bits(), "it answers for the halved link");
+    assert_eq!(answer.durations[0].to_bits(), want[0].to_bits(), "it answers for the halved link");
 }
 
 #[test]
@@ -434,7 +434,7 @@ fn error_surface_matches_inputs() {
         Err(ForecastError::BadSize(_))
     ));
     assert!(matches!(
-        e.select_fastest("twoc", &[]),
+        e.select_fastest("twoc", &[] as &[Vec<TransferSpec>]),
         Err(ForecastError::NoHypotheses)
     ));
     // an empty hypothesis would win with makespan 0: refused, by index

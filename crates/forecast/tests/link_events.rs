@@ -92,8 +92,8 @@ fn link_event_invalidates_crossing_entries_only() {
     let e = engine();
     let on_alpha = vec![spec("alpha-0", "alpha-1", 5e8)];
     let on_beta = vec![spec("beta-0", "beta-1", 5e8)];
-    let quiet_alpha = e.predict("twoc", &on_alpha).unwrap()[0];
-    let quiet_beta = e.predict("twoc", &on_beta).unwrap()[0];
+    let quiet_alpha = e.predict("twoc", &on_alpha).unwrap().durations[0];
+    let quiet_beta = e.predict("twoc", &on_beta).unwrap().durations[0];
     assert_eq!(e.simulations(), 2);
 
     // Halve alpha-0's access link: exactly the alpha entry is evicted.
@@ -104,14 +104,14 @@ fn link_event_invalidates_crossing_entries_only() {
     // The disjoint beta query still hits its pre-event entry: the event
     // evicted only entries whose routes cross the link.
     let hits_before = e.cache_hits();
-    let beta_again = e.predict("twoc", &on_beta).unwrap()[0];
+    let beta_again = e.predict("twoc", &on_beta).unwrap().durations[0];
     assert_eq!(beta_again.to_bits(), quiet_beta.to_bits());
     assert_eq!(e.cache_hits(), hits_before + 1, "disjoint route must still hit");
     assert_eq!(e.simulations(), 2, "no re-simulation for the disjoint route");
 
     // The crossing query re-simulates and matches the from-scratch
     // reference on the degraded platform, bit for bit.
-    let degraded = e.predict("twoc", &on_alpha).unwrap()[0];
+    let degraded = e.predict("twoc", &on_alpha).unwrap().durations[0];
     assert_eq!(e.simulations(), 3);
     let want = reference(&[("alpha-0-eth", 0.5)], &on_alpha)[0];
     assert_eq!(degraded.to_bits(), want.to_bits(), "degraded forecast diverged");
@@ -123,7 +123,7 @@ fn link_event_invalidates_crossing_entries_only() {
     assert_eq!(evicted, 1, "the degraded entry crosses the link too");
     let session = e.session("twoc").unwrap();
     assert_eq!(session.overlay_len(), 0, "identity entries are removed");
-    let restored = e.predict("twoc", &on_alpha).unwrap()[0];
+    let restored = e.predict("twoc", &on_alpha).unwrap().durations[0];
     assert_eq!(restored.to_bits(), quiet_alpha.to_bits());
 }
 
@@ -131,10 +131,10 @@ fn link_event_invalidates_crossing_entries_only() {
 fn down_fails_crossing_transfers_and_up_restores_exactly() {
     let e = engine();
     let on_alpha = vec![spec("alpha-0", "alpha-1", 5e8)];
-    let quiet = e.predict("twoc", &on_alpha).unwrap()[0];
+    let quiet = e.predict("twoc", &on_alpha).unwrap().durations[0];
 
     e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Down).unwrap();
-    let dead = e.predict("twoc", &on_alpha).unwrap()[0];
+    let dead = e.predict("twoc", &on_alpha).unwrap().durations[0];
     assert!(dead.is_infinite(), "a transfer over a dead link cannot complete: {dead}");
 
     // Selection routes around the outage: the dead hypothesis loses to a
@@ -148,7 +148,7 @@ fn down_fails_crossing_transfers_and_up_restores_exactly() {
     assert!(sel.best_makespan.is_finite());
 
     e.link_event("twoc", "alpha-0-eth", PlatformEventKind::Up).unwrap();
-    let restored = e.predict("twoc", &on_alpha).unwrap()[0];
+    let restored = e.predict("twoc", &on_alpha).unwrap().durations[0];
     assert_eq!(restored.to_bits(), quiet.to_bits(), "recovery must be exact");
 }
 
@@ -191,22 +191,22 @@ fn warm_session_applies_events_without_rebuild() {
     // degrade/restore cycle, its overlay back to pristine at the end.
     let e = engine();
     let q = vec![spec("alpha-0", "beta-3", 5e8)];
-    let quiet = e.predict("twoc", &q).unwrap()[0];
+    let quiet = e.predict("twoc", &q).unwrap().durations[0];
     // asked again: a cache hit
-    assert_eq!(e.predict("twoc", &q).unwrap()[0].to_bits(), quiet.to_bits());
+    assert_eq!(e.predict("twoc", &q).unwrap().durations[0].to_bits(), quiet.to_bits());
     assert_eq!(e.simulations(), 1);
     let session = e.session("twoc").unwrap();
 
     // 0.05 × 1.25e9 = 6.25e7 B/s — below the 1.25e8 access links, so
     // the backbone genuinely binds.
     e.link_event("twoc", "bb", PlatformEventKind::Capacity(0.05)).unwrap();
-    let degraded = e.predict("twoc", &q).unwrap()[0];
+    let degraded = e.predict("twoc", &q).unwrap().durations[0];
     let want = reference(&[("bb", 0.05)], &q)[0];
     assert_eq!(degraded.to_bits(), want.to_bits());
     assert!(degraded > quiet);
 
     e.link_event("twoc", "bb", PlatformEventKind::Capacity(1.0)).unwrap();
-    let restored = e.predict("twoc", &q).unwrap()[0];
+    let restored = e.predict("twoc", &q).unwrap().durations[0];
     assert_eq!(restored.to_bits(), quiet.to_bits());
 
     let same_session = e.session("twoc").unwrap();

@@ -237,7 +237,7 @@ fn a_one_off_forecast_keeps_its_answer_not_its_routes() {
 
     // Asked again: the probe has the answer, and keeping it costs nothing.
     let (hits, before) = (engine.cache_hits(), live());
-    let Probed::Ready(repeat) = engine.probe_predict("g5k_test", &one_off).expect("probe") else {
+    let Probed::Ready(repeat) = engine.probe("g5k_test", &[&one_off]).expect("probe") else {
         panic!("a forecast asked before is the probe's to answer")
     };
     assert!(Arc::ptr_eq(&repeat, &answer), "the repeat is answered from the cache");
