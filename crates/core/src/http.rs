@@ -180,12 +180,12 @@ pub struct Response {
 impl Response {
     /// 200 with a JSON body.
     pub fn json(v: &Value) -> Response {
-        Response {
-            status: 200,
-            body: v.to_string(),
-            content_type: "application/json",
-            headers: Vec::new(),
-        }
+        Response::json_text(v.to_string())
+    }
+
+    /// 200 with JSON text already printed.
+    pub(crate) fn json_text(body: String) -> Response {
+        Response { status: 200, body, content_type: "application/json", headers: Vec::new() }
     }
 
     /// An error status with a `{"error": …}` JSON body.
@@ -283,7 +283,9 @@ pub fn percent_decode(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    // One allocation when the bytes are UTF-8, as a query almost always is.
+    String::from_utf8(out)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Parses `a=1&b=2` into decoded pairs, preserving order and repeats.
@@ -784,6 +786,17 @@ mod tests {
         assert_eq!(percent_decode("a+b"), "a b");
         assert_eq!(percent_decode("%zz"), "%zz"); // invalid escapes pass through
         assert_eq!(percent_decode("caf%C3%A9"), "café");
+        assert_eq!(percent_decode("%C3%A9"), "é");
+        // bytes that are not UTF-8 read as U+FFFD
+        assert_eq!(percent_decode("%FF"), "\u{FFFD}");
+        assert_eq!(percent_decode("a%FFb"), "a\u{FFFD}b");
+        assert_eq!(percent_decode("%C3"), "\u{FFFD}");
+        assert_eq!(percent_decode("x%C3"), "x\u{FFFD}");
+        // a truncated escape passes through
+        assert_eq!(percent_decode("%2"), "%2");
+        assert_eq!(percent_decode("a%2"), "a%2");
+        assert_eq!(percent_decode("+"), " ");
+        assert_eq!(percent_decode("a+%2B+b"), "a + b");
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl Pnfs {
         let FastestSelection { best, best_makespan, predictions, pruned } =
             self.select_fastest_reference(platform, hypotheses)?;
         let durations = predictions.iter().map(|p| p.duration).collect();
-        Ok(Arc::new(Selection { best, best_makespan, durations, pruned }))
+        Ok(Arc::new(Selection::new(best, best_makespan, durations, pruned)))
     }
 
     /// Probe and compute stage back to back.

@@ -13,6 +13,10 @@
 //!
 //! A predict and the select of its one hypothesis are one simulation,
 //! so they share one cache entry and render the same 4-uples.
+//!
+//! An answer's first cache hit files its body, and later hits copy the
+//! filed text: asking every query a third time, and a select after its
+//! predict's hit, must serve the bytes the first render served.
 
 use g5k::{synth, to_simflow, Flavor};
 use jsonlite::Value;
@@ -186,9 +190,37 @@ fn a_seeded_stream_serves_the_recorded_bytes() {
     }
 }
 
-
+/// The stream with every query asked a third time, right after its
+/// second ask: the first ask simulates, the second is the cache hit that
+/// files the body, the third copies the filed body.
 #[test]
-fn a_predict_and_its_one_hypothesis_select_share_one_entry() {
+fn a_filed_body_serves_the_bytes_its_first_render_did() {
+    let asks = stream();
+    let mut thrice = Vec::with_capacity(asks.len() * 3 / 2);
+    for (i, ask) in asks.iter().enumerate() {
+        thrice.push(ask.clone());
+        if i > 0 && !ask.0 && asks[i - 1] == *ask {
+            thrice.push(ask.clone());
+        }
+    }
+    assert!(thrice.len() > asks.len() + 150, "{} of {} asks", thrice.len(), asks.len());
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let answers: Vec<(u16, String)> = thrice.iter().map(|ask| answer(&svc, ask)).collect();
+        let mut third_hits = 0;
+        let asked_thrice = |(_, w): &(usize, &[Ask])| w[0] == w[1] && w[1] == w[2];
+        for (i, three) in thrice.windows(3).enumerate().filter(asked_thrice) {
+            assert_eq!(answers[i + 2], answers[i + 1], "{sequential}: third ask of {three:?}");
+            assert_eq!(answers[i + 2], answers[i], "{sequential}: third ask of {three:?}");
+            third_hits += usize::from(answers[i].0 == 200);
+        }
+        assert!(third_hits > 100, "{sequential}: {third_hits} answered third asks");
+    }
+}
+
+/// The 3-transfer query both share-one-entry tests ask, as a predict and
+/// as the select of its one hypothesis.
+fn predict_and_select_of_one_query() -> (Ask, Ask) {
     let t: Vec<String> = [
         "sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8",
         "sagittaire-3.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,1e9",
@@ -199,31 +231,62 @@ fn a_predict_and_its_one_hypothesis_select_share_one_entry() {
     let (path, query) = predict("g5k_test", &t);
     let predict_t = (false, path, query);
     let (path, query) = select("g5k_test", &[t]);
-    let select_t = (false, path, query);
+    (predict_t, (false, path, query))
+}
+
+/// `selected` is `{"best":0,"makespan":…,"predictions":<predicted>,"pruned":[]}`,
+/// its makespan the longest of the predicted durations.
+fn assert_wraps(selected: &str, predicted: &str, case: &str) {
+    let (makespan, predictions) = selected
+        .strip_prefix(r#"{"best":0,"makespan":"#)
+        .and_then(|rest| rest.strip_suffix(r#","pruned":[]}"#))
+        .and_then(|rest| rest.split_once(r#","predictions":"#))
+        .unwrap_or_else(|| panic!("{case}: {selected}"));
+    assert_eq!(predictions, predicted, "{case}: the winner's 4-uples are the predict's");
+    let durations = Value::parse(predicted).unwrap();
+    let longest = durations.as_array().unwrap().iter().map(|p| p["duration"].as_f64().unwrap());
+    assert_eq!(makespan.parse::<f64>().ok(), longest.reduce(f64::max), "{case}");
+}
+
+/// `(simulations, cache_hits, cache_len)` as `/pilgrim/stats` reads them.
+fn stats(svc: &PilgrimService) -> (Option<i64>, Option<i64>, Option<i64>) {
+    let (_, stats) = answer(svc, &(false, "/pilgrim/stats".into(), String::new()));
+    let stats = Value::parse(&stats).unwrap();
+    let read = |name: &str| stats[name].as_i64();
+    (read("simulations"), read("cache_hits"), read("cache_len"))
+}
+
+#[test]
+fn a_predict_and_its_one_hypothesis_select_share_one_entry() {
+    let (predict_t, select_t) = predict_and_select_of_one_query();
     for sequential in [false, true] {
         let svc = service(sequential);
         let (status, predicted) = answer(&svc, &predict_t);
         assert_eq!(status, 200, "{predicted}");
         let (status, selected) = answer(&svc, &select_t);
         assert_eq!(status, 200, "{selected}");
-
-        // {"best":0,"makespan":…,"predictions":<the predict body>,"pruned":[]}
-        let (makespan, predictions) = selected
-            .strip_prefix(r#"{"best":0,"makespan":"#)
-            .and_then(|rest| rest.strip_suffix(r#","pruned":[]}"#))
-            .and_then(|rest| rest.split_once(r#","predictions":"#))
-            .unwrap_or_else(|| panic!("{sequential}: {selected}"));
-        assert_eq!(predictions, predicted, "{sequential}: the winner's 4-uples are the predict's");
-        let durations = Value::parse(&predicted).unwrap();
-        let longest = durations.as_array().unwrap().iter().map(|p| p["duration"].as_f64().unwrap());
-        assert_eq!(makespan.parse::<f64>().ok(), longest.reduce(f64::max), "{sequential}");
-
+        assert_wraps(&selected, &predicted, &format!("sequential {sequential}"));
         if !sequential {
-            let (_, stats) = answer(&svc, &(false, "/pilgrim/stats".into(), String::new()));
-            let stats = Value::parse(&stats).unwrap();
-            let read = |name: &str| stats[name].as_i64();
-            let counts = (read("simulations"), read("cache_hits"), read("cache_len"));
-            assert_eq!(counts, (Some(1), Some(1), Some(1)), "one forecast, one entry: {stats}");
+            assert_eq!(stats(&svc), (Some(1), Some(1), Some(1)), "one forecast, one entry");
+        }
+    }
+}
+
+/// A predict asked twice files its body on the second ask; the select of
+/// its one hypothesis then hits the same entry and wraps the filed text.
+#[test]
+fn a_select_wraps_the_text_its_predict_filed() {
+    let (predict_t, select_t) = predict_and_select_of_one_query();
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let (status, predicted) = answer(&svc, &predict_t);
+        assert_eq!(status, 200, "{predicted}");
+        assert_eq!(answer(&svc, &predict_t), (200, predicted.clone()), "{sequential}: the hit");
+        let (status, selected) = answer(&svc, &select_t);
+        assert_eq!(status, 200, "{selected}");
+        assert_wraps(&selected, &predicted, &format!("sequential {sequential}"));
+        if !sequential {
+            assert_eq!(stats(&svc), (Some(1), Some(2), Some(1)), "one forecast, two hits");
         }
     }
 }

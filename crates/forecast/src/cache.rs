@@ -434,8 +434,7 @@ mod tests {
 
     /// The answer to a one-transfer predict that takes `duration`.
     fn answer(duration: f64) -> Arc<Selection> {
-        let durations = vec![duration];
-        Arc::new(Selection { best: 0, best_makespan: duration, durations, pruned: Vec::new() })
+        Arc::new(Selection::new(0, duration, vec![duration], Vec::new()))
     }
 
     /// Files `key` with no routes and no validity check.

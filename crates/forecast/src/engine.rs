@@ -186,7 +186,17 @@ pub fn check_hypotheses<T, H: AsRef<[T]>>(hypotheses: &[H]) -> Result<(), Foreca
 /// Outcome of a forecast: the fastest of its hypotheses. A predict is
 /// the selection of its one hypothesis — `best` 0, `pruned` empty, and
 /// `best_makespan` the largest of its `durations`.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// It also has one write-once slot for the answer as the client reads
+/// it: the winner's predictions array as JSON text, which the HTTP
+/// service files the first time the cache answers this selection
+/// ([`Selection::file`]) and copies on every later hit
+/// ([`Selection::filed`]). The engine never reads or writes it. A body is
+/// a function of the cache key (names are looked up exactly, sizes are
+/// keyed by their bits), so the text stays right as long as the entry
+/// lives, and the eviction that drops the entry drops its text. The slot
+/// is not part of equality.
+#[derive(Clone, Debug)]
 pub struct Selection {
     /// Index of the winning hypothesis.
     pub best: usize,
@@ -196,6 +206,35 @@ pub struct Selection {
     pub durations: Vec<f64>,
     /// Indices of hypotheses skipped by the pruning heuristic, ascending.
     pub pruned: Vec<usize>,
+    /// The filed predictions array; empty until its first hit.
+    body: OnceLock<Box<str>>,
+}
+
+impl Selection {
+    /// A selection with nothing filed.
+    pub fn new(best: usize, best_makespan: f64, durations: Vec<f64>, pruned: Vec<usize>) -> Self {
+        Selection { best, best_makespan, durations, pruned, body: OnceLock::new() }
+    }
+
+    /// The filed predictions text, if any.
+    pub fn filed(&self) -> Option<&str> {
+        self.body.get().map(|text| &**text)
+    }
+
+    /// Files `render()`'s text unless some is filed already, and returns
+    /// the filed text.
+    pub fn file(&self, render: impl FnOnce() -> String) -> &str {
+        self.body.get_or_init(|| render().into_boxed_str())
+    }
+}
+
+impl PartialEq for Selection {
+    fn eq(&self, other: &Self) -> bool {
+        self.best == other.best
+            && self.best_makespan == other.best_makespan
+            && self.durations == other.durations
+            && self.pruned == other.pruned
+    }
 }
 
 /// Forecast results the engine's cache holds (LRU beyond that).
@@ -667,7 +706,7 @@ impl ForecastEngine {
         }
         let (best, best_makespan, durations) = best.expect("≥1 hypothesis simulated");
         pruned.sort_unstable();
-        Ok(Selection { best, best_makespan, durations, pruned })
+        Ok(Selection::new(best, best_makespan, durations, pruned))
     }
 
     /// Applies a serving-time platform event to `platform`'s session

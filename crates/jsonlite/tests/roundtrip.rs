@@ -43,6 +43,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn strings_print_as_the_reference_escaper_does(s in escape_heavy_string()) {
+        let text = Value::String(s.clone()).to_string();
+        prop_assert_eq!(&text, &reference_escaped(&s), "{:?}", s);
+        let back = Value::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        prop_assert_eq!(back.as_str(), Some(s.as_str()), "{}", text);
+    }
+}
+
+/// Strings built as escapes, plain ASCII, escapes, plain ASCII, escapes:
+/// each escape group may be empty, so escapes land at the start, in the
+/// middle, next to each other and at the end. An escape is `"`, `\`, a
+/// control character 0x00–0x1F, or a non-ASCII `é` or `𝄞` (which print
+/// as they are, but are several bytes long).
+fn escape_heavy_string() -> impl Strategy<Value = String> {
+    let specials: Vec<char> = ('\0'..='\u{1f}').chain(['"', '\\', '\u{e9}', '\u{1D11E}']).collect();
+    let escapes = move || {
+        let specials = specials.clone();
+        proptest::collection::vec((0..specials.len()).prop_map(move |i| specials[i]), 0..4)
+            .prop_map(|cs| cs.into_iter().collect::<String>())
+    };
+    let ascii = "[a-zA-Z0-9 _\\-\\./:,]{0,8}";
+    (escapes(), ascii, escapes(), ascii, escapes())
+        .prop_map(|(a, b, c, d, e)| [a, b, c, d, e].concat())
+}
+
+/// The printer's contract, one character at a time.
+fn reference_escaped(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Every finite number prints to text that parses back to the same bit
 /// pattern — over a seeded sweep of bit patterns (every exponent is hit,
 /// subnormals included) and the edges of each printing range. `-0.0` is
