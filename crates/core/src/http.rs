@@ -100,22 +100,35 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
 use jsonlite::Value;
 use telemetry::{Counter, Histogram, MetricsRegistry};
 
+/// One query parameter: its key's and its value's ranges in the
+/// request's decoded query text.
+type Param = (Range<usize>, Range<usize>);
+
 /// A parsed request.
+///
+/// Its query is decoded once, into one `String`: every parameter's key
+/// and value, percent-decoded, back to back, with the ranges of each
+/// pair. [`Request::params`] and its two lookups hand out slices of that
+/// text, so reading a parameter copies nothing, and a request makes at
+/// most four allocations however many parameters it carries.
 #[derive(Clone, Debug)]
 pub struct Request {
     /// HTTP method (GET and POST are served).
     pub method: String,
     /// Percent-decoded path, without the query string.
     pub path: String,
-    /// Query parameters in order of appearance (keys may repeat:
+    /// The decoded keys and values of the query, back to back.
+    query: String,
+    /// The parameters in order of appearance (keys may repeat:
     /// `transfer=…&transfer=…`).
-    pub params: Vec<(String, String)>,
+    params: Vec<Param>,
     /// Header fields in arrival order, names lowercased.
     pub headers: Vec<(String, String)>,
 }
@@ -124,12 +137,8 @@ impl Request {
     /// A synthetic request (tests, in-process routing): GET `path` with
     /// `query` parsed, no headers.
     pub fn synthetic(path: &str, query: &str) -> Request {
-        Request {
-            method: "GET".into(),
-            path: path.into(),
-            params: parse_query(query),
-            headers: Vec::new(),
-        }
+        let (query, params) = decode_query(query);
+        Request { method: "GET".into(), path: path.into(), query, params, headers: Vec::new() }
     }
 
     /// A synthetic POST (tests, in-process routing): same URI-parameter
@@ -138,21 +147,21 @@ impl Request {
         Request { method: "POST".into(), ..Request::synthetic(path, query) }
     }
 
-    /// First value of a parameter.
-    pub fn param(&self, key: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    /// The query parameters as decoded `(key, value)` pairs, in order of
+    /// appearance, repeats included. A part without `=` has the empty
+    /// value.
+    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.params.iter().map(|(k, v)| (&self.query[k.clone()], &self.query[v.clone()]))
     }
 
-    /// All values of a repeatable parameter.
-    pub fn params_named(&self, key: &str) -> Vec<&str> {
-        self.params
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .collect()
+    /// First value of a parameter.
+    pub fn param(&self, key: &str) -> Option<&str> {
+        self.params().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// All values of a repeatable parameter, in order.
+    pub fn params_named<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.params().filter(move |&(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// First value of a header (lookup name must be lowercase).
@@ -253,50 +262,79 @@ impl Response {
     }
 }
 
-/// Percent-decodes a URI component (`%XX` and `+` → space).
+/// Percent-decodes a URI component (`%XX` and `+` → space). An escape
+/// counts only when both `X` are ASCII hex digits; any other `%` stays
+/// as it is. Bytes that are not UTF-8 read as U+FFFD.
 pub fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(bytes[i]);
-                        i += 1;
-                    }
-                }
-            }
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
-    }
-    // One allocation when the bytes are UTF-8, as a query almost always is.
-    String::from_utf8(out)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    let mut out = Vec::with_capacity(s.len());
+    decode_into(&mut out, s);
+    String::from_utf8(out).expect("decode_into yields UTF-8")
 }
 
-/// Parses `a=1&b=2` into decoded pairs, preserving order and repeats.
-pub fn parse_query(q: &str) -> Vec<(String, String)> {
-    q.split('&')
-        .filter(|part| !part.is_empty())
-        .map(|part| match part.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(part), String::new()),
-        })
-        .collect()
+/// The byte of the `%XX` escape at `bytes[i]`, if one is there: `%`
+/// and two ASCII hex digits. A sign is not a digit: `%+1` is no escape.
+fn escape_at(bytes: &[u8], i: usize) -> Option<u8> {
+    match *bytes.get(i..i + 3)? {
+        [b'%', hi, lo] if hi.is_ascii_hexdigit() && lo.is_ascii_hexdigit() => {
+            let digit = |d: u8| (d as char).to_digit(16).map_or(0, |d| d as u8);
+            Some(digit(hi) << 4 | digit(lo))
+        }
+        _ => None,
+    }
+}
+
+/// A query string decoded into one buffer: the text of every key and
+/// value, back to back, and each parameter's two ranges in it. The
+/// parameters are the non-empty `&`-separated parts, each split at its
+/// first `=` (none: the value is empty), each side decoded as
+/// [`percent_decode`] decodes it.
+fn decode_query(q: &str) -> (String, Vec<Param>) {
+    let parts = || q.split('&').filter(|part| !part.is_empty());
+    // decoding never lengthens: an escape's three bytes decode to one,
+    // or, not UTF-8, to one three-byte U+FFFD per invalid sequence
+    let mut text = Vec::with_capacity(q.len());
+    let mut params = Vec::with_capacity(parts().count());
+    for part in parts() {
+        let (key, value) = part.split_once('=').unwrap_or((part, ""));
+        let key = decode_into(&mut text, key);
+        params.push((key, decode_into(&mut text, value)));
+    }
+    (String::from_utf8(text).expect("every decoded side is UTF-8"), params)
+}
+
+/// Appends the percent-decoding of `s` to `out` and returns where it
+/// went. The text between two escapes (or `+`s) is copied with one
+/// `extend_from_slice`. Only escapes can make bytes that are not UTF-8,
+/// so only a side with one is checked; each invalid sequence in it reads
+/// as U+FFFD.
+fn decode_into(out: &mut Vec<u8>, s: &str) -> Range<usize> {
+    let start = out.len();
+    let bytes = s.as_bytes();
+    let (mut run, mut i, mut escaped) = (0, 0, false);
+    while i < bytes.len() {
+        let (byte, width) = match (bytes[i], escape_at(bytes, i)) {
+            (_, Some(b)) => {
+                escaped = true;
+                (b, 3)
+            }
+            (b'+', None) => (b' ', 1),
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.push(byte);
+        i += width;
+        run = i;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    if escaped && std::str::from_utf8(&out[start..]).is_err() {
+        let replaced = String::from_utf8_lossy(&out[start..]).into_owned();
+        out.truncate(start);
+        out.extend_from_slice(replaced.as_bytes());
+    }
+    start..out.len()
 }
 
 /// Server tuning: admission, deadlines and socket timeouts.
@@ -504,12 +542,8 @@ pub(crate) fn parse_head(head: &str) -> Result<Request, String> {
         .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
         .collect();
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    Ok(Request {
-        method: method.to_string(),
-        path: percent_decode(path),
-        params: parse_query(query),
-        headers,
-    })
+    let (query, params) = decode_query(query);
+    Ok(Request { method: method.to_string(), path: percent_decode(path), query, params, headers })
 }
 
 /// What a handler's probe stage made of a request.
@@ -779,6 +813,7 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seeded::prelude::*;
 
     #[test]
     fn percent_decoding() {
@@ -797,22 +832,57 @@ mod tests {
         assert_eq!(percent_decode("a%2"), "a%2");
         assert_eq!(percent_decode("+"), " ");
         assert_eq!(percent_decode("a+%2B+b"), "a + b");
+        // an escape is two hex digits: a sign is not one
+        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(percent_decode("%+F"), "% F");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%+1x%-1"), "% 1x%-1");
     }
 
     #[test]
     fn query_parsing_keeps_repeats_in_order() {
-        let q = parse_query("transfer=a,b,5e8&transfer=c,d,1e6&x");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q[0], ("transfer".into(), "a,b,5e8".into()));
-        assert_eq!(q[1], ("transfer".into(), "c,d,1e6".into()));
-        assert_eq!(q[2], ("x".into(), String::new()));
+        let r = Request::synthetic("/x", "transfer=a,b,5e8&transfer=c,d,1e6&x");
+        let q: Vec<(&str, &str)> = r.params().collect();
+        assert_eq!(q, [("transfer", "a,b,5e8"), ("transfer", "c,d,1e6"), ("x", "")]);
+    }
+
+    /// Queries built from what a decoder can trip on: separators, empty
+    /// parts, keys without `=` and values with one, `%` before hex
+    /// digits, signs and nothing, bytes that are not UTF-8, and a
+    /// two-byte character.
+    fn query() -> impl Strategy<Value = String> {
+        const PIECES: &[&str] = &[
+            "a", "=", "&", "%", "0", "7", "c", "F", "+", "-", "%FF", "%C3", "é", "&&", "k==v", "%41",
+        ];
+        collection::vec((0..PIECES.len()).prop_map(|i| PIECES[i]), 0..24)
+            .prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn a_query_decodes_as_percent_decode_decodes_each_side(q in query()) {
+            let sides: Vec<(String, String)> = q
+                .split('&')
+                .filter(|part| !part.is_empty())
+                .map(|part| {
+                    let (key, value) = part.split_once('=').unwrap_or((part, ""));
+                    (percent_decode(key), percent_decode(value))
+                })
+                .collect();
+            let expected: Vec<(&str, &str)> =
+                sides.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            let req = Request::synthetic("/q", &q);
+            prop_assert_eq!(req.params().collect::<Vec<_>>(), expected, "{:?}", q);
+        }
     }
 
     #[test]
     fn request_param_helpers() {
         let r = Request::synthetic("/x", "a=1&b=2&a=3");
         assert_eq!(r.param("a"), Some("1"));
-        assert_eq!(r.params_named("a"), vec!["1", "3"]);
+        assert_eq!(r.params_named("a").collect::<Vec<_>>(), ["1", "3"]);
         assert_eq!(r.param("zz"), None);
     }
 
@@ -868,7 +938,7 @@ mod tests {
             let req = parse_head(head).unwrap_or_else(|e| panic!("{head:?} rejected: {e}"));
             assert_eq!(req.method, *method, "{head:?}");
             assert_eq!(req.path, *path, "{head:?}");
-            assert_eq!(req.params, owned(params), "{head:?}");
+            assert_eq!(req.params().collect::<Vec<_>>(), *params, "{head:?}");
             assert_eq!(req.headers, owned(headers), "{head:?}");
         }
     }

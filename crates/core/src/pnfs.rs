@@ -23,13 +23,16 @@
 //! with a lower-bound pruning heuristic. A predict is the selection of
 //! its one hypothesis, so both take one path: the engine's probe, then
 //! [`Pnfs::compute`]. That is the one place a sequential service forks:
-//! it runs [`Pnfs::select_fastest_reference`] — for a predict on its one
+//! it builds the query's [`TransferRequest`]s from the probe's key (host
+//! ids and size bits, names from the platform) and runs
+//! [`Pnfs::select_fastest_reference`] on them — for a predict on its one
 //! hypothesis, whose bound prunes nothing — so the oracle is still one
-//! from-scratch simulation per simulated hypothesis.
+//! from-scratch simulation per simulated hypothesis. Nothing else on
+//! the serving path copies a host name.
 
 use std::sync::Arc;
 
-use forecast::{check_hypotheses, ForecastEngine, Pending, Probed, Selection};
+use forecast::{check_hypotheses, lend, ForecastEngine, Pending, Probed, Selection};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -55,22 +58,17 @@ pub struct Prediction {
 }
 
 impl Prediction {
-    /// Renders the paper's JSON object shape.
+    /// Renders the paper's JSON object shape. A non-finite duration (a
+    /// transfer crossing a failed link never completes) prints as
+    /// `null`, because JSON cannot carry infinity.
     pub fn to_json(&self) -> Value {
-        prediction_json(&self.src, &self.dst, self.size, self.duration)
+        Value::object(vec![
+            ("src", Value::from(self.src.as_str())),
+            ("dst", Value::from(self.dst.as_str())),
+            ("size", Value::from(self.size)),
+            ("duration", Value::from(self.duration)),
+        ])
     }
-}
-
-/// The paper's 4-uple as JSON. A non-finite duration (a transfer
-/// crossing a failed link never completes) prints as `null`, because
-/// JSON cannot carry infinity.
-pub(crate) fn prediction_json(src: &str, dst: &str, size: f64, duration: f64) -> Value {
-    Value::object(vec![
-        ("src", Value::from(src)),
-        ("dst", Value::from(dst)),
-        ("size", Value::from(size)),
-        ("duration", Value::from(duration)),
-    ])
 }
 
 /// Zips requests with their predicted durations into the paper's 4-uples.
@@ -172,21 +170,25 @@ impl Pnfs {
         self.engine.link_event(platform, link, kind)
     }
 
-    /// The compute stage of a forecast whose probe
-    /// ([`ForecastEngine::probe`]) left `pending`, for the `hypotheses` it
-    /// keyed on `platform` (a predict is one). A sequential service runs
-    /// [`Pnfs::select_fastest_reference`] instead of the engine.
-    pub fn compute<H: AsRef<[TransferRequest]>>(
-        &self,
-        platform: &str,
-        hypotheses: &[H],
-        pending: Pending,
-    ) -> Result<Arc<Selection>, PnfsError> {
+    /// The compute stage of the forecast a probe
+    /// ([`ForecastEngine::probe`]) on `platform` left `pending`. A
+    /// sequential service runs [`Pnfs::select_fastest_reference`] instead
+    /// of the engine, on [`TransferRequest`]s it builds from the key —
+    /// each name from its host id, each size from its bits. That is the
+    /// one place on the serving path that copies host names.
+    pub fn compute(&self, platform: &str, pending: &Pending) -> Result<Arc<Selection>, PnfsError> {
         if !self.sequential {
             return self.engine.compute(pending);
         }
+        let request = |(src, dst, size): (&str, &str, f64)| TransferRequest {
+            src: src.to_string(),
+            dst: dst.to_string(),
+            size,
+        };
+        let hypotheses: Vec<Vec<TransferRequest>> =
+            pending.hypotheses().map(|h| h.map(request).collect()).collect();
         let FastestSelection { best, best_makespan, predictions, pruned } =
-            self.select_fastest_reference(platform, hypotheses)?;
+            self.select_fastest_reference(platform, &hypotheses)?;
         let durations = predictions.iter().map(|p| p.duration).collect();
         Ok(Arc::new(Selection::new(best, best_makespan, durations, pruned)))
     }
@@ -197,9 +199,9 @@ impl Pnfs {
         platform: &str,
         hypotheses: &[H],
     ) -> Result<Arc<Selection>, PnfsError> {
-        match self.engine.probe(platform, hypotheses)? {
+        match self.engine.probe(platform, &lend(hypotheses))? {
             Probed::Ready(selection) => Ok(selection),
-            Probed::Pending(pending) => self.compute(platform, hypotheses, pending),
+            Probed::Pending(pending) => self.compute(platform, &pending),
         }
     }
 

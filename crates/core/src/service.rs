@@ -49,6 +49,17 @@
 //! a `select_fastest` answer wraps with its winner, makespan and pruned
 //! set.
 //!
+//! A query is parsed and keyed from slices of the request: each
+//! `src,dst,size` is two `&str`s into the request's decoded query and a
+//! number, and the probe keys those by host ids and size bits — no
+//! `String` per transfer. A miss stages only the engine's [`Pending`],
+//! and its answer is rendered with names from the platform, by the host
+//! ids in the key; host lookup is exact, so those are the names the
+//! query asked, and the bytes are the ones a hit renders from the
+//! request. The renderer writes the 4-uples straight into one pre-sized
+//! `String` through `jsonlite`'s string and number writers, without a
+//! JSON tree.
+//!
 //! A repeat forecast is a lookup and a copy. The first cache hit of an
 //! answer files the winner's 4-uples as JSON text on the cached
 //! selection ([`Selection::file`]), and every later hit copies that text
@@ -63,17 +74,18 @@
 //! concurrent hit filed it, and otherwise renders without filing.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-use forecast::{Pending, Probed, Selection};
+use forecast::{Pending, Probed, Selection, Transfer};
+use jsonlite::print::{write_number, write_string};
 use jsonlite::Value;
 use simflow::PlatformEventKind;
 use telemetry::{Histogram, MetricsRegistry, Span};
 
 use crate::http::{Handle, Handler, Probe, Request, Response};
 use crate::metrology::{Metrology, MetrologyError};
-use crate::pnfs::{prediction_json, Pnfs, PnfsError, TransferRequest};
+use crate::pnfs::{Pnfs, PnfsError};
 
 /// The fixed endpoint labels `pilgrim_request_latency_ns` is keyed by —
 /// static, so request paths cannot grow the exposition.
@@ -131,16 +143,15 @@ fn forecast_query(req: &Request) -> Option<(Forecast, &str)> {
 }
 
 /// A request after its probe stage: answered, or what the compute stage
-/// continues from — the hypotheses the probe parsed and the forecast it
-/// could not answer from the cache, so a miss parses and keys nothing
-/// twice.
+/// continues from — the forecast the probe keyed and could not answer
+/// from the cache, so a miss parses and keys nothing twice.
 enum Staged {
     /// The probe had the answer.
     Answered(Response),
     /// Not a forecast query: the whole request is still to be routed.
     Whole,
     /// A forecast miss; a predict is its one hypothesis.
-    Forecast { hypotheses: Vec<Vec<TransferRequest>>, pending: Pending },
+    Forecast(Pending),
 }
 
 impl Handle for PilgrimService {
@@ -229,8 +240,9 @@ impl PilgrimService {
     }
 
     /// The probe stage: a forecast GET is parsed — a predict into its
-    /// one hypothesis — keyed by its host ids and sizes, and answered if
-    /// the forecast cache has the answer (or the query is malformed).
+    /// one hypothesis, each transfer as slices of the request — keyed by
+    /// its host ids and sizes, and answered if the forecast cache has the
+    /// answer (or the query is malformed).
     /// Bounded — it resolves no route and simulates nothing — because the
     /// poller runs it on its own thread. Every other request is left
     /// whole for the compute stage.
@@ -247,11 +259,12 @@ impl PilgrimService {
         };
         drop(admission);
         let answer = match self.pnfs.engine().probe(platform, &hypotheses) {
-            Ok(Probed::Pending(pending)) => return Staged::Forecast { hypotheses, pending },
+            Ok(Probed::Pending(pending)) => return Staged::Forecast(pending),
             Ok(Probed::Ready(selection)) => Ok(selection),
             Err(e) => Err(e),
         };
-        Staged::Answered(self.rendered(kind, &hypotheses, answer, true))
+        let winner = |best: usize| hypotheses[best].iter().copied();
+        Staged::Answered(self.rendered(kind, answer, true, winner))
     }
 
     /// The compute stage: whatever the probe stage left to do.
@@ -259,37 +272,37 @@ impl PilgrimService {
         match staged {
             Staged::Answered(response) => response,
             Staged::Whole => self.route(req),
-            Staged::Forecast { hypotheses, pending } => {
+            Staged::Forecast(pending) => {
                 let (kind, platform) = forecast_query(req).expect("staged from a forecast query");
-                let answer = self.pnfs.compute(platform, &hypotheses, pending);
-                self.rendered(kind, &hypotheses, answer, false)
+                let answer = self.pnfs.compute(platform, &pending);
+                let winner = |best| pending.hypotheses().nth(best).expect("the winner was keyed");
+                self.rendered(kind, answer, false, winner)
             }
         }
     }
 
     /// A forecast as its response, rendered under the `render` stage —
-    /// or the error's status. The body is the winner's 4-uples, from the
-    /// parsed request and the selection's durations — a predict's
-    /// answer, which a selection's wraps with its winner, makespan and
-    /// pruned set. Text filed on the selection is copied instead of
-    /// rendered; `file` (a probe hit) files what it renders.
-    fn rendered(
+    /// or the error's status. The body is the winner's 4-uples, from
+    /// `winner(best)`'s transfers and the selection's durations — a
+    /// predict's answer, which a selection's wraps with its winner,
+    /// makespan and pruned set. Text filed on the selection is copied
+    /// instead of rendered; `file` (a probe hit) files what it renders.
+    fn rendered<'t, W>(
         &self,
         kind: Forecast,
-        hypotheses: &[Vec<TransferRequest>],
         forecast: Result<Arc<Selection>, PnfsError>,
         file: bool,
-    ) -> Response {
+        winner: impl FnOnce(usize) -> W,
+    ) -> Response
+    where
+        W: Iterator<Item = Transfer<'t>> + Clone,
+    {
         let sel = match forecast {
             Ok(sel) => sel,
             Err(e) => return pnfs_error_response(e),
         };
         let _render = Span::start(&self.pnfs.engine().metrics().stage_render);
-        let render = || {
-            let winner = hypotheses[sel.best].iter().zip(&sel.durations);
-            let predictions = winner.map(|(r, &d)| prediction_json(&r.src, &r.dst, r.size, d));
-            Value::Array(predictions.collect()).to_string()
-        };
+        let render = || predictions_json(winner(sel.best), &sel.durations);
         let predictions = match sel.filed() {
             Some(text) => Cow::Borrowed(text),
             None if file => Cow::Borrowed(sel.file(render)),
@@ -488,6 +501,42 @@ impl PilgrimService {
     }
 }
 
+/// The winner's 4-uples as the client reads them,
+/// `[{"src":…,"dst":…,"size":…,"duration":…},…]`, written straight into
+/// one `String` sized for them: names through `jsonlite`'s run-based
+/// string writer and numbers through its number writer, as
+/// `jsonlite::Value` prints them, without building one. A non-finite
+/// duration (a transfer crossing a failed link never completes) prints
+/// as `null`, because JSON cannot carry infinity.
+fn predictions_json<'t>(
+    winner: impl Iterator<Item = Transfer<'t>> + Clone,
+    durations: &[f64],
+) -> String {
+    // per 4-uple: its names, 40 bytes of keys and punctuation, and two
+    // numbers of at most 24 bytes each
+    let names: usize = winner.clone().map(|(src, dst, _)| src.len() + dst.len()).sum();
+    let mut out = String::with_capacity(2 + names + 88 * durations.len());
+    let write = |out: &mut String| -> fmt::Result {
+        out.push('[');
+        for (i, ((src, dst, size), &duration)) in winner.zip(durations).enumerate() {
+            out.push_str(if i == 0 { r#"{"src":"# } else { r#",{"src":"# });
+            write_string(src, out)?;
+            out.push_str(r#","dst":"#);
+            write_string(dst, out)?;
+            out.push_str(r#","size":"#);
+            write_number(size, out)?;
+            out.push_str(r#","duration":"#);
+            write_number(duration, out)?;
+            out.push('}');
+        }
+        out.push(']');
+        Ok(())
+    };
+    // writing to a `String` cannot fail
+    let _ = write(&mut out);
+    out
+}
+
 /// A `select_fastest` answer around the winner's `predictions` text:
 /// `{"best":…,"makespan":…,"predictions":…,"pruned":[…]}`, numbers as
 /// `jsonlite` prints them.
@@ -509,16 +558,13 @@ fn selection_json(sel: &Selection, predictions: &str) -> String {
 }
 
 /// Parses the repeated `transfer=src,dst,size` parameters of a predict
-/// query; a malformed request yields the 400 to send back.
-fn parse_predict_params(req: &Request) -> Result<Vec<TransferRequest>, Response> {
-    let specs = req.params_named("transfer");
-    if specs.is_empty() {
-        return Err(Response::error(400, "at least one 'transfer' parameter required"));
-    }
-    let mut requests = Vec::with_capacity(specs.len());
-    for s in specs {
+/// query, each into slices of the request; a malformed request yields
+/// the 400 to send back.
+fn parse_predict_params(req: &Request) -> Result<Vec<Transfer<'_>>, Response> {
+    let mut transfers = Vec::with_capacity(req.params_named("transfer").count());
+    for s in req.params_named("transfer") {
         match parse_transfer(s) {
-            Some(t) => requests.push(t),
+            Some(t) => transfers.push(t),
             None => {
                 return Err(Response::error(
                     400,
@@ -527,20 +573,20 @@ fn parse_predict_params(req: &Request) -> Result<Vec<TransferRequest>, Response>
             }
         }
     }
-    Ok(requests)
+    if transfers.is_empty() {
+        return Err(Response::error(400, "at least one 'transfer' parameter required"));
+    }
+    Ok(transfers)
 }
 
 /// Parses the repeated `hypothesis=src,dst,size[;…]` parameters of a
-/// selection query.
-fn parse_hypotheses(req: &Request) -> Result<Vec<Vec<TransferRequest>>, Response> {
-    let raw = req.params_named("hypothesis");
-    if raw.is_empty() {
-        return Err(Response::error(400, "at least one 'hypothesis' parameter required"));
-    }
-    let mut hypotheses = Vec::with_capacity(raw.len());
-    for h in raw {
-        let mut transfers = Vec::new();
-        for part in h.split(';').filter(|p| !p.is_empty()) {
+/// selection query, each transfer into slices of the request.
+fn parse_hypotheses(req: &Request) -> Result<Vec<Vec<Transfer<'_>>>, Response> {
+    let mut hypotheses = Vec::with_capacity(req.params_named("hypothesis").count());
+    for h in req.params_named("hypothesis") {
+        let parts = || h.split(';').filter(|p| !p.is_empty());
+        let mut transfers = Vec::with_capacity(parts().count());
+        for part in parts() {
             match parse_transfer(part) {
                 Some(t) => transfers.push(t),
                 None => {
@@ -553,11 +599,15 @@ fn parse_hypotheses(req: &Request) -> Result<Vec<Vec<TransferRequest>>, Response
         }
         hypotheses.push(transfers);
     }
+    if hypotheses.is_empty() {
+        return Err(Response::error(400, "at least one 'hypothesis' parameter required"));
+    }
     Ok(hypotheses)
 }
 
-/// Parses the paper's `src,dst,size` tuple (size accepts `5e8` notation).
-fn parse_transfer(s: &str) -> Option<TransferRequest> {
+/// Parses the paper's `src,dst,size` tuple (size accepts `5e8` notation)
+/// into slices of `s` and the size.
+fn parse_transfer(s: &str) -> Option<Transfer<'_>> {
     let mut parts = s.split(',');
     let src = parts.next()?.trim();
     let dst = parts.next()?.trim();
@@ -565,7 +615,7 @@ fn parse_transfer(s: &str) -> Option<TransferRequest> {
     if parts.next().is_some() || src.is_empty() || dst.is_empty() {
         return None;
     }
-    Some(TransferRequest { src: src.to_string(), dst: dst.to_string(), size })
+    Some((src, dst, size))
 }
 
 fn pnfs_error_response(e: PnfsError) -> Response {

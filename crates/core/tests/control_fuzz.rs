@@ -187,7 +187,8 @@ fn no_control_request_panics_or_answers_5xx_and_forecasts_stay_exact() {
 
     let (mut events, mut updates, mut refused) = (0, 0, 0);
     for (i, req) in requests.iter().enumerate() {
-        let what = format!("request {i}: {} {} {:?}", req.method, req.path, req.params);
+        let params: Vec<(&str, &str)> = req.params().collect();
+        let what = format!("request {i}: {} {} {params:?}", req.method, req.path);
         let response = catch_unwind(AssertUnwindSafe(|| svc.handle(req)))
             .unwrap_or_else(|_| panic!("panicked on {what}"));
         let status = response.status;

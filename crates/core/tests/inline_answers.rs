@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use forecast::{FaultInjector, FaultPlan, Probed};
+use forecast::{lend, FaultInjector, FaultPlan, Probed};
 use g5k::{synth, to_simflow, Flavor};
 use pilgrim_core::http::{
     http_get_with_headers, http_post, Handle, Handler, HttpClient, Probe, Request, Response,
@@ -428,19 +428,19 @@ fn the_probe_stage_never_computes_a_route() {
         (0..30).map(|i| transfer(&hosts[i * 601], &hosts[19_999 - i * 577], 1e8)).collect();
     let cold = work_done();
     assert_eq!(cold, (0, 0, 0, 0));
-    let Probed::Pending(pending) = engine.probe("synth_20k", &[&specs]).unwrap() else {
+    let Probed::Pending(pending) = engine.probe("synth_20k", &lend(&[&specs])).unwrap() else {
         panic!("a cold query cannot be answered by the probe")
     };
     // an error ahead of the cold transfers is the probe's to report
     let mut bad = specs.clone();
     bad.insert(0, transfer(&hosts[0], "nowhere", 1e8));
     assert!(matches!(
-        engine.probe("synth_20k", &[&bad]),
+        engine.probe("synth_20k", &lend(&[&bad])),
         Err(forecast::ForecastError::UnknownHost(_))
     ));
     bad[0] = transfer(&hosts[0], &hosts[1], -1.0);
     assert!(matches!(
-        engine.probe("synth_20k", &[&bad]),
+        engine.probe("synth_20k", &lend(&[&bad])),
         Err(forecast::ForecastError::BadSize(_))
     ));
     assert_eq!(work_done(), cold, "the engine's probe resolved or simulated something");
@@ -463,7 +463,7 @@ fn the_probe_stage_never_computes_a_route() {
     assert_eq!(compute(&req).status, 200);
     let after_one = work_done();
     assert_eq!(after_one.3, 1, "one simulation");
-    assert_eq!(engine.compute(pending).unwrap().durations.len(), 30);
+    assert_eq!(engine.compute(&pending).unwrap().durations.len(), 30);
     assert_eq!(work_done(), after_one, "the second compute stage resolved or simulated something");
     let after_two = work_done();
     let Probe::Ready(hit) = Arc::clone(&handler).probe(&req) else {

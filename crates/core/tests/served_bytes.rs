@@ -9,7 +9,9 @@
 //! equal a recorded constant, on the served service and on the
 //! sequential reference. The two share the renderer, so "served ==
 //! reference" alone could not catch a change in what is rendered; the
-//! constant does.
+//! constant does. They share the probe's keying too (the reference
+//! simulates the transfers the key names), so every answered predict is
+//! also checked against the transfers its query text asked.
 //!
 //! A predict and the select of its one hypothesis are one simulation,
 //! so they share one cache entry and render the same 4-uples.
@@ -146,6 +148,22 @@ fn answer(svc: &PilgrimService, (post, path, query): &Ask) -> (u16, String) {
     (resp.status, resp.body)
 }
 
+/// A predict's answer lists the transfers its query asked, in order:
+/// read from the query text here, not through the service's keying, so a
+/// key that swapped or misread a host or a size fails on both services.
+fn assert_names_the_asked_transfers(query: &str, body: &str) {
+    let asked = query.split('&').map(|part| {
+        let t: Vec<&str> = part.strip_prefix("transfer=").unwrap().split(',').collect();
+        (t[0].to_string(), t[1].to_string(), t[2].parse::<f64>().unwrap())
+    });
+    let answered = Value::parse(body).unwrap();
+    let answered = answered.as_array().unwrap().iter().map(|p| {
+        let name = |field: &str| p[field].as_str().unwrap().to_string();
+        (name("src"), name("dst"), p["size"].as_f64().unwrap())
+    });
+    assert!(asked.eq(answered), "{query} answered {body}");
+}
+
 /// FNV-1a over every answer's status, body length and body.
 fn digest(answers: &[(u16, String)]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -176,6 +194,12 @@ fn a_seeded_stream_serves_the_recorded_bytes() {
         assert!(answers.iter().any(|(_, body)| body.contains(r#""duration":null"#)));
         for (i, twice) in asks.windows(2).enumerate().filter(|(_, w)| w[0] == w[1]) {
             assert_eq!(answers[i], answers[i + 1], "{sequential}: {twice:?} answered twice");
+        }
+        let predicts = asks.iter().zip(&answers).filter(|((_, path, _), (status, _))| {
+            path.contains("predict_transfers") && *status == 200
+        });
+        for ((_, _, query), (_, body)) in predicts {
+            assert_names_the_asked_transfers(query, body);
         }
 
         // a link event's answer counts the entries it evicted, which the
@@ -289,4 +313,42 @@ fn a_select_wraps_the_text_its_predict_filed() {
             assert_eq!(stats(&svc), (Some(1), Some(2), Some(1)), "one forecast, two hits");
         }
     }
+}
+
+/// A predict whose names are padded and percent-encoded, then the same
+/// predict in plain text, then again. On the served service the first
+/// answer is computed and renders its names from the platform, by the
+/// host ids in its key; the second is the probe's first hit, which files
+/// the names the request spelled; the third copies the filed text. Host
+/// lookup is exact, so all three are the same bytes, and the sequential
+/// reference (which never fills its cache) serves them too.
+#[test]
+fn a_miss_renders_the_names_its_key_was_looked_up_by() {
+    let ask = |transfers: [&str; 2]| {
+        let (path, query) = predict("g5k_test", &transfers.map(String::from));
+        (false, path, query)
+    };
+    let encoded = ask([
+        "+sagittaire%2D1.lyon.grid5000.fr+,graphene%2d2.nancy.grid5000.fr+,5e8",
+        "%20capricorne-3.lyon.grid5000%2Efr,++sagittaire-4.lyon.grid5000.fr,+1e9+",
+    ]);
+    let plain = ask([
+        "sagittaire-1.lyon.grid5000.fr,graphene-2.nancy.grid5000.fr,5e8",
+        "capricorne-3.lyon.grid5000.fr,sagittaire-4.lyon.grid5000.fr,1e9",
+    ]);
+    let mut first = Vec::new();
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let answers = [answer(&svc, &encoded), answer(&svc, &plain), answer(&svc, &plain)];
+        assert_eq!(answers[0].0, 200, "{sequential}: {}", answers[0].1);
+        assert_eq!(answers[1], answers[0], "{sequential}: the plain ask");
+        assert_eq!(answers[2], answers[0], "{sequential}: the plain ask again");
+        if !sequential {
+            assert_eq!(stats(&svc), (Some(1), Some(2), Some(1)), "one forecast, two hits");
+        }
+        first.push(answers[0].1.clone());
+    }
+    assert_eq!(first[0], first[1], "served and sequential");
+    let names = r#"[{"src":"sagittaire-1.lyon.grid5000.fr","dst":"graphene-2.nancy.grid5000.fr""#;
+    assert!(first[0].starts_with(names), "{}", first[0]);
 }

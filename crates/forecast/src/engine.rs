@@ -27,16 +27,20 @@
 //!
 //! * the **probe** ([`ForecastEngine::probe`]) validates the query,
 //!   looks its host names up, builds the key from host ids and size bits
-//!   and looks the cache up. It never resolves a route, never touches the
-//!   flight table and never simulates, so the HTTP front end runs it on
-//!   its poller thread and answers a hit from there — a query's second
-//!   ask included;
+//!   and looks the cache up. Its transfers are borrowed [`Transfer`]
+//!   3-uples — the HTTP service lends slices of the request text,
+//!   [`lend`] a [`TransferSpec`]'s fields — so keying copies no name. It
+//!   never resolves a route, never touches the flight table and never
+//!   simulates, so the HTTP front end runs it on its poller thread and
+//!   answers a hit from there — a query's second ask included;
 //! * the **compute** stage ([`ForecastEngine::compute`]) takes the
 //!   [`Pending`] the probe returned — session and key — reads the overlay
 //!   version and coalesces; only the leader resolves the key's routes and
 //!   runs the selection loop. It repeats none of the probe's work, and
 //!   its cache re-check does not count, so hits + misses advance by one
-//!   per forecast.
+//!   per forecast. The [`Pending`] stays the caller's: it says what was
+//!   asked — the key's transfers named by the platform, in hypotheses —
+//!   which is all a caller needs to render the answer.
 //!
 //! Both answer a [`Selection`]. [`ForecastEngine::select_fastest`] is the
 //! two stages back to back on the caller, and
@@ -102,7 +106,7 @@ use exec::WorkerPool;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError};
 use telemetry::{MetricsRegistry, Span};
 
-use crate::cache::{CacheKey, CanonicalTransfer, ForecastCache};
+use crate::cache::{CacheKey, ForecastCache};
 use crate::faults::FaultInjector;
 use crate::metrics::ForecastMetrics;
 use crate::session::{ResolvedSpec, Session};
@@ -116,6 +120,20 @@ pub struct TransferSpec {
     pub dst: String,
     /// Transfer size in bytes.
     pub size: f64,
+}
+
+/// One transfer as a query asks it, borrowed: source host name,
+/// destination host name and size in bytes. It is what
+/// [`ForecastEngine::probe`] keys, so a query parsed from request text
+/// is keyed from slices of that text; [`lend`] lends a [`TransferSpec`]'s.
+pub type Transfer<'a> = (&'a str, &'a str, f64);
+
+/// Every hypothesis' transfers, lent as [`Transfer`]s.
+pub fn lend<H: AsRef<[TransferSpec]>>(hypotheses: &[H]) -> Vec<Vec<Transfer<'_>>> {
+    hypotheses
+        .iter()
+        .map(|h| h.as_ref().iter().map(|t| (&*t.src, &*t.dst, t.size)).collect())
+        .collect()
 }
 
 /// Engine errors (mirrors the service-level error surface).
@@ -251,10 +269,33 @@ pub enum Probed {
 /// A forecast its probe stage could not answer, keyed against one
 /// session, so the compute stage repeats none of the probe's work. It
 /// travels with the request (the HTTP front end moves it to a worker
-/// thread); the request's own specs stay with the caller.
+/// thread) and says what was asked — per hypothesis, the host ids and
+/// size bits of its transfers, on one platform — so nothing of the
+/// request's text has to travel with it.
 pub struct Pending {
     session: Arc<Session>,
     key: CacheKey,
+}
+
+impl Pending {
+    /// The hypotheses as keyed, in request order (a predict is one),
+    /// each transfer read back from the key: its names are the
+    /// platform's names of the key's host ids and its size is the key's
+    /// bits. Host lookup is exact, so these are the names the query
+    /// asked, and no text of the request is needed to render an answer.
+    pub fn hypotheses(&self) -> impl Iterator<Item = impl Iterator<Item = Transfer<'_>> + Clone> {
+        let platform = self.session.platform();
+        let mut rest = self.key.transfers();
+        let lengths = self.key.hypotheses();
+        let whole = lengths.is_none().then_some(rest.len());
+        lengths.into_iter().flatten().copied().chain(whole).map(move |len| {
+            let (hypothesis, after) = rest.split_at(len);
+            rest = after;
+            hypothesis.iter().map(move |&(src, dst, size)| {
+                (platform.host_name(src), platform.host_name(dst), f64::from_bits(size))
+            })
+        })
+    }
 }
 
 /// A flight's key: the cache key plus the overlay version its leader
@@ -553,9 +594,11 @@ impl ForecastEngine {
     /// The probe stage of a forecast over `hypotheses` — a predict is
     /// one (see the module docs): validate, look every host up, key the
     /// query by host ids and size bits, and look the cache up — counted
-    /// as this request's one hit or miss. It resolves no route, takes no
-    /// flight and runs no simulation.
-    pub fn probe<H: AsRef<[TransferSpec]>>(
+    /// as this request's one hit or miss. The transfers are borrowed
+    /// (names as the query spelled them), and the key is built in one
+    /// pre-sized buffer. It resolves no route, takes no flight and runs
+    /// no simulation.
+    pub fn probe<'t, H: AsRef<[Transfer<'t>]>>(
         &self,
         platform: &str,
         hypotheses: &[H],
@@ -566,30 +609,28 @@ impl ForecastEngine {
         // plus the lookup itself — everything between admission and the
         // simulate/coalesce decision.
         let _lookup = Span::start(&self.metrics.stage_cache_lookup);
-        let transfers = hypotheses
-            .iter()
-            .flat_map(AsRef::as_ref)
-            .map(|spec| {
-                let (src, dst) = session.endpoints(spec)?;
-                Ok((src, dst, spec.size.to_bits()))
-            })
-            .collect::<Result<Arc<[CanonicalTransfer]>, ForecastError>>()?;
+        let mut transfers = Vec::with_capacity(hypotheses.iter().map(|h| h.as_ref().len()).sum());
+        for &transfer in hypotheses.iter().flat_map(AsRef::as_ref) {
+            let (src, dst) = session.endpoints(transfer)?;
+            transfers.push((src, dst, transfer.2.to_bits()));
+        }
         // One hypothesis keys as a predict does: the same simulation.
         let lengths =
             (hypotheses.len() > 1).then(|| hypotheses.iter().map(|h| h.as_ref().len()).collect());
-        let key = CacheKey::new(id, transfers, lengths);
+        let key = CacheKey::new(id, transfers.into(), lengths);
         Ok(match self.cache.get(&key) {
             Some(hit) => Probed::Ready(hit),
             None => Probed::Pending(Pending { session, key }),
         })
     }
 
-    /// The compute stage of a forecast: coalesce, and as the leader
-    /// resolve the routes of the key's transfers and run the selection
-    /// loop on them, in request order — a request that finds the answer
-    /// filed or in flight resolves nothing. The route union files the
-    /// result for targeted invalidation.
-    pub fn compute(&self, pending: Pending) -> Result<Arc<Selection>, ForecastError> {
+    /// The compute stage of the forecast `pending` describes: coalesce,
+    /// and as the leader resolve the routes of the key's transfers and
+    /// run the selection loop on them, in request order — a request that
+    /// finds the answer filed or in flight resolves nothing. The route
+    /// union files the result for targeted invalidation. `pending` stays
+    /// the caller's, to render the answer from.
+    pub fn compute(&self, pending: &Pending) -> Result<Arc<Selection>, ForecastError> {
         let Pending { session, key } = pending;
         // Read before any simulation reads the overlay, and no earlier:
         // an event while the request waited for a worker changes nothing
@@ -599,10 +640,9 @@ impl ForecastEngine {
         // fails the later insert check or is filed before the event's
         // eviction.
         let v0 = session.overlay_version();
-        let valid_session = Arc::clone(&session);
         self.coalesce(
-            (key, v0),
-            move || valid_session.overlay_version() == v0,
+            (key.clone(), v0),
+            || session.overlay_version() == v0,
             |key| {
                 let resolved = key
                     .transfers()
@@ -615,7 +655,7 @@ impl ForecastEngine {
                 self.begin_simulation();
                 let one = [resolved.len()];
                 let lengths = key.hypotheses().unwrap_or(&one);
-                let selection = self.compute_selection(&session, lengths, &resolved)?;
+                let selection = self.compute_selection(session, lengths, &resolved)?;
                 Ok((Arc::new(selection), route_union(&resolved)))
             },
         )
@@ -659,9 +699,9 @@ impl ForecastEngine {
         platform: &str,
         hypotheses: &[H],
     ) -> Result<Arc<Selection>, ForecastError> {
-        match self.probe(platform, hypotheses)? {
+        match self.probe(platform, &lend(hypotheses))? {
             Probed::Ready(selection) => Ok(selection),
-            Probed::Pending(pending) => self.compute(pending),
+            Probed::Pending(pending) => self.compute(&pending),
         }
     }
 

@@ -72,7 +72,8 @@ pub mod metrics;
 pub mod session;
 
 pub use engine::{
-    check_hypotheses, ForecastEngine, ForecastError, Pending, Probed, Selection, TransferSpec,
+    check_hypotheses, lend, ForecastEngine, ForecastError, Pending, Probed, Selection, Transfer,
+    TransferSpec,
 };
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};

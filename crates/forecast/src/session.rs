@@ -40,7 +40,7 @@ use simflow::{
 
 use crate::metrics::KernelCounters;
 
-use crate::engine::{ForecastError, TransferSpec};
+use crate::engine::{ForecastError, Transfer};
 
 /// The overlay state of one degraded resource (identity — factor 1,
 /// not down — is never stored; such entries are removed eagerly so an
@@ -213,15 +213,15 @@ impl Session {
             .map_err(ForecastError::Sim)
     }
 
-    /// Validates a request tuple's size and looks its hosts up.
+    /// Validates a transfer's size and looks its hosts up.
     pub(crate) fn endpoints(
         &self,
-        spec: &TransferSpec,
+        (src, dst, size): Transfer<'_>,
     ) -> Result<(HostId, HostId), ForecastError> {
-        if !spec.size.is_finite() || spec.size < 0.0 {
-            return Err(ForecastError::BadSize(spec.size));
+        if !size.is_finite() || size < 0.0 {
+            return Err(ForecastError::BadSize(size));
         }
-        Ok((self.host(&spec.src)?, self.host(&spec.dst)?))
+        Ok((self.host(src)?, self.host(dst)?))
     }
 
     /// A simulation of the platform as the link events so far left it,

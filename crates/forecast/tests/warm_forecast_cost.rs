@@ -23,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use forecast::{ForecastEngine, Probed, ResolvedSpec, Session, TransferSpec};
+use forecast::{lend, ForecastEngine, Probed, ResolvedSpec, Session, TransferSpec};
 use g5k::{synth, to_simflow, Flavor};
 use simflow::{NetworkConfig, PlatformEventKind};
 
@@ -237,7 +237,7 @@ fn a_one_off_forecast_keeps_its_answer_not_its_routes() {
 
     // Asked again: the probe has the answer, and keeping it costs nothing.
     let (hits, before) = (engine.cache_hits(), live());
-    let Probed::Ready(repeat) = engine.probe("g5k_test", &[&one_off]).expect("probe") else {
+    let Probed::Ready(repeat) = engine.probe("g5k_test", &lend(&[&one_off])).expect("probe") else {
         panic!("a forecast asked before is the probe's to answer")
     };
     assert!(Arc::ptr_eq(&repeat, &answer), "the repeat is answered from the cache");

@@ -37,7 +37,12 @@ pub fn write_compact(v: &Value, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
-fn write_number(n: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Writes the number `n` as [`write_compact`] prints it: `null` when it
+/// is not finite, an integer without a fraction below 1e15, positional
+/// shortest round-trip text in 1e-5 ≤ |n| < 1e15, and with an exponent
+/// outside that. Any [`fmt::Write`] takes it, so a caller can print a
+/// number into its own `String` without building a [`Value`].
+pub fn write_number<W: fmt::Write + ?Sized>(n: f64, f: &mut W) -> fmt::Result {
     if n.is_nan() || n.is_infinite() {
         // JSON has no NaN/Inf; the metrology service uses null for unknown
         return f.write_str("null");
@@ -56,8 +61,9 @@ fn write_number(n: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 
 /// Writes `s` quoted, each run of characters that needs no escape with
 /// one `write_str`. Every character that needs one is ASCII, so a byte
-/// scan never splits a multi-byte character.
-fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// scan never splits a multi-byte character. Any [`fmt::Write`] takes
+/// it, as [`write_number`].
+pub fn write_string<W: fmt::Write + ?Sized>(s: &str, f: &mut W) -> fmt::Result {
     f.write_char('"')?;
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
