@@ -11,10 +11,12 @@
 //!   platform per request and answer with predicted completion times —
 //!   fast enough (< 0.1 s for 30 transfers) to sit inside a scheduler's
 //!   decision loop;
-//! * [`workflow`] — the §VI extension: forecasts of whole compute +
-//!   transfer DAGs;
 //! * [`service`] + [`http`] — the REST surface: GET with URI-embedded
 //!   parameters, JSON answers, exactly the examples printed in the paper.
+//!   Its three forecasts — a predict, a selection among hypotheses and a
+//!   §VI workflow of dependent compute and transfer tasks — take one path:
+//!   a probe that keys the query and looks the engine's cache up, then,
+//!   on a miss, one compute stage.
 //!
 //! The HTTP server is built on Linux `epoll` (bound directly, see the
 //! `sys` module), so this crate — and every test, bench, benchmark and
@@ -45,10 +47,9 @@ pub mod pnfs;
 mod poller;
 pub mod service;
 mod sys;
-pub mod workflow;
+mod workflow;
 
 pub use calibration::calibrate;
 pub use metrology::{Metrology, MetrologyError};
 pub use pnfs::{FastestSelection, Pnfs, PnfsError, Prediction, TransferRequest};
 pub use service::PilgrimService;
-pub use workflow::{forecast, TaskKind, TaskSpec, Workflow, WorkflowForecast};

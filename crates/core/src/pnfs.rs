@@ -21,18 +21,22 @@
 //! transfer hypotheses, select the fastest one ... use some heuristic to
 //! prune the n hypotheses") is implemented by [`Pnfs::select_fastest`],
 //! with a lower-bound pruning heuristic. A predict is the selection of
-//! its one hypothesis, so both take one path: the engine's probe, then
+//! its one hypothesis, and a §VI workflow is one hypothesis of dependent
+//! tasks, so all three take one path: the engine's probe, then
 //! [`Pnfs::compute`]. That is the one place a sequential service forks:
 //! it builds the query's [`TransferRequest`]s from the probe's key (host
 //! ids and size bits, names from the platform) and runs
 //! [`Pnfs::select_fastest_reference`] on them — for a predict on its one
 //! hypothesis, whose bound prunes nothing — so the oracle is still one
-//! from-scratch simulation per simulated hypothesis. Nothing else on
-//! the serving path copies a host name.
+//! from-scratch simulation per simulated hypothesis; a workflow is one
+//! from-scratch simulation of the tasks and dependencies its key names.
+//! Nothing else on the serving path copies a host name.
 
 use std::sync::Arc;
 
-use forecast::{check_hypotheses, lend, ForecastEngine, Pending, Probed, Selection};
+use forecast::{
+    check_hypotheses, lend, Dependencies, ForecastEngine, Pending, Probed, Selection, Task,
+};
 use jsonlite::Value;
 use simflow::platform::SharingPolicy;
 use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError, SimTime};
@@ -180,6 +184,10 @@ impl Pnfs {
         if !self.sequential {
             return self.engine.compute(pending);
         }
+        if let Some((tasks, deps)) = pending.workflow() {
+            let tasks = tasks.map(|(_, task)| task);
+            return self.oracle(platform, tasks, Some(deps)).map(Arc::new);
+        }
         let request = |(src, dst, size): (&str, &str, f64)| TransferRequest {
             src: src.to_string(),
             dst: dst.to_string(),
@@ -242,46 +250,50 @@ impl Pnfs {
     // ------------------------------------------------------------------
 
     /// The original `predict`: one fresh simulation on the calling
-    /// thread, every route resolved from scratch, no cache. It starts
-    /// from [`forecast::Session::simulation`] — the platform as the
-    /// link events so far left it — so it stays the oracle after a
-    /// `link_event`; a transfer over a dead link reports an infinite
-    /// duration, as in the served answer.
+    /// thread, every route resolved from scratch, no cache ([`Pnfs`]'s
+    /// oracle, of transfers alone). A transfer over a dead link reports
+    /// an infinite duration, as in the served answer.
     pub fn predict_reference(
         &self,
         platform: &str,
         requests: &[TransferRequest],
     ) -> Result<Vec<Prediction>, PnfsError> {
-        let session = self.engine.session(platform)?;
-        let p = session.platform();
-        let mut sim = session.simulation();
-        let mut ids = Vec::with_capacity(requests.len());
-        for r in requests {
-            if !r.size.is_finite() || r.size < 0.0 {
-                return Err(PnfsError::BadSize(r.size));
-            }
-            let src = p
-                .host_by_name(&r.src)
-                .ok_or_else(|| PnfsError::UnknownHost(r.src.clone()))?;
-            let dst = p
-                .host_by_name(&r.dst)
-                .ok_or_else(|| PnfsError::UnknownHost(r.dst.clone()))?;
-            ids.push(sim.add_transfer_at(src, dst, r.size, SimTime::ZERO)?);
+        if let Some(r) = requests.iter().find(|r| !r.size.is_finite() || r.size < 0.0) {
+            return Err(PnfsError::BadSize(r.size));
         }
-        let report = sim.run()?;
-        Ok(requests
-            .iter()
-            .zip(ids)
-            .map(|(r, id)| {
-                let c = report.completion(id);
-                Prediction {
-                    src: r.src.clone(),
-                    dst: r.dst.clone(),
-                    size: r.size,
-                    duration: if c.failed() { f64::INFINITY } else { c.duration().as_secs() },
+        let tasks = requests.iter().map(|r| Task::Transfer((&r.src, &r.dst, r.size)));
+        Ok(predictions(requests, &self.oracle(platform, tasks, None)?.durations))
+    }
+
+    /// The oracle of every forecast: one fresh simulation on the calling
+    /// thread of `tasks`, each added in order — a transfer's route
+    /// resolved from scratch — and then of `deps`. It starts from
+    /// [`forecast::Session::simulation`], the platform as the link events
+    /// so far left it. A transfer starts at 0, so its finish time is its
+    /// duration.
+    fn oracle<'t>(
+        &self,
+        platform: &str,
+        tasks: impl Iterator<Item = Task<'t>>,
+        deps: Option<&Dependencies>,
+    ) -> Result<Selection, PnfsError> {
+        let session = self.engine.session(platform)?;
+        let mut sim = session.simulation();
+        for task in tasks {
+            match task {
+                Task::Transfer((src, dst, size)) => {
+                    let (src, dst) = (session.host(src)?, session.host(dst)?);
+                    sim.add_transfer_at(src, dst, size, SimTime::ZERO)?
                 }
-            })
-            .collect())
+                Task::Compute(host, flops) => {
+                    sim.add_compute_at(session.host(host)?, flops, SimTime::ZERO)
+                }
+            };
+        }
+        if let Some(deps) = deps {
+            deps.add_to(&mut sim);
+        }
+        Ok(Selection::workflow(&sim.run()?))
     }
 
     /// A cheap lower bound on a hypothesis' makespan: each transfer alone

@@ -13,6 +13,10 @@
 //!   — PNFS; answers `[{"src","dst","size","duration"}, …]`;
 //! * `GET /pilgrim/select_fastest/<platform>?hypothesis=src,dst,size[;…]&…`
 //!   — the §VI extension; answers the winning hypothesis;
+//! * `GET /pilgrim/forecast_workflow/<platform>?task=name,compute,host,flops&`
+//!   `task=name,transfer,src,dst,bytes&…&dep=task,on&…` — the §VI outlook:
+//!   a DAG of dependent computations and transfers; answers
+//!   `{"makespan","tasks":[{"name","start","finish"},…]}`;
 //! * `POST /pilgrim/link_event/<platform>?link=…&state=down|up` (or
 //!   `…&factor=0.5`) — serving-time platform dynamics: degrade, fail or
 //!   recover a link. Evicts exactly the cached forecasts whose routes
@@ -42,35 +46,38 @@
 //! *compute* stage for whatever the probe could not answer, which runs
 //! on a pool worker. [`PilgrimService::handle`] is the two back to back.
 //!
-//! Both forecast endpoints take one path through the stages: a predict
-//! is parsed into its one hypothesis, so a probe miss stages one
+//! All three forecast endpoints take one path through the stages: a
+//! predict is parsed into its one hypothesis and a workflow into its
+//! labelled tasks and checked dependencies, so a probe miss stages one
 //! `Staged::Forecast`, and every answer, hit or computed, is one
-//! [`Selection`] rendered by one renderer — the winner's 4-uples, which
-//! a `select_fastest` answer wraps with its winner, makespan and pruned
-//! set.
+//! [`Selection`]. A predict's body is the winner's 4-uples, which a
+//! `select_fastest` answer wraps with its winner, makespan and pruned
+//! set; a workflow's names its tasks with their start and finish times.
 //!
 //! A query is parsed and keyed from slices of the request: each
 //! `src,dst,size` is two `&str`s into the request's decoded query and a
-//! number, and the probe keys those by host ids and size bits — no
+//! number (a workflow task is its label and such a tuple, or a host and
+//! flops), and the probe keys those by host ids and amount bits — no
 //! `String` per transfer. A miss stages only the engine's [`Pending`],
 //! and its answer is rendered with names from the platform, by the host
-//! ids in the key; host lookup is exact, so those are the names the
-//! query asked, and the bytes are the ones a hit renders from the
-//! request. The renderer writes the 4-uples straight into one pre-sized
-//! `String` through `jsonlite`'s string and number writers, without a
-//! JSON tree.
+//! ids in the key (a workflow's labels are in its key); host lookup is
+//! exact, so those are the names the query asked, and the bytes are the
+//! ones a hit renders from the request. The renderers write straight
+//! into one pre-sized `String` through `jsonlite`'s string and number
+//! writers, without a JSON tree.
 //!
 //! A repeat forecast is a lookup and a copy. The first cache hit of an
-//! answer files the winner's 4-uples as JSON text on the cached
-//! selection ([`Selection::file`]), and every later hit copies that text
-//! — a predict as it is, a select inside its wrapper — instead of
-//! building and printing a JSON tree. The text is a function of the
-//! cache key (host names are looked up exactly, sizes keyed by their
-//! bits), so it is right for as long as the entry lives, and dies with
-//! it. Bodies are filed on a hit and not when computed because most
-//! answers of a cold workload are never asked again: filing those would
-//! keep a body per entry for nothing (≈ 3.7 KB for 30 transfers, against
-//! ≈ 1.2 KB for the entry itself). A computed answer uses the text if a
+//! answer files the winner's 4-uples (a workflow's whole body) as JSON
+//! text on the cached selection ([`Selection::file`]), and every later
+//! hit copies that text — a predict or a workflow as it is, a select
+//! inside its wrapper — instead of building and printing a JSON tree.
+//! The text is a function of the cache key (host names are looked up
+//! exactly, amounts keyed by their bits, labels kept), so it is right
+//! for as long as the entry lives, and dies with it. Bodies are filed on
+//! a hit and not when computed because most answers of a cold workload
+//! are never asked again: filing those would keep a body per entry for
+//! nothing (≈ 3.7 KB for 30 transfers, against ≈ 1.2 KB for the entry
+//! itself). A computed answer uses the text if a
 //! concurrent hit filed it, and otherwise renders without filing.
 
 use std::borrow::Cow;
@@ -86,6 +93,7 @@ use telemetry::{Histogram, MetricsRegistry, Span};
 use crate::http::{Handle, Handler, Probe, Request, Response};
 use crate::metrology::{Metrology, MetrologyError};
 use crate::pnfs::{Pnfs, PnfsError};
+use crate::workflow;
 
 /// The fixed endpoint labels `pilgrim_request_latency_ns` is keyed by —
 /// static, so request paths cannot grow the exposition.
@@ -123,11 +131,12 @@ pub struct PilgrimService {
     request_latency: Vec<(&'static str, Histogram)>,
 }
 
-/// The two forecast endpoints, which the probe stage looks at.
+/// The three forecast endpoints, which the probe stage looks at.
 #[derive(Clone, Copy)]
 enum Forecast {
     Predict,
     Select,
+    Workflow,
 }
 
 /// The forecast endpoint and platform a GET asks, if it asks one.
@@ -136,10 +145,13 @@ fn forecast_query(req: &Request) -> Option<(Forecast, &str)> {
         return None;
     }
     let path = req.path.trim_end_matches('/');
-    if let Some(platform) = path.strip_prefix("/pilgrim/predict_transfers/") {
-        return Some((Forecast::Predict, platform));
-    }
-    path.strip_prefix("/pilgrim/select_fastest/").map(|platform| (Forecast::Select, platform))
+    [
+        ("/pilgrim/predict_transfers/", Forecast::Predict),
+        ("/pilgrim/select_fastest/", Forecast::Select),
+        ("/pilgrim/forecast_workflow/", Forecast::Workflow),
+    ]
+    .into_iter()
+    .find_map(|(prefix, kind)| Some((kind, path.strip_prefix(prefix)?)))
 }
 
 /// A request after its probe stage: answered, or what the compute stage
@@ -240,31 +252,60 @@ impl PilgrimService {
     }
 
     /// The probe stage: a forecast GET is parsed — a predict into its
-    /// one hypothesis, each transfer as slices of the request — keyed by
-    /// its host ids and sizes, and answered if the forecast cache has the
-    /// answer (or the query is malformed).
+    /// one hypothesis, each transfer or task as slices of the request —
+    /// keyed by its host ids and amounts, and answered if the forecast
+    /// cache has the answer (or the query is malformed).
     /// Bounded — it resolves no route and simulates nothing — because the
     /// poller runs it on its own thread. Every other request is left
     /// whole for the compute stage.
     fn probe_stage(&self, req: &Request) -> Staged {
         let Some((kind, platform)) = forecast_query(req) else { return Staged::Whole };
-        let admission = Span::start(&self.pnfs.engine().metrics().stage_admission);
+        let engine = self.pnfs.engine();
+        let admission = Span::start(&engine.metrics().stage_admission);
+        if let Forecast::Workflow = kind {
+            let (tasks, deps) = match workflow::parse(req) {
+                Ok(parsed) => parsed,
+                // a workflow's platform is checked before its syntax
+                Err(resp) => {
+                    let unknown = engine.session(platform).err();
+                    return Staged::Answered(unknown.map_or(resp, pnfs_error_response));
+                }
+            };
+            drop(admission);
+            let probed = engine.probe_workflow(platform, &tasks, deps);
+            return self.staged(kind, probed, |sel| {
+                workflow::render(tasks.iter().map(|&(label, _)| label), sel)
+            });
+        }
         let parsed = match kind {
             Forecast::Predict => parse_predict_params(req).map(|requests| vec![requests]),
-            Forecast::Select => parse_hypotheses(req),
+            _ => parse_hypotheses(req),
         };
         let hypotheses = match parsed {
             Ok(h) => h,
             Err(resp) => return Staged::Answered(resp),
         };
         drop(admission);
-        let answer = match self.pnfs.engine().probe(platform, &hypotheses) {
+        let probed = engine.probe(platform, &hypotheses);
+        self.staged(kind, probed, |sel| {
+            predictions_json(hypotheses[sel.best].iter().copied(), &sel.durations)
+        })
+    }
+
+    /// What a probe found, staged: a miss for the compute stage, or the
+    /// answer — a hit, rendered by `render` and filed, or the refusal.
+    fn staged(
+        &self,
+        kind: Forecast,
+        probed: Result<Probed, PnfsError>,
+        render: impl FnOnce(&Selection) -> String,
+    ) -> Staged {
+        let answer = match probed {
             Ok(Probed::Pending(pending)) => return Staged::Forecast(pending),
             Ok(Probed::Ready(selection)) => Ok(selection),
             Err(e) => Err(e),
         };
-        let winner = |best: usize| hypotheses[best].iter().copied();
-        Staged::Answered(self.rendered(kind, answer, true, winner))
+        Staged::Answered(self.rendered(kind, answer, true, render))
     }
 
     /// The compute stage: whatever the probe stage left to do.
@@ -275,42 +316,43 @@ impl PilgrimService {
             Staged::Forecast(pending) => {
                 let (kind, platform) = forecast_query(req).expect("staged from a forecast query");
                 let answer = self.pnfs.compute(platform, &pending);
-                let winner = |best| pending.hypotheses().nth(best).expect("the winner was keyed");
-                self.rendered(kind, answer, false, winner)
+                self.rendered(kind, answer, false, |sel| match pending.workflow() {
+                    Some((tasks, _)) => workflow::render(tasks.map(|(label, _)| label), sel),
+                    None => {
+                        let winner = pending.hypotheses().nth(sel.best);
+                        predictions_json(winner.expect("the winner was keyed"), &sel.durations)
+                    }
+                })
             }
         }
     }
 
     /// A forecast as its response, rendered under the `render` stage —
-    /// or the error's status. The body is the winner's 4-uples, from
-    /// `winner(best)`'s transfers and the selection's durations — a
-    /// predict's answer, which a selection's wraps with its winner,
-    /// makespan and pruned set. Text filed on the selection is copied
-    /// instead of rendered; `file` (a probe hit) files what it renders.
-    fn rendered<'t, W>(
+    /// or the error's status. `render` writes the answer's filed part: a
+    /// predict's body, the 4-uples a selection's body wraps with its
+    /// winner, makespan and pruned set, or a workflow's body. Text filed
+    /// on the selection is copied instead of rendered; `file` (a probe
+    /// hit) files what it renders.
+    fn rendered(
         &self,
         kind: Forecast,
         forecast: Result<Arc<Selection>, PnfsError>,
         file: bool,
-        winner: impl FnOnce(usize) -> W,
-    ) -> Response
-    where
-        W: Iterator<Item = Transfer<'t>> + Clone,
-    {
+        render: impl FnOnce(&Selection) -> String,
+    ) -> Response {
         let sel = match forecast {
             Ok(sel) => sel,
             Err(e) => return pnfs_error_response(e),
         };
         let _render = Span::start(&self.pnfs.engine().metrics().stage_render);
-        let render = || predictions_json(winner(sel.best), &sel.durations);
-        let predictions = match sel.filed() {
+        let filed = match sel.filed() {
             Some(text) => Cow::Borrowed(text),
-            None if file => Cow::Borrowed(sel.file(render)),
-            None => Cow::Owned(render()),
+            None if file => Cow::Borrowed(sel.file(|| render(&sel))),
+            None => Cow::Owned(render(&sel)),
         };
         Response::json_text(match kind {
-            Forecast::Predict => predictions.into_owned(),
-            Forecast::Select => selection_json(&sel, &predictions),
+            Forecast::Select => selection_json(&sel, &filed),
+            Forecast::Predict | Forecast::Workflow => filed.into_owned(),
         })
     }
 
@@ -331,9 +373,6 @@ impl PilgrimService {
         }
         if let Some(rrd_path) = path.strip_prefix("/pilgrim/rrd/") {
             return self.handle_rrd(rrd_path, req);
-        }
-        if let Some(platform) = path.strip_prefix("/pilgrim/forecast_workflow/") {
-            return self.handle_workflow(platform, req);
         }
         match path {
             "/pilgrim/platforms" => {
@@ -431,73 +470,6 @@ impl PilgrimService {
             ("simulations", Value::from(e.simulations() as i64)),
             ("invalidated_targeted", Value::from(e.invalidated_targeted() as i64)),
         ]))
-    }
-
-    /// §VI workflow endpoint. Tasks are declared positionally:
-    /// `task=<name>,compute,<host>,<flops>` or
-    /// `task=<name>,transfer,<src>,<dst>,<bytes>`, with dependencies
-    /// `dep=<task_index>,<depends_on_index>`. Simulated on the platform's
-    /// warm session, so the forecast honours every `link_event` so far.
-    fn handle_workflow(&self, platform: &str, req: &Request) -> Response {
-        let session = match self.pnfs.engine().session(platform) {
-            Ok(s) => s,
-            Err(e) => return pnfs_error_response(e),
-        };
-        let mut wf = crate::workflow::Workflow::new();
-        for spec in req.params_named("task") {
-            let parts: Vec<&str> = spec.split(',').map(str::trim).collect();
-            let kind = match parts.as_slice() {
-                [_, "compute", host, flops] => flops
-                    .parse::<f64>()
-                    .ok()
-                    .map(|f| crate::workflow::TaskKind::Compute { host: host.to_string(), flops: f }),
-                [_, "transfer", src, dst, bytes] => bytes.parse::<f64>().ok().map(|b| {
-                    crate::workflow::TaskKind::Transfer {
-                        src: src.to_string(),
-                        dst: dst.to_string(),
-                        bytes: b,
-                    }
-                }),
-                _ => None,
-            };
-            match kind {
-                Some(kind) => {
-                    wf.add(parts[0], kind, &[]);
-                }
-                None => {
-                    return Response::error(
-                        400,
-                        &format!(
-                            "malformed task '{spec}' (want name,compute,host,flops \
-                             or name,transfer,src,dst,bytes)"
-                        ),
-                    )
-                }
-            }
-        }
-        if wf.tasks.is_empty() {
-            return Response::error(400, "at least one 'task' parameter required");
-        }
-        for dep in req.params_named("dep") {
-            let parsed: Option<(usize, usize)> = dep
-                .split_once(',')
-                .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)));
-            match parsed {
-                Some((task, on)) if task < wf.tasks.len() && on < wf.tasks.len() => {
-                    wf.tasks[task].deps.push(on);
-                }
-                _ => {
-                    return Response::error(
-                        400,
-                        &format!("malformed dep '{dep}' (want task_index,depends_on_index)"),
-                    )
-                }
-            }
-        }
-        match crate::workflow::forecast(&session, &wf) {
-            Ok(fc) => Response::json(&fc.to_json()),
-            Err(e) => pnfs_error_response(e),
-        }
     }
 }
 
@@ -947,6 +919,22 @@ mod tests {
         ] {
             let (status, v) = get(&svc, "/pilgrim/forecast_workflow/g5k_test", task);
             assert_eq!(status, 400, "{task}: {v}");
+        }
+        // a cycle or a self-dependency is the probe's to refuse, by name
+        let svc = Arc::new(svc);
+        let two = "task=a,compute,sagittaire-1.lyon.grid5000.fr,1e9\
+                   &task=b,compute,sagittaire-2.lyon.grid5000.fr,1e9";
+        for (deps, named) in [
+            ("dep=0,1&dep=1,0", "workflow contains a dependency cycle"),
+            ("dep=0,0", "task 0 depends on itself"),
+        ] {
+            let query = format!("{two}&{deps}");
+            let req = Request::synthetic("/pilgrim/forecast_workflow/g5k_test", &query);
+            let Probe::Ready(resp) = Arc::clone(&svc).probe(&req) else {
+                panic!("{deps}: deferred")
+            };
+            let v = Value::parse(&resp.body).expect("json body");
+            assert_eq!((resp.status, v["error"].as_str()), (400, Some(named)), "{deps}: {v}");
         }
     }
 

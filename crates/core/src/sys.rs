@@ -30,11 +30,11 @@ use std::os::raw::{c_int, c_void};
 use telemetry::Counter;
 
 // The subset of <sys/epoll.h> the poller uses.
-pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLOUT: u32 = 0x004;
-pub const EPOLLERR: u32 = 0x008;
-pub const EPOLLHUP: u32 = 0x010;
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -49,7 +49,7 @@ const O_NONBLOCK: c_int = 0o4000;
 #[cfg(target_arch = "x86_64")]
 #[repr(C, packed)]
 #[derive(Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     pub events: u32,
     pub data: u64,
 }
@@ -58,21 +58,21 @@ pub struct EpollEvent {
 #[cfg(not(target_arch = "x86_64"))]
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     pub events: u32,
     pub data: u64,
 }
 
 impl EpollEvent {
     /// A zeroed event (fill buffer for `epoll_wait`).
-    pub fn zeroed() -> EpollEvent {
+    pub(crate) fn zeroed() -> EpollEvent {
         EpollEvent { events: 0, data: 0 }
     }
 
     /// Copies of the (possibly unaligned) fields — reading a field of a
     /// packed struct through a reference is UB, so the poller goes
     /// through these accessors.
-    pub fn parts(&self) -> (u32, u64) {
+    pub(crate) fn parts(&self) -> (u32, u64) {
         // Safe on every layout: both copies go through a local.
         let ev = { self.events };
         let data = { self.data };
@@ -99,14 +99,14 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 }
 
 /// An owned epoll instance.
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: RawFd,
     ctl_calls: Counter,
 }
 
 impl Epoll {
     /// `epoll_create1(EPOLL_CLOEXEC)`.
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         // SAFETY: epoll_create1 takes no pointers; the returned fd is
         // owned by the new Epoll and closed exactly once in Drop.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
@@ -115,7 +115,7 @@ impl Epoll {
 
     /// `epoll_ctl` calls made through this instance (add, modify and
     /// delete alike).
-    pub fn ctl_calls(&self) -> &Counter {
+    pub(crate) fn ctl_calls(&self) -> &Counter {
         &self.ctl_calls
     }
 
@@ -131,24 +131,28 @@ impl Epoll {
     }
 
     /// Registers `fd` with the given interest mask and caller data.
-    pub fn add(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, data)
     }
 
     /// Changes the interest mask / data of a registered `fd`.
-    pub fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, data)
     }
 
     /// Deregisters `fd`.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks up to `timeout_ms` (`None` ⇒ indefinitely) for readiness;
     /// fills `events` and returns how many are valid. A timeout returns
     /// `Ok(0)`; `EINTR` is retried internally.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: Option<u64>) -> io::Result<usize> {
+    pub(crate) fn wait(
+        &self,
+        events: &mut [EpollEvent],
+        timeout_ms: Option<u64>,
+    ) -> io::Result<usize> {
         let timeout: c_int =
             timeout_ms.map_or(-1, |ms| c_int::try_from(ms).unwrap_or(c_int::MAX));
         let cap = c_int::try_from(events.len()).unwrap_or(c_int::MAX).max(1);
@@ -178,7 +182,7 @@ impl Drop for Epoll {
 /// The write half of a [`WakePipe`]: cloneable, `Send + Sync`, used by
 /// worker threads (and `Server::stop`) to pull the poller out of
 /// `epoll_wait`.
-pub struct WakeHandle {
+pub(crate) struct WakeHandle {
     write_fd: RawFd,
     writes: Counter,
 }
@@ -190,13 +194,13 @@ unsafe impl Sync for WakeHandle {}
 
 impl WakeHandle {
     /// Wake bytes written (attempted) so far.
-    pub fn writes(&self) -> &Counter {
+    pub(crate) fn writes(&self) -> &Counter {
         &self.writes
     }
 
     /// Writes one byte into the pipe; a full pipe already guarantees a
     /// pending wakeup, so `EAGAIN` (and any other failure) is ignored.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.writes.inc();
         let byte = 1u8;
         // SAFETY: writes 1 byte from a live stack local to an fd owned
@@ -215,13 +219,13 @@ impl Drop for WakeHandle {
 
 /// A nonblocking self-wake pipe: the poller owns the read end (and
 /// registers it with epoll); [`WakeHandle`]s own the write end.
-pub struct WakePipe {
+pub(crate) struct WakePipe {
     read_fd: RawFd,
 }
 
 impl WakePipe {
     /// `pipe2(O_NONBLOCK | O_CLOEXEC)`, split into read and write halves.
-    pub fn new() -> io::Result<(WakePipe, WakeHandle)> {
+    pub(crate) fn new() -> io::Result<(WakePipe, WakeHandle)> {
         let mut fds: [c_int; 2] = [-1, -1];
         // SAFETY: pipe2 writes exactly two fds into the array.
         cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | EPOLL_CLOEXEC) })?;
@@ -229,12 +233,12 @@ impl WakePipe {
     }
 
     /// The fd to register with epoll for `EPOLLIN`.
-    pub fn read_fd(&self) -> RawFd {
+    pub(crate) fn read_fd(&self) -> RawFd {
         self.read_fd
     }
 
     /// Drains every pending wake byte (nonblocking).
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             // SAFETY: reads into a live 64-byte stack buffer from the

@@ -6,218 +6,155 @@
 //! adding the simulation of computation will be straightforward." It is:
 //! the kernel already shares host CPUs through the same max-min solver,
 //! so a workflow forecast is a DAG mapped onto dependent kernel works.
+//!
+//! A workflow takes the one forecast path predicts and selects take. The
+//! probe parses it here, as slices of the request, and has its
+//! dependencies checked to form a DAG ([`Dependencies::new`]); the engine
+//! keys it (labels included, since the answer names them) and looks it
+//! up, and a miss is one simulation of its tasks on the session's
+//! recycled scratch. Its answer is rendered here, and filed on its first
+//! hit like any forecast's.
 
-use forecast::Session;
-use jsonlite::Value;
-use simflow::SimTime;
+use std::fmt;
 
-use crate::pnfs::PnfsError;
+use forecast::{Dependencies, Selection, Task};
+use jsonlite::print::{write_number, write_string};
 
-/// What a workflow task does.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TaskKind {
-    /// Move `bytes` from `src` to `dst`.
-    Transfer {
-        /// Source host name.
-        src: String,
-        /// Destination host name.
-        dst: String,
-        /// Payload size in bytes.
-        bytes: f64,
-    },
-    /// Run `flops` of computation on `host`.
-    Compute {
-        /// Executing host name.
-        host: String,
-        /// Amount of computation.
-        flops: f64,
-    },
-}
+use crate::http::{Request, Response};
 
-/// One task of a workflow.
-#[derive(Clone, Debug)]
-pub struct TaskSpec {
-    /// Task label (reported back in the forecast).
-    pub name: String,
-    /// What the task does.
-    pub kind: TaskKind,
-    /// Indices of tasks that must complete first.
-    pub deps: Vec<usize>,
-}
+/// A workflow query, parsed: its labelled tasks and its dependencies.
+type Parsed<'r> = (Vec<(&'r str, Task<'r>)>, Dependencies);
 
-/// A workflow: a DAG of compute and transfer tasks.
-#[derive(Clone, Debug, Default)]
-pub struct Workflow {
-    /// Tasks; edges point backwards through [`TaskSpec::deps`].
-    pub tasks: Vec<TaskSpec>,
-}
-
-impl Workflow {
-    /// An empty workflow.
-    pub fn new() -> Self {
-        Workflow::default()
-    }
-
-    /// Appends a task, returning its index.
-    pub fn add(&mut self, name: &str, kind: TaskKind, deps: &[usize]) -> usize {
-        self.tasks.push(TaskSpec { name: name.to_string(), kind, deps: deps.to_vec() });
-        self.tasks.len() - 1
-    }
-
-    /// Validates indices and acyclicity; returns a topological order.
-    pub fn toposort(&self) -> Result<Vec<usize>, String> {
-        let n = self.tasks.len();
-        let mut indeg = vec![0usize; n];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                if d >= n {
-                    return Err(format!("task {i} depends on unknown task {d}"));
-                }
-                if d == i {
-                    return Err(format!("task {i} depends on itself"));
-                }
-                indeg[i] += 1;
+/// Parses a workflow query's tasks, declared positionally as
+/// `task=<name>,compute,<host>,<flops>` or
+/// `task=<name>,transfer,<src>,<dst>,<bytes>`, and its dependencies,
+/// `dep=<task_index>,<depends_on_index>`, into slices of the request; a
+/// malformed query, or dependencies that are not a DAG, yield the 400 to
+/// send back.
+pub(crate) fn parse(req: &Request) -> Result<Parsed<'_>, Response> {
+    let mut tasks = Vec::with_capacity(req.params_named("task").count());
+    for spec in req.params_named("task") {
+        let mut parts = spec.split(',').map(str::trim);
+        let label = parts.next().unwrap_or_default();
+        let amount = |text: &str| text.parse::<f64>().ok();
+        let task = match (
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+        ) {
+            (Some("compute"), Some(host), Some(flops), None, _) => {
+                amount(flops).map(|flops| Task::Compute(host, flops))
             }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                dependents[d].push(i);
+            (Some("transfer"), Some(src), Some(dst), Some(bytes), None) => {
+                amount(bytes).map(|bytes| Task::Transfer((src, dst, bytes)))
             }
-        }
-        while let Some(i) = queue.pop() {
-            order.push(i);
-            for &j in &dependents[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err("workflow contains a dependency cycle".to_string());
-        }
-        Ok(order)
-    }
-}
-
-/// Forecast of one task.
-#[derive(Clone, Debug)]
-pub struct TaskForecast {
-    /// Task label.
-    pub name: String,
-    /// Predicted start time, seconds.
-    pub start: f64,
-    /// Predicted completion time, seconds; infinite if the task fails
-    /// (a dead link on its route, or upstream of it).
-    pub finish: f64,
-}
-
-/// Forecast of a whole workflow.
-#[derive(Clone, Debug)]
-pub struct WorkflowForecast {
-    /// Per-task forecasts, in workflow order.
-    pub tasks: Vec<TaskForecast>,
-    /// Completion time of the last task, seconds.
-    pub makespan: f64,
-}
-
-impl WorkflowForecast {
-    /// JSON rendering: `{"makespan": …, "tasks": [{"name", "start",
-    /// "finish"}, …]}`.
-    pub fn to_json(&self) -> Value {
-        Value::object(vec![
-            ("makespan", Value::from(self.makespan)),
-            (
-                "tasks",
-                Value::Array(
-                    self.tasks
-                        .iter()
-                        .map(|t| {
-                            Value::object(vec![
-                                ("name", Value::from(t.name.as_str())),
-                                ("start", Value::from(t.start)),
-                                ("finish", Value::from(t.finish)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Forecasts a workflow on `session`'s platform as it stands now — link
-/// events applied, like every other forecast: every task contends for
-/// networks and CPUs with its concurrently-running siblings, exactly
-/// like the plain transfer forecasts. A task killed by a dead link, or
-/// downstream of one, never completes: its `finish` (and the makespan)
-/// is infinite, which renders as JSON `null`.
-pub fn forecast(session: &Session, workflow: &Workflow) -> Result<WorkflowForecast, PnfsError> {
-    workflow
-        .toposort()
-        .map_err(|_| PnfsError::Sim(simflow::SimError::Stalled { at: 0.0 }))?;
-    // The kernel asserts on these; amounts arrive straight from a query
-    // string.
-    let amount = |x: f64| {
-        if x.is_finite() && x >= 0.0 {
-            Ok(x)
-        } else {
-            Err(PnfsError::BadSize(x))
-        }
-    };
-
-    let mut sim = session.simulation();
-    let mut ids = Vec::with_capacity(workflow.tasks.len());
-    for t in &workflow.tasks {
-        let id = match &t.kind {
-            TaskKind::Transfer { src, dst, bytes } => {
-                let (s, d) = (session.host(src)?, session.host(dst)?);
-                sim.add_transfer_at(s, d, amount(*bytes)?, SimTime::ZERO)?
-            }
-            TaskKind::Compute { host, flops } => {
-                sim.add_compute_at(session.host(host)?, amount(*flops)?, SimTime::ZERO)
-            }
+            _ => None,
         };
-        ids.push(id);
+        let Some(task) = task else {
+            return Err(Response::error(
+                400,
+                &format!(
+                    "malformed task '{spec}' (want name,compute,host,flops \
+                     or name,transfer,src,dst,bytes)"
+                ),
+            ));
+        };
+        tasks.push((label, task));
     }
-    for (i, t) in workflow.tasks.iter().enumerate() {
-        let deps: Vec<simflow::WorkId> = t.deps.iter().map(|&d| ids[d]).collect();
-        if !deps.is_empty() {
-            sim.add_dependencies(ids[i], &deps);
+    if tasks.is_empty() {
+        return Err(Response::error(
+            400,
+            "at least one 'task' parameter required",
+        ));
+    }
+    let mut edges = Vec::with_capacity(req.params_named("dep").count());
+    for dep in req.params_named("dep") {
+        let parsed: Option<(usize, usize)> = dep
+            .split_once(',')
+            .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)));
+        match parsed {
+            Some((task, on)) if task < tasks.len() && on < tasks.len() => edges.push((task, on)),
+            _ => {
+                return Err(Response::error(
+                    400,
+                    &format!("malformed dep '{dep}' (want task_index,depends_on_index)"),
+                ))
+            }
         }
     }
-    let report = sim.run()?;
-    session.kernel_metrics().observe(&report.stats);
-    let tasks: Vec<TaskForecast> = workflow
-        .tasks
-        .iter()
-        .zip(&ids)
-        .map(|(t, id)| {
-            let c = report.completion(*id);
-            TaskForecast {
-                name: t.name.clone(),
-                start: c.start.as_secs(),
-                finish: if c.failed() { f64::INFINITY } else { c.finish.as_secs() },
-            }
-        })
-        .collect();
-    let makespan = tasks.iter().map(|t| t.finish).fold(0.0, f64::max);
-    Ok(WorkflowForecast { tasks, makespan })
+    let deps = Dependencies::new(tasks.len(), &edges).map_err(|e| Response::error(400, &e))?;
+    Ok((tasks, deps))
+}
+
+/// A workflow's answer, `{"makespan":…,"tasks":[{"name":…,"start":…,
+/// "finish":…},…]}`, with the tasks named by `labels`, written as the
+/// predictions array is. A task killed by a dead link, or downstream of
+/// one, never finishes: its `finish` and the makespan print as `null`.
+pub(crate) fn render<'t>(labels: impl Iterator<Item = &'t str> + Clone, sel: &Selection) -> String {
+    // per task: its label, 34 bytes of keys and punctuation, and two
+    // numbers of at most 24 bytes each
+    let names: usize = labels.clone().map(str::len).sum();
+    let mut out = String::with_capacity(40 + names + 82 * sel.starts.len());
+    let write = |out: &mut String| -> fmt::Result {
+        out.push_str(r#"{"makespan":"#);
+        write_number(sel.best_makespan, out)?;
+        out.push_str(r#","tasks":["#);
+        let times = sel.starts.iter().zip(&sel.durations);
+        for (i, (label, (&start, &finish))) in labels.zip(times).enumerate() {
+            out.push_str(if i == 0 {
+                r#"{"name":"#
+            } else {
+                r#",{"name":"#
+            });
+            write_string(label, out)?;
+            out.push_str(r#","start":"#);
+            write_number(start, out)?;
+            out.push_str(r#","finish":"#);
+            write_number(finish, out)?;
+            out.push('}');
+        }
+        out.push_str("]}");
+        Ok(())
+    };
+    // writing to a `String` cannot fail
+    let _ = write(&mut out);
+    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use g5k::{synth, to_simflow, Flavor};
+    use jsonlite::Value;
     use simflow::NetworkConfig;
-    use std::sync::Arc;
 
-    fn session() -> Session {
-        let platform = Arc::new(to_simflow(&synth::standard(), Flavor::G5kTest));
-        Session::new(platform, NetworkConfig::ideal())
+    use crate::{Metrology, PilgrimService, Pnfs};
+
+    use super::*;
+
+    fn service() -> PilgrimService {
+        let mut pnfs = Pnfs::new(NetworkConfig::ideal());
+        pnfs.register_platform("g5k_test", to_simflow(&synth::standard(), Flavor::G5kTest));
+        PilgrimService::new(Metrology::new(), pnfs)
+    }
+
+    /// Forecasts the workflow `query` asks: its status and body.
+    fn forecast(svc: &PilgrimService, query: &str) -> (u16, Value) {
+        let resp = svc.handle(&Request::synthetic(
+            "/pilgrim/forecast_workflow/g5k_test",
+            query,
+        ));
+        (resp.status, Value::parse(&resp.body).expect("json body"))
+    }
+
+    /// `(start, finish)` of task `i` of an answer.
+    fn times(v: &Value, i: usize) -> (f64, f64) {
+        let task = &v["tasks"][i];
+        (
+            task["start"].as_f64().unwrap(),
+            task["finish"].as_f64().unwrap(),
+        )
     }
 
     const A: &str = "sagittaire-1.lyon.grid5000.fr";
@@ -226,100 +163,90 @@ mod tests {
     #[test]
     fn scatter_compute_gather() {
         // the paper's motivating scenario: ship data, compute, ship back
-        let p = session();
-        let mut w = Workflow::new();
-        let up = w.add(
-            "upload",
-            TaskKind::Transfer { src: A.into(), dst: B.into(), bytes: 1.25e8 },
-            &[],
+        let (status, f) = forecast(
+            &service(),
+            &format!(
+                "task=upload,transfer,{A},{B},1.25e8&task=solve,compute,{B},4.8e9\
+                 &task=download,transfer,{B},{A},1.25e7&dep=1,0&dep=2,1"
+            ),
         );
-        let c = w.add(
-            "solve",
-            TaskKind::Compute { host: B.into(), flops: 4.8e9 },
-            &[up],
-        );
-        let down = w.add(
-            "download",
-            TaskKind::Transfer { src: B.into(), dst: A.into(), bytes: 1.25e7 },
-            &[c],
-        );
-        let f = forecast(&p, &w).unwrap();
-        assert_eq!(f.tasks.len(), 3);
+        assert_eq!(status, 200, "{f}");
+        assert_eq!(f["tasks"].as_array().unwrap().len(), 3);
         // upload: 125 MB at 125 MB/s ≈ 1 s; solve: 4.8 Gflop at 4.8 Gflop/s
         // = 1 s; download ≈ 0.1 s ⇒ makespan ≈ 2.1 s
-        assert!((f.makespan - 2.1).abs() < 0.05, "{}", f.makespan);
-        assert!(f.tasks[c].start >= f.tasks[up].finish - 1e-9);
-        assert!(f.tasks[down].start >= f.tasks[c].finish - 1e-9);
+        let makespan = f["makespan"].as_f64().unwrap();
+        assert!((makespan - 2.1).abs() < 0.05, "{makespan}");
+        assert!(times(&f, 1).0 >= times(&f, 0).1 - 1e-9);
+        assert!(times(&f, 2).0 >= times(&f, 1).1 - 1e-9);
     }
 
     #[test]
     fn independent_tasks_run_concurrently() {
-        let p = session();
-        let mut w = Workflow::new();
-        w.add("t1", TaskKind::Transfer { src: A.into(), dst: B.into(), bytes: 1.25e8 }, &[]);
-        w.add(
-            "c1",
-            TaskKind::Compute { host: "sagittaire-3.lyon.grid5000.fr".into(), flops: 4.8e9 },
-            &[],
+        let (status, f) = forecast(
+            &service(),
+            &format!(
+                "task=t1,transfer,{A},{B},1.25e8\
+                 &task=c1,compute,sagittaire-3.lyon.grid5000.fr,4.8e9"
+            ),
         );
-        let f = forecast(&p, &w).unwrap();
+        assert_eq!(status, 200, "{f}");
         // both ≈ 1 s, overlapped
-        assert!(f.makespan < 1.5, "{}", f.makespan);
+        assert!(f["makespan"].as_f64().unwrap() < 1.5, "{f}");
     }
 
     #[test]
     fn is_it_worth_moving_the_data() {
         // the paper's §I question: move 1 TB to a faster cluster to save
         // 2 h of compute time? Answer by forecasting both workflows.
-        let p = session();
-        let slow_host = A; // 4.8 Gflop/s
-        let fast_host = "graphene-1.nancy.grid5000.fr"; // 10 Gflop/s
+        let svc = service();
+        let (slow, fast) = (A, "graphene-1.nancy.grid5000.fr"); // 4.8 and 10 Gflop/s
         let work = 3.456e13; // 2 h on the slow host
-
-        let mut local = Workflow::new();
-        local.add("compute", TaskKind::Compute { host: slow_host.into(), flops: work }, &[]);
-        let local_f = forecast(&p, &local).unwrap();
-
-        let mut remote = Workflow::new();
-        let mv = remote.add(
-            "move 1TB",
-            TaskKind::Transfer { src: slow_host.into(), dst: fast_host.into(), bytes: 1e12 },
-            &[],
+        let (_, local) = forecast(&svc, &format!("task=compute,compute,{slow},{work}"));
+        let (_, remote) = forecast(
+            &svc,
+            &format!(
+                "task=move 1TB,transfer,{slow},{fast},1e12&task=compute,compute,{fast},{work}\
+                 &dep=1,0"
+            ),
         );
-        remote.add("compute", TaskKind::Compute { host: fast_host.into(), flops: work }, &[mv]);
-        let remote_f = forecast(&p, &remote).unwrap();
-
         // moving 1 TB over a gigabit NIC takes ≈ 8000 s; the compute gain
         // is 7200 − 3456 ≈ 3744 s: not worth it, exactly the paper's point
-        assert!(local_f.makespan < remote_f.makespan);
+        let makespan = |v: &Value| v["makespan"].as_f64().unwrap();
+        assert!(makespan(&local) < makespan(&remote), "{local} vs {remote}");
     }
 
     #[test]
     fn cycles_are_rejected() {
-        let mut w = Workflow::new();
-        w.add("a", TaskKind::Compute { host: A.into(), flops: 1.0 }, &[1]);
-        w.add("b", TaskKind::Compute { host: A.into(), flops: 1.0 }, &[0]);
-        assert!(w.toposort().is_err());
-        assert!(forecast(&session(), &w).is_err());
+        assert_eq!(
+            Dependencies::new(2, &[(0, 1), (1, 0)]).unwrap_err(),
+            "workflow contains a dependency cycle"
+        );
+        assert_eq!(
+            Dependencies::new(3, &[(2, 1), (1, 1)]).unwrap_err(),
+            "task 1 depends on itself"
+        );
+        assert_eq!(
+            Dependencies::new(2, &[(1, 0), (0, 5)]).unwrap_err(),
+            "dependency 0,5 names no task"
+        );
+        let (status, v) = forecast(
+            &service(),
+            &format!("task=a,compute,{A},1&task=b,compute,{A},1&dep=0,1&dep=1,0"),
+        );
+        assert_eq!(status, 400, "{v}");
     }
 
     #[test]
     fn unknown_host_is_reported() {
-        let mut w = Workflow::new();
-        w.add("a", TaskKind::Compute { host: "ghost".into(), flops: 1.0 }, &[]);
-        assert!(matches!(
-            forecast(&session(), &w),
-            Err(PnfsError::UnknownHost(_))
-        ));
+        let (status, v) = forecast(&service(), "task=a,compute,ghost,1");
+        assert_eq!(status, 404, "{v}");
+        assert_eq!(v["error"].as_str(), Some("unknown host 'ghost'"));
     }
 
     #[test]
     fn forecast_json_shape() {
-        let p = session();
-        let mut w = Workflow::new();
-        w.add("only", TaskKind::Compute { host: A.into(), flops: 4.8e9 }, &[]);
-        let f = forecast(&p, &w).unwrap();
-        let json = f.to_json();
+        let (status, json) = forecast(&service(), &format!("task=only,compute,{A},4.8e9"));
+        assert_eq!(status, 200, "{json}");
         assert_eq!(json["tasks"][0]["name"].as_str(), Some("only"));
         assert!(json["makespan"].as_f64().unwrap() > 0.9);
     }

@@ -11,7 +11,8 @@
 //! 30-transfer predict hit makes 5 allocation calls (72 when each
 //! parameter and host name was a `String`), an 8×4 select hit 13 (82),
 //! a request of 30 transfers 4 (66), and a one-off 30-transfer predict,
-//! simulation included, 152 (469). A one-off forecast, asked once,
+//! simulation included, 152 (469). A filed 30-task workflow hit stays
+//! within the predict hit's bound. A one-off forecast, asked once,
 //! files no body: the body costs memory only for answers that are asked
 //! again.
 #![cfg(target_os = "linux")]
@@ -150,6 +151,34 @@ fn a_filed_hit_is_a_lookup_and_a_copy() {
     let (hit_calls, copied) = counted(&svc, &hot);
     assert_eq!((&filed, &copied), (&computed, &computed), "every ask serves the same bytes");
     assert!(hit_calls <= 24, "a filed 8x4 select hit made {hit_calls} allocations");
+}
+
+/// A 30-task workflow: computations and transfers between hosts spread
+/// over the platform, chained in threes and fanned out from task 0.
+fn workflow(names: &[String]) -> Request {
+    let transfers = transfers(names, 30, 0, 1e8);
+    let tasks = transfers.iter().enumerate().map(|(i, t)| match i % 3 {
+        0 => format!("task=c{i},compute,{},1e9", t.split(',').next().unwrap()),
+        _ => format!("task=t{i},transfer,{t}"),
+    });
+    let deps = (1..30).map(|i| format!("dep={i},{}", if i % 3 == 0 { 0 } else { i - 1 }));
+    let query: Vec<String> = tasks.chain(deps).collect();
+    Request::synthetic("/pilgrim/forecast_workflow/g5k_test", &query.join("&"))
+}
+
+/// A workflow's filed hit is a predict's: its tasks and dependencies are
+/// parsed from slices of the request and checked to form a DAG, and its
+/// key holds the labels, so the hit costs what a predict hit's bound
+/// allows.
+#[test]
+fn a_filed_workflow_hit_is_a_lookup_and_a_copy() {
+    let (svc, names) = g5k_test_service();
+    let hot = workflow(&names);
+    let (_, computed) = counted(&svc, &hot);
+    let (_, filed) = counted(&svc, &hot);
+    let (hit_calls, copied) = counted(&svc, &hot);
+    assert_eq!((&filed, &copied), (&computed, &computed), "every ask serves the same bytes");
+    assert!(hit_calls <= 16, "a filed 30-task workflow hit made {hit_calls} allocations");
 }
 
 /// Warms the session and the cache's tables: five answers, the first

@@ -209,6 +209,28 @@ fn a_hit_costs_one_read_and_one_write_a_miss_one_job_and_one_wake() {
     assert_eq!(server.stats().accepted.get(), 1, "all of it on one connection");
 }
 
+/// A workflow takes the predict's path: its first ask is one pool job,
+/// and every repeat is the probe's to answer, with no pool job.
+#[test]
+fn a_repeated_workflow_makes_no_pool_job() {
+    let svc = service();
+    let server = serve(&svc, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let jobs = svc.registry().histogram("pool_job_service_ns", "", &[]);
+    let mut client = HttpClient::new(server.addr());
+    let workflow = "/pilgrim/forecast_workflow/g5k_test?task=ship,transfer,\
+                    sagittaire-1.lyon.grid5000.fr,graphene-1.nancy.grid5000.fr,1e9\
+                    &task=solve,compute,graphene-1.nancy.grid5000.fr,1e10&dep=1,0";
+    let (status, first) = client.get(workflow).expect("simulated");
+    assert_eq!(status, 200, "{first}");
+    assert!(eventually(|| jobs.count() == 1), "the simulated request's job: {}", jobs.count());
+    for _ in 0..5 {
+        assert_eq!(client.get(workflow).expect("cached, inline"), (200, first.clone()));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(jobs.count(), 1, "a repeated workflow makes no pool job");
+    assert_eq!((svc.pnfs.engine().simulations(), svc.pnfs.engine().cache_hits()), (1, 5));
+}
+
 /// A handler whose probe stage answers `/inline`, panics on `/boom` and
 /// defers the rest.
 struct Probing;

@@ -7,7 +7,11 @@
 //! extra fields, empty hypotheses, sizes that are not finite, negative,
 //! negative zero, subnormal or overflowing, unknown hosts and platforms,
 //! and requests of thousands of transfers just under the poller's 64 KiB
-//! request-line cap. For each: the probe and its compute stage answer
+//! request-line cap. It builds `forecast_workflow` queries the same way:
+//! malformed tasks and dependencies, out-of-range indices, self
+//! dependencies and cycles, amounts the kernel would assert on, unknown
+//! hosts and platforms, and chains of about a thousand tasks just under
+//! the cap. For each: the probe and its compute stage answer
 //! 200 or 4xx without panicking, the body equals `handle`'s byte for
 //! byte, and the cache's hits + misses advance by exactly one when the
 //! query is well formed (and not at all when it is refused before its
@@ -224,6 +228,111 @@ impl Generator {
     }
 }
 
+impl Generator {
+    /// One `task=` text for `hosts`: a transfer or a computation under one
+    /// of a few labels, sometimes malformed (a field missing or extra, an
+    /// unknown kind, an amount that is no number), naming an unknown or
+    /// empty host, or carrying an amount the engine refuses. Returns the
+    /// text and whether the service parses it and the engine takes it.
+    fn task(&mut self, hosts: &[&str]) -> (String, bool, bool) {
+        let host = |rng: &mut SmallRng| match rng.gen_range(0..80) {
+            0 => ("ghost", false),
+            1 => ("", false),
+            _ => (pick(rng, hosts), true),
+        };
+        let (a, a_known) = host(&mut self.rng);
+        let (b, b_known) = host(&mut self.rng);
+        let (amount, amount_ok) = match self.rng.gen_range(0..16) {
+            0 => (pick(&mut self.rng, &BAD_SIZES), false),
+            _ => (pick(&mut self.rng, &SIZES), true),
+        };
+        let label = pick(&mut self.rng, &["", "t", "a b", "%22q%22", "%C3%A9t%C3%A9"]);
+        let task = match self.rng.gen_range(0..80) {
+            0 => (format!("{label},compute,{a}"), false, false),
+            1 => (format!("{label},transfer,{a},{b}"), false, false),
+            2 => (format!("{label},compute,{a},{amount},7"), false, false),
+            3 => (format!("{label},move,{a},{b},{amount}"), false, false),
+            4 => (format!("{label},compute,{a},ten"), false, false),
+            5..=30 => (format!("{label},compute,{a},{amount}"), true, a_known && amount_ok),
+            _ => {
+                let taken = a_known && b_known && amount_ok;
+                (format!("{label},transfer,{a},{b},{amount}"), true, taken)
+            }
+        };
+        (format!("task={}", task.0), task.1, task.2)
+    }
+
+    /// A workflow query: tasks, then dependencies — mostly on an earlier
+    /// task, sometimes malformed, out of range, on the task itself, or
+    /// closing a cycle through a chain of all the tasks.
+    fn workflow(&mut self) -> Query {
+        let (platform, known, hosts) = self.platform();
+        let mut parsed = true;
+        let mut taken = known;
+        let n = self.count(5);
+        let mut params: Vec<String> = (0..n)
+            .map(|_| {
+                let (text, p, t) = self.task(hosts);
+                parsed &= p;
+                taken &= t;
+                text
+            })
+            .collect();
+        for _ in 0..self.count(4) {
+            let task = self.rng.gen_range(0..n.max(1));
+            let (dep, ok) = match self.rng.gen_range(0..40) {
+                0 => (String::from("x,1"), false),
+                1 => (String::from("1"), false),
+                2 => (format!("{task},{}", n + self.rng.gen_range(0..3)), false),
+                3 => (format!("{task},{task}"), false),
+                _ if task == 0 => continue,
+                _ => (format!("{task},{}", self.rng.gen_range(0..task)), true),
+            };
+            params.push(format!("dep={dep}"));
+            parsed &= ok;
+        }
+        if n > 1 && self.rng.gen_range(0..8) == 0 {
+            params.extend((1..n).map(|i| format!("dep={i},{}", i - 1)));
+            params.push(format!("dep=0,{}", n - 1));
+            parsed = false;
+        }
+        let query = params.join("&") + self.extra();
+        Query {
+            path: format!("/pilgrim/forecast_workflow/{platform}"),
+            query,
+            well_formed: n > 0 && parsed && taken,
+        }
+    }
+
+    /// A workflow on `fz`: a chain of as many transfer and compute tasks
+    /// as fit under the request-line cap, `last` appended when given.
+    fn huge_workflow(&mut self, last: Option<&str>) -> Query {
+        let path = "/pilgrim/forecast_workflow/fz".to_string();
+        let room = REQUEST_LINE_CAP - path.len() - "GET ? HTTP/1.1".len() - 32;
+        let mut query = String::new();
+        for i in 0.. {
+            let (a, b) = (self.rng.gen_range(0..8), self.rng.gen_range(0..8));
+            let task = match i % 3 {
+                0 => format!("task=c{i},compute,h{a},1e9"),
+                _ => format!("task=t{i},transfer,h{a},h{b},1e8"),
+            };
+            let dep = if i == 0 { String::new() } else { format!("&dep={i},{}", i - 1) };
+            if query.len() + task.len() + dep.len() + 1 > room {
+                break;
+            }
+            if !query.is_empty() {
+                query.push('&');
+            }
+            query.push_str(&task);
+            query.push_str(&dep);
+        }
+        if let Some(last) = last {
+            query.push_str(&format!("&{last}"));
+        }
+        Query { path, query, well_formed: last.is_none() }
+    }
+}
+
 /// Both stages, as the server runs them: the probe, then (if it
 /// deferred) the compute stage.
 fn staged(handler: &Arc<PilgrimService>, req: &Request) -> Response {
@@ -233,26 +342,17 @@ fn staged(handler: &Arc<PilgrimService>, req: &Request) -> Response {
     }
 }
 
-#[test]
-fn no_generated_query_panics_the_probe_and_both_paths_answer_alike() {
-    let svc = service();
+/// Asks each query through both paths: no panic, 200 or 4xx, the same
+/// bytes both ways, and one cache lookup per well-formed query. Returns
+/// how many were answered and how many refused.
+fn ask_both_ways(svc: &Arc<PilgrimService>, queries: &[Query]) -> (usize, usize) {
     let engine = svc.pnfs.engine();
     let lookups = || engine.cache_hits() + engine.cache_misses();
-    let mut gen = Generator { rng: SmallRng::seed_from_u64(0x5EED_F022) };
-    let mut queries: Vec<Query> =
-        (0..400).map(|i| if i % 2 == 0 { gen.predict() } else { gen.select() }).collect();
-    queries.push(gen.huge(None));
-    queries.push(gen.huge(Some("h1,ghost,1e8")));
-    queries.push(gen.huge(Some("h1,h2,NaN")));
-    let huge = queries[queries.len() - 3..].iter();
-    assert!(huge.clone().all(|q| q.query.len() < REQUEST_LINE_CAP));
-    assert!(huge.clone().all(|q| q.query.matches("transfer=").count() > 1_900));
-
     let (mut answered, mut refused) = (0, 0);
     for (i, q) in queries.iter().enumerate() {
         let req = q.request();
         let before = lookups();
-        let response = staged(&svc, &req);
+        let response = staged(svc, &req);
         let what = format!("query {i} {}?{:.200}: {:.300}", q.path, q.query, response.body);
         assert!(
             response.status == 200 || (400..500).contains(&response.status),
@@ -267,10 +367,45 @@ fn no_generated_query_panics_the_probe_and_both_paths_answer_alike() {
         if response.status == 200 {
             answered += 1;
         } else {
-
             refused += 1;
         }
     }
+    (answered, refused)
+}
+
+#[test]
+fn no_generated_query_panics_the_probe_and_both_paths_answer_alike() {
+    let svc = service();
+    let mut gen = Generator { rng: SmallRng::seed_from_u64(0x5EED_F022) };
+    let mut queries: Vec<Query> =
+        (0..400).map(|i| if i % 2 == 0 { gen.predict() } else { gen.select() }).collect();
+    queries.push(gen.huge(None));
+    queries.push(gen.huge(Some("h1,ghost,1e8")));
+    queries.push(gen.huge(Some("h1,h2,NaN")));
+    let huge = queries[queries.len() - 3..].iter();
+    assert!(huge.clone().all(|q| q.query.len() < REQUEST_LINE_CAP));
+    assert!(huge.clone().all(|q| q.query.matches("transfer=").count() > 1_900));
+
+    let (answered, refused) = ask_both_ways(&svc, &queries);
     // the generator reaches both outcomes often, not just one of them
+    assert!(answered > 100 && refused > 100, "{answered} answered, {refused} refused");
+}
+
+#[test]
+fn no_generated_workflow_panics_the_probe_and_both_paths_answer_alike() {
+    let svc = service();
+    let mut gen = Generator { rng: SmallRng::seed_from_u64(0x5EED_DA6F) };
+    let mut queries: Vec<Query> = (0..500).map(|_| gen.workflow()).collect();
+    queries.push(gen.huge_workflow(None));
+    queries.push(gen.huge_workflow(Some("task=last,transfer,h1,ghost,1e8")));
+    queries.push(gen.huge_workflow(Some("task=last,compute,h1,NaN")));
+    queries.push(gen.huge_workflow(Some("dep=0,1")));
+    let huge = queries[queries.len() - 4..].iter();
+    assert!(huge.clone().all(|q| q.query.len() < REQUEST_LINE_CAP));
+    assert!(huge.clone().all(|q| q.query.matches("task=").count() > 900));
+    let cycles = queries.iter().filter(|q| q.query.contains("dep=0,") && !q.well_formed);
+    assert!(cycles.count() > 10, "too few cycles");
+
+    let (answered, refused) = ask_both_ways(&svc, &queries);
     assert!(answered > 100 && refused > 100, "{answered} answered, {refused} refused");
 }

@@ -352,3 +352,191 @@ fn a_miss_renders_the_names_its_key_was_looked_up_by() {
     let names = r#"[{"src":"sagittaire-1.lyon.grid5000.fr","dst":"graphene-2.nancy.grid5000.fr""#;
     assert!(first[0].starts_with(names), "{}", first[0]);
 }
+
+/// The workflow stream's seed.
+const WORKFLOW_SEED: u64 = 0x05EE_DDA6;
+
+/// The digest of the workflow stream's answers, recorded when a workflow
+/// still took a path of its own through the service, with no cache.
+const WORKFLOW_DIGEST: u64 = 0xe194_7fb7_8994_e303;
+
+/// Task labels, as query text: plain ones, one the decoder turns into a
+/// space and ones JSON must escape or carries as UTF-8.
+const LABELS: &[&str] =
+    &["upload", "solve", "download", "stage%20in", "q%22uote", "back%5Cslash", "t%C3%A4sk", ""];
+
+/// One `task=` text: a transfer between pool hosts or, one time in three,
+/// a computation on one.
+fn task(rng: &mut SmallRng, hosts: &[String]) -> String {
+    let label = LABELS[rng.gen_range(0..LABELS.len())];
+    let host = |rng: &mut SmallRng| hosts[rng.gen_range(0..hosts.len())].as_str();
+    if rng.gen_range(0..3) == 0 {
+        let on = host(rng);
+        format!("{label},compute,{on},{}e8", 1 + rng.gen_range(0..200))
+    } else {
+        let (src, dst) = (host(rng), host(rng));
+        format!("{label},transfer,{src},{dst},{}e6", 1 + rng.gen_range(0..900))
+    }
+}
+
+/// The `dep=` texts of `n` tasks shaped as a chain, a fan-out, a fan-in,
+/// a random DAG (each task on some earlier ones) or no edges at all.
+fn deps(rng: &mut SmallRng, n: usize) -> Vec<String> {
+    let edges: Vec<(usize, usize)> = match rng.gen_range(0..5) {
+        0 => (1..n).map(|i| (i, i - 1)).collect(),
+        1 => (1..n).map(|i| (i, 0)).collect(),
+        2 => (1..n).map(|i| (n - 1, i - 1)).collect(),
+        3 => {
+            let all = (1..n).flat_map(|i| (0..i).map(move |j| (i, j)));
+            all.filter(|_| rng.gen_range(0..3) == 0).collect()
+        }
+        _ => Vec::new(),
+    };
+    edges.into_iter().map(|(task, on)| format!("dep={task},{on}")).collect()
+}
+
+fn workflow(platform: &str, tasks: &[String], deps: &[String]) -> (String, String) {
+    let query = tasks.iter().map(|t| format!("task={t}")).chain(deps.iter().cloned());
+    (format!("/pilgrim/forecast_workflow/{platform}"), query.collect::<Vec<_>>().join("&"))
+}
+
+/// A workflow the service must refuse: malformed (400), with an amount
+/// the kernel would assert on (400), or naming an unknown host or
+/// platform (404). No cycle: its refusal text is not pinned.
+fn refused_workflow(rng: &mut SmallRng, hosts: &[String]) -> (String, String) {
+    let n = 1 + rng.gen_range(0..3);
+    let mut tasks: Vec<String> = (0..n).map(|_| task(rng, hosts)).collect();
+    let mut edges = deps(rng, n);
+    let (src, dst) = (&hosts[0], &hosts[hosts.len() - 1]);
+    let bad = match rng.gen_range(0..12) {
+        0 => String::from("bad,kind"),
+        1 => format!("c,compute,{src}"),
+        2 => format!("t,transfer,{src},{dst},abc"),
+        3 => format!("c,compute,{src},NaN"),
+        4 => format!("t,transfer,{src},{dst},-1e6"),
+        5 => format!("c,compute,{src},inf"),
+        6 => format!("t,transfer,nowhere.grid5000.fr,{dst},1e6"),
+        7 => String::from("c,compute,nowhere.grid5000.fr,1e9"),
+        8 => return workflow("nope", &tasks, &edges),
+        9 => return workflow("g5k_test", &[], &edges),
+        10 => {
+            edges.insert(0, format!("dep=0,{}", n + 5));
+            return workflow("g5k_test", &tasks, &edges);
+        }
+        _ => {
+            edges.push(String::from("dep=1"));
+            return workflow("g5k_test", &tasks, &edges);
+        }
+    };
+    tasks.push(bad);
+    workflow("g5k_test", &tasks, &edges)
+}
+
+/// The seeded workflow stream: 120 workflows of 1–30 tasks, each asked
+/// three times (the miss, the hit that files the body, the hit that
+/// copies it), with a tenth of a NIC's capacity after the 40th and
+/// another NIC's failure after the 80th.
+fn workflow_stream() -> Vec<Ask> {
+    let hosts = hosts();
+    let mut rng = SmallRng::seed_from_u64(WORKFLOW_SEED);
+    let mut asks = Vec::new();
+    for i in 0..120 {
+        let event = match i {
+            40 => Some("link=sagittaire-2.lyon.grid5000.fr-nic&factor=0.1"),
+            80 => Some("link=sagittaire-1.lyon.grid5000.fr-nic&state=down"),
+            _ => None,
+        };
+        if let Some(event) = event {
+            asks.push((true, String::from("/pilgrim/link_event/g5k_test"), event.to_string()));
+        }
+        let (path, query) = if rng.gen_range(0..8) == 0 {
+            refused_workflow(&mut rng, &hosts)
+        } else {
+            let n = 1 + rng.gen_range(0..30);
+            let tasks: Vec<String> = (0..n).map(|_| task(&mut rng, &hosts)).collect();
+            workflow("g5k_test", &tasks, &deps(&mut rng, n))
+        };
+        for _ in 0..3 {
+            asks.push((false, path.clone(), query.clone()));
+        }
+    }
+    asks
+}
+
+#[test]
+fn a_seeded_workflow_stream_serves_the_recorded_bytes() {
+    let asks = workflow_stream();
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let answers: Vec<(u16, String)> = asks.iter().map(|ask| answer(&svc, ask)).collect();
+
+        let count = |status| answers.iter().filter(|(s, _)| *s == status).count();
+        assert!(count(200) > 250 && count(400) > 10 && count(404) > 5, "{sequential}");
+        let bodies = || answers.iter().map(|(_, body)| body);
+        assert!(bodies().any(|body| body.contains(r#""finish":null"#)), "{sequential}");
+        assert!(bodies().any(|body| body.contains(r#""name":"q\"uote""#)), "{sequential}");
+        let asked_thrice = |(_, w): &(usize, &[Ask])| w[0] == w[1] && w[1] == w[2];
+        for (i, three) in asks.windows(3).enumerate().filter(asked_thrice) {
+            assert_eq!(answers[i + 1], answers[i], "{sequential}: second ask of {three:?}");
+            assert_eq!(answers[i + 2], answers[i], "{sequential}: third ask of {three:?}");
+        }
+        for ((post, _, query), (status, body)) in asks.iter().zip(&answers) {
+            if !post && *status == 200 {
+                let tasks = Value::parse(body).unwrap()["tasks"].as_array().unwrap().len();
+                assert_eq!(tasks, query.matches("task=").count(), "{query} answered {body}");
+            }
+        }
+
+        let forecasts: Vec<(u16, String)> =
+            asks.iter().zip(answers).filter(|((post, _, _), _)| !post).map(|(_, a)| a).collect();
+        let which = if sequential { "sequential reference" } else { "served" };
+        let got = digest(&forecasts);
+        assert_eq!(got, WORKFLOW_DIGEST, "{which}: digest {got:#x}");
+    }
+}
+
+/// A workflow on the sagittaire-1 NIC: ship, then crunch what came.
+fn shipped_and_crunched(label: &str) -> Ask {
+    let query = format!(
+        "task={label},transfer,sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,1e9\
+         &task=crunch,compute,sagittaire-2.lyon.grid5000.fr,1e9&dep=1,0"
+    );
+    (false, String::from("/pilgrim/forecast_workflow/g5k_test"), query)
+}
+
+/// A workflow is one forecast: asked twice, one simulation, one hit and
+/// one entry; a link event on its route evicts it, and the next ask
+/// simulates the degraded platform.
+#[test]
+fn a_workflow_is_a_cached_forecast_a_link_event_evicts() {
+    let svc = service(false);
+    let ship = shipped_and_crunched("ship");
+    let (status, quiet) = answer(&svc, &ship);
+    assert_eq!(status, 200, "{quiet}");
+    assert_eq!(answer(&svc, &ship), (200, quiet.clone()), "the hit");
+    assert_eq!(stats(&svc), (Some(1), Some(1), Some(1)), "one forecast, one hit, one entry");
+
+    let event = "link=sagittaire-1.lyon.grid5000.fr-nic&factor=0.5".to_string();
+    let (_, evicted) = answer(&svc, &(true, String::from("/pilgrim/link_event/g5k_test"), event));
+    assert_eq!(Value::parse(&evicted).unwrap()["invalidated"].as_i64(), Some(1), "{evicted}");
+    assert_eq!(stats(&svc), (Some(1), Some(1), Some(0)));
+    let (status, slow) = answer(&svc, &ship);
+    assert_eq!(status, 200, "{slow}");
+    assert_ne!(slow, quiet, "the degraded link slows the transfer");
+    assert_eq!(stats(&svc), (Some(2), Some(1), Some(1)));
+}
+
+/// Labels are part of a workflow's key: two workflows that differ in a
+/// label alone are two answers, each naming its own tasks.
+#[test]
+fn workflows_that_differ_in_a_label_answer_their_own() {
+    for sequential in [false, true] {
+        let svc = service(sequential);
+        let ship = answer(&svc, &shipped_and_crunched("ship"));
+        assert_eq!(answer(&svc, &shipped_and_crunched("ship")), ship, "{sequential}: the hit");
+        let (status, moved) = answer(&svc, &shipped_and_crunched("move"));
+        assert_eq!(status, 200, "{moved}");
+        assert!(ship.1.contains(r#"{"name":"ship""#), "{sequential}: {}", ship.1);
+        assert_eq!(moved, ship.1.replace(r#""ship""#, r#""move""#), "{sequential}");
+    }
+}

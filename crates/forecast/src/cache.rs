@@ -15,7 +15,10 @@
 //! Every entry is a [`Selection`]. A selection's key adds its hypothesis
 //! boundaries, except for a one-hypothesis query: a predict and the
 //! one-hypothesis select of the same transfers are the same simulation,
-//! so they key alike and share one entry.
+//! so they key alike and share one entry. A workflow's key adds which of
+//! its tasks compute, their labels and their dependencies. Its route
+//! union is its transfers'; a computation uses a host's CPU, which no
+//! link event touches.
 //!
 //! The overlay is kept out of the key because an entry never outlives
 //! the overlay it was computed under. One rule files, and an entry goes
@@ -52,7 +55,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use simflow::HostId;
 use telemetry::{Counter, MetricsRegistry};
 
-use crate::engine::Selection;
+use crate::engine::{Dependencies, Selection};
 
 /// Canonical form of one transfer tuple: the host ids the session
 /// looked its names up as, plus the exact bit pattern of the size (f64
@@ -68,25 +71,45 @@ pub(crate) struct CacheKey {
     /// per registration, so a replaced platform's entries never hit).
     session: u64,
     /// Canonicalized transfers, in request order (order matters: answers
-    /// are positional); a selection's hypotheses are concatenated.
+    /// are positional); a selection's hypotheses are concatenated, and a
+    /// workflow's computations are `(host, host, flops bits)`.
     transfers: Arc<[CanonicalTransfer]>,
-    /// `None` for a one-hypothesis query — a predict, or a select of one
-    /// hypothesis; else the number of transfers in each hypothesis
-    /// (order matters: the winner is an index into the hypotheses).
-    hypotheses: Option<Arc<[usize]>>,
+    /// What the transfers are asked as.
+    shape: Shape,
+}
+
+/// How a key's transfers are asked.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum Shape {
+    /// One hypothesis: a predict, or a select of one.
+    One,
+    /// A selection: the number of transfers in each hypothesis (order
+    /// matters: the winner is an index into the hypotheses).
+    Hypotheses(Arc<[usize]>),
+    /// A workflow.
+    Workflow(Arc<Dag>),
+}
+
+/// What a workflow's key adds to its tasks' hosts and amounts: which
+/// tasks compute, their labels (the answer names them) and their
+/// dependencies.
+#[derive(PartialEq, Eq, Hash, Debug)]
+pub(crate) struct Dag {
+    /// Per task, in order: whether it computes, and where its label ends
+    /// in `labels`.
+    pub(crate) tasks: Box<[(bool, u32)]>,
+    /// The tasks' labels, one after another.
+    pub(crate) labels: Box<str>,
+    /// What each task waits for.
+    pub(crate) deps: Dependencies,
 }
 
 impl CacheKey {
-    /// Key of a query on session `session`: one hypothesis of all of
-    /// `transfers` when `hypotheses` is `None`, else a selection whose
-    /// `transfers` hold every hypothesis' transfers, flattened in order,
-    /// and `hypotheses` how many of them each hypothesis has.
-    pub(crate) fn new(
-        session: u64,
-        transfers: Arc<[CanonicalTransfer]>,
-        hypotheses: Option<Arc<[usize]>>,
-    ) -> CacheKey {
-        CacheKey { session, transfers, hypotheses }
+    /// Key of a query on session `session`: `transfers` asked as `shape`
+    /// says — for a selection, every hypothesis' transfers, flattened in
+    /// order.
+    pub(crate) fn new(session: u64, transfers: Arc<[CanonicalTransfer]>, shape: Shape) -> CacheKey {
+        CacheKey { session, transfers, shape }
     }
 
     /// The query's transfers, in request order.
@@ -94,9 +117,9 @@ impl CacheKey {
         &self.transfers
     }
 
-    /// A selection's hypothesis lengths; `None` for one hypothesis.
-    pub(crate) fn hypotheses(&self) -> Option<&[usize]> {
-        self.hypotheses.as_deref()
+    /// How the transfers are asked.
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.shape
     }
 }
 
@@ -177,7 +200,7 @@ impl Inner {
 }
 
 /// A bounded, thread-safe forecast cache with LRU eviction.
-pub struct ForecastCache {
+pub(crate) struct ForecastCache {
     inner: Mutex<Inner>,
     capacity: usize,
     // Serving statistics are shared-handle `telemetry` counters so a
@@ -193,7 +216,7 @@ pub struct ForecastCache {
 
 impl ForecastCache {
     /// A cache holding at most `capacity` entries (LRU eviction).
-    pub fn new(capacity: usize) -> ForecastCache {
+    pub(crate) fn new(capacity: usize) -> ForecastCache {
         ForecastCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -212,7 +235,7 @@ impl ForecastCache {
 
     /// Adopts the cache's serving counters into `registry` — the
     /// exposition reads the same atomic cells the hot path increments.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+    pub(crate) fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.adopt_counter(
             "forecast_cache_hits_total",
             "Forecast cache lookups answered from a fresh entry",
@@ -241,7 +264,7 @@ impl ForecastCache {
 
     /// Looks a key up, counting the hit/miss. A hit promotes the entry to
     /// most-recently-used.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Selection>> {
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<Arc<Selection>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(key).copied() {
             Some(idx) => {
@@ -260,7 +283,7 @@ impl ForecastCache {
     /// Looks a key up without counting or promoting. The singleflight
     /// double-check uses this: it must not skew hit/miss statistics or
     /// recency for a lookup the caller already accounted.
-    pub fn peek(&self, key: &CacheKey) -> Option<Arc<Selection>> {
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<Arc<Selection>> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.map.get(key).and_then(|&idx| inner.entries[idx].value.clone())
     }
@@ -274,7 +297,7 @@ impl ForecastCache {
     /// eviction swept past (see the module docs). `routes` (sorted,
     /// deduplicated resource ids) is what
     /// [`ForecastCache::invalidate_link`] matches the entry by.
-    pub fn insert_if(
+    pub(crate) fn insert_if(
         &self,
         key: CacheKey,
         value: Arc<Selection>,
@@ -316,7 +339,7 @@ impl ForecastCache {
     /// `session` whose recorded route union crosses solver resource
     /// `resource`, returning how many were evicted (also accumulated into
     /// [`ForecastCache::invalidated_targeted`]).
-    pub fn invalidate_link(&self, session: u64, resource: u32) -> u64 {
+    pub(crate) fn invalidate_link(&self, session: u64, resource: u32) -> u64 {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let n = inner.remove_where(|k, routes| {
             k.session == session && routes.binary_search(&resource).is_ok()
@@ -334,33 +357,33 @@ impl ForecastCache {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner).map.len()
     }
 
     /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.get()
     }
 
     /// Records a request that joined an in-flight computation instead of
     /// re-simulating (singleflight).
-    pub fn note_coalesced(&self) {
+    pub(crate) fn note_coalesced(&self) {
         self.coalesced.inc();
     }
 
     /// Requests coalesced onto in-flight computations so far.
-    pub fn coalesced(&self) -> u64 {
+    pub(crate) fn coalesced(&self) -> u64 {
         self.coalesced.get()
     }
 
     /// Entries evicted by route-targeted link invalidation so far.
-    pub fn invalidated_targeted(&self) -> u64 {
+    pub(crate) fn invalidated_targeted(&self) -> u64 {
         self.invalidated_targeted.get()
     }
 }
@@ -422,14 +445,17 @@ mod tests {
 
     /// Key of a predict batch on session `session`.
     fn predict(session: u64, specs: &[Spec]) -> CacheKey {
-        CacheKey::new(session, transfers(specs), None)
+        CacheKey::new(session, transfers(specs), Shape::One)
     }
 
     /// Key of a selection over `hypotheses` on session 1, as the
     /// engine's probe builds it.
     fn select(hypotheses: &[&[Spec]]) -> CacheKey {
-        let lengths = (hypotheses.len() > 1).then(|| hypotheses.iter().map(|h| h.len()).collect());
-        CacheKey::new(1, transfers(&hypotheses.concat()), lengths)
+        let shape = match hypotheses {
+            [_] => Shape::One,
+            _ => Shape::Hypotheses(hypotheses.iter().map(|h| h.len()).collect()),
+        };
+        CacheKey::new(1, transfers(&hypotheses.concat()), shape)
     }
 
     /// The answer to a one-transfer predict that takes `duration`.

@@ -25,26 +25,31 @@
 //! Every forecast is split at the one point where it either has its
 //! answer or must work for it:
 //!
-//! * the **probe** ([`ForecastEngine::probe`]) validates the query,
-//!   looks its host names up, builds the key from host ids and size bits
-//!   and looks the cache up. Its transfers are borrowed [`Transfer`]
-//!   3-uples — the HTTP service lends slices of the request text,
-//!   [`lend`] a [`TransferSpec`]'s fields — so keying copies no name. It
+//! * the **probe** ([`ForecastEngine::probe`], and
+//!   [`ForecastEngine::probe_workflow`] for a workflow) validates the
+//!   query, looks its host names up, builds the key from host ids and
+//!   amount bits and looks the cache up. Its transfers are borrowed
+//!   [`Transfer`] 3-uples — the HTTP service lends slices of the request
+//!   text, [`lend`] a [`TransferSpec`]'s fields — and a workflow's tasks
+//!   borrowed [`Task`]s with their labels, so keying copies no name. It
 //!   never resolves a route, never touches the flight table and never
 //!   simulates, so the HTTP front end runs it on its poller thread and
 //!   answers a hit from there — a query's second ask included;
 //! * the **compute** stage ([`ForecastEngine::compute`]) takes the
 //!   [`Pending`] the probe returned — session and key — reads the overlay
 //!   version and coalesces; only the leader resolves the key's routes and
-//!   runs the selection loop. It repeats none of the probe's work, and
-//!   its cache re-check does not count, so hits + misses advance by one
-//!   per forecast. The [`Pending`] stays the caller's: it says what was
-//!   asked — the key's transfers named by the platform, in hypotheses —
-//!   which is all a caller needs to render the answer.
+//!   runs the selection loop, or a workflow's one simulation. It repeats
+//!   none of the probe's work, and its cache re-check does not count, so
+//!   hits + misses advance by one per forecast. The [`Pending`] stays the
+//!   caller's: it says what was asked — the key's transfers named by the
+//!   platform, in hypotheses, or a workflow's labelled tasks — which is
+//!   all a caller needs to render the answer.
 //!
-//! Both answer a [`Selection`]. [`ForecastEngine::select_fastest`] is the
-//! two stages back to back on the caller, and
-//! [`ForecastEngine::predict`] is `select_fastest` of one hypothesis.
+//! Every forecast answers a [`Selection`]. [`ForecastEngine::select_fastest`]
+//! is the two stages back to back on the caller, and
+//! [`ForecastEngine::predict`] is `select_fastest` of one hypothesis. A
+//! workflow is one hypothesis too: its tasks and their [`Dependencies`]
+//! in one simulation, whose start and finish times are its answer.
 //!
 //! ## Determinism
 //!
@@ -66,6 +71,8 @@
 //! * a predict is the selection of its one hypothesis: no bound is
 //!   computed, since nothing can be pruned, so it is one simulation —
 //!   `best` 0, `pruned` empty, the makespan its largest duration.
+//! * a workflow is one simulation too: its tasks added in order, then
+//!   its dependencies task by task, as the from-scratch oracle adds them.
 //!
 //! The overlay is not in the key: an entry lives only as long as the
 //! overlay on its routes is the one it was computed under, because a
@@ -103,10 +110,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 use exec::WorkerPool;
-use simflow::{NetworkConfig, Platform, PlatformEventKind, SimError};
+use simflow::{
+    Completion, NetworkConfig, Platform, PlatformEventKind, Report, SimError, SimTime, Simulation,
+    WorkId,
+};
 use telemetry::{MetricsRegistry, Span};
 
-use crate::cache::{CacheKey, ForecastCache};
+use crate::cache::{CacheKey, CanonicalTransfer, Dag, ForecastCache, Shape};
 use crate::faults::FaultInjector;
 use crate::metrics::ForecastMetrics;
 use crate::session::{ResolvedSpec, Session};
@@ -127,6 +137,71 @@ pub struct TransferSpec {
 /// [`ForecastEngine::probe`] keys, so a query parsed from request text
 /// is keyed from slices of that text; [`lend`] lends a [`TransferSpec`]'s.
 pub type Transfer<'a> = (&'a str, &'a str, f64);
+
+/// One task of a workflow as a query asks it, borrowed as a
+/// [`Transfer`] is: a transfer, or `(host, flops)` of computation.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Task<'a> {
+    /// Moves bytes between two hosts.
+    Transfer(Transfer<'a>),
+    /// Runs an amount of computation on a host.
+    Compute(&'a str, f64),
+}
+
+/// A workflow's dependencies `(task, on)` — `task` waits for `on` —
+/// checked to form a DAG over its tasks, and grouped by task: each
+/// task's in the order they were given.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Dependencies(Box<[(u32, u32)]>);
+
+impl Dependencies {
+    /// Checks `edges` over `tasks` tasks. The error names the first task,
+    /// in order, that depends on itself or on no task, or else the cycle.
+    pub fn new(tasks: usize, edges: &[(usize, usize)]) -> Result<Dependencies, String> {
+        let bad = edges.iter().filter(|&&(task, on)| task == on || task.max(on) >= tasks);
+        if let Some(&(task, on)) = bad.min_by_key(|&&(task, _)| task) {
+            return Err(match task == on {
+                true => format!("task {task} depends on itself"),
+                false => format!("dependency {task},{on} names no task"),
+            });
+        }
+        let mut grouped: Vec<(u32, u32)> =
+            edges.iter().map(|&(task, on)| (task as u32, on as u32)).collect();
+        grouped.sort_by_key(|&(task, _)| task);
+        let deps = Dependencies(grouped.into());
+        // Kahn's algorithm, from the tasks nothing waits for
+        let mut waited_on = vec![0u32; tasks];
+        deps.0.iter().for_each(|&(_, on)| waited_on[on as usize] += 1);
+        let mut free: Vec<u32> =
+            (0..tasks as u32).filter(|&task| waited_on[task as usize] == 0).collect();
+        let mut sorted = 0;
+        while let Some(task) = free.pop() {
+            sorted += 1;
+            let lo = deps.0.partition_point(|&(t, _)| t < task);
+            for &(_, on) in deps.0[lo..].iter().take_while(|&&(t, _)| t == task) {
+                waited_on[on as usize] -= 1;
+                if waited_on[on as usize] == 0 {
+                    free.push(on);
+                }
+            }
+        }
+        match sorted < tasks {
+            true => Err("workflow contains a dependency cycle".to_string()),
+            false => Ok(deps),
+        }
+    }
+
+    /// Adds the dependencies to `sim`, whose works are the tasks, in
+    /// order: task by task, each task's in the order they were given.
+    pub fn add_to(&self, sim: &mut Simulation<'_>) {
+        let mut on = Vec::new();
+        for group in self.0.chunk_by(|a, b| a.0 == b.0) {
+            on.clear();
+            on.extend(group.iter().map(|&(_, dep)| WorkId(dep)));
+            sim.add_dependencies(WorkId(group[0].0), &on);
+        }
+    }
+}
 
 /// Every hypothesis' transfers, lent as [`Transfer`]s.
 pub fn lend<H: AsRef<[TransferSpec]>>(hypotheses: &[H]) -> Vec<Vec<Transfer<'_>>> {
@@ -203,27 +278,33 @@ pub fn check_hypotheses<T, H: AsRef<[T]>>(hypotheses: &[H]) -> Result<(), Foreca
 
 /// Outcome of a forecast: the fastest of its hypotheses. A predict is
 /// the selection of its one hypothesis — `best` 0, `pruned` empty, and
-/// `best_makespan` the largest of its `durations`.
+/// `best_makespan` the largest of its `durations` — and so is a
+/// workflow, whose `durations` are its tasks' finish times and whose
+/// `starts` say when each began.
 ///
 /// It also has one write-once slot for the answer as the client reads
-/// it: the winner's predictions array as JSON text, which the HTTP
-/// service files the first time the cache answers this selection
-/// ([`Selection::file`]) and copies on every later hit
-/// ([`Selection::filed`]). The engine never reads or writes it. A body is
-/// a function of the cache key (names are looked up exactly, sizes are
-/// keyed by their bits), so the text stays right as long as the entry
-/// lives, and the eviction that drops the entry drops its text. The slot
-/// is not part of equality.
+/// it: the winner's predictions array (a workflow's whole answer) as
+/// JSON text, which the HTTP service files the first time the cache
+/// answers this selection ([`Selection::file`]) and copies on every later
+/// hit ([`Selection::filed`]). The engine never reads or writes it. A body
+/// is a function of the cache key (names are looked up exactly, amounts
+/// are keyed by their bits, labels kept), so the text stays right as
+/// long as the entry lives, and the eviction that drops the entry drops
+/// its text. The slot is not part of equality.
 #[derive(Clone, Debug)]
 pub struct Selection {
     /// Index of the winning hypothesis.
     pub best: usize,
     /// Makespan of the winning hypothesis, seconds.
     pub best_makespan: f64,
-    /// Per-transfer durations of the winning hypothesis, in request order.
+    /// Per-transfer durations of the winning hypothesis, in request order
+    /// (a workflow's finish times, in task order).
     pub durations: Vec<f64>,
     /// Indices of hypotheses skipped by the pruning heuristic, ascending.
     pub pruned: Vec<usize>,
+    /// A workflow's start times, in task order; empty for a selection,
+    /// whose transfers all start at 0.
+    pub starts: Vec<f64>,
     /// The filed predictions array; empty until its first hit.
     body: OnceLock<Box<str>>,
 }
@@ -231,7 +312,20 @@ pub struct Selection {
 impl Selection {
     /// A selection with nothing filed.
     pub fn new(best: usize, best_makespan: f64, durations: Vec<f64>, pruned: Vec<usize>) -> Self {
-        Selection { best, best_makespan, durations, pruned, body: OnceLock::new() }
+        let (starts, body) = (Vec::new(), OnceLock::new());
+        Selection { best, best_makespan, durations, pruned, starts, body }
+    }
+
+    /// A workflow's answer from the report of its simulation: per task
+    /// its start and finish time, infinite when the task failed (a dead
+    /// link on its route, or upstream of it).
+    pub fn workflow(report: &Report) -> Self {
+        let times = |c: &Completion| {
+            (c.start.as_secs(), if c.failed() { f64::INFINITY } else { c.finish.as_secs() })
+        };
+        let (starts, finishes): (Vec<f64>, Vec<f64>) = report.completions.iter().map(times).unzip();
+        let makespan = finishes.iter().copied().fold(0.0, f64::max);
+        Selection { starts, ..Selection::new(0, makespan, finishes, Vec::new()) }
     }
 
     /// The filed predictions text, if any.
@@ -252,6 +346,7 @@ impl PartialEq for Selection {
             && self.best_makespan == other.best_makespan
             && self.durations == other.durations
             && self.pruned == other.pruned
+            && self.starts == other.starts
     }
 }
 
@@ -283,10 +378,14 @@ impl Pending {
     /// platform's names of the key's host ids and its size is the key's
     /// bits. Host lookup is exact, so these are the names the query
     /// asked, and no text of the request is needed to render an answer.
+    /// A workflow's are its [`Pending::workflow`].
     pub fn hypotheses(&self) -> impl Iterator<Item = impl Iterator<Item = Transfer<'_>> + Clone> {
         let platform = self.session.platform();
         let mut rest = self.key.transfers();
-        let lengths = self.key.hypotheses();
+        let lengths = match self.key.shape() {
+            Shape::Hypotheses(lengths) => Some(&lengths[..]),
+            _ => None,
+        };
         let whole = lengths.is_none().then_some(rest.len());
         lengths.into_iter().flatten().copied().chain(whole).map(move |len| {
             let (hypothesis, after) = rest.split_at(len);
@@ -295,6 +394,29 @@ impl Pending {
                 (platform.host_name(src), platform.host_name(dst), f64::from_bits(size))
             })
         })
+    }
+
+    /// A workflow's labelled tasks as keyed, in order (names read back
+    /// as [`Pending::hypotheses`] reads them), and its dependencies; `None`
+    /// for a selection.
+    pub fn workflow(
+        &self,
+    ) -> Option<(impl Iterator<Item = (&str, Task<'_>)> + Clone, &Dependencies)> {
+        let Shape::Workflow(dag) = self.key.shape() else { return None };
+        let name = |host| self.session.platform().host_name(host);
+        let mut label_start = 0;
+        let tasks = dag.tasks.iter().zip(self.key.transfers());
+        let tasks = tasks.map(move |(&(computes, label_end), &(a, b, amount))| {
+            let label = &dag.labels[label_start..label_end as usize];
+            label_start = label_end as usize;
+            let amount = f64::from_bits(amount);
+            let task = match computes {
+                true => Task::Compute(name(a), amount),
+                false => Task::Transfer((name(a), name(b), amount)),
+            };
+            (label, task)
+        });
+        Some((tasks, &dag.deps))
     }
 }
 
@@ -615,13 +737,57 @@ impl ForecastEngine {
             transfers.push((src, dst, transfer.2.to_bits()));
         }
         // One hypothesis keys as a predict does: the same simulation.
-        let lengths =
-            (hypotheses.len() > 1).then(|| hypotheses.iter().map(|h| h.as_ref().len()).collect());
-        let key = CacheKey::new(id, transfers.into(), lengths);
-        Ok(match self.cache.get(&key) {
+        let shape = match hypotheses {
+            [_] => Shape::One,
+            _ => Shape::Hypotheses(hypotheses.iter().map(|h| h.as_ref().len()).collect()),
+        };
+        Ok(self.look_up(session, CacheKey::new(id, transfers.into(), shape)))
+    }
+
+    /// The probe stage of a workflow forecast, as [`ForecastEngine::probe`]
+    /// is of a selection: look the platform up, then per task in order its
+    /// hosts and then its amount, key the workflow — per task its kind,
+    /// host ids, amount bits and label, and `deps` — and look the cache
+    /// up. A computation keys as `(host, host, flops bits)`.
+    pub fn probe_workflow(
+        &self,
+        platform: &str,
+        tasks: &[(&str, Task<'_>)],
+        deps: Dependencies,
+    ) -> Result<Probed, ForecastError> {
+        let (id, session) = self.registered(platform)?;
+        let _lookup = Span::start(&self.metrics.stage_cache_lookup);
+        let amount = |x: f64| match x.is_finite() && x >= 0.0 {
+            true => Ok(x.to_bits()),
+            false => Err(ForecastError::BadSize(x)),
+        };
+        let mut works = Vec::with_capacity(tasks.len());
+        let mut kinds = Vec::with_capacity(tasks.len());
+        let mut labels = String::with_capacity(tasks.iter().map(|(label, _)| label.len()).sum());
+        for &(label, task) in tasks {
+            works.push(match task {
+                Task::Transfer((src, dst, size)) => {
+                    let (src, dst) = (session.host(src)?, session.host(dst)?);
+                    (src, dst, amount(size)?)
+                }
+                Task::Compute(host, flops) => {
+                    let host = session.host(host)?;
+                    (host, host, amount(flops)?)
+                }
+            });
+            labels.push_str(label);
+            kinds.push((matches!(task, Task::Compute(..)), labels.len() as u32));
+        }
+        let dag = Dag { tasks: kinds.into(), labels: labels.into(), deps };
+        Ok(self.look_up(session, CacheKey::new(id, works.into(), Shape::Workflow(Arc::new(dag)))))
+    }
+
+    /// A probe's cache lookup, counted as its request's one hit or miss.
+    fn look_up(&self, session: Arc<Session>, key: CacheKey) -> Probed {
+        match self.cache.get(&key) {
             Some(hit) => Probed::Ready(hit),
             None => Probed::Pending(Pending { session, key }),
-        })
+        }
     }
 
     /// The compute stage of the forecast `pending` describes: coalesce,
@@ -644,18 +810,30 @@ impl ForecastEngine {
             (key.clone(), v0),
             || session.overlay_version() == v0,
             |key| {
+                let computes = |i: usize| match key.shape() {
+                    Shape::Workflow(dag) => dag.tasks[i].0,
+                    _ => false,
+                };
                 let resolved = key
                     .transfers()
                     .iter()
-                    .map(|&(src, dst, size)| {
+                    .enumerate()
+                    .filter(|&(i, _)| !computes(i))
+                    .map(|(_, &(src, dst, size))| {
                         let path = session.resolve(src, dst)?;
                         Ok(ResolvedSpec { src, dst, size: f64::from_bits(size), path })
                     })
                     .collect::<Result<Vec<_>, ForecastError>>()?;
                 self.begin_simulation();
-                let one = [resolved.len()];
-                let lengths = key.hypotheses().unwrap_or(&one);
-                let selection = self.compute_selection(session, lengths, &resolved)?;
+                let selection = match key.shape() {
+                    Shape::One => self.compute_selection(session, &[resolved.len()], &resolved)?,
+                    Shape::Hypotheses(lengths) => {
+                        self.compute_selection(session, lengths, &resolved)?
+                    }
+                    Shape::Workflow(dag) => {
+                        simulate_workflow(session, dag, key.transfers(), &resolved)?
+                    }
+                };
                 Ok((Arc::new(selection), route_union(&resolved)))
             },
         )
@@ -738,7 +916,16 @@ impl ForecastEngine {
                 pruned.push(i);
                 continue;
             }
-            let durations = session.simulate(hypotheses[i])?;
+            let report = session.simulate(|sim| {
+                for s in hypotheses[i] {
+                    sim.add_transfer_resolved(s.src, s.dst, s.size, SimTime::ZERO, &s.path);
+                }
+            })?;
+            let duration = |c: &Completion| match c.failed() {
+                true => f64::INFINITY,
+                false => c.duration().as_secs(),
+            };
+            let durations: Vec<f64> = report.completions.iter().map(duration).collect();
             let mk = durations.iter().copied().fold(0.0, f64::max);
             if best.as_ref().is_none_or(|(_, b, _)| mk < *b) {
                 best = Some((i, mk, durations));
@@ -786,6 +973,30 @@ impl ForecastEngine {
     pub fn invalidated_epoch(&self) -> u64 {
         0
     }
+}
+
+/// One simulation of a workflow keyed as `dag` and `works`: its tasks
+/// added in order, a transfer on its route in `resolved` (the transfers'
+/// routes, in task order), then each task's dependencies, task by task.
+fn simulate_workflow(
+    session: &Session,
+    dag: &Dag,
+    works: &[CanonicalTransfer],
+    resolved: &[ResolvedSpec],
+) -> Result<Selection, ForecastError> {
+    let report = session.simulate(|sim| {
+        let mut routes = resolved.iter();
+        for (&(computes, _), &(host, _, flops)) in dag.tasks.iter().zip(works) {
+            if computes {
+                sim.add_compute_at(host, f64::from_bits(flops), SimTime::ZERO);
+            } else {
+                let s = routes.next().expect("a route per transfer");
+                sim.add_transfer_resolved(s.src, s.dst, s.size, SimTime::ZERO, &s.path);
+            }
+        }
+        dag.deps.add_to(sim);
+    })?;
+    Ok(Selection::workflow(&report))
 }
 
 /// Sorted, deduplicated union of the solver resources crossed by a set

@@ -49,8 +49,9 @@
 //! adds its requests in order to one simulation of the degraded platform
 //! ([`Session::simulate`], on recycled scratch), which is what a
 //! from-scratch kernel run of the batch does — the bit-identity tests
-//! compare the two. Background traffic is not modelled, as in the
-//! paper's PNFS.
+//! compare the two. A workflow adds its tasks in order, then their
+//! dependencies, to one such simulation. Background traffic is not
+//! modelled, as in the paper's PNFS.
 //!
 //! ## Singleflight
 //!
@@ -72,8 +73,8 @@ pub mod metrics;
 pub mod session;
 
 pub use engine::{
-    check_hypotheses, lend, ForecastEngine, ForecastError, Pending, Probed, Selection, Transfer,
-    TransferSpec,
+    check_hypotheses, lend, Dependencies, ForecastEngine, ForecastError, Pending, Probed, Selection,
+    Task, Transfer, TransferSpec,
 };
 pub use metrics::{ForecastMetrics, KernelCounters};
 pub use faults::{Fault, FaultInjector, FaultPlan};

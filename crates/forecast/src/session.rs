@@ -34,8 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use simflow::{
-    Connectivity, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind, ResolvedPath,
-    SimScratch, Simulation,
+    Connectivity, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind, Report,
+    ResolvedPath, SimScratch, Simulation,
 };
 
 use crate::metrics::KernelCounters;
@@ -231,9 +231,9 @@ impl Session {
     /// [`simflow::DeadRoutePolicy::Fail`] — a transfer routed over a dead
     /// link completes as failed rather than stalling the simulation.
     ///
-    /// This is the oracle's constructor (`Pnfs::predict_reference`, the
-    /// workflow endpoint and the benchmark's ladder build here), so it
-    /// never recycles: a reference that shared scratch with
+    /// This is the oracles' constructor (`Pnfs::predict_reference`, the
+    /// sequential service's workflows and the benchmark's ladder build
+    /// here), so it never recycles: a reference that shared scratch with
     /// [`Session::simulate`] could not catch a reset that leaks state
     /// from one forecast into the next. It pays `O(resources)` per call.
     pub fn simulation(&self) -> Simulation<'_> {
@@ -259,27 +259,22 @@ impl Session {
         sim
     }
 
-    /// Runs one simulation of `specs` (all starting at t=0, added in
-    /// request order — the insertion order of the from-scratch
-    /// references the bit-identity tests compare against) and returns
-    /// their durations, in order. A spec that fails (its route crosses a
-    /// dead resource) reports an infinite duration.
+    /// Runs one simulation of the platform as the link events left it,
+    /// with the works and dependencies `add` puts in (every served
+    /// forecast adds them in request order — the insertion order of the
+    /// from-scratch references the bit-identity tests compare against),
+    /// and returns its report.
     ///
     /// The simulation is that of [`Session::simulation`], but started
     /// from the scratch of an earlier run, reset to the pristine
     /// platform, so a warm forecast costs in proportion to its request
     /// rather than to the platform. The scratch goes back to the session
     /// only after an `Ok` run.
-    pub fn simulate(&self, specs: &[ResolvedSpec]) -> Result<Vec<f64>, ForecastError> {
+    pub fn simulate(&self, add: impl FnOnce(&mut Simulation<'_>)) -> Result<Report, ForecastError> {
         let recycled = self.scratch.lock().unwrap_or_else(PoisonError::into_inner).pop();
         let scratch = recycled.unwrap_or_else(|| SimScratch::new(self.capacities.clone()));
         let mut sim = self.degraded(scratch);
-        let ids: Vec<_> = specs
-            .iter()
-            .map(|s| {
-                sim.add_transfer_resolved(s.src, s.dst, s.size, simflow::SimTime::ZERO, &s.path)
-            })
-            .collect();
+        add(&mut sim);
         let (report, mut scratch) = sim.run_recycling();
         let report = report.map_err(ForecastError::Sim)?;
         scratch.reset(&self.capacities);
@@ -292,17 +287,7 @@ impl Session {
         let memo = self.platform.route_memo_stats();
         let prev = self.memo_hits_seen.fetch_max(memo.hits, Ordering::Relaxed);
         self.kernel.observe_route_memo(memo, prev);
-        Ok(ids
-            .iter()
-            .map(|id| {
-                let c = report.completion(*id);
-                if c.failed() {
-                    f64::INFINITY
-                } else {
-                    c.duration().as_secs()
-                }
-            })
-            .collect())
+        Ok(report)
     }
 }
 

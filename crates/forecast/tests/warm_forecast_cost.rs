@@ -11,6 +11,9 @@
 //! whose overlay halves a link of the request's routes, which is what
 //! a `link_event` with `Capacity(0.5)` leaves behind.
 //!
+//! A warm 30-task workflow — transfers and computations, chained — is
+//! held to the same bound through the engine, probe included.
+//!
 //! The same allocator also counts allocation calls and the thread's live
 //! bytes, which pins what the engine's cache costs: a cached 30-transfer
 //! forecast is keyed by host ids + size bits, so a hit allocates a few
@@ -23,9 +26,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use forecast::{lend, ForecastEngine, Probed, ResolvedSpec, Session, TransferSpec};
+use forecast::{
+    lend, Dependencies, ForecastEngine, Probed, ResolvedSpec, Session, Task, TransferSpec,
+};
 use g5k::{synth, to_simflow, Flavor};
-use simflow::{NetworkConfig, PlatformEventKind};
+use simflow::{NetworkConfig, PlatformEventKind, SimTime, Simulation};
 
 /// Passes every call to the system allocator and keeps three tallies
 /// for the calling thread: the bytes each allocation or reallocation
@@ -124,12 +129,22 @@ fn warm_forecast_cost(hosts: usize, halved_link: bool) -> (u64, u64) {
     // On a thread of its own, so that the tallies are the forecast's.
     std::thread::scope(|s| {
         s.spawn(|| {
+            let simulate = || {
+                let add = |sim: &mut Simulation<'_>| {
+                    for s in &specs {
+                        sim.add_transfer_resolved(s.src, s.dst, s.size, SimTime::ZERO, &s.path);
+                    }
+                };
+                session.simulate(add).expect("forecast")
+            };
             for _ in 0..3 {
-                session.simulate(&specs).expect("forecast");
+                simulate();
             }
             let (bytes, faults) = (requested(), minor_faults());
-            let durations = session.simulate(&specs).expect("forecast");
+            let report = simulate();
             let cost = (requested() - bytes, minor_faults() - faults);
+            let durations: Vec<f64> =
+                report.completions.iter().map(|c| c.duration().as_secs()).collect();
             assert!(durations.iter().all(|d| d.is_finite() && *d > 0.0), "{durations:?}");
             cost
         })
@@ -151,6 +166,52 @@ fn a_warm_forecast_costs_per_request_not_per_platform() {
         );
         assert!(small_faults < 5 && wide_faults < 5, "{case}: {small_faults} / {wide_faults} faults");
     }
+}
+
+/// What one warm workflow costs through the engine on a 20 000-host
+/// platform: the bytes requested by the fourth of four new 30-task
+/// chains of transfers and computations, its probe (dependencies
+/// checked, key built) and its simulation included.
+#[test]
+fn a_warm_workflow_costs_per_request_not_per_platform() {
+    let platform = to_simflow(&synth::synthetic(20_000), Flavor::G5kTest);
+    let names: Vec<String> = platform.hosts().map(|h| platform.host_name(h).to_string()).collect();
+    let n = names.len();
+    let engine = ForecastEngine::new(NetworkConfig::default());
+    engine.register_platform("wide", platform);
+    let forecast = |round: usize| {
+        let tasks: Vec<(&str, Task<'_>)> = (0..30)
+            .map(|i| {
+                let (src, dst) = (&*names[(i * 7919) % n], &*names[(i * 104_729 + n / 2) % n]);
+                let amount = 1e8 + 1e6 * (i + 30 * round) as f64;
+                let task = match i % 3 {
+                    0 => Task::Compute(src, amount),
+                    _ => Task::Transfer((src, dst, amount)),
+                };
+                ("task", task)
+            })
+            .collect();
+        let chain: Vec<(usize, usize)> = (1..30).map(|i| (i, i - 1)).collect();
+        let deps = Dependencies::new(30, &chain).expect("a chain");
+        let Probed::Pending(pending) = engine.probe_workflow("wide", &tasks, deps).expect("probe")
+        else {
+            panic!("a new workflow is the compute stage's")
+        };
+        engine.compute(&pending).expect("forecast")
+    };
+    // On a thread of its own, so that the tallies are the forecast's.
+    let (bytes, answer) = std::thread::scope(|s| {
+        s.spawn(|| {
+            (0..3).for_each(|round| drop(forecast(round)));
+            let before = requested();
+            let answer = forecast(3);
+            (requested() - before, answer)
+        })
+        .join()
+        .expect("forecast thread")
+    });
+    assert!(answer.durations.iter().all(|f| f.is_finite() && *f > 0.0), "{answer:?}");
+    assert!(bytes < 64 << 10, "{bytes} bytes for one warm workflow on 20 000 hosts");
 }
 
 /// An engine serving the paper's `g5k_test` platform, and a 30-transfer

@@ -27,7 +27,7 @@ const SUB_BITS: u32 = 3;
 const SUB: usize = 1 << SUB_BITS; // 8
 
 /// Total buckets: 8 exact unit buckets + 8 per octave for msb 3..=63.
-pub const NBUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB; // 496
+pub(crate) const NBUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB; // 496
 
 /// Index of the bucket holding `v`.
 #[inline]
